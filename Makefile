@@ -1,16 +1,16 @@
 # Tier-1 gate: every change must pass `make check` — build, vet, and the
 # full test suite under the race detector (the parallel fan-out scheduler
 # runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck lint build vet test race racewal qossmoke bench benchgc benchmerge benchws benchsql benchkernels benchtransport benchrestore benchqos benchsmoke benchsmokecheck benchall fuzzsmoke chaossmoke
+.PHONY: check ci fmtcheck lint build vet test race racewal qossmoke bench benchsmoke benchall fuzzsmoke chaossmoke
 
 check: build vet race
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
 # the tier-1 check gate, the focused WAL/replication race gate, the
-# multi-tenant QoS isolation gate, a smoke pass of every benchmark
-# harness (with artifact coverage verified against `s2bench -list`), and
-# a short fuzz pass of the SQL front-end. Run it locally before pushing.
-ci: fmtcheck lint check racewal qossmoke chaossmoke benchsmokecheck benchsmoke fuzzsmoke
+# multi-tenant QoS isolation gate, the seeded chaos soak, a smoke pass of
+# the four benchmark workloads, and a short fuzz pass of the SQL
+# front-end and the WAL page codec. Run it locally before pushing.
+ci: fmtcheck lint check racewal qossmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
 # gofmt-clean; it never rewrites files.
@@ -60,61 +60,13 @@ test:
 race:
 	go test -race ./...
 
-# bench regenerates BENCH_PR2.json: cold-vs-warm decoded-vector-cache
-# numbers (ns/op, allocs/op, hit rate) for the scan and fan-out paths.
+# bench runs the repository's benchmark (bench/, BENCHMARK.json) at full
+# scale: one run per workload, each ending in one JSON line on stdout.
+BENCH_WORKLOADS = tpcc tpch chbench sqlmix
 bench:
-	go run ./cmd/s2bench -exp veccache -out BENCH_PR2.json
-
-# benchgc regenerates BENCH_PR3.json: multi-writer commit throughput with
-# 2 sync replicas at 1ms link latency, per-record vs group-commit pages,
-# plus the durable-watermark recompute before/after numbers.
-benchgc:
-	go run ./cmd/s2bench -exp groupcommit -out BENCH_PR3.json
-
-# benchmerge regenerates BENCH_PR4.json: columnar k-way merge throughput
-# vs the row-resort baseline, foreground write p99 while a merge is in
-# flight (install-only lock vs lock-held), and decoded-vector cache
-# invalidations under cache-aware vs size-only run selection.
-benchmerge:
-	go run ./cmd/s2bench -exp merge -out BENCH_PR4.json
-
-# benchws regenerates BENCH_PR5.json: primary p99 scan latency under an
-# adversarial analytic-workspace churn, baseline vs the pre-partitioning
-# shared cache vs the per-workspace partitioned cache.
-benchws:
-	go run ./cmd/s2bench -exp wscache -out BENCH_PR5.json
-
-# benchsql regenerates BENCH_PR6.json: amortized SQL latency per query
-# shape with a warm plan cache vs parse-every-time (PlanCacheEntries=0)
-# vs the native Go builder.
-benchsql:
-	go run ./cmd/s2bench -exp sqlplan -out BENCH_PR6.json
-
-# benchkernels regenerates BENCH_PR7.json: fused single-pass encoded
-# execution vs the DisableFusedKernels three-pass ablation, per encoding
-# and filter selectivity, plus the TPC-H warm-geomean delta.
-benchkernels:
-	go run ./cmd/s2bench -exp kernels -out BENCH_PR7.json
-
-# benchtransport regenerates BENCH_PR8.json: sync-replicated commit
-# latency over the in-memory channel transport vs the length-prefixed TCP
-# wire codec, the same workload under seeded chaos (drop/dup/reorder/
-# delay), and partition-recovery time for reconnect-with-resume.
-benchtransport:
-	go run ./cmd/s2bench -exp transport -out BENCH_PR8.json
-
-# benchrestore regenerates BENCH_PR9.json: O(manifest) lazy restore vs the
-# EagerHydration ablation under simulated blob latency — PITR restore time,
-# workspace-create-before-first-payload-fetch, time to first analytic query
-# (demand hydration) and time to fully warm (parallel readahead).
-benchrestore:
-	go run ./cmd/s2bench -exp restore -out BENCH_PR9.json
-
-# benchqos regenerates BENCH_PR10.json: the well-behaved tenant's p99
-# under an adversarial flood with per-tenant admission control on, vs the
-# unloaded baseline and the DisableQoS ablation, plus typed-shed counts.
-benchqos:
-	go run ./cmd/s2bench -exp qos -out BENCH_PR10.json
+	@for w in $(BENCH_WORKLOADS); do \
+		sh bench/run.sh -workload $$w || exit 1; \
+	done
 
 # chaossmoke is the seeded chaos soak: every fault class against the
 # replication and workspace links under the race detector. Seeded RNG
@@ -122,29 +74,15 @@ benchqos:
 chaossmoke:
 	go test -race -run 'Chaos' -count=1 ./internal/cluster
 
-# benchsmoke runs every benchmark harness end to end at tiny scale — the
-# CI guard against harness rot. Smoke-scale JSON lands in .benchsmoke/
-# (gitignored, uploaded as CI artifacts); the committed full-scale
-# BENCH_*.json artifacts are never rewritten here.
+# benchsmoke runs the same four workloads at -scale smoke (a second or
+# two each) — the CI guard that the benchmark still builds, runs and
+# reports correct=true. Each run's JSON line lands in .benchsmoke/
+# (gitignored, uploaded as CI artifacts); a failed run exits non-zero.
 benchsmoke:
 	@mkdir -p .benchsmoke
-	go run ./cmd/s2bench -exp veccache -smoke -out .benchsmoke/BENCH_PR2.json
-	go run ./cmd/s2bench -exp groupcommit -smoke -out .benchsmoke/BENCH_PR3.json
-	go run ./cmd/s2bench -exp merge -smoke -out .benchsmoke/BENCH_PR4.json
-	go run ./cmd/s2bench -exp wscache -smoke -out .benchsmoke/BENCH_PR5.json
-	go run ./cmd/s2bench -exp sqlplan -smoke -out .benchsmoke/BENCH_PR6.json
-	go run ./cmd/s2bench -exp kernels -smoke -out .benchsmoke/BENCH_PR7.json
-	go run ./cmd/s2bench -exp transport -smoke -out .benchsmoke/BENCH_PR8.json
-	go run ./cmd/s2bench -exp restore -smoke -out .benchsmoke/BENCH_PR9.json
-	go run ./cmd/s2bench -exp qos -smoke -out .benchsmoke/BENCH_PR10.json
-
-# benchsmokecheck fails if any JSON experiment s2bench knows about
-# (-list) is missing from the benchsmoke recipe above — adding a new
-# benchmark without its smoke line breaks CI, not just bit-rots.
-benchsmokecheck:
-	@missing=0; for exp in $$(go run ./cmd/s2bench -list); do \
-		grep -Eq -- "-exp $$exp -smoke" Makefile || { echo "benchsmoke is missing experiment: $$exp"; missing=1; }; \
-	done; exit $$missing
+	@for w in $(BENCH_WORKLOADS); do \
+		sh bench/run.sh -workload $$w -scale smoke > .benchsmoke/$$w.json || exit 1; \
+	done
 
 # fuzzsmoke runs the fuzz targets for a few seconds each: FuzzParse
 # must never panic, FuzzNormalize must stay idempotent, and

@@ -6,33 +6,23 @@
 //	s2bench -exp figure4   # TPC-H per-query runtimes (Figure 4)
 //	s2bench -exp figure5   # TPC-C + TPC-H cross-engine summary (Figure 5)
 //	s2bench -exp table3    # CH-BenCHmark mixed workload (Table 3)
-//	s2bench -exp veccache  # decoded-vector cache cold/warm (BENCH_PR2.json)
-//	s2bench -exp groupcommit # page-based group commit (BENCH_PR3.json)
-//	s2bench -exp merge     # columnar k-way merge pipeline (BENCH_PR4.json)
-//	s2bench -exp wscache   # per-workspace cache isolation (BENCH_PR5.json)
-//	s2bench -exp sqlplan   # SQL plan cache vs parse vs builder (BENCH_PR6.json)
-//	s2bench -exp kernels   # fused encoded-execution kernels ablation (BENCH_PR7.json)
-//	s2bench -exp transport # in-memory vs TCP wire transport + chaos (BENCH_PR8.json)
-//	s2bench -exp restore   # lazy segment hydration: O(manifest) restore (BENCH_PR9.json)
-//	s2bench -exp qos       # multi-tenant QoS admission isolation (BENCH_PR10.json)
-//	s2bench -exp all       # every table/figure (JSON experiments stay opt-in)
+//	s2bench -exp all       # every table and figure above
 //
-// -smoke shrinks the JSON experiments to seconds-scale harness checks (tiny
-// row counts) so CI catches benchmark bit-rot without paying full bench
-// cost. Under -smoke the checked-in artifact is not overwritten: the JSON
-// is written only where -out points explicitly (CI uploads those
-// smoke-scale artifacts). -list prints the JSON experiment names, one per
-// line, so CI can verify its smoke matrix covers every experiment.
+// The per-commit performance record is not this command but the benchmark
+// in bench/ (`sh bench/run.sh -workload tpcc|tpch|chbench|sqlmix`).
 //
 // Absolute numbers are laptop-scale; compare shapes against the paper (see
 // EXPERIMENTS.md).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -45,77 +35,78 @@ import (
 	"s2db/internal/workload/tpch"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, figure4, figure5, table3, veccache, groupcommit, merge, wscache, sqlplan, kernels, transport, restore, qos, all")
-	out := flag.String("out", "", "output path for a JSON experiment (default BENCH_PR<n>.json; required under -smoke to write anything)")
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
-	warehouses := flag.Int("warehouses", 2, "TPC-C warehouses")
-	duration := flag.Duration("duration", 3*time.Second, "per-measurement duration")
-	seed := flag.Int64("seed", 1, "data generation seed")
-	smoke := flag.Bool("smoke", false, "harness smoke test: tiny row counts; writes JSON only where -out points")
-	list := flag.Bool("list", false, "print the JSON experiment names, one per line, and exit")
-	flag.Parse()
+// params carries the scale flags to the experiments.
+type params struct {
+	sf         float64
+	warehouses int
+	duration   time.Duration
+	seed       int64
+}
 
-	// The JSON experiments write artifacts, so they run only when asked for
-	// explicitly (not under -exp all). Under -smoke the default artifact
-	// path is suppressed so a smoke run never overwrites the checked-in
-	// full-scale results; CI passes -out to collect smoke artifacts.
-	jsonExps := []struct {
-		name       string
-		defaultOut string
-		fn         func(path string, smoke bool) error
-	}{
-		{"veccache", "BENCH_PR2.json", veccacheBench},
-		{"groupcommit", "BENCH_PR3.json", func(path string, smoke bool) error {
-			return groupCommitBench(path, *duration, smoke)
-		}},
-		{"merge", "BENCH_PR4.json", mergeBench},
-		{"wscache", "BENCH_PR5.json", wscacheBench},
-		{"sqlplan", "BENCH_PR6.json", sqlplanBench},
-		{"kernels", "BENCH_PR7.json", func(path string, smoke bool) error {
-			return kernelsBench(path, *sf, *seed, smoke)
-		}},
-		{"transport", "BENCH_PR8.json", func(path string, smoke bool) error {
-			return transportBench(path, *duration, smoke)
-		}},
-		{"restore", "BENCH_PR9.json", restoreBench},
-		{"qos", "BENCH_PR10.json", qosBench},
+// experiments lists every -exp name in the order "all" runs them.
+var experiments = []struct {
+	name string
+	fn   func(p params) error
+}{
+	{"table1", func(p params) error { return table1(p.warehouses, p.duration, p.seed) }},
+	{"table2", func(p params) error { return table2(p.sf, p.seed) }},
+	{"figure4", func(p params) error { return figure4(p.sf, p.seed) }},
+	{"figure5", func(p params) error { return figure5(p.warehouses, p.sf, p.duration, p.seed) }},
+	{"table3", func(p params) error { return table3(p.warehouses, p.duration, p.seed) }},
+}
+
+// expNames returns the accepted -exp values.
+func expNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
 	}
-	if *list {
-		for _, e := range jsonExps {
-			fmt.Println(e.name)
+	return append(names, "all")
+}
+
+// errUsage marks a bad command line (exit status 2) as opposed to a failed
+// experiment (exit status 1).
+var errUsage = errors.New("usage")
+
+func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
-	for _, e := range jsonExps {
-		if *exp != e.name {
+}
+
+// run parses the command line and runs the selected experiments. An unknown
+// -exp is an error naming the valid ones, checked before anything runs.
+func run(args []string) error {
+	names := expNames()
+	fs := flag.NewFlagSet("s2bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", "))
+	var p params
+	fs.Float64Var(&p.sf, "sf", 0.01, "TPC-H scale factor")
+	fs.IntVar(&p.warehouses, "warehouses", 2, "TPC-C warehouses")
+	fs.DurationVar(&p.duration, "duration", 3*time.Second, "per-measurement duration")
+	fs.Int64Var(&p.seed, "seed", 1, "data generation seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if !slices.Contains(names, *exp) {
+		return fmt.Errorf("%w: unknown experiment %q (valid: %s)", errUsage, *exp, strings.Join(names, " "))
+	}
+	for _, e := range experiments {
+		if *exp != e.name && *exp != "all" {
 			continue
 		}
-		path := *out
-		if path == "" && !*smoke {
-			path = e.defaultOut
-		}
-		if err := e.fn(path, *smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	run := func(name string, f func() error) {
-		switch *exp {
-		case name, "all":
-			if err := f(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				os.Exit(1)
-			}
+		if err := e.fn(p); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
-	run("table1", func() error { return table1(*warehouses, *duration, *seed) })
-	run("table2", func() error { return table2(*sf, *seed) })
-	run("figure4", func() error { return figure4(*sf, *seed) })
-	run("figure5", func() error { return figure5(*warehouses, *sf, *duration, *seed) })
-	run("table3", func() error { return table3(*warehouses, *duration, *seed) })
+	return nil
 }
 
 func newS2TpccBackend(warehouses int, withBlob bool, seed int64) (*tpcc.S2Backend, error) {

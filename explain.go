@@ -36,8 +36,7 @@ type Plan struct {
 	Workspace string
 	// CachePartition names the decoded-vector cache partition the scan
 	// resolves against ("primary", a workspace name, or empty when the
-	// cache is disabled). With SharedVectorCache on, every query reports
-	// "primary" — the single unified tier.
+	// cache is disabled).
 	CachePartition string
 	// Partitions is the number of leaf views the query fans out to.
 	Partitions int
@@ -98,8 +97,7 @@ func (q *Query) Explain() (Plan, error) {
 		p.QoS = &ts
 	}
 	// Report the cache partition the leaf views actually carry, rather than
-	// inferring it from routing: unified mode and a disabled cache both
-	// diverge from the workspace name.
+	// inferring it from routing: a disabled cache has no partition.
 	if len(r.views) > 0 {
 		if c, ok := r.views[0].DecodedCache().(*exec.VecCache); ok {
 			p.CachePartition = c.PartitionName()

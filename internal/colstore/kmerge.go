@@ -39,26 +39,6 @@ type OutLoc struct {
 	Off int32
 }
 
-// Merger is the shape shared by the columnar k-way merge and the legacy
-// row-sort merge, so the table layer can run either through one install
-// pipeline (the row-sort path survives only as a benchmark/ablation
-// baseline).
-type Merger interface {
-	// Inputs returns the flattened input metas in merge order (runs in
-	// caller order, segments within a run in sort-key order).
-	Inputs() []*Meta
-	// NumRows returns the number of live rows across all inputs.
-	NumRows() int
-	// NumOutputs returns the number of output segments.
-	NumOutputs() int
-	// BuildOutput builds output chunk i as a segment with the given id.
-	// Distinct chunks may be built concurrently.
-	BuildOutput(i int, id uint64) *Segment
-	// Remaps returns, per input (aligned with Inputs), the output location
-	// of every input row offset.
-	Remaps() [][]OutLoc
-}
-
 // srcLoc addresses one live input row: an index into the flattened input
 // list plus the row offset inside that segment.
 type srcLoc struct {
@@ -76,8 +56,7 @@ type colVec struct {
 }
 
 // KMerge merges the live rows of several sorted runs into output chunks of
-// at most maxRows rows each, entirely in columnar form. It implements
-// Merger.
+// at most maxRows rows each, entirely in columnar form.
 type KMerge struct {
 	schema  *types.Schema
 	maxRows int
@@ -308,16 +287,18 @@ func (k *KMerge) mergeOrder(runs [][]*Meta, runStarts []int) {
 	}
 }
 
-// Inputs implements Merger.
+// Inputs returns the flattened input metas in merge order (runs in caller
+// order, segments within a run in sort-key order).
 func (k *KMerge) Inputs() []*Meta { return k.inputs }
 
-// NumRows implements Merger.
+// NumRows returns the number of live rows across all inputs.
 func (k *KMerge) NumRows() int { return len(k.ord) }
 
-// NumOutputs implements Merger.
+// NumOutputs returns the number of output segments.
 func (k *KMerge) NumOutputs() int { return (len(k.ord) + k.maxRows - 1) / k.maxRows }
 
-// Remaps implements Merger.
+// Remaps returns, per input (aligned with Inputs), the output location of
+// every input row offset.
 func (k *KMerge) Remaps() [][]OutLoc {
 	out := make([][]OutLoc, len(k.inputs))
 	for i, m := range k.inputs {
@@ -333,10 +314,11 @@ func (k *KMerge) Remaps() [][]OutLoc {
 	return out
 }
 
-// BuildOutput implements Merger: it gathers chunk i's values column by
-// column from the decoded input vectors and encodes them directly, without
-// ever materializing a row. Safe for concurrent calls on distinct chunks —
-// all shared state is read-only after NewKMerge.
+// BuildOutput builds output chunk i as a segment with the given id: it
+// gathers the chunk's values column by column from the decoded input
+// vectors and encodes them directly, without ever materializing a row. Safe
+// for concurrent calls on distinct chunks — all shared state is read-only
+// after NewKMerge.
 func (k *KMerge) BuildOutput(i int, id uint64) *Segment {
 	start := i * k.maxRows
 	end := start + k.maxRows
@@ -439,90 +421,4 @@ func (k *KMerge) BuildOutput(i int, id uint64) *Segment {
 		}
 	}
 	return seg
-}
-
-// RowSortMerge is the pre-columnar merge algorithm: materialize every live
-// row, stable-sort the union by the sort key, rebuild segments from rows.
-// It is kept only as the benchmark/ablation baseline for the k-way merge
-// and as an independent oracle in equivalence tests.
-type RowSortMerge struct {
-	schema  *types.Schema
-	maxRows int
-	inputs  []*Meta
-	rows    []types.Row
-	origins []srcLoc
-}
-
-// NewRowSortMerge prepares a row-materializing merge of the given runs,
-// flattening them in the same order as NewKMerge.
-func NewRowSortMerge(runs [][]*Meta, schema *types.Schema, maxRows int) *RowSortMerge {
-	if maxRows <= 0 {
-		maxRows = MaxSegmentRows
-	}
-	r := &RowSortMerge{schema: schema, maxRows: maxRows}
-	for _, run := range runs {
-		run = append([]*Meta(nil), run...)
-		sortRunMetas(run, schema)
-		r.inputs = append(r.inputs, run...)
-	}
-	for i, m := range r.inputs {
-		for j := 0; j < m.Seg.NumRows; j++ {
-			if !m.Deleted.Get(j) {
-				r.rows = append(r.rows, m.Seg.RowAt(j))
-				r.origins = append(r.origins, srcLoc{input: int32(i), off: int32(j)})
-			}
-		}
-	}
-	if schema.SortKey >= 0 {
-		key := []int{schema.SortKey}
-		idxs := make([]int, len(r.rows))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return types.CompareRows(r.rows[idxs[a]], r.rows[idxs[b]], key) < 0
-		})
-		nr := make([]types.Row, len(r.rows))
-		no := make([]srcLoc, len(r.origins))
-		for i, j := range idxs {
-			nr[i], no[i] = r.rows[j], r.origins[j]
-		}
-		r.rows, r.origins = nr, no
-	}
-	return r
-}
-
-// Inputs implements Merger.
-func (r *RowSortMerge) Inputs() []*Meta { return r.inputs }
-
-// NumRows implements Merger.
-func (r *RowSortMerge) NumRows() int { return len(r.rows) }
-
-// NumOutputs implements Merger.
-func (r *RowSortMerge) NumOutputs() int { return (len(r.rows) + r.maxRows - 1) / r.maxRows }
-
-// BuildOutput implements Merger.
-func (r *RowSortMerge) BuildOutput(i int, id uint64) *Segment {
-	start := i * r.maxRows
-	end := start + r.maxRows
-	if end > len(r.rows) {
-		end = len(r.rows)
-	}
-	return buildFromRows(id, r.schema, r.rows[start:end])
-}
-
-// Remaps implements Merger.
-func (r *RowSortMerge) Remaps() [][]OutLoc {
-	out := make([][]OutLoc, len(r.inputs))
-	for i, m := range r.inputs {
-		rm := make([]OutLoc, m.Seg.NumRows)
-		for j := range rm {
-			rm[j] = OutLoc{Seg: -1, Off: -1}
-		}
-		out[i] = rm
-	}
-	for p, s := range r.origins {
-		out[s.input][s.off] = OutLoc{Seg: int32(p / r.maxRows), Off: int32(p % r.maxRows)}
-	}
-	return out
 }

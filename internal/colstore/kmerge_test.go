@@ -27,7 +27,10 @@ func buildRunMeta(schema *types.Schema, id uint64, run int, rows []types.Row, de
 	return m
 }
 
-func dumpOutputs(t *testing.T, m Merger, id uint64) [][]types.Row {
+func dumpOutputs(t *testing.T, m interface {
+	NumOutputs() int
+	BuildOutput(i int, id uint64) *Segment
+}, id uint64) [][]types.Row {
 	t.Helper()
 	var out [][]types.Row
 	for i := 0; i < m.NumOutputs(); i++ {

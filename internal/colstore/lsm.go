@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"s2db/internal/bitmap"
-	"s2db/internal/types"
 )
 
 // Meta is the mutable per-segment metadata the paper stores in a durable
@@ -105,41 +104,4 @@ func PickMerge(runSizes map[int]int, fanout int, heat map[int]int64) *MergePlan 
 		}
 	}
 	return nil
-}
-
-// MergeSegments merges the live rows of the given segment metadata into new
-// segments of at most maxRows each, ordered by the schema's sort key when
-// present. Logical table contents are unchanged — the caller installs the
-// result atomically (the merge is reorderable with move transactions,
-// §4.2).
-func MergeSegments(metas []*Meta, schema *types.Schema, maxRows int, nextID func() uint64) []*Segment {
-	// Each input meta is its own single-segment "run": segments are
-	// internally sorted by construction, and equal keys keep input order,
-	// matching the stable resort this function used to perform.
-	runs := make([][]*Meta, len(metas))
-	for i, m := range metas {
-		runs[i] = []*Meta{m}
-	}
-	km := NewKMerge(runs, schema, maxRows, nil)
-	out := make([]*Segment, km.NumOutputs())
-	for i := range out {
-		out[i] = km.BuildOutput(i, nextID())
-	}
-	return out
-}
-
-// MergeSegmentsRowSort is the legacy row-materializing merge, kept as the
-// benchmark/ablation baseline and as an independent oracle for equivalence
-// tests against the columnar path.
-func MergeSegmentsRowSort(metas []*Meta, schema *types.Schema, maxRows int, nextID func() uint64) []*Segment {
-	runs := make([][]*Meta, len(metas))
-	for i, m := range metas {
-		runs[i] = []*Meta{m}
-	}
-	rm := NewRowSortMerge(runs, schema, maxRows)
-	out := make([]*Segment, rm.NumOutputs())
-	for i := range out {
-		out[i] = rm.BuildOutput(i, nextID())
-	}
-	return out
 }

@@ -192,12 +192,16 @@ func TestMergeSegmentsPreservesLiveRows(t *testing.T) {
 		total += m.LiveRows()
 		metas = append(metas, m)
 	}
-	id := uint64(100)
-	next := func() uint64 { id++; return id }
-	out := MergeSegments(metas, schema, 40, next)
+	// Each input meta is its own single-segment run.
+	runs := make([][]*Meta, len(metas))
+	for i, m := range metas {
+		runs[i] = []*Meta{m}
+	}
+	km := NewKMerge(runs, schema, 40, nil)
 	got := 0
 	prev := int64(-1)
-	for _, seg := range out {
+	for o := 0; o < km.NumOutputs(); o++ {
+		seg := km.BuildOutput(o, uint64(101+o))
 		if seg.NumRows > 40 {
 			t.Fatalf("segment exceeds maxRows: %d", seg.NumRows)
 		}

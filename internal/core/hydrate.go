@@ -48,6 +48,10 @@ type hydroTask struct {
 	err     error
 }
 
+// hydrationWorkers bounds the goroutines fetching and decoding one table's
+// stub-segment payloads (parallel single-flight FileStore loads).
+const hydrationWorkers = 8
+
 // hydrator fetches and decodes stub-segment payloads for one table through
 // a bounded worker pool. Two queues feed the workers: demand (scans blocked
 // on a specific segment; always served first) and readahead (restore and
@@ -78,7 +82,7 @@ func newHydrator(t *Table) *hydrator {
 		wake:    make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 	}
-	for w := 0; w < t.cfg.HydrationWorkers; w++ {
+	for w := 0; w < hydrationWorkers; w++ {
 		h.wg.Add(1)
 		go h.worker()
 	}
@@ -364,8 +368,8 @@ func (v *View) HydrateAll(ctx context.Context) error {
 }
 
 // WaitHydrated blocks until every segment live at the latest snapshot is
-// resident — RestoreState's lazy counterpart to the eager path's "return
-// only when everything is loaded".
+// resident: "return only when everything is loaded" for callers of the
+// O(manifest) RestoreState that need it.
 func (t *Table) WaitHydrated(ctx context.Context) error {
 	if t.unhydrated.Load() == 0 {
 		return nil

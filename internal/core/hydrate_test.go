@@ -142,23 +142,6 @@ func TestLazyRestoreReturnsBeforeAnyPayloadLoad(t *testing.T) {
 	assertSameContents(t, src, restored)
 }
 
-// TestEagerHydrationAblation: the ablation knob restores the old behavior —
-// RestoreState returns only after every payload is resident.
-func TestEagerHydrationAblation(t *testing.T) {
-	files := newHydroFiles(NewMemFiles())
-	src, state, ts := buildSegmentedTable(t, files)
-
-	files.loads.Store(0)
-	restored := restoreInto(t, files, Config{MaxSegmentRows: 8, EagerHydration: true}, state, ts)
-	if !restored.Snapshot().Hydrated() {
-		t.Fatal("eager restore left cold segments")
-	}
-	if files.loads.Load() == 0 {
-		t.Fatal("eager restore issued no payload loads")
-	}
-	assertSameContents(t, src, restored)
-}
-
 // TestDemandHydrationSingleFlight hammers one cold table with concurrent
 // demand-hydrating readers: each segment's payload must be fetched exactly
 // once no matter how many scans block on it.
@@ -298,15 +281,18 @@ func TestMergeHydratesColdInputs(t *testing.T) {
 	assertSameContents(t, src, restored)
 }
 
-// TestLazyEagerEquivalence proves the three restore modes — eager, lazy,
-// and lazy-with-a-cancelled-wait-then-retry — converge to byte-identical
-// serialized state and identical scan contents, with a concurrent merge
-// racing hydration on the lazy table.
+// TestLazyEagerEquivalence proves three restores — fully hydrated before
+// first use (restore + WaitHydrated), lazy, and lazy-with-a-cancelled-wait-
+// then-retry — converge to byte-identical serialized state and identical
+// scan contents, with a concurrent merge racing hydration on the lazy table.
 func TestLazyEagerEquivalence(t *testing.T) {
 	files := newHydroFiles(NewMemFiles())
 	src, state, ts := buildSegmentedTable(t, files)
 
-	eager := restoreInto(t, files, Config{MaxSegmentRows: 8, EagerHydration: true}, state, ts)
+	eager := restoreInto(t, files, Config{MaxSegmentRows: 8}, state, ts)
+	if err := eager.WaitHydrated(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	lazy := restoreInto(t, files, Config{MaxSegmentRows: 8}, state, ts)
 	cancelled := restoreInto(t, files, Config{MaxSegmentRows: 8}, state, ts)
 

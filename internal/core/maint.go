@@ -216,11 +216,6 @@ func (t *Table) Flush() (int, error) {
 func (t *Table) Merge() bool {
 	t.mergeMu.Lock()
 	defer t.mergeMu.Unlock()
-	if t.cfg.MergeHoldLock {
-		// Ablation baseline: the pre-restructure lock scope.
-		t.structMu.Lock()
-		defer t.structMu.Unlock()
-	}
 
 	readTS := t.committer.Oracle().ReadTS()
 	// Gather live segments per run at the scan snapshot.
@@ -308,17 +303,11 @@ func (t *Table) Merge() bool {
 			}
 		}
 	}
-	var merger colstore.Merger
-	if t.cfg.MergeRowSort {
-		// Ablation baseline: materialize rows and resort.
-		merger = colstore.NewRowSortMerge(runs, t.schema, t.cfg.MaxSegmentRows)
-	} else {
-		var src colstore.VectorSource
-		if s, ok := t.cfg.DecodedCache.(colstore.VectorSource); ok {
-			src = s
-		}
-		merger = colstore.NewKMerge(runs, t.schema, t.cfg.MaxSegmentRows, src)
+	var src colstore.VectorSource
+	if s, ok := t.cfg.DecodedCache.(colstore.VectorSource); ok {
+		src = s
 	}
+	merger := colstore.NewKMerge(runs, t.schema, t.cfg.MaxSegmentRows, src)
 	inputs := merger.Inputs()
 
 	// Allocate output identities up front: ids ascend in key order so
@@ -406,10 +395,8 @@ func (t *Table) Merge() bool {
 		outIdxByID[id] = i
 	}
 
-	if !t.cfg.MergeHoldLock {
-		t.structMu.Lock()
-		defer t.structMu.Unlock()
-	}
+	t.structMu.Lock()
+	defer t.structMu.Unlock()
 	inputIDs := make([]uint64, len(inputs))
 	t.committer.Commit(func(ts uint64) {
 		// Diff: deletes that landed after our scan must carry over to the

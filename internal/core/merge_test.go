@@ -564,28 +564,3 @@ func TestMergeParallelWorkersPreserveOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeRowSortAblationPath keeps the legacy baseline working: with
-// MergeRowSort+MergeHoldLock the merge must still be correct (the bench
-// relies on this path as its "before" measurement).
-func TestMergeRowSortAblationPath(t *testing.T) {
-	schema := uniqSchema()
-	schema.SortKey = 0
-	tbl, _ := newTestTable(t, schema, Config{
-		MaxSegmentRows: 16, MergeFanout: 2, MergeRowSort: true, MergeHoldLock: true,
-	})
-	for batch := 0; batch < 2; batch++ {
-		for i := 0; i < 8; i++ {
-			tbl.Insert(urow(batch*8+i, batch, "x"))
-		}
-		tbl.Flush()
-	}
-	if !tbl.Merge() {
-		t.Fatal("merge expected")
-	}
-	for i := 0; i < 16; i++ {
-		if _, ok, _ := tbl.GetByUnique([]types.Value{types.NewInt(int64(i))}); !ok {
-			t.Fatalf("row %d lost on rowsort path", i)
-		}
-	}
-}

@@ -44,13 +44,11 @@ func (t *Table) SerializeState(ts uint64) []byte {
 }
 
 // RestoreState loads a serialized state into an empty table at timestamp
-// ts. By default segments install as metadata-only stubs straight from the
-// manifest — the call returns in O(manifest) — and the hydration worker
-// pool fetches payloads from the FileStore (which pulls from blob storage
-// on a replica or during PITR) in the background, readahead in view order,
-// with scans demand-fetching ahead of it. Config.EagerHydration restores
-// the fetch-everything-first baseline. Either way a restore that fails
-// installs nothing.
+// ts. Segments install as metadata-only stubs straight from the manifest —
+// the call returns in O(manifest) — and the hydration worker pool fetches
+// payloads from the FileStore (which pulls from blob storage on a replica
+// or during PITR) in the background, readahead in view order, with scans
+// demand-fetching ahead of it. A restore that fails installs nothing.
 func (t *Table) RestoreState(data []byte, ts uint64) error {
 	if len(data) < 8 {
 		return fmt.Errorf("restore %s: truncated state", t.name)
@@ -134,45 +132,17 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 			t.rowID.Store(rid)
 		}
 	}
-	segs := make([]*colstore.Segment, len(entries))
-	if t.cfg.EagerHydration {
-		// Ablation baseline: fetch and decode every payload before the
-		// table becomes usable (serial, segments × blob latency). A failure
-		// anywhere installs nothing.
-		for i, e := range entries {
-			payload, err := t.files.LoadFile(e.file)
-			if err != nil {
-				tx.Abort()
-				return fmt.Errorf("restore %s: segment file %s: %w", t.name, e.file, err)
-			}
-			seg, err := colstore.Decode(payload, t.schema)
-			if err != nil {
-				tx.Abort()
-				return fmt.Errorf("restore %s: segment %s: %w", t.name, e.file, err)
-			}
-			if seg.ID != e.id || seg.NumRows != e.numRows {
-				tx.Abort()
-				return fmt.Errorf("restore %s: segment %s: payload is segment %d/%d rows, manifest says %d/%d",
-					t.name, e.file, seg.ID, seg.NumRows, e.id, e.numRows)
-			}
-			segs[i] = seg
-		}
-	} else {
-		// Lazy hydration: install metadata-only stubs — the restore returns
-		// in O(manifest) — and let the hydrator's readahead pull payloads in
-		// view order behind it. Scans that outrun the readahead demand-fetch
-		// the segment they need and block only on it.
-		for i, e := range entries {
-			segs[i] = colstore.NewStub(e.id, e.numRows, t.schema)
-		}
-	}
+	// Install metadata-only stubs — the restore returns in O(manifest) —
+	// and let the hydrator's readahead pull payloads in view order behind
+	// it. Scans that outrun the readahead demand-fetch the segment they
+	// need and block only on it.
 	t.committer.ReplayAt(ts, func() {
-		for i, e := range entries {
-			t.installSegment(ts, segs[i], e.run, e.file, e.del)
+		for _, e := range entries {
+			t.installSegment(ts, colstore.NewStub(e.id, e.numRows, t.schema), e.run, e.file, e.del)
 		}
 		tx.Commit(ts)
 	})
-	if !t.cfg.EagerHydration && len(entries) > 0 {
+	if len(entries) > 0 {
 		h := t.hydrator()
 		view := t.SnapshotAt(ts)
 		for _, m := range view.Segs {

@@ -58,30 +58,6 @@ type Config struct {
 	// output segments in parallel (capped by the output count). Defaults
 	// to 4.
 	MergeWorkers int
-	// MergeRowSort selects the legacy row-materializing merge algorithm
-	// instead of the columnar k-way merge. Benchmark/ablation baseline
-	// only.
-	MergeRowSort bool
-	// MergeHoldLock holds structMu across the whole merge (scan, sort,
-	// encode, SaveFile) instead of only the install commit. Benchmark/
-	// ablation baseline only.
-	MergeHoldLock bool
-	// DisableFusedKernels turns off the fused encoded-execution kernels
-	// (span-space filters, single-pass filter→aggregate over RLE/dict
-	// runs, metadata-only COUNT(*)) and restores the unfused three-pass
-	// scan pipeline. Benchmark/ablation baseline only — fused kernels are
-	// the default (the zero value).
-	DisableFusedKernels bool
-	// HydrationWorkers bounds the goroutines fetching and decoding stub
-	// segment payloads after a lazy restore (parallel single-flight
-	// FileStore loads). Defaults to 8.
-	HydrationWorkers int
-	// EagerHydration restores the pre-lazy behavior: RestoreState fetches
-	// and decodes every segment payload before returning, so restore costs
-	// segments × blob latency and full resident memory up front.
-	// Benchmark/ablation baseline only — lazy hydration is the default
-	// (the zero value).
-	EagerHydration bool
 	// QoS, when non-nil, is the multi-tenant governor merges lease their
 	// I/O budget from (qos.MergeIO tokens ≈ bytes of merge output in
 	// flight): a merge whose tenant is out of budget waits its turn, and
@@ -131,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MergeWorkers <= 0 {
 		c.MergeWorkers = 4
-	}
-	if c.HydrationWorkers <= 0 {
-		c.HydrationWorkers = 8
 	}
 	return c
 }
@@ -471,10 +444,6 @@ func (v *View) Index() *index.Set { return v.table.idx }
 // none is configured); the execution layer serves repeated segment decodes
 // from it.
 func (v *View) DecodedCache() DecodedVectorCache { return v.table.cfg.DecodedCache }
-
-// FusedKernelsDisabled reports whether the table opted out of fused
-// encoded-execution kernels (the DisableFusedKernels ablation knob).
-func (v *View) FusedKernelsDisabled() bool { return v.table.cfg.DisableFusedKernels }
 
 // HasSegment reports whether the given segment id is part of the view.
 func (v *View) HasSegment(id uint64) bool {

@@ -255,8 +255,7 @@ type ScanStats struct {
 
 	// Lazy-hydration counters. HydrationWaits counts demand waits this
 	// scan issued on cold (not-yet-hydrated) segments; HydratedSegs counts
-	// the segments those waits brought in. Both zero on warm tables and
-	// under the EagerHydration ablation.
+	// the segments those waits brought in. Both zero on warm tables.
 	HydrationWaits int64
 	HydratedSegs   int64
 

@@ -25,8 +25,7 @@ import (
 
 // Admission carries the QoS governor and the tenant a fan-out runs as.
 // The zero value (nil governor) admits everything — the ungoverned
-// path used by the plain fan-out entry points and the DisableQoS
-// ablation.
+// path used by the plain fan-out entry points.
 type Admission struct {
 	Gov    *qos.Governor
 	Tenant string

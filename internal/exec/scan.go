@@ -45,15 +45,10 @@ type Scan struct {
 	// fetch or decode failed, or a cancelled hydration wait. The scan stops
 	// early; drivers must treat the partial output as invalid.
 	Err error
-	// DisableVectorCache bypasses the shared decoded-vector cache for this
-	// scan (ablation/benchmark knob); private per-segment decodes are used
-	// instead.
-	DisableVectorCache bool
 	// DisableFusedKernels forces the unfused three-pass pipeline (EvalSeg →
-	// flat selection vector → materialize → add) for this scan; the
-	// table-level core.Config.DisableFusedKernels does the same
-	// database-wide. Ablation/benchmark knob — fused kernels are the
-	// default.
+	// flat selection vector → materialize → add) for this scan: the
+	// byte-identical reference kernel_test.go checks the fused kernels
+	// against.
 	DisableFusedKernels bool
 
 	vec         *VecCache
@@ -64,20 +59,16 @@ type Scan struct {
 // execution kernels (span-space filters, fused aggregation, meta-only
 // counts).
 func (s *Scan) fusedEnabled() bool {
-	return !s.DisableFusedKernels && !s.View.FusedKernelsDisabled()
+	return !s.DisableFusedKernels
 }
 
 // cache resolves the decoded-vector cache serving this scan's view, once
-// per scan. It is nil when the table has no cache configured or the scan
-// opted out.
+// per scan. It is nil when the table has no cache configured.
 func (s *Scan) cache() *VecCache {
 	if s.vecResolved {
 		return s.vec
 	}
 	s.vecResolved = true
-	if s.DisableVectorCache {
-		return nil
-	}
 	if c, ok := s.View.DecodedCache().(*VecCache); ok && c != nil {
 		s.vec = c
 	}

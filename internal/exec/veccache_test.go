@@ -264,14 +264,6 @@ func TestScanWarmCacheSkipsDecodes(t *testing.T) {
 	if first[0][0] != second[0][0] {
 		t.Fatalf("cached scan changed the result: %v vs %v", first[0][0], second[0][0])
 	}
-
-	// Disabling the cache on a scan falls back to private decodes.
-	off := NewScan(view, nil)
-	off.DisableVectorCache = true
-	Aggregate(view, nil, nil, aggs, off)
-	if off.Stats.VecDecodes == 0 || off.Stats.VecCacheHits != 0 {
-		t.Fatalf("DisableVectorCache scan still used the cache: %+v", off.Stats)
-	}
 }
 
 func TestParallelScansShareCache(t *testing.T) {

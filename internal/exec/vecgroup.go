@@ -170,7 +170,6 @@ type VecCacheGroup struct {
 	totalBytes int64
 	hotPool    int64 // budget split across partition hot tiers
 	shares     map[string]float64
-	unified    bool // ablation: one partition shared by everyone
 	shared     *sharedTier
 
 	mu      sync.Mutex
@@ -210,11 +209,9 @@ func ValidateCacheShares(shares map[string]float64) error {
 // workspace names (and optionally the reserved "primary") to fractions of
 // the hot-tier pool; partitions without an explicit share split the
 // unreserved remainder evenly, with the primary floored at half of it.
-// unified restores the pre-partitioning behavior — one process-wide LRU
-// that every workspace shares with the primary (ablation/benchmark knob).
 // totalBytes <= 0 disables the cache (nil group, no error); invalid shares
 // error regardless so misconfiguration never passes silently.
-func NewVecCacheGroup(totalBytes int, shares map[string]float64, unified bool) (*VecCacheGroup, error) {
+func NewVecCacheGroup(totalBytes int, shares map[string]float64) (*VecCacheGroup, error) {
 	if err := ValidateCacheShares(shares); err != nil {
 		return nil, err
 	}
@@ -224,15 +221,7 @@ func NewVecCacheGroup(totalBytes int, shares map[string]float64, unified bool) (
 	g := &VecCacheGroup{
 		totalBytes: int64(totalBytes),
 		shares:     shares,
-		unified:    unified,
 		wss:        make(map[string]*VecCache),
-	}
-	if unified {
-		g.hotPool = g.totalBytes
-		g.primary = NewVecCache(totalBytes)
-		g.primary.name = PrimaryCachePartition
-		g.primary.group = g
-		return g, nil
 	}
 	// A quarter of the budget backs the shared second tier; the rest is the
 	// hot pool split across partitions.
@@ -253,17 +242,14 @@ func (g *VecCacheGroup) Primary() *VecCache {
 	return g.primary
 }
 
-// AttachPartition provisions (or, in unified mode, aliases) the hot-tier
-// partition for a workspace and rebalances every partition's budget.
+// AttachPartition provisions the hot-tier partition for a workspace and
+// rebalances every partition's budget.
 func (g *VecCacheGroup) AttachPartition(name string) (*VecCache, error) {
 	if g == nil {
 		return nil, nil
 	}
 	if name == "" {
 		return nil, fmt.Errorf("veccache: workspace name cannot be empty")
-	}
-	if g.unified {
-		return g.primary, nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -281,7 +267,7 @@ func (g *VecCacheGroup) AttachPartition(name string) (*VecCache, error) {
 // the detached workspace's replica tables and can never be referenced
 // again.
 func (g *VecCacheGroup) DetachPartition(name string) {
-	if g == nil || g.unified {
+	if g == nil {
 		return
 	}
 	g.mu.Lock()
@@ -382,9 +368,7 @@ func (g *VecCacheGroup) InvalidateSegment(seg *colstore.Segment) {
 	for _, p := range g.partitions() {
 		p.invalidateLocal(seg)
 	}
-	if g.shared != nil {
-		g.shared.invalidate(seg)
-	}
+	g.shared.invalidate(seg)
 }
 
 // SegmentHeat sums the segment's cached footprint across every hot tier
@@ -399,9 +383,7 @@ func (g *VecCacheGroup) SegmentHeat(seg *colstore.Segment) (residentBytes, hits 
 		residentBytes += b
 		hits += h
 	}
-	if g.shared != nil {
-		residentBytes += g.shared.heatBytes(seg)
-	}
+	residentBytes += g.shared.heatBytes(seg)
 	return residentBytes, hits
 }
 
@@ -417,10 +399,8 @@ func (g *VecCacheGroup) PeekInts(seg *colstore.Segment, col int) ([]int64, bool)
 			return v, true
 		}
 	}
-	if g.shared != nil {
-		if ints, _, ok := g.shared.peek(k); ok && ints != nil {
-			return ints, true
-		}
+	if ints, _, ok := g.shared.peek(k); ok && ints != nil {
+		return ints, true
 	}
 	return nil, false
 }
@@ -436,10 +416,8 @@ func (g *VecCacheGroup) PeekStrs(seg *colstore.Segment, col int) ([]string, bool
 			return v, true
 		}
 	}
-	if g.shared != nil {
-		if _, strs, ok := g.shared.peek(k); ok && strs != nil {
-			return strs, true
-		}
+	if _, strs, ok := g.shared.peek(k); ok && strs != nil {
+		return strs, true
 	}
 	return nil, false
 }
@@ -459,9 +437,7 @@ func (g *VecCacheGroup) Stats() GroupStats {
 		return gs
 	}
 	gs.Primary = g.primary.Stats()
-	if g.shared != nil {
-		gs.Shared = g.shared.stats()
-	}
+	gs.Shared = g.shared.stats()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for name, p := range g.wss {

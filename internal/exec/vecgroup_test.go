@@ -46,17 +46,17 @@ func TestValidateCacheShares(t *testing.T) {
 	}
 
 	// Invalid shares fail group construction even when the cache is disabled.
-	if _, err := NewVecCacheGroup(-1, map[string]float64{"": 0.5}, false); err == nil {
+	if _, err := NewVecCacheGroup(-1, map[string]float64{"": 0.5}); err == nil {
 		t.Fatal("disabled group accepted invalid shares")
 	}
-	if g, err := NewVecCacheGroup(-1, nil, false); g != nil || err != nil {
+	if g, err := NewVecCacheGroup(-1, nil); g != nil || err != nil {
 		t.Fatalf("disabled group = (%v, %v), want (nil, nil)", g, err)
 	}
 }
 
 func TestVecCacheGroupBudgetSplit(t *testing.T) {
 	const total = 1 << 20
-	g, err := NewVecCacheGroup(total, nil, false)
+	g, err := NewVecCacheGroup(total, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestVecCacheGroupBudgetSplit(t *testing.T) {
 
 func TestVecCacheGroupExplicitShares(t *testing.T) {
 	const total = 1 << 20
-	g, err := NewVecCacheGroup(total, map[string]float64{"ws1": 0.25}, false)
+	g, err := NewVecCacheGroup(total, map[string]float64{"ws1": 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,27 +130,10 @@ func TestVecCacheGroupExplicitShares(t *testing.T) {
 	}
 }
 
-func TestVecCacheGroupUnifiedMode(t *testing.T) {
-	g, err := NewVecCacheGroup(1<<20, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := g.AttachPartition("ws1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws != g.Primary() {
-		t.Fatal("unified mode must alias every workspace onto the primary tier")
-	}
-	if b := budgetOf(g.Primary()); b != 1<<20 {
-		t.Fatalf("unified budget = %d, want the whole pool", b)
-	}
-}
-
 func TestVecCacheGroupDemoteThenPromote(t *testing.T) {
 	// 16KB total: 4KB shared tier, 12KB hot pool -> 6KB per partition once a
 	// workspace attaches. 64-row segments decode to 512-byte int vectors.
-	g, err := NewVecCacheGroup(16<<10, nil, false)
+	g, err := NewVecCacheGroup(16<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +183,7 @@ func TestVecCacheGroupDemoteThenPromote(t *testing.T) {
 }
 
 func TestVecCacheGroupInvalidateAllTiers(t *testing.T) {
-	g, err := NewVecCacheGroup(16<<10, nil, false)
+	g, err := NewVecCacheGroup(16<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +235,7 @@ func TestVecCacheGroupInvalidateAllTiers(t *testing.T) {
 // goes negative, and a retired segment's vectors are never served from (or
 // re-installed into) any tier.
 func TestVecCacheGroupEvictionRacesInvalidation(t *testing.T) {
-	g, err := NewVecCacheGroup(12<<10, nil, false)
+	g, err := NewVecCacheGroup(12<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +322,7 @@ func TestVecCacheGroupEvictionRacesInvalidation(t *testing.T) {
 }
 
 func TestVecCacheGroupDetachDiscardsWithoutDemoting(t *testing.T) {
-	g, err := NewVecCacheGroup(16<<10, nil, false)
+	g, err := NewVecCacheGroup(16<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +349,7 @@ func TestVecCacheGroupDetachDiscardsWithoutDemoting(t *testing.T) {
 }
 
 func TestVecCacheGroupStatsTotalFoldsTiers(t *testing.T) {
-	g, err := NewVecCacheGroup(16<<10, nil, false)
+	g, err := NewVecCacheGroup(16<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,7 @@
 // (and never decreases while the overload is sustained), so honest
 // clients back off harder the longer the bucket stays saturated.
 //
-// A nil *Governor is valid everywhere and admits everything — that is
-// the Config.DisableQoS ablation.
+// A nil *Governor is valid everywhere and admits everything.
 package qos
 
 import (

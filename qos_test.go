@@ -14,12 +14,11 @@ import (
 // qosTestConfig is the shared governed configuration: a deliberately tiny
 // worker pool so a handful of adversary goroutines saturates it, and a
 // shallow queue so saturation sheds instead of stacking waiters.
-func qosTestConfig(disable bool) Config {
+func qosTestConfig() Config {
 	return Config{
 		Partitions:     2,
 		MaxSegmentRows: 512,
 		TenantShares:   map[string]float64{"oltp": 0.7, "analytics": 0.1},
-		DisableQoS:     disable,
 		QoSWorkerSlots: 4,
 		QoSQueueDepth:  1,
 	}
@@ -112,15 +111,20 @@ func qosFlood(db *DB, goroutines int) (stop func() (completed, sheds, malformed 
 // TestQoSIsolationUnderFlood is the CI qos-isolation smoke: an adversarial
 // tenant floods the worker pool and the victim's tail latency must stay
 // governed — bounded relative to its unloaded baseline, or at worst better
-// than the same flood with QoS disabled. The flood's excess demand must
+// than the same flood with every resource ungoverned. The flood's excess demand must
 // shed with typed ErrOverloaded errors carrying a positive retry-after,
 // and the victim (whose share leaves it free budget) must never shed.
 func TestQoSIsolationUnderFlood(t *testing.T) {
 	const rows, samples, adversaries = 6_000, 40, 6
 
-	gov := openTestDB(t, qosTestConfig(false))
+	gov := openTestDB(t, qosTestConfig())
 	loadQoSEvents(t, gov, rows)
-	raw := openTestDB(t, qosTestConfig(true))
+	// The ungoverned comparison: a negative capacity leaves a resource
+	// ungoverned, so all four negative admits everything.
+	rawCfg := qosTestConfig()
+	rawCfg.QoSWorkerSlots, rawCfg.QoSScanMemoryBytes = -1, -1
+	rawCfg.QoSMergeIOBytes, rawCfg.QoSWALBytesPerSec = -1, -1
+	raw := openTestDB(t, rawCfg)
 	loadQoSEvents(t, raw, rows)
 
 	runVictimSamples(t, gov, 5, rows) // warm decode caches
@@ -147,7 +151,7 @@ func TestQoSIsolationUnderFlood(t *testing.T) {
 		t.Errorf("adversary flood (%d goroutines over %d-slot pool) never shed", adversaries, 4)
 	}
 	if rawSheds != 0 || rawMalformed != 0 {
-		t.Errorf("DisableQoS flood saw %d sheds / %d errors, want none", rawSheds, rawMalformed)
+		t.Errorf("ungoverned flood saw %d sheds / %d errors, want none", rawSheds, rawMalformed)
 	}
 	if ts, ok := gov.QoSStats()["oltp"]; !ok {
 		t.Error("victim tenant missing from QoSStats")
@@ -174,11 +178,10 @@ func TestQoSIsolationUnderFlood(t *testing.T) {
 }
 
 // TestQoSExplainSurfacesTenantAccounting checks the observability surface:
-// Explain reports the billed tenant and its governor snapshot, QoSStats
-// covers registered tenants, and DisableQoS reports a nil governor
-// cleanly.
+// Explain reports the billed tenant and its governor snapshot, and
+// QoSStats covers registered tenants.
 func TestQoSExplainSurfacesTenantAccounting(t *testing.T) {
-	db := openTestDB(t, qosTestConfig(false))
+	db := openTestDB(t, qosTestConfig())
 	loadQoSEvents(t, db, 600)
 
 	q := db.Table("events").AsTenant("oltp").Where(GtName("amount", Int(10)))
@@ -193,7 +196,7 @@ func TestQoSExplainSurfacesTenantAccounting(t *testing.T) {
 		t.Fatalf("plan tenant = %q, want oltp", plan.Tenant)
 	}
 	if plan.QoS == nil {
-		t.Fatal("plan QoS snapshot missing with governor enabled")
+		t.Fatal("plan QoS snapshot missing")
 	}
 	if plan.QoS.Workers.Budget <= 0 || plan.QoS.Workers.Spent <= 0 {
 		t.Fatalf("tenant worker accounting not populated: %+v", plan.QoS.Workers)
@@ -214,26 +217,13 @@ func TestQoSExplainSurfacesTenantAccounting(t *testing.T) {
 	if _, ok := db.QoSStats()[PrimaryTenant]; !ok {
 		t.Fatal("primary tenant missing from QoSStats")
 	}
-
-	off := openTestDB(t, qosTestConfig(true))
-	loadQoSEvents(t, off, 600)
-	oplan, err := off.Table("events").Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oplan.QoS != nil {
-		t.Fatalf("DisableQoS plan carries a QoS snapshot: %+v", oplan.QoS)
-	}
-	if off.QoSStats() != nil {
-		t.Fatal("DisableQoS QoSStats non-nil")
-	}
 }
 
 // TestQoSContextTenantFlowsThroughSQL checks the front-door tenancy path:
 // a WithTenant context tags SQL-text queries with the tenant, visible in
 // its governor accounting afterward.
 func TestQoSContextTenantFlowsThroughSQL(t *testing.T) {
-	db := openTestDB(t, qosTestConfig(false))
+	db := openTestDB(t, qosTestConfig())
 	loadQoSEvents(t, db, 600)
 
 	ctx := WithTenant(t.Context(), "analytics")
@@ -255,7 +245,7 @@ func TestQoSContextTenantFlowsThroughSQL(t *testing.T) {
 // lease-style buckets must drain back to full availability once the storm
 // stops. Run under -race in CI.
 func TestQoSWorkspaceChurnStorm(t *testing.T) {
-	cfg := qosTestConfig(false)
+	cfg := qosTestConfig()
 	cfg.BackgroundMaintenance = true
 	cfg.QoSWALBytesPerSec = 8 << 20 // low enough that pacing engages
 	db := openTestDB(t, cfg)

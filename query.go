@@ -234,7 +234,7 @@ func (q *Query) effectiveTenant(ctx context.Context) string {
 }
 
 // admission bundles the governor and resolved tenant for the exec
-// fan-out; the zero governor (DisableQoS) admits everything.
+// fan-out.
 func (q *Query) admission(ctx context.Context) exec.Admission {
 	return exec.Admission{Gov: q.db.gov, Tenant: q.effectiveTenant(ctx)}
 }

@@ -118,11 +118,6 @@ type Config struct {
 	// Open: names must be non-empty, each share in (0, 1], and the shares
 	// must sum to at most 1.0.
 	WorkspaceCacheShares map[string]float64
-	// SharedVectorCache disables per-workspace cache partitioning: one
-	// process-wide LRU serves the primary and every workspace, so an
-	// analytic workspace's cold sweep can evict the primary's hot set. An
-	// ablation/benchmark knob; keep it off in production-shaped setups.
-	SharedVectorCache bool
 	// CommitToBlob forces the cloud-data-warehouse commit path (used by
 	// the ablation experiments; S2DB's design keeps it off).
 	CommitToBlob bool
@@ -132,10 +127,6 @@ type Config struct {
 	MaxSegmentRows int
 	// BackgroundMaintenance runs the flusher and merger automatically.
 	BackgroundMaintenance bool
-	// MergeWorkers bounds the goroutines each partition's merger uses to
-	// build and persist merge output segments in parallel. 0 uses the core
-	// default (4).
-	MergeWorkers int
 	// QueryParallelism bounds the number of concurrent per-partition scan
 	// tasks a query fans out (§2: aggregators run partition fragments in
 	// parallel on the leaves). 0 means GOMAXPROCS; 1 runs sequentially.
@@ -152,27 +143,6 @@ type Config struct {
 	// batching). Commit latency with group commit enabled is bounded by
 	// GroupCommitInterval + ReplicationLatency.
 	GroupCommitInterval time.Duration
-	// DisableFusedKernels turns off the fused encoded-execution kernels —
-	// span-space filter evaluation, single-pass filter→aggregate over
-	// RLE/dictionary runs with late materialization, and metadata-only
-	// COUNT(*) — restoring the unfused three-pass scan pipeline. This is
-	// the FusedKernels ablation knob: fused execution is on by default
-	// (the zero value) and the unfused baseline exists for benchmarks
-	// (`cmd/s2bench -exp kernels`) and ablation studies only.
-	DisableFusedKernels bool
-	// HydrationWorkers bounds the per-table worker pool that fetches and
-	// decodes cold segment payloads after a lazy restore (snapshot recovery,
-	// workspace attach, PITR). Restore installs metadata-only stubs in
-	// O(manifest) and these workers pull the payloads behind it — demand
-	// requests from blocked scans jump ahead of readahead prefetch. 0 uses
-	// the core default (8).
-	HydrationWorkers int
-	// EagerHydration restores the pre-lazy behavior: RestoreState fetches
-	// and decodes every segment payload before returning, so recovery time
-	// is proportional to data size instead of manifest size. This is the
-	// ablation knob for `cmd/s2bench -exp restore`; production keeps it off
-	// (the zero value).
-	EagerHydration bool
 	// PlanCacheEntries bounds the shared SQL plan cache: lowered plans
 	// keyed by normalized query template (literals stripped to binds), so
 	// repeated query shapes pay lex/parse/lower once and then only
@@ -208,11 +178,6 @@ type Config struct {
 	// split the unreserved remainder evenly. Validated at Open: names
 	// non-empty, each share in (0, 1], sum at most 1.0.
 	TenantShares map[string]float64
-	// DisableQoS turns multi-tenant admission control off entirely — no
-	// worker-slot, scan-memory, merge-I/O or WAL-bandwidth governance,
-	// no shedding. The ablation knob for `cmd/s2bench -exp qos`; keep it
-	// off (the zero value) in production shapes.
-	DisableQoS bool
 	// QoSWorkerSlots is the total query fan-out worker-slot pool split
 	// across tenants by TenantShares weight. 0 uses
 	// DefaultQoSWorkerSlots (4×GOMAXPROCS, at least 8); negative leaves
@@ -276,13 +241,8 @@ func DefaultQoSWorkerSlots() int {
 // workspace resync path).
 const qosWALMaxWait = 2 * time.Second
 
-// newGovernor resolves the QoS knobs into a governor, or nil when
-// DisableQoS is set (shares are still validated so a misconfiguration
-// never passes silently).
+// newGovernor resolves the QoS knobs into a governor.
 func newGovernor(cfg Config) (*qos.Governor, error) {
-	if cfg.DisableQoS {
-		return nil, qos.ValidateShares(cfg.TenantShares)
-	}
 	resolve := func(v, def int64) int64 {
 		switch {
 		case v == 0:
@@ -390,8 +350,7 @@ type DB struct {
 	plans *sql.Cache
 	// chaos is the fault injector when Config.Chaos is set, nil otherwise.
 	chaos *ChaosTransport
-	// gov is the multi-tenant QoS governor; nil under Config.DisableQoS
-	// (every admission then succeeds ungoverned).
+	// gov is the multi-tenant QoS governor.
 	gov *qos.Governor
 }
 
@@ -417,8 +376,7 @@ func QoSRetryAfter(err error) time.Duration { return qos.RetryAfter(err) }
 
 // QoSStats snapshots every tenant's token accounting across the four
 // governed resources: budgets, tokens in use, cumulative tokens spent,
-// admission waits and wait time, and sheds. Nil map when QoS is
-// disabled.
+// admission waits and wait time, and sheds.
 func (db *DB) QoSStats() map[string]QoSTenantStats { return db.gov.Stats() }
 
 // tenantCtxKey carries a WithTenant tag through a context.
@@ -445,7 +403,7 @@ func newVecCacheGroup(cfg Config) (*exec.VecCacheGroup, error) {
 	if bytes == 0 {
 		bytes = DefaultVectorCacheBytes
 	}
-	return exec.NewVecCacheGroup(bytes, cfg.WorkspaceCacheShares, cfg.SharedVectorCache)
+	return exec.NewVecCacheGroup(bytes, cfg.WorkspaceCacheShares)
 }
 
 // cachePartitioner adapts the exec cache group to the cluster's
@@ -522,14 +480,10 @@ func Open(cfg Config) (*DB, error) {
 		LinkStallTimeout:    cfg.LinkStallTimeout,
 		Governor:            gov,
 		Table: core.Config{
-			MaxSegmentRows:      cfg.MaxSegmentRows,
-			Background:          cfg.BackgroundMaintenance,
-			MergeWorkers:        cfg.MergeWorkers,
-			DisableFusedKernels: cfg.DisableFusedKernels,
-			HydrationWorkers:    cfg.HydrationWorkers,
-			EagerHydration:      cfg.EagerHydration,
-			QoS:                 gov,
-			QoSTenant:           PrimaryTenant,
+			MaxSegmentRows: cfg.MaxSegmentRows,
+			Background:     cfg.BackgroundMaintenance,
+			QoS:            gov,
+			QoSTenant:      PrimaryTenant,
 		},
 		CachePartitions: cachePartitioner{g: vec},
 	}
@@ -547,8 +501,8 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // ChaosTransport returns the live fault injector when the database was
-// opened with Config.Chaos (nil otherwise); tests and the transport
-// benchmark use it to toggle network partitions and read fault counts.
+// opened with Config.Chaos (nil otherwise), for toggling network
+// partitions and reading fault counts.
 func (db *DB) ChaosTransport() *ChaosTransport { return db.chaos }
 
 // VectorCacheStats returns the decoded-vector cache counters broken down
@@ -660,12 +614,9 @@ func PointInTimeRestore(cfg Config, catalog map[string]*Schema, target time.Time
 		CacheBytes: cfg.CacheBytes,
 		Governor:   gov,
 		Table: core.Config{
-			MaxSegmentRows:      cfg.MaxSegmentRows,
-			DisableFusedKernels: cfg.DisableFusedKernels,
-			HydrationWorkers:    cfg.HydrationWorkers,
-			EagerHydration:      cfg.EagerHydration,
-			QoS:                 gov,
-			QoSTenant:           PrimaryTenant,
+			MaxSegmentRows: cfg.MaxSegmentRows,
+			QoS:            gov,
+			QoSTenant:      PrimaryTenant,
 		},
 		CachePartitions: cachePartitioner{g: vec},
 	}

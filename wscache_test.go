@@ -116,40 +116,3 @@ func TestPerWorkspaceCacheStatsAndExplain(t *testing.T) {
 		t.Fatal("detached workspace still reported in VectorCacheStats")
 	}
 }
-
-func TestSharedVectorCacheAblation(t *testing.T) {
-	db := openTestDB(t, Config{Partitions: 1, VectorCacheBytes: 1 << 20, SharedVectorCache: true})
-	if err := db.CreateTable("events", eventsSchema()); err != nil {
-		t.Fatal(err)
-	}
-	loadEvents(t, db, 200)
-	if err := db.Flush("events"); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := db.CreateWorkspace("reports")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.WaitCaughtUp(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Unified mode: the workspace aliases the primary tier, so its query
-	// reports the primary partition and no per-workspace entry exists.
-	plan, err := db.Table("events").OnWorkspace(ws).Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.CachePartition != "primary" {
-		t.Fatalf("unified-mode cache partition = %q, want primary", plan.CachePartition)
-	}
-	if _, err := db.Table("events").OnWorkspace(ws).Count(); err != nil {
-		t.Fatal(err)
-	}
-	stats := db.VectorCacheStats()
-	if len(stats.Workspaces) != 0 {
-		t.Fatalf("unified mode grew workspace tiers: %+v", stats.Workspaces)
-	}
-	if stats.Shared.Entries != 0 || stats.Shared.Hits != 0 {
-		t.Fatalf("unified mode used a shared tier: %+v", stats.Shared)
-	}
-}
