@@ -360,10 +360,12 @@ func BenchmarkAblationDeleteRepresentation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sum int64
 			scan := exec.NewScan(view, nil)
-			scan.RunSegments(func(ctx *exec.SegContext, sel []int32) {
+			scan.RunSegments(func(ctx *exec.SegContext, spans []exec.Span) {
 				vals := ctx.Meta.Seg.Cols[2].Ints
-				for _, r := range sel {
-					sum += vals.At(int(r))
+				for _, sp := range spans {
+					for r := sp.Start; r < sp.End; r++ {
+						sum += vals.At(int(r))
+					}
 				}
 			})
 		}
@@ -372,17 +374,19 @@ func BenchmarkAblationDeleteRepresentation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sum int64
 			scan := exec.NewScan(view, nil)
-			scan.RunSegments(func(ctx *exec.SegContext, sel []int32) {
+			scan.RunSegments(func(ctx *exec.SegContext, spans []exec.Span) {
 				seg := ctx.Meta.Seg
 				ids := seg.Cols[0].Ints
 				vals := seg.Cols[2].Ints
-				for _, r := range sel {
-					// Merge-based reconciliation: per-row key lookup
-					// against the tombstone level.
-					if _, dead := tombstones[ids.At(int(r))]; dead {
-						continue
+				for _, sp := range spans {
+					for r := sp.Start; r < sp.End; r++ {
+						// Merge-based reconciliation: per-row key lookup
+						// against the tombstone level.
+						if _, dead := tombstones[ids.At(int(r))]; dead {
+							continue
+						}
+						sum += vals.At(int(r))
 					}
-					sum += vals.At(int(r))
 				}
 			})
 		}

@@ -2,10 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"s2db/internal/codec"
 	"s2db/internal/core"
 	"s2db/internal/types"
 )
@@ -56,8 +54,8 @@ type AggSpec struct {
 }
 
 // aggGroup is one group's accumulated state: the cloned key values followed
-// by one aggState per AggSpec. Shared between the unfused row-at-a-time
-// paths and the fused kernels, which resolve groups through the same touch
+// by one aggState per AggSpec. Shared between the general row-at-a-time
+// path and the fused kernels, which resolve groups through the same touch
 // callback so creation order (and therefore output order) is identical.
 type aggGroup struct {
 	key    types.Row
@@ -156,8 +154,8 @@ func (a *aggState) addFloat(v float64) {
 
 // addFloatRun folds n consecutive occurrences of a non-null Float64.
 // Float addition is not associative, so the sum replays the n additions in
-// order — the bits must match the unfused per-row fold — while MIN/MAX
-// compare once per run.
+// order — an RLE and a decoded encoding of the same data must produce the
+// same bits — while MIN/MAX compare once per run.
 func (a *aggState) addFloatRun(v float64, n int) {
 	if n <= 0 {
 		return
@@ -308,115 +306,28 @@ func Aggregate(view *core.View, filter Node, groupCols []int, aggs []AggSpec, sc
 	}
 
 	scan.RunBuffer(func(r types.Row) bool { addRow(r); return true })
-	segBody := func(ctx *SegContext, sel []int32) {
-		seg := ctx.Meta.Seg
-		// Encoded group-by (§2.1.2: "encoded execution" for group-by):
-		// grouping by a dictionary-encoded string column aggregates per
-		// dictionary code and maps codes to values once per segment.
-		if len(groupCols) == 1 && allPlainAggs(aggs) {
-			if d, ok := seg.Cols[groupCols[0]].Strs.(*codec.Dict); ok &&
-				(seg.Cols[groupCols[0]].Nulls == nil) {
-				if ctx.Stats != nil {
-					ctx.Stats.EncodedFilters++ // counted with encoded ops
-				}
-				perCode := aggregateByDict(ctx, d, sel, aggs)
-				for code, st := range perCode {
-					if st == nil {
-						continue
-					}
-					g := touch(types.Row{types.NewString(d.DictValue(code))})
-					for ai := range aggs {
-						g.states[ai].merge(&st[ai])
-					}
-				}
-				return
-			}
-		}
-		// Fast path: no grouping, no expressions — columnar fold.
-		simple := len(groupCols) == 0
-		for _, a := range aggs {
-			if a.Expr != nil {
-				simple = false
-			}
-		}
-		if simple {
-			g := touch(nil)
-			for ai, a := range aggs {
-				if a.Func == Count && a.Col < 0 {
-					g.states[ai].count += int64(len(sel))
-					continue
-				}
-				col := seg.Cols[a.Col]
-				t := seg.Schema().Columns[a.Col].Type
-				switch t {
-				case types.Int64:
-					vals := ctx.ints(a.Col)
-					for _, i := range sel {
-						if col.Nulls != nil && col.Nulls.Get(int(i)) {
-							continue
-						}
-						g.states[ai].add(types.NewInt(vals[i]))
-					}
-				case types.Float64:
-					raw := ctx.ints(a.Col)
-					for _, i := range sel {
-						if col.Nulls != nil && col.Nulls.Get(int(i)) {
-							continue
-						}
-						g.states[ai].add(types.NewFloat(math.Float64frombits(uint64(raw[i]))))
-					}
-				default:
-					for _, i := range sel {
-						g.states[ai].add(seg.ValueAt(int(i), a.Col))
-					}
-				}
+	// Each segment dispatches to a single-pass fused kernel when its shape
+	// and encodings allow; otherwise the general path materializes rows
+	// lazily (late materialization: only the columns the grouping and
+	// aggregates read decode, and for dense selections each decodes once).
+	// Either way the same group table fills in the same order.
+	fuser := newAggFuser(groupCols, aggs, touch, resultType)
+	proj := aggProjection(groupCols, aggs)
+	scan.RunSegments(func(ctx *SegContext, spans []Span) {
+		if mode := fuser.classify(ctx); mode != fuseNone {
+			fuser.run(mode, ctx, spans)
+			if ctx.Stats != nil {
+				ctx.Stats.FusedAggSegs++
 			}
 			return
 		}
-		// General path: materialize rows lazily (late materialization: only
-		// the columns the grouping and aggregates read decode, and for
-		// dense selections each decodes once).
-		_ = seg
-		proj := aggProjection(groupCols, aggs)
-		mat := ctx.Materializer(proj, len(sel)*4 >= ctx.Meta.Seg.NumRows)
-		for _, i := range sel {
-			addRow(mat(int(i)))
+		mat := ctx.Materializer(proj, spanRows(spans)*4 >= ctx.Meta.Seg.NumRows)
+		for _, sp := range spans {
+			for i := sp.Start; i < sp.End; i++ {
+				addRow(mat(int(i)))
+			}
 		}
-	}
-	if scan.fusedEnabled() {
-		// Fused path: the filter phase delivers span-space selections and
-		// each segment dispatches to a single-pass kernel when its shape and
-		// encodings allow, falling back to the legacy body (on a flattened
-		// selection) otherwise. Kernels accumulate into the same group table
-		// in the same order, so results are byte-identical either way.
-		fuser := newAggFuser(groupCols, aggs, touch, resultType)
-		selBuf, spanBuf := getSel(0), getSpans()
-		defer putSel(selBuf)
-		defer putSpans(spanBuf)
-		scan.runSegSel(func(ctx *SegContext, spans []Span, sel []int32) {
-			if mode := fuser.classify(ctx); mode != fuseNone {
-				if spans == nil {
-					spans = selToSpans(sel, (*spanBuf)[:0])
-					*spanBuf = spans[:0]
-				}
-				fuser.run(mode, ctx, spans)
-				if ctx.Stats != nil {
-					ctx.Stats.FusedAggSegs++
-				}
-				return
-			}
-			if sel == nil {
-				if cap(*selBuf) < spanRows(spans) {
-					*selBuf = make([]int32, 0, spanRows(spans))
-				}
-				sel = flattenSpans(spans, (*selBuf)[:0])
-				*selBuf = sel[:0]
-			}
-			segBody(ctx, sel)
-		})
-	} else {
-		scan.RunSegments(segBody)
-	}
+	})
 
 	out := make([]types.Row, 0, len(order))
 	for _, g := range order {
@@ -439,41 +350,6 @@ func allPlainAggs(aggs []AggSpec) bool {
 		}
 	}
 	return true
-}
-
-// aggregateByDict folds the selection into per-dictionary-code aggregate
-// states. Grouping cost is one bit-packed code load per row; the string
-// values are touched once per distinct value, not per row.
-func aggregateByDict(ctx *SegContext, d *codec.Dict, sel []int32, aggs []AggSpec) [][]aggState {
-	seg := ctx.Meta.Seg
-	states := make([][]aggState, d.DictSize())
-	for _, i := range sel {
-		code := d.Code(int(i))
-		st := states[code]
-		if st == nil {
-			st = make([]aggState, len(aggs))
-			states[code] = st
-		}
-		for ai, a := range aggs {
-			if a.Func == Count && a.Col < 0 {
-				st[ai].count++
-				continue
-			}
-			col := seg.Cols[a.Col]
-			if col.Nulls != nil && col.Nulls.Get(int(i)) {
-				continue
-			}
-			switch seg.Schema().Columns[a.Col].Type {
-			case types.Int64:
-				st[ai].add(types.NewInt(ctx.ints(a.Col)[i]))
-			case types.Float64:
-				st[ai].add(types.NewFloat(math.Float64frombits(uint64(ctx.ints(a.Col)[i]))))
-			default:
-				st[ai].add(types.NewString(ctx.strs(a.Col)[i]))
-			}
-		}
-	}
-	return states
 }
 
 // aggProjection returns the set of columns a grouped aggregation reads, or

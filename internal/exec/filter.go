@@ -3,15 +3,22 @@
 // zone maps (§5.1), four filter-evaluation strategies chosen by per-segment
 // micro-costing (§5.2), dynamic clause reordering by (1-P)/cost, and the
 // join index filter with hash-join fallback (§5.1).
+//
+// A segment selection has one representation, []Span (kernel.go), and the
+// §5.2 ladder exists once: every Node filters candidate spans to surviving
+// spans through EvalSpans. This file holds the filter tree, its adaptive
+// statistics and the composite nodes (And with the group filter, Or);
+// kernel.go holds the per-clause strategies and the aggregation kernels.
 package exec
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"s2db/internal/bitmap"
-	"s2db/internal/codec"
 	"s2db/internal/colstore"
 	"s2db/internal/index"
 	"s2db/internal/types"
@@ -22,9 +29,11 @@ import (
 // condition as a tree and reorders each intermediate AND/OR node ...
 // separately").
 type Node interface {
-	// EvalSeg filters candidate row offsets of a segment, appending
-	// survivors to out.
-	EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32
+	// EvalSpans filters the candidate spans of a segment. in is read-only
+	// and not retained; survivors are appended to out as sorted, disjoint,
+	// coalesced spans; out never aliases in; a node that needs scratch
+	// takes it from spanPool.
+	EvalSpans(ctx *SegContext, in, out []Span) []Span
 	// EvalRow evaluates the condition on a materialized row (buffer rows).
 	EvalRow(r types.Row) bool
 	// stats returns the node's adaptive statistics record.
@@ -309,6 +318,11 @@ func (l *Leaf) stats() *nodeStats { return &l.st }
 // EvalRow implements Node.
 func (l *Leaf) EvalRow(r types.Row) bool {
 	if len(l.In) > 0 {
+		// A NULL is in no list and a NULL member equals nothing, exactly as
+		// vector.CmpValue decides for the single comparison.
+		if r[l.Col].IsNull {
+			return false
+		}
 		for _, v := range l.In {
 			if types.Equal(r[l.Col], v) {
 				return true
@@ -319,117 +333,11 @@ func (l *Leaf) EvalRow(r types.Row) bool {
 	return vector.CmpValue(r[l.Col], l.Op, l.Val)
 }
 
-// EvalSeg implements Node: it picks among the §5.2 strategies — secondary
-// index filter, encoded filter, regular filter — using postings sizes and
-// observed costs.
-func (l *Leaf) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
-	start := time.Now()
-	in := len(sel)
-	out = l.evalStrategies(ctx, sel, out)
-	l.st.record(in, len(out), time.Since(start))
-	return out
-}
-
-func (l *Leaf) evalStrategies(ctx *SegContext, sel []int32, out []int32) []int32 {
-	seg := ctx.Meta.Seg
-	// Secondary index filter: only for equality with an index, and only
-	// when the postings list is smaller than the candidate set ("it can
-	// still be worse if the other clauses already filtered the result down
-	// to a few rows", §5.2). Costing uses the postings size directly.
-	if l.forceStrategy != regularStrategy && len(l.In) == 0 && l.Op == vector.Eq && ctx.Idx != nil && ctx.Idx.HasColumn(l.Col) {
-		if postings, ok := ctx.Idx.SegmentPostings(seg.ID, l.Col, l.Val); ok {
-			if l.forceStrategy == indexStrategy || len(postings)*4 < len(sel) {
-				if ctx.Stats != nil {
-					ctx.Stats.IndexFilters++
-				}
-				return appendIntersect(out, sel, postings)
-			}
-		}
-	}
-	// Encoded filter on dictionary or RLE columns.
-	if l.forceStrategy != regularStrategy {
-		if res, ok := l.tryEncoded(ctx, sel, out); ok {
-			return res
-		}
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.RegularFilters++
-	}
-	return l.evalRegular(ctx, sel, out)
-}
-
-// tryEncoded evaluates directly on compressed data when profitable: once
-// per dictionary entry or RLE run instead of once per row (§5.2 "encoded
-// filter").
-func (l *Leaf) tryEncoded(ctx *SegContext, sel []int32, out []int32) ([]int32, bool) {
-	seg := ctx.Meta.Seg
-	col := seg.Cols[l.Col]
-	if col.Strs != nil {
-		dict, ok := col.Strs.(*codec.Dict)
-		if !ok {
-			return nil, false
-		}
-		// "it can be worse if the dictionary size is greater than the
-		// number of rows that passed the previous filters" — cost check.
-		if l.forceStrategy != encodedStrategy && dict.DictSize() > len(sel) {
-			return nil, false
-		}
-		if ctx.Stats != nil {
-			ctx.Stats.EncodedFilters++
-		}
-		pass := make([]bool, dict.DictSize())
-		for c := range pass {
-			pass[c] = l.matchString(dict.DictValue(c))
-		}
-		nulls := col.Nulls
-		for _, i := range sel {
-			if nulls != nil && nulls.Get(int(i)) {
-				continue
-			}
-			if pass[dict.Code(int(i))] {
-				out = append(out, i)
-			}
-		}
-		return out, true
-	}
-	if rle, ok := col.Ints.(*codec.RLE); ok {
-		if l.forceStrategy != encodedStrategy && rle.Runs() > len(sel) {
-			return nil, false
-		}
-		if ctx.Stats != nil {
-			ctx.Stats.EncodedFilters++
-		}
-		t := seg.Schema().Columns[l.Col].Type
-		// Evaluate once per run, then emit selected offsets inside
-		// qualifying runs via a merge over runs and sel.
-		nulls := col.Nulls
-		si := 0
-		for run := 0; run < rle.Runs() && si < len(sel); run++ {
-			v, start, end := rle.Run(run)
-			if !l.matchIntBits(v, t) {
-				for si < len(sel) && int(sel[si]) < end {
-					si++
-				}
-				continue
-			}
-			for si < len(sel) && int(sel[si]) < end {
-				if int(sel[si]) >= start {
-					if nulls == nil || !nulls.Get(int(sel[si])) {
-						out = append(out, sel[si])
-					}
-				}
-				si++
-			}
-		}
-		return out, true
-	}
-	return nil, false
-}
-
+// matchString evaluates the clause on a non-null string column value.
 func (l *Leaf) matchString(s string) bool {
 	if len(l.In) > 0 {
 		for _, v := range l.In {
-			if v.S == s {
+			if !v.IsNull && v.S == s {
 				return true
 			}
 		}
@@ -438,14 +346,14 @@ func (l *Leaf) matchString(s string) bool {
 	return vector.CmpString(s, l.Op, l.Val.S)
 }
 
-// matchIntBits evaluates the clause on a raw int64 column value (which is
-// IEEE bits for float columns).
+// matchIntBits evaluates the clause on a non-null raw int64 column value
+// (which is IEEE bits for float columns).
 func (l *Leaf) matchIntBits(v int64, t types.ColType) bool {
 	if t == types.Float64 {
 		f := math.Float64frombits(uint64(v))
 		if len(l.In) > 0 {
 			for _, iv := range l.In {
-				if iv.F == f {
+				if !iv.IsNull && iv.F == f {
 					return true
 				}
 			}
@@ -455,111 +363,13 @@ func (l *Leaf) matchIntBits(v int64, t types.ColType) bool {
 	}
 	if len(l.In) > 0 {
 		for _, iv := range l.In {
-			if iv.I == v {
+			if !iv.IsNull && iv.I == v {
 				return true
 			}
 		}
 		return false
 	}
 	return vector.CmpInt(v, l.Op, l.Val.I)
-}
-
-// evalRegular selectively decodes the column for surviving rows and filters
-// on the decoded values ("regular filter", §5.2, with late
-// materialization).
-func (l *Leaf) evalRegular(ctx *SegContext, sel []int32, out []int32) []int32 {
-	seg := ctx.Meta.Seg
-	col := seg.Cols[l.Col]
-	t := seg.Schema().Columns[l.Col].Type
-	nulls := col.Nulls
-	dense := len(sel)*2 >= seg.NumRows
-	switch t {
-	case types.Int64:
-		if dense && len(l.In) == 0 {
-			vals := ctx.ints(l.Col)
-			if nulls == nil {
-				return vector.FilterIntConst(vals, l.Op, l.Val.I, sel, out)
-			}
-			for _, i := range sel {
-				if !nulls.Get(int(i)) && vector.CmpInt(vals[i], l.Op, l.Val.I) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if nulls != nil && nulls.Get(int(i)) {
-				continue
-			}
-			if l.matchIntBits(col.Ints.At(int(i)), t) {
-				out = append(out, i)
-			}
-		}
-		return out
-	case types.Float64:
-		if dense && len(l.In) == 0 {
-			raw := ctx.ints(l.Col)
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if vector.CmpFloat(math.Float64frombits(uint64(raw[i])), l.Op, l.Val.F) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if nulls != nil && nulls.Get(int(i)) {
-				continue
-			}
-			if l.matchIntBits(col.Ints.At(int(i)), t) {
-				out = append(out, i)
-			}
-		}
-		return out
-	default:
-		if dense {
-			vals := ctx.strs(l.Col)
-			for _, i := range sel {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if l.matchString(vals[i]) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if nulls != nil && nulls.Get(int(i)) {
-				continue
-			}
-			if l.matchString(col.Strs.At(int(i))) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-}
-
-// appendIntersect appends the intersection of sorted sel and postings to
-// out.
-func appendIntersect(out []int32, sel []int32, postings index.Postings) []int32 {
-	i, j := 0, 0
-	for i < len(sel) && j < len(postings) {
-		switch {
-		case sel[i] < postings[j]:
-			i++
-		case sel[i] > postings[j]:
-			j++
-		default:
-			out = append(out, sel[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // And is a conjunction node. It adaptively orders its children by
@@ -590,10 +400,23 @@ func (a *And) EvalRow(r types.Row) bool {
 	return true
 }
 
-// EvalSeg implements Node.
-func (a *And) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
+// EvalSpans implements Node: children run in (1-P)/cost rank order and each
+// narrows the surviving spans, ping-ponging between two pooled buffers so
+// the caller's in is only ever read.
+func (a *And) EvalSpans(ctx *SegContext, in, out []Span) []Span {
 	start := time.Now()
-	in := len(sel)
+	n, before := spanRows(in), spanRows(out)
+
+	// Group-filter check: when most rows pass each clause, evaluating the
+	// whole conjunction per row beats producing intermediate selections.
+	if !a.DisableGroup && a.groupProfitable() {
+		if ctx.Stats != nil {
+			ctx.Stats.GroupFilters++
+		}
+		out = a.evalGroup(ctx, in, out)
+		a.st.record(n, spanRows(out)-before, time.Since(start))
+		return out
+	}
 
 	order := make([]Node, len(a.Children))
 	copy(order, a.Children)
@@ -605,28 +428,20 @@ func (a *And) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
 		})
 	}
 
-	// Group-filter check: when most rows pass each clause, evaluating the
-	// whole conjunction per row beats producing intermediate selections.
-	if !a.DisableGroup && a.groupProfitable() {
-		if ctx.Stats != nil {
-			ctx.Stats.GroupFilters++
-		}
-		res := a.evalGroup(ctx, sel, out)
-		a.st.record(in, len(res), time.Since(start))
-		return res
-	}
-
-	cur := sel
-	var scratch []int32
+	cur := in
+	res, spare := getSpans(), getSpans()
+	defer putSpans(res)
+	defer putSpans(spare)
 	for _, c := range order {
 		if len(cur) == 0 {
 			break
 		}
-		scratch = c.EvalSeg(ctx, cur, scratch[:0])
-		cur, scratch = scratch, cur
+		*res = c.EvalSpans(ctx, cur, (*res)[:0])
+		cur = *res
+		res, spare = spare, res
 	}
 	out = append(out, cur...)
-	a.st.record(in, len(out), time.Since(start))
+	a.st.record(n, spanRows(out)-before, time.Since(start))
 	return out
 }
 
@@ -649,31 +464,71 @@ func (a *And) groupProfitable() bool {
 	return true
 }
 
-func (a *And) evalGroup(ctx *SegContext, sel []int32, out []int32) []int32 {
+// clauseReader is one clause of a group filter bound to a segment: the
+// column (decoded once when the candidate rows are dense, sought per row
+// when they are few) and the null bitmap are resolved up front, so the
+// per-row test allocates nothing.
+type clauseReader struct {
+	l     *Leaf
+	t     types.ColType
+	col   *colstore.Column
+	ints  []int64  // decoded Int64/Float64 column; nil when seeking
+	strs  []string // decoded String column; nil when seeking
+	dense bool
+}
+
+// pass reports whether row i satisfies the clause; NULL rows never do,
+// exactly as vector.CmpValue decides for buffer rows.
+func (c *clauseReader) pass(i int32) bool {
+	if c.col.Nulls != nil && c.col.Nulls.Get(int(i)) {
+		return false
+	}
+	switch {
+	case c.t == types.String && c.dense:
+		return c.l.matchString(c.strs[i])
+	case c.t == types.String:
+		return c.l.matchString(c.col.Strs.At(int(i)))
+	case c.dense:
+		return c.l.matchIntBits(c.ints[i], c.t)
+	default:
+		return c.l.matchIntBits(c.col.Ints.At(int(i)), c.t)
+	}
+}
+
+// evalGroup is the §5.2 group filter: the whole conjunction is evaluated per
+// candidate row, with no intermediate selections. It follows
+// evalRegularSpans' rule for reaching values: candidates covering at least
+// half the segment decode each clause's column once (through the vector
+// cache), fewer seek per row. groupProfitable guarantees all children are
+// leaves.
+func (a *And) evalGroup(ctx *SegContext, in, out []Span) []Span {
 	seg := ctx.Meta.Seg
-	for _, i := range sel {
-		pass := true
-		for _, c := range a.Children {
-			l := c.(*Leaf)
-			v := seg.ValueAt(int(i), l.Col)
-			if !l.EvalRow(rowWithValue(seg, int(i), l.Col, v)) {
-				pass = false
-				break
+	dense := spanRows(in)*2 >= seg.NumRows
+	clauses := make([]clauseReader, len(a.Children))
+	for k, c := range a.Children {
+		l := c.(*Leaf)
+		r := clauseReader{l: l, t: seg.Schema().Columns[l.Col].Type, col: &seg.Cols[l.Col], dense: dense}
+		if dense {
+			if r.t == types.String {
+				r.strs = ctx.strs(l.Col)
+			} else {
+				r.ints = ctx.ints(l.Col)
 			}
 		}
-		if pass {
-			out = append(out, i)
+		clauses[k] = r
+	}
+	for _, sp := range in {
+	row:
+		for i := sp.Start; i < sp.End; i++ {
+			for k := range clauses {
+				if !clauses[k].pass(i) {
+					continue row
+				}
+			}
+			out = appendSpan(out, i, i+1)
 		}
 	}
 	return out
-}
-
-// rowWithValue builds a sparse row holding just the clause's column; leaves
-// only inspect their own ordinal.
-func rowWithValue(seg *colstore.Segment, _ int, col int, v types.Value) types.Row {
-	r := make(types.Row, len(seg.Schema().Columns))
-	r[col] = v
-	return r
 }
 
 // Or is a disjunction node, reordered by the ratio of rows *not* selected
@@ -698,10 +553,13 @@ func (o *Or) EvalRow(r types.Row) bool {
 	return false
 }
 
-// EvalSeg implements Node.
-func (o *Or) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
+// EvalSpans implements Node: each child sees only the rows no earlier child
+// accepted, so a row is returned once however many branches match it. The
+// branches' results are disjoint; sorting them by start and coalescing
+// restores the span invariant.
+func (o *Or) EvalSpans(ctx *SegContext, in, out []Span) []Span {
 	start := time.Now()
-	in := len(sel)
+	n, before := spanRows(in), spanRows(out)
 	order := make([]Node, len(o.Children))
 	copy(order, o.Children)
 	// For OR, a child that *accepts* many rows cheaply should run first:
@@ -711,39 +569,27 @@ func (o *Or) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
 		si, sj := order[i].stats(), order[j].stats()
 		return si.selectivity()/si.costPerRow() > sj.selectivity()/sj.costPerRow()
 	})
-	remaining := sel
-	var matchedAll []int32
-	var scratch []int32
+	matched, res := getSpans(), getSpans()
+	rest, spare := getSpans(), getSpans()
+	defer putSpans(matched)
+	defer putSpans(res)
+	defer putSpans(rest)
+	defer putSpans(spare)
+	remaining := in
 	for _, c := range order {
 		if len(remaining) == 0 {
 			break
 		}
-		scratch = c.EvalSeg(ctx, remaining, scratch[:0])
-		matchedAll = append(matchedAll, scratch...)
-		// remaining = remaining \ scratch
-		remaining = subtractSorted(remaining, scratch)
+		*res = c.EvalSpans(ctx, remaining, (*res)[:0])
+		*matched = append(*matched, *res...)
+		*rest = subtractSpans(remaining, *res, (*rest)[:0])
+		remaining = *rest
+		rest, spare = spare, rest
 	}
-	sort.Slice(matchedAll, func(i, j int) bool { return matchedAll[i] < matchedAll[j] })
-	out = append(out, matchedAll...)
-	o.st.record(in, len(out), time.Since(start))
-	return out
-}
-
-// subtractSorted returns a \ b for sorted slices.
-func subtractSorted(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
+	slices.SortFunc(*matched, func(x, y Span) int { return cmp.Compare(x.Start, y.Start) })
+	for _, sp := range *matched {
+		out = appendSpan(out, sp.Start, sp.End)
 	}
-	out := make([]int32, 0, len(a)-len(b))
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
+	o.st.record(n, spanRows(out)-before, time.Since(start))
 	return out
 }

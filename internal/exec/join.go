@@ -129,8 +129,7 @@ func EquiJoin(
 
 	// Hash-join fallback: scan the probe side.
 	scan := NewScan(probe, probeFilter)
-	stop := false
-	probeRow := func(pr types.Row) bool {
+	scan.Run(func(pr types.Row) bool {
 		keyBuf = keyBuf[:0]
 		for _, c := range probeKey {
 			keyBuf = types.EncodeKey(keyBuf, pr[c])
@@ -141,28 +140,6 @@ func EquiJoin(
 			}
 		}
 		return true
-	}
-	scan.RunBuffer(func(pr types.Row) bool {
-		if !probeRow(pr) {
-			stop = true
-			return false
-		}
-		return true
-	})
-	if stop {
-		return false
-	}
-	scan.RunSegments(func(ctx *SegContext, sel []int32) {
-		if stop {
-			return
-		}
-		mat := ctx.Materializer(nil, len(sel)*4 >= ctx.Meta.Seg.NumRows)
-		for _, i := range sel {
-			if !probeRow(mat(int(i))) {
-				stop = true
-				return
-			}
-		}
 	})
 	if stats != nil {
 		stats.SegmentsScanned += scan.Stats.SegmentsScanned

@@ -1,19 +1,17 @@
-// Fused encoded-execution kernels (§5.2 "operate on encoded data"): the
-// filter phase evaluates predicates in span space — selection vectors are
-// carried as coalesced [start,end) runs instead of flat row-offset lists —
-// and the aggregation phase folds surviving spans straight into aggregate
-// state without building intermediate rows. An RLE run that passes a
-// predicate contributes runLen×value to SUM/COUNT without expanding;
-// dictionary predicates and GROUP BY keys evaluate once per dictionary code;
-// and only columns an aggregate actually reads are ever materialized (late
-// materialization). Every kernel mirrors the unfused path it replaces
-// row-for-row, including floating-point accumulation order, so fused and
-// unfused results are byte-identical (the equivalence suite asserts this).
+// Encoded-execution kernels (§5.2 "operate on encoded data"): selections are
+// carried as coalesced [start,end) runs — the one selection representation —
+// so the filter phase evaluates predicates in span space and the aggregation
+// phase folds surviving spans straight into aggregate state without building
+// intermediate rows. An RLE run that passes a predicate contributes
+// runLen×value to SUM/COUNT without expanding; dictionary predicates and
+// GROUP BY keys evaluate once per dictionary code; and only columns an
+// aggregate actually reads are ever materialized (late materialization).
+// Every segment strategy must agree with row-at-a-time Node.EvalRow over the
+// same rows; ref_test.go holds that oracle and the suite checks it.
 package exec
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,8 +49,8 @@ func appendSpan(out []Span, start, end int32) []Span {
 	return append(out, Span{Start: start, End: end})
 }
 
-// spanPool recycles span buffers across segments and scans, mirroring
-// selPool for flat selection vectors.
+// spanPool recycles span buffers across segments and scans; it is where a
+// Node takes EvalSpans scratch from.
 var spanPool = sync.Pool{New: func() any { return new([]Span) }}
 
 func getSpans() *[]Span {
@@ -94,83 +92,55 @@ func liveSpans(meta *colstore.Meta, out []Span) []Span {
 	return out
 }
 
-// flattenSpans expands spans into a flat selection vector.
-func flattenSpans(spans []Span, out []int32) []int32 {
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// selToSpans coalesces a sorted flat selection vector into spans.
-func selToSpans(sel []int32, out []Span) []Span {
-	for i := 0; i < len(sel); {
-		j := i + 1
-		for j < len(sel) && sel[j] == sel[j-1]+1 {
+// subtractSpans appends a \ b to out: the parts of a's spans that no span
+// of b covers. Both inputs are sorted and disjoint; one linear pass.
+func subtractSpans(a, b, out []Span) []Span {
+	j := 0
+	for _, sp := range a {
+		lo := sp.Start
+		for j < len(b) && b[j].End <= lo {
 			j++
 		}
-		out = append(out, Span{Start: sel[i], End: sel[j-1] + 1})
-		i = j
+		for j < len(b) && b[j].Start < sp.End {
+			if b[j].Start > lo {
+				out = appendSpan(out, lo, b[j].Start)
+			}
+			lo = b[j].End
+			if lo >= sp.End {
+				break // b[j] may reach into a's next span
+			}
+			j++
+		}
+		if lo < sp.End {
+			out = appendSpan(out, lo, sp.End)
+		}
 	}
 	return out
 }
 
 // --- span-space filter evaluation -------------------------------------------
 
-// spanFusible reports whether the filter tree can evaluate in span space:
-// leaves and conjunctions only (disjunctions subtract+merge flat vectors and
-// stay on the legacy path). An And that the adaptive cost model deems
-// group-filter-profitable defers to the legacy strategy so the §5.2
-// group-filter choice — and its counters — behave identically with fused
-// kernels on; the same nodeStats drive both deciders.
-func spanFusible(n Node) bool {
-	switch f := n.(type) {
-	case *Leaf:
-		return true
-	case *And:
-		if !f.DisableGroup && f.groupProfitable() {
-			return false
-		}
-		for _, c := range f.Children {
-			if !spanFusible(c) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// evalNodeSpans dispatches span evaluation; callers must have checked
-// spanFusible first.
-func evalNodeSpans(n Node, ctx *SegContext, in, out []Span) []Span {
-	switch f := n.(type) {
-	case *Leaf:
-		return f.evalSpans(ctx, in, out)
-	case *And:
-		return f.evalSpans(ctx, in, out)
-	}
-	// Unreachable: guarded by spanFusible.
-	return out
-}
-
-// evalSpans evaluates the clause over candidate spans, appending surviving
-// coalesced spans to out. Strategy choice mirrors evalStrategies — index
-// postings, encoded (dictionary/RLE), then per-row regular — with the same
-// cost checks and counters, just against span row counts.
-func (l *Leaf) evalSpans(ctx *SegContext, in, out []Span) []Span {
+// EvalSpans implements Node: it picks among the §5.2 strategies — secondary
+// index filter, encoded filter (dictionary/RLE), per-row regular filter —
+// using postings sizes, encoding sizes and the candidate row count.
+func (l *Leaf) EvalSpans(ctx *SegContext, in, out []Span) []Span {
 	start := time.Now()
-	n := spanRows(in)
-	out = l.evalSpanStrategies(ctx, n, in, out)
-	l.st.record(n, spanRows(out), time.Since(start))
+	n, before := spanRows(in), spanRows(out)
+	// A comparison against a NULL constant is never true; the strategies
+	// compare raw column values and must not see it.
+	if len(l.In) > 0 || !l.Val.IsNull {
+		out = l.evalSpanStrategies(ctx, n, in, out)
+	}
+	l.st.record(n, spanRows(out)-before, time.Since(start))
 	return out
 }
 
 func (l *Leaf) evalSpanStrategies(ctx *SegContext, rows int, in, out []Span) []Span {
 	seg := ctx.Meta.Seg
-	// Secondary index filter: postings intersected with the candidate spans.
+	// Secondary index filter: only for equality with an index, and only
+	// when the postings list is smaller than the candidate set ("it can
+	// still be worse if the other clauses already filtered the result down
+	// to a few rows", §5.2). Costing uses the postings size directly.
 	if l.forceStrategy != regularStrategy && len(l.In) == 0 && l.Op == vector.Eq && ctx.Idx != nil && ctx.Idx.HasColumn(l.Col) {
 		if postings, ok := ctx.Idx.SegmentPostings(seg.ID, l.Col, l.Val); ok {
 			if l.forceStrategy == indexStrategy || len(postings)*4 < rows {
@@ -201,8 +171,9 @@ func (l *Leaf) evalSpanStrategies(ctx *SegContext, rows int, in, out []Span) []S
 	return l.evalRegularSpans(ctx, rows, in, out)
 }
 
-// tryEncodedSpans is the span-space twin of tryEncoded: once per dictionary
-// entry or RLE run instead of once per row, with the same §5.2 cost checks.
+// tryEncodedSpans evaluates directly on compressed data when profitable:
+// once per dictionary entry or RLE run instead of once per row (§5.2
+// "encoded filter").
 func (l *Leaf) tryEncodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Span, bool) {
 	seg := ctx.Meta.Seg
 	col := seg.Cols[l.Col]
@@ -211,6 +182,8 @@ func (l *Leaf) tryEncodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Spa
 		if !ok {
 			return nil, false
 		}
+		// "it can be worse if the dictionary size is greater than the
+		// number of rows that passed the previous filters" — cost check.
 		if l.forceStrategy != encodedStrategy && dict.DictSize() > rows {
 			return nil, false
 		}
@@ -298,7 +271,8 @@ func (l *Leaf) tryEncodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Spa
 }
 
 // evalRegularSpans filters decoded values per row within the candidate
-// spans, with the same dense/sparse decode heuristic as evalRegular.
+// spans ("regular filter", §5.2): dense selections decode the column once,
+// sparse ones seek per row.
 func (l *Leaf) evalRegularSpans(ctx *SegContext, rows int, in, out []Span) []Span {
 	seg := ctx.Meta.Seg
 	col := seg.Cols[l.Col]
@@ -387,40 +361,6 @@ func (l *Leaf) evalRegularSpans(ctx *SegContext, rows int, in, out []Span) []Spa
 	}
 }
 
-// evalSpans evaluates the conjunction in span space: children run in
-// (1-P)/cost rank order (the same adaptive ordering as EvalSeg) and each
-// child narrows the surviving spans. Group-filter-profitable conjunctions
-// never reach here (spanFusible routes them to the legacy strategy).
-func (a *And) evalSpans(ctx *SegContext, in, out []Span) []Span {
-	start := time.Now()
-	n := spanRows(in)
-
-	order := make([]Node, len(a.Children))
-	copy(order, a.Children)
-	if !a.DisableReorder {
-		sort.SliceStable(order, func(i, j int) bool {
-			return order[i].stats().rank() > order[j].stats().rank()
-		})
-	}
-
-	curBuf, scratchBuf := getSpans(), getSpans()
-	defer putSpans(curBuf)
-	defer putSpans(scratchBuf)
-	cur := append((*curBuf)[:0], in...)
-	for _, c := range order {
-		if len(cur) == 0 {
-			break
-		}
-		res := evalNodeSpans(c, ctx, cur, (*scratchBuf)[:0])
-		*scratchBuf = res
-		*curBuf, *scratchBuf = *scratchBuf, *curBuf
-		cur = *curBuf
-	}
-	out = append(out, cur...)
-	a.st.record(n, spanRows(out), time.Since(start))
-	return out
-}
-
 // --- fused aggregation kernels -----------------------------------------------
 
 // aggFuseMode classifies how a segment's aggregation can fuse.
@@ -429,8 +369,7 @@ type aggFuseMode uint8
 const (
 	fuseNone aggFuseMode = iota
 	// fuseDictGroup: single dictionary-encoded group column, plain
-	// aggregates — per-code states folded in code order (the fused twin of
-	// aggregateByDict).
+	// aggregates — per-code states folded in code order.
 	fuseDictGroup
 	// fuseGlobalPlain: no grouping, plain aggregates — spec-outer columnar
 	// fold with RLE run bulking; materializes nothing.
@@ -452,8 +391,8 @@ const maxFusedGroupCodes = 4096
 
 // aggFuser runs fused aggregation kernels against the shared group table of
 // one Aggregate call. The touch callback resolves (creating on first sight,
-// in encounter order) a group by key, exactly as the unfused paths do, so
-// group output order is identical by construction.
+// in encounter order) a group by key, exactly as the general row path does,
+// so group output order does not depend on which kernel ran.
 type aggFuser struct {
 	groupCols  []int
 	aggs       []AggSpec
@@ -477,9 +416,8 @@ func newAggFuser(groupCols []int, aggs []AggSpec, touch func(key types.Row) *agg
 }
 
 // classify picks the fused kernel for one segment, or fuseNone when the
-// shape requires the general path. The dispatch deliberately shadows the
-// unfused dispatch (dict group-by first, then the global fast path) so each
-// kernel replaces exactly one legacy mode.
+// shape requires the general row path: dict group-by first, then the global
+// folds, then bounded multi-column code grouping.
 func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 	seg := ctx.Meta.Seg
 	if len(u.groupCols) == 1 && allPlainAggs(u.aggs) {
@@ -533,8 +471,8 @@ func (u *aggFuser) run(mode aggFuseMode, ctx *SegContext, spans []Span) {
 // globalPlainSeg folds plain global aggregates spec-outer over the spans.
 // RLE agg columns without nulls fold per run: integer SUM/COUNT use exact
 // bulk arithmetic (runLen×value), float sums replay the run's additions so
-// the accumulation order — and therefore the bits — match the unfused
-// per-row fold; MIN/MAX compare once per run either way.
+// the accumulation order — and therefore the bits — match the per-row fold
+// over a decoded encoding of the same data; MIN/MAX compare once per run.
 func (u *aggFuser) globalPlainSeg(ctx *SegContext, spans []Span) {
 	seg := ctx.Meta.Seg
 	g := u.touch(nil)
@@ -679,7 +617,7 @@ func (u *aggFuser) exprMaterializer(ctx *SegContext, spans []Span) func(i int) t
 // the materialized expression-input row (nil when no spec reads one). The
 // unboxed adds accumulate exactly as the general path's boxed
 // aggState.add, and expression specs keep the boxed call, so the states —
-// including float bit patterns — are byte-identical to the unfused fold.
+// including float bit patterns — are byte-identical to the general path's.
 func (u *aggFuser) foldState(states []aggState, accs []specAccessor, i int, r types.Row) {
 	for ai := range accs {
 		ac := &accs[ai]
@@ -702,16 +640,16 @@ func (u *aggFuser) foldState(states []aggState, accs []specAccessor, i int, r ty
 	}
 }
 
-// dictGroupSeg is the fused twin of aggregateByDict: per-dictionary-code
-// partial states accumulated with unboxed adds, folded into the shared
-// group table in code order (the legacy fold order, so output order and
-// float bits are identical). Dict mode only classifies for plain
+// dictGroupSeg is the encoded group-by of §2.1.2: per-dictionary-code
+// partial states accumulated with unboxed adds — one bit-packed code load
+// per row, string values touched once per distinct value — folded into the
+// shared group table in code order. Dict mode only classifies for plain
 // aggregates, so no expression row is ever needed.
 func (u *aggFuser) dictGroupSeg(ctx *SegContext, spans []Span) {
 	seg := ctx.Meta.Seg
 	d := seg.Cols[u.groupCols[0]].Strs.(*codec.Dict)
 	if ctx.Stats != nil {
-		ctx.Stats.EncodedFilters++ // counted with encoded ops, like the unfused path
+		ctx.Stats.EncodedFilters++ // counted with encoded ops
 	}
 	aggs := u.aggs
 	states := make([][]aggState, d.DictSize())

@@ -84,17 +84,27 @@ func fillKernel(t testing.TB, tbl *core.Table, n, buffered int) {
 	}
 }
 
-func runAggMode(view *core.View, filter Node, groupCols []int, aggs []AggSpec, unfused bool) ([]types.Row, ScanStats) {
+// cloneFilter hands a run its own adaptive state; guarded additionally wraps
+// every node in a guard (ref_test.go), which enforces the EvalSpans
+// ownership rule but hides leaves from the group filter and from segment
+// skipping — so the suites run every filter both ways.
+func cloneFilter(t testing.TB, filter Node, guarded bool) Node {
 	f := CloneNode(filter)
+	if guarded {
+		f = guardTree(t, f)
+	}
+	return f
+}
+
+func runAgg(t testing.TB, view *core.View, filter Node, groupCols []int, aggs []AggSpec, guarded bool) ([]types.Row, ScanStats) {
+	f := cloneFilter(t, filter, guarded)
 	s := NewScan(view, f)
-	s.DisableFusedKernels = unfused
 	rows := Aggregate(view, f, groupCols, aggs, s)
 	return rows, s.Stats
 }
 
-func runRowsMode(view *core.View, filter Node, project []int, unfused bool) []types.Row {
-	s := NewScan(view, CloneNode(filter))
-	s.DisableFusedKernels = unfused
+func runRows(t testing.TB, view *core.View, filter Node, project []int, guarded bool) []types.Row {
+	s := NewScan(view, cloneFilter(t, filter, guarded))
 	s.Project = project
 	var out []types.Row
 	s.Run(func(r types.Row) bool {
@@ -104,10 +114,52 @@ func runRowsMode(view *core.View, filter Node, project []int, unfused bool) []ty
 	return out
 }
 
+// checkFilter runs tree over view cold, warm (children reordered by
+// observed cost, group filter armed) and guarded, and compares Run — rows in
+// order, no id twice — and Count with want, the oracle's rows.
+func checkFilter(t testing.TB, label string, view *core.View, tree Node, want []types.Row) {
+	t.Helper()
+	plain := CloneNode(tree)
+	for pass, filter := range []Node{plain, plain, guardTree(t, CloneNode(tree))} {
+		var got []types.Row
+		seen := map[int64]bool{}
+		NewScan(view, filter).Run(func(r types.Row) bool {
+			if seen[r[0].I] {
+				t.Fatalf("%s pass %d: id %d returned twice", label, pass, r[0].I)
+			}
+			seen[r[0].I] = true
+			got = append(got, r.Clone())
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s pass %d: Run returned %d rows, EvalRow oracle %d", label, pass, len(got), len(want))
+		}
+		if n := NewScan(view, filter).Count(); n != int64(len(want)) {
+			t.Fatalf("%s pass %d: Count = %d, EvalRow oracle %d", label, pass, n, len(want))
+		}
+	}
+}
+
+// checkAgg compares Aggregate, plain and guarded, with the row-at-a-time
+// oracle over want's rows: exactly, after sorting by group key. The kernel
+// table's floats are multiples of 0.25 and expression sums fold in scan
+// order on both sides, so no tolerance is needed or wanted.
+func checkAgg(t *testing.T, name string, view *core.View, filter Node, ref []types.Row, groupCols []int, aggs []AggSpec) {
+	t.Helper()
+	want := refAggregate(ref, groupCols, aggs)
+	for _, guarded := range []bool{false, true} {
+		got, _ := runAgg(t, view, filter, groupCols, aggs, guarded)
+		sortByGroupKey(got, len(groupCols))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (guarded=%v): Aggregate != EvalRow oracle\ngot:  %v\nwant: %v", name, guarded, got, want)
+		}
+	}
+}
+
 // kernelFilters is the shared predicate zoo: RLE range, dict equality
 // (index-eligible), IN list, bit-packed and float comparisons with nulls,
-// conjunctions mixing encodings, a disjunction (legacy fallback inside the
-// fused driver), and an empty-selection predicate.
+// conjunctions mixing encodings, a disjunction, and an empty-selection
+// predicate.
 func kernelFilters() map[string]Node {
 	return map[string]Node{
 		"none":       nil,
@@ -131,6 +183,10 @@ func kernelFilters() map[string]Node {
 	}
 }
 
+// TestFusedUnfusedAggregateEquivalence is the 11 filters × 6 groupings × 8
+// aggregate sets matrix: every aggregation kernel, over every filter
+// strategy, agrees with the row-at-a-time EvalRow oracle. (The name dates
+// from when the reference was an unfused copy of the pipeline.)
 func TestFusedUnfusedAggregateEquivalence(t *testing.T) {
 	tbl := newKernelTable(t, 64)
 	fillKernel(t, tbl, 600, 50)
@@ -158,17 +214,10 @@ func TestFusedUnfusedAggregateEquivalence(t *testing.T) {
 		"dict-status": {2},
 	}
 	for fname, filter := range kernelFilters() {
+		ref := refRows(view, filter)
 		for gname, groupCols := range groupings {
 			for aname, aggs := range aggSets {
-				name := fname + "/" + gname + "/" + aname
-				fused, fstats := runAggMode(view, filter, groupCols, aggs, false)
-				unfused, _ := runAggMode(view, filter, groupCols, aggs, true)
-				if !reflect.DeepEqual(fused, unfused) {
-					t.Fatalf("%s: fused != unfused\nfused:   %v\nunfused: %v", name, fused, unfused)
-				}
-				if fstats.RowsScanned > 0 && fstats.RowsOutput < 0 {
-					t.Fatalf("%s: bogus stats %+v", name, fstats)
-				}
+				checkAgg(t, fname+"/"+gname+"/"+aname, view, filter, ref, groupCols, aggs)
 			}
 		}
 	}
@@ -180,11 +229,14 @@ func TestFusedUnfusedRowEquivalence(t *testing.T) {
 	view := tbl.Snapshot()
 	projections := [][]int{nil, {0, 3}, {1, 4, 6}}
 	for fname, filter := range kernelFilters() {
+		ref := refRows(view, filter)
 		for pi, proj := range projections {
-			fused := runRowsMode(view, filter, proj, false)
-			unfused := runRowsMode(view, filter, proj, true)
-			if !reflect.DeepEqual(fused, unfused) {
-				t.Fatalf("%s/proj%d: fused rows != unfused (%d vs %d)", fname, pi, len(fused), len(unfused))
+			want := projectRows(ref, proj)
+			for _, guarded := range []bool{false, true} {
+				got := projectRows(runRows(t, view, filter, proj, guarded), proj)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/proj%d (guarded=%v): Run rows != EvalRow oracle (%d vs %d)", fname, pi, guarded, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -195,35 +247,108 @@ func TestFusedUnfusedCountEquivalence(t *testing.T) {
 	fillKernel(t, tbl, 500, 40)
 	view := tbl.Snapshot()
 	for fname, filter := range kernelFilters() {
-		sf := NewScan(view, CloneNode(filter))
-		su := NewScan(view, CloneNode(filter))
-		su.DisableFusedKernels = true
-		if got, want := sf.Count(), su.Count(); got != want {
-			t.Fatalf("%s: fused count %d != unfused %d", fname, got, want)
+		want := int64(len(refRows(view, filter)))
+		for _, guarded := range []bool{false, true} {
+			if got := NewScan(view, cloneFilter(t, filter, guarded)).Count(); got != want {
+				t.Fatalf("%s (guarded=%v): Count %d != EvalRow oracle %d", fname, guarded, got, want)
+			}
 		}
 	}
 }
 
-// TestFastCountUsesMetadataOnly: a filterless fused count must read no
-// column vectors and visit no segments — it answers from segment meta plus
-// the buffer walk — while still matching the full-scan count exactly,
+// TestOrOverAndMatchesEvalRow is the regression test for OR returning a row
+// once per matching branch: a conjunction under a disjunction used to write
+// its intermediate selections into the disjunction's "remaining" buffer, so
+// 218 rows came back where EvalRow says 219. Every tree is checked for
+// count, for the exact row multiset, and for no row returned twice — cold,
+// warm (children reordered by observed cost) and guarded.
+func TestOrOverAndMatchesEvalRow(t *testing.T) {
+	trees := map[string]Node{
+		"or(and,leaf)": NewOr(
+			NewAnd(NewLeaf(3, vector.Ge, types.NewInt(5)), NewLeaf(1, vector.Eq, types.NewString("c1"))),
+			NewLeaf(2, vector.Eq, types.NewString("s0")),
+		),
+		"three overlapping branches": NewOr(
+			NewAnd(NewLeaf(3, vector.Ge, types.NewInt(5)), NewLeaf(3, vector.Lt, types.NewInt(20))),
+			NewAnd(NewLeaf(3, vector.Ge, types.NewInt(10)), NewLeaf(1, vector.Ne, types.NewString("c3"))),
+			NewIn(2, []types.Value{types.NewString("s0"), types.NewString("s1")}),
+		),
+	}
+	// One 500-row segment is where the lost rows showed; 64-row segments
+	// exercise the same trees across segment boundaries.
+	for _, maxSegRows := range []int{4096, 64} {
+		tbl := newKernelTable(t, maxSegRows)
+		fillKernel(t, tbl, 500, 0)
+		view := tbl.Snapshot()
+		for name, tree := range trees {
+			want := refRows(view, tree)
+			if name == "or(and,leaf)" && len(want) != 219 {
+				t.Fatalf("%s: oracle count = %d, want 219", name, len(want))
+			}
+			checkFilter(t, fmt.Sprintf("%s/%d", name, maxSegRows), view, tree, want)
+		}
+	}
+}
+
+// TestGroupFilterSeeksWhenCandidatesAreFew: a group-profitable conjunction
+// nested under a selective sibling receives a handful of candidate rows; it
+// must seek those values rather than decode its columns for the whole
+// segment, and still agree with the oracle (both columns carry NULLs).
+func TestGroupFilterSeeksWhenCandidatesAreFew(t *testing.T) {
+	tbl := newKernelTable(t, 4096)
+	fillKernel(t, tbl, 500, 0)
+	view := tbl.Snapshot()
+
+	inner := NewAnd(
+		NewLeaf(5, vector.Ge, types.NewInt(0)),             // passes every non-NULL hi
+		NewLeaf(6, vector.Ne, types.NewString("note-310")), // passes nearly every non-NULL note
+	)
+	if got, want := NewScan(view, inner).Count(), int64(len(refRows(view, inner))); got != want {
+		t.Fatalf("warm-up count = %d, EvalRow oracle %d", got, want)
+	}
+	if !inner.groupProfitable() {
+		t.Fatal("inner conjunction did not turn group-profitable after one scan")
+	}
+
+	reached := func(s *Scan) int64 { return s.Stats.VecDecodes + s.Stats.VecCacheHits }
+	few := NewLeaf(0, vector.Lt, types.NewInt(40))
+	alone := NewScan(view, CloneNode(few))
+	alone.Count()
+
+	outer := NewAnd(few, inner)
+	outer.DisableReorder = true // the selective leaf runs first
+	want := refRows(view, outer)
+	scan := NewScan(view, outer)
+	if got := scan.Count(); got != int64(len(want)) || got == 0 {
+		t.Fatalf("count = %d, EvalRow oracle %d", got, len(want))
+	}
+	if scan.Stats.GroupFilters != 1 {
+		t.Fatalf("group filter ran %d times, want 1", scan.Stats.GroupFilters)
+	}
+	if reached(scan) != reached(alone) {
+		t.Fatalf("group filter over %d candidate rows decoded whole columns: %d full-column reads, the selective leaf alone makes %d",
+			len(want), reached(scan), reached(alone))
+	}
+	if got := runRows(t, view, outer, nil, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run returned %d rows, EvalRow oracle %d", len(got), len(want))
+	}
+}
+
+// TestFastCountUsesMetadataOnly: a filterless count must read no column
+// vectors and visit no segments — it answers from segment meta plus the
+// buffer walk — while still matching the row-at-a-time count exactly,
 // deletes and buffer rows included.
 func TestFastCountUsesMetadataOnly(t *testing.T) {
 	tbl := newKernelTable(t, 64)
 	fillKernel(t, tbl, 500, 40)
 	view := tbl.Snapshot()
-	fused := NewScan(view, nil)
-	got := fused.Count()
-	unfused := NewScan(view, nil)
-	unfused.DisableFusedKernels = true
-	if want := unfused.Count(); got != want {
-		t.Fatalf("fast count %d != scan count %d", got, want)
+	fast := NewScan(view, nil)
+	got := fast.Count()
+	if want := int64(len(refRows(view, nil))); got != want {
+		t.Fatalf("fast count %d != row-at-a-time count %d", got, want)
 	}
-	if fused.Stats.SegmentsScanned != 0 || fused.Stats.VecDecodes != 0 {
-		t.Fatalf("fast count touched data: %+v", fused.Stats)
-	}
-	if unfused.Stats.SegmentsScanned == 0 {
-		t.Fatal("unfused count did not scan segments (baseline broken)")
+	if fast.Stats.SegmentsScanned != 0 || fast.Stats.VecDecodes != 0 {
+		t.Fatalf("fast count touched data: %+v", fast.Stats)
 	}
 }
 
@@ -248,14 +373,11 @@ func TestRunStraddlesSelectionGap(t *testing.T) {
 	}
 	view := tbl.Snapshot()
 	filter := NewLeaf(3, vector.Eq, types.NewInt(1))
-	fused := NewScan(view, CloneNode(filter))
-	if got := fused.Count(); got != 11 {
-		t.Fatalf("straddled-run fused count = %d, want 11", got)
+	if got := NewScan(view, CloneNode(filter)).Count(); got != 11 {
+		t.Fatalf("straddled-run count = %d, want 11", got)
 	}
-	unfused := NewScan(view, CloneNode(filter))
-	unfused.DisableFusedKernels = true
-	if got := unfused.Count(); got != 11 {
-		t.Fatalf("straddled-run unfused count = %d, want 11", got)
+	if got := len(refRows(view, filter)); got != 11 {
+		t.Fatalf("straddled-run row-at-a-time count = %d, want 11", got)
 	}
 	// Single-run segment: every val identical.
 	one := newKernelTable(t, 256)
@@ -277,8 +399,8 @@ func TestRunStraddlesSelectionGap(t *testing.T) {
 	}
 }
 
-// TestFusedCountersSurface checks the new observability counters: fused
-// filters report span-filtered segments, fused aggregations report fused
+// TestFusedCountersSurface checks the observability counters: filters
+// report span-filtered segments, fused aggregations report fused
 // segments and — for plain global aggregates — materialize nothing.
 func TestFusedCountersSurface(t *testing.T) {
 	tbl := newKernelTable(t, 64)
@@ -287,7 +409,7 @@ func TestFusedCountersSurface(t *testing.T) {
 	filter := NewLeaf(3, vector.Ge, types.NewInt(10))
 	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}, {Func: Sum, Col: 4}}
 
-	_, fstats := runAggMode(view, filter, nil, aggs, false)
+	_, fstats := runAgg(t, view, filter, nil, aggs, false)
 	if fstats.EncodedFilterSegs == 0 {
 		t.Fatalf("no span-filtered segments recorded: %+v", fstats)
 	}
@@ -298,12 +420,7 @@ func TestFusedCountersSurface(t *testing.T) {
 		t.Fatalf("plain global aggregate materialized %d rows", fstats.RowsMaterialized)
 	}
 
-	_, ustats := runAggMode(view, filter, nil, aggs, true)
-	if ustats.EncodedFilterSegs != 0 || ustats.FusedAggSegs != 0 {
-		t.Fatalf("unfused run reported fused counters: %+v", ustats)
-	}
-
-	// Materializing scans count their built rows in both modes.
+	// Materializing scans count their built rows.
 	s := NewScan(view, CloneNode(filter))
 	var rows int64
 	s.Run(func(types.Row) bool { rows++; return true })
@@ -312,9 +429,9 @@ func TestFusedCountersSurface(t *testing.T) {
 	}
 }
 
-// TestFusedEquivalenceUnderMerges races fused-vs-unfused aggregation
-// against concurrent inserts, flushes and LSM merges; every snapshot must
-// agree between the two modes (run under -race in CI).
+// TestFusedEquivalenceUnderMerges races aggregation against concurrent
+// inserts, flushes and LSM merges; on every snapshot the kernels must agree
+// with the row-at-a-time oracle (run under -race in CI).
 func TestFusedEquivalenceUnderMerges(t *testing.T) {
 	tbl := newKernelTable(t, 32)
 	fillKernel(t, tbl, 256, 0)
@@ -345,12 +462,12 @@ func TestFusedEquivalenceUnderMerges(t *testing.T) {
 	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}, {Func: Min, Col: 4}, {Func: Max, Col: 6}}
 	for round := 0; round < 30; round++ {
 		view := tbl.Snapshot()
-		fused, _ := runAggMode(view, filter, []int{1}, aggs, false)
-		unfused, _ := runAggMode(view, filter, []int{1}, aggs, true)
-		if !reflect.DeepEqual(fused, unfused) {
+		got, _ := runAgg(t, view, filter, []int{1}, aggs, round%2 == 1)
+		sortByGroupKey(got, 1)
+		if want := refAggregate(refRows(view, filter), []int{1}, aggs); !reflect.DeepEqual(got, want) {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("round %d: fused != unfused under merge churn\nfused:   %v\nunfused: %v", round, fused, unfused)
+			t.Fatalf("round %d: Aggregate != EvalRow oracle under merge churn\ngot:  %v\nwant: %v", round, got, want)
 		}
 	}
 	close(stop)

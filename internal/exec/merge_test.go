@@ -110,6 +110,29 @@ func TestGroupFilterActivatesOnNonSelectiveClauses(t *testing.T) {
 	if n := NewScan(tbl.Snapshot(), and).Count(); n != 2048 {
 		t.Fatalf("count = %d", n)
 	}
+
+	// The group filter allocates per segment, never per row: the same
+	// conjunction (already warmed into the group filter) over eight segments
+	// stays under one bound whether they hold 256 or 2048 rows each.
+	for _, segRows := range []int{256, 2048} {
+		big := newTable(t, segRows)
+		fill(t, big, 8*segRows, true)
+		view := big.Snapshot()
+		var groupFilters int64
+		allocs := testing.AllocsPerRun(5, func() {
+			scan := NewScan(view, and)
+			if n := scan.Count(); n != int64(8*segRows) {
+				t.Fatalf("count = %d, want %d", n, 8*segRows)
+			}
+			groupFilters = scan.Stats.GroupFilters
+		})
+		if groupFilters != int64(len(view.Segs)) {
+			t.Fatalf("group filter ran on %d of %d segments", groupFilters, len(view.Segs))
+		}
+		if limit := float64(16 * len(view.Segs)); allocs > limit {
+			t.Fatalf("%d rows/segment: %.0f allocs per scan, want <= %.0f (independent of row count)", segRows, allocs, limit)
+		}
+	}
 }
 
 func TestOrReordersTowardAcceptingClauses(t *testing.T) {

@@ -34,8 +34,8 @@ func NewNamedIn(name string, vals []types.Value) *NamedLeaf {
 
 func (l *NamedLeaf) stats() *nodeStats { return &l.st }
 
-// EvalSeg implements Node; NamedLeaf must be resolved before execution.
-func (l *NamedLeaf) EvalSeg(*SegContext, []int32, []int32) []int32 {
+// EvalSpans implements Node; NamedLeaf must be resolved before execution.
+func (l *NamedLeaf) EvalSpans(*SegContext, []Span, []Span) []Span {
 	panic(fmt.Sprintf("exec: unresolved column reference %q (ResolveNames must run before execution)", l.Name))
 }
 
@@ -155,7 +155,7 @@ func ResolveAggSpecs(aggs []AggSpec, schema *types.Schema) ([]AggSpec, error) {
 
 // CloneNode deep-copies a filter tree with fresh adaptive statistics. The
 // parallel scheduler hands each partition scan its own clone so concurrent
-// EvalSeg calls never share mutable nodeStats.
+// EvalSpans calls never share mutable nodeStats.
 func CloneNode(n Node) Node {
 	if n == nil {
 		return nil

@@ -157,9 +157,9 @@ func (c *cancelNode) EvalRow(types.Row) bool {
 	c.once.Do(c.cancel)
 	return true
 }
-func (c *cancelNode) EvalSeg(_ *SegContext, sel []int32, out []int32) []int32 {
+func (c *cancelNode) EvalSpans(_ *SegContext, in, out []Span) []Span {
 	c.once.Do(c.cancel)
-	return append(out, sel...)
+	return append(out, in...)
 }
 
 func TestParallelCancellationMidScan(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 // Scan drives filtered data access over a table view, implementing the
 // three steps of §5: (1) find the segments to read — via the global
 // secondary indexes and zone maps (§5.1), (2) run filters per segment to a
-// selection vector (§5.2), (3) selectively decode the surviving rows.
+// selection of surviving spans (§5.2), (3) selectively decode the surviving
+// rows. RunSegments is the one segment driver; Run, Count, Aggregate and the
+// hash join's probe side all consume its spans.
 type Scan struct {
 	View   *core.View
 	Filter Node // nil scans everything
@@ -45,21 +47,9 @@ type Scan struct {
 	// fetch or decode failed, or a cancelled hydration wait. The scan stops
 	// early; drivers must treat the partial output as invalid.
 	Err error
-	// DisableFusedKernels forces the unfused three-pass pipeline (EvalSeg →
-	// flat selection vector → materialize → add) for this scan: the
-	// byte-identical reference kernel_test.go checks the fused kernels
-	// against.
-	DisableFusedKernels bool
 
 	vec         *VecCache
 	vecResolved bool
-}
-
-// fusedEnabled reports whether this scan may use the fused encoded-
-// execution kernels (span-space filters, fused aggregation, meta-only
-// counts).
-func (s *Scan) fusedEnabled() bool {
-	return !s.DisableFusedKernels
 }
 
 // cache resolves the decoded-vector cache serving this scan's view, once
@@ -230,91 +220,18 @@ func (s *Scan) waitHydrated(si int) bool {
 	return true
 }
 
-// RunSegments calls f once per surviving segment with the filtered
-// selection vector (deleted rows removed). The SegContext's decode caches
-// are shared with f, so aggregations reuse the filter's column decodes.
-// Both sel and any rows materialized through the SegContext are backed by
-// pooled buffers valid only until f returns; retain copies, not the slices.
-// With fused kernels enabled the filter phase runs in span space and the
-// surviving spans are flattened once for f.
-func (s *Scan) RunSegments(f func(ctx *SegContext, sel []int32)) {
-	if s.fusedEnabled() {
-		selBuf := getSel(0)
-		defer putSel(selBuf)
-		s.runSegSel(func(ctx *SegContext, spans []Span, sel []int32) {
-			if sel == nil {
-				if cap(*selBuf) < spanRows(spans) {
-					*selBuf = make([]int32, 0, spanRows(spans))
-				}
-				sel = flattenSpans(spans, (*selBuf)[:0])
-				*selBuf = sel[:0]
-			}
-			f(ctx, sel)
-		})
-		return
-	}
+// RunSegments calls f once per candidate segment that has surviving rows,
+// with the live (non-deleted) rows that pass the filter as coalesced spans —
+// a single span when the segment has no deletes and no filter. The
+// SegContext's decode caches are shared with f, so aggregations reuse the
+// filter's column decodes. Both spans and any rows materialized through the
+// SegContext are backed by pooled buffers valid only until f returns; retain
+// copies, not the slices.
+func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 	vec := s.cache()
-	selBuf := getSel(0)
-	scratchBuf := getSel(0)
-	defer putSel(selBuf)
-	defer putSel(scratchBuf)
-	for _, si := range s.candidateSegments() {
-		if s.Cancel != nil && s.Cancel() {
-			return
-		}
-		meta := s.View.Segs[si]
-		if !meta.Seg.Hydrated() && !s.waitHydrated(si) {
-			return
-		}
-		s.Stats.SegmentsScanned++
-		s.Stats.RowsScanned += int64(meta.Seg.NumRows)
-		ctx := NewSegContext(meta, s.View.Index(), &s.Stats)
-		ctx.Cache = vec
-		if cap(*selBuf) < meta.Seg.NumRows {
-			*selBuf = make([]int32, 0, meta.Seg.NumRows)
-		}
-		sel := (*selBuf)[:0]
-		if meta.Deleted.Count() == 0 {
-			for i := 0; i < meta.Seg.NumRows; i++ {
-				sel = append(sel, int32(i))
-			}
-		} else {
-			for i := 0; i < meta.Seg.NumRows; i++ {
-				if !meta.Deleted.Get(i) {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		*selBuf = sel[:0]
-		if s.Filter != nil {
-			out := s.Filter.EvalSeg(ctx, sel, (*scratchBuf)[:0])
-			// Keep whatever capacity EvalSeg grew for the next segment.
-			*scratchBuf = out[:0]
-			sel = out
-		}
-		if len(sel) > 0 {
-			s.Stats.RowsOutput += int64(len(sel))
-			f(ctx, sel)
-		}
-		ctx.releaseBuffers()
-	}
-}
-
-// runSegSel is the fused per-segment filter driver: candidate segments are
-// selected exactly as in RunSegments, but the live-row selection starts as
-// coalesced spans (a single span when the segment has no deletes) and the
-// filter evaluates in span space whenever the tree shape and the adaptive
-// cost model allow (spanFusible). f receives the survivors as exactly one
-// of spans (fused filtering) or a flat sel (legacy strategy path); both are
-// pooled and valid only until f returns.
-func (s *Scan) runSegSel(f func(ctx *SegContext, spans []Span, sel []int32)) {
-	vec := s.cache()
-	spanBuf, outBuf := getSpans(), getSpans()
-	selBuf, scratchBuf := getSel(0), getSel(0)
-	defer putSpans(spanBuf)
+	liveBuf, outBuf := getSpans(), getSpans()
+	defer putSpans(liveBuf)
 	defer putSpans(outBuf)
-	defer putSel(selBuf)
-	defer putSel(scratchBuf)
 	for _, si := range s.candidateSegments() {
 		if s.Cancel != nil && s.Cancel() {
 			return
@@ -327,39 +244,16 @@ func (s *Scan) runSegSel(f func(ctx *SegContext, spans []Span, sel []int32)) {
 		s.Stats.RowsScanned += int64(meta.Seg.NumRows)
 		ctx := NewSegContext(meta, s.View.Index(), &s.Stats)
 		ctx.Cache = vec
-		base := liveSpans(meta, (*spanBuf)[:0])
-		*spanBuf = base[:0]
-		if s.Filter == nil {
-			if spanRows(base) > 0 {
-				s.Stats.RowsOutput += int64(spanRows(base))
-				f(ctx, base, nil)
-			}
-			ctx.releaseBuffers()
-			continue
-		}
-		if spanFusible(s.Filter) {
-			spans := evalNodeSpans(s.Filter, ctx, base, (*outBuf)[:0])
+		spans := liveSpans(meta, (*liveBuf)[:0])
+		*liveBuf = spans[:0]
+		if s.Filter != nil {
+			spans = s.Filter.EvalSpans(ctx, spans, (*outBuf)[:0])
 			*outBuf = spans[:0]
 			s.Stats.EncodedFilterSegs++
-			if n := spanRows(spans); n > 0 {
-				s.Stats.RowsOutput += int64(n)
-				f(ctx, spans, nil)
-			}
-			ctx.releaseBuffers()
-			continue
 		}
-		// Legacy strategy path (disjunctions, group-profitable conjunctions,
-		// simulator nodes): flatten the live spans once and run EvalSeg.
-		if cap(*selBuf) < meta.Seg.NumRows {
-			*selBuf = make([]int32, 0, meta.Seg.NumRows)
-		}
-		sel := flattenSpans(base, (*selBuf)[:0])
-		*selBuf = sel[:0]
-		out := s.Filter.EvalSeg(ctx, sel, (*scratchBuf)[:0])
-		*scratchBuf = out[:0]
-		if len(out) > 0 {
-			s.Stats.RowsOutput += int64(len(out))
-			f(ctx, nil, out)
+		if n := spanRows(spans); n > 0 {
+			s.Stats.RowsOutput += int64(n)
+			f(ctx, spans)
 		}
 		ctx.releaseBuffers()
 	}
@@ -401,63 +295,32 @@ func (s *Scan) Run(emit func(r types.Row) bool) {
 	if stop {
 		return
 	}
-	if s.fusedEnabled() {
-		s.runSegSel(func(ctx *SegContext, spans []Span, sel []int32) {
-			if stop {
-				return
-			}
-			rows := len(sel)
-			if spans != nil {
-				rows = spanRows(spans)
-			}
-			// Dense selections amortize one DecodeAll per column; sparse
-			// ones seek per row (the adaptive materialization choice of §5).
-			mat := ctx.Materializer(s.Project, rows*4 >= ctx.Meta.Seg.NumRows)
-			if spans != nil {
-				for _, sp := range spans {
-					for i := sp.Start; i < sp.End; i++ {
-						if !emit(mat(int(i))) {
-							stop = true
-							return
-						}
-					}
-				}
-				return
-			}
-			for _, i := range sel {
-				if !emit(mat(int(i))) {
-					stop = true
-					return
-				}
-			}
-		})
-		return
-	}
-	s.RunSegments(func(ctx *SegContext, sel []int32) {
+	s.RunSegments(func(ctx *SegContext, spans []Span) {
 		if stop {
 			return
 		}
 		// Dense selections amortize one DecodeAll per column; sparse ones
 		// seek per row (the adaptive materialization choice of §5).
-		mat := ctx.Materializer(s.Project, len(sel)*4 >= ctx.Meta.Seg.NumRows)
-		for _, i := range sel {
-			if !emit(mat(int(i))) {
-				stop = true
-				return
+		mat := ctx.Materializer(s.Project, spanRows(spans)*4 >= ctx.Meta.Seg.NumRows)
+		for _, sp := range spans {
+			for i := sp.Start; i < sp.End; i++ {
+				if !emit(mat(int(i))) {
+					stop = true
+					return
+				}
 			}
 		}
 	})
 }
 
 // Count returns the number of matching rows without materializing them.
-// With no filter (and fused kernels enabled) the segment side answers from
-// metadata alone — per-segment live-row counts — touching no column vector;
-// only the in-memory write buffer is walked, for MVCC visibility at the
-// view's timestamp.
+// With no filter the segment side answers from metadata alone — per-segment
+// live-row counts — touching no column vector; only the in-memory write
+// buffer is walked, for MVCC visibility at the view's timestamp.
 func (s *Scan) Count() int64 {
 	var n int64
 	s.RunBuffer(func(types.Row) bool { n++; return true })
-	if s.Filter == nil && s.fusedEnabled() {
+	if s.Filter == nil {
 		var segRows int64
 		for _, m := range s.View.Segs {
 			segRows += int64(m.LiveRows())
@@ -465,16 +328,6 @@ func (s *Scan) Count() int64 {
 		s.Stats.RowsOutput += segRows
 		return n + segRows
 	}
-	if s.fusedEnabled() {
-		s.runSegSel(func(_ *SegContext, spans []Span, sel []int32) {
-			if spans != nil {
-				n += int64(spanRows(spans))
-				return
-			}
-			n += int64(len(sel))
-		})
-		return n
-	}
-	s.RunSegments(func(_ *SegContext, sel []int32) { n += int64(len(sel)) })
+	s.RunSegments(func(_ *SegContext, spans []Span) { n += int64(spanRows(spans)) })
 	return n
 }

@@ -28,15 +28,15 @@ func NewThrottle(inner Node, perSegment time.Duration) *Throttle {
 
 func (t *Throttle) stats() *nodeStats { return &t.st }
 
-// EvalSeg implements Node: sleep for the simulated read, then delegate.
-func (t *Throttle) EvalSeg(ctx *SegContext, sel []int32, out []int32) []int32 {
+// EvalSpans implements Node: sleep for the simulated read, then delegate.
+func (t *Throttle) EvalSpans(ctx *SegContext, in, out []Span) []Span {
 	if t.PerSegment > 0 {
 		time.Sleep(t.PerSegment)
 	}
 	if t.Inner == nil {
-		return append(out, sel...)
+		return append(out, in...)
 	}
-	return t.Inner.EvalSeg(ctx, sel, out)
+	return t.Inner.EvalSpans(ctx, in, out)
 }
 
 // EvalRow implements Node. Buffer rows are in memory in every deployment

@@ -520,27 +520,6 @@ func stringsBytes(v []string) int64 {
 
 // --- scan-path buffer pools --------------------------------------------------
 
-// selPool recycles selection vectors across segments and scans: the scan
-// path previously allocated one NumRows-capacity []int32 per segment per
-// query, which dominated allocation counts on warm scans.
-var selPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// getSel borrows a selection-vector buffer with at least the given
-// capacity; the returned slice is empty.
-func getSel(capHint int) *[]int32 {
-	p := selPool.Get().(*[]int32)
-	if cap(*p) < capHint {
-		*p = make([]int32, 0, capHint)
-	}
-	return p
-}
-
-// putSel returns a selection-vector buffer to the pool.
-func putSel(p *[]int32) {
-	*p = (*p)[:0]
-	selPool.Put(p)
-}
-
 // rowPool recycles materializer row buffers. Rows handed to scan callbacks
 // are only valid until the callback returns (the documented iterator
 // contract), so the scan recycles them once a segment's callback finishes.

@@ -364,12 +364,18 @@ func (t *Txn) TryDeleteLatest(key []byte) (row types.Row, existed bool, err erro
 // Commit makes the transaction's writes visible at commitTS and releases
 // row locks.
 func (t *Txn) Commit(commitTS uint64) {
+	// The timestamp must be in place before the state flips: visible()
+	// reads state then commitTS, and a committed transaction whose commitTS
+	// still reads zero would be visible to every snapshot for an instant.
+	// Only the first call sets it, so a repeated Commit (or one after
+	// Abort) stays a no-op instead of moving a committed timestamp.
+	t.commitTS.CompareAndSwap(0, commitTS)
 	if !t.state.CompareAndSwap(txnActive, txnCommitted) {
 		return
 	}
+	commitTS = t.commitTS.Load()
 	t.store.gate.RLock()
 	defer t.store.gate.RUnlock()
-	t.commitTS.Store(commitTS)
 	// Stamp versions so future readers need not consult the txn, then
 	// release the row locks. Our versions form a prefix of the chain (we
 	// held the row lock), so stop at the first foreign version.

@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,5 +390,91 @@ func TestCompactTrimsVersionChains(t *testing.T) {
 	tx.Commit(51)
 	if r, _ := s.Get(key(1), 51); r[0].I != 51 {
 		t.Fatal("update after trim failed")
+	}
+}
+
+// TestCommitNeverVisibleBelowCommitTS spins snapshot readers just below the
+// commit timestamp while the writer commits: the row must stay invisible to
+// them at every instant, including the one between the transaction turning
+// committed and its versions being stamped.
+func TestCommitNeverVisibleBelowCommitTS(t *testing.T) {
+	s := NewStore(0)
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		commitTS := uint64(2*i + 10)
+		tx := s.Begin(commitTS - 1)
+		if _, err := tx.Insert(key(i), row(i)); err != nil {
+			t.Fatal(err)
+		}
+		var early atomic.Bool
+		var spinning atomic.Int32
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; ; n++ {
+					if _, ok := s.Get(key(i), commitTS-1); ok {
+						early.Store(true)
+					}
+					if n == 0 {
+						spinning.Add(1)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		for spinning.Load() < 2 {
+			runtime.Gosched()
+		}
+		tx.Commit(commitTS)
+		close(stop)
+		wg.Wait()
+		if early.Load() {
+			t.Fatalf("round %d: row visible at snapshot %d, below commitTS %d", i, commitTS-1, commitTS)
+		}
+		if _, ok := s.Get(key(i), commitTS); !ok {
+			t.Fatalf("round %d: committed row invisible at its own commitTS", i)
+		}
+	}
+}
+
+// TestRepeatedCommitIsNoOp pins that only the first Commit (or Abort) of a
+// transaction decides its outcome and timestamp.
+func TestRepeatedCommitIsNoOp(t *testing.T) {
+	s := NewStore(0)
+	tx := s.Begin(0)
+	if _, err := tx.Insert(key(1), row(1)); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit(10)
+	tx.Commit(5)
+	tx.Abort()
+	if got := tx.commitTS.Load(); got != 10 {
+		t.Fatalf("commitTS after repeated Commit = %d, want 10", got)
+	}
+	if _, ok := s.Get(key(1), 7); ok {
+		t.Fatal("second Commit moved the row to an earlier timestamp")
+	}
+	if _, ok := s.Get(key(1), 10); !ok {
+		t.Fatal("row invisible at its commitTS")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1 (live count applied once)", s.Len())
+	}
+
+	ab := s.Begin(10)
+	if _, err := ab.Insert(key(2), row(2)); err != nil {
+		t.Fatal(err)
+	}
+	ab.Abort()
+	ab.Commit(20)
+	if _, ok := s.Get(key(2), 100); ok {
+		t.Fatal("Commit after Abort made the row visible")
 	}
 }

@@ -1,7 +1,8 @@
-// Package vector implements the typed column vectors and vectorized kernels
-// the execution engine runs on (§2.1.2: "columnstore tables support
-// vectorized execution" with late materialization). Filters consume and
-// produce selection vectors so that later clauses only touch surviving rows.
+// Package vector defines the comparison operators filter clauses are built
+// from and their typed scalar evaluation. The vectorized kernels that apply
+// them to encoded segment data (§2.1.2: "columnstore tables support
+// vectorized execution" with late materialization) live in
+// internal/exec/kernel.go.
 package vector
 
 import (
@@ -116,197 +117,4 @@ func CmpValue(a types.Value, op CmpOp, b types.Value) bool {
 	default:
 		return c >= 0
 	}
-}
-
-// Vector is a typed column of values. Exactly one of the data slices is
-// populated, selected by Type.
-type Vector struct {
-	Type   types.ColType
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	// Nulls marks null rows; nil means no nulls.
-	Nulls []bool
-}
-
-// NewVector allocates a vector of the given type with capacity n.
-func NewVector(t types.ColType, n int) *Vector {
-	v := &Vector{Type: t}
-	switch t {
-	case types.Int64:
-		v.Ints = make([]int64, 0, n)
-	case types.Float64:
-		v.Floats = make([]float64, 0, n)
-	case types.String:
-		v.Strs = make([]string, 0, n)
-	}
-	return v
-}
-
-// Len returns the number of rows.
-func (v *Vector) Len() int {
-	switch v.Type {
-	case types.Int64:
-		return len(v.Ints)
-	case types.Float64:
-		return len(v.Floats)
-	default:
-		return len(v.Strs)
-	}
-}
-
-// Append adds a value to the vector.
-func (v *Vector) Append(val types.Value) {
-	switch v.Type {
-	case types.Int64:
-		v.Ints = append(v.Ints, val.I)
-	case types.Float64:
-		v.Floats = append(v.Floats, val.F)
-	default:
-		v.Strs = append(v.Strs, val.S)
-	}
-	if val.IsNull && v.Nulls == nil {
-		v.Nulls = make([]bool, v.Len()-1)
-	}
-	if v.Nulls != nil {
-		v.Nulls = append(v.Nulls, val.IsNull)
-	}
-}
-
-// Value returns row i as a dynamically-typed value.
-func (v *Vector) Value(i int) types.Value {
-	if v.Nulls != nil && v.Nulls[i] {
-		return types.Null(v.Type)
-	}
-	switch v.Type {
-	case types.Int64:
-		return types.NewInt(v.Ints[i])
-	case types.Float64:
-		return types.NewFloat(v.Floats[i])
-	default:
-		return types.NewString(v.Strs[i])
-	}
-}
-
-// FilterIntConst keeps the selected offsets whose value in vals satisfies
-// "vals[i] op rhs". sel lists candidate offsets; the surviving offsets are
-// appended to out and returned.
-func FilterIntConst(vals []int64, op CmpOp, rhs int64, sel []int32, out []int32) []int32 {
-	// Specializing the operator outside the loop keeps the hot loop
-	// branch-predictable, the vectorized-interpretation analog of the
-	// paper's operator specialization [7].
-	switch op {
-	case Eq:
-		for _, i := range sel {
-			if vals[i] == rhs {
-				out = append(out, i)
-			}
-		}
-	case Ne:
-		for _, i := range sel {
-			if vals[i] != rhs {
-				out = append(out, i)
-			}
-		}
-	case Lt:
-		for _, i := range sel {
-			if vals[i] < rhs {
-				out = append(out, i)
-			}
-		}
-	case Le:
-		for _, i := range sel {
-			if vals[i] <= rhs {
-				out = append(out, i)
-			}
-		}
-	case Gt:
-		for _, i := range sel {
-			if vals[i] > rhs {
-				out = append(out, i)
-			}
-		}
-	default:
-		for _, i := range sel {
-			if vals[i] >= rhs {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// FilterFloatConst is FilterIntConst for float columns.
-func FilterFloatConst(vals []float64, op CmpOp, rhs float64, sel []int32, out []int32) []int32 {
-	for _, i := range sel {
-		if CmpFloat(vals[i], op, rhs) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// FilterStringConst is FilterIntConst for string columns.
-func FilterStringConst(vals []string, op CmpOp, rhs string, sel []int32, out []int32) []int32 {
-	switch op {
-	case Eq:
-		for _, i := range sel {
-			if vals[i] == rhs {
-				out = append(out, i)
-			}
-		}
-	default:
-		for _, i := range sel {
-			if CmpString(vals[i], op, rhs) {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// SeqSel returns the identity selection [0, n).
-func SeqSel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
-}
-
-// SumIntSel sums vals at the selected offsets.
-func SumIntSel(vals []int64, sel []int32) int64 {
-	var s int64
-	for _, i := range sel {
-		s += vals[i]
-	}
-	return s
-}
-
-// SumFloatSel sums vals at the selected offsets.
-func SumFloatSel(vals []float64, sel []int32) float64 {
-	var s float64
-	for _, i := range sel {
-		s += vals[i]
-	}
-	return s
-}
-
-// MinMaxInt returns the min and max of vals at the selected offsets.
-// ok is false when sel is empty.
-func MinMaxInt(vals []int64, sel []int32) (minV, maxV int64, ok bool) {
-	if len(sel) == 0 {
-		return 0, 0, false
-	}
-	minV, maxV = vals[sel[0]], vals[sel[0]]
-	for _, i := range sel[1:] {
-		v := vals[i]
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV, true
 }

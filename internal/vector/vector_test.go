@@ -2,7 +2,6 @@ package vector
 
 import (
 	"testing"
-	"testing/quick"
 
 	"s2db/internal/types"
 )
@@ -44,135 +43,6 @@ func TestCmpValueNulls(t *testing.T) {
 	}
 }
 
-func TestFilterIntConstAllOps(t *testing.T) {
-	vals := []int64{5, 1, 3, 9, 3}
-	sel := SeqSel(len(vals))
-	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
-		got := FilterIntConst(vals, op, 3, sel, nil)
-		var want []int32
-		for i, v := range vals {
-			if CmpInt(v, op, 3) {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("op %v: got %v want %v", op, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("op %v: got %v want %v", op, got, want)
-			}
-		}
-	}
-}
-
-func TestFilterChaining(t *testing.T) {
-	a := []int64{1, 2, 3, 4, 5, 6}
-	b := []int64{6, 5, 4, 3, 2, 1}
-	sel := FilterIntConst(a, Gt, 2, SeqSel(6), nil) // rows 2..5
-	sel = FilterIntConst(b, Gt, 2, sel, nil)        // rows where both > 2: 2, 3
-	if len(sel) != 2 || sel[0] != 2 || sel[1] != 3 {
-		t.Fatalf("chained filter got %v, want [2 3]", sel)
-	}
-}
-
-func TestVectorAppendValue(t *testing.T) {
-	v := NewVector(types.String, 4)
-	v.Append(types.NewString("x"))
-	v.Append(types.Null(types.String))
-	v.Append(types.NewString("y"))
-	if v.Len() != 3 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	if v.Value(0).S != "x" || !v.Value(1).IsNull || v.Value(2).S != "y" {
-		t.Fatalf("values wrong: %v %v %v", v.Value(0), v.Value(1), v.Value(2))
-	}
-}
-
-func TestAggKernels(t *testing.T) {
-	vals := []int64{10, -2, 7, 7}
-	sel := SeqSel(4)
-	if s := SumIntSel(vals, sel); s != 22 {
-		t.Fatalf("SumIntSel = %d", s)
-	}
-	minV, maxV, ok := MinMaxInt(vals, sel)
-	if !ok || minV != -2 || maxV != 10 {
-		t.Fatalf("MinMaxInt = %d %d %v", minV, maxV, ok)
-	}
-	if _, _, ok := MinMaxInt(vals, nil); ok {
-		t.Fatal("MinMaxInt of empty selection should report !ok")
-	}
-	fs := SumFloatSel([]float64{1.5, 2.5}, SeqSel(2))
-	if fs != 4.0 {
-		t.Fatalf("SumFloatSel = %g", fs)
-	}
-}
-
-// Property: filter kernels agree with scalar evaluation for every operator.
-func TestQuickFilterMatchesScalar(t *testing.T) {
-	f := func(vals []int64, rhs int64, opRaw uint8) bool {
-		op := CmpOp(opRaw % 6)
-		got := FilterIntConst(vals, op, rhs, SeqSel(len(vals)), nil)
-		j := 0
-		for i, v := range vals {
-			if CmpInt(v, op, rhs) {
-				if j >= len(got) || got[j] != int32(i) {
-					return false
-				}
-				j++
-			}
-		}
-		return j == len(got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFilterFloatConst(t *testing.T) {
-	vals := []float64{1.5, -2.5, 3.25, 0}
-	sel := SeqSel(len(vals))
-	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
-		got := FilterFloatConst(vals, op, 1.5, sel, nil)
-		var want []int32
-		for i, v := range vals {
-			if CmpFloat(v, op, 1.5) {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("op %v: got %v want %v", op, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("op %v: got %v want %v", op, got, want)
-			}
-		}
-	}
-}
-
-func TestFilterStringConst(t *testing.T) {
-	vals := []string{"b", "a", "c", "b"}
-	sel := SeqSel(len(vals))
-	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
-		got := FilterStringConst(vals, op, "b", sel, nil)
-		var want []int32
-		for i, v := range vals {
-			if CmpString(v, op, "b") {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("op %v: got %v want %v", op, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("op %v: got %v want %v", op, got, want)
-			}
-		}
-	}
-}
-
 func TestCmpOpString(t *testing.T) {
 	names := map[CmpOp]string{Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">="}
 	for op, want := range names {
@@ -182,26 +52,6 @@ func TestCmpOpString(t *testing.T) {
 	}
 	if CmpOp(99).String() == "" {
 		t.Fatal("unknown op should still render")
-	}
-}
-
-func TestVectorAllTypes(t *testing.T) {
-	for _, typ := range []types.ColType{types.Int64, types.Float64, types.String} {
-		v := NewVector(typ, 2)
-		switch typ {
-		case types.Int64:
-			v.Append(types.NewInt(7))
-		case types.Float64:
-			v.Append(types.NewFloat(1.25))
-		default:
-			v.Append(types.NewString("s"))
-		}
-		if v.Len() != 1 {
-			t.Fatalf("type %v: Len = %d", typ, v.Len())
-		}
-		if got := v.Value(0); got.Type != typ || got.IsNull {
-			t.Fatalf("type %v: Value = %v", typ, got)
-		}
 	}
 }
 

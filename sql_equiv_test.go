@@ -66,6 +66,11 @@ func TestSQLBuilderEquivalence(t *testing.T) {
 		binds   []Value
 		builder func() *Query
 		project []int // ordinals applied to builder rows; nil = whole row
+		// clockOrdered marks a filter with a multi-child AND/OR: its child
+		// order follows measured cost, so how many clauses short-circuit —
+		// the four per-strategy counters — differs between two runs of one
+		// plan (ROADMAP 6 ii). Every other case compares them too.
+		clockOrdered bool
 	}{
 		{
 			name:    "full scan",
@@ -95,6 +100,7 @@ func TestSQLBuilderEquivalence(t *testing.T) {
 					NeName("id", Int(0)),
 				))
 			},
+			clockOrdered: true,
 		},
 		{
 			name: "in list",
@@ -185,6 +191,10 @@ func TestSQLBuilderEquivalence(t *testing.T) {
 			// The plan-cache outcome is the one stat the builder path cannot
 			// have; everything else must match byte for byte.
 			ss.PlanCacheHits, ss.PlanCacheMisses = 0, 0
+			if tc.clockOrdered {
+				ws.IndexFilters, ws.EncodedFilters, ws.RegularFilters, ws.GroupFilters = 0, 0, 0, 0
+				ss.IndexFilters, ss.EncodedFilters, ss.RegularFilters, ss.GroupFilters = 0, 0, 0, 0
+			}
 			if ws != ss {
 				t.Fatalf("stats diverge\n sql: %+v\nwant: %+v", ss, ws)
 			}
