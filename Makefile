@@ -9,8 +9,8 @@ check: build vet race
 # the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the seeded chaos soak, a smoke pass of
 # the four benchmark workloads, and a short fuzz pass of the SQL
-# front-end, the WAL page codec and the exec filter tree. Run it locally
-# before pushing.
+# front-end, the WAL page codec, the exec filter tree and the unique-key
+# range derivation. Run it locally before pushing.
 ci: fmtcheck lint check racewal qossmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -88,14 +88,18 @@ benchsmoke:
 # fuzzsmoke runs the fuzz targets for a few seconds each: FuzzParse
 # must never panic, FuzzNormalize must stay idempotent,
 # FuzzDecodePage must reject hostile wire frames without panicking or
-# allocating unboundedly, and FuzzFilterTree must find no filter tree on
-# which a segment strategy disagrees with row-at-a-time EvalRow. Long
-# campaigns are manual; this is the CI regression guard.
+# allocating unboundedly, FuzzFilterTree must find no filter tree on
+# which a segment strategy disagrees with row-at-a-time EvalRow, and
+# FuzzKeyRange must find no key schema, pins and rows on which seeking the
+# derived unique-key range (or routing to the derived partition) loses a
+# row that walking every row keeps. Long campaigns are manual; this is
+# the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime 10s
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
+	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

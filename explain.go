@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"s2db/internal/exec"
+	"s2db/internal/types"
+	"s2db/internal/vector"
 )
 
 // Plan is a structured summary of how a query will execute: the leaf
@@ -38,13 +40,19 @@ type Plan struct {
 	// resolves against ("primary", a workspace name, or empty when the
 	// cache is disabled).
 	CachePartition string
-	// Partitions is the number of leaf views the query fans out to.
+	// Partitions is the number of leaf views the query fans out to: 1 when
+	// the filter pins every shard column, since no other partition can
+	// hold a match.
 	Partitions int
 	// Parallelism is the worker-pool bound for concurrent partition scans.
 	Parallelism int
 	// Filter is the resolved predicate tree rendered with column names;
 	// empty means a full scan.
 	Filter string
+	// KeySeek renders the unique-key prefix the filter pins (e.g.
+	// "id = 42"): each partition's write buffer is read by seeking that
+	// key range. Empty when the buffer is walked.
+	KeySeek string
 	// GroupBy lists the grouping columns by name.
 	GroupBy []string
 	// Aggregates lists the aggregate outputs (e.g. "sum(amount)").
@@ -85,6 +93,7 @@ func (q *Query) Explain() (Plan, error) {
 		Partitions:  len(r.targets),
 		Parallelism: r.parallelism,
 		Filter:      exec.FormatNode(r.filter, r.schema),
+		KeySeek:     keySeek(r.schema, r.filter),
 		Limit:       q.limit,
 		EarlyLimit:  r.earlyLimit >= 0,
 		Strategies:  q.Stats(),
@@ -124,6 +133,16 @@ func (q *Query) Explain() (Plan, error) {
 	return p, nil
 }
 
+// keySeek renders the unique-key prefix filter pins, or "" when none.
+func keySeek(schema *types.Schema, filter exec.Node) string {
+	key := schema.Place(exec.Pins(filter)).Key
+	parts := make([]string, len(key))
+	for i, v := range key {
+		parts[i] = exec.FormatNode(exec.NewLeaf(schema.UniqueKey[i], vector.Eq, v), schema)
+	}
+	return strings.Join(parts, " AND ")
+}
+
 // String renders the plan for humans, one clause per line.
 func (p Plan) String() string {
 	var b strings.Builder
@@ -158,6 +177,9 @@ func (p Plan) String() string {
 	if p.Filter != "" {
 		fmt.Fprintf(&b, "  where   %s\n", p.Filter)
 	}
+	if p.KeySeek != "" {
+		fmt.Fprintf(&b, "  seek    %s (unique-key range of the write buffer)\n", p.KeySeek)
+	}
 	if len(p.GroupBy) > 0 {
 		fmt.Fprintf(&b, "  group   %s\n", strings.Join(p.GroupBy, ", "))
 	}
@@ -180,6 +202,9 @@ func (p Plan) String() string {
 			s.SegmentsScanned, s.SegmentsScanned+s.SegmentsSkipped, s.SegmentsSkipped,
 			s.IndexFilters, s.EncodedFilters, s.RegularFilters, s.GroupFilters,
 			s.RowsOutput, s.RowsScanned)
+	}
+	if s.BufferRowsScanned > 0 {
+		fmt.Fprintf(&b, "  buffer (last run): %d rows visited\n", s.BufferRowsScanned)
 	}
 	if s.EncodedFilterSegs+s.FusedAggSegs+s.RowsMaterialized > 0 {
 		fmt.Fprintf(&b, "  fused: %d span-filtered segs, %d fused-agg segs; %d rows materialized\n",

@@ -358,88 +358,82 @@ func (c *Cluster) GetByUnique(table string, vals []types.Value) (types.Row, bool
 	if err != nil {
 		return nil, false, err
 	}
-	uk := schema.UniqueKey
-	if len(uk) == 0 {
+	if len(schema.UniqueKey) == 0 {
 		return nil, false, core.ErrNoUniqueKey
 	}
-	posOf := map[int]int{}
-	for i, col := range uk {
-		posOf[col] = i
-	}
-	routable := true
-	shardVals := make([]types.Value, 0, len(schema.ShardColumns()))
-	for _, col := range schema.ShardColumns() {
-		i, ok := posOf[col]
-		if !ok {
-			routable = false
-			break
-		}
-		shardVals = append(shardVals, vals[i])
-	}
-	try := func(pi int) (types.Row, bool, error) {
+	var (
+		row   types.Row
+		found bool
+	)
+	err = c.eachPartition(c.routeByUnique(schema, vals), func(pi int) (bool, error) {
 		tbl, err := c.Master(pi).Table(table)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
-		return tbl.GetByUnique(vals)
-	}
-	if routable {
-		return try(int(types.HashMany(shardVals) % uint64(c.cfg.Partitions)))
-	}
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
-		if r, ok, err := try(pi); err != nil || ok {
-			return r, ok, err
-		}
-	}
-	return nil, false, nil
+		row, found, err = tbl.GetByUnique(vals)
+		return found, err
+	})
+	return row, found, err
 }
 
-// UpdateWhere fans an update out to every partition and waits durable.
+// UpdateWhere applies an update on the one partition w's equality pins
+// (when it is the single shard column), else on every partition, and waits
+// durable.
 func (c *Cluster) UpdateWhere(table string, w core.Where, set func(types.Row) types.Row) (int, error) {
-	total := 0
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
-		p := c.Master(pi)
-		tbl, err := p.Table(table)
-		if err != nil {
-			return total, err
-		}
-		n, err := tbl.UpdateWhere(w, set)
-		if err != nil {
-			return total, err
-		}
-		total += n
-		p.NoteAppend()
-		if n > 0 {
-			if err := p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
+	return c.mutateWhere(table, w, func(tbl *core.Table) (int, error) { return tbl.UpdateWhere(w, set) })
 }
 
-// DeleteWhere fans a delete out to every partition and waits durable.
+// DeleteWhere applies a delete on the one partition w's equality pins
+// (when it is the single shard column), else on every partition, and waits
+// durable.
 func (c *Cluster) DeleteWhere(table string, w core.Where) (int, error) {
+	return c.mutateWhere(table, w, func(tbl *core.Table) (int, error) { return tbl.DeleteWhere(w) })
+}
+
+func (c *Cluster) mutateWhere(table string, w core.Where, apply func(*core.Table) (int, error)) (int, error) {
+	schema, err := c.Schema(table)
+	if err != nil {
+		return 0, err
+	}
+	pi, routed := schema.Place(w.Pins()).Partition(c.cfg.Partitions)
+	if !routed {
+		pi = -1
+	}
 	total := 0
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
+	err = c.eachPartition(pi, func(pi int) (bool, error) {
 		p := c.Master(pi)
 		tbl, err := p.Table(table)
 		if err != nil {
-			return total, err
+			return false, err
 		}
-		n, err := tbl.DeleteWhere(w)
+		n, err := apply(tbl)
 		if err != nil {
-			return total, err
+			return false, err
 		}
 		total += n
 		p.NoteAppend()
 		if n > 0 {
-			if err := p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout); err != nil {
-				return total, err
-			}
+			return false, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
+		}
+		return false, nil
+	})
+	return total, err
+}
+
+// eachPartition runs f on partition pi, or on every partition in order
+// when pi < 0, stopping at the first error or at the first call that
+// reports done.
+func (c *Cluster) eachPartition(pi int, f func(pi int) (done bool, err error)) error {
+	if pi >= 0 {
+		_, err := f(pi)
+		return err
+	}
+	for pi := 0; pi < c.cfg.Partitions; pi++ {
+		if done, err := f(pi); err != nil || done {
+			return err
 		}
 	}
-	return total, nil
+	return nil
 }
 
 // LeafTarget is one partition-local execution site of a fanned-out query:
@@ -454,12 +448,30 @@ type LeafTarget struct {
 
 // QueryTargets returns one consistent per-partition snapshot per master
 // (§2.1.2: partition-local snapshot isolation), each tagged with the leaf
-// partition it executes on.
-func (c *Cluster) QueryTargets(table string) ([]LeafTarget, error) {
-	targets := make([]LeafTarget, 0, c.cfg.Partitions)
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
-		tbl, err := c.Master(pi).Table(table)
-		if err != nil {
+// partition it executes on. When pins fix every shard column, only the
+// owning partition is snapshotted: no other partition can hold a match.
+func (c *Cluster) QueryTargets(table string, pins []types.Pin) ([]LeafTarget, error) {
+	return leafTargets(pins, c.cfg.Partitions, func(pi int) (*core.Table, error) {
+		return c.Master(pi).Table(table)
+	})
+}
+
+// leafTargets snapshots the partitions of one of n partitioned tables:
+// the single partition the pins route to, or all n.
+func leafTargets(pins []types.Pin, n int, table func(pi int) (*core.Table, error)) ([]LeafTarget, error) {
+	tbl, err := table(0)
+	if err != nil {
+		return nil, err
+	}
+	if pi, ok := tbl.Schema().Place(pins).Partition(n); ok {
+		if tbl, err = table(pi); err != nil {
+			return nil, err
+		}
+		return []LeafTarget{{Partition: pi, View: tbl.Snapshot()}}, nil
+	}
+	targets := make([]LeafTarget, 0, n)
+	for pi := 0; pi < n; pi++ {
+		if tbl, err = table(pi); err != nil {
 			return nil, err
 		}
 		targets = append(targets, LeafTarget{Partition: pi, View: tbl.Snapshot()})
@@ -469,15 +481,20 @@ func (c *Cluster) QueryTargets(table string) ([]LeafTarget, error) {
 
 // Views returns the per-partition snapshots without partition tags.
 func (c *Cluster) Views(table string) ([]*core.View, error) {
-	targets, err := c.QueryTargets(table)
+	targets, err := c.QueryTargets(table, nil)
 	if err != nil {
 		return nil, err
 	}
+	return targetViews(targets), nil
+}
+
+// targetViews strips the partition tags off leaf targets.
+func targetViews(targets []LeafTarget) []*core.View {
 	views := make([]*core.View, len(targets))
 	for i, t := range targets {
 		views[i] = t.View
 	}
-	return views, nil
+	return views
 }
 
 // Flush forces a flush on every master partition of the table.
@@ -672,77 +689,47 @@ func min(a, b int) int {
 // routeByUnique returns the partition holding the given unique key values
 // when the shard key is derivable from them, or -1.
 func (c *Cluster) routeByUnique(schema *types.Schema, vals []types.Value) int {
-	posOf := map[int]int{}
+	pins := make([]types.Pin, 0, len(vals))
 	for i, col := range schema.UniqueKey {
-		posOf[col] = i
-	}
-	shardVals := make([]types.Value, 0, len(schema.ShardColumns()))
-	for _, col := range schema.ShardColumns() {
-		i, ok := posOf[col]
-		if !ok {
-			return -1
+		if i < len(vals) {
+			pins = append(pins, types.Pin{Col: col, Val: vals[i]})
 		}
-		shardVals = append(shardVals, vals[i])
 	}
-	return int(types.HashMany(shardVals) % uint64(c.cfg.Partitions))
+	if pi, ok := schema.Place(pins).Partition(c.cfg.Partitions); ok {
+		return pi
+	}
+	return -1
 }
 
 // UpdateByUnique performs a routed point update and waits for durability.
 func (c *Cluster) UpdateByUnique(table string, vals []types.Value, set func(types.Row) types.Row) (bool, error) {
-	schema, err := c.Schema(table)
-	if err != nil {
-		return false, err
-	}
-	apply := func(pi int) (bool, error) {
-		p := c.Master(pi)
-		tbl, err := p.Table(table)
-		if err != nil {
-			return false, err
-		}
-		ok, err := tbl.UpdateByUnique(vals, set)
-		if err != nil || !ok {
-			return ok, err
-		}
-		p.NoteAppend()
-		return true, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
-	}
-	if pi := c.routeByUnique(schema, vals); pi >= 0 {
-		return apply(pi)
-	}
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
-		if ok, err := apply(pi); err != nil || ok {
-			return ok, err
-		}
-	}
-	return false, nil
+	return c.mutateByUnique(table, vals, func(tbl *core.Table) (bool, error) { return tbl.UpdateByUnique(vals, set) })
 }
 
 // DeleteByUnique performs a routed point delete and waits for durability.
 func (c *Cluster) DeleteByUnique(table string, vals []types.Value) (bool, error) {
+	return c.mutateByUnique(table, vals, func(tbl *core.Table) (bool, error) { return tbl.DeleteByUnique(vals) })
+}
+
+func (c *Cluster) mutateByUnique(table string, vals []types.Value, apply func(*core.Table) (bool, error)) (bool, error) {
 	schema, err := c.Schema(table)
 	if err != nil {
 		return false, err
 	}
-	apply := func(pi int) (bool, error) {
+	found := false
+	err = c.eachPartition(c.routeByUnique(schema, vals), func(pi int) (bool, error) {
 		p := c.Master(pi)
 		tbl, err := p.Table(table)
 		if err != nil {
 			return false, err
 		}
-		ok, err := tbl.DeleteByUnique(vals)
+		ok, err := apply(tbl)
 		if err != nil || !ok {
-			return ok, err
+			return false, err
 		}
+		found = true
 		p.NoteAppend()
 		return true, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
-	}
-	if pi := c.routeByUnique(schema, vals); pi >= 0 {
-		return apply(pi)
-	}
-	for pi := 0; pi < c.cfg.Partitions; pi++ {
-		if ok, err := apply(pi); err != nil || ok {
-			return ok, err
-		}
-	}
-	return false, nil
+	})
+	return found, err
 }

@@ -197,31 +197,22 @@ func decodeChunk(store interface {
 
 // QueryTargets returns per-partition snapshots of a table on the
 // workspace's isolated compute, tagged with their leaf partitions —
-// workspace queries fan out exactly like primary-cluster queries (§3.2).
-func (w *Workspace) QueryTargets(table string) ([]LeafTarget, error) {
-	targets := make([]LeafTarget, 0, len(w.parts))
-	for pi, p := range w.parts {
-		tbl, err := p.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		targets = append(targets, LeafTarget{Partition: pi, View: tbl.Snapshot()})
-	}
-	return targets, nil
+// workspace queries fan out (and prune by pins) exactly like
+// primary-cluster queries (§3.2).
+func (w *Workspace) QueryTargets(table string, pins []types.Pin) ([]LeafTarget, error) {
+	return leafTargets(pins, len(w.parts), func(pi int) (*core.Table, error) {
+		return w.parts[pi].Table(table)
+	})
 }
 
 // Views returns the workspace's per-partition snapshots without partition
 // tags.
 func (w *Workspace) Views(table string) ([]*core.View, error) {
-	targets, err := w.QueryTargets(table)
+	targets, err := w.QueryTargets(table, nil)
 	if err != nil {
 		return nil, err
 	}
-	views := make([]*core.View, len(targets))
-	for i, t := range targets {
-		views[i] = t.View
-	}
-	return views, nil
+	return targetViews(targets), nil
 }
 
 // resyncable reports whether a terminal link error heals by replaying

@@ -105,8 +105,9 @@ func (h *hydrator) wakeUp() {
 // ensure registers (or re-prioritizes) the single-flight task for a
 // segment. A demand on a queued readahead task moves it to the demand
 // class; a demand on a task already claimed by a worker just marks it so
-// the worker will not skip it.
-func (h *hydrator) ensure(seg *colstore.Segment, file string, demand bool) *hydroTask {
+// the worker will not skip it. joined reports that the task already
+// existed.
+func (h *hydrator) ensure(seg *colstore.Segment, file string, demand bool) (task *hydroTask, joined bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if task, ok := h.tasks[seg.ID]; ok {
@@ -119,9 +120,9 @@ func (h *hydrator) ensure(seg *colstore.Segment, file string, demand bool) *hydr
 				h.wakeUp()
 			}
 		}
-		return task
+		return task, true
 	}
-	task := &hydroTask{seg: seg, file: file, demanded: demand, done: make(chan struct{})}
+	task = &hydroTask{seg: seg, file: file, demanded: demand, done: make(chan struct{})}
 	h.tasks[seg.ID] = task
 	if demand {
 		h.demand = append(h.demand, task)
@@ -129,7 +130,7 @@ func (h *hydrator) ensure(seg *colstore.Segment, file string, demand bool) *hydr
 		h.readahead = append(h.readahead, task)
 	}
 	h.wakeUp()
-	return task
+	return task, false
 }
 
 // prefetch queues a readahead fetch if the segment is cold and not already
@@ -236,23 +237,29 @@ func (h *hydrator) finish(task *hydroTask, err error) {
 
 // wait blocks until the segment is hydrated, ctx is cancelled, or the
 // fetch fails terminally. Cancellation abandons only this caller's wait;
-// the fetch keeps running for other waiters.
+// the fetch keeps running for other waiters. A failure of a task the
+// caller joined may predate the call (a readahead fetch begun while the
+// store was down), so it earns one fresh attempt of the caller's own.
 func (h *hydrator) wait(ctx context.Context, m *colstore.Meta) error {
-	for {
+	for retried := false; ; {
 		if m.Seg.Hydrated() {
 			return nil
 		}
-		task := h.ensure(m.Seg, m.File, true)
+		task, joined := h.ensure(m.Seg, m.File, true)
 		select {
 		case <-task.done:
 			if m.Seg.Hydrated() {
 				return nil
 			}
 			if task.err != nil {
-				return task.err
+				if !joined || retried {
+					return task.err
+				}
+				retried = true
 			}
-			// The worker skipped a dropped readahead before our demand flag
-			// landed; loop: the fresh task will be demanded from birth.
+			// A joined task failed, or the worker skipped a dropped
+			// readahead before our demand flag landed; loop: the fresh task
+			// is demanded from birth.
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-h.stopped:

@@ -54,7 +54,9 @@ func (t *Table) installSegment(ts uint64, seg *colstore.Segment, run int, file s
 // cache drops the segment's vectors immediately; a scan at an older
 // snapshot that is still reading the segment stays correct (segment
 // payloads are immutable) and anything it re-inserts is reclaimed by
-// normal LRU pressure.
+// normal LRU pressure. Unique-key probes of an older snapshot miss the
+// rows it holds here once the index entries are gone; dropTS, set before
+// the entries go, tells them to retry on a fresh snapshot (liveByKey).
 func (t *Table) dropSegment(ts uint64, id uint64) {
 	t.segMu.RLock()
 	e := t.segs[id]
@@ -341,9 +343,19 @@ func (t *Table) Merge() bool {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				seg := merger.BuildOutput(i, ids[i])
-				b := seg.Encode()
-				if err := t.files.SaveFile(files[i], b); err != nil {
+				b := merger.BuildOutput(i, ids[i]).Encode()
+				// Install the output in its decoded form: it is what a
+				// reload of the data file produces, owns compact memory,
+				// and is hydrated, so no reader waits on a fetch for it.
+				seg, err := colstore.Decode(b, t.schema)
+				if err == nil {
+					// Index now, off every lock: the install commit then
+					// finds the output indexed. Entries of a segment no
+					// view holds yet are ignored by probes.
+					t.idx.AddSegment(seg)
+					err = t.files.SaveFile(files[i], b)
+				}
+				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("merge %s: save %s: %w", t.name, files[i], err)
@@ -367,6 +379,7 @@ func (t *Table) Merge() bool {
 		// merge leaks no orphan blobs, record the cause, and leave the
 		// inputs untouched for a later retry.
 		for i := range files {
+			t.idx.DropSegment(ids[i])
 			if saved[i].Load() {
 				t.files.RemoveFile(files[i]) //nolint:errcheck // best-effort cleanup on abort
 			}

@@ -37,17 +37,24 @@ func (t *Table) moveToBuffer(locs []segLoc) error {
 		if e == nil {
 			continue
 		}
-		meta := e.latestMeta()
-		if meta.Deleted.Get(int(loc.off)) {
-			continue // concurrently moved or deleted; live copy is elsewhere
-		}
-		row := meta.Seg.RowAt(int(loc.off))
+		row := e.latestMeta().Seg.RowAt(int(loc.off))
 		key := loc.key
 		if key == nil {
 			key = t.bufferKey(row)
 		}
-		// Inserting the copy takes the buffer row lock; if another mover
-		// holds it we wait (bounded by the lock timeout).
+		// Take the row lock first (waiting, bounded by the lock timeout):
+		// while we hold it nobody else can move or delete this row, so the
+		// checks below stay true until we commit. A concurrent mover that
+		// won has left the live copy in the buffer; one that went on to
+		// delete the row has left neither copy live.
+		_, inBuffer, err := tx.LockAndGet(key)
+		if err != nil {
+			tx.Abort()
+			return fmt.Errorf("move: %w", err)
+		}
+		if inBuffer || !t.segRowLive(loc.seg, loc.off) {
+			continue
+		}
 		if _, err := tx.Insert(key, row); err != nil {
 			tx.Abort()
 			return fmt.Errorf("move: %w", err)
@@ -62,15 +69,35 @@ func (t *Table) moveToBuffer(locs []segLoc) error {
 	}
 	payload := t.encodeLog(m)
 	t.committer.Commit(func(ts uint64) {
-		// Re-check under the commit lock: a move that lost the race must
-		// not double-insert. applySegDeletes chases merge remaps for rows
-		// whose segments were merged since our scan (§4.2).
+		// applySegDeletes chases merge remaps for rows whose segments were
+		// merged since our scan (§4.2).
 		t.applySegDeletes(ts, m.SegDeletes)
 		tx.Commit(ts)
 		t.appendEncoded(wal.KindMove, ts, payload)
 	})
 	t.Stats.Moves.Add(int64(inserted))
 	return nil
+}
+
+// segRowLive reports whether segment row (seg, off) is live at the latest
+// state, following merge remaps when its segment has been retired.
+func (t *Table) segRowLive(seg uint64, off int32) bool {
+	for {
+		t.segMu.RLock()
+		e := t.segs[seg]
+		t.segMu.RUnlock()
+		if e == nil {
+			return false
+		}
+		if e.dropTS.Load() == 0 {
+			return !e.latestMeta().Deleted.Get(int(off))
+		}
+		rm := e.remap.Load()
+		if rm == nil || int(off) >= len(*rm) || (*rm)[off].off < 0 {
+			return false
+		}
+		seg, off = (*rm)[off].seg, (*rm)[off].off
+	}
 }
 
 // Where describes the target rows of an update or delete: an optional
@@ -90,6 +117,14 @@ func All() Where { return Where{Col: -1} }
 // Eq matches rows where the (indexed) column equals v.
 func Eq(col int, v types.Value) Where { return Where{Col: col, Val: v} }
 
+// Pins returns the equality w pins, the input to types.Schema.Place.
+func (w Where) Pins() []types.Pin {
+	if w.Col < 0 {
+		return nil
+	}
+	return []types.Pin{{Col: w.Col, Val: w.Val}}
+}
+
 func (w Where) matches(r types.Row) bool {
 	if w.Col >= 0 && !types.Equal(r[w.Col], w.Val) {
 		return false
@@ -97,15 +132,24 @@ func (w Where) matches(r types.Row) bool {
 	return w.Pred == nil || w.Pred(r)
 }
 
-// findTargets locates the rows matched by w at the view's snapshot,
-// returning buffer keys and segment locations.
-func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
-	t.buffer.Scan(nil, nil, view.TS, func(k []byte, r types.Row) bool {
+// bufferTargets returns the keys of the buffer rows w matches at ts. It
+// seeks the key range w's equality pins when that is the leading
+// unique-key column, and walks the whole buffer otherwise.
+func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
+	p := t.schema.Place(w.Pins())
+	t.buffer.Scan(p.From, p.To, ts, func(k []byte, r types.Row) bool {
 		if w.matches(r) {
-			bufKeys = append(bufKeys, append([]byte(nil), k...))
+			keys = append(keys, append([]byte(nil), k...))
 		}
 		return true
 	})
+	return keys
+}
+
+// findTargets locates the rows matched by w at the view's snapshot,
+// returning buffer keys and segment locations.
+func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
+	bufKeys = t.bufferTargets(view.TS, w)
 	if w.Col >= 0 && t.idx.HasColumn(w.Col) {
 		matches, probes := t.idx.LookupColumn(w.Col, w.Val)
 		t.Stats.IndexProbes.Add(int64(probes))
@@ -187,13 +231,7 @@ func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error)
 				}
 			}
 		} else {
-			bufKeys = bufKeys[:0]
-			t.buffer.Scan(nil, nil, t.committer.Oracle().ReadTS(), func(k []byte, r types.Row) bool {
-				if w.matches(r) {
-					bufKeys = append(bufKeys, append([]byte(nil), k...))
-				}
-				return true
-			})
+			bufKeys = t.bufferTargets(t.committer.Oracle().ReadTS(), w)
 		}
 	}
 	if len(bufKeys) == 0 {
@@ -260,13 +298,7 @@ func (t *Table) DeleteWhere(w Where) (int, error) {
 		if err := t.moveToBuffer(segLocs); err != nil {
 			return 0, err
 		}
-		bufKeys = bufKeys[:0]
-		t.buffer.Scan(nil, nil, t.committer.Oracle().ReadTS(), func(k []byte, r types.Row) bool {
-			if w.matches(r) {
-				bufKeys = append(bufKeys, append([]byte(nil), k...))
-			}
-			return true
-		})
+		bufKeys = t.bufferTargets(t.committer.Oracle().ReadTS(), w)
 	}
 	if len(bufKeys) == 0 {
 		return 0, nil
@@ -316,27 +348,23 @@ func (t *Table) GetByUnique(vals []types.Value) (types.Row, bool, error) {
 	if err := t.ensureProbeReady(); err != nil {
 		return nil, false, fmt.Errorf("get %s: %w", t.name, err)
 	}
-	readTS := t.committer.Oracle().ReadTS()
 	key := types.EncodeKey(nil, vals...)
-	if r, ok := t.buffer.Get(key, readTS); ok {
-		return r, true, nil
-	}
-	view := t.SnapshotAt(readTS)
-	matches, probes := t.idx.LookupTuple(uk, vals)
-	t.Stats.IndexProbes.Add(int64(probes))
-	for _, m := range matches {
-		for _, meta := range view.Segs {
-			if meta.Seg.ID != m.SegID {
-				continue
-			}
-			for _, off := range m.Rows {
-				if !meta.Deleted.Get(int(off)) {
-					return meta.Seg.RowAt(int(off)), true, nil
-				}
-			}
+	// The buffer and the index answer at one snapshot: when liveByKey
+	// moves to a fresh one, the buffer is checked again there.
+	ts := t.committer.Oracle().ReadTS()
+	for {
+		if r, ok := t.buffer.Get(key, ts); ok {
+			return r, true, nil
 		}
+		view, seg, off, ok := t.liveByKey(t.SnapshotAt(ts), vals)
+		if ok {
+			return view.segRow(seg, off), true, nil
+		}
+		if view.TS == ts {
+			return nil, false, nil
+		}
+		ts = view.TS
 	}
-	return nil, false, nil
 }
 
 // LookupEqual returns all live rows where col == val, using the secondary
@@ -347,7 +375,8 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	}
 	view := t.Snapshot()
 	var out []types.Row
-	view.ScanBuffer(func(r types.Row) bool {
+	p := t.schema.Place([]types.Pin{{Col: col, Val: val}})
+	view.ScanBufferRange(p.From, p.To, func(r types.Row) bool {
 		if types.Equal(r[col], val) {
 			out = append(out, r)
 		}
@@ -397,9 +426,9 @@ func (t *Table) UniqueWhere(vals []types.Value) Where {
 	}}
 }
 
-// UpdateByUnique rewrites the single row with the given unique key values,
-// using the buffer fast path or a targeted move transaction (§4.2). It
-// reports whether a row was found.
+// UpdateByUnique rewrites the single row with the given unique key values
+// under its buffer row lock, claiming the row from its segment when it is
+// not in the buffer (§4.2). It reports whether a row was found.
 func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row) (bool, error) {
 	uk := t.schema.UniqueKey
 	if len(uk) == 0 {
@@ -409,63 +438,46 @@ func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row
 		return false, fmt.Errorf("update %s: %w", t.name, err)
 	}
 	key := types.EncodeKey(nil, vals...)
-	for attempt := 0; attempt < 3; attempt++ {
-		readTS := t.committer.Oracle().ReadTS()
-		tx := t.buffer.Begin(readTS)
-		cur, ok, err := tx.LockAndGet(key)
-		if err != nil {
-			tx.Abort()
-			return false, err
-		}
-		if !ok {
-			tx.Abort()
-			// The row may live in a segment: locate via the tuple index and
-			// move it under the buffer row lock. The snapshot must be taken
-			// *after* the buffer miss — a flush that tombstoned the buffer
-			// row has already committed, so only a fresh snapshot sees its
-			// segment.
-			view := t.SnapshotAt(t.committer.Oracle().ReadTS())
-			matches, probes := t.idx.LookupTuple(uk, vals)
-			t.Stats.IndexProbes.Add(int64(probes))
-			var locs []segLoc
-			for _, m := range matches {
-				if off, live := t.liveMatch(view, m); live {
-					locs = append(locs, segLoc{seg: m.SegID, off: off, key: key})
-				}
-			}
-			if len(locs) == 0 {
-				return false, nil
-			}
-			if err := t.moveToBuffer(locs); err != nil {
-				return false, err
-			}
-			continue // retry through the buffer path
-		}
-		nr := set(cur.Clone())
-		if err := t.schema.CheckRow(nr); err != nil {
-			tx.Abort()
-			return false, err
-		}
-		if string(types.KeyOf(nr, uk)) != string(key) {
-			tx.Abort()
-			return false, fmt.Errorf("update %s: changing unique key columns is not supported", t.name)
-		}
-		if _, err := tx.Insert(key, nr); err != nil {
-			tx.Abort()
-			return false, err
-		}
-		payload := t.encodeLog(&mutation{Inserts: []kv{{Key: key, Row: nr}}})
-		t.committer.Commit(func(ts uint64) {
-			tx.Commit(ts)
-			t.appendEncoded(wal.KindInsert, ts, payload)
-		})
-		t.Stats.Updates.Add(1)
-		return true, nil
+	tx := t.buffer.Begin(t.committer.Oracle().ReadTS())
+	cur, ok, err := tx.LockAndGet(key)
+	if err != nil {
+		tx.Abort()
+		return false, err
 	}
-	return false, fmt.Errorf("update %s: too many move retries", t.name)
+	m := &mutation{}
+	if !ok {
+		if cur, ok = t.claimSegmentRow(vals, m); !ok {
+			tx.Abort()
+			return false, nil
+		}
+	}
+	nr := set(cur.Clone())
+	if err := t.schema.CheckRow(nr); err != nil {
+		tx.Abort()
+		return false, err
+	}
+	if string(types.KeyOf(nr, uk)) != string(key) {
+		tx.Abort()
+		return false, fmt.Errorf("update %s: changing unique key columns is not supported", t.name)
+	}
+	if _, err := tx.Insert(key, nr); err != nil {
+		tx.Abort()
+		return false, err
+	}
+	m.Inserts = []kv{{Key: key, Row: nr}}
+	payload := t.encodeLog(m)
+	t.committer.Commit(func(ts uint64) {
+		t.applySegDeletes(ts, m.SegDeletes)
+		tx.Commit(ts)
+		t.appendEncoded(wal.KindInsert, ts, payload)
+	})
+	t.Stats.Updates.Add(1)
+	return true, nil
 }
 
-// DeleteByUnique removes the single row with the given unique key values.
+// DeleteByUnique removes the single row with the given unique key values
+// under its buffer row lock: a buffer row is tombstoned, a segment row
+// gets its deleted bit.
 func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
 	uk := t.schema.UniqueKey
 	if len(uk) == 0 {
@@ -475,45 +487,49 @@ func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
 		return false, fmt.Errorf("delete %s: %w", t.name, err)
 	}
 	key := types.EncodeKey(nil, vals...)
-	for attempt := 0; attempt < 3; attempt++ {
-		readTS := t.committer.Oracle().ReadTS()
-		tx := t.buffer.Begin(readTS)
-		_, ok, err := tx.LockAndGet(key)
-		if err != nil {
-			tx.Abort()
-			return false, err
-		}
-		if !ok {
-			tx.Abort()
-			// Fresh snapshot: see UpdateByUnique.
-			view := t.SnapshotAt(t.committer.Oracle().ReadTS())
-			matches, probes := t.idx.LookupTuple(uk, vals)
-			t.Stats.IndexProbes.Add(int64(probes))
-			var locs []segLoc
-			for _, m := range matches {
-				if off, live := t.liveMatch(view, m); live {
-					locs = append(locs, segLoc{seg: m.SegID, off: off, key: key})
-				}
-			}
-			if len(locs) == 0 {
-				return false, nil
-			}
-			if err := t.moveToBuffer(locs); err != nil {
-				return false, err
-			}
-			continue
-		}
+	tx := t.buffer.Begin(t.committer.Oracle().ReadTS())
+	_, ok, err := tx.LockAndGet(key)
+	if err != nil {
+		tx.Abort()
+		return false, err
+	}
+	m := &mutation{}
+	if ok {
 		if _, _, err := tx.DeleteLatest(key); err != nil {
 			tx.Abort()
 			return false, err
 		}
-		payload := t.encodeLog(&mutation{DeleteKeys: [][]byte{key}})
-		t.committer.Commit(func(ts uint64) {
-			tx.Commit(ts)
-			t.appendEncoded(wal.KindDelete, ts, payload)
-		})
-		t.Stats.Deletes.Add(1)
-		return true, nil
+		m.DeleteKeys = [][]byte{key}
+	} else if _, ok = t.claimSegmentRow(vals, m); !ok {
+		tx.Abort()
+		return false, nil
 	}
-	return false, fmt.Errorf("delete %s: too many move retries", t.name)
+	payload := t.encodeLog(m)
+	t.committer.Commit(func(ts uint64) {
+		t.applySegDeletes(ts, m.SegDeletes)
+		tx.Commit(ts)
+		t.appendEncoded(wal.KindDelete, ts, payload)
+	})
+	t.Stats.Deletes.Add(1)
+	return true, nil
+}
+
+// claimSegmentRow returns the live segment copy of the row with unique-key
+// values vals and records its deleted bit in m, for the caller's commit to
+// apply. The caller holds the row's buffer lock, which excludes every other
+// writer of the row, so its transaction is the row's move (§4.2): a
+// separate move transaction would wait on that same lock. The probe runs
+// after the lock: a flush that tombstoned the buffer row has committed, so
+// only a fresh snapshot sees the segment it wrote.
+func (t *Table) claimSegmentRow(vals []types.Value, m *mutation) (types.Row, bool) {
+	view, seg, off, ok := t.liveByKey(t.SnapshotAt(t.committer.SettledTS()), vals)
+	if !ok {
+		return nil, false
+	}
+	if m.SegDeletes == nil {
+		m.SegDeletes = map[uint64][]int32{}
+	}
+	m.SegDeletes[seg] = append(m.SegDeletes[seg], off)
+	t.Stats.Moves.Add(1)
+	return view.segRow(seg, off), true
 }

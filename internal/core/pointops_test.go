@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,5 +277,76 @@ func TestPointUpdateUnderAggressiveFlushing(t *testing.T) {
 	}
 	if applied.Load() != workers*iters {
 		t.Fatalf("applied = %d, want %d (row reported missing under flush race)", applied.Load(), workers*iters)
+	}
+}
+
+// TestWhereOnLeadingKeyColumnSeeks runs UpdateWhere/DeleteWhere pinned on
+// the leading column of a composite unique key, with matches both in the
+// buffer and in segments (which the move brings back to the buffer), and
+// checks them against the same statements expressed as a bare predicate,
+// which walks the whole buffer.
+func TestWhereOnLeadingKeyColumnSeeks(t *testing.T) {
+	schema := func() *types.Schema {
+		s := types.NewSchema(
+			types.Column{Name: "a", Type: types.Int64},
+			types.Column{Name: "b", Type: types.String},
+			types.Column{Name: "v", Type: types.Int64},
+		)
+		s.UniqueKey = []int{0, 1}
+		return s
+	}
+	load := func() *Table {
+		tbl, _ := newTestTable(t, schema(), Config{MaxSegmentRows: 8})
+		for i := 0; i < 60; i++ {
+			r := types.Row{types.NewInt(int64(i%6 - 3)), types.NewString(fmt.Sprintf("b\x00%d", i)), types.NewInt(int64(i))}
+			if err := tbl.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+			if i == 29 {
+				if _, err := tbl.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tbl
+	}
+	bump := func(r types.Row) types.Row { r[2] = types.NewInt(r[2].I + 1000); return r }
+	pinned := Eq(0, types.NewInt(-2))
+	bare := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == -2 }}
+
+	seek, walk := load(), load()
+	n1, err := seek.UpdateWhere(pinned, bump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := walk.UpdateWhere(bare, bump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1 != 10 || n2 != 10 {
+		t.Fatalf("updated %d (seek) and %d (walk), want 10", n1, n2)
+	}
+	if d1, err := seek.DeleteWhere(Eq(0, types.NewInt(1))); err != nil || d1 != 10 {
+		t.Fatalf("seek delete = %d, %v", d1, err)
+	}
+	if d2, err := walk.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 1 }}); err != nil || d2 != 10 {
+		t.Fatalf("walk delete = %d, %v", d2, err)
+	}
+	contents := func(tbl *Table) []string {
+		var out []string
+		view := tbl.Snapshot()
+		view.ScanBuffer(func(r types.Row) bool { out = append(out, fmt.Sprint(r)); return true })
+		for _, m := range view.Segs {
+			for i := 0; i < m.Seg.NumRows; i++ {
+				if !m.Deleted.Get(i) {
+					out = append(out, fmt.Sprint(m.Seg.RowAt(i)))
+				}
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got, want := contents(seek), contents(walk); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("seek and walk disagree:\n%v\n%v", got, want)
 	}
 }

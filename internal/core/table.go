@@ -181,6 +181,16 @@ func (c *Committer) Commit(fn func(ts uint64)) uint64 {
 	return ts
 }
 
+// SettledTS returns the read timestamp once every commit in flight has
+// published. A commit releases its row locks before it advances the
+// oracle, so a writer that just acquired a lock a commit released must
+// snapshot at SettledTS, not ReadTS, to see that commit's effects.
+func (c *Committer) SettledTS() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.oracle.ReadTS()
+}
+
 // ReplayAt runs fn under the commit mutex and publishes the recorded
 // timestamp ts, used by log replay to reproduce original commit times.
 func (c *Committer) ReplayAt(ts uint64, fn func()) {
@@ -425,13 +435,12 @@ func (t *Table) SnapshotAt(ts uint64) *View {
 }
 
 // ScanBuffer iterates the live buffer rows at the view's snapshot.
-func (v *View) ScanBuffer(f func(r types.Row) bool) {
-	v.table.buffer.Scan(nil, nil, v.TS, func(_ []byte, r types.Row) bool { return f(r) })
-}
+func (v *View) ScanBuffer(f func(r types.Row) bool) { v.ScanBufferRange(nil, nil, f) }
 
 // ScanBufferRange iterates live buffer rows with keys in [from, to) at the
-// view's snapshot; nil bounds are open. Point and prefix probes use this to
-// avoid walking the whole write buffer.
+// view's snapshot; nil bounds are open. Statements that pin a unique-key
+// prefix pass types.Placement's range to seek instead of walking the
+// whole write buffer.
 func (v *View) ScanBufferRange(from, to []byte, f func(r types.Row) bool) {
 	v.table.buffer.Scan(from, to, v.TS, func(_ []byte, r types.Row) bool { return f(r) })
 }

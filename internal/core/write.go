@@ -155,13 +155,8 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			dups[i] = &hit{inBuffer: true}
 			continue
 		}
-		matches, probes := t.idx.LookupTuple(uk, vals)
-		t.Stats.IndexProbes.Add(int64(probes))
-		for _, m := range matches {
-			if loc, ok := t.liveMatch(view, m); ok {
-				dups[i] = &hit{segID: m.SegID, segOff: loc}
-				break
-			}
+		if _, seg, off, ok := t.liveByKey(view, vals); ok {
+			dups[i] = &hit{segID: seg, segOff: off}
 		}
 	}
 	if opts.OnDup == DupError {
@@ -205,26 +200,9 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		}
 		if !exists && dups[i] != nil && (opts.OnDup == DupReplace || opts.OnDup == DupUpdate) {
 			// The conflicting row was in the buffer at probe time but a
-			// concurrent flush moved it into a segment before we locked it.
-			// Re-locate at a fresh snapshot, move it back under our lock,
-			// and re-read.
-			view := t.SnapshotAt(t.committer.Oracle().ReadTS())
-			matches, probes := t.idx.LookupTuple(uk, keyVals[i])
-			t.Stats.IndexProbes.Add(int64(probes))
-			for _, mm := range matches {
-				if off, live := t.liveMatch(view, mm); live {
-					if err := t.moveToBuffer([]segLoc{{seg: mm.SegID, off: off, key: key}}); err != nil {
-						tx.Abort()
-						return res, fmt.Errorf("insert %s: move: %w", t.name, err)
-					}
-					break
-				}
-			}
-			existing, exists, err = tx.LockAndGet(key)
-			if err != nil {
-				tx.Abort()
-				return res, fmt.Errorf("insert %s: relock: %w", t.name, err)
-			}
+			// concurrent flush moved it into a segment before we locked it:
+			// claim it from there under the lock we hold.
+			existing, exists = t.claimSegmentRow(keyVals[i], m)
 		}
 		if exists {
 			switch opts.OnDup {
@@ -270,12 +248,58 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 	}
 	payload := t.encodeLog(m)
 	res.CommitTS = t.committer.Commit(func(ts uint64) {
+		t.applySegDeletes(ts, m.SegDeletes)
 		tx.Commit(ts)
 		res.LSN = t.appendEncoded(wal.KindInsert, ts, payload)
 	})
 	t.Stats.Inserts.Add(int64(res.Inserted))
 	t.Stats.Updates.Add(int64(res.Updated + res.Replaced))
 	return res, nil
+}
+
+// liveByKey returns the location of the live segment copy of the row with
+// unique-key values vals, and the view it is live in. A merge that commits
+// after view was taken retires its inputs from the index while view still
+// holds them, so a miss on a view holding a retired segment retries on a
+// fresh snapshot, which is then the view returned.
+func (t *Table) liveByKey(view *View, vals []types.Value) (v *View, seg uint64, off int32, ok bool) {
+	for {
+		matches, probes := t.idx.LookupTuple(t.schema.UniqueKey, vals)
+		t.Stats.IndexProbes.Add(int64(probes))
+		for _, m := range matches {
+			if off, live := t.liveMatch(view, m); live {
+				return view, m.SegID, off, true
+			}
+		}
+		if !t.holdsRetired(view) {
+			return view, 0, 0, false
+		}
+		view = t.SnapshotAt(t.committer.SettledTS())
+	}
+}
+
+// holdsRetired reports whether a merge has retired a segment the view
+// holds. dropSegment marks the entry before it removes the index entries,
+// so a probe that missed them sees the mark.
+func (t *Table) holdsRetired(view *View) bool {
+	t.segMu.RLock()
+	defer t.segMu.RUnlock()
+	for _, m := range view.Segs {
+		if e := t.segs[m.Seg.ID]; e == nil || e.dropTS.Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// segRow reads row off of segment id, which must be in the view.
+func (v *View) segRow(id uint64, off int32) types.Row {
+	for _, meta := range v.Segs {
+		if meta.Seg.ID == id {
+			return meta.Seg.RowAt(int(off))
+		}
+	}
+	return nil
 }
 
 // liveMatch returns the first row offset of an index match that is visible

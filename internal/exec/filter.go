@@ -229,6 +229,9 @@ type ScanStats struct {
 	GlobalIndexProbes  int64
 	JoinIndexFilters   int64
 	JoinIndexFallbacks int64
+	// BufferRowsScanned counts the write-buffer rows the scan visited: all
+	// of them on a walk, only the pinned key range on a seek.
+	BufferRowsScanned int64
 
 	// Decoded-vector cache counters for this scan: hits served without
 	// decode work, misses this scan decoded itself, waits that joined

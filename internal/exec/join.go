@@ -78,9 +78,10 @@ func EquiJoin(
 			}
 			seen[k] = true
 			builds := buildMap[k]
-			// Buffer rows.
+			// Buffer rows: a seek when the probe key leads the unique key.
 			stop := false
-			probe.ScanBuffer(func(pr types.Row) bool {
+			place := probe.Schema.Place([]types.Pin{{Col: col, Val: v}})
+			probe.ScanBufferRange(place.From, place.To, func(pr types.Row) bool {
 				if !types.Equal(pr[col], v) {
 					return true
 				}

@@ -164,6 +164,7 @@ func accumulate(dst *ScanStats, src ScanStats) {
 	dst.GlobalIndexProbes += src.GlobalIndexProbes
 	dst.JoinIndexFilters += src.JoinIndexFilters
 	dst.JoinIndexFallbacks += src.JoinIndexFallbacks
+	dst.BufferRowsScanned += src.BufferRowsScanned
 	dst.VecCacheHits += src.VecCacheHits
 	dst.VecCacheMisses += src.VecCacheMisses
 	dst.VecCacheWaits += src.VecCacheWaits

@@ -27,10 +27,6 @@ type Scan struct {
 	// number of keys to look up is too high relative to the table size",
 	// §5.1). Zero means the default of 1 key per segment.
 	IndexKeyLimitFactor float64
-	// BufferFrom/BufferTo restrict the buffer side of the scan to a key
-	// range (set when the filter pins a unique-key prefix), so OLTP probes
-	// seek instead of walking the whole write buffer.
-	BufferFrom, BufferTo []byte
 	// Project lists the only columns Run must materialize (nil = all) —
 	// late materialization's projection pushdown.
 	Project []int
@@ -77,6 +73,37 @@ type eqProbe struct {
 	vals []types.Value
 }
 
+// conjuncts returns the filter's top-level comparison clauses: the filter
+// itself when it is a Leaf, or the Leaf children of an And.
+func conjuncts(n Node) []*Leaf {
+	switch f := n.(type) {
+	case *Leaf:
+		return []*Leaf{f}
+	case *And:
+		var leaves []*Leaf
+		for _, c := range f.Children {
+			if l, ok := c.(*Leaf); ok {
+				leaves = append(leaves, l)
+			}
+		}
+		return leaves
+	}
+	return nil
+}
+
+// Pins returns the top-level equalities (`col = literal`, no IN-list) a
+// filter pins — the input types.Schema.Place derives a statement's buffer
+// key range and owning partition from.
+func Pins(n Node) []types.Pin {
+	var pins []types.Pin
+	for _, l := range conjuncts(n) {
+		if len(l.In) == 0 && l.Op == vector.Eq {
+			pins = append(pins, types.Pin{Col: l.Col, Val: l.Val})
+		}
+	}
+	return pins
+}
+
 // indexableProbes extracts top-level conjunction clauses that can use the
 // global index for segment selection.
 func (s *Scan) indexableProbes() []eqProbe {
@@ -84,19 +111,8 @@ func (s *Scan) indexableProbes() []eqProbe {
 	if idx == nil || s.Filter == nil || s.DisableIndexSkipping {
 		return nil
 	}
-	var leaves []*Leaf
-	switch f := s.Filter.(type) {
-	case *Leaf:
-		leaves = []*Leaf{f}
-	case *And:
-		for _, c := range f.Children {
-			if l, ok := c.(*Leaf); ok {
-				leaves = append(leaves, l)
-			}
-		}
-	}
 	var probes []eqProbe
-	for _, l := range leaves {
+	for _, l := range conjuncts(s.Filter) {
 		if !idx.HasColumn(l.Col) {
 			continue
 		}
@@ -165,19 +181,7 @@ func (s *Scan) candidateSegments() []int {
 		}
 	}
 	// Step 1b: zone maps on the remaining candidates.
-	var zoneLeaves []*Leaf
-	switch f := s.Filter.(type) {
-	case *Leaf:
-		if len(f.In) == 0 {
-			zoneLeaves = []*Leaf{f}
-		}
-	case *And:
-		for _, c := range f.Children {
-			if l, ok := c.(*Leaf); ok && len(l.In) == 0 {
-				zoneLeaves = append(zoneLeaves, l)
-			}
-		}
-	}
+	zoneLeaves := conjuncts(s.Filter)
 	for i, m := range view.Segs {
 		if allowed != nil && !allowed[m.Seg.ID] && (cold == nil || !cold[i]) {
 			s.Stats.SegmentsSkipped++
@@ -185,7 +189,7 @@ func (s *Scan) candidateSegments() []int {
 		}
 		eliminated := false
 		for _, l := range zoneLeaves {
-			if l.Val.IsNull {
+			if len(l.In) > 0 || l.Val.IsNull {
 				continue
 			}
 			if !m.Seg.MayContain(l.Col, int(l.Op), l.Val) {
@@ -259,12 +263,14 @@ func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 	}
 }
 
-// RunBuffer evaluates the filter over the in-memory buffer rows.
+// RunBuffer evaluates the filter over the in-memory buffer rows. When the
+// filter pins a unique-key prefix it seeks that key range of the skiplist
+// instead of walking the whole buffer (§2.1.1: the rowstore is indexed by
+// the unique key), so a point statement visits O(matches) rows.
 func (s *Scan) RunBuffer(f func(r types.Row) bool) {
-	var seen int
 	visit := func(r types.Row) bool {
-		seen++
-		if s.Cancel != nil && seen&1023 == 0 && s.Cancel() {
+		s.Stats.BufferRowsScanned++
+		if s.Cancel != nil && s.Stats.BufferRowsScanned&1023 == 0 && s.Cancel() {
 			return false
 		}
 		if s.Filter == nil || s.Filter.EvalRow(r) {
@@ -273,11 +279,12 @@ func (s *Scan) RunBuffer(f func(r types.Row) bool) {
 		}
 		return true
 	}
-	if s.BufferFrom != nil || s.BufferTo != nil {
-		s.View.ScanBufferRange(s.BufferFrom, s.BufferTo, visit)
-		return
+	var from, to []byte
+	if s.Filter != nil {
+		p := s.View.Schema.Place(Pins(s.Filter))
+		from, to = p.From, p.To
 	}
-	s.View.ScanBuffer(visit)
+	s.View.ScanBufferRange(from, to, visit)
 }
 
 // Run materializes every matching row (buffer and segments). The emitted

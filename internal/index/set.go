@@ -94,21 +94,54 @@ func (s *Set) HasColumn(c int) bool {
 
 // AddSegment indexes a freshly created segment: one inverted index per
 // indexed column plus registrations in the per-column and per-tuple global
-// indexes. Segments are immutable so this happens exactly once (§4.1).
+// indexes. Segments are immutable so this happens once (§4.1); adding an
+// indexed segment again is a no-op, which lets a merge index its outputs
+// before the install commit that would otherwise index them. The per-segment
+// structures are built before the write lock is taken, so probes are only
+// held up for the registration.
 func (s *Set) AddSegment(seg *colstore.Segment) {
+	if s.hasSegment(seg.ID) {
+		return
+	}
+	// cols and tuples are fixed by NewSet; only their contents change.
+	segIdx := make(map[int]*SegmentIndex, len(s.cols))
+	for c := range s.cols {
+		segIdx[c] = BuildSegmentIndex(seg, c)
+	}
+	tupleHashes := make(map[string][]uint64, len(s.tuples))
+	for key := range s.tuples {
+		tupleHashes[key] = tupleHashesOf(seg, parseTupleKey(key))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.hasSegmentLocked(seg.ID) {
+		return
+	}
 	for c, ci := range s.cols {
-		si := BuildSegmentIndex(seg, c)
+		si := segIdx[c]
 		ci.segs[seg.ID] = si
 		ci.global.AddSegment(seg.ID, si.ValueHashes())
 	}
 	for key, gi := range s.tuples {
-		_ = key
-		cols := parseTupleKey(key)
-		hashes := tupleHashesOf(seg, cols)
-		gi.AddSegment(seg.ID, hashes)
+		gi.AddSegment(seg.ID, tupleHashes[key])
 	}
+}
+
+// hasSegment reports whether the segment is indexed. Every tuple key's
+// columns also have single-column structures, so checking those suffices.
+func (s *Set) hasSegment(id uint64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.hasSegmentLocked(id)
+}
+
+func (s *Set) hasSegmentLocked(id uint64) bool {
+	for _, ci := range s.cols {
+		if _, ok := ci.segs[id]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func tupleHashesOf(seg *colstore.Segment, cols []int) []uint64 {

@@ -407,6 +407,10 @@ type Lease struct {
 	// Waited is how long the acquire queued before being granted.
 	Waited time.Duration
 	done   bool
+	// pooled marks a lease-style grant, whose tokens were counted in use
+	// and return to the bucket on Release. Fixed at grant time under the
+	// governor lock: a rebalance may rewrite the bucket's rate afterwards.
+	pooled bool
 }
 
 // N is the number of tokens granted (0 for an ungoverned nil lease).
@@ -432,8 +436,8 @@ func (l *Lease) Release() {
 		return
 	}
 	l.done = true
-	b.inUse -= l.n
-	if b.rate == 0 {
+	if l.pooled {
+		b.inUse -= l.n
 		b.avail += float64(l.n)
 		if b.avail > float64(b.budget) && !b.gone {
 			b.avail = float64(b.budget)
@@ -458,7 +462,7 @@ func (g *Governor) Consume(ctx contextLike, tenant string, res Resource, n int64
 	if err != nil {
 		return err
 	}
-	if l != nil && l.b != nil && l.b.rate == 0 {
+	if l != nil && l.pooled {
 		l.Release()
 	}
 	return nil
@@ -526,10 +530,10 @@ func (g *Governor) AcquireUpTo(ctx contextLike, tenant string, res Resource, min
 			b.spent += grant
 			b.shedStreak = 0
 			b.lastRetry = 0
-			if b.rate == 0 {
+			l := &Lease{b: b, n: grant, pooled: b.rate == 0}
+			if l.pooled {
 				b.inUse += grant
 			}
-			l := &Lease{b: b, n: grant}
 			if w != nil {
 				b.queue = b.queue[1:]
 				b.wakeLocked()

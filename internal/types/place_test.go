@@ -1,0 +1,168 @@
+package types
+
+import (
+	"bytes"
+	"math"
+	"testing"
+)
+
+// eqMatch is the row semantics of an equality clause (vector.CmpValue with
+// Eq): a comparison with NULL is never true, otherwise Compare decides.
+func eqMatch(a, b Value) bool { return !a.IsNull && !b.IsNull && Compare(a, b) == 0 }
+
+// checkPlace asserts Place's contract against a walk of every row: the key
+// range holds exactly the rows with the pinned prefix, so it drops no row
+// that matches every pin, and the partition owns every such row.
+func checkPlace(t *testing.T, s *Schema, pins []Pin, rows []Row) {
+	t.Helper()
+	const parts = 3
+	p := s.Place(pins)
+	if (p.From == nil) != (len(p.Key) == 0) || (p.To == nil) != (p.From == nil) {
+		t.Fatalf("Key %v with range [%x, %x)", p.Key, p.From, p.To)
+	}
+	for _, r := range rows {
+		matches := true
+		for _, pin := range pins {
+			if !eqMatch(r[pin.Col], pin.Val) {
+				matches = false
+			}
+		}
+		k := KeyOf(r, s.UniqueKey)
+		inRange := p.From == nil || (bytes.Compare(k, p.From) >= 0 && bytes.Compare(k, p.To) < 0)
+		if matches && !inRange {
+			t.Fatalf("row %v matches pins %v but key %x is outside [%x, %x)", r, pins, k, p.From, p.To)
+		}
+		hasPrefix := true
+		for i, v := range p.Key {
+			if !bytes.Equal(EncodeKey(nil, r[s.UniqueKey[i]]), EncodeKey(nil, v)) {
+				hasPrefix = false
+			}
+		}
+		if inRange != hasPrefix {
+			t.Fatalf("row %v: in range %v, has prefix %v of %v", r, inRange, hasPrefix, p.Key)
+		}
+		if pi, ok := p.Partition(parts); ok && matches && int(s.ShardHash(r)%parts) != pi {
+			t.Fatalf("row %v matches pins %v but routes to %d, not %d", r, pins, s.ShardHash(r)%parts, pi)
+		}
+	}
+}
+
+func TestPlaceEdges(t *testing.T) {
+	s := NewSchema(
+		Column{Name: "a", Type: Int64},
+		Column{Name: "b", Type: String},
+		Column{Name: "f", Type: Float64},
+	)
+	s.UniqueKey = []int{0, 1}
+	s.ShardKey = []int{0}
+	cases := []struct {
+		name    string
+		pins    []Pin
+		keyCols int
+		routed  bool
+	}{
+		{"no pins", nil, 0, false},
+		{"leading column", []Pin{{0, NewInt(-3)}}, 1, true},
+		{"full key", []Pin{{1, NewString("x\x00")}, {0, NewInt(7)}}, 2, true},
+		{"second column only", []Pin{{1, NewString("x")}}, 0, false},
+		{"NULL literal", []Pin{{0, Null(Int64)}}, 0, false},
+		{"mistyped literal", []Pin{{0, NewString("7")}}, 0, false},
+		{"first usable pin wins", []Pin{{0, Null(Int64)}, {0, NewInt(1)}}, 1, true},
+		{"float column", []Pin{{2, NewFloat(1.5)}, {0, NewInt(1)}}, 1, true},
+	}
+	for _, c := range cases {
+		p := s.Place(c.pins)
+		if len(p.Key) != c.keyCols {
+			t.Errorf("%s: Key = %v, want %d columns", c.name, p.Key, c.keyCols)
+		}
+		if _, ok := p.Partition(4); ok != c.routed {
+			t.Errorf("%s: routed = %v, want %v", c.name, ok, c.routed)
+		}
+	}
+
+	// A float shard or key column never pins: -0.0 equals 0.0 and NaN
+	// equals everything under Compare, but they encode and hash apart.
+	fs := NewSchema(Column{Name: "f", Type: Float64})
+	fs.UniqueKey = []int{0}
+	rows := []Row{{NewFloat(0)}, {NewFloat(math.Copysign(0, -1))}, {NewFloat(math.NaN())}, {NewFloat(2)}}
+	for _, v := range []Value{NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2)} {
+		if p := fs.Place([]Pin{{0, v}}); p.Key != nil {
+			t.Errorf("float pin %v placed key %v", v, p.Key)
+		}
+		checkPlace(t, fs, []Pin{{0, v}}, rows)
+	}
+}
+
+// FuzzKeyRange checks Place on random 1–3-column key schemas, pins and
+// rows: seeking the key range and walking every row agree on which rows
+// match, and the derived partition owns them all.
+func FuzzKeyRange(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 3, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{3, 0, 1, 2, 7, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7})
+	f.Add([]byte{1, 2, 6, 4, 1, 9, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() int {
+			if pos >= len(data) {
+				return 0
+			}
+			pos++
+			return int(data[pos-1])
+		}
+		ints := []int64{math.MinInt64, -2, -1, 0, 1, 2, math.MaxInt64}
+		strs := []string{"", "a", "a\x00", "a\x00b", "\x00", "b", "\xff", "a\x00\x01"}
+		floats := []float64{0, math.Copysign(0, -1), 1.5, -1, math.NaN()}
+		value := func(t ColType) Value {
+			b := next()
+			if b%11 == 10 {
+				return Null(t)
+			}
+			switch t {
+			case Int64:
+				return NewInt(ints[b%len(ints)])
+			case String:
+				return NewString(strs[b%len(strs)])
+			}
+			return NewFloat(floats[b%len(floats)])
+		}
+		// Key columns first, then one non-key Int64 column.
+		nkey := 1 + next()%3
+		cols := make([]Column, nkey+1)
+		for i := 0; i < nkey; i++ {
+			cols[i] = Column{Name: string(rune('a' + i)), Type: ColType(next() % 3)}
+		}
+		cols[nkey] = Column{Name: "v", Type: Int64}
+		s := NewSchema(cols...)
+		s.UniqueKey = make([]int, nkey)
+		for i := range s.UniqueKey {
+			s.UniqueKey[i] = i
+		}
+		if next()%2 == 1 { // key order differs from column order
+			for i, j := 0, nkey-1; i < j; i, j = i+1, j-1 {
+				s.UniqueKey[i], s.UniqueKey[j] = s.UniqueKey[j], s.UniqueKey[i]
+			}
+		}
+		for c := 0; c <= nkey; c++ {
+			if next()%2 == 1 {
+				s.ShardKey = append(s.ShardKey, c)
+			}
+		}
+		rows := make([]Row, next()%24)
+		for i := range rows {
+			rows[i] = make(Row, len(cols))
+			for c, col := range cols {
+				rows[i][c] = value(col.Type)
+			}
+		}
+		pins := make([]Pin, next()%4)
+		for i := range pins {
+			c := next() % len(cols)
+			typ := cols[c].Type
+			if next()%5 == 4 { // a literal of another type
+				typ = ColType((int(typ) + 1) % 3)
+			}
+			pins[i] = Pin{Col: c, Val: value(typ)}
+		}
+		checkPlace(t, s, pins, rows)
+	})
+}

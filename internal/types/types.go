@@ -302,6 +302,78 @@ func (s *Schema) ShardHash(r Row) uint64 {
 	return HashMany(vs)
 }
 
+// Pin is one top-level equality a statement pins: column Col = Val.
+type Pin struct {
+	Col int
+	Val Value
+}
+
+// Placement is where every row a statement's pins can match lives: a
+// write-buffer key range and, when every shard column is pinned, one
+// partition. The zero value places nothing (scan all of it, everywhere).
+type Placement struct {
+	// Key is the longest pinned unique-key prefix, in key order; empty
+	// when the first unique-key column is unpinned or there is no key.
+	Key []Value
+	// From and To bound the buffer keys that start with Key's encoding:
+	// [From, To). 0x02 sorts above both column tags (0x00 NULL, 0x01
+	// value), so the range holds exactly the rows with that prefix. Both
+	// nil when Key is empty.
+	From, To []byte
+
+	shard       uint64
+	shardPinned bool
+}
+
+// Partition returns the one partition out of n that owns every row the
+// pins can match, or false when some shard column is unpinned.
+func (p Placement) Partition(n int) (int, bool) {
+	if !p.shardPinned {
+		return 0, false
+	}
+	return int(p.shard % uint64(n)), true
+}
+
+// Place derives the Placement of a statement from its pins. A pin counts
+// only when its value is a non-NULL literal of the column's own type, and
+// never on a Float64 column: Compare equates -0.0 with 0.0 and NaN with
+// every value, while EncodeKey and Hash keep them apart, so one float
+// equality can match rows under several keys and in several partitions.
+func (s *Schema) Place(pins []Pin) Placement {
+	pinned := func(col int) (Value, bool) {
+		t := s.Columns[col].Type
+		for _, p := range pins {
+			if p.Col == col && !p.Val.IsNull && p.Val.Type == t && t != Float64 {
+				return p.Val, true
+			}
+		}
+		return Value{}, false
+	}
+	var p Placement
+	for _, c := range s.UniqueKey {
+		v, ok := pinned(c)
+		if !ok {
+			break
+		}
+		p.Key = append(p.Key, v)
+	}
+	if len(p.Key) > 0 {
+		p.From = EncodeKey(nil, p.Key...)
+		p.To = append(p.From[:len(p.From):len(p.From)], 0x02)
+	}
+	cols := s.ShardColumns()
+	vs := make([]Value, len(cols))
+	for i, c := range cols {
+		v, ok := pinned(c)
+		if !ok {
+			return p
+		}
+		vs[i] = v
+	}
+	p.shard, p.shardPinned = HashMany(vs), true
+	return p
+}
+
 // CompareRows orders two rows by the given key ordinals.
 func CompareRows(a, b Row, key []int) int {
 	for _, k := range key {

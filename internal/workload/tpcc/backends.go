@@ -59,13 +59,10 @@ func (b *S2Backend) Delete(table string, key []types.Value) (bool, error) {
 }
 
 // ScanEq implements Backend with an adaptive index scan per partition.
-// When the probed columns form a unique-key prefix, the buffer side seeks
-// the key range instead of scanning the whole write buffer.
+// When the probed columns pin every shard column only the owning partition
+// is scanned, and when they pin a unique-key prefix the scan's buffer side
+// seeks that key range instead of walking the whole write buffer.
 func (b *S2Backend) ScanEq(table string, cols []int, vals []types.Value, emit func(types.Row) bool) error {
-	views, err := b.C.Views(table)
-	if err != nil {
-		return err
-	}
 	clauses := make([]exec.Node, len(cols))
 	for i, c := range cols {
 		clauses[i] = exec.NewLeaf(c, vector.Eq, vals[i])
@@ -76,16 +73,13 @@ func (b *S2Backend) ScanEq(table string, cols []int, vals []types.Value, emit fu
 	} else {
 		filter = exec.NewAnd(clauses...)
 	}
-	var bufFrom, bufTo []byte
-	if schema := Schemas()[table]; len(schema.UniqueKey) > 0 && isPrefix(schema.UniqueKey, cols) {
-		bufFrom = types.EncodeKey(nil, vals...)
-		bufTo = append(append([]byte(nil), bufFrom...), 0xff, 0xff, 0xff, 0xff)
+	targets, err := b.C.QueryTargets(table, exec.Pins(filter))
+	if err != nil {
+		return err
 	}
-	for _, v := range views {
+	for _, t := range targets {
 		stop := false
-		scan := exec.NewScan(v, filter)
-		scan.BufferFrom, scan.BufferTo = bufFrom, bufTo
-		scan.Run(func(r types.Row) bool {
+		exec.NewScan(t.View, filter).Run(func(r types.Row) bool {
 			if !emit(r) {
 				stop = true
 				return false

@@ -240,12 +240,13 @@ func (q *Query) admission(ctx context.Context) exec.Admission {
 }
 
 // targets returns the leaf execution sites: one per partition of the
-// primary cluster, or of the workspace when routed there.
-func (q *Query) targets() ([]cluster.LeafTarget, error) {
+// primary cluster, or of the workspace when routed there — only the
+// owning partition when the filter pins every shard column.
+func (q *Query) targets(pins []types.Pin) ([]cluster.LeafTarget, error) {
 	if q.workspace != nil {
-		return q.workspace.QueryTargets(q.table)
+		return q.workspace.QueryTargets(q.table, pins)
 	}
-	return q.db.cluster.QueryTargets(q.table)
+	return q.db.cluster.QueryTargets(q.table, pins)
 }
 
 // resolvedQuery is the execution-ready form: names resolved to ordinals,
@@ -262,30 +263,28 @@ type resolvedQuery struct {
 	earlyLimit  int
 }
 
-// resolve snapshots the partition views and resolves every name-based
-// reference (filters, aggregates, group and order columns) against the
-// table schema, returning a clear error for unknown columns.
+// resolve resolves every name-based reference (filters, aggregates, group
+// and order columns) against the table schema, returning a clear error for
+// unknown columns, and snapshots the partition views the filter can match.
 func (q *Query) resolve() (*resolvedQuery, error) {
-	targets, err := q.targets()
-	if err != nil {
-		return nil, err
-	}
 	schema, err := q.db.cluster.Schema(q.table)
 	if err != nil {
 		return nil, err
 	}
 	r := &resolvedQuery{
-		targets:     targets,
-		views:       make([]*core.View, len(targets)),
 		schema:      schema,
 		parallelism: q.effectiveParallelism(),
 		earlyLimit:  -1,
 	}
-	for i, t := range targets {
-		r.views[i] = t.View
-	}
 	if r.filter, err = exec.ResolveNames(q.filter, schema); err != nil {
 		return nil, err
+	}
+	if r.targets, err = q.targets(exec.Pins(r.filter)); err != nil {
+		return nil, err
+	}
+	r.views = make([]*core.View, len(r.targets))
+	for i, t := range r.targets {
+		r.views[i] = t.View
 	}
 	r.groupCols = make([]int, len(q.groups))
 	for i, g := range q.groups {

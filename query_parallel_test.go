@@ -212,6 +212,9 @@ func TestExplainReportsPlan(t *testing.T) {
 	if !strings.Contains(plan.Filter, `kind = k2`) || !strings.Contains(plan.Filter, "amount > 10") {
 		t.Fatalf("filter rendering = %q", plan.Filter)
 	}
+	if plan.KeySeek != "" {
+		t.Fatalf("key seek %q for a filter that pins no unique-key column", plan.KeySeek)
+	}
 	if len(plan.GroupBy) != 1 || plan.GroupBy[0] != "kind" {
 		t.Fatalf("group-by = %v", plan.GroupBy)
 	}
@@ -248,6 +251,20 @@ func TestExplainReportsPlan(t *testing.T) {
 	}
 	if !plain.EarlyLimit {
 		t.Fatal("early limit not planned for plain Limit query")
+	}
+
+	// Pinning the unique (and shard) key prunes to one partition and
+	// seeks its write buffer.
+	point := db.Table("events").Where(And(EqName("id", Int(42)), GtName("amount", Int(-1))))
+	pp, err := point.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Partitions != 1 || pp.KeySeek != "id = 42" {
+		t.Fatalf("point plan: %d partition(s), key seek %q", pp.Partitions, pp.KeySeek)
+	}
+	if s := pp.String(); !strings.Contains(s, "across 1 partition(s)") || !strings.Contains(s, "seek    id = 42") {
+		t.Fatalf("point plan string = %q", s)
 	}
 	if _, err := db.Table("missing").Explain(); err == nil {
 		t.Fatal("Explain on a missing table succeeded")
