@@ -1,17 +1,18 @@
 # Tier-1 gate: every change must pass `make check` — build, vet, and the
 # full test suite under the race detector (the parallel fan-out scheduler
 # runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck lint build vet test race racewal qossmoke bench benchsmoke benchall fuzzsmoke chaossmoke
+.PHONY: check ci fmtcheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke
 
 check: build vet race
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
 # the tier-1 check gate, the focused WAL/replication race gate, the
-# multi-tenant QoS isolation gate, the seeded chaos soak, a smoke pass of
-# the four benchmark workloads, and a short fuzz pass of the SQL
-# front-end, the WAL page codec, the exec filter tree and the unique-key
-# range derivation. Run it locally before pushing.
-ci: fmtcheck lint check racewal qossmoke chaossmoke benchsmoke fuzzsmoke
+# multi-tenant QoS isolation gate, the storage and replication tests at
+# one and two cores, the seeded chaos soak, a smoke pass of the four
+# benchmark workloads, and a short fuzz pass of the SQL front-end, the WAL
+# page codec, the exec filter tree, the unique-key range derivation and
+# the table log-record decoder. Run it locally before pushing.
+ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
 # gofmt-clean; it never rewrites files.
@@ -48,6 +49,13 @@ racewal:
 # race detector, including the attach/detach churn storm.
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
+
+# procsmoke runs the storage and replication packages at GOMAXPROCS 1 and
+# 2: interleavings a many-core machine rarely produces show up at low core
+# counts, and tier-1 must be green on any of them.
+procsmoke:
+	GOMAXPROCS=1 go test ./internal/core ./internal/cluster -count=1
+	GOMAXPROCS=2 go test ./internal/core ./internal/cluster -count=1
 
 build:
 	go build ./...
@@ -89,17 +97,19 @@ benchsmoke:
 # must never panic, FuzzNormalize must stay idempotent,
 # FuzzDecodePage must reject hostile wire frames without panicking or
 # allocating unboundedly, FuzzFilterTree must find no filter tree on
-# which a segment strategy disagrees with row-at-a-time EvalRow, and
+# which a segment strategy disagrees with row-at-a-time EvalRow,
 # FuzzKeyRange must find no key schema, pins and rows on which seeking the
 # derived unique-key range (or routing to the derived partition) loses a
-# row that walking every row keeps. Long campaigns are manual; this is
-# the CI regression guard.
+# row that walking every row keeps, and FuzzDecodeMutation must reject
+# hostile table log records without panicking or allocating beyond their
+# size. Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime 10s
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

@@ -209,7 +209,17 @@ func (h *hydrator) run(task *hydroTask) {
 	if err == nil {
 		var decoded *colstore.Segment
 		decoded, err = colstore.Decode(data, t.schema)
+		if err == nil && (decoded.ID != seg.ID || decoded.NumRows != seg.NumRows) {
+			err = fmt.Errorf("payload %d/%d rows does not match stub %d/%d rows", decoded.ID, decoded.NumRows, seg.ID, seg.NumRows)
+		}
 		if err == nil {
+			// Index before the payload mark goes up: wait and
+			// ensureProbeReady return on the mark alone, and their callers
+			// probe the index at once. A segment a merge already retired
+			// stays out — the merge removed its entries for good.
+			if !t.segmentDropped(seg.ID) {
+				t.idx.AddSegment(decoded)
+			}
 			err = seg.AdoptPayload(decoded)
 		}
 	}
@@ -305,18 +315,12 @@ func (t *Table) segmentDropped(id uint64) bool {
 	return e == nil || e.dropTS.Load() != 0
 }
 
-// noteHydrated runs the deferred parts of installSegment once a stub's
-// payload arrives: the segment joins the secondary indexes (skipped when a
-// merge already dropped it — index matches are view-filtered, so a lost
-// race leaves only a lazily-ignored entry) and the live-stub accounting
-// that gates index probes is released.
+// noteHydrated releases a hydrated stub from the live-stub accounting that
+// gates index probes; run indexed it before adopting the payload.
 func (t *Table) noteHydrated(seg *colstore.Segment) {
 	t.segMu.RLock()
 	e := t.segs[seg.ID]
 	t.segMu.RUnlock()
-	if e != nil && e.dropTS.Load() == 0 {
-		t.idx.AddSegment(seg)
-	}
 	if e != nil && e.stub.CompareAndSwap(true, false) {
 		t.unhydrated.Add(-1)
 	}

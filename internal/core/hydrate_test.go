@@ -244,6 +244,47 @@ func TestHydrationErrorRetry(t *testing.T) {
 	assertSameContents(t, src, restored)
 }
 
+// TestProbesRightAfterRestoreSeeEveryKey: a segment must be indexed by the
+// time it reads as hydrated, because probes wait for the mark alone. Point
+// reads issued the moment RestoreState returns race the readahead that
+// hydrates the stubs, and must never miss a key.
+func TestProbesRightAfterRestoreSeeEveryKey(t *testing.T) {
+	files := NewMemFiles()
+	src, state, ts := buildSegmentedTable(t, files)
+	const keys, readers = 40, 4
+	live := make([]bool, keys)
+	for id := range live {
+		_, live[id], _ = src.GetByUnique([]types.Value{types.NewInt(int64(id))})
+	}
+	for iter := 0; iter < 200; iter++ {
+		tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.RestoreState(state, ts); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for id := g; id < keys; id += readers {
+					_, ok, err := tbl.GetByUnique([]types.Value{types.NewInt(int64(id))})
+					if err != nil || ok != live[id] {
+						t.Errorf("iteration %d: key %d found=%v (%v), want %v", iter, id, ok, err, live[id])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		tbl.Close()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 // TestRestoreCorruptManifestInstallsNothing: a manifest that fails to parse
 // mid-way must leave the table empty — no partially-installed stubs.
 func TestRestoreCorruptManifestInstallsNothing(t *testing.T) {

@@ -50,19 +50,24 @@ func (t *Table) installSegment(ts uint64, seg *colstore.Segment, run int, file s
 	}
 }
 
-// dropSegment retires a segment at ts (after a merge). The decoded-vector
-// cache drops the segment's vectors immediately; a scan at an older
-// snapshot that is still reading the segment stays correct (segment
-// payloads are immutable) and anything it re-inserts is reclaimed by
-// normal LRU pressure. Unique-key probes of an older snapshot miss the
+// dropSegment retires a segment at ts (after a merge). remap, when the
+// primary's merge supplies one, is stored before the segment reads as
+// retired, so a move that finds it retired can chase its rows. The
+// decoded-vector cache drops the segment's vectors immediately; a scan at
+// an older snapshot that is still reading the segment stays correct
+// (segment payloads are immutable) and anything it re-inserts is reclaimed
+// by normal LRU pressure. Unique-key probes of an older snapshot miss the
 // rows it holds here once the index entries are gone; dropTS, set before
 // the entries go, tells them to retry on a fresh snapshot (liveByKey).
-func (t *Table) dropSegment(ts uint64, id uint64) {
+func (t *Table) dropSegment(ts uint64, id uint64, remap []remapTarget) {
 	t.segMu.RLock()
 	e := t.segs[id]
 	t.segMu.RUnlock()
 	if e == nil {
 		return
+	}
+	if remap != nil {
+		e.remap.Store(&remap)
 	}
 	e.dropTS.Store(ts)
 	t.idx.DropSegment(id)
@@ -79,11 +84,12 @@ func (t *Table) dropSegment(ts uint64, id uint64) {
 
 // applySegDeletes installs new deleted-bits versions at ts for the given
 // (segment, offsets) sets, chasing merge remaps when a target segment was
-// retired between the caller's scan and this commit (§4.2). Callers run
-// inside the commit/replay critical section.
-func (t *Table) applySegDeletes(ts uint64, segDel map[uint64][]int32) {
+// retired between the caller's scan and this commit (§4.2), and returns
+// the resolved sets: the rows whose bits it set. Callers run inside the
+// commit/replay critical section.
+func (t *Table) applySegDeletes(ts uint64, segDel map[uint64][]int32) map[uint64][]int32 {
 	if len(segDel) == 0 {
-		return
+		return segDel
 	}
 	// Resolve remapped targets level by level until every offset lands in a
 	// live segment. A worklist (rather than per-segment recursion) is
@@ -140,6 +146,7 @@ func (t *Table) applySegDeletes(ts uint64, segDel map[uint64][]int32) {
 		}
 		e.versions.Store(&metaVersion{ts: ts, meta: cur.CloneWithDeleted(nd), prev: e.versions.Load()})
 	}
+	return resolved
 }
 
 // Flush converts up to MaxSegmentRows buffered rows into a columnstore
@@ -187,32 +194,27 @@ func (t *Table) Flush() (int, error) {
 		tx.Abort()
 		return 0, fmt.Errorf("flush %s: save file: %w", t.name, err)
 	}
-	n := seg.NumRows
-	payload := t.encodeLog(&mutation{
+	t.commit(wal.KindFlush, tx, &mutation{
 		DeleteKeys: delKeys,
-		NewSegs:    []segInstall{{File: file, Run: run, SegBytes: segBytes}},
-	})
-	t.committer.Commit(func(ts uint64) {
-		t.installSegment(ts, seg, run, file, nil)
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindFlush, ts, payload)
+		NewSegs:    []segInstall{{File: file, Run: run, SegBytes: segBytes, seg: seg}},
 	})
 	t.Stats.Flushes.Add(1)
 	t.maybeCompact()
-	return n, nil
+	return seg.NumRows, nil
 }
 
 // Merge runs one step of the background merger (§2.1.2): when the LSM has
 // too many sorted runs it merges them into new segments, preserving logical
 // contents. Deletes that commit between the merge's scan and its install
-// are re-applied via the deleted-bits diff, so merges never block update or
-// delete transactions (§4.2). It reports whether a merge happened.
+// are carried onto the outputs through the merge's remaps, so merges never
+// block update or delete transactions (§4.2). It reports whether a merge
+// happened.
 //
 // Only the install commit runs under structMu. The expensive part — the
 // columnar k-way merge, output encoding, and data-file writes — runs
 // outside it, which is safe because segment payloads and captured deleted
 // bitmaps are immutable (deletes install *new* meta versions, and the
-// install diff re-applies them), flushes only create new runs, and mergeMu
+// install carries them over), flushes only create new runs, and mergeMu
 // keeps a second merge from retiring our inputs. Output segments build and
 // persist on cfg.MergeWorkers goroutines.
 func (t *Table) Merge() bool {
@@ -277,10 +279,11 @@ func (t *Table) Merge() bool {
 		defer lease.Release()
 	}
 
-	// Scan phase: capture each input's meta (payload + deleted bitmap) so
-	// the install phase can diff deletes that land while we merge. The
-	// captured bitmaps are immutable — later deletes clone into new meta
-	// versions — so reading them off-lock is safe.
+	// Scan phase: capture each input's meta (payload + deleted bitmap); the
+	// merger drops the rows deleted here, so only deletes that land while
+	// we merge have an output location to carry to. The captured bitmaps
+	// are immutable — later deletes clone into new meta versions — so
+	// reading them off-lock is safe.
 	runs := make([][]*colstore.Meta, 0, len(plan.Runs))
 	for _, run := range plan.Runs {
 		metas := make([]*colstore.Meta, 0, len(byRun[run]))
@@ -310,20 +313,17 @@ func (t *Table) Merge() bool {
 		src = s
 	}
 	merger := colstore.NewKMerge(runs, t.schema, t.cfg.MaxSegmentRows, src)
-	inputs := merger.Inputs()
 
 	// Allocate output identities up front: ids ascend in key order so
 	// SnapshotAt's sort-by-ID keeps scan order deterministic.
 	newRun := int(t.nextRun.Add(1) - 1)
 	nOut := merger.NumOutputs()
-	outs := make([]*colstore.Segment, nOut)
-	outBytes := make([][]byte, nOut)
-	files := make([]string, nOut)
+	m := &mutation{NewSegs: make([]segInstall, nOut)}
 	ids := make([]uint64, nOut)
 	logHead := t.log.Head()
-	for i := range files {
+	for i := range ids {
 		ids[i] = t.nextSeg.Add(1) - 1
-		files[i] = fmt.Sprintf("%s/seg-%08d-lp%08d", t.name, ids[i], logHead)
+		m.NewSegs[i] = segInstall{File: fmt.Sprintf("%s/seg-%08d-lp%08d", t.name, ids[i], logHead), Run: newRun}
 	}
 
 	// Build, encode, and persist outputs in parallel.
@@ -343,6 +343,7 @@ func (t *Table) Merge() bool {
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				out := &m.NewSegs[i]
 				b := merger.BuildOutput(i, ids[i]).Encode()
 				// Install the output in its decoded form: it is what a
 				// reload of the data file produces, owns compact memory,
@@ -353,18 +354,17 @@ func (t *Table) Merge() bool {
 					// finds the output indexed. Entries of a segment no
 					// view holds yet are ignored by probes.
 					t.idx.AddSegment(seg)
-					err = t.files.SaveFile(files[i], b)
+					err = t.files.SaveFile(out.File, b)
 				}
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
-						firstErr = fmt.Errorf("merge %s: save %s: %w", t.name, files[i], err)
+						firstErr = fmt.Errorf("merge %s: save %s: %w", t.name, out.File, err)
 					}
 					errMu.Unlock()
 					continue
 				}
-				outs[i] = seg
-				outBytes[i] = b
+				out.seg, out.SegBytes = seg, b
 				saved[i].Store(true)
 			}
 		}()
@@ -378,10 +378,10 @@ func (t *Table) Merge() bool {
 		// Abort: delete every output that made it to the store so a failed
 		// merge leaks no orphan blobs, record the cause, and leave the
 		// inputs untouched for a later retry.
-		for i := range files {
+		for i, out := range m.NewSegs {
 			t.idx.DropSegment(ids[i])
 			if saved[i].Load() {
-				t.files.RemoveFile(files[i]) //nolint:errcheck // best-effort cleanup on abort
+				t.files.RemoveFile(out.File) //nolint:errcheck // best-effort cleanup on abort
 			}
 		}
 		t.Stats.MergeAborts.Add(1)
@@ -389,10 +389,12 @@ func (t *Table) Merge() bool {
 		return false
 	}
 
-	// Translate the merger's chunk-relative remaps into segment-id remaps.
-	outLocs := merger.Remaps()
-	remaps := make([][]remapTarget, len(inputs))
-	for i, locs := range outLocs {
+	// Retire the inputs with the merger's chunk-relative remaps translated
+	// into segment-id remaps; apply carries the deletes that landed on the
+	// inputs after our scan through them (§4.2's reordering rule, applied
+	// from the merge's side).
+	inputs := merger.Inputs()
+	for i, locs := range merger.Remaps() {
 		rt := make([]remapTarget, len(locs))
 		for j, l := range locs {
 			if l.Seg < 0 {
@@ -401,58 +403,12 @@ func (t *Table) Merge() bool {
 				rt[j] = remapTarget{seg: ids[l.Seg], off: l.Off}
 			}
 		}
-		remaps[i] = rt
+		m.DropSegs = append(m.DropSegs, inputs[i].Seg.ID)
+		m.remaps = append(m.remaps, rt)
 	}
-	outIdxByID := make(map[uint64]int, nOut)
-	for i, id := range ids {
-		outIdxByID[id] = i
-	}
-
 	t.structMu.Lock()
-	defer t.structMu.Unlock()
-	inputIDs := make([]uint64, len(inputs))
-	t.committer.Commit(func(ts uint64) {
-		// Diff: deletes that landed after our scan must carry over to the
-		// new segments (§4.2's reordering rule, applied from the merge's
-		// side).
-		carried := make([]*bitmap.Bitmap, nOut) // per output index
-		for i, m := range inputs {
-			id := m.Seg.ID
-			inputIDs[i] = id
-			t.segMu.RLock()
-			e := t.segs[id]
-			t.segMu.RUnlock()
-			nowDel := e.latestMeta().Deleted
-			was := m.Deleted
-			rt := remaps[i]
-			nowDel.Range(func(r int) bool {
-				if !was.Get(r) {
-					if tgt := rt[r]; tgt.off >= 0 {
-						bi := outIdxByID[tgt.seg]
-						if carried[bi] == nil {
-							carried[bi] = bitmap.New(outs[bi].NumRows)
-						}
-						carried[bi].Set(int(tgt.off))
-					}
-				}
-				return true
-			})
-		}
-		var installs []segInstall
-		for i, seg := range outs {
-			t.installSegment(ts, seg, newRun, files[i], carried[i])
-			installs = append(installs, segInstall{File: files[i], Run: newRun, Deleted: carried[i], SegBytes: outBytes[i]})
-		}
-		for i, m := range inputs {
-			t.segMu.RLock()
-			e := t.segs[m.Seg.ID]
-			t.segMu.RUnlock()
-			rm := remaps[i]
-			e.remap.Store(&rm)
-			t.dropSegment(ts, m.Seg.ID)
-		}
-		t.appendLog(wal.KindMerge, ts, &mutation{NewSegs: installs, DropSegs: inputIDs})
-	})
+	t.commit(wal.KindMerge, nil, m)
+	t.structMu.Unlock()
 	t.Stats.Merges.Add(1)
 	return true
 }

@@ -274,6 +274,7 @@ func TestMergeConcurrentWithWritesAndScans(t *testing.T) {
 	var (
 		inserted atomic.Int64 // ids < inserted are all present (pre-delete)
 		deleted  sync.Map     // id -> true once its DeleteWhere returned 1
+		mark     *shadowMark  // a snapshot cut mid-storm, for the replay check
 		stop     = make(chan struct{})
 		wg       sync.WaitGroup
 	)
@@ -283,6 +284,9 @@ func TestMergeConcurrentWithWritesAndScans(t *testing.T) {
 	go func() { // inserter
 		defer wg.Done()
 		for i := 100; i < total; i++ {
+			if i == total/2 {
+				mark = markShadow(tbl, log)
+			}
 			if err := tbl.Insert(urow(i, i, fmt.Sprintf("t%d", i%7))); err != nil {
 				t.Errorf("insert %d: %v", i, err)
 				return
@@ -412,21 +416,10 @@ func TestMergeConcurrentWithWritesAndScans(t *testing.T) {
 		t.Fatalf("NumRows = %d, want %d", got, want)
 	}
 
-	// The WAL must reproduce the merged state on a fresh replica.
-	replica, err := NewTable("t", schema, Config{MaxSegmentRows: 32}, NewCommitter(&txn.Oracle{}), wal.NewLog(), NewMemFiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := log.Records(0, log.Head())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := replica.Apply(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertSameContents(t, tbl, replica)
+	// The WAL must reproduce the merged state on a fresh replica, and on
+	// one restored from the snapshot cut mid-storm.
+	assertShadowEqual(t, tbl, log, nil)
+	assertShadowEqual(t, tbl, log, mark)
 }
 
 // gateFiles blocks the first SaveFile call after arm() until release() is

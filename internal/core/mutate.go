@@ -67,14 +67,9 @@ func (t *Table) moveToBuffer(locs []segLoc) error {
 		tx.Abort()
 		return nil
 	}
-	payload := t.encodeLog(m)
-	t.committer.Commit(func(ts uint64) {
-		// applySegDeletes chases merge remaps for rows whose segments were
-		// merged since our scan (§4.2).
-		t.applySegDeletes(ts, m.SegDeletes)
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindMove, ts, payload)
-	})
+	// apply chases merge remaps for rows whose segments were merged since
+	// our scan (§4.2), and the record names the rows it resolved.
+	t.commit(wal.KindMove, tx, m)
 	t.Stats.Moves.Add(int64(inserted))
 	return nil
 }
@@ -271,11 +266,7 @@ func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error)
 		tx.Abort()
 		return 0, nil
 	}
-	payload := t.encodeLog(m)
-	t.committer.Commit(func(ts uint64) {
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindInsert, ts, payload)
-	})
+	t.commit(wal.KindInsert, tx, m)
 	t.Stats.Updates.Add(int64(updated))
 	return updated, nil
 }
@@ -326,11 +317,7 @@ func (t *Table) DeleteWhere(w Where) (int, error) {
 		tx.Abort()
 		return 0, nil
 	}
-	payload := t.encodeLog(m)
-	t.committer.Commit(func(ts uint64) {
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindDelete, ts, payload)
-	})
+	t.commit(wal.KindDelete, tx, m)
 	t.Stats.Deletes.Add(int64(deleted))
 	return deleted, nil
 }
@@ -465,12 +452,7 @@ func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row
 		return false, err
 	}
 	m.Inserts = []kv{{Key: key, Row: nr}}
-	payload := t.encodeLog(m)
-	t.committer.Commit(func(ts uint64) {
-		t.applySegDeletes(ts, m.SegDeletes)
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindInsert, ts, payload)
-	})
+	t.commit(wal.KindInsert, tx, m)
 	t.Stats.Updates.Add(1)
 	return true, nil
 }
@@ -504,12 +486,7 @@ func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
 		tx.Abort()
 		return false, nil
 	}
-	payload := t.encodeLog(m)
-	t.committer.Commit(func(ts uint64) {
-		t.applySegDeletes(ts, m.SegDeletes)
-		tx.Commit(ts)
-		t.appendEncoded(wal.KindDelete, ts, payload)
-	})
+	t.commit(wal.KindDelete, tx, m)
 	t.Stats.Deletes.Add(1)
 	return true, nil
 }

@@ -92,12 +92,16 @@ func TestDeleteByUnique(t *testing.T) {
 func TestModelBasedRandomOps(t *testing.T) {
 	schema := uniqSchema()
 	schema.SortKey = 1
-	tbl, _ := newTestTable(t, schema, Config{MaxSegmentRows: 16, MergeFanout: 2})
+	tbl, log := newTestTable(t, schema, Config{MaxSegmentRows: 16, MergeFanout: 2})
 	model := map[int64]int64{} // id -> val
 	rng := rand.New(rand.NewSource(99))
 
 	const ops = 3000
+	var mark *shadowMark
 	for op := 0; op < ops; op++ {
+		if op == ops/2 {
+			mark = markShadow(tbl, log)
+		}
 		id := int64(rng.Intn(200))
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // upsert
@@ -162,6 +166,8 @@ func TestModelBasedRandomOps(t *testing.T) {
 			t.Fatalf("row %d = %d, model %d", id, got[id], want)
 		}
 	}
+	assertShadowEqual(t, tbl, log, nil)
+	assertShadowEqual(t, tbl, log, mark)
 }
 
 func TestLookupEqualOnNonIndexedColumn(t *testing.T) {

@@ -82,17 +82,10 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 		return fmt.Errorf("restore %s: bad segment count", t.name)
 	}
 	p += k
-	type manifestEntry struct {
-		id      uint64
-		numRows int
-		file    string
-		run     int
-		del     *bitmap.Bitmap
-	}
 	// The whole manifest parses before anything installs: a truncated or
 	// corrupt entry anywhere aborts the restore with zero segments (stub or
 	// otherwise) left behind.
-	entries := make([]manifestEntry, 0, ns)
+	m := &mutation{}
 	for i := uint64(0); i < ns; i++ {
 		id, k := binary.Uvarint(data[p:])
 		if k <= 0 {
@@ -125,7 +118,7 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 			return fmt.Errorf("restore %s: %w", t.name, err)
 		}
 		p += used
-		entries = append(entries, manifestEntry{id: id, numRows: int(nr), file: file, run: int(run), del: del})
+		m.NewSegs = append(m.NewSegs, segInstall{File: file, Run: int(run), seg: colstore.NewStub(id, int(nr), t.schema), deleted: del})
 	}
 	if rid, k := binary.Uvarint(data[p:]); k > 0 {
 		if rid > t.rowID.Load() {
@@ -136,13 +129,8 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 	// and let the hydrator's readahead pull payloads in view order behind
 	// it. Scans that outrun the readahead demand-fetch the segment they
 	// need and block only on it.
-	t.committer.ReplayAt(ts, func() {
-		for _, e := range entries {
-			t.installSegment(ts, colstore.NewStub(e.id, e.numRows, t.schema), e.run, e.file, e.del)
-		}
-		tx.Commit(ts)
-	})
-	if len(entries) > 0 {
+	t.committer.ReplayAt(ts, func() { t.apply(ts, tx, m) })
+	if len(m.NewSegs) > 0 {
 		h := t.hydrator()
 		view := t.SnapshotAt(ts)
 		for _, m := range view.Segs {

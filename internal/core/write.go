@@ -89,11 +89,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			}
 			m.Inserts = append(m.Inserts, kv{Key: key, Row: r})
 		}
-		payload := t.encodeLog(m)
-		res.CommitTS = t.committer.Commit(func(ts uint64) {
-			tx.Commit(ts)
-			res.LSN = t.appendEncoded(wal.KindInsert, ts, payload)
-		})
+		res.CommitTS, res.LSN = t.commit(wal.KindInsert, tx, m)
 		res.Inserted = len(rows)
 		t.Stats.Inserts.Add(int64(len(rows)))
 		return res, nil
@@ -246,12 +242,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		tx.Abort()
 		return res, nil
 	}
-	payload := t.encodeLog(m)
-	res.CommitTS = t.committer.Commit(func(ts uint64) {
-		t.applySegDeletes(ts, m.SegDeletes)
-		tx.Commit(ts)
-		res.LSN = t.appendEncoded(wal.KindInsert, ts, payload)
-	})
+	res.CommitTS, res.LSN = t.commit(wal.KindInsert, tx, m)
 	t.Stats.Inserts.Add(int64(res.Inserted))
 	t.Stats.Updates.Add(int64(res.Updated + res.Replaced))
 	return res, nil
@@ -380,12 +371,8 @@ func (t *Table) BulkLoad(rows []types.Row) error {
 		if err := t.files.SaveFile(file, segBytes); err != nil {
 			return fmt.Errorf("bulk load %s: %w", t.name, err)
 		}
-		payload := t.encodeLog(&mutation{
-			NewSegs: []segInstall{{File: file, Run: run, SegBytes: segBytes}},
-		})
-		t.committer.Commit(func(ts uint64) {
-			t.installSegment(ts, seg, run, file, nil)
-			t.appendEncoded(wal.KindFlush, ts, payload)
+		t.commit(wal.KindFlush, nil, &mutation{
+			NewSegs: []segInstall{{File: file, Run: run, SegBytes: segBytes, seg: seg}},
 		})
 	}
 	t.Stats.Inserts.Add(int64(len(rows)))

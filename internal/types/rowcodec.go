@@ -32,10 +32,12 @@ func EncodeRow(buf []byte, r Row) []byte {
 }
 
 // DecodeRow decodes a row written by EncodeRow, returning the bytes
-// consumed.
+// consumed. Hostile input is an error, never a panic: the arity and string
+// lengths are checked against the bytes left before anything is allocated.
 func DecodeRow(buf []byte) (Row, int, error) {
 	n, k := binary.Uvarint(buf)
-	if k <= 0 {
+	// Every value takes at least its two header bytes.
+	if k <= 0 || n > uint64(len(buf)-k)/2 {
 		return nil, 0, fmt.Errorf("types: bad row arity")
 	}
 	p := k
@@ -67,7 +69,7 @@ func DecodeRow(buf []byte) (Row, int, error) {
 			p += 8
 		case String:
 			l, k := binary.Uvarint(buf[p:])
-			if k <= 0 || p+k+int(l) > len(buf) {
+			if k <= 0 || l > uint64(len(buf)-p-k) {
 				return nil, 0, fmt.Errorf("types: bad string in row")
 			}
 			r[i] = NewString(string(buf[p+k : p+k+int(l)]))
