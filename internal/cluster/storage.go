@@ -145,8 +145,13 @@ type Stager struct {
 	files *PartitionFiles
 	store blob.Store
 
-	chunkRecords    int
-	snapshotEvery   int
+	chunkRecords  int
+	snapshotEvery int
+
+	// runMu serialises staging rounds and snapshots — the background loop,
+	// Step and Snapshot — which all read and advance the uploaded log
+	// position and lastSnapshotLSN.
+	runMu           sync.Mutex
 	lastSnapshotLSN uint64
 
 	stop chan struct{}
@@ -193,7 +198,7 @@ func (s *Stager) Start() {
 		retry := time.NewTimer(time.Hour)
 		retry.Stop()
 		defer retry.Stop()
-		err := s.step() // catch up on anything staged before Start
+		err := s.lockedStep() // catch up on anything staged before Start
 		for {
 			var retryC <-chan time.Time
 			if err != nil {
@@ -213,7 +218,7 @@ func (s *Stager) Start() {
 			}
 			select {
 			case <-s.stop:
-				s.step() // final drain
+				s.lockedStep() // final drain
 				return
 			case <-s.files.pendCh:
 			case <-s.part.DurableNotify():
@@ -227,15 +232,22 @@ func (s *Stager) Start() {
 					<-retry.C
 				}
 			}
-			err = s.step()
+			err = s.lockedStep()
 		}
 	}()
 }
 
 // Step performs one staging round synchronously (exported for tests and
 // deterministic harness runs).
-func (s *Stager) Step() { _ = s.step() }
+func (s *Stager) Step() { _ = s.lockedStep() }
 
+func (s *Stager) lockedStep() error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	return s.step()
+}
+
+// step is one staging round. Callers hold runMu.
 func (s *Stager) step() error {
 	if s.store == nil {
 		return nil
@@ -281,7 +293,7 @@ func (s *Stager) step() error {
 	// Periodic snapshot of rowstore state (§3.1: snapshots go straight to
 	// blob storage).
 	if s.part.Uploaded()-s.lastSnapshotLSN >= uint64(s.snapshotEvery) {
-		if err := s.Snapshot(); err != nil {
+		if err := s.snapshot(); err != nil {
 			s.note(err)
 			if firstErr == nil {
 				firstErr = err
@@ -295,6 +307,13 @@ func (s *Stager) step() error {
 // uploads the bundle keyed by the log position it covers and the wall
 // clock (PITR selects snapshots by wall time, §3.2).
 func (s *Stager) Snapshot() error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	return s.snapshot()
+}
+
+// snapshot is Snapshot for callers that hold runMu.
+func (s *Stager) snapshot() error {
 	if s.store == nil {
 		return nil
 	}

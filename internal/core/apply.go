@@ -231,7 +231,8 @@ func TableOfRecord(rec wal.Record) (string, error) {
 // m at the next timestamp — the apply a replica runs on the record — and
 // appends the record built from m after apply, so the log names what was
 // applied rather than what the writer scanned. tx holds m's staged buffer
-// writes; it is nil when there are none.
+// writes; it is nil when there are none. A commit that creates maintenance
+// work wakes the maintenance loop.
 func (t *Table) commit(kind wal.Kind, tx *rowstore.Txn, m *mutation) (ts, lsn uint64) {
 	m.Table = t.name
 	head := m.encodeHead()
@@ -239,6 +240,7 @@ func (t *Table) commit(kind wal.Kind, tx *rowstore.Txn, m *mutation) (ts, lsn ui
 		t.apply(ts, tx, m)
 		lsn = t.log.Append(kind, ts, m.appendSegDeletes(head))
 	})
+	t.wakeAfter(tx, m)
 	return ts, lsn
 }
 

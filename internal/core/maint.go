@@ -16,9 +16,97 @@ import (
 )
 
 // mergeAdmissionWait bounds how long one merge round waits for its
-// tenant's merge-I/O lease before giving the tick back to the
-// background loop.
+// tenant's merge-I/O lease before giving the round back to the
+// maintenance loop, which retries on its timer.
 const mergeAdmissionWait = 2 * time.Second
+
+// wake asks the maintenance loop for a round without blocking; wakes that
+// arrive while one is already pending coalesce into it.
+func (t *Table) wake() {
+	select {
+	case t.kick <- struct{}{}:
+	default:
+	}
+}
+
+// wakeAfter wakes the maintenance loop when a commit created work for it:
+// m installed segments, so the run count changed (flush, merge, bulk
+// load); the commit's buffer writes left the buffer at the flush
+// threshold; or it is the first buffer-writing commit since the last
+// compaction, so the buffer holds garbage to compact. A commit that does
+// none of these pays two atomic loads.
+func (t *Table) wakeAfter(tx *rowstore.Txn, m *mutation) {
+	wake := len(m.NewSegs) > 0
+	if tx != nil {
+		if !t.dirty.Load() && t.dirty.CompareAndSwap(false, true) {
+			wake = true
+		}
+		if t.buffer.Len() >= t.cfg.FlushThreshold {
+			wake = true
+		}
+	}
+	if wake {
+		t.wake()
+	}
+}
+
+// maintain is the background flusher and merger (§2.1.2). It sleeps until
+// a commit wakes it (wakeAfter) and then runs a round. It arms its one
+// timer, at CompactionGrace/4, only while a round leaves work pending, so a
+// table nobody writes costs nothing. It returns when ctx is canceled.
+func (t *Table) maintain(ctx context.Context) {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	for ctx.Err() == nil {
+		pending := t.maintenanceRound(ctx)
+		var timerC <-chan time.Time
+		if pending {
+			timer.Reset(t.cfg.CompactionGrace / 4)
+			timerC = timer.C
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.kick:
+			if pending && !timer.Stop() {
+				<-timer.C
+			}
+		case <-timerC:
+		}
+	}
+}
+
+// maintenanceRound flushes while the buffer is at the flush threshold and
+// merges while the LSM has a tier to collapse, repeating while either did
+// work, then stamps the published timestamp and compacts. Each pass first
+// takes any pending wake, since the pass covers it; the wakes of the
+// round's own flushes and merges are taken that way too. It reports
+// whether work is left for the retry timer: buffer garbage not compacted
+// yet, or a flush or merge that failed, was shed or was aborted.
+func (t *Table) maintenanceRound(ctx context.Context) (pending bool) {
+	t.Stats.BackgroundRounds.Add(1)
+	for ctx.Err() == nil {
+		select {
+		case <-t.kick:
+		default:
+		}
+		flushed, retry := false, false
+		if t.buffer.Len() >= t.cfg.FlushThreshold {
+			n, err := t.Flush()
+			flushed, retry = n > 0, err != nil
+		}
+		merged, mergeRetry := t.merge(ctx)
+		pending = retry || mergeRetry
+		if !flushed && !merged {
+			break
+		}
+	}
+	t.structMu.Lock()
+	defer t.structMu.Unlock()
+	t.maybeCompact()
+	return pending || t.dirty.Load() || t.compactedTS < t.garbageTS
+}
 
 // installSegment adds a segment entry visible from ts. Callers run inside
 // the commit/replay critical section. Unhydrated stubs (lazy restore) defer
@@ -218,6 +306,15 @@ func (t *Table) Flush() (int, error) {
 // keeps a second merge from retiring our inputs. Output segments build and
 // persist on cfg.MergeWorkers goroutines.
 func (t *Table) Merge() bool {
+	merged, _ := t.merge(context.Background())
+	return merged
+}
+
+// merge is Merge under ctx, which bounds its admission and hydration
+// waits. retry reports a merge that was planned but did not happen — shed,
+// not admitted, a failed input fetch, or an aborted persist — and that the
+// maintenance loop must try again without a further write.
+func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 	t.mergeMu.Lock()
 	defer t.mergeMu.Unlock()
 
@@ -240,27 +337,27 @@ func (t *Table) Merge() bool {
 	// Cache-aware planning: score each run by its decoded-vector cache
 	// footprint so ties prefer cold runs and merges keep their hands off
 	// the hottest cached vectors.
-	var heat map[int]int64
+	var heatOf func(run int) int64
 	if vr, ok := t.cfg.DecodedCache.(VectorResidency); ok {
-		heat = make(map[int]int64, len(runSegs))
-		for run, segs := range runSegs {
-			for _, seg := range segs {
+		heatOf = func(run int) (heat int64) {
+			for _, seg := range runSegs[run] {
 				bytes, hits := vr.SegmentHeat(seg)
-				heat[run] += bytes + 1024*hits
+				heat += bytes + 1024*hits
 			}
+			return heat
 		}
 	}
-	plan := colstore.PickMerge(runSizes, t.cfg.MergeFanout, heat)
+	plan := planMerge(runSizes, t.cfg.MergeFanout, heatOf)
 	if plan == nil {
-		return false
+		return false, false
 	}
 
 	// QoS admission: lease merge-I/O budget (≈ output bytes in flight)
 	// from this partition's tenant before the expensive build/persist
 	// phase. A shed — or a tenant so contended the lease doesn't clear
-	// within the bounded wait — skips the round; background maintenance
-	// retries on its next tick, which is exactly the throttling the
-	// governor wants.
+	// within the bounded wait — skips the merge, and the maintenance loop
+	// retries on its timer, which is exactly the throttling the governor
+	// wants.
 	if t.cfg.QoS != nil {
 		var est int64
 		for _, run := range plan.Runs {
@@ -270,11 +367,11 @@ func (t *Table) Merge() bool {
 		if est < 1 {
 			est = 1
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), mergeAdmissionWait)
-		lease, _, err := t.cfg.QoS.AcquireUpTo(ctx, t.cfg.QoSTenant, qos.MergeIO, est/4+1, est)
+		actx, cancel := context.WithTimeout(ctx, mergeAdmissionWait)
+		lease, _, err := t.cfg.QoS.AcquireUpTo(actx, t.cfg.QoSTenant, qos.MergeIO, est/4+1, est)
 		cancel()
 		if err != nil {
-			return false
+			return false, true
 		}
 		defer lease.Release()
 	}
@@ -302,9 +399,9 @@ func (t *Table) Merge() bool {
 	if t.unhydrated.Load() != 0 {
 		h := t.hydrator()
 		for _, metas := range runs {
-			if err := h.waitAll(context.Background(), metas); err != nil {
+			if err := h.waitAll(ctx, metas); err != nil {
 				t.Stats.setMergeError(fmt.Errorf("merge %s: %w", t.name, err))
-				return false
+				return false, true
 			}
 		}
 	}
@@ -386,7 +483,7 @@ func (t *Table) Merge() bool {
 		}
 		t.Stats.MergeAborts.Add(1)
 		t.Stats.setMergeError(firstErr)
-		return false
+		return false, true
 	}
 
 	// Retire the inputs with the merger's chunk-relative remaps translated
@@ -410,12 +507,33 @@ func (t *Table) Merge() bool {
 	t.commit(wal.KindMerge, nil, m)
 	t.structMu.Unlock()
 	t.Stats.Merges.Add(1)
-	return true
+	return true, false
+}
+
+// planMerge is colstore.PickMerge with heat fetched only where it can
+// change the plan. Without heat, PickMerge picks the same tier and returns
+// every run in it; heat only chooses among the runs of a tier holding more
+// than fanout of them. So the plan without heat decides whether there is a
+// merge at all, and heatOf (nil: no heat) is called for that tier's runs
+// alone.
+func planMerge(runSizes map[int]int, fanout int, heatOf func(run int) int64) *colstore.MergePlan {
+	plan := colstore.PickMerge(runSizes, fanout, nil)
+	if plan == nil || heatOf == nil || len(plan.Runs) <= fanout {
+		return plan
+	}
+	heat := make(map[int]int64, len(plan.Runs))
+	for _, run := range plan.Runs {
+		heat[run] = heatOf(run)
+	}
+	return colstore.PickMerge(runSizes, fanout, heat)
 }
 
 // maybeCompact physically removes tombstoned buffer nodes left behind by
 // flushes and trims MVCC version chains, once they are older than the
-// compaction grace period. Callers hold structMu.
+// compaction grace period. A compaction clears dirty and moves garbageTS
+// up to the published timestamp: the commits it covers are the ones whose
+// garbage may survive a compaction at an older keepTS. Callers hold
+// structMu.
 func (t *Table) maybeCompact() {
 	now := time.Now()
 	t.tsHistory = append(t.tsHistory, tsStamp{ts: t.committer.Oracle().ReadTS(), at: now})
@@ -435,5 +553,12 @@ func (t *Table) maybeCompact() {
 		return
 	}
 	t.lastCompact = now
+	// A commit that ran wakeAfter before this swap had published, so its
+	// timestamp is at most the ReadTS read after it; one that runs it later
+	// finds dirty clear, sets it and wakes the loop.
+	if t.dirty.Swap(false) {
+		t.garbageTS = t.committer.Oracle().ReadTS()
+	}
 	t.buffer.Compact(keepTS)
+	t.compactedTS = keepTS
 }

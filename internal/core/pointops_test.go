@@ -189,8 +189,7 @@ func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 	// exactly-once.
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
 		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2,
-		Background: true, BackgroundInterval: 100 * time.Microsecond,
-		CompactionGrace: 50 * time.Millisecond,
+		Background: true, CompactionGrace: 50 * time.Millisecond,
 	})
 	tbl.Start()
 	defer tbl.Close()
@@ -223,6 +222,9 @@ func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if tbl.Stats.Flushes.Load() == 0 {
+		t.Fatal("no flush ran beside the upserts: every commit at FlushThreshold 1 must wake the flusher")
+	}
 	var total int64
 	for k := 0; k < keys; k++ {
 		r, ok, err := tbl.GetByUnique([]types.Value{types.NewInt(int64(k))})
@@ -243,8 +245,7 @@ func TestPointUpdateUnderAggressiveFlushing(t *testing.T) {
 	// Same regression through UpdateByUnique.
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
 		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2,
-		Background: true, BackgroundInterval: 100 * time.Microsecond,
-		CompactionGrace: 50 * time.Millisecond,
+		Background: true, CompactionGrace: 50 * time.Millisecond,
 	})
 	tbl.Start()
 	defer tbl.Close()
@@ -274,6 +275,9 @@ func TestPointUpdateUnderAggressiveFlushing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if tbl.Stats.Flushes.Load() == 0 {
+		t.Fatal("no flush ran beside the updates: every commit at FlushThreshold 1 must wake the flusher")
+	}
 	r, ok, _ := tbl.GetByUnique([]types.Value{types.NewInt(0)})
 	if !ok {
 		t.Fatal("row lost")

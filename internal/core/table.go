@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -36,14 +37,13 @@ type Config struct {
 	MergeFanout int
 	// LockTimeout bounds row-lock and unique-key-lock waits.
 	LockTimeout time.Duration
-	// Background enables the flusher/merger goroutines when the table is
-	// started.
+	// Background enables the maintenance loop (flush, merge, compaction)
+	// when the table is started.
 	Background bool
-	// BackgroundInterval is the poll interval of background work.
-	BackgroundInterval time.Duration
 	// CompactionGrace is how long tombstoned buffer nodes are retained for
 	// old snapshots before physical removal. Readers must not use
-	// snapshots older than this.
+	// snapshots older than this. While work is pending, the maintenance
+	// loop retries every CompactionGrace/4.
 	CompactionGrace time.Duration
 	// DecodedCache, when non-nil, is the shared decoded-vector cache the
 	// execution layer serves scans from (exec.VecCache). The table's only
@@ -61,8 +61,8 @@ type Config struct {
 	// QoS, when non-nil, is the multi-tenant governor merges lease their
 	// I/O budget from (qos.MergeIO tokens ≈ bytes of merge output in
 	// flight): a merge whose tenant is out of budget waits its turn, and
-	// one shed at the queue cap skips the round — background maintenance
-	// retries on its next tick. Nil leaves merges ungoverned.
+	// one shed at the queue cap skips the round — the maintenance loop arms
+	// its retry timer and tries again. Nil leaves merges ungoverned.
 	QoS *qos.Governor
 	// QoSTenant is the tenant this partition's maintenance work is
 	// accounted to: the workspace name for workspace replicas, the
@@ -98,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 2 * time.Second
-	}
-	if c.BackgroundInterval <= 0 {
-		c.BackgroundInterval = 2 * time.Millisecond
 	}
 	if c.CompactionGrace <= 0 {
 		c.CompactionGrace = time.Second
@@ -267,6 +264,9 @@ type Stats struct {
 	// (the stub stays installed and the next demand retries).
 	Hydrations      atomic.Int64
 	HydrationErrors atomic.Int64
+	// BackgroundRounds counts maintenance-loop rounds: one when the loop
+	// starts, then one per wake by a commit or by the retry timer.
+	BackgroundRounds atomic.Int64
 
 	mergeErr atomic.Pointer[string]
 }
@@ -326,17 +326,27 @@ type Table struct {
 	// Stats is exported for the benchmark harness.
 	Stats Stats
 
+	// kick wakes the maintenance loop; its one slot coalesces wakes. It is
+	// made in NewTable, so a commit before Start only fills the slot.
+	kick chan struct{}
+	// dirty is set by the first buffer-writing commit after a compaction
+	// (wakeAfter) and cleared by the next compaction.
+	dirty atomic.Bool
+
 	bg struct {
-		stop chan struct{}
-		wg   sync.WaitGroup
-		once sync.Once
+		ctx    context.Context // canceled by Close
+		cancel context.CancelFunc
+		wg     sync.WaitGroup
 	}
 
 	// tsHistory records (timestamp, wall time) pairs so compaction can pick
-	// a keepTS that every plausible reader has moved past. Guarded by
-	// structMu, as is lastCompact.
-	tsHistory   []tsStamp
-	lastCompact time.Time
+	// a keepTS that every plausible reader has moved past. Buffer garbage
+	// from commits up to garbageTS waits for a compaction at keepTS >=
+	// garbageTS; compactedTS is the last keepTS. Guarded by structMu, as
+	// are lastCompact, garbageTS and compactedTS.
+	tsHistory              []tsStamp
+	lastCompact            time.Time
+	garbageTS, compactedTS uint64
 }
 
 type tsStamp struct {
@@ -362,6 +372,7 @@ func NewTable(name string, schema *types.Schema, cfg Config, committer *Committe
 		uniq:      txn.NewLockManager(),
 		idx:       index.NewSet(schema),
 		segs:      make(map[uint64]*segEntry),
+		kick:      make(chan struct{}, 1),
 	}
 	return t, nil
 }
@@ -484,39 +495,28 @@ func (t *Table) EnableBackground() {
 	t.Start()
 }
 
-// Start launches the background flusher and merger when configured.
+// Start launches the maintenance loop (see maintain) when configured. Its
+// first round runs at once, so work that built up before Start — a
+// promoted replica's buffer, a bulk load's runs — is picked up without a
+// further write.
 func (t *Table) Start() {
-	if !t.cfg.Background || t.bg.stop != nil {
+	if !t.cfg.Background || t.bg.cancel != nil {
 		return
 	}
-	t.bg.stop = make(chan struct{})
+	t.bg.ctx, t.bg.cancel = context.WithCancel(context.Background())
 	t.bg.wg.Add(1)
 	go func() {
 		defer t.bg.wg.Done()
-		ticker := time.NewTicker(t.cfg.BackgroundInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-t.bg.stop:
-				return
-			case <-ticker.C:
-				if t.buffer.Len() >= t.cfg.FlushThreshold {
-					t.Flush() //nolint:errcheck // background flush retries next tick
-				}
-				t.Merge()
-				t.structMu.Lock()
-				t.maybeCompact()
-				t.structMu.Unlock()
-			}
-		}
+		t.maintain(t.bg.ctx)
 	}()
 }
 
 // Close stops background work, including any hydration workers; blocked
-// hydration waiters get ErrTableClosed.
+// hydration waiters get ErrTableClosed. A maintenance round in progress
+// stops at its next flush or merge boundary.
 func (t *Table) Close() {
-	if t.bg.stop != nil {
-		t.bg.once.Do(func() { close(t.bg.stop) })
+	if t.bg.cancel != nil {
+		t.bg.cancel()
 		t.bg.wg.Wait()
 	}
 	if h := t.hydr.Load(); h != nil {
