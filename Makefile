@@ -10,8 +10,9 @@ check: build vet race
 # multi-tenant QoS isolation gate, the storage and replication tests at
 # one and two cores, the seeded chaos soak, a smoke pass of the four
 # benchmark workloads, and a short fuzz pass of the SQL front-end, the WAL
-# page codec, the exec filter tree, the unique-key range derivation and
-# the table log-record decoder. Run it locally before pushing.
+# page codec, the exec filter tree, the unique-key range derivation, the
+# table log-record decoder and the snapshot-bundle decoder. Run it locally
+# before pushing.
 ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -100,9 +101,10 @@ benchsmoke:
 # which a segment strategy disagrees with row-at-a-time EvalRow,
 # FuzzKeyRange must find no key schema, pins and rows on which seeking the
 # derived unique-key range (or routing to the derived partition) loses a
-# row that walking every row keeps, and FuzzDecodeMutation must reject
-# hostile table log records without panicking or allocating beyond their
-# size. Long campaigns are manual; this is the CI regression guard.
+# row that walking every row keeps, and FuzzDecodeMutation and
+# FuzzDecodeSnapshotBundle must reject hostile table log records and
+# snapshot bundles without panicking or allocating beyond their size.
+# Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
@@ -110,6 +112,7 @@ fuzzsmoke:
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
+	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

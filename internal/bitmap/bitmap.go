@@ -97,7 +97,7 @@ func (b *Bitmap) AppendBinary(buf []byte) []byte {
 // number of bytes consumed.
 func Decode(buf []byte) (*Bitmap, int, error) {
 	n, k := binary.Uvarint(buf)
-	if k <= 0 {
+	if k <= 0 || n > uint64(len(buf)-k)*8 {
 		return nil, 0, fmt.Errorf("bitmap: bad length")
 	}
 	p := k

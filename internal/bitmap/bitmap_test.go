@@ -1,6 +1,8 @@
 package bitmap
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -118,5 +120,11 @@ func TestDecodeErrors(t *testing.T) {
 	buf := b.AppendBinary(nil)
 	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated decode should fail")
+	}
+	// Lengths of 2^63 bits and above are negative as int.
+	for _, n := range []uint64{1 << 63, math.MaxUint64} {
+		if _, _, err := Decode(binary.AppendUvarint(nil, n)); err == nil {
+			t.Fatalf("Decode of length %d should fail", n)
+		}
 	}
 }

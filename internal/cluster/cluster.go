@@ -163,13 +163,18 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.replicas = append(c.replicas, reps)
 		c.links = append(c.links, links)
-		stager := NewStager(p, files, cfg.Blob, cfg.ChunkRecords, cfg.SnapshotEvery)
-		if cfg.Blob != nil {
-			stager.Start()
-		}
-		c.stagers = append(c.stagers, stager)
+		c.stagers = append(c.stagers, c.startStager(p))
 	}
 	return c, nil
+}
+
+// startStager starts blob staging out of master p.
+func (c *Cluster) startStager(p *Partition) *Stager {
+	s := NewStager(p, p.files, c.cfg.Blob, c.cfg.ChunkRecords, c.cfg.SnapshotEvery)
+	if c.cfg.Blob != nil {
+		s.Start()
+	}
+	return s
 }
 
 func (c *Cluster) blobPrefix(part int) string {
@@ -237,7 +242,11 @@ func (c *Cluster) Master(i int) *Partition {
 }
 
 // Stager returns partition i's blob stager.
-func (c *Cluster) Stager(i int) *Stager { return c.stagers[i] }
+func (c *Cluster) Stager(i int) *Stager {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stagers[i]
+}
 
 // CreateTable creates a table on every master, HA replica and workspace.
 func (c *Cluster) CreateTable(name string, schema *types.Schema) error {
@@ -315,7 +324,6 @@ func (c *Cluster) Insert(table string, rows []types.Row, opts core.InsertOptions
 		total.Skipped += res.Skipped
 		total.Replaced += res.Replaced
 		total.Updated += res.Updated
-		p.NoteAppend()
 		if err := p.WaitDurable(res.LSN, c.cfg.CommitTimeout); err != nil {
 			return total, err
 		}
@@ -343,7 +351,6 @@ func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
 		if err := tbl.BulkLoad(batch); err != nil {
 			return err
 		}
-		p.NoteAppend()
 		if err := p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout); err != nil {
 			return err
 		}
@@ -411,7 +418,6 @@ func (c *Cluster) mutateWhere(table string, w core.Where, apply func(*core.Table
 			return false, err
 		}
 		total += n
-		p.NoteAppend()
 		if n > 0 {
 			return false, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
 		}
@@ -526,10 +532,11 @@ func (c *Cluster) FailMaster(pi int) error {
 		return fmt.Errorf("cluster: partition %d has no HA replica to promote", pi)
 	}
 	old := c.masters[pi]
-	// Stop replication out of the failed master.
+	// Stop replication and staging out of the failed master.
 	for _, l := range c.links[pi] {
 		l.Stop()
 	}
+	c.stagers[pi].Close()
 	old.Close()
 	// Pick the replica with the most applied records.
 	best := 0
@@ -542,6 +549,10 @@ func (c *Cluster) FailMaster(pi int) error {
 	promoted.Promote(c.cfg.Table.Background)
 	promoted.setMinSyncers(min(c.cfg.SyncReplicas, len(reps)-1))
 	c.masters[pi] = promoted
+	// Staging resumes out of the promoted master where the old one
+	// stopped, so writes after the failover still reach blob storage.
+	promoted.markUploaded(old.Uploaded())
+	c.stagers[pi] = c.startStager(promoted)
 	// Re-attach the remaining replicas to the new master from their own
 	// positions.
 	var newReps []*Partition
@@ -728,7 +739,6 @@ func (c *Cluster) mutateByUnique(table string, vals []types.Value, apply func(*c
 			return false, err
 		}
 		found = true
-		p.NoteAppend()
 		return true, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
 	})
 	return found, err

@@ -320,14 +320,11 @@ func runPITRSuite(t *testing.T, mutate func(*Config)) {
 	restored, err := PointInTimeRestore(Config{
 		Name: "db", Partitions: 2, Blob: store,
 		Table: core.Config{MaxSegmentRows: 16},
-	}, pastTime)
+	}, map[string]*types.Schema{"items": testSchema()}, pastTime)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if err := restored.RestoreTables(map[string]*types.Schema{"items": testSchema()}, pastTime); err != nil {
-		t.Fatal(err)
-	}
 	views, err := restored.Views("items")
 	if err != nil {
 		t.Fatal(err)
@@ -524,11 +521,17 @@ func TestFailoverUnderConcurrentWrites(t *testing.T) {
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
+	failed := time.Now()
 	if err := c.FailMaster(0); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	<-done
+	// A write waiting on the closed master fails at once (ErrPartitionClosed)
+	// instead of sleeping out the 10 s CommitTimeout.
+	if took := time.Since(failed); took > 2*time.Second {
+		t.Fatalf("writer stopped %v after the failover", took)
+	}
 	_ = writerErr // failures during failover are acceptable
 	close(acked)
 	// Every acknowledged insert must be readable on the promoted master.
@@ -597,14 +600,11 @@ func TestPITRBeforeMergeUsesRetainedHistory(t *testing.T) {
 	restored, err := PointInTimeRestore(Config{
 		Name: "db", Partitions: 1, Blob: store,
 		Table: core.Config{MaxSegmentRows: 8},
-	}, past)
+	}, map[string]*types.Schema{"items": testSchema()}, past)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if err := restored.RestoreTables(map[string]*types.Schema{"items": testSchema()}, past); err != nil {
-		t.Fatal(err)
-	}
 	views, _ := restored.Views("items")
 	if got := countAll(t, views); got != 32 {
 		t.Fatalf("restored rows = %d, want the pre-merge 32", got)

@@ -175,14 +175,11 @@ func pitrStateUnder(t *testing.T, interval time.Duration, pageBytes int, mutate 
 	restored, err := PointInTimeRestore(Config{
 		Name: "eqv", Partitions: 2, Blob: store,
 		Table: core.Config{MaxSegmentRows: 32},
-	}, target)
+	}, map[string]*types.Schema{"items": testSchema()}, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if err := restored.RestoreTables(map[string]*types.Schema{"items": testSchema()}, target); err != nil {
-		t.Fatal(err)
-	}
 	states := make([][]byte, 2)
 	for pi := range states {
 		tbl, err := restored.Master(pi).Table("items")

@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -62,29 +63,19 @@ type Partition struct {
 
 	tableCfg core.Config
 
-	// Durability machinery (master only). durableCh is closed and replaced
-	// on watermark advance, but only while durableWaiters > 0 — page-batched
-	// acks would otherwise churn a channel per advance with nobody waiting.
-	commitMode     CommitMode
-	durableMu      sync.Mutex
-	durableCh      chan struct{}
-	durableWaiters int
-	durableNotify  chan struct{} // capacity-1 edge trigger for the stager
-	acks           map[int]uint64
-	ackScratch     []uint64 // reused by recomputeDurableLocked
-	minSyncers     int
+	// Durability machinery (master only). durable mirrors the log's
+	// durable watermark for waiters; durableMu guards the acks it is
+	// computed from.
+	commitMode    CommitMode
+	durableMu     sync.Mutex
+	durable       watermark
+	durableNotify chan struct{} // capacity-1 edge trigger for the stager
+	acks          map[int]uint64
+	ackScratch    []uint64 // reused by recomputeDurableLocked
+	minSyncers    int
 
-	// uploadedLSN advances as log chunks reach blob storage.
-	uploadedMu      sync.Mutex
-	uploaded        uint64
-	uploadedCh      chan struct{}
-	uploadedWaiters int
-
-	// appliedLSN is maintained on replicas.
-	appliedMu      sync.Mutex
-	applied        uint64
-	appliedCh      chan struct{}
-	appliedWaiters int
+	uploaded watermark // advances as log chunks reach blob storage
+	applied  watermark // the next LSN a replica needs
 
 	closed chan struct{}
 	wg     sync.WaitGroup
@@ -105,10 +96,7 @@ func newPartition(db string, id int, role Role, tableCfg core.Config, files *Par
 		tables:        make(map[string]*core.Table),
 		tableCfg:      tableCfg,
 		commitMode:    commitMode,
-		durableCh:     make(chan struct{}),
 		durableNotify: make(chan struct{}, 1),
-		uploadedCh:    make(chan struct{}),
-		appliedCh:     make(chan struct{}),
 		acks:          make(map[int]uint64),
 		closed:        make(chan struct{}),
 	}
@@ -212,10 +200,7 @@ func (p *Partition) recomputeDurableLocked() {
 	}
 	if newDurable > p.log.Durable() {
 		p.log.MarkDurable(newDurable)
-		if p.durableWaiters > 0 {
-			close(p.durableCh)
-			p.durableCh = make(chan struct{})
-		}
+		p.durable.advance(newDurable)
 		select {
 		case p.durableNotify <- struct{}{}:
 		default:
@@ -237,130 +222,109 @@ func (p *Partition) NoteAppend() {
 }
 
 // WaitDurable blocks until the record at lsn is durable under the
-// partition's commit mode.
+// partition's commit mode. It notes appends first: with no sync replica,
+// a record is durable once appended, and that includes records background
+// maintenance appended after the caller's own commit.
 func (p *Partition) WaitDurable(lsn uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if p.commitMode == CommitBlob {
-			p.uploadedMu.Lock()
-			ok := p.uploaded > lsn
-			var ch chan struct{}
-			if !ok {
-				p.uploadedWaiters++
-				ch = p.uploadedCh
-			}
-			p.uploadedMu.Unlock()
-			if ok {
-				return nil
-			}
-			woke := waitCh(ch, deadline)
-			p.uploadedMu.Lock()
-			p.uploadedWaiters--
-			p.uploadedMu.Unlock()
-			if !woke {
-				return fmt.Errorf("partition %d: blob-commit wait timed out at LSN %d", p.ID, lsn)
-			}
-			continue
-		}
-		p.durableMu.Lock()
-		ok := p.log.Durable() > lsn
-		var ch chan struct{}
-		if !ok {
-			p.durableWaiters++
-			ch = p.durableCh
-		}
-		p.durableMu.Unlock()
-		if ok {
-			return nil
-		}
-		woke := waitCh(ch, deadline)
-		p.durableMu.Lock()
-		p.durableWaiters--
-		p.durableMu.Unlock()
-		if !woke {
-			return fmt.Errorf("partition %d: replication wait timed out at LSN %d", p.ID, lsn)
-		}
+	p.NoteAppend()
+	w, what := &p.durable, "replication"
+	if p.commitMode == CommitBlob {
+		w, what = &p.uploaded, "blob-commit"
 	}
+	if err := w.wait(lsn+1, p.closed, timeout); err != nil {
+		return fmt.Errorf("partition %d: %s wait at LSN %d: %w", p.ID, what, lsn, err)
+	}
+	return nil
 }
 
-func waitCh(ch chan struct{}, deadline time.Time) bool {
-	d := time.Until(deadline)
-	if d <= 0 {
-		return false
+// ErrPartitionClosed is returned to WaitDurable and WaitApplied callers
+// whose partition closed before their LSN arrived (a failed-over master,
+// a detached workspace): nothing will advance a closed partition's
+// watermarks, so they fail now rather than at their timeout.
+var ErrPartitionClosed = errors.New("cluster: partition closed")
+
+var errWaitTimeout = errors.New("timed out")
+
+// watermark is an LSN that only advances, with waiters blocked on it. A
+// waiter makes the channel that the next advance closes, so advances with
+// nobody waiting — page-batched acks, mostly — allocate nothing.
+type watermark struct {
+	mu  sync.Mutex
+	lsn uint64
+	ch  chan struct{}
+}
+
+func (w *watermark) load() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lsn
+}
+
+func (w *watermark) advance(lsn uint64) {
+	w.mu.Lock()
+	if lsn > w.lsn {
+		w.lsn = lsn
+		if w.ch != nil {
+			close(w.ch)
+			w.ch = nil
+		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
+	w.mu.Unlock()
+}
+
+// next returns nil once the watermark has reached lsn, and otherwise the
+// channel its next advance closes.
+func (w *watermark) next(lsn uint64) chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.lsn >= lsn {
+		return nil
 	}
+	if w.ch == nil {
+		w.ch = make(chan struct{})
+	}
+	return w.ch
+}
+
+// wait blocks until the watermark reaches lsn (nil), closed closes
+// (ErrPartitionClosed) or the timeout passes (errWaitTimeout).
+func (w *watermark) wait(lsn uint64, closed <-chan struct{}, timeout time.Duration) error {
+	ch := w.next(lsn)
+	if ch == nil {
+		return nil
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for ; ch != nil; ch = w.next(lsn) {
+		select {
+		case <-ch:
+		case <-closed:
+			return ErrPartitionClosed
+		case <-timer.C:
+			return errWaitTimeout
+		}
+	}
+	return nil
 }
 
 // markUploaded advances the blob-upload watermark.
-func (p *Partition) markUploaded(lsn uint64) {
-	p.uploadedMu.Lock()
-	if lsn > p.uploaded {
-		p.uploaded = lsn
-		if p.uploadedWaiters > 0 {
-			close(p.uploadedCh)
-			p.uploadedCh = make(chan struct{})
-		}
-	}
-	p.uploadedMu.Unlock()
-}
+func (p *Partition) markUploaded(lsn uint64) { p.uploaded.advance(lsn) }
 
 // Uploaded returns the blob-upload watermark.
-func (p *Partition) Uploaded() uint64 {
-	p.uploadedMu.Lock()
-	defer p.uploadedMu.Unlock()
-	return p.uploaded
-}
+func (p *Partition) Uploaded() uint64 { return p.uploaded.load() }
 
 // markApplied advances a replica's applied watermark.
-func (p *Partition) markApplied(lsn uint64) {
-	p.appliedMu.Lock()
-	if lsn > p.applied {
-		p.applied = lsn
-		if p.appliedWaiters > 0 {
-			close(p.appliedCh)
-			p.appliedCh = make(chan struct{})
-		}
-	}
-	p.appliedMu.Unlock()
-}
+func (p *Partition) markApplied(lsn uint64) { p.applied.advance(lsn) }
 
 // Applied returns the replica's applied watermark.
-func (p *Partition) Applied() uint64 {
-	p.appliedMu.Lock()
-	defer p.appliedMu.Unlock()
-	return p.applied
-}
+func (p *Partition) Applied() uint64 { return p.applied.load() }
 
 // WaitApplied blocks until the replica has applied up to lsn.
 func (p *Partition) WaitApplied(lsn uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		p.appliedMu.Lock()
-		ok := p.applied >= lsn
-		var ch chan struct{}
-		if !ok {
-			p.appliedWaiters++
-			ch = p.appliedCh
-		}
-		p.appliedMu.Unlock()
-		if ok {
-			return nil
-		}
-		woke := waitCh(ch, deadline)
-		p.appliedMu.Lock()
-		p.appliedWaiters--
-		p.appliedMu.Unlock()
-		if !woke {
-			return fmt.Errorf("partition %d: apply wait timed out at LSN %d", p.ID, lsn)
-		}
+	if err := p.applied.wait(lsn, p.closed, timeout); err != nil {
+		return fmt.Errorf("partition %d: apply wait at LSN %d: %w", p.ID, lsn, err)
 	}
+	return nil
 }
 
 // ApplyRecord replays one master log record on a replica partition: the

@@ -280,8 +280,7 @@ func (s *Stager) step() error {
 		if end <= uploaded {
 			break
 		}
-		key := fmt.Sprintf("log/%016d", uploaded)
-		if err := s.store.Put(s.files.prefix+key, wal.EncodeRecords(recs)); err != nil {
+		if err := s.store.Put(s.files.prefix+logKey(uploaded), wal.EncodeRecords(recs)); err != nil {
 			s.note(err)
 			return err
 		}
@@ -361,6 +360,19 @@ func (s *Stager) Close() {
 	s.wg.Wait()
 }
 
+// logKey names the blob log chunk whose first record is lsn. The LSN is
+// zero-padded so that keys sort by it.
+func logKey(lsn uint64) string { return fmt.Sprintf("log/%016d", lsn) }
+
+// parseSnapKey reads the log position and wall time out of a snapshot key
+// ("snap/<lsn>-<wall>", relative to the partition prefix).
+func parseSnapKey(key string) (lsn uint64, wall int64, err error) {
+	if _, err := fmt.Sscanf(key, "snap/%d-%d", &lsn, &wall); err != nil {
+		return 0, 0, fmt.Errorf("bad snapshot key %s: %w", key, err)
+	}
+	return lsn, wall, nil
+}
+
 // encodeSnapshotBundle serializes all tables of a partition at ts.
 func encodeSnapshotBundle(p *Partition, ts uint64) []byte {
 	tables := p.Tables()
@@ -383,6 +395,8 @@ func encodeSnapshotBundle(p *Partition, ts uint64) []byte {
 }
 
 // decodeSnapshotBundle restores all tables of a partition from a bundle.
+// Bundles come back from blob storage, so every length is checked against
+// the bytes left: a corrupt bundle is an error, never a panic.
 func decodeSnapshotBundle(p *Partition, data []byte) (ts uint64, err error) {
 	ts, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -394,20 +408,26 @@ func decodeSnapshotBundle(p *Partition, data []byte) (ts uint64, err error) {
 		return 0, fmt.Errorf("cluster: bad snapshot table count")
 	}
 	pos += k
+	// field returns the next length-prefixed field.
+	field := func() ([]byte, bool) {
+		l, k := binary.Uvarint(data[pos:])
+		if k <= 0 || l > uint64(len(data)-pos-k) {
+			return nil, false
+		}
+		b := data[pos+k : pos+k+int(l)]
+		pos += k + int(l)
+		return b, true
+	}
 	for i := uint64(0); i < n; i++ {
-		nl, k := binary.Uvarint(data[pos:])
-		if k <= 0 || pos+k+int(nl) > len(data) {
+		name, ok := field()
+		if !ok {
 			return 0, fmt.Errorf("cluster: bad snapshot table name")
 		}
-		name := string(data[pos+k : pos+k+int(nl)])
-		pos += k + int(nl)
-		sl, k := binary.Uvarint(data[pos:])
-		if k <= 0 || pos+k+int(sl) > len(data) {
+		state, ok := field()
+		if !ok {
 			return 0, fmt.Errorf("cluster: bad snapshot state")
 		}
-		state := data[pos+k : pos+k+int(sl)]
-		pos += k + int(sl)
-		tbl, err := p.Table(name)
+		tbl, err := p.Table(string(name))
 		if err != nil {
 			return 0, err
 		}

@@ -3,6 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
+	"strings"
 	"time"
 
 	"s2db/internal/core"
@@ -77,12 +80,11 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 			// Make sure blob storage is caught up enough that the master's
 			// retained log covers the rest.
 			c.stagers[pi].Step()
-			lsn, err := c.bootstrapFromBlob(rep, pi)
-			if err != nil {
+			var err error
+			if from, err = c.catchUp(rep, pi, math.MaxInt64); err != nil {
 				rep.Close()
 				return fail(fmt.Errorf("workspace %s: partition %d: %w", name, pi, err))
 			}
-			from = lsn
 		}
 		link := c.startWorkspaceLinkFrom(master, rep, from, name)
 		if err := link.Err(); err != nil {
@@ -96,68 +98,81 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 	return ws, nil
 }
 
-// bootstrapFromBlob restores a partition replica from blob snapshots and
-// log chunks, returning the LSN to stream the tail from.
-func (c *Cluster) bootstrapFromBlob(rep *Partition, pi int) (uint64, error) {
-	prefix := c.blobPrefix(pi)
-	store := c.cfg.Blob
-	// Latest snapshot, if any.
-	snaps, err := store.List(prefix + "snap/")
-	if err != nil {
-		return 0, err
-	}
-	from := uint64(0)
-	if len(snaps) > 0 {
-		key := snaps[len(snaps)-1]
-		var lsn uint64
-		var wall int64
-		if _, err := fmt.Sscanf(key[len(prefix+"snap/"):], "%d-%d", &lsn, &wall); err != nil {
-			return 0, fmt.Errorf("bad snapshot key %s: %w", key, err)
-		}
-		data, err := store.Get(key)
+// catchUp is the one way a partition catches up from blob storage (§3.1:
+// "new replica databases get the snapshots and logs they need from blob
+// storage"): workspace attach, link resync and point-in-time restore all
+// call it. A partition that has applied nothing first restores the newest
+// snapshot taken at or before asOf; a live replica never does, because
+// RestoreState needs an empty table. It then fetches the staged log
+// chunks from the last one that starts at or below its next LSN, applies
+// their records in order and stops at the first record written after
+// asOf — PITR's per-partition consistent point LP (§3.2). It returns the
+// next LSN p needs.
+func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err error) {
+	store, prefix := c.cfg.Blob, c.blobPrefix(pi)
+	next = p.Applied()
+	if next == 0 {
+		snaps, err := store.List(prefix + "snap/")
 		if err != nil {
 			return 0, err
 		}
-		if _, err := decodeSnapshotBundle(rep, data); err != nil {
-			return 0, err
-		}
-		rep.Log().TruncateBefore(lsn)
-		rep.markApplied(lsn) // the snapshot covers everything below lsn
-		from = lsn
-	}
-	// Replay log chunks from the snapshot position.
-	return c.replayBlobLog(rep, pi, from)
-}
-
-// replayBlobLog applies blob-staged log chunks with LSN >= from to rep and
-// returns the next LSN the replica needs. Chunks align with sealed log
-// pages, so a chunk may begin below from; those records are skipped.
-func (c *Cluster) replayBlobLog(rep *Partition, pi int, from uint64) (uint64, error) {
-	store := c.cfg.Blob
-	prefix := c.blobPrefix(pi)
-	chunks, err := store.List(prefix + "log/")
-	if err != nil {
-		return from, err
-	}
-	for _, key := range chunks {
-		recs, err := decodeChunk(store, key)
-		if err != nil {
-			return from, err
-		}
-		for _, rec := range recs {
-			if rec.LSN < from {
+		for i := len(snaps) - 1; i >= 0; i-- {
+			lsn, wall, err := parseSnapKey(strings.TrimPrefix(snaps[i], prefix))
+			if err != nil {
+				return 0, err
+			}
+			if wall > asOf {
 				continue
 			}
-			if rec.LSN > from {
-				return from, fmt.Errorf("gap in blob log at LSN %d (want %d)", rec.LSN, from)
+			if lsn > 0 { // a snapshot at LSN 0 covers no log record
+				data, err := store.Get(snaps[i])
+				if err != nil {
+					return 0, err
+				}
+				if _, err := decodeSnapshotBundle(p, data); err != nil {
+					return 0, err
+				}
+				p.Log().TruncateBefore(lsn)
+				p.markApplied(lsn)
+				next = lsn
 			}
-			if err := rep.ApplyRecord(rec); err != nil {
-				return from, err
-			}
-			from = rec.LSN + 1
+			break
 		}
 	}
-	return from, nil
+	chunks, err := store.List(prefix + "log/")
+	if err != nil {
+		return next, err
+	}
+	// Chunk keys are zero-padded first LSNs, so they sort by LSN: start at
+	// the last chunk that begins at or below next.
+	from := prefix + logKey(next)
+	after := sort.Search(len(chunks), func(i int) bool { return chunks[i] > from })
+	for _, key := range chunks[max(after-1, 0):] {
+		data, err := store.Get(key)
+		if err != nil {
+			return next, err
+		}
+		recs, err := wal.DecodeRecords(data)
+		if err != nil {
+			return next, err
+		}
+		for _, rec := range recs {
+			if rec.LSN < next {
+				continue
+			}
+			if rec.Wall > asOf {
+				return next, nil
+			}
+			if rec.LSN > next {
+				return next, fmt.Errorf("gap in blob log at LSN %d (want %d)", rec.LSN, next)
+			}
+			if err := p.ApplyRecord(rec); err != nil {
+				return next, err
+			}
+			next = rec.LSN + 1
+		}
+	}
+	return next, nil
 }
 
 // resyncLink rebuilds a workspace link that ended terminally — detached
@@ -173,7 +188,7 @@ func (c *Cluster) resyncLink(ws *Workspace, pi int) error {
 	ws.links[pi].Stop()
 	if c.cfg.Blob != nil {
 		c.stagers[pi].Step() // stage anything the master may have truncated
-		if _, err := c.replayBlobLog(rep, pi, rep.Applied()); err != nil {
+		if _, err := c.catchUp(rep, pi, math.MaxInt64); err != nil {
 			return err
 		}
 	}
@@ -183,16 +198,6 @@ func (c *Cluster) resyncLink(ws *Workspace, pi int) error {
 	}
 	ws.links[pi] = link
 	return nil
-}
-
-func decodeChunk(store interface {
-	Get(string) ([]byte, error)
-}, key string) ([]wal.Record, error) {
-	data, err := store.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	return wal.DecodeRecords(data)
 }
 
 // QueryTargets returns per-partition snapshots of a table on the
@@ -303,109 +308,48 @@ func (w *Workspace) close() {
 }
 
 // PointInTimeRestore rebuilds a database's state as of the target wall
-// clock time purely from blob storage (§3.2): for each partition it finds
-// the newest snapshot at or before the target and replays blob log chunks
-// up to the last record appended before it — the per-partition
-// transactionally consistent point LP that "maps as closely as possible to
-// the given PITR target wall clock time". The restored database is a fresh
-// cluster with no replicas or staging (a restore target, not a running
-// primary).
-func PointInTimeRestore(cfg Config, target time.Time) (*Cluster, error) {
+// clock time purely from blob storage (§3.2): every partition catches up
+// from the newest snapshot at or before the target to the last record
+// appended before it — the per-partition transactionally consistent point
+// LP that "maps as closely as possible to the given PITR target wall clock
+// time". The caller supplies the catalog because blob storage holds data,
+// not DDL. The restored database is a fresh cluster with no replicas or
+// staging (a restore target, not a running primary).
+func PointInTimeRestore(cfg Config, catalog map[string]*types.Schema, target time.Time) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Blob == nil {
 		return nil, fmt.Errorf("cluster: PITR requires a blob store")
 	}
-	restored := &Cluster{
+	c := &Cluster{
 		cfg:       cfg,
 		transport: cfg.Transport,
 		catalog:   make(map[string]*types.Schema),
 		workspace: make(map[string]*Workspace),
 	}
+	tcfg := cfg.Table
+	tcfg.Background = false
 	for pi := 0; pi < cfg.Partitions; pi++ {
-		files := NewPartitionFiles(fmt.Sprintf("%s/%d/", cfg.Name, pi), cfg.Blob, cfg.CacheBytes)
-		tcfg := cfg.Table
-		tcfg.Background = false
+		files := NewPartitionFiles(c.blobPrefix(pi), cfg.Blob, cfg.CacheBytes)
 		p := newPartition(cfg.Name, pi, RoleMaster, tcfg, files, CommitLocal, 0, cfg.pageConfig())
-		p.setMinSyncers(0)
-		restored.masters = append(restored.masters, p)
-		restored.replicas = append(restored.replicas, nil)
-		restored.links = append(restored.links, nil)
-		restored.stagers = append(restored.stagers, NewStager(p, files, nil, 0, 0))
+		c.masters = append(c.masters, p)
+		c.replicas = append(c.replicas, nil)
+		c.links = append(c.links, nil)
+		c.stagers = append(c.stagers, NewStager(p, files, nil, 0, 0))
 	}
-	return restored, nil
-}
-
-// RestoreTables performs the PITR replay for the given catalog. The caller
-// supplies schemas because blob storage holds data, not DDL (the paper's
-// PITR restores a database whose definition the control plane knows).
-func (c *Cluster) RestoreTables(catalog map[string]*types.Schema, target time.Time) error {
-	targetWall := target.UnixNano()
+	fail := func(err error) (*Cluster, error) {
+		c.Close()
+		return nil, err
+	}
 	for name, schema := range catalog {
-		c.mu.Lock()
-		c.catalog[name] = schema
-		c.mu.Unlock()
-		for _, p := range c.masters {
-			if err := p.CreateTable(name, schema); err != nil {
-				return err
-			}
+		if err := c.CreateTable(name, schema); err != nil {
+			return fail(err)
 		}
 	}
 	for pi, p := range c.masters {
-		prefix := c.blobPrefix(pi)
-		store := c.cfg.Blob
-		snaps, err := store.List(prefix + "snap/")
-		if err != nil {
-			return err
-		}
-		from := uint64(0)
-		// Pick the newest snapshot taken at or before the target wall time.
-		for i := len(snaps) - 1; i >= 0; i-- {
-			var lsn uint64
-			var wall int64
-			if _, err := fmt.Sscanf(snaps[i][len(prefix+"snap/"):], "%d-%d", &lsn, &wall); err != nil {
-				return err
-			}
-			if wall <= targetWall {
-				data, err := store.Get(snaps[i])
-				if err != nil {
-					return err
-				}
-				if _, err := decodeSnapshotBundle(p, data); err != nil {
-					return err
-				}
-				p.Log().TruncateBefore(lsn)
-				from = lsn
-				break
-			}
-		}
-		chunks, err := store.List(prefix + "log/")
-		if err != nil {
-			return err
-		}
-		for _, key := range chunks {
-			recs, err := decodeChunk(store, key)
-			if err != nil {
-				return err
-			}
-			for _, rec := range recs {
-				if rec.LSN < from {
-					continue
-				}
-				if rec.Wall > targetWall {
-					// The transactionally consistent point LP for this
-					// partition (§3.2) has been reached.
-					break
-				}
-				if rec.LSN > from {
-					return fmt.Errorf("partition %d: gap in blob log at %d", pi, rec.LSN)
-				}
-				if err := p.ApplyRecord(rec); err != nil {
-					return err
-				}
-				from = rec.LSN + 1
-			}
+		if _, err := c.catchUp(p, pi, target.UnixNano()); err != nil {
+			return fail(fmt.Errorf("cluster: PITR partition %d: %w", pi, err))
 		}
 		p.NoteAppend()
 	}
-	return nil
+	return c, nil
 }

@@ -58,7 +58,7 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 	tx := t.buffer.Begin(0)
 	for i := uint64(0); i < n; i++ {
 		kl, k := binary.Uvarint(data[p:])
-		if k <= 0 || p+k+int(kl) > len(data) {
+		if k <= 0 || kl > uint64(len(data)-p-k) {
 			tx.Abort()
 			return fmt.Errorf("restore %s: bad buffer key", t.name)
 		}
@@ -100,7 +100,7 @@ func (t *Table) RestoreState(data []byte, ts uint64) error {
 		}
 		p += k
 		fl, k := binary.Uvarint(data[p:])
-		if k <= 0 || p+k+int(fl) > len(data) {
+		if k <= 0 || fl > uint64(len(data)-p-k) {
 			tx.Abort()
 			return fmt.Errorf("restore %s: bad file name", t.name)
 		}

@@ -446,6 +446,21 @@ func newTransport(cfg Config) (cluster.Transport, *ChaosTransport, error) {
 
 // Open creates and starts a database.
 func Open(cfg Config) (*DB, error) {
+	db, ccfg, err := newDB(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if db.cluster, err = cluster.New(ccfg); err != nil {
+		ccfg.Transport.Close()
+		return nil, err
+	}
+	return db, nil
+}
+
+// newDB resolves cfg into the cluster configuration that Open and
+// PointInTimeRestore both build from, and the DB that will wrap the
+// cluster.
+func newDB(cfg Config) (*DB, cluster.Config, error) {
 	var store blob.Store
 	if cfg.BlobStore != nil {
 		store = blob.NewSimulator(cfg.BlobStore, cfg.BlobPutLatency, cfg.BlobGetLatency)
@@ -456,15 +471,15 @@ func Open(cfg Config) (*DB, error) {
 	}
 	vec, err := newVecCacheGroup(cfg)
 	if err != nil {
-		return nil, err
-	}
-	transport, chaos, err := newTransport(cfg)
-	if err != nil {
-		return nil, err
+		return nil, cluster.Config{}, err
 	}
 	gov, err := newGovernor(cfg)
 	if err != nil {
-		return nil, err
+		return nil, cluster.Config{}, err
+	}
+	transport, chaos, err := newTransport(cfg)
+	if err != nil {
+		return nil, cluster.Config{}, err
 	}
 	ccfg := cluster.Config{
 		Name:                cfg.Name,
@@ -492,12 +507,7 @@ func Open(cfg Config) (*DB, error) {
 		// interface (not a typed-nil *VecCache) inside core.
 		ccfg.DecodedCache = p
 	}
-	c, err := cluster.New(ccfg)
-	if err != nil {
-		transport.Close()
-		return nil, err
-	}
-	return &DB{cluster: c, cfg: cfg, vec: vec, plans: sql.NewCache(cfg.PlanCacheEntries), chaos: chaos, gov: gov}, nil
+	return &DB{cfg: cfg, vec: vec, plans: sql.NewCache(cfg.PlanCacheEntries), chaos: chaos, gov: gov}, ccfg, nil
 }
 
 // ChaosTransport returns the live fault injector when the database was
@@ -599,37 +609,12 @@ func PointInTimeRestore(cfg Config, catalog map[string]*Schema, target time.Time
 	if cfg.BlobStore == nil {
 		return nil, fmt.Errorf("s2db: point-in-time restore requires a blob store")
 	}
-	vec, err := newVecCacheGroup(cfg)
+	db, ccfg, err := newDB(cfg)
 	if err != nil {
 		return nil, err
 	}
-	gov, err := newGovernor(cfg)
-	if err != nil {
+	if db.cluster, err = cluster.PointInTimeRestore(ccfg, catalog, target); err != nil {
 		return nil, err
 	}
-	ccfg := cluster.Config{
-		Name:       cfg.Name,
-		Partitions: cfg.Partitions,
-		Blob:       cfg.BlobStore,
-		CacheBytes: cfg.CacheBytes,
-		Governor:   gov,
-		Table: core.Config{
-			MaxSegmentRows: cfg.MaxSegmentRows,
-			QoS:            gov,
-			QoSTenant:      PrimaryTenant,
-		},
-		CachePartitions: cachePartitioner{g: vec},
-	}
-	if p := vec.Primary(); p != nil {
-		ccfg.DecodedCache = p
-	}
-	c, err := cluster.PointInTimeRestore(ccfg, target)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.RestoreTables(catalog, target); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &DB{cluster: c, cfg: cfg, vec: vec, plans: sql.NewCache(cfg.PlanCacheEntries), gov: gov}, nil
+	return db, nil
 }

@@ -207,6 +207,32 @@ func TestQueryStatsExposeAdaptivity(t *testing.T) {
 	}
 }
 
+// TestPointInTimeRestoreUsesBlobLatency: a restore reads blob storage
+// through the same simulated object-store latency that Open configures.
+func TestPointInTimeRestoreUsesBlobLatency(t *testing.T) {
+	store := NewMemoryBlobStore()
+	db := openTestDB(t, Config{BlobStore: store, Name: "latdb"})
+	db.CreateTable("events", eventsSchema())
+	if err := db.Insert("events", Row{Int(1), Str("k"), Int(1), Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	db.Cluster().Stager(0).Step()
+	const latency = 20 * time.Millisecond
+	start := time.Now()
+	restored, err := PointInTimeRestore(Config{BlobStore: store, Name: "latdb", BlobGetLatency: latency},
+		map[string]*Schema{"events": eventsSchema()}, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if took := time.Since(start); took < latency {
+		t.Fatalf("restore took %v, less than one %v blob read", took, latency)
+	}
+	if n, err := restored.Table("events").Count(); err != nil || n != 1 {
+		t.Fatalf("restored count = %d, %v", n, err)
+	}
+}
+
 func TestFacadePointInTimeRestore(t *testing.T) {
 	store := NewMemoryBlobStore()
 	db := openTestDB(t, Config{Partitions: 2, BlobStore: store, Name: "pitrdb"})
