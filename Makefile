@@ -11,8 +11,8 @@ check: build vet race
 # one and two cores, the seeded chaos soak, a smoke pass of the four
 # benchmark workloads, and a short fuzz pass of the SQL front-end, the WAL
 # page codec, the exec filter tree, the unique-key range derivation, the
-# table log-record decoder and the snapshot-bundle decoder. Run it locally
-# before pushing.
+# table log-record decoder, the snapshot-bundle decoder and the segment
+# index build. Run it locally before pushing.
 ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -51,12 +51,12 @@ racewal:
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
-# procsmoke runs the storage and replication packages at GOMAXPROCS 1 and
-# 2: interleavings a many-core machine rarely produces show up at low core
-# counts, and tier-1 must be green on any of them.
+# procsmoke runs the index, storage and replication packages at GOMAXPROCS
+# 1 and 2: interleavings a many-core machine rarely produces show up at low
+# core counts, and tier-1 must be green on any of them.
 procsmoke:
-	GOMAXPROCS=1 go test ./internal/core ./internal/cluster -count=1
-	GOMAXPROCS=2 go test ./internal/core ./internal/cluster -count=1
+	GOMAXPROCS=1 go test ./internal/index ./internal/core ./internal/cluster -count=1
+	GOMAXPROCS=2 go test ./internal/index ./internal/core ./internal/cluster -count=1
 
 build:
 	go build ./...
@@ -103,7 +103,9 @@ benchsmoke:
 # derived unique-key range (or routing to the derived partition) loses a
 # row that walking every row keeps, and FuzzDecodeMutation and
 # FuzzDecodeSnapshotBundle must reject hostile table log records and
-# snapshot bundles without panicking or allocating beyond their size.
+# snapshot bundles without panicking or allocating beyond their size, and
+# FuzzSegmentIndex must find no column on which the sorted-array segment
+# index disagrees with the map-based oracle build.
 # Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
@@ -113,6 +115,7 @@ fuzzsmoke:
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
+	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

@@ -232,7 +232,9 @@ func (t *Table) applySegDeletes(ts uint64, segDel map[uint64][]int32) map[uint64
 		for _, o := range offs {
 			nd.Set(int(o))
 		}
-		e.versions.Store(&metaVersion{ts: ts, meta: cur.CloneWithDeleted(nd), prev: e.versions.Load()})
+		v := &metaVersion{ts: ts, meta: cur.CloneWithDeleted(nd)}
+		v.prev.Store(e.versions.Load())
+		e.versions.Store(v)
 	}
 	return resolved
 }
@@ -529,11 +531,11 @@ func planMerge(runSizes map[int]int, fanout int, heatOf func(run int) int64) *co
 }
 
 // maybeCompact physically removes tombstoned buffer nodes left behind by
-// flushes and trims MVCC version chains, once they are older than the
-// compaction grace period. A compaction clears dirty and moves garbageTS
-// up to the published timestamp: the commits it covers are the ones whose
-// garbage may survive a compaction at an older keepTS. Callers hold
-// structMu.
+// flushes and trims MVCC version chains, the buffer's and the segment
+// metadata's, once they are older than the compaction grace period. A
+// compaction clears dirty and moves garbageTS up to the published
+// timestamp: the commits it covers are the ones whose garbage may survive
+// a compaction at an older keepTS. Callers hold structMu.
 func (t *Table) maybeCompact() {
 	now := time.Now()
 	t.tsHistory = append(t.tsHistory, tsStamp{ts: t.committer.Oracle().ReadTS(), at: now})
@@ -560,5 +562,10 @@ func (t *Table) maybeCompact() {
 		t.garbageTS = t.committer.Oracle().ReadTS()
 	}
 	t.buffer.Compact(keepTS)
+	t.segMu.RLock()
+	for _, e := range t.segs {
+		e.trimVersions(keepTS)
+	}
+	t.segMu.RUnlock()
 	t.compactedTS = keepTS
 }

@@ -271,3 +271,84 @@ func TestPlanMergeMatchesFullHeat(t *testing.T) {
 		}
 	}
 }
+
+// chainLen counts a segment's metadata versions.
+func chainLen(tbl *Table, id uint64) int {
+	tbl.segMu.RLock()
+	e := tbl.segs[id]
+	tbl.segMu.RUnlock()
+	n := 0
+	for v := e.versions.Load(); v != nil; v = v.prev.Load() {
+		n++
+	}
+	return n
+}
+
+// Every update of a segment-resident row installs a metadata version with
+// its own deleted bits; compaction past the grace period cuts the chain to
+// the version visible at its horizon, while a view taken before keeps the
+// bits it resolved. Snapshots taken throughout walk the chains the
+// compaction cuts (the race detector checks the cut).
+func TestCompactionTrimsSegmentVersions(t *testing.T) {
+	const rows, grace = 32, 10 * time.Millisecond
+	tbl, _ := newTestTable(t, uniqSchema(), Config{CompactionGrace: grace})
+	if _, err := tbl.InsertBatch(bulkRows(0, rows), InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := tbl.Snapshot()
+	if len(before.Segs) != 1 {
+		t.Fatalf("flush made %d segments, want 1", len(before.Segs))
+	}
+	segID := before.Segs[0].Seg.ID
+	compact := func() {
+		tbl.structMu.Lock()
+		tbl.maybeCompact()
+		tbl.structMu.Unlock()
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tbl.Snapshot()
+			}
+		}
+	}()
+	for i := 0; i < rows; i++ {
+		tbl.UpdateWhere(Eq(0, types.NewInt(int64(i))), func(r types.Row) types.Row {
+			r[1] = types.NewInt(-1)
+			return r
+		})
+	}
+	if n := chainLen(tbl, segID); n < rows/2 {
+		t.Fatalf("chain holds %d versions before compaction, want one per update", n)
+	}
+	compact()
+	time.Sleep(2 * grace)
+	compact()
+	close(stop)
+	<-done
+	if n := chainLen(tbl, segID); n > 2 {
+		t.Fatalf("chain holds %d versions after compaction, want <= 2", n)
+	}
+	if d := before.Segs[0].Deleted.Count(); d != 0 {
+		t.Fatalf("view taken before the updates sees %d deleted rows, want 0", d)
+	}
+	if got := before.NumRows(); got != rows {
+		t.Fatalf("view taken before the updates counts %d rows, want %d", got, rows)
+	}
+	after := tbl.Snapshot()
+	if d := after.Segs[0].Deleted.Count(); d != rows {
+		t.Fatalf("latest view sees %d deleted rows, want %d", d, rows)
+	}
+	if got := after.NumRows(); got != rows {
+		t.Fatalf("latest view counts %d rows, want %d", got, rows)
+	}
+}

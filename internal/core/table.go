@@ -226,7 +226,9 @@ type remapTarget struct {
 type metaVersion struct {
 	ts   uint64
 	meta *colstore.Meta
-	prev *metaVersion
+	// prev is the next older version. Compaction cuts it (trimVersions)
+	// while metaAt walks the chain, so it is atomic.
+	prev atomic.Pointer[metaVersion]
 }
 
 // metaAt returns the metadata version visible at ts, or nil when the
@@ -238,12 +240,25 @@ func (e *segEntry) metaAt(ts uint64) *colstore.Meta {
 	if d := e.dropTS.Load(); d != 0 && d <= ts {
 		return nil
 	}
-	for v := e.versions.Load(); v != nil; v = v.prev {
+	for v := e.versions.Load(); v != nil; v = v.prev.Load() {
 		if v.ts <= ts {
 			return v.meta
 		}
 	}
 	return nil
+}
+
+// trimVersions drops every version older than the newest one visible at
+// keepTS, which no reader can ask for once the compaction grace period
+// has passed (rowstore's Compact trims its chains at the same horizon).
+// Views taken earlier keep the metadata they resolved.
+func (e *segEntry) trimVersions(keepTS uint64) {
+	for v := e.versions.Load(); v != nil; v = v.prev.Load() {
+		if v.ts <= keepTS {
+			v.prev.Store(nil)
+			return
+		}
+	}
 }
 
 // latestMeta returns the newest metadata version.

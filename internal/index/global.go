@@ -2,164 +2,116 @@ package index
 
 import "sync"
 
-// hashTable is one immutable level of the global index: a hash table from
-// value hash to the ids of segments containing that value. Levels are
-// created per segment flush and merged together over time by the LSM
-// merging algorithm (§4.1).
-type hashTable struct {
-	m map[uint64][]uint64 // value hash -> segment ids (ascending)
-	// segs is the set of segments this table covers, used for the lazy
-	// deletion rewrite policy.
-	segs map[uint64]struct{}
-}
-
-// GlobalIndex is the special LSM tree of immutable hash tables described in
-// §4.1. A point lookup probes each level (O(log N) levels); a new level is
-// added per segment and levels merge when there are too many.
+// GlobalIndex is the global level of the two-level index (§4.1): one hash
+// map from value hash to the ids of the segments holding that value.
+// Registering a segment appends only its own hashes, so it costs
+// O(distinct values of the segment) however many segments are already
+// indexed. Dropping a segment is lazy: lookups skip its id at once, and
+// its references stay in the map until dead references make up half of
+// all references, when one pass purges them all — O(1) amortised per
+// reference ("reads simply skip the references to deleted segments").
 type GlobalIndex struct {
-	mu     sync.RWMutex
-	levels []*hashTable // newest first
-	// dead marks segments dropped from the table; lookups skip them and
-	// merges purge them ("lazy segment deletion", §4.1).
+	mu sync.RWMutex
+	m  map[uint64][]uint64 // value hash -> segment ids, in registration order
+	// refs counts the references each registered segment holds in m; a
+	// dropped segment moves to dead until the next purge.
+	refs map[uint64]int
 	dead map[uint64]struct{}
-	// fanout controls when levels merge.
-	fanout int
-	// merges counts level-merge operations, reported by write-amplification
-	// experiments.
-	merges int
+	// liveRefs and deadRefs total refs and dead.
+	liveRefs, deadRefs int
+	// purges counts dead-reference purges (tests assert registration
+	// never triggers one).
+	purges int
 }
 
-// NewGlobalIndex returns an empty index. fanout < 2 defaults to 4.
-func NewGlobalIndex(fanout int) *GlobalIndex {
-	if fanout < 2 {
-		fanout = 4
+// NewGlobalIndex returns an empty index.
+func NewGlobalIndex() *GlobalIndex {
+	return &GlobalIndex{
+		m:    make(map[uint64][]uint64),
+		refs: make(map[uint64]int),
+		dead: make(map[uint64]struct{}),
 	}
-	return &GlobalIndex{dead: make(map[uint64]struct{}), fanout: fanout}
 }
 
-// AddSegment registers a segment's distinct value hashes as a new level,
-// then merges levels if the LSM got too deep.
+// AddSegment registers a segment under each of its value hashes; hashes
+// may repeat. Registering a segment that is already registered is a
+// no-op; re-registering a dropped id purges its stale references first.
 func (g *GlobalIndex) AddSegment(segID uint64, hashes []uint64) {
-	ht := &hashTable{m: make(map[uint64][]uint64, len(hashes)), segs: map[uint64]struct{}{segID: {}}}
-	for _, h := range hashes {
-		ht.m[h] = append(ht.m[h], segID)
-	}
 	g.mu.Lock()
-	g.levels = append([]*hashTable{ht}, g.levels...)
-	g.maybeMergeLocked()
-	g.mu.Unlock()
-}
-
-// DropSegment lazily removes a segment: lookups skip it immediately; the
-// hash tables covering it are rewritten when at least half of their
-// segments are dead.
-func (g *GlobalIndex) DropSegment(segID uint64) {
-	g.mu.Lock()
-	g.dead[segID] = struct{}{}
-	for i, ht := range g.levels {
-		if _, covers := ht.segs[segID]; !covers {
-			continue
-		}
-		deadCount := 0
-		for s := range ht.segs {
-			if _, d := g.dead[s]; d {
-				deadCount++
-			}
-		}
-		if deadCount*2 >= len(ht.segs) {
-			g.levels[i] = g.rewriteLocked(ht)
-		}
-	}
-	g.mu.Unlock()
-}
-
-// rewriteLocked rebuilds a hash table without dead segments.
-func (g *GlobalIndex) rewriteLocked(ht *hashTable) *hashTable {
-	out := &hashTable{m: make(map[uint64][]uint64), segs: make(map[uint64]struct{})}
-	for s := range ht.segs {
-		if _, d := g.dead[s]; !d {
-			out.segs[s] = struct{}{}
-		}
-	}
-	for h, segs := range ht.m {
-		var live []uint64
-		for _, s := range segs {
-			if _, d := g.dead[s]; !d {
-				live = append(live, s)
-			}
-		}
-		if len(live) > 0 {
-			out.m[h] = live
-		}
-	}
-	return out
-}
-
-// maybeMergeLocked merges all levels into one when the level count reaches
-// fanout, purging dead segments as it goes. This is a simplification of
-// tiered merging that preserves the O(log N) probe bound.
-func (g *GlobalIndex) maybeMergeLocked() {
-	if len(g.levels) < g.fanout {
+	defer g.mu.Unlock()
+	if _, ok := g.refs[segID]; ok {
 		return
 	}
-	merged := &hashTable{m: make(map[uint64][]uint64), segs: make(map[uint64]struct{})}
-	for i := len(g.levels) - 1; i >= 0; i-- { // oldest first keeps ids ascending-ish
-		ht := g.levels[i]
-		for s := range ht.segs {
-			if _, d := g.dead[s]; !d {
-				merged.segs[s] = struct{}{}
-			}
-		}
-		for h, segs := range ht.m {
-			for _, s := range segs {
-				if _, d := g.dead[s]; !d {
-					merged.m[h] = append(merged.m[h], s)
-				}
-			}
-		}
+	if _, ok := g.dead[segID]; ok {
+		g.purgeLocked()
 	}
-	g.levels = []*hashTable{merged}
-	g.merges++
+	n := 0
+	for _, h := range hashes {
+		l := g.m[h]
+		// The call holds the lock, so a repeat of h within it finds
+		// segID at the tail.
+		if len(l) > 0 && l[len(l)-1] == segID {
+			continue
+		}
+		g.m[h] = append(l, segID)
+		n++
+	}
+	g.refs[segID] = n
+	g.liveRefs += n
 }
 
-// Lookup returns the ids of live segments that may contain the value hash,
-// deduplicated, with the number of hash-table probes performed (the
-// experiments compare this against per-segment probing).
+// DropSegment lazily removes a segment: lookups skip it immediately, and
+// its references are purged once dead references reach half of all
+// references.
+func (g *GlobalIndex) DropSegment(segID uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, ok := g.refs[segID]
+	if !ok {
+		return
+	}
+	delete(g.refs, segID)
+	g.dead[segID] = struct{}{}
+	g.liveRefs -= n
+	g.deadRefs += n
+	if g.deadRefs > 0 && g.deadRefs >= g.liveRefs {
+		g.purgeLocked()
+	}
+}
+
+// purgeLocked removes every dead reference in one pass over the map.
+func (g *GlobalIndex) purgeLocked() {
+	for h, l := range g.m {
+		keep := l[:0]
+		for _, s := range l {
+			if _, d := g.dead[s]; !d {
+				keep = append(keep, s)
+			}
+		}
+		if len(keep) == 0 {
+			delete(g.m, h)
+			continue
+		}
+		g.m[h] = keep
+	}
+	clear(g.dead)
+	g.deadRefs = 0
+	g.purges++
+}
+
+// Lookup returns the ids of the live segments that may contain the value
+// hash, each once, with the number of hash-table probes performed (always
+// one; the experiments compare this against per-segment probing).
 func (g *GlobalIndex) Lookup(h uint64) (segs []uint64, probes int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, ht := range g.levels {
-		probes++
-		for _, s := range ht.m[h] {
+	for _, s := range g.m[h] {
+		if len(g.dead) > 0 {
 			if _, d := g.dead[s]; d {
 				continue
 			}
-			dup := false
-			for _, have := range segs { // candidate lists are short
-				if have == s {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				segs = append(segs, s)
-			}
 		}
+		segs = append(segs, s)
 	}
-	return segs, probes
-}
-
-// Levels returns the current LSM depth.
-func (g *GlobalIndex) Levels() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.levels)
-}
-
-// Merges returns how many level merges have happened (write amplification
-// accounting, §4.1).
-func (g *GlobalIndex) Merges() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.merges
+	return segs, 1
 }

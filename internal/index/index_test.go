@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -130,35 +131,31 @@ func TestSegmentIndexLookup(t *testing.T) {
 	}
 }
 
+// TestGlobalIndexLookupAndMerge covers the lookups of segments that share
+// a value: one probe finds every registered segment, however many are
+// registered.
 func TestGlobalIndexLookupAndMerge(t *testing.T) {
-	g := NewGlobalIndex(4)
+	g := NewGlobalIndex()
 	h := HashValue(types.NewInt(42))
 	for seg := uint64(1); seg <= 3; seg++ {
 		g.AddSegment(seg, []uint64{h})
 	}
 	segs, probes := g.Lookup(h)
-	if len(segs) != 3 {
-		t.Fatalf("Lookup found %v", segs)
+	if !reflect.DeepEqual(segs, []uint64{1, 2, 3}) || probes != 1 {
+		t.Fatalf("Lookup = %v probes=%d", segs, probes)
 	}
-	if probes != 3 {
-		t.Fatalf("probes = %d, want one per level", probes)
-	}
-	// Fourth segment triggers a merge to one level.
 	g.AddSegment(4, []uint64{h})
-	if g.Levels() != 1 {
-		t.Fatalf("Levels = %d after merge", g.Levels())
-	}
 	segs, probes = g.Lookup(h)
-	if len(segs) != 4 || probes != 1 {
-		t.Fatalf("post-merge Lookup = %v probes=%d", segs, probes)
+	if !reflect.DeepEqual(segs, []uint64{1, 2, 3, 4}) || probes != 1 {
+		t.Fatalf("Lookup after a fourth segment = %v probes=%d", segs, probes)
 	}
-	if g.Merges() != 1 {
-		t.Fatalf("Merges = %d", g.Merges())
+	if segs, _ := g.Lookup(HashValue(types.NewInt(43))); len(segs) != 0 {
+		t.Fatalf("absent value matched %v", segs)
 	}
 }
 
 func TestGlobalIndexLazyDeletion(t *testing.T) {
-	g := NewGlobalIndex(10) // high fanout: no automatic merge
+	g := NewGlobalIndex()
 	h := HashValue(types.NewInt(1))
 	g.AddSegment(1, []uint64{h})
 	g.AddSegment(2, []uint64{h})
@@ -166,6 +163,101 @@ func TestGlobalIndexLazyDeletion(t *testing.T) {
 	segs, _ := g.Lookup(h)
 	if len(segs) != 1 || segs[0] != 2 {
 		t.Fatalf("Lookup after drop = %v", segs)
+	}
+}
+
+// TestGlobalIndexModel runs random registrations, drops, re-registrations
+// of dropped ids and lookups against a naive map from hash to segment set:
+// Lookup returns exactly the live segments registered under the hash, each
+// once.
+func TestGlobalIndexModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewGlobalIndex()
+	model := map[uint64]map[uint64]bool{} // hash -> live segments
+	live := map[uint64][]uint64{}         // segment -> its hashes
+	var dropped []uint64
+	nextID := uint64(1)
+	register := func(id uint64) {
+		hashes := make([]uint64, rng.Intn(8))
+		for i := range hashes {
+			hashes[i] = uint64(rng.Intn(20)) // small universe: repeats and sharing
+		}
+		g.AddSegment(id, hashes)
+		live[id] = hashes
+		for _, h := range hashes {
+			if model[h] == nil {
+				model[h] = map[uint64]bool{}
+			}
+			model[h][id] = true
+		}
+	}
+	for op := 0; op < 5000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			register(nextID)
+			nextID++
+		case r < 5 && len(dropped) > 0:
+			i := rng.Intn(len(dropped))
+			id := dropped[i]
+			dropped = append(dropped[:i], dropped[i+1:]...)
+			register(id)
+		case r < 7 && len(live) > 0:
+			ids := make([]uint64, 0, len(live))
+			for id := range live {
+				ids = append(ids, id)
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			id := ids[rng.Intn(len(ids))]
+			g.DropSegment(id)
+			for _, h := range live[id] {
+				delete(model[h], id)
+			}
+			delete(live, id)
+			dropped = append(dropped, id)
+		default:
+			h := uint64(rng.Intn(22))
+			got, _ := g.Lookup(h)
+			sorted := append([]uint64(nil), got...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			var want []uint64
+			for id := range model[h] {
+				want = append(want, id)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			if len(sorted) != len(want) || (len(want) > 0 && !reflect.DeepEqual(sorted, want)) {
+				t.Fatalf("op %d: Lookup(%d) = %v, want %v", op, h, got, want)
+			}
+		}
+	}
+	if g.purges == 0 {
+		t.Fatal("no purge ran: the amortised purge path is untested")
+	}
+}
+
+// TestGlobalIndexRegistrationCost: registering a segment touches only its
+// own hashes. A thousand registrations run no purge and leave every earlier
+// segment's entries where they were.
+func TestGlobalIndexRegistrationCost(t *testing.T) {
+	g := NewGlobalIndex()
+	shared := HashValue(types.NewString("shared"))
+	own := make([]*uint64, 0, 1000)
+	for id := uint64(1); id <= 1000; id++ {
+		h := HashValue(types.NewInt(int64(id)))
+		g.AddSegment(id, []uint64{h, shared})
+		own = append(own, &g.m[h][0])
+	}
+	if g.purges != 0 {
+		t.Fatalf("registration ran %d purges", g.purges)
+	}
+	for i, p := range own {
+		id := uint64(i + 1)
+		l := g.m[HashValue(types.NewInt(int64(id)))]
+		if len(l) != 1 || &l[0] != p || *p != id {
+			t.Fatalf("segment %d's entry was rewritten", id)
+		}
+	}
+	if segs, _ := g.Lookup(shared); len(segs) != 1000 {
+		t.Fatalf("shared value found in %d segments, want 1000", len(segs))
 	}
 }
 
@@ -228,12 +320,6 @@ func TestSetDropSegment(t *testing.T) {
 	}
 }
 
-func TestParseTupleKey(t *testing.T) {
-	if got := parseTupleKey(tupleKey([]int{1, 12, 3})); !reflect.DeepEqual(got, []int{1, 12, 3}) {
-		t.Fatalf("parseTupleKey = %v", got)
-	}
-}
-
 // Property: index lookups return exactly the rows a full scan would.
 func TestQuickIndexMatchesScan(t *testing.T) {
 	schema := idxSchema()
@@ -280,5 +366,30 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSetAddSegment indexes full-size segments of a table with a
+// unique int key, a low-cardinality string key and a two-column key, on a
+// set that already holds earlier segments.
+func BenchmarkSetAddSegment(b *testing.B) {
+	schema := idxSchema()
+	const n = colstore.MaxSegmentRows
+	segs := make([]*colstore.Segment, 8)
+	for s := range segs {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			id := int64(s*n + i)
+			rows[i] = types.Row{types.NewInt(id), types.NewString(fmt.Sprint("tag", id%97)), types.NewInt(id % 1000)}
+		}
+		segs[s] = buildSeg(schema, uint64(s+1), rows)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set := NewSet(schema)
+		for _, seg := range segs {
+			set.AddSegment(seg)
+		}
 	}
 }

@@ -1,10 +1,9 @@
 // Package index implements the two-level secondary index structure of
 // §4.1: a per-segment inverted index mapping column values to postings
-// lists of row offsets, and a global index implemented as an LSM of
-// immutable hash tables mapping value hashes to segment ids. Point lookups
-// probe O(log N) hash tables instead of O(N) per-segment filters; segment
-// deletions are handled lazily (§4.1, "reads simply skip the references to
-// deleted segments").
+// lists of row offsets, and a global index, one hash map from value hashes
+// to segment ids. A point lookup probes one hash table instead of O(N)
+// per-segment filters; segment deletions are handled lazily (§4.1, "reads
+// simply skip the references to deleted segments").
 package index
 
 import "sort"

@@ -1,7 +1,7 @@
 package index
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,9 +28,9 @@ type Set struct {
 	mu sync.RWMutex
 	// cols holds the shared single-column structures, keyed by ordinal.
 	cols map[int]*columnIndex
-	// tuples holds the per-multi-column-key tuple global indexes, keyed by
-	// the ordinal list rendered as a string.
-	tuples map[string]*GlobalIndex
+	// tuples holds one global index per multi-column key; a table has a
+	// handful, so probes find theirs by comparing ordinals.
+	tuples []tupleIndex
 }
 
 type columnIndex struct {
@@ -38,8 +38,10 @@ type columnIndex struct {
 	segs   map[uint64]*SegmentIndex
 }
 
-// tupleKey renders ordinals for map keying.
-func tupleKey(cols []int) string { return fmt.Sprint(cols) }
+type tupleIndex struct {
+	cols   []int
+	global *GlobalIndex
+}
 
 // NewSet builds the index structures required by the schema's secondary
 // and unique keys.
@@ -47,19 +49,15 @@ func NewSet(schema *types.Schema) *Set {
 	s := &Set{
 		schema: schema,
 		cols:   make(map[int]*columnIndex),
-		tuples: make(map[string]*GlobalIndex),
 	}
 	addKey := func(key []int) {
 		for _, c := range key {
 			if _, ok := s.cols[c]; !ok {
-				s.cols[c] = &columnIndex{global: NewGlobalIndex(0), segs: make(map[uint64]*SegmentIndex)}
+				s.cols[c] = &columnIndex{global: NewGlobalIndex(), segs: make(map[uint64]*SegmentIndex)}
 			}
 		}
-		if len(key) > 1 {
-			k := tupleKey(key)
-			if _, ok := s.tuples[k]; !ok {
-				s.tuples[k] = NewGlobalIndex(0)
-			}
+		if len(key) > 1 && s.tuple(key) == nil {
+			s.tuples = append(s.tuples, tupleIndex{cols: slices.Clone(key), global: NewGlobalIndex()})
 		}
 	}
 	for _, key := range schema.SecondaryKeys {
@@ -69,6 +67,17 @@ func NewSet(schema *types.Schema) *Set {
 		addKey(schema.UniqueKey)
 	}
 	return s
+}
+
+// tuple returns the global index of a multi-column key, nil when the key
+// has none. tuples is fixed by NewSet.
+func (s *Set) tuple(cols []int) *GlobalIndex {
+	for _, ti := range s.tuples {
+		if slices.Equal(ti.cols, cols) {
+			return ti.global
+		}
+	}
+	return nil
 }
 
 // IndexedColumns returns the ordinals with single-column structures, in
@@ -105,12 +114,14 @@ func (s *Set) AddSegment(seg *colstore.Segment) {
 	}
 	// cols and tuples are fixed by NewSet; only their contents change.
 	segIdx := make(map[int]*SegmentIndex, len(s.cols))
+	colHashes := make(map[int][]uint64, len(s.cols))
 	for c := range s.cols {
 		segIdx[c] = BuildSegmentIndex(seg, c)
+		colHashes[c] = segIdx[c].ValueHashes()
 	}
-	tupleHashes := make(map[string][]uint64, len(s.tuples))
-	for key := range s.tuples {
-		tupleHashes[key] = tupleHashesOf(seg, parseTupleKey(key))
+	tupleHashes := make([][]uint64, len(s.tuples))
+	for i, ti := range s.tuples {
+		tupleHashes[i] = tupleHashesOf(seg.NumRows, ti.cols, segIdx)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,12 +129,11 @@ func (s *Set) AddSegment(seg *colstore.Segment) {
 		return
 	}
 	for c, ci := range s.cols {
-		si := segIdx[c]
-		ci.segs[seg.ID] = si
-		ci.global.AddSegment(seg.ID, si.ValueHashes())
+		ci.segs[seg.ID] = segIdx[c]
+		ci.global.AddSegment(seg.ID, colHashes[c])
 	}
-	for key, gi := range s.tuples {
-		gi.AddSegment(seg.ID, tupleHashes[key])
+	for i, ti := range s.tuples {
+		ti.global.AddSegment(seg.ID, tupleHashes[i])
 	}
 }
 
@@ -144,48 +154,26 @@ func (s *Set) hasSegmentLocked(id uint64) bool {
 	return false
 }
 
-func tupleHashesOf(seg *colstore.Segment, cols []int) []uint64 {
-	seen := make(map[uint64]struct{})
-	var out []uint64
-	vals := make([]types.Value, len(cols))
-	for i := 0; i < seg.NumRows; i++ {
-		null := false
+// tupleHashesOf returns the tuple hash of every row of an n-row segment
+// with no NULL in cols, from the columns' segment indexes: a row's tuple
+// key is its columns' distinct keys in turn, so no row is decoded again.
+func tupleHashesOf(n int, cols []int, segIdx map[int]*SegmentIndex) []uint64 {
+	ords := make([][]int32, len(cols))
+	for j, c := range cols {
+		ords[j] = segIdx[c].valueOrdinals(n)
+	}
+	out := make([]uint64, 0, n)
+rows:
+	for r := 0; r < n; r++ {
+		h := hashOffset
 		for j, c := range cols {
-			vals[j] = seg.ValueAt(i, c)
-			if vals[j].IsNull {
-				null = true
-				break
+			v := ords[j][r]
+			if v < 0 {
+				continue rows
 			}
+			h = hashAppend(h, segIdx[c].key(int(v)))
 		}
-		if null {
-			continue
-		}
-		h := HashTuple(vals)
-		if _, dup := seen[h]; !dup {
-			seen[h] = struct{}{}
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-func parseTupleKey(k string) []int {
-	var out []int
-	n := 0
-	in := false
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-			in = true
-		} else if in {
-			out = append(out, n)
-			n = 0
-			in = false
-		}
-	}
-	if in {
-		out = append(out, n)
+		out = append(out, h)
 	}
 	return out
 }
@@ -199,8 +187,8 @@ func (s *Set) DropSegment(segID uint64) {
 		delete(ci.segs, segID)
 		ci.global.DropSegment(segID)
 	}
-	for _, gi := range s.tuples {
-		gi.DropSegment(segID)
+	for _, ti := range s.tuples {
+		ti.global.DropSegment(segID)
 	}
 }
 
@@ -237,8 +225,8 @@ func (s *Set) LookupTuple(cols []int, vals []types.Value) (matches []Match, prob
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	gi, ok := s.tuples[tupleKey(cols)]
-	if !ok {
+	gi := s.tuple(cols)
+	if gi == nil {
 		return nil, 0
 	}
 	for _, v := range vals {
@@ -289,14 +277,4 @@ func (s *Set) SegmentPostings(segID uint64, col int, val types.Value) (Postings,
 		return nil, false
 	}
 	return si.Lookup(val), true
-}
-
-// GlobalLevels reports the per-column global LSM depths, for tests.
-func (s *Set) GlobalLevels(col int) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ci, ok := s.cols[col]; ok {
-		return ci.global.Levels()
-	}
-	return 0
 }
