@@ -7,12 +7,13 @@ check: build vet race
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
 # the tier-1 check gate, the focused WAL/replication race gate, the
-# multi-tenant QoS isolation gate, the storage and replication tests at
-# one and two cores, the seeded chaos soak, a smoke pass of the four
-# benchmark workloads, and a short fuzz pass of the SQL front-end, the WAL
-# page codec, the exec filter tree, the unique-key range derivation, the
-# table log-record decoder, the snapshot-bundle decoder and the segment
-# index build. Run it locally before pushing.
+# multi-tenant QoS isolation gate, the index, storage, replication,
+# vector-cache and QoS tests at one and two cores, the seeded chaos soak,
+# a smoke pass of the four benchmark workloads, and a short fuzz pass of
+# the SQL front-end, the WAL page codec, the exec filter tree, the
+# unique-key range derivation, the table log-record decoder, the
+# snapshot-bundle decoder and the segment index build. Run it locally
+# before pushing.
 ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -51,12 +52,13 @@ racewal:
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
-# procsmoke runs the index, storage and replication packages at GOMAXPROCS
-# 1 and 2: interleavings a many-core machine rarely produces show up at low
-# core counts, and tier-1 must be green on any of them.
+# procsmoke runs the index, storage, replication, vector-cache and QoS
+# packages at GOMAXPROCS 1 and 2: interleavings a many-core machine rarely
+# produces (the cache's single-flight decode, the governor's wake-ups) show
+# up at low core counts, and tier-1 must be green on any of them.
 procsmoke:
-	GOMAXPROCS=1 go test ./internal/index ./internal/core ./internal/cluster -count=1
-	GOMAXPROCS=2 go test ./internal/index ./internal/core ./internal/cluster -count=1
+	GOMAXPROCS=1 go test ./internal/index ./internal/core ./internal/cluster ./internal/exec ./internal/qos -count=1
+	GOMAXPROCS=2 go test ./internal/index ./internal/core ./internal/cluster ./internal/exec ./internal/qos -count=1
 
 build:
 	go build ./...

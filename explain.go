@@ -215,8 +215,8 @@ func (p Plan) String() string {
 		if part == "" {
 			part = "(none)"
 		}
-		fmt.Fprintf(&b, "  vector cache [%s]: %d hits (%d from shared tier), %d misses, %d waits, %d evictions; %d column decodes\n",
-			part, s.VecCacheHits, s.VecCacheSharedHits, s.VecCacheMisses, s.VecCacheWaits, s.VecCacheEvictions, s.VecDecodes)
+		fmt.Fprintf(&b, "  vector cache [%s]: %d hits, %d misses, %d waits, %d evictions; %d column decodes\n",
+			part, s.VecCacheHits, s.VecCacheMisses, s.VecCacheWaits, s.VecCacheEvictions, s.VecDecodes)
 	}
 	if s.PlanCacheHits+s.PlanCacheMisses > 0 {
 		fmt.Fprintf(&b, "  plan cache (last run): %d hit, %d miss\n", s.PlanCacheHits, s.PlanCacheMisses)

@@ -32,17 +32,14 @@ type Config struct {
 	CommitMode CommitMode
 	// ReplicationLatency simulates the network between master and replica.
 	ReplicationLatency time.Duration
-	// Table configures per-partition table storage.
+	// Table configures per-partition table storage. Its DecodedCache is
+	// the primary cluster's decoded-vector cache handle, shared by every
+	// master and HA replica.
 	Table core.Config
-	// DecodedCache is the primary cluster's decoded-vector cache handle,
-	// shared by every master and HA replica (the in-memory tier above the
-	// per-partition data-file caches). It is threaded into each table's
-	// core.Config so LSM merges invalidate retired segments.
-	DecodedCache core.DecodedVectorCache
 	// CachePartitions, when non-nil, provisions an isolated decoded-vector
 	// cache partition per workspace, so an analytic workspace churning cold
 	// segments cannot evict the primary's hot set (§5 isolation). Workspace
-	// replica tables get the attached handle instead of DecodedCache.
+	// replica tables get the attached handle instead of Table.DecodedCache.
 	CachePartitions CachePartitioner
 	// CommitTimeout bounds durability waits.
 	CommitTimeout time.Duration
@@ -108,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CommitTimeout <= 0 {
 		c.CommitTimeout = 10 * time.Second
-	}
-	if c.Table.DecodedCache == nil {
-		c.Table.DecodedCache = c.DecodedCache
 	}
 	if c.Transport == nil {
 		c.Transport = NewMemoryTransport()

@@ -44,9 +44,9 @@ type Segment struct {
 	HasRange []bool
 	schema   *types.Schema
 	// retired is set (once, never cleared) when an LSM merge retires the
-	// segment. Cache layers that move decoded vectors between tiers check it
-	// under their own locks, so an invalidation racing a demotion or
-	// promotion cannot resurrect a vector after every tier was purged.
+	// segment. The decoded-vector cache checks it under its lock before
+	// installing a vector, so a reader on an older snapshot cannot
+	// re-install a vector after the retirement purge.
 	retired atomic.Bool
 	// hydrated is set (once, never cleared) when the segment's payload —
 	// Cols, Min/Max, HasRange — is present. Segments built from rows or

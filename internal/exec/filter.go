@@ -243,10 +243,6 @@ type ScanStats struct {
 	VecCacheWaits     int64
 	VecCacheEvictions int64
 	VecDecodes        int64
-	// VecCacheSharedHits counts hits served by promoting a vector out of
-	// the cache group's shared backing tier (a subset of VecCacheHits);
-	// zero on a standalone (non-partitioned) cache.
-	VecCacheSharedHits int64
 	// PlanCacheHits/PlanCacheMisses record the SQL plan-cache outcome of
 	// the run (set only when the query arrived as SQL text): a hit reused
 	// a cached lowered plan and skipped lex/parse/lower, a miss compiled

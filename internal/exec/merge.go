@@ -170,7 +170,6 @@ func accumulate(dst *ScanStats, src ScanStats) {
 	dst.VecCacheWaits += src.VecCacheWaits
 	dst.VecCacheEvictions += src.VecCacheEvictions
 	dst.VecDecodes += src.VecDecodes
-	dst.VecCacheSharedHits += src.VecCacheSharedHits
 	dst.PlanCacheHits += src.PlanCacheHits
 	dst.PlanCacheMisses += src.PlanCacheMisses
 	dst.EncodedFilterSegs += src.EncodedFilterSegs

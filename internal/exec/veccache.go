@@ -35,19 +35,16 @@ type VecCacheStats struct {
 	// AdmissionRejects counts vectors served uncached because they failed
 	// the size-class admission filter (larger than half the budget).
 	AdmissionRejects int64
-	// SharedHits counts lookups served by promoting a vector from the
-	// group's shared backing tier instead of decoding (a subset of Hits).
-	// On the backing tier's own stats, Hits carries this count instead.
-	SharedHits int64
-	// Demotions counts evictions that moved the vector into the shared
-	// backing tier rather than dropping it.
-	Demotions int64
 	// Entries and Bytes describe the current residency.
 	Entries int
 	Bytes   int64
+	// Budget is the cache's byte bound: for a group partition, its
+	// tenant's share of the group's bytes.
+	Budget int64
 }
 
-// Add folds another tier's counters into s (used to total a cache group).
+// Add folds another partition's counters into s (used to total a cache
+// group).
 func (s *VecCacheStats) Add(o VecCacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -55,10 +52,9 @@ func (s *VecCacheStats) Add(o VecCacheStats) {
 	s.Evictions += o.Evictions
 	s.Invalidations += o.Invalidations
 	s.AdmissionRejects += o.AdmissionRejects
-	s.SharedHits += o.SharedHits
-	s.Demotions += o.Demotions
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
+	s.Budget += o.Budget
 }
 
 // HitRate returns Hits+Waits over all lookups (waits share a decode, so
@@ -109,16 +105,10 @@ var (
 // result. A nil *VecCache is valid and disables sharing (scans fall back
 // to their private per-scan decode caches).
 //
-// A standalone cache (NewVecCache) is the whole story. As a partition of a
-// VecCacheGroup it is one workspace's hot tier: its budget is the
-// workspace's share of the group pool (resized as workspaces attach and
-// detach), evictions demote into the group's shared backing tier instead
-// of dropping, misses promote from it instead of decoding, and
-// invalidation/heat/peek delegate to the group so merges see every tier.
+// As a partition of a VecCacheGroup it is the same LRU; the group only
+// names it and resizes its budget as workspaces attach and detach.
 type VecCache struct {
-	name   string         // partition name ("" for a standalone cache)
-	group  *VecCacheGroup // nil for a standalone cache
-	shared *sharedTier    // the group's backing tier; nil when standalone
+	name string // partition name ("" for a standalone cache)
 
 	mu         sync.Mutex
 	maxBytes   int64
@@ -128,7 +118,6 @@ type VecCache struct {
 	curBytes   int64
 
 	hits, misses, waits, evictions, invalidations, admissionRejects int64
-	sharedHits, demotions                                           int64
 }
 
 // NewVecCache returns a standalone cache bounded to maxBytes of decoded
@@ -145,16 +134,6 @@ func NewVecCache(maxBytes int) *VecCache {
 	}
 }
 
-// newVecCachePartition builds a group partition with a placeholder budget;
-// the group resizes it before handing it out.
-func newVecCachePartition(name string, g *VecCacheGroup) *VecCache {
-	c := NewVecCache(1)
-	c.name = name
-	c.group = g
-	c.shared = g.shared
-	return c
-}
-
 // PartitionName returns the group partition this cache serves ("" for a
 // standalone cache).
 func (c *VecCache) PartitionName() string {
@@ -164,7 +143,7 @@ func (c *VecCache) PartitionName() string {
 	return c.name
 }
 
-// resize rebudgets the hot tier, demoting (or dropping) overflow.
+// resize rebudgets the cache, evicting overflow.
 func (c *VecCache) resize(maxBytes int64) {
 	c.mu.Lock()
 	c.maxBytes = maxBytes
@@ -173,8 +152,8 @@ func (c *VecCache) resize(maxBytes int64) {
 	c.mu.Unlock()
 }
 
-// discardAll drops every resident entry without demoting — used when the
-// partition's workspace detaches and its segments can never be read again.
+// discardAll drops every resident entry — used when the partition's
+// workspace detaches and its segments can never be read again.
 func (c *VecCache) discardAll() {
 	c.mu.Lock()
 	for k, e := range c.entries {
@@ -189,26 +168,18 @@ func (c *VecCache) discardAll() {
 }
 
 // InvalidateSegment drops every vector of the segment, called when an LSM
-// merge retires it (it implements core.DecodedVectorCache). On a group
-// partition the purge is global — every hot tier plus the shared backing
-// tier — because a vector surviving in any tier would resurface on the
-// next promotion. In-flight decodes for the segment are detached: the
-// decoder and its waiters still get their vector — correct for their older
-// snapshot, since segment payloads are immutable — but the result is not
-// installed in the LRU.
+// merge retires it (it implements core.DecodedVectorCache). The retirement
+// flag is set first, so a reader on an older snapshot that asks for the
+// segment after the purge is served a fresh decode that publish never
+// installs. In-flight decodes for the segment are detached the same way:
+// the decoder and its waiters still get their vector — correct for their
+// older snapshot, since segment payloads are immutable — but the result is
+// not installed in the LRU.
 func (c *VecCache) InvalidateSegment(seg *colstore.Segment) {
 	if c == nil {
 		return
 	}
-	if c.group != nil {
-		c.group.InvalidateSegment(seg)
-		return
-	}
-	c.invalidateLocal(seg)
-}
-
-// invalidateLocal purges the segment from this hot tier only.
-func (c *VecCache) invalidateLocal(seg *colstore.Segment) {
+	seg.Retire()
 	c.mu.Lock()
 	for k, e := range c.entries {
 		if k.seg != seg {
@@ -282,39 +253,6 @@ func (c *VecCache) acquire(k vecKey, st *ScanStats) (*vecEntry, bool) {
 		<-ready
 		return e, false
 	}
-	// Hot-tier miss: before paying a decode, try promoting the vector from
-	// the group's shared backing tier (a previous eviction demoted it
-	// there). Lock order is partition.mu -> shared.mu, the same as the
-	// demotion path.
-	if c.shared != nil {
-		if ints, strs, size, ok := c.shared.take(k); ok {
-			e := &vecEntry{key: k, ints: ints, strs: strs, size: size, done: true, ready: closedReady}
-			switch {
-			case k.seg.Retired():
-				// Serve this caller (immutable payloads stay correct for its
-				// older snapshot) but never re-install a retired segment.
-			case size > c.admitLimit:
-				// Too big for this hot tier's admission filter: leave it in
-				// the backing tier so it keeps serving without a decode,
-				// instead of ping-ponging between tiers on every access.
-				c.shared.put(k, ints, strs, size)
-			default:
-				e.el = c.lru.PushFront(e)
-				c.entries[k] = e
-				c.curBytes += size
-				c.evictLocked(st)
-			}
-			c.hits++
-			c.sharedHits++
-			e.hits++
-			if st != nil {
-				st.VecCacheHits++
-				st.VecCacheSharedHits++
-			}
-			c.mu.Unlock()
-			return e, false
-		}
-	}
 	e := &vecEntry{key: k, ready: make(chan struct{})}
 	c.entries[k] = e
 	c.misses++
@@ -324,14 +262,6 @@ func (c *VecCache) acquire(k vecKey, st *ScanStats) (*vecEntry, bool) {
 	c.mu.Unlock()
 	return e, true
 }
-
-// closedReady is the pre-closed channel given to entries that never go
-// through publish (promotions arrive fully decoded and have no waiters).
-var closedReady = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // publish installs a decoded entry in the LRU (unless it was invalidated
 // mid-decode or exceeds the whole budget) and releases its waiters. The
@@ -346,8 +276,8 @@ func (c *VecCache) publish(e *vecEntry, size int64, st *ScanStats) {
 		// do not install.
 	case e.key.seg.Retired():
 		// The segment was retired while decoding; the map-identity check
-		// above usually catches this, but the flag also closes the window
-		// where a group-wide purge finished before this entry registered.
+		// above usually catches this, but the flag also covers a reader on
+		// an older snapshot whose entry registered after the purge.
 		delete(c.entries, e.key)
 	case size > c.admitLimit:
 		// Size-class admission filter: installing a vector bigger than half
@@ -364,10 +294,8 @@ func (c *VecCache) publish(e *vecEntry, size int64, st *ScanStats) {
 	close(e.ready)
 }
 
-// evictLocked drops least-recently-used vectors until the cache fits. On a
-// group partition an eviction demotes the vector into the shared backing
-// tier (unless its segment was retired), so another touch re-pins it
-// without a decode. Caller holds mu; lock order partition.mu -> shared.mu.
+// evictLocked drops least-recently-used vectors until the cache fits.
+// Caller holds mu.
 func (c *VecCache) evictLocked(st *ScanStats) {
 	for c.curBytes > c.maxBytes {
 		back := c.lru.Back()
@@ -385,9 +313,6 @@ func (c *VecCache) evictLocked(st *ScanStats) {
 		if st != nil {
 			st.VecCacheEvictions++
 		}
-		if c.shared != nil && c.shared.put(e.key, e.ints, e.strs, e.size) {
-			c.demotions++
-		}
 	}
 }
 
@@ -395,24 +320,14 @@ func (c *VecCache) evictLocked(st *ScanStats) {
 // promoting the entry or counting a hit. The merger uses it to reuse
 // cache-resident vectors for segments it is about to retire: touching the
 // LRU or the heat counters would make the merge itself inflate the
-// "hotness" of runs it reads, defeating cache-aware planning. On a group
-// partition the peek spans every tier — the merger should find the vector
-// wherever it is resident.
+// "hotness" of runs it reads, defeating cache-aware planning.
 func (c *VecCache) PeekInts(seg *colstore.Segment, col int) ([]int64, bool) {
 	if c == nil {
 		return nil, false
 	}
-	if c.group != nil {
-		return c.group.PeekInts(seg, col)
-	}
-	return c.peekIntsLocal(vecKey{seg: seg, col: col})
-}
-
-// peekIntsLocal checks this hot tier only.
-func (c *VecCache) peekIntsLocal(k vecKey) ([]int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok && e.done && e.ints != nil {
+	if e, ok := c.entries[vecKey{seg: seg, col: col}]; ok && e.done && e.ints != nil {
 		return e.ints, true
 	}
 	return nil, false
@@ -423,17 +338,9 @@ func (c *VecCache) PeekStrs(seg *colstore.Segment, col int) ([]string, bool) {
 	if c == nil {
 		return nil, false
 	}
-	if c.group != nil {
-		return c.group.PeekStrs(seg, col)
-	}
-	return c.peekStrsLocal(vecKey{seg: seg, col: col})
-}
-
-// peekStrsLocal checks this hot tier only.
-func (c *VecCache) peekStrsLocal(k vecKey) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok && e.done && e.strs != nil {
+	if e, ok := c.entries[vecKey{seg: seg, col: col}]; ok && e.done && e.strs != nil {
 		return e.strs, true
 	}
 	return nil, false
@@ -442,21 +349,11 @@ func (c *VecCache) peekStrsLocal(k vecKey) ([]string, bool) {
 // SegmentHeat reports the segment's cache footprint — resident decoded
 // bytes and accumulated hits across its vectors — so the merge planner can
 // prefer retiring cold runs (it implements core.VectorResidency). Safe on a
-// nil (disabled) cache. On a group partition the heat is node-wide: merge
-// planning must see residency in every workspace's tier, not just the one
-// that happens to run the merge.
+// nil (disabled) cache.
 func (c *VecCache) SegmentHeat(seg *colstore.Segment) (residentBytes, hits int64) {
 	if c == nil {
 		return 0, 0
 	}
-	if c.group != nil {
-		return c.group.SegmentHeat(seg)
-	}
-	return c.localHeat(seg)
-}
-
-// localHeat sums this hot tier's residency and hits for the segment.
-func (c *VecCache) localHeat(seg *colstore.Segment) (residentBytes, hits int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
@@ -485,10 +382,9 @@ func (c *VecCache) Stats() VecCacheStats {
 		Evictions:        c.evictions,
 		Invalidations:    c.invalidations,
 		AdmissionRejects: c.admissionRejects,
-		SharedHits:       c.sharedHits,
-		Demotions:        c.demotions,
 		Entries:          c.lru.Len(),
 		Bytes:            c.curBytes,
+		Budget:           c.maxBytes,
 	}
 }
 

@@ -402,4 +402,17 @@ func TestVecCacheInvalidateDropsHeat(t *testing.T) {
 	if b, h := cache.SegmentHeat(meta.Seg); b != 0 || h != 0 {
 		t.Fatalf("heat survived invalidation: (%d, %d)", b, h)
 	}
+	if !meta.Seg.Retired() {
+		t.Fatal("invalidation did not set the retirement flag")
+	}
+
+	// A reader on an older snapshot still gets the vector, decoded fresh,
+	// but the retired segment never re-enters the cache.
+	var st ScanStats
+	if v := cache.Ints(meta, 2, &st); len(v) != meta.Seg.NumRows || st.VecDecodes != 1 {
+		t.Fatalf("post-retirement read: %d rows, %+v", len(v), st)
+	}
+	if _, ok := cache.PeekInts(meta.Seg, 2); ok {
+		t.Fatal("retired segment was re-installed")
+	}
 }

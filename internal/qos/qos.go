@@ -9,10 +9,11 @@
 //
 // Accounting model. Every registered tenant owns one token bucket per
 // resource. A bucket's budget is capacity × effective share, where
-// shares come from explicit weights (Config.Shares) and every tenant
-// without an explicit weight splits the unreserved remainder evenly —
-// the same semantics as Config.WorkspaceCacheShares. Two bucket styles
-// share one implementation:
+// Split turns explicit weights (Config.Shares) into effective shares:
+// every tenant without an explicit weight splits the unreserved
+// remainder evenly. The decoded-vector cache sizes its per-workspace
+// partitions with the same Split, so one share map governs every
+// resource. Two bucket styles share one implementation:
 //
 //   - lease-style (RefillPerSec == 0): tokens are held for the duration
 //     of the work and returned by Lease.Release — worker slots, scan
@@ -131,9 +132,9 @@ type Limits struct {
 // Config configures a Governor.
 type Config struct {
 	// Shares maps tenant name → weight in (0,1]; weights must sum to at
-	// most 1. Registered tenants not named here split the unreserved
-	// remainder evenly (and share everything when Shares is empty) —
-	// the same contract as Config.WorkspaceCacheShares.
+	// most 1 (see ValidateShares, which New does not repeat). Registered
+	// tenants not named here split the unreserved remainder evenly (and
+	// share everything when Shares is empty); see Split.
 	Shares map[string]float64
 	// Limits configures each resource class, indexed by Resource.
 	Limits [NumResources]Limits
@@ -141,23 +142,61 @@ type Config struct {
 	Now func() time.Time
 }
 
-// ValidateShares checks the TenantShares contract: names non-empty,
-// weights in (0,1], sum ≤ 1.
-func ValidateShares(shares map[string]float64) error {
+// ValidateShares checks a share map: names non-empty, every share finite
+// and in (0,1], and the sum at most 1. reserved, when non-empty, names a
+// tenant that is always registered (the primary): when it has no explicit
+// share, the others must leave it a positive remainder.
+func ValidateShares(shares map[string]float64, reserved string) error {
 	sum := 0.0
 	for name, s := range shares {
 		if name == "" {
 			return errors.New("qos: tenant share with empty tenant name")
 		}
-		if s <= 0 || s > 1 {
-			return fmt.Errorf("qos: tenant %q share %.3f outside (0,1]", name, s)
+		if !(s > 0 && s <= 1) { // also rejects NaN, for which every comparison is false
+			return fmt.Errorf("qos: tenant %q share %v outside (0,1]", name, s)
 		}
 		sum += s
 	}
-	if sum > 1+1e-9 {
+	if sum > 1+shareSlack {
 		return fmt.Errorf("qos: tenant shares sum to %.3f > 1", sum)
 	}
+	if _, ok := shares[reserved]; reserved != "" && !ok && sum > 1-shareSlack {
+		return fmt.Errorf("qos: tenant shares sum to %.3f, leaving %q no share", sum, reserved)
+	}
 	return nil
+}
+
+// shareSlack absorbs float rounding in a share sum (0.7 + 0.2 + 0.1).
+const shareSlack = 1e-9
+
+// Split is the one share rule: it divides a whole of 1 among names. A
+// name with an explicit share gets it as given; the names without one
+// split evenly what the present names' explicit shares leave. An explicit
+// share for a name not in names reserves nothing. The governor calls it
+// over its registered tenants, the decoded-vector cache over its
+// partitions.
+func Split(shares map[string]float64, names []string) map[string]float64 {
+	reserved, unshared := 0.0, 0
+	for _, name := range names {
+		if s, ok := shares[name]; ok {
+			reserved += s
+		} else {
+			unshared++
+		}
+	}
+	even := 0.0
+	if unshared > 0 {
+		even = max(0, (1-reserved)/float64(unshared))
+	}
+	out := make(map[string]float64, len(names))
+	for _, name := range names {
+		s, ok := shares[name]
+		if !ok {
+			s = even
+		}
+		out[name] = s
+	}
+	return out
 }
 
 // retryBase and retryCap bound the shed-streak backoff: the first shed
@@ -217,17 +256,14 @@ type tenantState struct {
 	buckets [NumResources]*bucket
 }
 
-// New builds a Governor. Config.Shares is validated; resources with
-// zero Capacity stay ungoverned.
-func New(cfg Config) (*Governor, error) {
-	if err := ValidateShares(cfg.Shares); err != nil {
-		return nil, err
-	}
+// New builds a Governor. Config.Shares must already pass
+// ValidateShares; resources with zero Capacity stay ungoverned.
+func New(cfg Config) *Governor {
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	return &Governor{cfg: cfg, now: now, tenants: make(map[string]*tenantState)}, nil
+	return &Governor{cfg: cfg, now: now, tenants: make(map[string]*tenantState)}
 }
 
 // Register adds a tenant (idempotent) and rebalances every tenant's
@@ -291,34 +327,18 @@ func (g *Governor) Unregister(tenant string) {
 }
 
 // rebalanceLocked recomputes every bucket's budget and refill rate from
-// the current tenant set: explicit weights from cfg.Shares, everyone
-// else splitting the unreserved remainder evenly. Budget deltas are
+// the current tenant set, with shares from Split. Budget deltas are
 // applied to avail directly, which preserves the lease invariant
 // avail = budget − inUse across rebalances (avail goes negative when a
 // shrink lands under outstanding leases — the debt settles as leases
 // release).
 func (g *Governor) rebalanceLocked() {
-	reserved := 0.0
-	unreserved := 0
+	names := make([]string, 0, len(g.tenants))
 	for name := range g.tenants {
-		if s, ok := g.cfg.Shares[name]; ok {
-			reserved += s
-		} else {
-			unreserved++
-		}
+		names = append(names, name)
 	}
-	evenShare := 0.0
-	if unreserved > 0 {
-		evenShare = (1 - reserved) / float64(unreserved)
-		if evenShare < 0 {
-			evenShare = 0
-		}
-	}
-	for name, t := range g.tenants {
-		share, ok := g.cfg.Shares[name]
-		if !ok {
-			share = evenShare
-		}
+	for name, share := range Split(g.cfg.Shares, names) {
+		t := g.tenants[name]
 		for _, b := range t.buckets {
 			if b.lim.Capacity == 0 {
 				continue

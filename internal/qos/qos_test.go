@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,11 +32,10 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func mustNew(t *testing.T, cfg Config) *Governor {
 	t.Helper()
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	if err := ValidateShares(cfg.Shares, ""); err != nil {
+		t.Fatalf("ValidateShares: %v", err)
 	}
-	return g
+	return New(cfg)
 }
 
 func leaseLimits(capacity int64, depth int) (l [NumResources]Limits) {
@@ -45,22 +46,75 @@ func leaseLimits(capacity int64, depth int) (l [NumResources]Limits) {
 }
 
 func TestValidateShares(t *testing.T) {
-	for _, bad := range []map[string]float64{
-		{"": 0.5},
-		{"a": 0},
-		{"a": -0.1},
-		{"a": 1.5},
-		{"a": 0.7, "b": 0.6},
-	} {
-		if err := ValidateShares(bad); err == nil {
-			t.Errorf("ValidateShares(%v) accepted invalid shares", bad)
-		}
+	cases := []struct {
+		name    string
+		shares  map[string]float64
+		wantErr string
+	}{
+		{"nil", nil, ""},
+		{"valid", map[string]float64{"ws1": 0.3, "ws2": 0.2}, ""},
+		{"whole", map[string]float64{"a": 0.7, "b": 0.2, "primary": 0.1}, ""},
+		{"with primary", map[string]float64{"primary": 0.5, "ws1": 0.5}, ""},
+		{"empty name", map[string]float64{"": 0.5}, "empty tenant name"},
+		{"zero share", map[string]float64{"ws1": 0}, "outside (0,1]"},
+		{"negative share", map[string]float64{"ws1": -0.25}, "outside (0,1]"},
+		{"single share over one", map[string]float64{"ws1": 1.5}, "outside (0,1]"},
+		{"NaN share", map[string]float64{"ws1": math.NaN()}, "outside (0,1]"},
+		{"infinite share", map[string]float64{"ws1": math.Inf(1)}, "outside (0,1]"},
+		{"sum over one", map[string]float64{"ws1": 0.6, "ws2": 0.6}, "sum to"},
+		{"primary starved", map[string]float64{"ws1": 0.7, "ws2": 0.3}, `leaving "primary" no share`},
 	}
-	if err := ValidateShares(map[string]float64{"a": 0.7, "b": 0.3}); err != nil {
-		t.Errorf("valid shares rejected: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := ValidateShares(tc.shares, "primary")
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+			}
+		})
 	}
-	if err := ValidateShares(nil); err != nil {
-		t.Errorf("nil shares rejected: %v", err)
+	// Without a reserved name the shares may claim the whole.
+	if err := ValidateShares(map[string]float64{"a": 0.7, "b": 0.3}, ""); err != nil {
+		t.Errorf("whole split without a reserved name rejected: %v", err)
+	}
+}
+
+func TestSplit(t *testing.T) {
+	cases := []struct {
+		name   string
+		shares map[string]float64
+		names  []string
+		want   map[string]float64
+	}{
+		{"no names", map[string]float64{"reports": 0.25}, nil, map[string]float64{}},
+		{"primary only", nil, []string{"primary"}, map[string]float64{"primary": 1}},
+		{"explicit and unshared", map[string]float64{"reports": 0.25},
+			[]string{"primary", "reports", "adhoc"},
+			map[string]float64{"primary": 0.375, "reports": 0.25, "adhoc": 0.375}},
+		{"explicit share for an absent name", map[string]float64{"reports": 0.25},
+			[]string{"primary", "adhoc"},
+			map[string]float64{"primary": 0.5, "adhoc": 0.5}},
+		{"all explicit", map[string]float64{"primary": 0.5, "reports": 0.25},
+			[]string{"primary", "reports"},
+			map[string]float64{"primary": 0.5, "reports": 0.25}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Split(tc.shares, tc.names)
+			if len(got) != len(tc.want) {
+				t.Fatalf("Split = %v, want %v", got, tc.want)
+			}
+			for name, w := range tc.want {
+				if g, ok := got[name]; !ok || math.Abs(g-w) > 1e-12 {
+					t.Fatalf("Split = %v, want %v", got, tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package s2db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -9,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"s2db/internal/qos"
 )
 
 // qosTestConfig is the shared governed configuration: a deliberately tiny
@@ -340,5 +343,23 @@ func TestQoSWorkspaceChurnStorm(t *testing.T) {
 			t.Fatalf("token leak after churn storm: %s", leaked)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestTinyWALRateStillPaces checks that a WAL rate below four bytes per
+// second still governs the resource: its burst floors at one token instead
+// of rounding to the zero capacity that means "ungoverned".
+func TestTinyWALRateStillPaces(t *testing.T) {
+	g := newGovernor(Config{QoSWALBytesPerSec: 2})
+	l, n, err := g.AcquireUpTo(context.Background(), PrimaryTenant, qos.WALBand, 1, 1)
+	if err != nil || l == nil || n != 1 {
+		t.Fatalf("first page: lease=%v n=%d err=%v, want a governed one-token grant", l, n, err)
+	}
+	// The one-token burst is spent, so the next page waits on the 2/s
+	// refill instead of passing at once.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := g.AcquireUpTo(ctx, PrimaryTenant, qos.WALBand, 1, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second page: err = %v, want it paced past the deadline", err)
 	}
 }

@@ -101,23 +101,14 @@ type Config struct {
 	BlobPutLatency, BlobGetLatency time.Duration
 	// CacheBytes bounds the per-partition local data-file cache.
 	CacheBytes int
-	// VectorCacheBytes bounds the node-wide decoded-vector cache: an LRU
-	// of fully decoded column vectors shared across queries (and across the
+	// VectorCacheBytes bounds the node-wide decoded-vector cache: fully
+	// decoded column vectors shared across queries (and across the
 	// parallel scheduler's workers) so repeated scans of immutable segments
-	// skip decoding entirely. The budget is partitioned per workspace (see
-	// WorkspaceCacheShares): a quarter backs a shared second tier of demoted
-	// vectors, the rest splits into per-workspace hot tiers. 0 uses
+	// skip decoding entirely. The primary and each workspace get their own
+	// LRU partition, sized by TenantShares like every QoS resource. 0 uses
 	// DefaultVectorCacheBytes; negative disables the cache (scans fall back
 	// to private per-query decodes).
 	VectorCacheBytes int
-	// WorkspaceCacheShares pins explicit fractions of the vector-cache hot
-	// pool to named workspaces; the reserved name "primary" pins the primary
-	// cluster's share. Partitions without an explicit entry split the
-	// unreserved remainder evenly, with the primary floored at half of it so
-	// attaching workspaces can never starve operational scans. Validated at
-	// Open: names must be non-empty, each share in (0, 1], and the shares
-	// must sum to at most 1.0.
-	WorkspaceCacheShares map[string]float64
 	// CommitToBlob forces the cloud-data-warehouse commit path (used by
 	// the ablation experiments; S2DB's design keeps it off).
 	CommitToBlob bool
@@ -170,13 +161,15 @@ type Config struct {
 	// partitions are noticed). 0 uses cluster.DefaultLinkStallTimeout
 	// (500ms).
 	LinkStallTimeout time.Duration
-	// TenantShares pins explicit fractions of every QoS resource budget
-	// to named tenants, mirroring WorkspaceCacheShares: the reserved
-	// name "primary" is the primary cluster's workload, a workspace's
-	// tenant is its workspace name, and Query.AsTenant / WithTenant tag
-	// arbitrary front-door tenants. Tenants without an explicit entry
-	// split the unreserved remainder evenly. Validated at Open: names
-	// non-empty, each share in (0, 1], sum at most 1.0.
+	// TenantShares pins explicit fractions of every tenant resource
+	// budget — the four QoS resources and VectorCacheBytes — to named
+	// tenants: the reserved name "primary" (PrimaryTenant) is the primary
+	// cluster's workload, a workspace's tenant is its workspace name, and
+	// Query.AsTenant / WithTenant tag arbitrary front-door tenants.
+	// Tenants without an explicit entry split the unreserved remainder
+	// evenly. Validated at Open: names non-empty, each share finite and in
+	// (0, 1], sum at most 1.0, and without an explicit "primary" entry the
+	// shares must leave the primary a positive remainder.
 	TenantShares map[string]float64
 	// QoSWorkerSlots is the total query fan-out worker-slot pool split
 	// across tenants by TenantShares weight. 0 uses
@@ -241,8 +234,9 @@ func DefaultQoSWorkerSlots() int {
 // workspace resync path).
 const qosWALMaxWait = 2 * time.Second
 
-// newGovernor resolves the QoS knobs into a governor.
-func newGovernor(cfg Config) (*qos.Governor, error) {
+// newGovernor resolves the QoS knobs into a governor. cfg.TenantShares
+// must already pass qos.ValidateShares.
+func newGovernor(cfg Config) *qos.Governor {
 	resolve := func(v, def int64) int64 {
 		switch {
 		case v == 0:
@@ -273,18 +267,19 @@ func newGovernor(cfg Config) (*qos.Governor, error) {
 		QueueDepth: depth,
 	}
 	rate := resolve(cfg.QoSWALBytesPerSec, DefaultQoSWALBytesPerSec)
+	burst := rate / 4
+	if rate > 0 && burst < 1 {
+		burst = 1 // a zero capacity would leave the resource ungoverned
+	}
 	lim[qos.WALBand] = qos.Limits{
-		Capacity:     rate / 4,
+		Capacity:     burst,
 		RefillPerSec: rate,
 		QueueDepth:   depth,
 		MaxWait:      qosWALMaxWait,
 	}
-	g, err := qos.New(qos.Config{Shares: cfg.TenantShares, Limits: lim})
-	if err != nil {
-		return nil, err
-	}
+	g := qos.New(qos.Config{Shares: cfg.TenantShares, Limits: lim})
 	g.Register(PrimaryTenant)
-	return g, nil
+	return g
 }
 
 // Transport names accepted by Config.Transport.
@@ -316,28 +311,24 @@ func NewDiskBlobStore(dir string) (BlobStore, error) { return blob.NewDisk(dir) 
 // Config.VectorCacheBytes is zero.
 const DefaultVectorCacheBytes = 64 << 20
 
-// VecCacheStats snapshots one cache tier's counters (hits, misses,
-// evictions, demotions into / promotions out of the shared tier, residency).
+// VecCacheStats snapshots one cache partition's counters (hits, misses,
+// evictions, residency and byte budget).
 type VecCacheStats = exec.VecCacheStats
 
-// VectorCacheStats is the per-tier breakdown of the partitioned
-// decoded-vector cache: the primary's hot tier, each workspace's hot tier
-// by name, the shared backing tier of demoted vectors, and the fold of all
-// of them.
+// VectorCacheStats is the per-partition breakdown of the decoded-vector
+// cache: the primary's partition, each workspace's partition by name, and
+// the fold of all of them.
 type VectorCacheStats struct {
-	// Total folds every tier's counters together (the pre-partitioning
-	// process-wide view).
+	// Total folds every partition's counters together (the process-wide
+	// view).
 	Total VecCacheStats
-	// Primary is the primary cluster's hot tier.
+	// Primary is the primary cluster's partition.
 	Primary VecCacheStats
-	// Shared is the backing tier holding vectors demoted from hot tiers;
-	// its Hits count promotions served without a decode.
-	Shared VecCacheStats
-	// Workspaces holds each attached workspace's hot tier by name.
+	// Workspaces holds each attached workspace's partition by name.
 	Workspaces map[string]VecCacheStats
 }
 
-// HitRate reports the cache-wide hit rate across all tiers.
+// HitRate reports the cache-wide hit rate across all partitions.
 func (s VectorCacheStats) HitRate() float64 { return s.Total.HitRate() }
 
 // DB is a running database.
@@ -396,14 +387,14 @@ func TenantFromContext(ctx context.Context) (string, bool) {
 }
 
 // newVecCacheGroup resolves the cache knobs: VectorCacheBytes 0 = default,
-// <0 = disabled (nil group); shares are validated even when disabled so a
-// misconfiguration never passes silently.
-func newVecCacheGroup(cfg Config) (*exec.VecCacheGroup, error) {
+// <0 = disabled (nil group). cfg.TenantShares must already pass
+// qos.ValidateShares.
+func newVecCacheGroup(cfg Config) *exec.VecCacheGroup {
 	bytes := cfg.VectorCacheBytes
 	if bytes == 0 {
 		bytes = DefaultVectorCacheBytes
 	}
-	return exec.NewVecCacheGroup(bytes, cfg.WorkspaceCacheShares)
+	return exec.NewVecCacheGroup(bytes, PrimaryTenant, cfg.TenantShares)
 }
 
 // cachePartitioner adapts the exec cache group to the cluster's
@@ -469,14 +460,13 @@ func newDB(cfg Config) (*DB, cluster.Config, error) {
 	if cfg.CommitToBlob {
 		mode = cluster.CommitBlob
 	}
-	vec, err := newVecCacheGroup(cfg)
-	if err != nil {
+	// One validation covers every resource the shares size, so it runs
+	// even when the cache or the governor is disabled.
+	if err := qos.ValidateShares(cfg.TenantShares, PrimaryTenant); err != nil {
 		return nil, cluster.Config{}, err
 	}
-	gov, err := newGovernor(cfg)
-	if err != nil {
-		return nil, cluster.Config{}, err
-	}
+	vec := newVecCacheGroup(cfg)
+	gov := newGovernor(cfg)
 	transport, chaos, err := newTransport(cfg)
 	if err != nil {
 		return nil, cluster.Config{}, err
@@ -505,7 +495,7 @@ func newDB(cfg Config) (*DB, cluster.Config, error) {
 	if p := vec.Primary(); p != nil {
 		// Assigned only when enabled so a disabled cache stays a nil
 		// interface (not a typed-nil *VecCache) inside core.
-		ccfg.DecodedCache = p
+		ccfg.Table.DecodedCache = p
 	}
 	return &DB{cfg: cfg, vec: vec, plans: sql.NewCache(cfg.PlanCacheEntries), chaos: chaos, gov: gov}, ccfg, nil
 }
@@ -516,14 +506,13 @@ func newDB(cfg Config) (*DB, cluster.Config, error) {
 func (db *DB) ChaosTransport() *ChaosTransport { return db.chaos }
 
 // VectorCacheStats returns the decoded-vector cache counters broken down
-// by tier — the primary's hot tier, each workspace's hot tier and the
-// shared backing tier; all zero when the cache is disabled.
+// by partition — the primary's and each workspace's; all zero when the
+// cache is disabled.
 func (db *DB) VectorCacheStats() VectorCacheStats {
 	gs := db.vec.Stats()
 	return VectorCacheStats{
 		Total:      gs.Total(),
 		Primary:    gs.Primary,
-		Shared:     gs.Shared,
 		Workspaces: gs.Workspaces,
 	}
 }
@@ -576,6 +565,11 @@ func (db *DB) Flush(table string) error { return db.cluster.Flush(table) }
 
 // CreateWorkspace provisions an isolated read-only workspace (§3.2).
 func (db *DB) CreateWorkspace(name string) (*Workspace, error) {
+	if name == PrimaryTenant {
+		// A workspace's name is its tenant and cache partition, so this one
+		// would share the primary's budgets and unregister them on detach.
+		return nil, fmt.Errorf("s2db: workspace name %q is reserved for the primary", name)
+	}
 	ws, err := db.cluster.CreateWorkspace(name)
 	if err != nil {
 		return nil, err

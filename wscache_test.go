@@ -1,42 +1,86 @@
 package s2db
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestOpenRejectsInvalidCacheShares checks the one validation of
+// TenantShares, which size the vector cache partitions and every QoS
+// resource alike.
 func TestOpenRejectsInvalidCacheShares(t *testing.T) {
 	cases := []struct {
 		name    string
 		shares  map[string]float64
 		wantErr string
 	}{
-		{"sum over one", map[string]float64{"ws1": 0.7, "ws2": 0.7}, "over the whole budget"},
-		{"zero share", map[string]float64{"ws1": 0}, "must be > 0"},
-		{"negative share", map[string]float64{"ws1": -0.5}, "must be > 0"},
-		{"nonexistent empty name", map[string]float64{"": 0.5}, "nonexistent workspace"},
-		{"primary starved", map[string]float64{"reports": 1.0}, "leaving the primary no budget"},
+		{"sum over one", map[string]float64{"ws1": 0.7, "ws2": 0.7}, "sum to"},
+		{"zero share", map[string]float64{"ws1": 0}, "outside (0,1]"},
+		{"negative share", map[string]float64{"ws1": -0.5}, "outside (0,1]"},
+		{"NaN share", map[string]float64{"ws1": math.NaN()}, "outside (0,1]"},
+		{"nonexistent empty name", map[string]float64{"": 0.5}, "empty tenant name"},
+		{"primary starved", map[string]float64{"reports": 1.0}, `leaving "primary" no share`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db, err := Open(Config{Partitions: 1, WorkspaceCacheShares: tc.shares})
-			if err == nil {
-				db.Close()
-				t.Fatalf("Open accepted invalid shares %v", tc.shares)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+			// A disabled cache and ungoverned QoS still validate.
+			for _, cfg := range []Config{
+				{Partitions: 1, TenantShares: tc.shares},
+				{Partitions: 1, TenantShares: tc.shares, VectorCacheBytes: -1, QoSWorkerSlots: -1,
+					QoSScanMemoryBytes: -1, QoSMergeIOBytes: -1, QoSWALBytesPerSec: -1},
+			} {
+				db, err := Open(cfg)
+				if err == nil {
+					db.Close()
+					t.Fatalf("Open accepted invalid shares %v", tc.shares)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
+				}
 			}
 		})
 	}
 
 	// Valid shares — and a disabled cache with valid shares — open fine.
-	db := openTestDB(t, Config{Partitions: 1, WorkspaceCacheShares: map[string]float64{"reports": 0.25}})
-	_ = db
-	db2 := openTestDB(t, Config{Partitions: 1, VectorCacheBytes: -1, WorkspaceCacheShares: map[string]float64{"reports": 0.25}})
-	if s := db2.VectorCacheStats(); s.Total.Bytes != 0 {
+	openTestDB(t, Config{Partitions: 1, TenantShares: map[string]float64{"reports": 0.25}})
+	db2 := openTestDB(t, Config{Partitions: 1, VectorCacheBytes: -1, TenantShares: map[string]float64{"reports": 0.25}})
+	if s := db2.VectorCacheStats(); s.Total.Bytes != 0 || s.Total.Budget != 0 {
 		t.Fatalf("disabled cache reports residency: %+v", s.Total)
+	}
+}
+
+// TestTenantSharesSizeWorkspaceCache checks that a workspace's cache
+// partition is its TenantShares share of the whole VectorCacheBytes.
+func TestTenantSharesSizeWorkspaceCache(t *testing.T) {
+	const bytes = 1 << 20
+	db := openTestDB(t, Config{Partitions: 1, VectorCacheBytes: bytes,
+		TenantShares: map[string]float64{"reports": 0.25}})
+	if b := db.VectorCacheStats().Primary.Budget; b != bytes {
+		t.Fatalf("primary budget alone = %d, want %d", b, bytes)
+	}
+	ws, err := db.CreateWorkspace("reports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := db.VectorCacheStats()
+	if b := stats.Workspaces["reports"].Budget; b != bytes/4 {
+		t.Fatalf("reports cache budget = %d, want %d", b, bytes/4)
+	}
+	if b := stats.Primary.Budget; b != bytes*3/4 {
+		t.Fatalf("primary cache budget = %d, want %d", b, bytes*3/4)
+	}
+	// The governor splits its resources by the same rule.
+	qs := db.QoSStats()
+	if got, want := qs["reports"].MergeIO.Budget, DefaultQoSMergeIOBytes/4; got != want {
+		t.Fatalf("reports merge-I/O budget = %d, want %d", got, want)
+	}
+	if err := ws.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	if b := db.VectorCacheStats().Primary.Budget; b != bytes {
+		t.Fatalf("primary budget after detach = %d, want %d", b, bytes)
 	}
 }
 
@@ -44,6 +88,9 @@ func TestCreateWorkspaceRejectsEmptyName(t *testing.T) {
 	db := openTestDB(t, Config{Partitions: 1})
 	if _, err := db.CreateWorkspace(""); err == nil {
 		t.Fatal("empty workspace name accepted")
+	}
+	if _, err := db.CreateWorkspace(PrimaryTenant); err == nil {
+		t.Fatal("the primary's reserved name accepted as a workspace name")
 	}
 }
 
@@ -79,7 +126,7 @@ func TestPerWorkspaceCacheStatsAndExplain(t *testing.T) {
 	}
 
 	// A workspace query resolves against the workspace's own partition, and
-	// its scans show up in the workspace's tier stats, not the primary's.
+	// its scans show up in the workspace's partition stats, not the primary's.
 	primaryBefore := db.VectorCacheStats().Primary
 	wq := db.Table("events").OnWorkspace(ws).Where(Gt(2, Int(10)))
 	wplan, err := wq.Explain()
@@ -99,13 +146,13 @@ func TestPerWorkspaceCacheStatsAndExplain(t *testing.T) {
 		t.Fatalf("no per-workspace stats entry: %+v", stats.Workspaces)
 	}
 	if wsStats.Misses == 0 {
-		t.Fatalf("workspace scan left no trace in its tier: %+v", wsStats)
+		t.Fatalf("workspace scan left no trace in its partition: %+v", wsStats)
 	}
 	if got := stats.Primary.Misses; got != primaryBefore.Misses {
-		t.Fatalf("workspace scan decoded into the primary tier: %d -> %d misses", primaryBefore.Misses, got)
+		t.Fatalf("workspace scan decoded into the primary partition: %d -> %d misses", primaryBefore.Misses, got)
 	}
 	if total := stats.Total; total.Misses < wsStats.Misses {
-		t.Fatalf("Total does not fold workspace tiers: %+v < %+v", total, wsStats)
+		t.Fatalf("Total does not fold workspace partitions: %+v < %+v", total, wsStats)
 	}
 
 	// Detach releases the partition: its stats entry disappears.
