@@ -10,10 +10,10 @@ check: build vet race
 # multi-tenant QoS isolation gate, the index, storage, replication,
 # vector-cache and QoS tests at one and two cores, the seeded chaos soak,
 # a smoke pass of the four benchmark workloads, and a short fuzz pass of
-# the SQL front-end, the WAL page codec, the exec filter tree, the
-# unique-key range derivation, the table log-record decoder, the
-# snapshot-bundle decoder and the segment index build. Run it locally
-# before pushing.
+# the SQL front-end, the WAL page codec, the exec filter tree and
+# aggregation kernels, the unique-key range derivation, the table
+# log-record decoder, the snapshot-bundle decoder, the segment index build
+# and the column decoders. Run it locally before pushing.
 ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -101,23 +101,31 @@ benchsmoke:
 # FuzzDecodePage must reject hostile wire frames without panicking or
 # allocating unboundedly, FuzzFilterTree must find no filter tree on
 # which a segment strategy disagrees with row-at-a-time EvalRow,
+# FuzzAggregate must find no grouping and aggregate specs on which a fused
+# or general aggregation differs from the row-at-a-time fold (float bits
+# included),
 # FuzzKeyRange must find no key schema, pins and rows on which seeking the
 # derived unique-key range (or routing to the derived partition) loses a
 # row that walking every row keeps, and FuzzDecodeMutation and
 # FuzzDecodeSnapshotBundle must reject hostile table log records and
-# snapshot bundles without panicking or allocating beyond their size, and
+# snapshot bundles without panicking or allocating beyond their size,
 # FuzzSegmentIndex must find no column on which the sorted-array segment
-# index disagrees with the map-based oracle build.
+# index disagrees with the map-based oracle build, and
+# FuzzDecodeIntColumn and FuzzDecodeStringColumn must reject hostile
+# column encodings the same way and re-encode accepted ones stably.
 # Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime 10s
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
+	go test ./internal/exec -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
 	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s
+	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeIntColumn$$' -fuzztime 10s
+	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeStringColumn$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

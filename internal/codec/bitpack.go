@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // BitPack is a frame-of-reference bit-packed integer column: values are
@@ -99,6 +100,11 @@ func (b *BitPack) AppendBinary(buf []byte) []byte {
 }
 
 func decodeBitPack(buf []byte) (*BitPack, int, error) {
+	// Dict and the plain/LZ string encodings nest a bit-packed column, so
+	// this is also reached with no kind byte of its own verified.
+	if len(buf) == 0 || Kind(buf[0]) != KindBitPack {
+		return nil, 0, fmt.Errorf("codec: missing bitpack column")
+	}
 	p := 1
 	n, k, err := readUvarint(buf[p:])
 	if err != nil {
@@ -120,10 +126,10 @@ func decodeBitPack(buf []byte) (*BitPack, int, error) {
 		return nil, 0, err
 	}
 	p += k
-	if width > 64 || int(nw) != (int(n)*width+63)/64 {
+	if n > math.MaxUint32 || width > 64 || nw != (n*uint64(width)+63)/64 {
 		return nil, 0, fmt.Errorf("codec: inconsistent bitpack header")
 	}
-	if p+int(nw)*8 > len(buf) {
+	if nw > uint64(len(buf)-p)/8 {
 		return nil, 0, fmt.Errorf("codec: truncated bitpack payload")
 	}
 	words := make([]uint64, nw)
@@ -172,7 +178,7 @@ func decodePlainInt(buf []byte) (*PlainInt, int, error) {
 		return nil, 0, err
 	}
 	p += k
-	if p+int(n)*8 > len(buf) {
+	if n > uint64(len(buf)-p)/8 {
 		return nil, 0, fmt.Errorf("codec: truncated plain-int payload")
 	}
 	vals := make([]int64, n)

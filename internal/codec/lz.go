@@ -192,6 +192,11 @@ func decodeLZBlocks(buf []byte) (*lzBlocks, int, error) {
 		return nil, 0, err
 	}
 	p += n
+	// Every block takes at least its length byte, and holds lzBlockSize raw
+	// bytes at most.
+	if nb > uint64(len(buf)-p) || rawLen > nb*lzBlockSize {
+		return nil, 0, fmt.Errorf("codec: lz header claims %d raw bytes in %d blocks, %d bytes left", rawLen, nb, len(buf)-p)
+	}
 	b := &lzBlocks{rawLen: int(rawLen), cacheIdx: -1, comp: make([][]byte, nb)}
 	for i := range b.comp {
 		l, n, err := readUvarint(buf[p:])
@@ -199,7 +204,7 @@ func decodeLZBlocks(buf []byte) (*lzBlocks, int, error) {
 			return nil, 0, err
 		}
 		p += n
-		if p+int(l) > len(buf) {
+		if l > uint64(len(buf)-p) {
 			return nil, 0, fmt.Errorf("codec: truncated lz block")
 		}
 		c := make([]byte, l)

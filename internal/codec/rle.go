@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -95,6 +96,12 @@ func decodeRLE(buf []byte) (*RLE, int, error) {
 		return nil, 0, err
 	}
 	p += k
+	// Run ends are uint32 offsets, and every run takes at least two bytes
+	// (a value and an end varint): a header claiming more is hostile, not
+	// an allocation request.
+	if n > math.MaxUint32 || runs > uint64(len(buf)-p)/2 {
+		return nil, 0, fmt.Errorf("codec: rle header claims %d rows in %d runs, %d bytes left", n, runs, len(buf)-p)
+	}
 	r := &RLE{n: int(n), vals: make([]int64, runs), ends: make([]uint32, runs)}
 	prev := uint64(0)
 	for j := 0; j < int(runs); j++ {

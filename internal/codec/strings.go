@@ -90,6 +90,10 @@ func decodeDict(buf []byte) (*Dict, int, error) {
 		return nil, 0, err
 	}
 	p += k
+	// Every entry takes at least its length byte.
+	if nd > uint64(len(buf)-p) {
+		return nil, 0, fmt.Errorf("codec: dict header claims %d entries, %d bytes left", nd, len(buf)-p)
+	}
 	dict := make([]string, nd)
 	for i := range dict {
 		l, k, err := readUvarint(buf[p:])
@@ -97,7 +101,7 @@ func decodeDict(buf []byte) (*Dict, int, error) {
 			return nil, 0, err
 		}
 		p += k
-		if p+int(l) > len(buf) {
+		if l > uint64(len(buf)-p) {
 			return nil, 0, fmt.Errorf("codec: truncated dict entry")
 		}
 		dict[i] = string(buf[p : p+int(l)])
@@ -172,7 +176,7 @@ func decodePlainString(buf []byte) (*PlainString, int, error) {
 		return nil, 0, err
 	}
 	p += k
-	if p+int(l) > len(buf) {
+	if l > uint64(len(buf)-p) {
 		return nil, 0, fmt.Errorf("codec: truncated plain-string payload")
 	}
 	data := make([]byte, l)

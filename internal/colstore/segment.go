@@ -17,6 +17,7 @@ import (
 	"s2db/internal/bitmap"
 	"s2db/internal/codec"
 	"s2db/internal/types"
+	"s2db/internal/vector"
 )
 
 // MaxSegmentRows is the default segment capacity. The paper uses 1M rows
@@ -241,9 +242,11 @@ func (s *Segment) IntValues(col int, dst []int64) []int64 {
 
 // MayContain reports whether the segment's zone map admits a value
 // satisfying "col op v"; false means the whole segment can be eliminated
-// without touching data files (§5.1).
+// without touching data files (§5.1). It decides by vector.CmpValue, the
+// rule the kernels apply to the rows themselves, so a constant no stored
+// value compares with (a NaN) never eliminates a segment a row would pass.
 func (s *Segment) MayContain(col int, op int, v types.Value) bool {
-	// op follows vector.CmpOp ordering: Eq, Ne, Lt, Le, Gt, Ge.
+	// op is a vector.CmpOp: Eq, Ne, Lt, Le, Gt, Ge.
 	if !s.hydrated.Load() {
 		return true // no zone map yet: cannot eliminate an unhydrated stub
 	}
@@ -251,19 +254,15 @@ func (s *Segment) MayContain(col int, op int, v types.Value) bool {
 		return false // all null: no comparison can hold
 	}
 	lo, hi := s.Min[col], s.Max[col]
-	switch op {
-	case 0: // Eq
-		return types.Compare(v, lo) >= 0 && types.Compare(v, hi) <= 0
-	case 1: // Ne
-		return !(types.Equal(lo, hi) && types.Equal(lo, v))
-	case 2: // Lt
-		return types.Compare(lo, v) < 0
-	case 3: // Le
-		return types.Compare(lo, v) <= 0
-	case 4: // Gt
-		return types.Compare(hi, v) > 0
-	default: // Ge
-		return types.Compare(hi, v) >= 0
+	switch o := vector.CmpOp(op); o {
+	case vector.Eq:
+		return vector.CmpValue(lo, vector.Le, v) && vector.CmpValue(v, vector.Le, hi)
+	case vector.Ne:
+		return !(vector.CmpValue(lo, vector.Eq, hi) && vector.CmpValue(lo, vector.Eq, v))
+	case vector.Lt, vector.Le:
+		return vector.CmpValue(lo, o, v)
+	default: // Gt, Ge
+		return vector.CmpValue(hi, o, v)
 	}
 }
 

@@ -145,7 +145,7 @@ func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
 // returning buffer keys and segment locations.
 func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
 	bufKeys = t.bufferTargets(view.TS, w)
-	if w.Col >= 0 && t.idx.HasColumn(w.Col) {
+	if w.Col >= 0 && t.indexAnswers(w.Col) {
 		matches, probes := t.idx.LookupColumn(w.Col, w.Val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
@@ -369,7 +369,7 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 		}
 		return true
 	})
-	if t.idx.HasColumn(col) {
+	if t.indexAnswers(col) {
 		matches, probes := t.idx.LookupColumn(col, val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
@@ -398,6 +398,13 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 		}
 	}
 	return out
+}
+
+// indexAnswers reports whether the secondary index may answer an equality
+// on col: the column is indexed and its equality is key equality (an index
+// files -0.0 and 0.0 apart; float equality does not).
+func (t *Table) indexAnswers(col int) bool {
+	return t.idx.HasColumn(col) && t.schema.Columns[col].Type.KeyEquality()
 }
 
 // UniqueWhere builds a Where matching exactly the given unique key values.

@@ -95,125 +95,88 @@ func (a *aggState) add(v types.Value) {
 	}
 }
 
-// addInt folds a non-null Int64 without boxing; state transitions are
-// identical to add(types.NewInt(v)).
-func (a *aggState) addInt(v int64) {
-	a.count++
-	a.sumI += v
-	if !a.hasVal {
-		a.minV, a.maxV = types.NewInt(v), types.NewInt(v)
-		a.hasVal = true
-		return
-	}
-	if v < a.minV.I {
-		a.minV = types.NewInt(v)
-	}
-	if v > a.maxV.I {
-		a.maxV = types.NewInt(v)
-	}
+// fold is one aggregate's state over a column of Go type T — an aggState,
+// unboxed. The fused kernels unbox a group's state once per segment
+// (foldOf), fold the segment's rows into it in row order and box it back
+// (storeFold), so the state they leave is the one add would.
+type fold[T colValue] struct {
+	count    int64
+	sum      T
+	min, max T
+	has      bool
+	sums     bool // T is a number; a string "sum" would concatenate
 }
 
-// addIntRun folds n consecutive occurrences of a non-null Int64 exactly:
-// integer sums commute, so runLen×value replaces n adds bit-for-bit.
-func (a *aggState) addIntRun(v, n int64) {
-	if n <= 0 {
-		return
+// add folds one non-null value: the same transitions as aggState.add.
+func (f *fold[T]) add(v T) {
+	f.count++
+	if f.sums {
+		f.sum += v
 	}
-	a.count += n
-	a.sumI += v * n
-	if !a.hasVal {
-		a.minV, a.maxV = types.NewInt(v), types.NewInt(v)
-		a.hasVal = true
-		return
-	}
-	if v < a.minV.I {
-		a.minV = types.NewInt(v)
-	}
-	if v > a.maxV.I {
-		a.maxV = types.NewInt(v)
-	}
+	f.bound(v)
 }
 
-// addFloat folds a non-null Float64 without boxing; identical to
-// add(types.NewFloat(v)).
-func (a *aggState) addFloat(v float64) {
-	a.count++
-	a.sumF += v
-	if !a.hasVal {
-		a.minV, a.maxV = types.NewFloat(v), types.NewFloat(v)
-		a.hasVal = true
-		return
+// addRun folds n consecutive copies of a non-null value: integer sums take
+// v×n, float sums replay the additions (addFloatRun), MIN/MAX compare once.
+func (f *fold[T]) addRun(v T, n int) {
+	f.count += int64(n)
+	switch sum := any(&f.sum).(type) {
+	case *int64:
+		*sum += any(v).(int64) * int64(n)
+	case *float64:
+		addFloatRun(sum, any(v).(float64), n)
 	}
-	if v < a.minV.F {
-		a.minV = types.NewFloat(v)
-	}
-	if v > a.maxV.F {
-		a.maxV = types.NewFloat(v)
-	}
+	f.bound(v)
 }
 
-// addFloatRun folds n consecutive occurrences of a non-null Float64.
-// Float addition is not associative, so the sum replays the n additions in
-// order — an RLE and a decoded encoding of the same data must produce the
-// same bits — while MIN/MAX compare once per run.
-func (a *aggState) addFloatRun(v float64, n int) {
-	if n <= 0 {
-		return
-	}
-	a.count += int64(n)
+// addFloatRun adds v to *sum n times, in order. Float addition is not
+// associative, so an RLE and a decoded encoding of the same data produce
+// the same bits only if the run replays its additions; it is the one fold
+// that stays typed.
+func addFloatRun(sum *float64, v float64, n int) {
 	for k := 0; k < n; k++ {
-		a.sumF += v
-	}
-	if !a.hasVal {
-		a.minV, a.maxV = types.NewFloat(v), types.NewFloat(v)
-		a.hasVal = true
-		return
-	}
-	if v < a.minV.F {
-		a.minV = types.NewFloat(v)
-	}
-	if v > a.maxV.F {
-		a.maxV = types.NewFloat(v)
+		*sum += v
 	}
 }
 
-// addStr folds a non-null String without boxing; identical to
-// add(types.NewString(v)) — strings contribute no sums.
-func (a *aggState) addStr(v string) {
-	a.count++
-	if !a.hasVal {
-		a.minV, a.maxV = types.NewString(v), types.NewString(v)
-		a.hasVal = true
+func (f *fold[T]) bound(v T) {
+	if !f.has {
+		f.min, f.max, f.has = v, v, true
 		return
 	}
-	if v < a.minV.S {
-		a.minV = types.NewString(v)
+	if v < f.min {
+		f.min = v
 	}
-	if v > a.maxV.S {
-		a.maxV = types.NewString(v)
+	if v > f.max {
+		f.max = v
 	}
 }
 
-// merge folds another partial state into a.
-func (a *aggState) merge(b *aggState) {
-	if b.count == 0 {
-		return
+// foldOf unboxes a plain column aggregate's state for a fold over T.
+func foldOf[T colValue](a *aggState) fold[T] {
+	var sum, lo, hi any
+	sums := true
+	switch any(*new(T)).(type) {
+	case int64:
+		sum, lo, hi = a.sumI, a.minV.I, a.maxV.I
+	case float64:
+		sum, lo, hi = a.sumF, a.minV.F, a.maxV.F
+	default:
+		sum, lo, hi, sums = "", a.minV.S, a.maxV.S, false
 	}
-	a.count += b.count
-	a.sumI += b.sumI
-	a.sumF += b.sumF
-	if b.hasVal {
-		if !a.hasVal {
-			a.minV, a.maxV = b.minV, b.maxV
-			a.hasVal = true
-		} else {
-			if types.Compare(b.minV, a.minV) < 0 {
-				a.minV = b.minV
-			}
-			if types.Compare(b.maxV, a.maxV) > 0 {
-				a.maxV = b.maxV
-			}
-		}
+	return fold[T]{count: a.count, sum: sum.(T), min: lo.(T), max: hi.(T), has: a.hasVal, sums: sums}
+}
+
+// storeFold boxes a fold back into the state it was unboxed from.
+func storeFold[T colValue](a *aggState, f *fold[T]) {
+	a.count, a.hasVal = f.count, f.has
+	switch f := any(f).(type) {
+	case *fold[int64]:
+		a.sumI, a.minV, a.maxV = f.sum, types.NewInt(f.min), types.NewInt(f.max)
+	case *fold[float64]:
+		a.sumF, a.minV, a.maxV = f.sum, types.NewFloat(f.min), types.NewFloat(f.max)
+	case *fold[string]:
+		a.minV, a.maxV = types.NewString(f.min), types.NewString(f.max)
 	}
 }
 

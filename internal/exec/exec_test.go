@@ -389,7 +389,7 @@ func TestQuickFilterTreeRandom(t *testing.T) {
 		)
 		got := NewScan(tbl.Snapshot(), node).Count()
 		want := scalarCount(tbl, func(r types.Row) bool {
-			return vector.CmpInt(r[2].I, op, cut) && r[1].S == g
+			return vector.Cmp(r[2].I, op, cut) && r[1].S == g
 		})
 		if got != want {
 			t.Fatalf("trial %d (op=%v cut=%d g=%s): %d != %d", trial, op, cut, g, got, want)

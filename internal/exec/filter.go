@@ -13,12 +13,10 @@ package exec
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sort"
 	"time"
 
-	"s2db/internal/bitmap"
 	"s2db/internal/colstore"
 	"s2db/internal/index"
 	"s2db/internal/types"
@@ -89,8 +87,11 @@ type SegContext struct {
 	// per-segment decodes (the pre-cache behaviour).
 	Cache *VecCache
 
-	intCache [][]int64
-	strCache [][]string
+	// Decoded vectors by column, one table per Go type, each made on the
+	// first decode of its type (segVec).
+	ints   [][]int64
+	floats [][]float64
+	strs   [][]string
 	// rowBufs tracks pooled row buffers handed out by Materializer so the
 	// scan can recycle them once the segment's callback returns.
 	rowBufs []*types.Row
@@ -98,41 +99,7 @@ type SegContext struct {
 
 // NewSegContext prepares execution state for one segment.
 func NewSegContext(meta *colstore.Meta, idx *index.Set, stats *ScanStats) *SegContext {
-	n := len(meta.Seg.Schema().Columns)
-	return &SegContext{Meta: meta, Idx: idx, Stats: stats,
-		intCache: make([][]int64, n), strCache: make([][]string, n)}
-}
-
-// ints returns the fully decoded int64 (or float bits) column. The slice is
-// memoized per segment-context and, when a shared cache is wired in, served
-// from (and published to) the cross-query decoded-vector cache.
-func (c *SegContext) ints(col int) []int64 {
-	if v := c.intCache[col]; v != nil {
-		return v
-	}
-	var v []int64
-	if c.Cache != nil {
-		v = c.Cache.Ints(c.Meta, col, c.Stats)
-	} else {
-		v = decodeInts(c.Meta, col, c.Stats)
-	}
-	c.intCache[col] = v
-	return v
-}
-
-// strs returns the fully decoded string column; see ints for caching.
-func (c *SegContext) strs(col int) []string {
-	if v := c.strCache[col]; v != nil {
-		return v
-	}
-	var v []string
-	if c.Cache != nil {
-		v = c.Cache.Strs(c.Meta, col, c.Stats)
-	} else {
-		v = decodeStrs(c.Meta, col, c.Stats)
-	}
-	c.strCache[col] = v
-	return v
+	return &SegContext{Meta: meta, Idx: idx, Stats: stats}
 }
 
 // releaseBuffers recycles the pooled row buffers handed out by
@@ -152,8 +119,7 @@ func (c *SegContext) releaseBuffers() {
 // The returned row is REUSED across calls: callers that retain it must
 // Clone it first (the standard iterator contract; Scan.Run documents it).
 func (c *SegContext) Materializer(cols []int, dense bool) func(i int) types.Row {
-	seg := c.Meta.Seg
-	ncols := len(seg.Schema().Columns)
+	ncols := len(c.Meta.Seg.Schema().Columns)
 	if cols == nil {
 		cols = make([]int, ncols)
 		for i := range cols {
@@ -164,7 +130,9 @@ func (c *SegContext) Materializer(cols []int, dense bool) func(i int) types.Row 
 	c.rowBufs = append(c.rowBufs, bufp)
 	buf := *bufp
 	stats := c.Stats
+	seg := c.Meta.Seg
 	if !dense {
+		// A few rows: seeking each value costs less than setting up readers.
 		return func(i int) types.Row {
 			if stats != nil {
 				stats.RowsMaterialized++
@@ -175,22 +143,28 @@ func (c *SegContext) Materializer(cols []int, dense bool) func(i int) types.Row 
 			return buf
 		}
 	}
-	// Resolve decoded slices and null bitmaps once per segment.
+	// One decoded column reader per projected column, used through a
+	// switch on its type per value: a generic boxing closure per column
+	// measured ~4x slower on materialization-heavy scans (an indirect call
+	// and a boxed return per value), so this loop is the one that stays
+	// typed.
 	type acc struct {
-		col   int
-		t     types.ColType
-		ints  []int64
-		strs  []string
-		nulls *bitmap.Bitmap
+		col    int
+		t      types.ColType
+		ints   colReader[int64]
+		floats colReader[float64]
+		strs   colReader[string]
 	}
 	accs := make([]acc, len(cols))
 	for j, col := range cols {
-		a := acc{col: col, t: seg.Schema().Columns[col].Type, nulls: seg.Cols[col].Nulls}
+		a := acc{col: col, t: seg.Schema().Columns[col].Type}
 		switch a.t {
-		case types.Int64, types.Float64:
-			a.ints = c.ints(col)
+		case types.Int64:
+			a.ints = readCol[int64](c, col, true)
+		case types.Float64:
+			a.floats = readCol[float64](c, col, true)
 		default:
-			a.strs = c.strs(col)
+			a.strs = readCol[string](c, col, true)
 		}
 		accs[j] = a
 	}
@@ -198,18 +172,18 @@ func (c *SegContext) Materializer(cols []int, dense bool) func(i int) types.Row 
 		if stats != nil {
 			stats.RowsMaterialized++
 		}
-		for _, a := range accs {
-			if a.nulls != nil && a.nulls.Get(i) {
-				buf[a.col] = types.Null(a.t)
-				continue
-			}
-			switch a.t {
-			case types.Int64:
-				buf[a.col] = types.Value{Type: types.Int64, I: a.ints[i]}
-			case types.Float64:
-				buf[a.col] = types.Value{Type: types.Float64, F: math.Float64frombits(uint64(a.ints[i]))}
+		r := int32(i)
+		for k := range accs {
+			a := &accs[k]
+			switch {
+			case a.t == types.Int64 && !a.ints.null(r):
+				buf[a.col] = types.Value{Type: types.Int64, I: a.ints.at(r)}
+			case a.t == types.Float64 && !a.floats.null(r):
+				buf[a.col] = types.Value{Type: types.Float64, F: a.floats.at(r)}
+			case a.t == types.String && !a.strs.null(r):
+				buf[a.col] = types.Value{Type: types.String, S: a.strs.at(r)}
 			default:
-				buf[a.col] = types.Value{Type: types.String, S: a.strs[i]}
+				buf[a.col] = types.Null(a.t)
 			}
 		}
 		return buf
@@ -317,58 +291,16 @@ func (l *Leaf) stats() *nodeStats { return &l.st }
 // EvalRow implements Node.
 func (l *Leaf) EvalRow(r types.Row) bool {
 	if len(l.In) > 0 {
-		// A NULL is in no list and a NULL member equals nothing, exactly as
-		// vector.CmpValue decides for the single comparison.
-		if r[l.Col].IsNull {
-			return false
-		}
+		// A NULL is in no list and a NULL member equals nothing: membership
+		// is vector.CmpValue's equality, the rule the kernels apply.
 		for _, v := range l.In {
-			if types.Equal(r[l.Col], v) {
+			if vector.CmpValue(r[l.Col], vector.Eq, v) {
 				return true
 			}
 		}
 		return false
 	}
 	return vector.CmpValue(r[l.Col], l.Op, l.Val)
-}
-
-// matchString evaluates the clause on a non-null string column value.
-func (l *Leaf) matchString(s string) bool {
-	if len(l.In) > 0 {
-		for _, v := range l.In {
-			if !v.IsNull && v.S == s {
-				return true
-			}
-		}
-		return false
-	}
-	return vector.CmpString(s, l.Op, l.Val.S)
-}
-
-// matchIntBits evaluates the clause on a non-null raw int64 column value
-// (which is IEEE bits for float columns).
-func (l *Leaf) matchIntBits(v int64, t types.ColType) bool {
-	if t == types.Float64 {
-		f := math.Float64frombits(uint64(v))
-		if len(l.In) > 0 {
-			for _, iv := range l.In {
-				if !iv.IsNull && iv.F == f {
-					return true
-				}
-			}
-			return false
-		}
-		return vector.CmpFloat(f, l.Op, l.Val.F)
-	}
-	if len(l.In) > 0 {
-		for _, iv := range l.In {
-			if !iv.IsNull && iv.I == v {
-				return true
-			}
-		}
-		return false
-	}
-	return vector.CmpInt(v, l.Op, l.Val.I)
 }
 
 // And is a conjunction node. It adaptively orders its children by
@@ -463,64 +395,23 @@ func (a *And) groupProfitable() bool {
 	return true
 }
 
-// clauseReader is one clause of a group filter bound to a segment: the
-// column (decoded once when the candidate rows are dense, sought per row
-// when they are few) and the null bitmap are resolved up front, so the
-// per-row test allocates nothing.
-type clauseReader struct {
-	l     *Leaf
-	t     types.ColType
-	col   *colstore.Column
-	ints  []int64  // decoded Int64/Float64 column; nil when seeking
-	strs  []string // decoded String column; nil when seeking
-	dense bool
-}
-
-// pass reports whether row i satisfies the clause; NULL rows never do,
-// exactly as vector.CmpValue decides for buffer rows.
-func (c *clauseReader) pass(i int32) bool {
-	if c.col.Nulls != nil && c.col.Nulls.Get(int(i)) {
-		return false
-	}
-	switch {
-	case c.t == types.String && c.dense:
-		return c.l.matchString(c.strs[i])
-	case c.t == types.String:
-		return c.l.matchString(c.col.Strs.At(int(i)))
-	case c.dense:
-		return c.l.matchIntBits(c.ints[i], c.t)
-	default:
-		return c.l.matchIntBits(c.col.Ints.At(int(i)), c.t)
-	}
-}
-
 // evalGroup is the §5.2 group filter: the whole conjunction is evaluated per
-// candidate row, with no intermediate selections. It follows
-// evalRegularSpans' rule for reaching values: candidates covering at least
-// half the segment decode each clause's column once (through the vector
-// cache), fewer seek per row. groupProfitable guarantees all children are
-// leaves.
+// candidate row, with no intermediate selections. Each clause is bound to
+// its column once per segment, by the regular filter's rule for reaching
+// values: candidates covering at least half the segment decode the column
+// once (through the vector cache), fewer seek per row. groupProfitable
+// guarantees all children are leaves.
 func (a *And) evalGroup(ctx *SegContext, in, out []Span) []Span {
-	seg := ctx.Meta.Seg
-	dense := spanRows(in)*2 >= seg.NumRows
-	clauses := make([]clauseReader, len(a.Children))
+	dense := spanRows(in)*2 >= ctx.Meta.Seg.NumRows
+	clauses := make([]rowTest, len(a.Children))
 	for k, c := range a.Children {
-		l := c.(*Leaf)
-		r := clauseReader{l: l, t: seg.Schema().Columns[l.Col].Type, col: &seg.Cols[l.Col], dense: dense}
-		if dense {
-			if r.t == types.String {
-				r.strs = ctx.strs(l.Col)
-			} else {
-				r.ints = ctx.ints(l.Col)
-			}
-		}
-		clauses[k] = r
+		clauses[k] = c.(*Leaf).bindRowTest(ctx, dense)
 	}
 	for _, sp := range in {
 	row:
 		for i := sp.Start; i < sp.End; i++ {
-			for k := range clauses {
-				if !clauses[k].pass(i) {
+			for _, c := range clauses {
+				if !c.pass(i) {
 					continue row
 				}
 			}

@@ -47,7 +47,8 @@ func EquiJoin(
 
 	idx := probe.Index()
 	indexable := mode != JoinForceHash &&
-		len(probeKey) == 1 && idx != nil && idx.HasColumn(probeKey[0])
+		len(probeKey) == 1 && idx != nil && idx.HasColumn(probeKey[0]) &&
+		probe.Schema.Columns[probeKey[0]].Type.KeyEquality()
 	if indexable && mode != JoinForceIndex {
 		// Dynamic disable: probing wins only when the build side is small
 		// relative to the probe table (§5.1). The factor accounts for the

@@ -11,11 +11,9 @@
 package exec
 
 import (
-	"math"
 	"sync"
 	"time"
 
-	"s2db/internal/bitmap"
 	"s2db/internal/codec"
 	"s2db/internal/colstore"
 	"s2db/internal/types"
@@ -140,8 +138,11 @@ func (l *Leaf) evalSpanStrategies(ctx *SegContext, rows int, in, out []Span) []S
 	// Secondary index filter: only for equality with an index, and only
 	// when the postings list is smaller than the candidate set ("it can
 	// still be worse if the other clauses already filtered the result down
-	// to a few rows", §5.2). Costing uses the postings size directly.
-	if l.forceStrategy != regularStrategy && len(l.In) == 0 && l.Op == vector.Eq && ctx.Idx != nil && ctx.Idx.HasColumn(l.Col) {
+	// to a few rows", §5.2). Costing uses the postings size directly. The
+	// postings are filed by key, so a column without key equality (floats)
+	// never uses them.
+	if l.forceStrategy != regularStrategy && len(l.In) == 0 && l.Op == vector.Eq && ctx.Idx != nil &&
+		ctx.Idx.HasColumn(l.Col) && seg.Schema().Columns[l.Col].Type.KeyEquality() {
 		if postings, ok := ctx.Idx.SegmentPostings(seg.ID, l.Col, l.Val); ok {
 			if l.forceStrategy == indexStrategy || len(postings)*4 < rows {
 				if ctx.Stats != nil {
@@ -160,28 +161,118 @@ func (l *Leaf) evalSpanStrategies(ctx *SegContext, rows int, in, out []Span) []S
 			}
 		}
 	}
+	switch seg.Schema().Columns[l.Col].Type {
+	case types.Int64:
+		return leafSpans[int64](l, ctx, rows, in, out)
+	case types.Float64:
+		return leafSpans[float64](l, ctx, rows, in, out)
+	default:
+		return leafSpans[string](l, ctx, rows, in, out)
+	}
+}
+
+// leafSpans runs the encoded strategy when the encoding allows it and it
+// pays, else the regular one, with the clause bound to T.
+func leafSpans[T colValue](l *Leaf, ctx *SegContext, rows int, in, out []Span) []Span {
+	c := bindLeaf[T](l)
 	if l.forceStrategy != regularStrategy {
-		if res, ok := l.tryEncodedSpans(ctx, rows, in, out); ok {
+		if res, ok := c.encodedSpans(ctx, rows, in, out); ok {
 			return res
 		}
 	}
 	if ctx.Stats != nil {
 		ctx.Stats.RegularFilters++
 	}
-	return l.evalRegularSpans(ctx, rows, in, out)
+	c.read(ctx, rows*2 >= ctx.Meta.Seg.NumRows)
+	return c.regularSpans(in, out)
 }
 
-// tryEncodedSpans evaluates directly on compressed data when profitable:
-// once per dictionary entry or RLE run instead of once per row (§5.2
-// "encoded filter").
-func (l *Leaf) tryEncodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Span, bool) {
-	seg := ctx.Meta.Seg
-	col := seg.Cols[l.Col]
-	if col.Strs != nil {
-		dict, ok := col.Strs.(*codec.Dict)
-		if !ok {
-			return nil, false
+// rowTest is a clause bound to one segment's column, tested row by row by
+// the group filter.
+type rowTest interface{ pass(i int32) bool }
+
+// bindRowTest binds the clause for the group filter: decoded when dense,
+// sought per row otherwise.
+func (l *Leaf) bindRowTest(ctx *SegContext, dense bool) rowTest {
+	switch ctx.Meta.Seg.Schema().Columns[l.Col].Type {
+	case types.Int64:
+		return rowTestOf[int64](l, ctx, dense)
+	case types.Float64:
+		return rowTestOf[float64](l, ctx, dense)
+	default:
+		return rowTestOf[string](l, ctx, dense)
+	}
+}
+
+func rowTestOf[T colValue](l *Leaf, ctx *SegContext, dense bool) *leafOf[T] {
+	c := bindLeaf[T](l)
+	c.read(ctx, dense)
+	return &c
+}
+
+// leafOf is a Leaf bound to T.
+type leafOf[T colValue] struct {
+	l    *Leaf
+	op   vector.CmpOp
+	val  T
+	isIn bool
+	in   []T // IN-list members, NULLs dropped (they equal nothing)
+	r    colReader[T]
+}
+
+// bindLeaf converts the clause's constant (or IN list) to T.
+func bindLeaf[T colValue](l *Leaf) leafOf[T] {
+	c := leafOf[T]{l: l, op: l.Op, val: valueAs[T](l.Val), isIn: len(l.In) > 0}
+	for _, v := range l.In {
+		if !v.IsNull {
+			c.in = append(c.in, valueAs[T](v))
 		}
+	}
+	return c
+}
+
+// match evaluates the clause on a non-null value by vector.Cmp — the rule
+// EvalRow applies to buffer rows through vector.CmpValue.
+func (c *leafOf[T]) match(v T) bool {
+	if c.isIn {
+		for _, x := range c.in {
+			if x == v {
+				return true
+			}
+		}
+		return false
+	}
+	return vector.Cmp(v, c.op, c.val)
+}
+
+func (c *leafOf[T]) read(ctx *SegContext, dense bool) { c.r = readCol[T](ctx, c.l.Col, dense) }
+
+// pass reports whether row i satisfies the clause; NULL rows never do.
+func (c *leafOf[T]) pass(i int32) bool { return !c.r.null(i) && c.match(c.r.at(i)) }
+
+// regularSpans filters values per row within the candidate spans ("regular
+// filter", §5.2), reading through the bound column reader. Its test is
+// pass, spelled out: the compiled shape of pass is too large to inline.
+func (c *leafOf[T]) regularSpans(in, out []Span) []Span {
+	r := &c.r
+	for _, sp := range in {
+		for i := sp.Start; i < sp.End; i++ {
+			if !r.null(i) && c.match(r.at(i)) {
+				out = appendSpan(out, i, i+1)
+			}
+		}
+	}
+	return out
+}
+
+// encodedSpans evaluates directly on compressed data when profitable: once
+// per dictionary entry or RLE run instead of once per row (§5.2 "encoded
+// filter").
+func (c *leafOf[T]) encodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Span, bool) {
+	l := c.l
+	col := &ctx.Meta.Seg.Cols[l.Col]
+	nulls := col.Nulls
+	if dict, ok := col.Strs.(*codec.Dict); ok {
 		// "it can be worse if the dictionary size is greater than the
 		// number of rows that passed the previous filters" — cost check.
 		if l.forceStrategy != encodedStrategy && dict.DictSize() > rows {
@@ -191,196 +282,69 @@ func (l *Leaf) tryEncodedSpans(ctx *SegContext, rows int, in, out []Span) ([]Spa
 			ctx.Stats.EncodedFilters++
 		}
 		pass := make([]bool, dict.DictSize())
-		for c := range pass {
-			pass[c] = l.matchString(dict.DictValue(c))
+		for k := range pass {
+			pass[k] = c.match(any(dict.DictValue(k)).(T))
 		}
-		nulls := col.Nulls
 		for _, sp := range in {
 			for i := sp.Start; i < sp.End; i++ {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if pass[dict.Code(int(i))] {
+				if (nulls == nil || !nulls.Get(int(i))) && pass[dict.Code(int(i))] {
 					out = appendSpan(out, i, i+1)
 				}
 			}
 		}
 		return out, true
 	}
-	if rle, ok := col.Ints.(*codec.RLE); ok {
-		if l.forceStrategy != encodedStrategy && rle.Runs() > rows {
-			return nil, false
-		}
-		if ctx.Stats != nil {
-			ctx.Stats.EncodedFilters++
-		}
-		t := seg.Schema().Columns[l.Col].Type
-		nulls := col.Nulls
-		if nulls == nil {
-			// Pure run-space intersection: one predicate evaluation per run
-			// overlapping the candidate spans, no per-row work at all.
-			for _, sp := range in {
-				for j := rle.FindRun(int(sp.Start)); j < rle.Runs(); j++ {
-					v, rs, re := rle.Run(j)
-					if rs >= int(sp.End) {
-						break
-					}
-					if !l.matchIntBits(v, t) {
-						continue
-					}
-					lo, hi := int32(rs), int32(re)
-					if lo < sp.Start {
-						lo = sp.Start
-					}
-					if hi > sp.End {
-						hi = sp.End
-					}
-					out = appendSpan(out, lo, hi)
-				}
-			}
-			return out, true
-		}
-		// Null rows never pass; runs still gate the predicate evaluation.
-		for _, sp := range in {
-			for j := rle.FindRun(int(sp.Start)); j < rle.Runs(); j++ {
-				v, rs, re := rle.Run(j)
-				if rs >= int(sp.End) {
-					break
-				}
-				if !l.matchIntBits(v, t) {
-					continue
-				}
-				lo, hi := int32(rs), int32(re)
-				if lo < sp.Start {
-					lo = sp.Start
-				}
-				if hi > sp.End {
-					hi = sp.End
-				}
-				for i := lo; i < hi; i++ {
-					if nulls.Get(int(i)) {
-						continue
-					}
-					out = appendSpan(out, i, i+1)
-				}
-			}
-		}
-		return out, true
+	rle, ok := col.Ints.(*codec.RLE)
+	if !ok || (l.forceStrategy != encodedStrategy && rle.Runs() > rows) {
+		return nil, false
 	}
-	return nil, false
-}
-
-// evalRegularSpans filters decoded values per row within the candidate
-// spans ("regular filter", §5.2): dense selections decode the column once,
-// sparse ones seek per row.
-func (l *Leaf) evalRegularSpans(ctx *SegContext, rows int, in, out []Span) []Span {
-	seg := ctx.Meta.Seg
-	col := seg.Cols[l.Col]
-	t := seg.Schema().Columns[l.Col].Type
-	nulls := col.Nulls
-	dense := rows*2 >= seg.NumRows
-	switch t {
-	case types.Int64:
-		if dense && len(l.In) == 0 {
-			vals := ctx.ints(l.Col)
-			for _, sp := range in {
-				for i := sp.Start; i < sp.End; i++ {
-					if nulls != nil && nulls.Get(int(i)) {
-						continue
-					}
-					if vector.CmpInt(vals[i], l.Op, l.Val.I) {
-						out = appendSpan(out, i, i+1)
-					}
-				}
-			}
-			return out
-		}
-		for _, sp := range in {
-			for i := sp.Start; i < sp.End; i++ {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if l.matchIntBits(col.Ints.At(int(i)), t) {
-					out = appendSpan(out, i, i+1)
-				}
-			}
-		}
-		return out
-	case types.Float64:
-		if dense && len(l.In) == 0 {
-			raw := ctx.ints(l.Col)
-			for _, sp := range in {
-				for i := sp.Start; i < sp.End; i++ {
-					if nulls != nil && nulls.Get(int(i)) {
-						continue
-					}
-					if vector.CmpFloat(math.Float64frombits(uint64(raw[i])), l.Op, l.Val.F) {
-						out = appendSpan(out, i, i+1)
-					}
-				}
-			}
-			return out
-		}
-		for _, sp := range in {
-			for i := sp.Start; i < sp.End; i++ {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if l.matchIntBits(col.Ints.At(int(i)), t) {
-					out = appendSpan(out, i, i+1)
-				}
-			}
-		}
-		return out
-	default:
-		if dense {
-			vals := ctx.strs(l.Col)
-			for _, sp := range in {
-				for i := sp.Start; i < sp.End; i++ {
-					if nulls != nil && nulls.Get(int(i)) {
-						continue
-					}
-					if l.matchString(vals[i]) {
-						out = appendSpan(out, i, i+1)
-					}
-				}
-			}
-			return out
-		}
-		for _, sp := range in {
-			for i := sp.Start; i < sp.End; i++ {
-				if nulls != nil && nulls.Get(int(i)) {
-					continue
-				}
-				if l.matchString(col.Strs.At(int(i))) {
-					out = appendSpan(out, i, i+1)
-				}
-			}
-		}
-		return out
+	if ctx.Stats != nil {
+		ctx.Stats.EncodedFilters++
 	}
+	// Run-space intersection: one predicate evaluation per run overlapping
+	// the candidate spans. Without nulls a passing run is emitted whole;
+	// with them, its rows are, minus the null ones.
+	for _, sp := range in {
+		for j := rle.FindRun(int(sp.Start)); j < rle.Runs(); j++ {
+			v, rs, re := rle.Run(j)
+			if rs >= int(sp.End) {
+				break
+			}
+			if !c.match(fromRaw[T](v)) {
+				continue
+			}
+			lo, hi := max(int32(rs), sp.Start), min(int32(re), sp.End)
+			if nulls == nil {
+				out = appendSpan(out, lo, hi)
+				continue
+			}
+			for i := lo; i < hi; i++ {
+				if !nulls.Get(int(i)) {
+					out = appendSpan(out, i, i+1)
+				}
+			}
+		}
+	}
+	return out, true
 }
 
 // --- fused aggregation kernels -----------------------------------------------
 
-// aggFuseMode classifies how a segment's aggregation can fuse.
+// aggFuseMode classifies how a segment's aggregation can fuse. Every mode
+// folds the same way (foldSeg); they differ in how rows find their group.
 type aggFuseMode uint8
 
 const (
 	fuseNone aggFuseMode = iota
+	// fuseGlobal: no grouping — every row folds into the one global group,
+	// RLE columns per run; only expression inputs materialize.
+	fuseGlobal
 	// fuseDictGroup: single dictionary-encoded group column, plain
-	// aggregates — per-code states folded in code order.
+	// aggregates — one group per dictionary code, created in code order.
 	fuseDictGroup
-	// fuseGlobalPlain: no grouping, plain aggregates — spec-outer columnar
-	// fold with RLE run bulking; materializes nothing.
-	fuseGlobalPlain
-	// fuseGlobalRow: no grouping but expression aggregates — row-outer fold
-	// over only the expressions' input columns, skipping the per-row group
-	// key encode+map of the general path.
-	fuseGlobalRow
 	// fuseCodeGroup: every group column dictionary-encoded with a bounded
 	// combined code space — group resolution is one array load per row
-	// instead of EncodeKey+map.
+	// instead of EncodeKey+map; groups are created in first-seen order.
 	fuseCodeGroup
 )
 
@@ -390,9 +354,8 @@ const (
 const maxFusedGroupCodes = 4096
 
 // aggFuser runs fused aggregation kernels against the shared group table of
-// one Aggregate call. The touch callback resolves (creating on first sight,
-// in encounter order) a group by key, exactly as the general row path does,
-// so group output order does not depend on which kernel ran.
+// one Aggregate call. The touch callback resolves (creating on first sight)
+// a group by key, exactly as the general row path does.
 type aggFuser struct {
 	groupCols  []int
 	aggs       []AggSpec
@@ -417,7 +380,7 @@ func newAggFuser(groupCols []int, aggs []AggSpec, touch func(key types.Row) *agg
 
 // classify picks the fused kernel for one segment, or fuseNone when the
 // shape requires the general row path: dict group-by first, then the global
-// folds, then bounded multi-column code grouping.
+// fold, then bounded multi-column code grouping.
 func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 	seg := ctx.Meta.Seg
 	if len(u.groupCols) == 1 && allPlainAggs(u.aggs) {
@@ -425,17 +388,11 @@ func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 			return fuseDictGroup
 		}
 	}
-	if len(u.groupCols) == 0 {
-		if allPlainAggs(u.aggs) {
-			return fuseGlobalPlain
-		}
-		if u.exprOK {
-			return fuseGlobalRow
-		}
-		return fuseNone
-	}
 	if !u.exprOK {
 		return fuseNone
+	}
+	if len(u.groupCols) == 0 {
+		return fuseGlobal
 	}
 	codes := 1
 	for _, c := range u.groupCols {
@@ -456,76 +413,174 @@ func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 
 // run executes the classified kernel over the surviving spans.
 func (u *aggFuser) run(mode aggFuseMode, ctx *SegContext, spans []Span) {
-	switch mode {
-	case fuseDictGroup:
-		u.dictGroupSeg(ctx, spans)
-	case fuseGlobalPlain:
-		u.globalPlainSeg(ctx, spans)
-	case fuseGlobalRow:
-		u.globalRowSeg(ctx, spans)
-	case fuseCodeGroup:
-		u.codeGroupSeg(ctx, spans)
+	if mode == fuseGlobal {
+		u.foldSeg(ctx, spans, nil, []*aggGroup{u.touch(nil)})
+		return
+	}
+	if mode == fuseDictGroup && ctx.Stats != nil {
+		ctx.Stats.EncodedFilters++ // counted with encoded ops
+	}
+	slots := getSlots()
+	defer putSlots(slots)
+	groups := u.codeSlots(ctx, spans, mode == fuseDictGroup, slots)
+	u.foldSeg(ctx, spans, *slots, groups)
+}
+
+// slotPool recycles the per-row group-slot vectors of the grouped kernels.
+var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+
+func getSlots() *[]int32 { return slotPool.Get().(*[]int32) }
+
+func putSlots(p *[]int32) {
+	*p = (*p)[:0]
+	slotPool.Put(p)
+}
+
+// codeSlots is the encoded group-by of §2.1.2: each surviving row's group
+// is found through the mixed-radix combination of its group columns'
+// dictionary codes, one array load per row after a code's first sight —
+// string values are touched once per group. It appends each row's group
+// slot to *slots and returns the groups by slot, created through touch in
+// first-seen row order (the general path's order) or, with codeOrder, in
+// code order.
+func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slots *[]int32) []*aggGroup {
+	seg := ctx.Meta.Seg
+	dicts := make([]*codec.Dict, len(u.groupCols))
+	codes := 1
+	for k, c := range u.groupCols {
+		dicts[k] = seg.Cols[c].Strs.(*codec.Dict)
+		codes *= dicts[k].DictSize()
+	}
+	s := (*slots)[:0]
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i++ {
+			code := 0
+			for _, d := range dicts {
+				code = code*d.DictSize() + d.Code(int(i))
+			}
+			s = append(s, int32(code))
+		}
+	}
+	*slots = s
+	slotOf := make([]int32, codes) // slot+1 of each code's group; 0 = not yet
+	var groups []*aggGroup
+	key := make(types.Row, len(dicts))
+	open := func(code int32) {
+		c := int(code)
+		for k := len(dicts) - 1; k >= 0; k-- {
+			size := dicts[k].DictSize()
+			key[k] = types.NewString(dicts[k].DictValue(c % size))
+			c /= size
+		}
+		groups = append(groups, u.touch(key))
+		slotOf[code] = int32(len(groups))
+	}
+	if codeOrder {
+		for _, code := range s {
+			slotOf[code] = -1
+		}
+		for code, seen := range slotOf {
+			if seen != 0 {
+				open(int32(code))
+			}
+		}
+	}
+	for k, code := range s {
+		if slotOf[code] == 0 {
+			open(code)
+		}
+		s[k] = slotOf[code] - 1
+	}
+	return groups
+}
+
+// foldSeg folds every aggregate over the surviving rows: the k-th surviving
+// row belongs to groups[slots[k]] (groups[0] when slots is nil). Plain
+// column aggregates fold spec by spec through foldColumn; expression
+// aggregates share one pass over rows that materializes only their input
+// columns (classify guarantees ExprCols on every expression spec).
+func (u *aggFuser) foldSeg(ctx *SegContext, spans []Span, slots []int32, groups []*aggGroup) {
+	var exprs, proj []int
+	for ai, a := range u.aggs {
+		switch {
+		case a.Expr != nil:
+			exprs = append(exprs, ai)
+			proj = append(proj, a.ExprCols...)
+		case a.Func == Count && a.Col < 0:
+			if slots == nil {
+				groups[0].states[ai].count += int64(spanRows(spans))
+				continue
+			}
+			for _, s := range slots {
+				groups[s].states[ai].count++
+			}
+		default:
+			u.foldColumn(ctx, ai, spans, slots, groups)
+		}
+	}
+	if exprs == nil {
+		return
+	}
+	mat := ctx.Materializer(proj, spanRows(spans)*4 >= ctx.Meta.Seg.NumRows)
+	g, k := groups[0], 0
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
+			r := mat(int(i))
+			if slots != nil {
+				g = groups[slots[k]]
+			}
+			for _, ai := range exprs {
+				v := u.aggs[ai].Expr(r)
+				u.resultType[ai] = v.Type
+				g.states[ai].add(v)
+			}
+		}
 	}
 }
 
-// globalPlainSeg folds plain global aggregates spec-outer over the spans.
-// RLE agg columns without nulls fold per run: integer SUM/COUNT use exact
-// bulk arithmetic (runLen×value), float sums replay the run's additions so
-// the accumulation order — and therefore the bits — match the per-row fold
-// over a decoded encoding of the same data; MIN/MAX compare once per run.
-func (u *aggFuser) globalPlainSeg(ctx *SegContext, spans []Span) {
-	seg := ctx.Meta.Seg
-	g := u.touch(nil)
-	rows := spanRows(spans)
-	for ai := range u.aggs {
-		a := &u.aggs[ai]
-		st := &g.states[ai]
-		if a.Func == Count && a.Col < 0 {
-			st.count += int64(rows)
-			continue
-		}
-		col := seg.Cols[a.Col]
-		t := seg.Schema().Columns[a.Col].Type
-		switch t {
-		case types.Int64:
-			if rle, ok := col.Ints.(*codec.RLE); ok && col.Nulls == nil {
-				eachRun(rle, spans, func(v int64, n int) { st.addIntRun(v, int64(n)) })
-				continue
-			}
-			vals := ctx.ints(a.Col)
-			nulls := col.Nulls
-			for _, sp := range spans {
-				for i := sp.Start; i < sp.End; i++ {
-					if nulls != nil && nulls.Get(int(i)) {
-						continue
-					}
-					st.addInt(vals[i])
+// foldColumn folds plain aggregate ai over its column: the one place an
+// aggregation kernel meets the column type.
+func (u *aggFuser) foldColumn(ctx *SegContext, ai int, spans []Span, slots []int32, groups []*aggGroup) {
+	col := u.aggs[ai].Col
+	switch ctx.Meta.Seg.Schema().Columns[col].Type {
+	case types.Int64:
+		foldColumn[int64](ctx, ai, col, spans, slots, groups)
+	case types.Float64:
+		foldColumn[float64](ctx, ai, col, spans, slots, groups)
+	default:
+		foldColumn[string](ctx, ai, col, spans, slots, groups)
+	}
+}
+
+// foldColumn folds column col into each group's state ai, in row order. The
+// states are unboxed once per segment and boxed back once, so the folds
+// leave exactly what the general path's row-at-a-time aggState.add would —
+// float sums bit for bit. A global fold over an RLE column without nulls
+// folds per run.
+func foldColumn[T colValue](ctx *SegContext, ai, col int, spans []Span, slots []int32, groups []*aggGroup) {
+	folds := make([]fold[T], len(groups))
+	for s, g := range groups {
+		folds[s] = foldOf[T](&g.states[ai])
+	}
+	c := &ctx.Meta.Seg.Cols[col]
+	if rle, ok := c.Ints.(*codec.RLE); ok && c.Nulls == nil && slots == nil {
+		eachRun(rle, spans, func(v int64, n int) { folds[0].addRun(fromRaw[T](v), n) })
+	} else {
+		r, f, k := readCol[T](ctx, col, true), &folds[0], 0
+		for _, sp := range spans {
+			for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
+				if r.null(i) {
+					continue
 				}
-			}
-		case types.Float64:
-			if rle, ok := col.Ints.(*codec.RLE); ok && col.Nulls == nil {
-				eachRun(rle, spans, func(v int64, n int) {
-					st.addFloatRun(math.Float64frombits(uint64(v)), n)
-				})
-				continue
-			}
-			raw := ctx.ints(a.Col)
-			nulls := col.Nulls
-			for _, sp := range spans {
-				for i := sp.Start; i < sp.End; i++ {
-					if nulls != nil && nulls.Get(int(i)) {
-						continue
-					}
-					st.addFloat(math.Float64frombits(uint64(raw[i])))
+				if slots != nil {
+					f = &folds[slots[k]]
 				}
-			}
-		default:
-			for _, sp := range spans {
-				for i := sp.Start; i < sp.End; i++ {
-					st.add(seg.ValueAt(int(i), a.Col))
-				}
+				f.add(r.at(i))
 			}
 		}
+	}
+	for s, g := range groups {
+		storeFold(&g.states[ai], &folds[s])
 	}
 }
 
@@ -538,203 +593,9 @@ func eachRun(r *codec.RLE, spans []Span, f func(v int64, n int)) {
 			if rs >= int(sp.End) {
 				break
 			}
-			lo, hi := rs, re
-			if lo < int(sp.Start) {
-				lo = int(sp.Start)
-			}
-			if hi > int(sp.End) {
-				hi = int(sp.End)
-			}
-			if hi > lo {
+			if lo, hi := max(rs, int(sp.Start)), min(re, int(sp.End)); hi > lo {
 				f(v, hi-lo)
 			}
-		}
-	}
-}
-
-// specAccessor resolves one AggSpec's segment access once per segment, so
-// the per-row fold is an unboxed add off a decoded slice for plain column
-// specs, and only expression specs pay for a materialized row.
-type specAccessor struct {
-	countStar bool
-	expr      bool
-	isFloat   bool
-	isStr     bool
-	ints      []int64
-	strs      []string
-	nulls     *bitmap.Bitmap
-}
-
-// buildAccessors resolves the per-spec accessors against one segment.
-// hasExpr reports whether any spec needs a materialized expression-input
-// row.
-func (u *aggFuser) buildAccessors(ctx *SegContext) ([]specAccessor, bool) {
-	seg := ctx.Meta.Seg
-	accs := make([]specAccessor, len(u.aggs))
-	hasExpr := false
-	for ai, a := range u.aggs {
-		switch {
-		case a.Func == Count && a.Expr == nil && a.Col < 0:
-			accs[ai].countStar = true
-		case a.Expr != nil:
-			accs[ai].expr = true
-			hasExpr = true
-		default:
-			accs[ai].nulls = seg.Cols[a.Col].Nulls
-			switch seg.Schema().Columns[a.Col].Type {
-			case types.Int64:
-				accs[ai].ints = ctx.ints(a.Col)
-			case types.Float64:
-				accs[ai].ints = ctx.ints(a.Col)
-				accs[ai].isFloat = true
-			default:
-				accs[ai].strs = ctx.strs(a.Col)
-				accs[ai].isStr = true
-			}
-		}
-	}
-	return accs, hasExpr
-}
-
-// exprMaterializer builds a row materializer covering only the
-// expressions' declared input columns (classify guarantees ExprCols is set
-// on every expression spec), or nil when no spec needs a row at all —
-// plain-column aggregation materializes nothing.
-func (u *aggFuser) exprMaterializer(ctx *SegContext, spans []Span) func(i int) types.Row {
-	var proj []int
-	for _, a := range u.aggs {
-		if a.Expr != nil {
-			proj = append(proj, a.ExprCols...)
-		}
-	}
-	if proj == nil {
-		return nil
-	}
-	return ctx.Materializer(proj, spanRows(spans)*4 >= ctx.Meta.Seg.NumRows)
-}
-
-// foldState folds row i into one state vector through the accessors; r is
-// the materialized expression-input row (nil when no spec reads one). The
-// unboxed adds accumulate exactly as the general path's boxed
-// aggState.add, and expression specs keep the boxed call, so the states —
-// including float bit patterns — are byte-identical to the general path's.
-func (u *aggFuser) foldState(states []aggState, accs []specAccessor, i int, r types.Row) {
-	for ai := range accs {
-		ac := &accs[ai]
-		st := &states[ai]
-		switch {
-		case ac.countStar:
-			st.count++
-		case ac.expr:
-			v := u.aggs[ai].Expr(r)
-			u.resultType[ai] = v.Type
-			st.add(v)
-		case ac.nulls != nil && ac.nulls.Get(i):
-		case ac.isStr:
-			st.addStr(ac.strs[i])
-		case ac.isFloat:
-			st.addFloat(math.Float64frombits(uint64(ac.ints[i])))
-		default:
-			st.addInt(ac.ints[i])
-		}
-	}
-}
-
-// dictGroupSeg is the encoded group-by of §2.1.2: per-dictionary-code
-// partial states accumulated with unboxed adds — one bit-packed code load
-// per row, string values touched once per distinct value — folded into the
-// shared group table in code order. Dict mode only classifies for plain
-// aggregates, so no expression row is ever needed.
-func (u *aggFuser) dictGroupSeg(ctx *SegContext, spans []Span) {
-	seg := ctx.Meta.Seg
-	d := seg.Cols[u.groupCols[0]].Strs.(*codec.Dict)
-	if ctx.Stats != nil {
-		ctx.Stats.EncodedFilters++ // counted with encoded ops
-	}
-	aggs := u.aggs
-	states := make([][]aggState, d.DictSize())
-	accs, _ := u.buildAccessors(ctx)
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			code := d.Code(int(i))
-			st := states[code]
-			if st == nil {
-				st = make([]aggState, len(aggs))
-				states[code] = st
-			}
-			u.foldState(st, accs, int(i), nil)
-		}
-	}
-	for code, st := range states {
-		if st == nil {
-			continue
-		}
-		g := u.touch(types.Row{types.NewString(d.DictValue(code))})
-		for ai := range aggs {
-			g.states[ai].merge(&st[ai])
-		}
-	}
-}
-
-// globalRowSeg folds expression aggregates row-outer: plain column specs
-// accumulate unboxed straight off the decoded slices, only the
-// expressions' input columns materialize, and the single global group
-// resolves once instead of per row (no EncodeKey, no map probe).
-func (u *aggFuser) globalRowSeg(ctx *SegContext, spans []Span) {
-	g := u.touch(nil)
-	accs, _ := u.buildAccessors(ctx)
-	mat := u.exprMaterializer(ctx, spans)
-	var r types.Row
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			if mat != nil {
-				r = mat(int(i))
-			}
-			u.foldState(g.states, accs, int(i), r)
-		}
-	}
-}
-
-// codeGroupSeg groups by the combined dictionary code of all group columns:
-// one mixed-radix code per row indexes a per-segment group-pointer array,
-// so group resolution costs an array load after the first sight. Groups are
-// created via touch in first-seen row order — the general path's order.
-// Plain column specs accumulate unboxed; only expression inputs
-// materialize.
-func (u *aggFuser) codeGroupSeg(ctx *SegContext, spans []Span) {
-	seg := ctx.Meta.Seg
-	dicts := make([]*codec.Dict, len(u.groupCols))
-	codes := 1
-	for k, c := range u.groupCols {
-		dicts[k] = seg.Cols[c].Strs.(*codec.Dict)
-		codes *= dicts[k].DictSize()
-	}
-	groupPtr := make([]*aggGroup, codes)
-	accs, _ := u.buildAccessors(ctx)
-	mat := u.exprMaterializer(ctx, spans)
-	key := make(types.Row, len(u.groupCols))
-	var r types.Row
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			code := 0
-			for k := range dicts {
-				code = code*dicts[k].DictSize() + dicts[k].Code(int(i))
-			}
-			g := groupPtr[code]
-			if g == nil {
-				c := code
-				for k := len(dicts) - 1; k >= 0; k-- {
-					size := dicts[k].DictSize()
-					key[k] = types.NewString(dicts[k].DictValue(c % size))
-					c /= size
-				}
-				g = u.touch(key)
-				groupPtr[code] = g
-			}
-			if mat != nil {
-				r = mat(int(i))
-			}
-			u.foldState(g.states, accs, int(i), r)
 		}
 	}
 }

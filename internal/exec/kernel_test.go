@@ -2,10 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"s2db/internal/codec"
 	"s2db/internal/core"
 	"s2db/internal/txn"
 	"s2db/internal/types"
@@ -17,7 +20,11 @@ import (
 // dispatch on: id (unique int), cat (indexed dict string), status (dict
 // string), val (sort key → RLE runs in bulk-loaded segments), score
 // (float), hi (high-cardinality bit-packed int, nulls every 7th row), note
-// (high-distinct string, nulls every 11th row).
+// (high-distinct string, nulls every 11th row), fnull (bit-packed float,
+// -0.0 every 17th row, nulls every 5th), frle (RLE float, runs of 32),
+// irle (RLE int, runs of 64, null in 16-row blocks) and tag (dict string,
+// nulls every 9th row). Every float is a small multiple of 0.25, so sums
+// are exact in any order.
 func newKernelTable(t testing.TB, maxSegRows int) *core.Table {
 	t.Helper()
 	s := types.NewSchema(
@@ -28,6 +35,10 @@ func newKernelTable(t testing.TB, maxSegRows int) *core.Table {
 		types.Column{Name: "score", Type: types.Float64},
 		types.Column{Name: "hi", Type: types.Int64},
 		types.Column{Name: "note", Type: types.String},
+		types.Column{Name: "fnull", Type: types.Float64},
+		types.Column{Name: "frle", Type: types.Float64},
+		types.Column{Name: "irle", Type: types.Int64},
+		types.Column{Name: "tag", Type: types.String},
 	)
 	s.UniqueKey = []int{0}
 	s.SecondaryKeys = [][]int{{1}}
@@ -49,6 +60,21 @@ func kernelRow(i int) types.Row {
 	if i%11 == 0 {
 		note = types.Null(types.String)
 	}
+	fnull := types.NewFloat(float64(i%40-20) * 0.5)
+	switch {
+	case i%5 == 2:
+		fnull = types.Null(types.Float64)
+	case i%17 == 0:
+		fnull = types.NewFloat(math.Copysign(0, -1))
+	}
+	irle := types.NewInt(int64(i/64)*1000003 + 7)
+	if (i/16)%5 == 3 {
+		irle = types.Null(types.Int64)
+	}
+	tag := types.NewString(fmt.Sprintf("t%d", i%6))
+	if i%9 == 0 {
+		tag = types.Null(types.String)
+	}
 	return types.Row{
 		types.NewInt(int64(i)),
 		types.NewString(fmt.Sprintf("c%d", i%4)),
@@ -57,8 +83,15 @@ func kernelRow(i int) types.Row {
 		types.NewFloat(float64(i%250) * 0.25),
 		hi,
 		note,
+		fnull,
+		types.NewFloat(float64(i/32) * 0.5),
+		irle,
+		tag,
 	}
 }
+
+// kernelCols is the kernel table's column count.
+const kernelCols = 11
 
 // fillKernel loads n rows (flushed to segments), deletes every 13th row so
 // deletion bitmaps split RLE runs mid-way, then inserts extra unflushed
@@ -472,4 +505,180 @@ func TestFusedEquivalenceUnderMerges(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestKernelTableEncodings pins the encodings the typed kernels are tested
+// over: a float column with nulls, an RLE float column, an RLE int column
+// with nulls and a dict string column with nulls — else the suites below
+// would silently stop reaching the encoded branches they exist for.
+func TestKernelTableEncodings(t *testing.T) {
+	tbl := newKernelTable(t, 4096)
+	fillKernel(t, tbl, 600, 0)
+	seg := tbl.Snapshot().Segs[0].Seg
+	if seg.Cols[7].Nulls == nil {
+		t.Error("fnull has no nulls")
+	}
+	if _, ok := seg.Cols[8].Ints.(*codec.RLE); !ok {
+		t.Errorf("frle is %T, want RLE", seg.Cols[8].Ints)
+	}
+	if _, ok := seg.Cols[9].Ints.(*codec.RLE); !ok || seg.Cols[9].Nulls == nil {
+		t.Errorf("irle: %T, nulls %v; want RLE with nulls", seg.Cols[9].Ints, seg.Cols[9].Nulls != nil)
+	}
+	if _, ok := seg.Cols[10].Strs.(*codec.Dict); !ok || seg.Cols[10].Nulls == nil {
+		t.Errorf("tag: %T, nulls %v; want a dict with nulls", seg.Cols[10].Strs, seg.Cols[10].Nulls != nil)
+	}
+}
+
+// TestTypedKernelsAgreeOnEveryType runs each strategy — encoded forced,
+// regular forced, adaptive — over the float, nullable-float, RLE-float,
+// nullable-RLE-int and nullable-dict columns against the EvalRow oracle, with the constants
+// where float rules bite (-0.0 against stored -0.0 and 0.0, NaN), and folds
+// every aggregate over those columns through every fused kernel; the
+// nullable dict column exercises the encoded filter's null skip.
+func TestTypedKernelsAgreeOnEveryType(t *testing.T) {
+	tbl := newKernelTable(t, 64)
+	fillKernel(t, tbl, 600, 40)
+	view := tbl.Snapshot()
+	negZero, nan := types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN())
+	consts := map[int][]types.Value{
+		4:  {types.NewFloat(31.25), negZero, nan},
+		6:  {types.NewString("note-310"), types.NewString("")},
+		7:  {types.NewFloat(0), negZero, types.NewFloat(-5), nan},
+		8:  {types.NewFloat(3.5), negZero, nan},
+		9:  {types.NewInt(2*1000003 + 7), types.NewInt(0)},
+		10: {types.NewString("t2"), types.NewString("t")},
+	}
+	for col, vals := range consts {
+		for _, v := range vals {
+			for op := vector.Eq; op <= vector.Ge; op++ {
+				for _, leaf := range []*Leaf{NewLeaf(col, op, v), NewLeaf(col, op, v).ForceEncoded(), NewLeaf(col, op, v).ForceRegular()} {
+					label := fmt.Sprintf("col %d %v %v (strategy %d)", col, op, v, leaf.forceStrategy)
+					checkFilter(t, label, view, leaf, refRows(view, leaf))
+				}
+			}
+		}
+		in := NewIn(col, append([]types.Value{types.Null(vals[0].Type)}, vals...)).ForceEncoded()
+		checkFilter(t, fmt.Sprintf("col %d IN %v", col, vals), view, in, refRows(view, in))
+	}
+	// A group filter over the nullable columns, dense and sparse.
+	group := NewAnd(NewLeaf(7, vector.Ge, types.NewFloat(-8)), NewLeaf(9, vector.Ge, types.NewInt(0)), NewLeaf(8, vector.Le, types.NewFloat(100)))
+	for _, filter := range []Node{group, NewAnd(NewLeaf(0, vector.Lt, types.NewInt(20)), group)} {
+		checkFilter(t, FormatNode(filter, view.Schema), view, filter, refRows(view, filter))
+	}
+
+	checkTypedFolds(t, view)
+	// A full 4096-row segment makes val RLE without nulls, so global folds
+	// take its integer runs.
+	big := newKernelTable(t, 4096)
+	fillKernel(t, big, 5000, 40)
+	checkTypedFolds(t, big.Snapshot())
+}
+
+// checkTypedFolds folds every aggregate over the float, RLE and nullable
+// columns through every fused kernel and the general path.
+func checkTypedFolds(t *testing.T, view *core.View) {
+	stats := func(col int) []AggSpec {
+		return []AggSpec{{Func: Sum, Col: col}, {Func: Min, Col: col}, {Func: Max, Col: col}, {Func: Avg, Col: col}, {Func: Count, Col: col}}
+	}
+	aggSets := map[string][]AggSpec{
+		"val": stats(3), "fnull": stats(7), "frle": stats(8), "irle": stats(9),
+		"mixed": {{Func: Count, Col: -1}, {Func: Sum, Col: 8}, {Func: Max, Col: 7}, {Func: Min, Col: 6}, {Func: Max, Col: 10}},
+	}
+	for fname, filter := range map[string]Node{"none": nil, "frle-range": NewLeaf(8, vector.Ge, types.NewFloat(2)), "irle-eq": NewLeaf(9, vector.Eq, types.NewInt(1000003+7))} {
+		ref := refRows(view, filter)
+		for gname, groupCols := range map[string][]int{"global": nil, "dict": {1}, "dict2": {1, 2}, "note": {6}, "frle": {8}, "tag": {10}, "tag+dict": {10, 2}} {
+			for aname, aggs := range aggSets {
+				checkAgg(t, fname+"/"+gname+"/"+aname, view, filter, ref, groupCols, aggs)
+			}
+		}
+	}
+}
+
+// TestNaNRejectedAtWrite: NaN is the one float Compare cannot order, so it
+// may not be stored — every write path refuses it, naming the column. A
+// stored NaN used to become a segment's zone-map min and max, after which
+// `score != 5` skipped the whole segment.
+func TestNaNRejectedAtWrite(t *testing.T) {
+	tbl := newKernelTable(t, 64)
+	fillKernel(t, tbl, 100, 10)
+	nanRow := kernelRow(1000)
+	nanRow[4] = types.NewFloat(math.NaN())
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"score"`) || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("%s of a NaN: err = %v, want one naming column \"score\"", what, err)
+		}
+	}
+	wantErr("Insert", tbl.Insert(nanRow))
+	wantErr("BulkLoad", tbl.BulkLoad([]types.Row{nanRow}))
+	_, err := tbl.UpdateWhere(core.Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 3 }}, func(r types.Row) types.Row {
+		r = r.Clone()
+		r[4] = types.NewFloat(math.NaN())
+		return r
+	})
+	wantErr("UpdateWhere", err)
+	if _, err := tbl.UpdateByUnique([]types.Value{types.NewInt(5)}, func(r types.Row) types.Row {
+		r = r.Clone()
+		r[7] = types.NewFloat(math.NaN())
+		return r
+	}); err == nil || !strings.Contains(err.Error(), `"fnull"`) {
+		t.Fatalf("UpdateByUnique of a NaN: err = %v, want one naming column \"fnull\"", err)
+	}
+	// Nothing was stored: every scan still agrees with the oracle.
+	view := tbl.Snapshot()
+	for _, f := range []Node{NewLeaf(4, vector.Ne, types.NewFloat(5)), NewLeaf(4, vector.Gt, types.NewFloat(0)), NewLeaf(4, vector.Lt, types.NewFloat(3))} {
+		checkFilter(t, FormatNode(f, view.Schema), view, f, refRows(view, f))
+	}
+}
+
+// TestFloatEqualityNeverUsesHashes: an index files -0.0 and 0.0 under
+// different hashes, while float equality equates them, so no float
+// equality may be answered from an index. 40 rows hold -0.0 in an indexed
+// float column; `score = 0` must find all 40 through segment skipping, the
+// leaf's index strategy, core's Where and LookupEqual alike.
+func TestFloatEqualityNeverUsesHashes(t *testing.T) {
+	s := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "score", Type: types.Float64},
+	)
+	s.UniqueKey = []int{0}
+	s.SecondaryKeys = [][]int{{1}}
+	tbl, err := core.NewTable("f", s, core.Config{MaxSegmentRows: 64},
+		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 0, 200)
+	for i := 0; i < 200; i++ {
+		score := types.NewFloat(float64(i % 5))
+		if i%5 == 0 {
+			score = types.NewFloat(math.Copysign(0, -1))
+		}
+		rows = append(rows, types.Row{types.NewInt(int64(i)), score})
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	view := tbl.Snapshot()
+	zero := types.NewFloat(0)
+	for _, leaf := range []*Leaf{NewLeaf(1, vector.Eq, zero), {Col: 1, Op: vector.Eq, Val: zero, forceStrategy: indexStrategy}, NewIn(1, []types.Value{zero})} {
+		for _, skip := range []bool{false, true} {
+			scan := NewScan(view, CloneNode(leaf))
+			scan.DisableIndexSkipping = skip
+			if n := scan.Count(); n != 40 {
+				t.Fatalf("%s (index skipping off: %v): Count = %d, want 40", FormatNode(leaf, s), skip, n)
+			}
+		}
+	}
+	if got := len(tbl.LookupEqual(1, zero)); got != 40 {
+		t.Fatalf("LookupEqual(score, 0) = %d rows, want 40", got)
+	}
+	n, err := tbl.UpdateWhere(core.Eq(1, zero), func(r types.Row) types.Row {
+		r = r.Clone()
+		r[1] = types.NewFloat(7)
+		return r
+	})
+	if err != nil || n != 40 {
+		t.Fatalf("UpdateWhere(score = 0) updated %d rows (err %v), want 40", n, err)
+	}
 }

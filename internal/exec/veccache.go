@@ -81,8 +81,7 @@ type vecKey struct {
 // mutated afterwards; waiters read them only after <-ready.
 type vecEntry struct {
 	key   vecKey
-	ints  []int64
-	strs  []string
+	vals  any // []int64, []float64 or []string, by the column's type
 	size  int64
 	hits  int64         // guarded by VecCache.mu; feeds SegmentHeat
 	done  bool          // guarded by VecCache.mu
@@ -196,30 +195,17 @@ func (c *VecCache) InvalidateSegment(seg *colstore.Segment) {
 	c.mu.Unlock()
 }
 
-// Ints returns the decoded int64 (or float-bits) vector for the column,
-// decoding at most once process-wide per (segment, column). st, when
-// non-nil, receives the per-scan hit/miss/wait counters.
-func (c *VecCache) Ints(meta *colstore.Meta, col int, st *ScanStats) []int64 {
+// cachedVec returns the decoded vector for the column as T, decoding at
+// most once process-wide per (segment, column). st, when non-nil, receives
+// the per-scan hit/miss/wait counters.
+func cachedVec[T colValue](c *VecCache, meta *colstore.Meta, col int, st *ScanStats) []T {
 	e, owner := c.acquire(vecKey{seg: meta.Seg, col: col}, st)
 	if !owner {
-		return e.ints
+		return e.vals.([]T)
 	}
-	v := decodeInts(meta, col, st)
-	e.ints = v
-	c.publish(e, 8*int64(cap(v)), st)
-	return v
-}
-
-// Strs returns the decoded string vector for the column, decoding at most
-// once process-wide per (segment, column).
-func (c *VecCache) Strs(meta *colstore.Meta, col int, st *ScanStats) []string {
-	e, owner := c.acquire(vecKey{seg: meta.Seg, col: col}, st)
-	if !owner {
-		return e.strs
-	}
-	v := decodeStrs(meta, col, st)
-	e.strs = v
-	c.publish(e, stringsBytes(v), st)
+	v := decodeVec[T](meta, col, st)
+	e.vals = v
+	c.publish(e, vecBytes(v), st)
 	return v
 }
 
@@ -320,28 +306,26 @@ func (c *VecCache) evictLocked(st *ScanStats) {
 // promoting the entry or counting a hit. The merger uses it to reuse
 // cache-resident vectors for segments it is about to retire: touching the
 // LRU or the heat counters would make the merge itself inflate the
-// "hotness" of runs it reads, defeating cache-aware planning.
+// "hotness" of runs it reads, defeating cache-aware planning. Float64
+// columns are cached as floats, not bits, so only Int64 columns are served.
 func (c *VecCache) PeekInts(seg *colstore.Segment, col int) ([]int64, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[vecKey{seg: seg, col: col}]; ok && e.done && e.ints != nil {
-		return e.ints, true
-	}
-	return nil, false
+	return peekVec[int64](c, seg, col)
 }
 
 // PeekStrs is PeekInts for string columns.
 func (c *VecCache) PeekStrs(seg *colstore.Segment, col int) ([]string, bool) {
+	return peekVec[string](c, seg, col)
+}
+
+func peekVec[T colValue](c *VecCache, seg *colstore.Segment, col int) ([]T, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[vecKey{seg: seg, col: col}]; ok && e.done && e.strs != nil {
-		return e.strs, true
+	if e, ok := c.entries[vecKey{seg: seg, col: col}]; ok && e.done {
+		v, ok := e.vals.([]T)
+		return v, ok
 	}
 	return nil, false
 }
@@ -386,32 +370,6 @@ func (c *VecCache) Stats() VecCacheStats {
 		Bytes:            c.curBytes,
 		Budget:           c.maxBytes,
 	}
-}
-
-// decodeInts fully decodes an int column, counting the decode in st.
-func decodeInts(meta *colstore.Meta, col int, st *ScanStats) []int64 {
-	if st != nil {
-		st.VecDecodes++
-	}
-	return meta.Seg.Cols[col].Ints.DecodeAll(make([]int64, 0, meta.Seg.NumRows))
-}
-
-// decodeStrs fully decodes a string column, counting the decode in st.
-func decodeStrs(meta *colstore.Meta, col int, st *ScanStats) []string {
-	if st != nil {
-		st.VecDecodes++
-	}
-	return meta.Seg.Cols[col].Strs.DecodeAll(make([]string, 0, meta.Seg.NumRows))
-}
-
-// stringsBytes estimates the resident size of a decoded string vector: the
-// slice headers plus the string payloads.
-func stringsBytes(v []string) int64 {
-	n := 16 * int64(cap(v))
-	for _, s := range v {
-		n += int64(len(s))
-	}
-	return n
 }
 
 // --- scan-path buffer pools --------------------------------------------------

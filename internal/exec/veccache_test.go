@@ -49,7 +49,7 @@ func TestVecCacheSingleFlightDecode(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vecs[i] = cache.Ints(meta, 2, &perStats[i])
+			vecs[i] = cachedVec[int64](cache, meta, 2, &perStats[i])
 		}(i)
 	}
 	wg.Wait()
@@ -85,8 +85,8 @@ func TestVecCacheEvictionBounded(t *testing.T) {
 	view := tbl.Snapshot()
 	var st ScanStats
 	for _, m := range view.Segs {
-		cache.Ints(m, 0, &st)
-		cache.Ints(m, 2, &st)
+		cachedVec[int64](cache, m, 0, &st)
+		cachedVec[int64](cache, m, 2, &st)
 	}
 	s := cache.Stats()
 	if s.Bytes > 1600 {
@@ -104,7 +104,7 @@ func TestVecCacheOversizedVectorNotInstalled(t *testing.T) {
 	cache := NewVecCache(8) // smaller than any decoded vector
 	tbl := newCachedTable(t, 64, 64, cache)
 	meta := tbl.Snapshot().Segs[0]
-	v := cache.Ints(meta, 2, nil)
+	v := cachedVec[int64](cache, meta, 2, nil)
 	if len(v) != meta.Seg.NumRows {
 		t.Fatalf("got %d values, want %d", len(v), meta.Seg.NumRows)
 	}
@@ -114,7 +114,7 @@ func TestVecCacheOversizedVectorNotInstalled(t *testing.T) {
 	}
 	// The key must not stay registered: the next lookup decodes again.
 	var st ScanStats
-	cache.Ints(meta, 2, &st)
+	cachedVec[int64](cache, meta, 2, &st)
 	if st.VecCacheMisses != 1 || st.VecDecodes != 1 {
 		t.Fatalf("second lookup after oversized publish: %+v", st)
 	}
@@ -130,7 +130,7 @@ func TestVecCacheAdmissionFilterProtectsHotSet(t *testing.T) {
 	// Warm the hot set.
 	var st ScanStats
 	for _, m := range view.Segs {
-		cache.Ints(m, 2, &st)
+		cachedVec[int64](cache, m, 2, &st)
 	}
 	hot := cache.Stats()
 	if hot.Entries != len(view.Segs) || hot.Evictions != 0 {
@@ -143,7 +143,7 @@ func TestVecCacheAdmissionFilterProtectsHotSet(t *testing.T) {
 	if !owner {
 		t.Fatal("synthetic wide vector should own its decode")
 	}
-	e.strs = []string{"wide"}
+	e.vals = []string{"wide"}
 	cache.publish(e, int64(cache.maxBytes)-64, nil)
 
 	s := cache.Stats()
@@ -157,7 +157,7 @@ func TestVecCacheAdmissionFilterProtectsHotSet(t *testing.T) {
 	// The hot set must still be resident: re-reads hit without decoding.
 	var rest ScanStats
 	for _, m := range view.Segs {
-		cache.Ints(m, 2, &rest)
+		cachedVec[int64](cache, m, 2, &rest)
 	}
 	if rest.VecDecodes != 0 || rest.VecCacheMisses != 0 {
 		t.Fatalf("hot set was evicted by rejected insert: %+v", rest)
@@ -166,7 +166,7 @@ func TestVecCacheAdmissionFilterProtectsHotSet(t *testing.T) {
 	// The rejected key must not stay registered: a later lookup decodes
 	// fresh rather than waiting on a phantom in-flight entry.
 	var again ScanStats
-	cache.Strs(view.Segs[0], 1, &again)
+	cachedVec[string](cache, view.Segs[0], 1, &again)
 	if again.VecCacheMisses != 1 || again.VecDecodes != 1 {
 		t.Fatalf("rejected key stayed registered: %+v", again)
 	}
@@ -184,8 +184,9 @@ func TestVecCacheInvalidateMidDecode(t *testing.T) {
 	}
 	// A merge retires the segment while the decode is in flight.
 	cache.InvalidateSegment(meta.Seg)
-	e.ints = decodeInts(meta, 2, nil)
-	cache.publish(e, 8*int64(cap(e.ints)), nil)
+	v := decodeVec[int64](meta, 2, nil)
+	e.vals = v
+	cache.publish(e, vecBytes(v), nil)
 
 	s := cache.Stats()
 	if s.Invalidations != 1 {
@@ -196,7 +197,7 @@ func TestVecCacheInvalidateMidDecode(t *testing.T) {
 	}
 	// Waiters that grabbed e before the invalidation still get the vector.
 	<-e.ready
-	if len(e.ints) != meta.Seg.NumRows {
+	if len(e.vals.([]int64)) != meta.Seg.NumRows {
 		t.Fatal("in-flight waiters lost the decoded payload")
 	}
 }
@@ -218,12 +219,12 @@ func TestVecCacheInvalidateRacesReaders(t *testing.T) {
 				default:
 				}
 				for _, m := range view.Segs {
-					v := cache.Ints(m, 2, nil)
+					v := cachedVec[int64](cache, m, 2, nil)
 					if len(v) != m.Seg.NumRows {
 						t.Errorf("short vector: %d != %d", len(v), m.Seg.NumRows)
 						return
 					}
-					s := cache.Strs(m, 1, nil)
+					s := cachedVec[string](cache, m, 1, nil)
 					if len(s) != m.Seg.NumRows {
 						t.Errorf("short string vector: %d != %d", len(s), m.Seg.NumRows)
 						return
@@ -347,9 +348,9 @@ func TestVecCachePeekAndSegmentHeat(t *testing.T) {
 	meta := tbl.Snapshot().Segs[0]
 
 	// Warm column 2 with one miss + two hits.
-	v := cache.Ints(meta, 2, nil)
-	cache.Ints(meta, 2, nil)
-	cache.Ints(meta, 2, nil)
+	v := cachedVec[int64](cache, meta, 2, nil)
+	cachedVec[int64](cache, meta, 2, nil)
+	cachedVec[int64](cache, meta, 2, nil)
 
 	// Peek returns the very same resident vector without counting a hit.
 	before := cache.Stats()
@@ -396,8 +397,8 @@ func TestVecCacheInvalidateDropsHeat(t *testing.T) {
 	cache := NewVecCache(1 << 20)
 	tbl := newCachedTable(t, 256, 256, cache)
 	meta := tbl.Snapshot().Segs[0]
-	cache.Ints(meta, 2, nil)
-	cache.Ints(meta, 2, nil)
+	cachedVec[int64](cache, meta, 2, nil)
+	cachedVec[int64](cache, meta, 2, nil)
 	cache.InvalidateSegment(meta.Seg)
 	if b, h := cache.SegmentHeat(meta.Seg); b != 0 || h != 0 {
 		t.Fatalf("heat survived invalidation: (%d, %d)", b, h)
@@ -409,7 +410,7 @@ func TestVecCacheInvalidateDropsHeat(t *testing.T) {
 	// A reader on an older snapshot still gets the vector, decoded fresh,
 	// but the retired segment never re-enters the cache.
 	var st ScanStats
-	if v := cache.Ints(meta, 2, &st); len(v) != meta.Seg.NumRows || st.VecDecodes != 1 {
+	if v := cachedVec[int64](cache, meta, 2, &st); len(v) != meta.Seg.NumRows || st.VecDecodes != 1 {
 		t.Fatalf("post-retirement read: %d rows, %+v", len(v), st)
 	}
 	if _, ok := cache.PeekInts(meta.Seg, 2); ok {

@@ -94,7 +94,7 @@ func TestVecCacheGroupDetachDiscardsWithoutDemoting(t *testing.T) {
 	tbl := newCachedTable(t, 64, 64*4, g.Primary())
 	view := tbl.Snapshot()
 	for _, m := range view.Segs {
-		ws.Ints(m, 2, nil)
+		cachedVec[int64](ws, m, 2, nil)
 	}
 	if ws.Stats().Entries == 0 {
 		t.Fatal("workspace sweep cached nothing")
@@ -125,8 +125,8 @@ func TestVecCacheGroupStatsTotalFoldsTiers(t *testing.T) {
 	tbl := newCachedTable(t, 64, 64*8, g.Primary())
 	view := tbl.Snapshot()
 	for _, m := range view.Segs {
-		ws.Ints(m, 2, nil)
-		g.Primary().Ints(m, 2, nil)
+		cachedVec[int64](ws, m, 2, nil)
+		cachedVec[int64](g.Primary(), m, 2, nil)
 	}
 	gs := g.Stats()
 	total := gs.Total()

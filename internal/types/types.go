@@ -270,7 +270,8 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// CheckRow verifies that the row matches the schema arity and types.
+// CheckRow verifies that the row matches the schema arity and types and
+// holds no NaN.
 func (s *Schema) CheckRow(r Row) error {
 	if len(r) != len(s.Columns) {
 		return fmt.Errorf("row has %d values, schema has %d columns", len(r), len(s.Columns))
@@ -278,6 +279,12 @@ func (s *Schema) CheckRow(r Row) error {
 	for i, v := range r {
 		if v.Type != s.Columns[i].Type {
 			return fmt.Errorf("column %q: row value type %v, want %v", s.Columns[i].Name, v.Type, s.Columns[i].Type)
+		}
+		// NaN is the one float Compare cannot order (it equals everything)
+		// while the segment kernels' IEEE operators match it to nothing;
+		// refusing it here makes the two orders agree on every stored value.
+		if v.Type == Float64 && !v.IsNull && math.IsNaN(v.F) {
+			return fmt.Errorf("column %q: NaN cannot be stored", s.Columns[i].Name)
 		}
 	}
 	return nil
@@ -334,16 +341,23 @@ func (p Placement) Partition(n int) (int, bool) {
 	return int(p.shard % uint64(n)), true
 }
 
+// KeyEquality reports whether equality on a column of type t is equality of
+// EncodeKey bytes and of Hash — whether a hash table, a key range or a
+// secondary index may answer "col = v". It is false for Float64: Compare
+// and the kernels' IEEE operators equate -0.0 with 0.0, while EncodeKey and
+// Hash keep them apart, so a float equality could miss rows filed under the
+// other zero. Placement, segment skipping and the index filter all ask it.
+func (t ColType) KeyEquality() bool { return t != Float64 }
+
 // Place derives the Placement of a statement from its pins. A pin counts
 // only when its value is a non-NULL literal of the column's own type, and
-// never on a Float64 column: Compare equates -0.0 with 0.0 and NaN with
-// every value, while EncodeKey and Hash keep them apart, so one float
-// equality can match rows under several keys and in several partitions.
+// only on a column with KeyEquality: one float equality can match rows
+// under several keys and in several partitions.
 func (s *Schema) Place(pins []Pin) Placement {
 	pinned := func(col int) (Value, bool) {
 		t := s.Columns[col].Type
 		for _, p := range pins {
-			if p.Col == col && !p.Val.IsNull && p.Val.Type == t && t != Float64 {
+			if p.Col == col && !p.Val.IsNull && p.Val.Type == t && t.KeyEquality() {
 				return p.Val, true
 			}
 		}

@@ -43,8 +43,11 @@ func (op CmpOp) String() string {
 	return fmt.Sprintf("CmpOp(%d)", uint8(op))
 }
 
-// CmpInt reports whether "a op b" holds.
-func CmpInt(a int64, op CmpOp, b int64) bool {
+// Cmp reports whether "a op b" holds under Go's operators — for floats the
+// IEEE order, which is also what types.Compare orders every storable value
+// by (NaN is rejected at write; see types.Schema.CheckRow). It is the one
+// comparison every segment kernel and CmpValue share.
+func Cmp[T int64 | float64 | string](a T, op CmpOp, b T) bool {
 	switch op {
 	case Eq:
 		return a == b
@@ -61,60 +64,18 @@ func CmpInt(a int64, op CmpOp, b int64) bool {
 	}
 }
 
-// CmpFloat reports whether "a op b" holds.
-func CmpFloat(a float64, op CmpOp, b float64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
-// CmpString reports whether "a op b" holds.
-func CmpString(a string, op CmpOp, b string) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
-// CmpValue reports whether "a op b" holds for dynamically-typed values.
+// CmpValue reports whether "a op b" holds for dynamically-typed values, by
+// the same rule as Cmp on the values' Go types.
 func CmpValue(a types.Value, op CmpOp, b types.Value) bool {
 	if a.IsNull || b.IsNull {
 		return false // SQL three-valued logic: comparisons with NULL are not true
 	}
-	c := types.Compare(a, b)
-	switch op {
-	case Eq:
-		return c == 0
-	case Ne:
-		return c != 0
-	case Lt:
-		return c < 0
-	case Le:
-		return c <= 0
-	case Gt:
-		return c > 0
+	switch a.Type {
+	case types.Int64:
+		return Cmp(a.I, op, b.I)
+	case types.Float64:
+		return Cmp(a.F, op, b.F)
 	default:
-		return c >= 0
+		return Cmp(a.S, op, b.S)
 	}
 }

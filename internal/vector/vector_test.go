@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"testing"
 
 	"s2db/internal/types"
@@ -21,15 +22,31 @@ func TestCmpOps(t *testing.T) {
 		{2, Ge, 2, true}, {1, Ge, 2, false},
 	}
 	for _, c := range cases {
-		if got := CmpInt(c.a, c.op, c.b); got != c.want {
-			t.Errorf("CmpInt(%d %v %d) = %v", c.a, c.op, c.b, got)
+		if got := Cmp(c.a, c.op, c.b); got != c.want {
+			t.Errorf("Cmp(%d %v %d) = %v", c.a, c.op, c.b, got)
 		}
-		if got := CmpFloat(float64(c.a), c.op, float64(c.b)); got != c.want {
-			t.Errorf("CmpFloat(%d %v %d) = %v", c.a, c.op, c.b, got)
+		if got := Cmp(float64(c.a), c.op, float64(c.b)); got != c.want {
+			t.Errorf("Cmp(%d. %v %d.) = %v", c.a, c.op, c.b, got)
 		}
 	}
-	if !CmpString("a", Lt, "b") || CmpString("b", Eq, "a") {
-		t.Error("CmpString basic cases wrong")
+	if !Cmp("a", Lt, "b") || Cmp("b", Eq, "a") {
+		t.Error("Cmp on strings: basic cases wrong")
+	}
+}
+
+// TestCmpValueIsIEEE: CmpValue applies the segment kernels' rule to boxed
+// floats — -0 equals 0, and a NaN constant equals nothing and differs from
+// everything — so a buffer row and a segment row holding the same value
+// always agree.
+func TestCmpValueIsIEEE(t *testing.T) {
+	negZero, zero, nan := types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewFloat(math.NaN())
+	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+		for _, pair := range [][2]types.Value{{negZero, zero}, {zero, nan}, {nan, nan}} {
+			a, b := pair[0], pair[1]
+			if got, want := CmpValue(a, op, b), Cmp(a.F, op, b.F); got != want {
+				t.Errorf("CmpValue(%v %v %v) = %v, Cmp says %v", a, op, b, got, want)
+			}
+		}
 	}
 }
 
