@@ -7,8 +7,8 @@ check: build vet race
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
 # the tier-1 check gate, the focused WAL/replication race gate, the
-# multi-tenant QoS isolation gate, the index, storage, replication,
-# vector-cache and QoS tests at one and two cores, the seeded chaos soak,
+# multi-tenant QoS isolation gate, the whole test suite at one and two
+# cores, the seeded chaos soak,
 # a smoke pass of the four benchmark workloads, and a short fuzz pass of
 # the SQL front-end, the WAL page codec, the exec filter tree and
 # aggregation kernels, the unique-key range derivation, the table
@@ -52,13 +52,13 @@ racewal:
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
-# procsmoke runs the index, storage, replication, vector-cache and QoS
-# packages at GOMAXPROCS 1 and 2: interleavings a many-core machine rarely
-# produces (the cache's single-flight decode, the governor's wake-ups) show
-# up at low core counts, and tier-1 must be green on any of them.
+# procsmoke runs the whole test suite at GOMAXPROCS 1 and 2: interleavings
+# a many-core machine rarely produces (the cache's single-flight decode,
+# the governor's wake-ups, background maintenance beside a delete) show up
+# at low core counts, and tier-1 must be green on any of them.
 procsmoke:
-	GOMAXPROCS=1 go test ./internal/index ./internal/core ./internal/cluster ./internal/exec ./internal/qos -count=1
-	GOMAXPROCS=2 go test ./internal/index ./internal/core ./internal/cluster ./internal/exec ./internal/qos -count=1
+	GOMAXPROCS=1 go test ./... -count=1
+	GOMAXPROCS=2 go test ./... -count=1
 
 build:
 	go build ./...

@@ -121,7 +121,7 @@ func (w Where) Pins() []types.Pin {
 }
 
 func (w Where) matches(r types.Row) bool {
-	if w.Col >= 0 && !types.Equal(r[w.Col], w.Val) {
+	if w.Col >= 0 && !vector.CmpValue(r[w.Col], vector.Eq, w.Val) {
 		return false
 	}
 	return w.Pred == nil || w.Pred(r)
@@ -145,7 +145,7 @@ func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
 // returning buffer keys and segment locations.
 func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
 	bufKeys = t.bufferTargets(view.TS, w)
-	if w.Col >= 0 && t.indexAnswers(w.Col) {
+	if w.Col >= 0 && t.idx.HasColumn(w.Col) {
 		matches, probes := t.idx.LookupColumn(w.Col, w.Val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
@@ -364,12 +364,12 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	var out []types.Row
 	p := t.schema.Place([]types.Pin{{Col: col, Val: val}})
 	view.ScanBufferRange(p.From, p.To, func(r types.Row) bool {
-		if types.Equal(r[col], val) {
+		if vector.CmpValue(r[col], vector.Eq, val) {
 			out = append(out, r)
 		}
 		return true
 	})
-	if t.indexAnswers(col) {
+	if t.idx.HasColumn(col) {
 		matches, probes := t.idx.LookupColumn(col, val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
@@ -392,7 +392,7 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 			continue
 		}
 		for i := 0; i < meta.Seg.NumRows; i++ {
-			if !meta.Deleted.Get(i) && types.Equal(meta.Seg.ValueAt(i, col), val) {
+			if !meta.Deleted.Get(i) && vector.CmpValue(meta.Seg.ValueAt(i, col), vector.Eq, val) {
 				out = append(out, meta.Seg.RowAt(i))
 			}
 		}
@@ -400,19 +400,12 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	return out
 }
 
-// indexAnswers reports whether the secondary index may answer an equality
-// on col: the column is indexed and its equality is key equality (an index
-// files -0.0 and 0.0 apart; float equality does not).
-func (t *Table) indexAnswers(col int) bool {
-	return t.idx.HasColumn(col) && t.schema.Columns[col].Type.KeyEquality()
-}
-
 // UniqueWhere builds a Where matching exactly the given unique key values.
 func (t *Table) UniqueWhere(vals []types.Value) Where {
 	uk := t.schema.UniqueKey
 	return Where{Col: -1, Pred: func(r types.Row) bool {
 		for i, c := range uk {
-			if !types.Equal(r[c], vals[i]) {
+			if !vector.CmpValue(r[c], vector.Eq, vals[i]) {
 				return false
 			}
 		}

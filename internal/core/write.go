@@ -115,7 +115,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			vals[j] = v
 		}
 		keyVals[i] = vals
-		hashes[i] = index.HashTuple(vals)
+		hashes[i] = types.HashMany(vals)
 	}
 	release, err := t.uniq.Acquire(hashes, t.cfg.LockTimeout)
 	if err != nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -354,6 +355,48 @@ func TestEquiJoinAutoFallsBackOnLargeBuild(t *testing.T) {
 	}
 	if stats.JoinIndexFallbacks != 1 {
 		t.Fatalf("fallbacks = %d", stats.JoinIndexFallbacks)
+	}
+}
+
+// TestEquiJoinFloatZeros: a build key 0.0 joins the probe rows holding
+// -0.0, in segments and in the buffer, on the index path, the hash path and
+// whichever the join picks itself.
+func TestEquiJoinFloatZeros(t *testing.T) {
+	s := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "f", Type: types.Float64},
+	)
+	s.UniqueKey = []int{0}
+	s.SecondaryKeys = [][]int{{1}}
+	tbl, err := core.NewTable("z", s, core.Config{MaxSegmentRows: 32},
+		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 200)
+	for i := range rows {
+		f := float64(i % 4)
+		if f == 0 {
+			f = math.Copysign(0, -1)
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(f)}
+	}
+	if err := tbl.BulkLoad(rows[:100]); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows[100:] {
+		if err := tbl.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := []types.Row{{types.NewFloat(0)}}
+	for _, mode := range []JoinMode{JoinAuto, JoinForceHash, JoinForceIndex} {
+		n := 0
+		used := EquiJoin(build, []int{0}, tbl.Snapshot(), []int{1}, nil, mode, nil,
+			func(b, p types.Row) bool { n++; return true })
+		if n != 50 || used != (mode != JoinForceHash) {
+			t.Errorf("mode %d: %d rows joined (index path %v), want 50", mode, n, used)
+		}
 	}
 }
 

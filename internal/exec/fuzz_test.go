@@ -201,6 +201,8 @@ func FuzzAggregate(f *testing.F) {
 		f.Add([]byte{byte(i), 1, 1, 2, 2, 3, 9, 3, 3, 7, 4, 3, 8})     // dict group-by over RLE and nullable columns
 		f.Add([]byte{byte(i), 2, 1, 2, 3, 1, 1, 0, 0, 0, 2, 1, 5})     // two dict columns with expressions
 		f.Add([]byte{byte(i), 1, 7, 3, 2, 1, 2, 0, 4, 3, 10, 2, 2, 1}) // general path: a float group column
+		f.Add([]byte{byte(i), 1, 7, 0, 0, 0})                          // COUNT(*) by fnull: -0.0 and 0.0 are one group
+		f.Add([]byte{byte(i), 2, 7, 8, 1, 0, 0, 1, 3, 4})              // by (fnull, frle): COUNT(*), SUM(score)
 	}
 	var views []*core.View
 	for _, maxSegRows := range []int{32, 64, 4096} {

@@ -4,6 +4,7 @@ import (
 	"s2db/internal/colstore"
 	"s2db/internal/core"
 	"s2db/internal/types"
+	"s2db/internal/vector"
 )
 
 // JoinMode pins the join strategy for ablation; JoinAuto decides
@@ -47,8 +48,7 @@ func EquiJoin(
 
 	idx := probe.Index()
 	indexable := mode != JoinForceHash &&
-		len(probeKey) == 1 && idx != nil && idx.HasColumn(probeKey[0]) &&
-		probe.Schema.Columns[probeKey[0]].Type.KeyEquality()
+		len(probeKey) == 1 && idx != nil && idx.HasColumn(probeKey[0])
 	if indexable && mode != JoinForceIndex {
 		// Dynamic disable: probing wins only when the build side is small
 		// relative to the probe table (§5.1). The factor accounts for the
@@ -83,7 +83,7 @@ func EquiJoin(
 			stop := false
 			place := probe.Schema.Place([]types.Pin{{Col: col, Val: v}})
 			probe.ScanBufferRange(place.From, place.To, func(pr types.Row) bool {
-				if !types.Equal(pr[col], v) {
+				if !vector.CmpValue(pr[col], vector.Eq, v) {
 					return true
 				}
 				if probeFilter != nil && !probeFilter.EvalRow(pr) {

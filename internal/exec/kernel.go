@@ -138,11 +138,9 @@ func (l *Leaf) evalSpanStrategies(ctx *SegContext, rows int, in, out []Span) []S
 	// Secondary index filter: only for equality with an index, and only
 	// when the postings list is smaller than the candidate set ("it can
 	// still be worse if the other clauses already filtered the result down
-	// to a few rows", §5.2). Costing uses the postings size directly. The
-	// postings are filed by key, so a column without key equality (floats)
-	// never uses them.
+	// to a few rows", §5.2). Costing uses the postings size directly.
 	if l.forceStrategy != regularStrategy && len(l.In) == 0 && l.Op == vector.Eq && ctx.Idx != nil &&
-		ctx.Idx.HasColumn(l.Col) && seg.Schema().Columns[l.Col].Type.KeyEquality() {
+		ctx.Idx.HasColumn(l.Col) {
 		if postings, ok := ctx.Idx.SegmentPostings(seg.ID, l.Col, l.Val); ok {
 			if l.forceStrategy == indexStrategy || len(postings)*4 < rows {
 				if ctx.Stats != nil {

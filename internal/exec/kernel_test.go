@@ -631,10 +631,10 @@ func TestNaNRejectedAtWrite(t *testing.T) {
 	}
 }
 
-// TestFloatEqualityNeverUsesHashes: an index files -0.0 and 0.0 under
-// different hashes, while float equality equates them, so no float
-// equality may be answered from an index. 40 rows hold -0.0 in an indexed
-// float column; `score = 0` must find all 40 through segment skipping, the
+// TestFloatEqualityNeverUsesHashes: an index files -0.0 and 0.0 under one
+// key and one hash, as float equality equates them, so a float equality
+// may be answered from an index. 40 rows hold -0.0 in an indexed float
+// column; `score = 0` must find all 40 through segment skipping, the
 // leaf's index strategy, core's Where and LookupEqual alike.
 func TestFloatEqualityNeverUsesHashes(t *testing.T) {
 	s := types.NewSchema(
@@ -680,5 +680,23 @@ func TestFloatEqualityNeverUsesHashes(t *testing.T) {
 	})
 	if err != nil || n != 40 {
 		t.Fatalf("UpdateWhere(score = 0) updated %d rows (err %v), want 40", n, err)
+	}
+}
+
+// TestGroupByFloatZeros: GROUP BY puts -0.0 and 0.0 in one group, which
+// counts every row the filter fnull = 0 matches.
+func TestGroupByFloatZeros(t *testing.T) {
+	tbl := newKernelTable(t, 64)
+	fillKernel(t, tbl, 500, 40)
+	view := tbl.Snapshot()
+	want := int64(len(refRows(view, NewLeaf(7, vector.Eq, types.NewFloat(0)))))
+	var zeros []types.Row
+	for _, r := range Aggregate(view, nil, []int{7}, []AggSpec{{Func: Count, Col: -1}}, nil) {
+		if !r[0].IsNull && r[0].F == 0 {
+			zeros = append(zeros, r)
+		}
+	}
+	if len(zeros) != 1 || zeros[0][1].I != want {
+		t.Fatalf("groups with fnull = 0: %v, want one of %d rows", zeros, want)
 	}
 }

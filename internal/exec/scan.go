@@ -105,8 +105,7 @@ func Pins(n Node) []types.Pin {
 }
 
 // indexableProbes extracts top-level conjunction clauses that can use the
-// global index for segment selection: equalities on indexed columns whose
-// equality is key equality (never floats; see types.ColType.KeyEquality).
+// global index for segment selection: equalities on indexed columns.
 func (s *Scan) indexableProbes() []eqProbe {
 	idx := s.View.Index()
 	if idx == nil || s.Filter == nil || s.DisableIndexSkipping {
@@ -114,7 +113,7 @@ func (s *Scan) indexableProbes() []eqProbe {
 	}
 	var probes []eqProbe
 	for _, l := range conjuncts(s.Filter) {
-		if !idx.HasColumn(l.Col) || !s.View.Schema.Columns[l.Col].Type.KeyEquality() {
+		if !idx.HasColumn(l.Col) {
 			continue
 		}
 		switch {

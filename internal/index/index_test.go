@@ -136,7 +136,7 @@ func TestSegmentIndexLookup(t *testing.T) {
 // registered.
 func TestGlobalIndexLookupAndMerge(t *testing.T) {
 	g := NewGlobalIndex()
-	h := HashValue(types.NewInt(42))
+	h := types.HashMany([]types.Value{types.NewInt(42)})
 	for seg := uint64(1); seg <= 3; seg++ {
 		g.AddSegment(seg, []uint64{h})
 	}
@@ -149,14 +149,14 @@ func TestGlobalIndexLookupAndMerge(t *testing.T) {
 	if !reflect.DeepEqual(segs, []uint64{1, 2, 3, 4}) || probes != 1 {
 		t.Fatalf("Lookup after a fourth segment = %v probes=%d", segs, probes)
 	}
-	if segs, _ := g.Lookup(HashValue(types.NewInt(43))); len(segs) != 0 {
+	if segs, _ := g.Lookup(types.HashMany([]types.Value{types.NewInt(43)})); len(segs) != 0 {
 		t.Fatalf("absent value matched %v", segs)
 	}
 }
 
 func TestGlobalIndexLazyDeletion(t *testing.T) {
 	g := NewGlobalIndex()
-	h := HashValue(types.NewInt(1))
+	h := types.HashMany([]types.Value{types.NewInt(1)})
 	g.AddSegment(1, []uint64{h})
 	g.AddSegment(2, []uint64{h})
 	g.DropSegment(1)
@@ -239,10 +239,10 @@ func TestGlobalIndexModel(t *testing.T) {
 // segment's entries where they were.
 func TestGlobalIndexRegistrationCost(t *testing.T) {
 	g := NewGlobalIndex()
-	shared := HashValue(types.NewString("shared"))
+	shared := types.HashMany([]types.Value{types.NewString("shared")})
 	own := make([]*uint64, 0, 1000)
 	for id := uint64(1); id <= 1000; id++ {
-		h := HashValue(types.NewInt(int64(id)))
+		h := types.HashMany([]types.Value{types.NewInt(int64(id))})
 		g.AddSegment(id, []uint64{h, shared})
 		own = append(own, &g.m[h][0])
 	}
@@ -251,7 +251,7 @@ func TestGlobalIndexRegistrationCost(t *testing.T) {
 	}
 	for i, p := range own {
 		id := uint64(i + 1)
-		l := g.m[HashValue(types.NewInt(int64(id)))]
+		l := g.m[types.HashMany([]types.Value{types.NewInt(int64(id))})]
 		if len(l) != 1 || &l[0] != p || *p != id {
 			t.Fatalf("segment %d's entry was rewritten", id)
 		}

@@ -148,7 +148,7 @@ func (si *SegmentIndex) DistinctValues() int { return len(si.start) - 1 }
 func (si *SegmentIndex) ValueHashes() []uint64 {
 	out := make([]uint64, si.DistinctValues())
 	for i := range out {
-		out[i] = hashKeyBytes(si.key(i))
+		out[i] = types.KeyHash(si.key(i))
 	}
 	return out
 }
@@ -166,36 +166,4 @@ func (si *SegmentIndex) valueOrdinals(n int) []int32 {
 		}
 	}
 	return out
-}
-
-// FNV-1a, over key encodings.
-const (
-	hashOffset uint64 = 14695981039346656037
-	hashPrime  uint64 = 1099511628211
-)
-
-// hashAppend extends a running hash with more key bytes, so the hash of a
-// tuple's key is the hash of its columns' keys in turn.
-func hashAppend(h uint64, k []byte) uint64 {
-	for _, b := range k {
-		h ^= uint64(b)
-		h *= hashPrime
-	}
-	return h
-}
-
-// hashKeyBytes hashes an encoded key; it must agree with HashValue.
-func hashKeyBytes(k []byte) uint64 { return hashAppend(hashOffset, k) }
-
-// HashValue hashes a value the way the global index expects.
-func HashValue(v types.Value) uint64 {
-	var buf [64]byte
-	return hashKeyBytes(types.EncodeKey(buf[:0], v))
-}
-
-// HashTuple hashes a tuple of values for multi-column global indexes
-// (§4.1.1: "mapping from the hash of each tuple").
-func HashTuple(vals []types.Value) uint64 {
-	var buf [128]byte
-	return hashKeyBytes(types.EncodeKey(buf[:0], vals...))
 }

@@ -64,7 +64,7 @@ func fuzzRows(data []byte) []types.Row {
 // oracle and a row walk, on int, float and string columns with NULLs,
 // −0.0, NaN and strings holding 0x00: every lookup returns exactly the
 // ascending rows whose key bytes match, the distinct values and their
-// hashes agree, and a segment's tuple hashes are HashTuple of its rows.
+// hashes agree, and a segment's tuple hashes are HashMany of its rows.
 func FuzzSegmentIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1, 0, 2, 2, 2, 2, 0, 0, 0, 1, 1, 1, 0})
@@ -86,7 +86,7 @@ func FuzzSegmentIndex(f *testing.F) {
 			}
 			wantHashes := map[uint64]bool{}
 			for k := range oracle {
-				wantHashes[hashKeyBytes([]byte(k))] = true
+				wantHashes[types.KeyHash([]byte(k))] = true
 			}
 			gotHashes := map[uint64]bool{}
 			for _, h := range si.ValueHashes() {
@@ -134,7 +134,7 @@ func FuzzSegmentIndex(f *testing.F) {
 		for _, r := range rows {
 			vals := []types.Value{r[2], r[0], r[1]}
 			if !vals[0].IsNull && !vals[1].IsNull && !vals[2].IsNull {
-				want = append(want, HashTuple(vals))
+				want = append(want, types.HashMany(vals))
 			}
 		}
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {

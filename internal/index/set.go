@@ -163,17 +163,18 @@ func tupleHashesOf(n int, cols []int, segIdx map[int]*SegmentIndex) []uint64 {
 		ords[j] = segIdx[c].valueOrdinals(n)
 	}
 	out := make([]uint64, 0, n)
+	var enc []byte
 rows:
 	for r := 0; r < n; r++ {
-		h := hashOffset
+		enc = enc[:0]
 		for j, c := range cols {
 			v := ords[j][r]
 			if v < 0 {
 				continue rows
 			}
-			h = hashAppend(h, segIdx[c].key(int(v)))
+			enc = append(enc, segIdx[c].key(int(v))...)
 		}
-		out = append(out, h)
+		out = append(out, types.KeyHash(enc))
 	}
 	return out
 }
@@ -202,7 +203,7 @@ func (s *Set) LookupColumn(col int, val types.Value) (matches []Match, probes in
 	if !ok || val.IsNull {
 		return nil, 0
 	}
-	segs, p := ci.global.Lookup(HashValue(val))
+	segs, p := ci.global.Lookup(types.HashMany([]types.Value{val}))
 	probes = p
 	for _, segID := range segs {
 		si := ci.segs[segID]
@@ -234,7 +235,7 @@ func (s *Set) LookupTuple(cols []int, vals []types.Value) (matches []Match, prob
 			return nil, 0
 		}
 	}
-	segs, p := gi.Lookup(HashTuple(vals))
+	segs, p := gi.Lookup(types.HashMany(vals))
 	probes = p
 	for _, segID := range segs {
 		lists := make([]Postings, 0, len(cols))

@@ -37,6 +37,7 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -566,7 +567,10 @@ func (g *Governor) AcquireUpTo(ctx contextLike, tenant string, res Resource, min
 		var timer <-chan time.Time
 		var tm *time.Timer
 		if b.rate > 0 {
-			wait := time.Duration((float64(need) - b.avail) / b.rate * float64(time.Second))
+			// Rounded up: a deficit that refills in under a nanosecond
+			// still needs a timer, or the head would wait for a wake-up
+			// that nothing sends.
+			wait := time.Duration(math.Ceil((float64(need) - b.avail) / b.rate * float64(time.Second)))
 			if b.lim.MaxWait > 0 && wait > b.lim.MaxWait {
 				err := b.shedLocked(need)
 				if w != nil {

@@ -391,6 +391,44 @@ func TestRateBucketRefillsAndPaces(t *testing.T) {
 	}
 }
 
+// TestRateWaitUnderOneNanosecond: a head waiter whose deficit refills in
+// under a nanosecond still sleeps on a timer and re-checks the clock.
+// Truncating that wait to zero left it waiting for a wake-up nothing
+// sends, which stalled a workspace link's pacer and DetachWorkspace with
+// it.
+func TestRateWaitUnderOneNanosecond(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	var lim [NumResources]Limits
+	lim[WALBand] = Limits{Capacity: 100, RefillPerSec: 3e10, QueueDepth: 1, MaxWait: time.Second}
+	g := mustNew(t, Config{Limits: lim, Now: clk.now})
+	if err := g.Consume(context.Background(), "a", WALBand, 100); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(3 * time.Nanosecond) // refills 90 of 100: a third of a nanosecond short
+	done := make(chan struct{})
+	go func() {
+		// Once the consume below has queued, let the clock move on.
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if s, _ := g.TenantStatsFor("a"); s.WALBand.Waits > 0 {
+				clk.advance(time.Second)
+				return
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err := g.Consume(ctx, "a", WALBand, 100)
+	close(done)
+	if err != nil {
+		t.Fatalf("consume with a sub-nanosecond deficit: %v", err)
+	}
+}
+
 func TestRateBucketMaxWaitSheds(t *testing.T) {
 	var lim [NumResources]Limits
 	lim[WALBand] = Limits{Capacity: 100, RefillPerSec: 10, QueueDepth: 4, MaxWait: 100 * time.Millisecond}

@@ -7,7 +7,9 @@ import (
 
 // EncodeKey appends an order-preserving encoding of vals to buf:
 // bytes.Compare over encodings agrees with CompareRows over the values.
-// It is used as the skiplist key in the rowstore and for sort-key ordering.
+// It is canonical — equal values encode alike, so -0.0 encodes as 0.0 —
+// which makes byte equality key equality for the rowstore's skiplist keys,
+// GROUP BY and join hash tables, the indexes and KeyHash.
 func EncodeKey(buf []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		if v.IsNull {
@@ -19,7 +21,7 @@ func EncodeKey(buf []byte, vals ...Value) []byte {
 		case Int64:
 			buf = binary.BigEndian.AppendUint64(buf, uint64(v.I)^(1<<63))
 		case Float64:
-			bits := math.Float64bits(v.F)
+			bits := math.Float64bits(v.F + 0) // -0.0 + 0 is 0.0
 			if bits&(1<<63) != 0 {
 				bits = ^bits // negative: flip everything
 			} else {

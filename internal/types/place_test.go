@@ -7,8 +7,17 @@ import (
 )
 
 // eqMatch is the row semantics of an equality clause (vector.CmpValue with
-// Eq): a comparison with NULL is never true, otherwise Compare decides.
-func eqMatch(a, b Value) bool { return !a.IsNull && !b.IsNull && Compare(a, b) == 0 }
+// Eq): a comparison with NULL is never true, floats compare as IEEE (NaN
+// equals nothing, -0.0 equals 0.0), otherwise Compare decides.
+func eqMatch(a, b Value) bool {
+	if a.IsNull || b.IsNull {
+		return false
+	}
+	if a.Type == Float64 {
+		return a.F == b.F
+	}
+	return Compare(a, b) == 0
+}
 
 // checkPlace asserts Place's contract against a walk of every row: the key
 // range holds exactly the rows with the pinned prefix, so it drops no row
@@ -80,14 +89,15 @@ func TestPlaceEdges(t *testing.T) {
 		}
 	}
 
-	// A float shard or key column never pins: -0.0 equals 0.0 and NaN
-	// equals everything under Compare, but they encode and hash apart.
+	// A float shard and key column pins like any other: -0.0 and 0.0 share
+	// one key and one partition, and NaN matches no row.
 	fs := NewSchema(Column{Name: "f", Type: Float64})
 	fs.UniqueKey = []int{0}
 	rows := []Row{{NewFloat(0)}, {NewFloat(math.Copysign(0, -1))}, {NewFloat(math.NaN())}, {NewFloat(2)}}
-	for _, v := range []Value{NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2)} {
-		if p := fs.Place([]Pin{{0, v}}); p.Key != nil {
-			t.Errorf("float pin %v placed key %v", v, p.Key)
+	for _, v := range []Value{NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2), NewFloat(math.NaN())} {
+		p := fs.Place([]Pin{{0, v}})
+		if _, ok := p.Partition(4); len(p.Key) != 1 || !ok {
+			t.Errorf("float pin %v: Key = %v, routed = %v", v, p.Key, ok)
 		}
 		checkPlace(t, fs, []Pin{{0, v}}, rows)
 	}

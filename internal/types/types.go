@@ -5,7 +5,6 @@ package types
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strings"
 )
@@ -112,53 +111,25 @@ func Compare(a, b Value) int {
 // Equal reports whether two values are equal. Nulls equal only nulls.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-var hashSeed = maphash.MakeSeed()
-
-// Hash returns a 64-bit hash of the value, suitable for hash partitioning
-// and the global secondary-index hash tables.
-func Hash(v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	if v.IsNull {
-		h.WriteByte(0xff)
-		return h.Sum64()
-	}
-	switch v.Type {
-	case Int64:
-		var b [8]byte
-		putUint64(b[:], uint64(v.I))
-		h.Write(b[:])
-	case Float64:
-		var b [8]byte
-		putUint64(b[:], math.Float64bits(v.F))
-		h.Write(b[:])
-	case String:
-		h.WriteString(v.S)
-	}
-	return h.Sum64()
-}
-
-// HashMany hashes a tuple of values, used for shard keys and multi-column
-// unique-key checks.
-func HashMany(vs []Value) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range vs {
-		h ^= Hash(v)
+// KeyHash is the engine's one key hash: FNV-1a over EncodeKey bytes, with
+// fixed constants, so it means the same thing in every process. It places
+// rows on partitions (§2), keys the global index (§4.1.1) and the unique-key
+// locks, and so must agree with whatever blob and the next process hold.
+// Placement takes it modulo the partition count unmixed: on two partitions
+// it splits the int keys 0–255 by parity.
+func KeyHash(enc []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range enc {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	return h
 }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+// HashMany is KeyHash of the tuple's key encoding.
+func HashMany(vs []Value) uint64 {
+	var buf [64]byte
+	return KeyHash(EncodeKey(buf[:0], vs...))
 }
 
 // Row is a tuple of values laid out in schema column order.
@@ -301,12 +272,12 @@ func (s *Schema) ShardColumns() []int {
 
 // ShardHash hashes the row's shard-key columns for partition routing.
 func (s *Schema) ShardHash(r Row) uint64 {
-	cols := s.ShardColumns()
-	vs := make([]Value, len(cols))
-	for i, c := range cols {
-		vs[i] = r[c]
+	var buf [64]byte
+	enc := buf[:0]
+	for _, c := range s.ShardColumns() {
+		enc = EncodeKey(enc, r[c])
 	}
-	return HashMany(vs)
+	return KeyHash(enc)
 }
 
 // Pin is one top-level equality a statement pins: column Col = Val.
@@ -341,23 +312,12 @@ func (p Placement) Partition(n int) (int, bool) {
 	return int(p.shard % uint64(n)), true
 }
 
-// KeyEquality reports whether equality on a column of type t is equality of
-// EncodeKey bytes and of Hash — whether a hash table, a key range or a
-// secondary index may answer "col = v". It is false for Float64: Compare
-// and the kernels' IEEE operators equate -0.0 with 0.0, while EncodeKey and
-// Hash keep them apart, so a float equality could miss rows filed under the
-// other zero. Placement, segment skipping and the index filter all ask it.
-func (t ColType) KeyEquality() bool { return t != Float64 }
-
 // Place derives the Placement of a statement from its pins. A pin counts
-// only when its value is a non-NULL literal of the column's own type, and
-// only on a column with KeyEquality: one float equality can match rows
-// under several keys and in several partitions.
+// only when its value is a non-NULL literal of the column's own type.
 func (s *Schema) Place(pins []Pin) Placement {
 	pinned := func(col int) (Value, bool) {
-		t := s.Columns[col].Type
 		for _, p := range pins {
-			if p.Col == col && !p.Val.IsNull && p.Val.Type == t && t.KeyEquality() {
+			if p.Col == col && !p.Val.IsNull && p.Val.Type == s.Columns[col].Type {
 				return p.Val, true
 			}
 		}
@@ -375,16 +335,16 @@ func (s *Schema) Place(pins []Pin) Placement {
 		p.From = EncodeKey(nil, p.Key...)
 		p.To = append(p.From[:len(p.From):len(p.From)], 0x02)
 	}
-	cols := s.ShardColumns()
-	vs := make([]Value, len(cols))
-	for i, c := range cols {
+	var buf [64]byte
+	enc := buf[:0]
+	for _, c := range s.ShardColumns() {
 		v, ok := pinned(c)
 		if !ok {
 			return p
 		}
-		vs[i] = v
+		enc = EncodeKey(enc, v)
 	}
-	p.shard, p.shardPinned = HashMany(vs), true
+	p.shard, p.shardPinned = KeyHash(enc), true
 	return p
 }
 

@@ -47,15 +47,39 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestHashStability pins KeyHash and HashMany: placement, the global index
+// and the unique-key locks of every process, and whatever blob holds for
+// the next one, depend on these exact values (FNV-1a over EncodeKey bytes).
 func TestHashStability(t *testing.T) {
-	if Hash(NewInt(7)) != Hash(NewInt(7)) {
-		t.Fatal("hash not deterministic")
+	cases := []struct {
+		name string
+		vs   []Value
+		want uint64
+	}{
+		{"int 1", []Value{NewInt(1)}, 0xcffdb262079a45df},
+		{"int -1", []Value{NewInt(-1)}, 0xd72bde2686fbcaa4},
+		{"float 0.0", []Value{NewFloat(0)}, 0xcffdb162079a442c},
+		{"float -0.0", []Value{NewFloat(math.Copysign(0, -1))}, 0xcffdb162079a442c},
+		{"float 1.5", []Value{NewFloat(1.5)}, 0xa086e75f6076d4eb},
+		{"string with 0x00", []Value{NewString("a\x00b")}, 0x195452df09e5f047},
+		{"NULL", []Value{Null(Int64)}, 0xaf63bd4c8601b7df},
+		{"tuple (1, x)", []Value{NewInt(1), NewString("x")}, 0x40669d74cbe691c9},
 	}
-	if Hash(NewInt(7)) == Hash(NewInt(8)) {
-		t.Fatal("suspiciously colliding hashes") // not guaranteed, but 2^-64
+	for _, c := range cases {
+		if got := HashMany(c.vs); got != c.want {
+			t.Errorf("HashMany(%s) = %#x, want %#x", c.name, got, c.want)
+		}
+		if got := KeyHash(EncodeKey(nil, c.vs...)); got != c.want {
+			t.Errorf("KeyHash(EncodeKey(%s)) = %#x, want %#x", c.name, got, c.want)
+		}
 	}
 	if HashMany([]Value{NewInt(1), NewInt(2)}) == HashMany([]Value{NewInt(2), NewInt(1)}) {
-		t.Fatal("tuple hash ignores order")
+		t.Error("tuple hash ignores order")
+	}
+	// bench/main.go re-executes the chbench run until warehouses 1 and 2
+	// sit on different partitions of two; with this hash they always do.
+	if HashMany([]Value{NewInt(1)})%2 == HashMany([]Value{NewInt(2)})%2 {
+		t.Error("warehouses 1 and 2 share a partition of two")
 	}
 }
 

@@ -134,8 +134,9 @@ func TestKeySeekEquivalence(t *testing.T) {
 		{"strs", Eq(0, Str("a\x00")), "s = a\x00"},
 		{"strs", Eq(0, Str("a")), "s = a"},
 		{"strs", Eq(0, Str("")), "s = "},
-		{"floats", Eq(0, Float(0)), ""},
-		{"floats", Eq(0, Float(negZero)), ""},
+		{"floats", Eq(0, Float(0)), "f = 0"},
+		{"floats", Eq(0, Float(negZero)), "f = -0"},
+		{"floats", Eq(0, Float(math.NaN())), "f = NaN"},
 		{"floats", Eq(0, Int(1)), ""},
 		{"keyless", Eq(0, Int(1)), ""},
 	}
