@@ -8,10 +8,11 @@ check: build vet race
 # ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
 # the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
-# cores, the seeded chaos soak,
+# cores and the storage and exec race suites at one, the seeded chaos soak,
 # a smoke pass of the four benchmark workloads, and a short fuzz pass of
 # the SQL front-end, the WAL page codec, the exec filter tree and
-# aggregation kernels, the unique-key range derivation, the table
+# aggregation kernels, the unique-key range and secondary-key derivation,
+# the write buffer's secondary index, the table
 # log-record decoder, the snapshot-bundle decoder, the segment index build
 # and the column decoders. Run it locally before pushing.
 ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
@@ -52,13 +53,16 @@ racewal:
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
-# procsmoke runs the whole test suite at GOMAXPROCS 1 and 2: interleavings
-# a many-core machine rarely produces (the cache's single-flight decode,
-# the governor's wake-ups, background maintenance beside a delete) show up
-# at low core counts, and tier-1 must be green on any of them.
+# procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and the
+# rowstore, core and exec suites under the race detector at GOMAXPROCS 1:
+# interleavings a many-core machine rarely produces (the cache's
+# single-flight decode, the governor's wake-ups, background maintenance
+# beside a delete, Compact beside secondary-index readers) show up at low
+# core counts, and tier-1 must be green on any of them.
 procsmoke:
 	GOMAXPROCS=1 go test ./... -count=1
 	GOMAXPROCS=2 go test ./... -count=1
+	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec
 
 build:
 	go build ./...
@@ -105,8 +109,11 @@ benchsmoke:
 # or general aggregation differs from the row-at-a-time fold (float bits
 # included),
 # FuzzKeyRange must find no key schema, pins and rows on which seeking the
-# derived unique-key range (or routing to the derived partition) loses a
-# row that walking every row keeps, and FuzzDecodeMutation and
+# derived unique-key range or secondary key (or routing to the derived
+# partition) loses a row that walking every row keeps,
+# FuzzBufferSecondary must find no write history on which the write
+# buffer's secondary seek returns other rows than a walk, and
+# FuzzDecodeMutation and
 # FuzzDecodeSnapshotBundle must reject hostile table log records and
 # snapshot bundles without panicking or allocating beyond their size,
 # FuzzSegmentIndex must find no column on which the sorted-array segment
@@ -121,6 +128,7 @@ fuzzsmoke:
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
+	go test ./internal/rowstore -run '^$$' -fuzz '^FuzzBufferSecondary$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
 	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s

@@ -49,10 +49,14 @@ type Plan struct {
 	// Filter is the resolved predicate tree rendered with column names;
 	// empty means a full scan.
 	Filter string
-	// KeySeek renders the unique-key prefix the filter pins (e.g.
-	// "id = 42"): each partition's write buffer is read by seeking that
-	// key range. Empty when the buffer is walked.
+	// KeySeek renders the key each partition's write buffer seeks instead
+	// of walking it: the unique-key prefix the filter pins ("id = 42"), or
+	// a whole secondary key it pins ("customer = 7"). Empty when the
+	// buffer is walked.
 	KeySeek string
+	// SeekIndex names what KeySeek seeks: "unique-key range" or
+	// "secondary index". Empty when the buffer is walked.
+	SeekIndex string
 	// GroupBy lists the grouping columns by name.
 	GroupBy []string
 	// Aggregates lists the aggregate outputs (e.g. "sum(amount)").
@@ -93,11 +97,11 @@ func (q *Query) Explain() (Plan, error) {
 		Partitions:  len(r.targets),
 		Parallelism: r.parallelism,
 		Filter:      exec.FormatNode(r.filter, r.schema),
-		KeySeek:     keySeek(r.schema, r.filter),
 		Limit:       q.limit,
 		EarlyLimit:  r.earlyLimit >= 0,
 		Strategies:  q.Stats(),
 	}
+	p.KeySeek, p.SeekIndex = keySeek(r.schema, r.filter)
 	if q.workspace != nil {
 		p.Workspace = q.workspace.Name
 	}
@@ -133,14 +137,22 @@ func (q *Query) Explain() (Plan, error) {
 	return p, nil
 }
 
-// keySeek renders the unique-key prefix filter pins, or "" when none.
-func keySeek(schema *types.Schema, filter exec.Node) string {
-	key := schema.Place(exec.Pins(filter)).Key
-	parts := make([]string, len(key))
-	for i, v := range key {
-		parts[i] = exec.FormatNode(exec.NewLeaf(schema.UniqueKey[i], vector.Eq, v), schema)
+// keySeek renders the key the write buffer seeks for filter and names the
+// index it seeks, or returns "" twice when the buffer is walked.
+func keySeek(schema *types.Schema, filter exec.Node) (seek, index string) {
+	p := schema.Place(exec.Pins(filter))
+	cols, vals, index := schema.UniqueKey, p.Key, "unique-key range"
+	if len(p.Secondary) > 0 {
+		cols, vals, index = schema.SecondaryKeys[p.Index], p.Secondary, "secondary index"
 	}
-	return strings.Join(parts, " AND ")
+	if len(vals) == 0 {
+		return "", ""
+	}
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = exec.FormatNode(exec.NewLeaf(cols[i], vector.Eq, v), schema)
+	}
+	return strings.Join(parts, " AND "), index
 }
 
 // String renders the plan for humans, one clause per line.
@@ -178,7 +190,7 @@ func (p Plan) String() string {
 		fmt.Fprintf(&b, "  where   %s\n", p.Filter)
 	}
 	if p.KeySeek != "" {
-		fmt.Fprintf(&b, "  seek    %s (unique-key range of the write buffer)\n", p.KeySeek)
+		fmt.Fprintf(&b, "  seek    %s (%s of the write buffer)\n", p.KeySeek, p.SeekIndex)
 	}
 	if len(p.GroupBy) > 0 {
 		fmt.Fprintf(&b, "  group   %s\n", strings.Join(p.GroupBy, ", "))

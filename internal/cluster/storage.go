@@ -291,7 +291,7 @@ func (s *Stager) step() error {
 	}
 	// Periodic snapshot of rowstore state (§3.1: snapshots go straight to
 	// blob storage).
-	if s.part.Uploaded()-s.lastSnapshotLSN >= uint64(s.snapshotEvery) {
+	if s.part.Uploaded() >= s.lastSnapshotLSN+uint64(s.snapshotEvery) {
 		if err := s.snapshot(); err != nil {
 			s.note(err)
 			if firstErr == nil {
@@ -316,8 +316,13 @@ func (s *Stager) snapshot() error {
 	if s.store == nil {
 		return nil
 	}
-	lsn := s.part.Uploaded()
-	ts := s.part.Oracle().ReadTS()
+	// One cut, taken under the commit mutex: the state at ts holds exactly
+	// the records below lsn, so a restore that replays from lsn applies
+	// each record once. lsn may run ahead of the staged log; later rounds
+	// stage [uploaded, lsn) and the local log keeps it until then.
+	uploaded := s.part.Uploaded()
+	var ts, lsn uint64
+	s.part.committer.Quiesce(func(readTS uint64) { ts, lsn = readTS, s.part.Log().Head() })
 	bundle := encodeSnapshotBundle(s.part, ts)
 	key := fmt.Sprintf("snap/%016d-%020d", lsn, time.Now().UnixNano())
 	if err := s.store.Put(s.files.prefix+key, bundle); err != nil {
@@ -332,7 +337,7 @@ func (s *Stager) snapshot() error {
 	// link's resume point: a reconnect that resubscribes below the new
 	// base turns terminally ErrLinkDown, and the owner re-heals from the
 	// blob chunks staged here (resyncLink).
-	s.part.Log().TruncateBefore(lsn)
+	s.part.Log().TruncateBefore(uploaded)
 	return nil
 }
 

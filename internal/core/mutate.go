@@ -128,16 +128,18 @@ func (w Where) matches(r types.Row) bool {
 }
 
 // bufferTargets returns the keys of the buffer rows w matches at ts. It
-// seeks the key range w's equality pins when that is the leading
-// unique-key column, and walks the whole buffer otherwise.
+// seeks where w's equality pin places the rows (a unique-key range or a
+// secondary key) and walks the whole buffer otherwise.
 func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
-	p := t.schema.Place(w.Pins())
-	t.buffer.Scan(p.From, p.To, ts, func(k []byte, r types.Row) bool {
+	visited := int64(0)
+	t.buffer.ScanPlaced(t.schema.Place(w.Pins()), ts, func(k []byte, r types.Row) bool {
+		visited++
 		if w.matches(r) {
 			keys = append(keys, append([]byte(nil), k...))
 		}
 		return true
 	})
+	t.Stats.BufferRowsScanned.Add(visited)
 	return keys
 }
 
@@ -362,13 +364,15 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	}
 	view := t.Snapshot()
 	var out []types.Row
-	p := t.schema.Place([]types.Pin{{Col: col, Val: val}})
-	view.ScanBufferRange(p.From, p.To, func(r types.Row) bool {
+	visited := int64(0)
+	view.ScanBufferAt(t.schema.Place([]types.Pin{{Col: col, Val: val}}), func(r types.Row) bool {
+		visited++
 		if vector.CmpValue(r[col], vector.Eq, val) {
 			out = append(out, r)
 		}
 		return true
 	})
+	t.Stats.BufferRowsScanned.Add(visited)
 	if t.idx.HasColumn(col) {
 		matches, probes := t.idx.LookupColumn(col, val)
 		t.Stats.IndexProbes.Add(int64(probes))

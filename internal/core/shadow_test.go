@@ -24,9 +24,8 @@ type shadowMark struct {
 // markShadow cuts the primary. Every record is appended inside its commit,
 // so holding the commit mutex pins the pair (ts, log head).
 func markShadow(tbl *Table, log *wal.Log) *shadowMark {
-	tbl.committer.mu.Lock()
-	ts, lsn := tbl.committer.oracle.ReadTS(), log.Head()
-	tbl.committer.mu.Unlock()
+	var ts, lsn uint64
+	tbl.committer.Quiesce(func(readTS uint64) { ts, lsn = readTS, log.Head() })
 	return &shadowMark{state: tbl.SerializeState(ts), ts: ts, lsn: lsn}
 }
 

@@ -178,6 +178,16 @@ func (c *Committer) Commit(fn func(ts uint64)) uint64 {
 	return ts
 }
 
+// Quiesce runs fn under the commit mutex with the published timestamp. No
+// commit or replay is in flight meanwhile, so the state at that timestamp
+// holds exactly the log records appended so far: fn can read the log head
+// as one consistent cut with it.
+func (c *Committer) Quiesce(fn func(ts uint64)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn(c.oracle.ReadTS())
+}
+
 // SettledTS returns the read timestamp once every commit in flight has
 // published. A commit releases its row locks before it advances the
 // oracle, so a writer that just acquired a lock a commit released must
@@ -270,6 +280,9 @@ type Stats struct {
 	Flushes, Merges, Moves          atomic.Int64
 	IndexProbes, SegmentsEliminated atomic.Int64
 	DupConflicts                    atomic.Int64
+	// BufferRowsScanned counts the write-buffer rows that the target
+	// searches of UpdateWhere and DeleteWhere and LookupEqual visited.
+	BufferRowsScanned atomic.Int64
 	// MergeAborts counts merges abandoned because an output data file
 	// failed to persist; saved outputs are deleted and the inputs stay
 	// untouched, so the merge simply retries later.
@@ -383,7 +396,7 @@ func NewTable(name string, schema *types.Schema, cfg Config, committer *Committe
 		committer: committer,
 		log:       log,
 		files:     files,
-		buffer:    rowstore.NewStore(cfg.LockTimeout),
+		buffer:    rowstore.NewStore(cfg.LockTimeout, schema.BufferIndexes()...),
 		uniq:      txn.NewLockManager(),
 		idx:       index.NewSet(schema),
 		segs:      make(map[uint64]*segEntry),
@@ -461,14 +474,14 @@ func (t *Table) SnapshotAt(ts uint64) *View {
 }
 
 // ScanBuffer iterates the live buffer rows at the view's snapshot.
-func (v *View) ScanBuffer(f func(r types.Row) bool) { v.ScanBufferRange(nil, nil, f) }
+func (v *View) ScanBuffer(f func(r types.Row) bool) { v.ScanBufferAt(types.Placement{}, f) }
 
-// ScanBufferRange iterates live buffer rows with keys in [from, to) at the
-// view's snapshot; nil bounds are open. Statements that pin a unique-key
-// prefix pass types.Placement's range to seek instead of walking the
-// whole write buffer.
-func (v *View) ScanBufferRange(from, to []byte, f func(r types.Row) bool) {
-	v.table.buffer.Scan(from, to, v.TS, func(_ []byte, r types.Row) bool { return f(r) })
+// ScanBufferAt iterates the live buffer rows p places, in key order, at
+// the view's snapshot: a statement's types.Schema.Place seeks a unique-key
+// range or a secondary key instead of walking the whole write buffer. The
+// rows are a superset of the matches: callers re-check their predicate.
+func (v *View) ScanBufferAt(p types.Placement, f func(r types.Row) bool) {
+	v.table.buffer.ScanPlaced(p, v.TS, func(_ []byte, r types.Row) bool { return f(r) })
 }
 
 // Index exposes the table's secondary indexes. Callers must restrict index

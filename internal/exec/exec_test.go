@@ -400,6 +400,37 @@ func TestEquiJoinFloatZeros(t *testing.T) {
 	}
 }
 
+// TestEquiJoinSkipsNullKeys: a NULL build key joins no NULL probe key, in
+// segments or in the buffer, whichever path the join takes.
+func TestEquiJoinSkipsNullKeys(t *testing.T) {
+	tbl := newTable(t, 64)
+	nullRow := func(id int64) types.Row {
+		return types.Row{types.NewInt(id), types.Null(types.String), types.NewInt(1), types.NewFloat(1)}
+	}
+	if err := tbl.BulkLoad([]types.Row{nullRow(1001), nullRow(1002)}); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, tbl, 200, false)
+	if err := tbl.Insert(nullRow(1000)); err != nil {
+		t.Fatal(err)
+	}
+	build := []types.Row{{types.Null(types.String)}, {types.NewString("g1")}}
+	want := int(scalarCount(tbl, func(r types.Row) bool { return !r[1].IsNull && r[1].S == "g1" }))
+	for _, mode := range []JoinMode{JoinAuto, JoinForceHash, JoinForceIndex} {
+		n := 0
+		EquiJoin(build, []int{0}, tbl.Snapshot(), []int{1}, nil, mode, nil, func(b, p types.Row) bool {
+			if b[0].IsNull || p[1].IsNull {
+				t.Errorf("mode %d joined NULL keys: %v with %v", mode, b, p)
+			}
+			n++
+			return true
+		})
+		if n != want {
+			t.Errorf("mode %d: %d pairs, want %d", mode, n, want)
+		}
+	}
+}
+
 func TestScanSeesBufferAndSegmentsConsistently(t *testing.T) {
 	tbl := newTable(t, 32)
 	fill(t, tbl, 100, false) // half segments, half buffer

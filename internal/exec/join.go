@@ -28,7 +28,8 @@ const (
 // the probe table size, the index filter is dynamically disabled and
 // execution falls back to a hash join that scans the probe side.
 // probeFilter (may be nil) applies additional clauses to probe rows.
-// It returns true when the index path was used.
+// As in SQL, a NULL key joins nothing: rows with a NULL in a key column
+// are skipped on both sides. It returns true when the index path was used.
 func EquiJoin(
 	buildRows []types.Row, buildKey []int,
 	probe *core.View, probeKey []int, probeFilter Node,
@@ -39,6 +40,9 @@ func EquiJoin(
 	buildMap := make(map[string][]types.Row, len(buildRows))
 	var keyBuf []byte
 	for _, r := range buildRows {
+		if NullKey(r, buildKey) {
+			continue
+		}
 		keyBuf = keyBuf[:0]
 		for _, c := range buildKey {
 			keyBuf = types.EncodeKey(keyBuf, r[c])
@@ -74,15 +78,16 @@ func EquiJoin(
 		for _, r := range buildRows {
 			v := r[buildKey[0]]
 			k := string(types.EncodeKey(nil, v))
-			if seen[k] {
+			if v.IsNull || seen[k] {
 				continue
 			}
 			seen[k] = true
 			builds := buildMap[k]
-			// Buffer rows: a seek when the probe key leads the unique key.
+			// Buffer rows: a seek when the probe key leads the unique key
+			// or is a buffer-indexed secondary key.
 			stop := false
 			place := probe.Schema.Place([]types.Pin{{Col: col, Val: v}})
-			probe.ScanBufferRange(place.From, place.To, func(pr types.Row) bool {
+			probe.ScanBufferAt(place, func(pr types.Row) bool {
 				if !vector.CmpValue(pr[col], vector.Eq, v) {
 					return true
 				}
@@ -132,6 +137,9 @@ func EquiJoin(
 	// Hash-join fallback: scan the probe side.
 	scan := NewScan(probe, probeFilter)
 	scan.Run(func(pr types.Row) bool {
+		if NullKey(pr, probeKey) {
+			return true
+		}
 		keyBuf = keyBuf[:0]
 		for _, c := range probeKey {
 			keyBuf = types.EncodeKey(keyBuf, pr[c])
@@ -145,6 +153,17 @@ func EquiJoin(
 	})
 	if stats != nil {
 		stats.SegmentsScanned += scan.Stats.SegmentsScanned
+	}
+	return false
+}
+
+// NullKey reports whether some key column of r is NULL: such a row joins
+// nothing, though a NULL encodes like any other key value.
+func NullKey(r types.Row, key []int) bool {
+	for _, c := range key {
+		if r[c].IsNull {
+			return true
+		}
 	}
 	return false
 }

@@ -264,9 +264,10 @@ func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 }
 
 // RunBuffer evaluates the filter over the in-memory buffer rows. When the
-// filter pins a unique-key prefix it seeks that key range of the skiplist
-// instead of walking the whole buffer (§2.1.1: the rowstore is indexed by
-// the unique key), so a point statement visits O(matches) rows.
+// filter pins a unique-key prefix or a whole secondary key it seeks that
+// key range of the skiplist, or that key in the buffer's secondary index,
+// instead of walking the whole buffer (§2.1.1, §4.1.1: the rowstore is
+// indexed), so an equality statement visits O(matches) rows.
 func (s *Scan) RunBuffer(f func(r types.Row) bool) {
 	visit := func(r types.Row) bool {
 		s.Stats.BufferRowsScanned++
@@ -279,12 +280,11 @@ func (s *Scan) RunBuffer(f func(r types.Row) bool) {
 		}
 		return true
 	}
-	var from, to []byte
+	var p types.Placement
 	if s.Filter != nil {
-		p := s.View.Schema.Place(Pins(s.Filter))
-		from, to = p.From, p.To
+		p = s.View.Schema.Place(Pins(s.Filter))
 	}
-	s.View.ScanBufferRange(from, to, visit)
+	s.View.ScanBufferAt(p, visit)
 }
 
 // Run materializes every matching row (buffer and segments). The emitted

@@ -36,6 +36,9 @@ type Store struct {
 	nextTxnID   atomic.Uint64
 	live        atomic.Int64
 	lockTimeout time.Duration
+	// indexes are the in-buffer secondary indexes (secondary.go), one per
+	// NewStore argument; nil entries keep no index.
+	indexes []*secondary
 }
 
 // Compact physically removes nodes whose newest version is a committed
@@ -80,7 +83,11 @@ func (s *Store) Compact(keepTS uint64) (removed int) {
 		}
 	}
 	if removed == 0 {
-		return 0 // chains were still trimmed above
+		// Chains were still trimmed above.
+		if s.bloated(len(survivors)) {
+			s.reindex(survivors)
+		}
+		return 0
 	}
 	// Rebuild the list from the surviving node objects (they keep their
 	// identity: row locks and version chains stay valid). Survivors arrive
@@ -108,16 +115,27 @@ func (s *Store) Compact(keepTS uint64) (removed int) {
 	}
 	fresh.length.Store(int64(len(survivors)))
 	s.list = fresh
+	s.reindex(survivors)
 	return removed
 }
 
 // NewStore returns an empty store. lockTimeout bounds row-lock waits;
-// zero means a 2s default.
-func NewStore(lockTimeout time.Duration) *Store {
+// zero means a 2s default. Each of indexes lists the row columns of one
+// in-buffer secondary index, which Placement.Index numbers from zero; a nil
+// entry keeps none (see types.Schema.BufferIndexes).
+func NewStore(lockTimeout time.Duration, indexes ...[]int) *Store {
 	if lockTimeout == 0 {
 		lockTimeout = 2 * time.Second
 	}
-	return &Store{list: newSkiplist(), lockTimeout: lockTimeout}
+	s := &Store{list: newSkiplist(), lockTimeout: lockTimeout}
+	for _, cols := range indexes {
+		var ix *secondary
+		if cols != nil {
+			ix = &secondary{cols: cols, nodes: map[uint64][]*node{}}
+		}
+		s.indexes = append(s.indexes, ix)
+	}
+	return s
 }
 
 // Len returns the number of live (visible-at-latest) rows.
@@ -203,9 +221,17 @@ func visible(n *node, readTS uint64, me *Txn) *version {
 	return nil
 }
 
-// pushVersion installs a new version at the head of n's chain for t.
-// The caller must hold the row lock.
+// pushVersion installs a new version at the head of n's chain for t and
+// files n in the secondary indexes under data's keys. The caller must hold
+// the row lock, so the head it replaces cannot change underneath.
 func (t *Txn) pushVersion(n *node, data types.Row) {
+	if data != nil {
+		var prev types.Row
+		if h := n.versions.Load(); h != nil {
+			prev = h.data
+		}
+		t.store.file(n, data, prev)
+	}
 	v := &version{data: data}
 	v.txn.Store(t)
 	n.mu.Lock()

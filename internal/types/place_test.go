@@ -20,14 +20,53 @@ func eqMatch(a, b Value) bool {
 }
 
 // checkPlace asserts Place's contract against a walk of every row: the key
-// range holds exactly the rows with the pinned prefix, so it drops no row
-// that matches every pin, and the partition owns every such row.
+// range holds exactly the rows with the pinned prefix, and the secondary
+// seek exactly the rows whose key encodes like the pinned values, so
+// neither drops a row that matches every pin; and the partition owns every
+// such row.
 func checkPlace(t *testing.T, s *Schema, pins []Pin, rows []Row) {
 	t.Helper()
 	const parts = 3
 	p := s.Place(pins)
 	if (p.From == nil) != (len(p.Key) == 0) || (p.To == nil) != (p.From == nil) {
 		t.Fatalf("Key %v with range [%x, %x)", p.Key, p.From, p.To)
+	}
+	// The path order: a full unique key, then the first fully pinned
+	// buffer-indexed secondary key, then the unique-key prefix.
+	counts := func(c int) bool {
+		for _, pin := range pins {
+			if pin.Col == c && !pin.Val.IsNull && pin.Val.Type == s.Columns[c].Type {
+				return true
+			}
+		}
+		return false
+	}
+	all := func(cols []int) bool {
+		for _, c := range cols {
+			if !counts(c) {
+				return false
+			}
+		}
+		return true
+	}
+	wantIndex := -1
+	if len(s.UniqueKey) == 0 || !all(s.UniqueKey) {
+		for i, key := range s.SecondaryKeys {
+			if s.bufferIndexed(key) && all(key) {
+				wantIndex = i
+				break
+			}
+		}
+	}
+	gotIndex := -1
+	if len(p.Secondary) > 0 {
+		gotIndex = p.Index
+	}
+	if gotIndex != wantIndex {
+		t.Fatalf("pins %v on keys %v / unique %v: secondary index %d, want %d", pins, s.SecondaryKeys, s.UniqueKey, gotIndex, wantIndex)
+	}
+	if wantIndex >= 0 && (len(p.Key) > 0 || len(p.Secondary) != len(s.SecondaryKeys[wantIndex])) {
+		t.Fatalf("secondary seek %v beside unique prefix %v", p.Secondary, p.Key)
 	}
 	for _, r := range rows {
 		matches := true
@@ -49,6 +88,12 @@ func checkPlace(t *testing.T, s *Schema, pins []Pin, rows []Row) {
 		}
 		if inRange != hasPrefix {
 			t.Fatalf("row %v: in range %v, has prefix %v of %v", r, inRange, hasPrefix, p.Key)
+		}
+		if len(p.Secondary) > 0 {
+			cols := s.SecondaryKeys[p.Index]
+			if matches && !bytes.Equal(KeyOf(r, cols), EncodeKey(nil, p.Secondary...)) {
+				t.Fatalf("row %v matches pins %v but its key %v is not the seeked %v", r, pins, r.Project(cols), p.Secondary)
+			}
 		}
 		if pi, ok := p.Partition(parts); ok && matches && int(s.ShardHash(r)%parts) != pi {
 			t.Fatalf("row %v matches pins %v but routes to %d, not %d", r, pins, s.ShardHash(r)%parts, pi)
@@ -89,6 +134,32 @@ func TestPlaceEdges(t *testing.T) {
 		}
 	}
 
+	// Secondary keys: {f} is indexed in the buffer; {a} is a unique-key
+	// prefix and {f, b, a} holds the whole unique key, so the unique order
+	// answers both.
+	s.SecondaryKeys = [][]int{{0}, {2, 1, 0}, {2}}
+	if got := s.BufferIndexes(); got[0] != nil || got[1] != nil || len(got[2]) != 1 {
+		t.Errorf("BufferIndexes = %v", got)
+	}
+	for _, c := range []struct {
+		name      string
+		pins      []Pin
+		keyCols   int
+		secondary bool
+	}{
+		{"secondary only", []Pin{{2, NewFloat(1.5)}}, 0, true},
+		{"secondary beats a prefix", []Pin{{0, NewInt(1)}, {2, NewFloat(1.5)}}, 0, true},
+		{"full unique key beats a secondary", []Pin{{0, NewInt(1)}, {1, NewString("x")}, {2, NewFloat(1.5)}}, 2, false},
+		{"prefix", []Pin{{0, NewInt(1)}}, 1, false},
+		{"NULL secondary literal", []Pin{{2, Null(Float64)}, {0, NewInt(1)}}, 1, false},
+	} {
+		p := s.Place(c.pins)
+		if len(p.Key) != c.keyCols || (len(p.Secondary) > 0) != c.secondary || (c.secondary && p.Index != 2) {
+			t.Errorf("%s: Key = %v, Secondary = %v (index %d)", c.name, p.Key, p.Secondary, p.Index)
+		}
+	}
+	s.SecondaryKeys = nil
+
 	// A float shard and key column pins like any other: -0.0 and 0.0 share
 	// one key and one partition, and NaN matches no row.
 	fs := NewSchema(Column{Name: "f", Type: Float64})
@@ -103,13 +174,16 @@ func TestPlaceEdges(t *testing.T) {
 	}
 }
 
-// FuzzKeyRange checks Place on random 1–3-column key schemas, pins and
-// rows: seeking the key range and walking every row agree on which rows
-// match, and the derived partition owns them all.
+// FuzzKeyRange checks Place on random 1–3-column key schemas with up to
+// two secondary keys, pins and rows: seeking the key range or the
+// secondary key and walking every row agree on which rows match, and the
+// derived partition owns them all.
 func FuzzKeyRange(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 3, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{3, 0, 1, 2, 7, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7})
 	f.Add([]byte{1, 2, 6, 4, 1, 9, 3, 3, 3, 3})
+	f.Add([]byte{2, 0, 1, 0, 1, 1, 1, 3, 2, 1, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3, 2, 1, 1, 2, 0, 0, 1})
+	f.Add([]byte{1, 2, 0, 1, 2, 1, 1, 1, 6, 4, 0, 1, 2, 3, 4, 5, 6, 2, 1, 4, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {
@@ -156,6 +230,16 @@ func FuzzKeyRange(f *testing.F) {
 			if next()%2 == 1 {
 				s.ShardKey = append(s.ShardKey, c)
 			}
+		}
+		// Secondary keys of one or two columns, any of them: some are a
+		// unique-key prefix or hold the whole unique key, which the buffer
+		// does not index.
+		for i := next() % 3; i > 0; i-- {
+			key := []int{next() % len(cols)}
+			if next()%2 == 1 {
+				key = append(key, next()%len(cols))
+			}
+			s.SecondaryKeys = append(s.SecondaryKeys, key)
 		}
 		rows := make([]Row, next()%24)
 		for i := range rows {

@@ -6,6 +6,7 @@ package types
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -286,18 +287,29 @@ type Pin struct {
 	Val Value
 }
 
-// Placement is where every row a statement's pins can match lives: a
-// write-buffer key range and, when every shard column is pinned, one
+// Placement is where every row a statement's pins can match lives: one
+// way into the write buffer and, when every shard column is pinned, one
 // partition. The zero value places nothing (scan all of it, everywhere).
+//
+// Place picks the buffer path in this order: a fully pinned unique key
+// (at most one row), a fully pinned buffer-indexed secondary key, the
+// pinned unique-key prefix range, and otherwise a walk of the whole
+// buffer. Exactly one of Key and Secondary is non-empty, or neither.
 type Placement struct {
-	// Key is the longest pinned unique-key prefix, in key order; empty
-	// when the first unique-key column is unpinned or there is no key.
+	// Key is the pinned unique-key prefix the buffer seeks, in key order;
+	// empty when the first unique-key column is unpinned, when there is no
+	// key, or when the secondary seek was picked instead.
 	Key []Value
 	// From and To bound the buffer keys that start with Key's encoding:
 	// [From, To). 0x02 sorts above both column tags (0x00 NULL, 0x01
 	// value), so the range holds exactly the rows with that prefix. Both
 	// nil when Key is empty.
 	From, To []byte
+	// Secondary holds the pinned values of SecondaryKeys[Index], in the
+	// key's column order, when the buffer seeks that key's in-buffer
+	// index (see BufferIndexes); empty otherwise.
+	Secondary []Value
+	Index     int
 
 	shard       uint64
 	shardPinned bool
@@ -324,12 +336,34 @@ func (s *Schema) Place(pins []Pin) Placement {
 		return Value{}, false
 	}
 	var p Placement
-	for _, c := range s.UniqueKey {
+	for i, c := range s.UniqueKey {
 		v, ok := pinned(c)
 		if !ok {
 			break
 		}
+		if i == 0 {
+			p.Key = make([]Value, 0, len(s.UniqueKey))
+		}
 		p.Key = append(p.Key, v)
+	}
+	if len(s.UniqueKey) == 0 || len(p.Key) < len(s.UniqueKey) {
+		for i, key := range s.SecondaryKeys {
+			if !s.bufferIndexed(key) {
+				continue
+			}
+			var vals []Value
+			for _, c := range key {
+				v, ok := pinned(c)
+				if !ok {
+					break
+				}
+				vals = append(vals, v)
+			}
+			if len(vals) == len(key) {
+				p.Key, p.Secondary, p.Index = nil, vals, i
+				break
+			}
+		}
 	}
 	if len(p.Key) > 0 {
 		p.From = EncodeKey(nil, p.Key...)
@@ -346,6 +380,46 @@ func (s *Schema) Place(pins []Pin) Placement {
 	}
 	p.shard, p.shardPinned = KeyHash(enc), true
 	return p
+}
+
+// BufferIndexes returns, for each of SecondaryKeys, the columns the write
+// buffer indexes it by, or nil for a key the unique-key order already
+// answers: one whose columns are a unique-key prefix, or that holds every
+// unique-key column (a fully pinned unique key is a seek of at most one
+// row). A rowstore built with these indexes serves Placement.Secondary.
+func (s *Schema) BufferIndexes() [][]int {
+	out := make([][]int, len(s.SecondaryKeys))
+	for i, key := range s.SecondaryKeys {
+		if s.bufferIndexed(key) {
+			out[i] = key
+		}
+	}
+	return out
+}
+
+// bufferIndexed reports whether the write buffer indexes secondary key
+// key (see BufferIndexes).
+func (s *Schema) bufferIndexed(key []int) bool {
+	uk := s.UniqueKey
+	if len(uk) == 0 {
+		return true
+	}
+	holdsUnique := true
+	for _, c := range uk {
+		holdsUnique = holdsUnique && slices.Contains(key, c)
+	}
+	if holdsUnique {
+		return false
+	}
+	if len(key) > len(uk) {
+		return true
+	}
+	for _, c := range key {
+		if !slices.Contains(uk[:len(key)], c) {
+			return true
+		}
+	}
+	return false
 }
 
 // CompareRows orders two rows by the given key ordinals.

@@ -196,12 +196,16 @@ func (e *RowEngine) Aggregate(table string, filter exec.Node, groupCols []int, a
 	return RowAggregate(rows, groupCols, aggs), nil
 }
 
-// Join implements Engine as a hash join over full scans.
+// Join implements Engine as a hash join over full scans. As in SQL, a NULL
+// key joins nothing.
 func (e *RowEngine) Join(build []types.Row, buildKey []int, probeTable string, probeKey []int,
 	probeFilter exec.Node, emit func(b, p types.Row) bool) error {
 	buildMap := make(map[string][]types.Row, len(build))
 	var kb []byte
 	for _, r := range build {
+		if exec.NullKey(r, buildKey) {
+			continue
+		}
 		kb = kb[:0]
 		for _, c := range buildKey {
 			kb = types.EncodeKey(kb, r[c])
@@ -209,6 +213,9 @@ func (e *RowEngine) Join(build []types.Row, buildKey []int, probeTable string, p
 		buildMap[string(kb)] = append(buildMap[string(kb)], r)
 	}
 	return e.Scan(probeTable, probeFilter, nil, func(pr types.Row) bool {
+		if exec.NullKey(pr, probeKey) {
+			return true
+		}
 		kb = kb[:0]
 		for _, c := range probeKey {
 			kb = types.EncodeKey(kb, pr[c])

@@ -99,6 +99,8 @@ func TestKeySeekEquivalence(t *testing.T) {
 		s.UniqueKey = uniq
 		return s
 	}
+	secs := schema([]int{0}, Column{Name: "id", Type: Int64T}, Column{Name: "s", Type: StringT}, Column{Name: "f", Type: Float64T})
+	secs.SecondaryKeys = [][]int{{1}, {2}}
 	tables := []struct {
 		name   string
 		schema *Schema
@@ -114,6 +116,8 @@ func TestKeySeekEquivalence(t *testing.T) {
 			[]Row{{Float(negZero), Int(1)}, {Float(0.5), Int(2)}, {Float(-1.5), Int(3)}, {Float(1), Int(4)}}},
 		{"keyless", schema(nil, Column{Name: "id", Type: Int64T}, Column{Name: "v", Type: Int64T}),
 			[]Row{{Int(1), Int(1)}, {Int(1), Int(2)}, {Int(2), Int(3)}, {Int(3), Int(4)}}},
+		{"secs", secs, []Row{{Int(1), Str("a"), Float(negZero)}, {Int(2), Str("a\x00"), Float(0)}, {Int(3), Str("a"), Float(1)},
+			{Int(4), Str(""), Float(-1)}, {Int(5), Str("a\x00b"), Float(0)}}},
 	}
 	cases := []struct {
 		table  string
@@ -139,6 +143,16 @@ func TestKeySeekEquivalence(t *testing.T) {
 		{"floats", Eq(0, Float(math.NaN())), "f = NaN"},
 		{"floats", Eq(0, Int(1)), ""},
 		{"keyless", Eq(0, Int(1)), ""},
+		{"secs", Eq(1, Str("a")), "s = a"},
+		{"secs", Eq(1, Str("a\x00")), "s = a\x00"},
+		{"secs", Eq(1, Str("")), "s = "},
+		{"secs", Eq(2, Float(0)), "f = 0"},
+		{"secs", Eq(2, Float(negZero)), "f = -0"},
+		{"secs", Eq(2, Float(math.NaN())), "f = NaN"},
+		{"secs", And(Eq(2, Float(0)), Eq(1, Str("a\x00"))), "s = a\x00"},
+		{"secs", And(Eq(1, Str("a")), Eq(0, Int(3))), "id = 3"},
+		{"secs", Eq(1, types.Null(StringT)), ""},
+		{"secs", Eq(2, Int(1)), ""},
 	}
 
 	db := openUnflushedDB(t, Config{Partitions: 3, BlobStore: NewMemoryBlobStore()})
@@ -217,5 +231,133 @@ func TestKeySeekEquivalence(t *testing.T) {
 				t.Fatalf("%s: seek visited %d buffer rows for %d matches", label, scanned, len(want))
 			}
 		}
+	}
+}
+
+// TestSecondarySeekVisitsMatches is the secondary path end to end: with two
+// partitions of 5 000 unflushed rows each, SELECT, aggregate, UPDATE and
+// DELETE `WHERE customer = ?` each visit only the matching buffer rows of
+// the write buffers' secondary index, and return what a walk of every
+// buffer row returns.
+func TestSecondarySeekVisitsMatches(t *testing.T) {
+	const n, customers = 10_000, 1_000
+	db := openUnflushedDB(t, Config{Partitions: 2})
+	s := NewSchema(
+		Column{Name: "id", Type: Int64T},
+		Column{Name: "customer", Type: Int64T},
+		Column{Name: "quantity", Type: Int64T},
+	)
+	s.UniqueKey = []int{0}
+	s.ShardKey = []int{0}
+	s.SecondaryKeys = [][]int{{1}}
+	if err := db.CreateTable("orders", s); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(i % customers)), Int(1)}
+	}
+	if err := db.Insert("orders", rows...); err != nil {
+		t.Fatal(err)
+	}
+	// walk returns the buffer rows of customer c, in id order, from a
+	// walk of every buffer row.
+	walk := func(c int64) []string {
+		views, err := db.cluster.Views("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Row
+		for _, v := range views {
+			v.ScanBuffer(func(r Row) bool {
+				if r[1].I == c {
+					out = append(out, r)
+				}
+				return true
+			})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i][0].I < out[j][0].I })
+		strs := make([]string, len(out))
+		for i, r := range out {
+			strs[i] = fmt.Sprint(r)
+		}
+		return strs
+	}
+	// mutated is the number of buffer rows UPDATE and DELETE visited.
+	mutated := func() (visited int64) {
+		for pi := 0; pi < 2; pi++ {
+			tbl, err := db.cluster.Master(pi).Table("orders")
+			if err != nil {
+				t.Fatal(err)
+			}
+			visited += tbl.Stats.BufferRowsScanned.Load()
+		}
+		return visited
+	}
+
+	const c = 7
+	want := walk(c)
+	if len(want) != n/customers {
+		t.Fatalf("walk found %d rows of customer %d", len(want), c)
+	}
+	got, q, err := db.sqlQuery(context.Background(), "SELECT * FROM orders WHERE customer = ? ORDER BY id", []Value{Int(c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "["+strings.Join(want, " ")+"]" {
+		t.Fatalf("select = %v, walk = %v", got, want)
+	}
+	if s := q.Stats(); s.BufferRowsScanned > int64(len(want)) {
+		t.Fatalf("select visited %d buffer rows for %d matches", s.BufferRowsScanned, len(want))
+	}
+	plan, err := db.Explain("SELECT * FROM orders WHERE customer = ?", Int(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.KeySeek != "customer = 7" || plan.SeekIndex != "secondary index" {
+		t.Fatalf("plan seeks %q (%s)", plan.KeySeek, plan.SeekIndex)
+	}
+	if !strings.Contains(plan.String(), "seek    customer = 7 (secondary index of the write buffer)") {
+		t.Fatalf("plan string lacks the secondary seek:\n%s", plan)
+	}
+
+	agg, q, err := db.sqlQuery(context.Background(), "SELECT count(*), sum(quantity) FROM orders WHERE customer = ?", []Value{Int(c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(agg) != 1 || agg[0][0].I != int64(len(want)) || agg[0][1].I != int64(len(want)) {
+		t.Fatalf("aggregate = %v, want count and sum %d", agg, len(want))
+	}
+	if s := q.Stats(); s.BufferRowsScanned > int64(len(want)) {
+		t.Fatalf("aggregate visited %d buffer rows for %d matches", s.BufferRowsScanned, len(want))
+	}
+
+	before := mutated()
+	updated, err := db.Exec("UPDATE orders SET quantity = ? WHERE customer = ?", Int(5), Int(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if visited := mutated() - before; updated != len(want) || visited > int64(len(want)) {
+		t.Fatalf("update: %d rows updated after visiting %d, want %d", updated, visited, len(want))
+	}
+	for _, r := range walk(c) {
+		if !strings.HasSuffix(r, " 5]") {
+			t.Fatalf("update missed %s", r)
+		}
+	}
+
+	before = mutated()
+	deleted, err := db.Exec("DELETE FROM orders WHERE customer = ?", Int(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if visited := mutated() - before; deleted != len(want) || visited > int64(len(want)) {
+		t.Fatalf("delete: %d rows deleted after visiting %d, want %d", deleted, visited, len(want))
+	}
+	if left := walk(c); len(left) != 0 {
+		t.Fatalf("delete left %v", left)
+	}
+	if got, err := db.Query("SELECT * FROM orders WHERE customer = ?", Int(c)); err != nil || len(got) != 0 {
+		t.Fatalf("select after delete = %v, %v", got, err)
 	}
 }

@@ -212,8 +212,10 @@ func TestExplainReportsPlan(t *testing.T) {
 	if !strings.Contains(plan.Filter, `kind = k2`) || !strings.Contains(plan.Filter, "amount > 10") {
 		t.Fatalf("filter rendering = %q", plan.Filter)
 	}
-	if plan.KeySeek != "" {
-		t.Fatalf("key seek %q for a filter that pins no unique-key column", plan.KeySeek)
+	// kind is a secondary key: its pin seeks each write buffer's
+	// secondary index.
+	if plan.KeySeek != "kind = k2" || plan.SeekIndex != "secondary index" {
+		t.Fatalf("key seek %q (%s), want kind = k2 (secondary index)", plan.KeySeek, plan.SeekIndex)
 	}
 	if len(plan.GroupBy) != 1 || plan.GroupBy[0] != "kind" {
 		t.Fatalf("group-by = %v", plan.GroupBy)
