@@ -1,21 +1,20 @@
 # Tier-1 gate: every change must pass `make check` — build, vet, and the
 # full test suite under the race detector (the parallel fan-out scheduler
 # runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke
+.PHONY: check ci fmtcheck decodecheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke
 
 check: build vet race
 
-# ci mirrors .github/workflows/ci.yml exactly: formatting, staticcheck,
-# the tier-1 check gate, the focused WAL/replication race gate, the
+# ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
+# decode gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
 # cores and the storage and exec race suites at one, the seeded chaos soak,
 # a smoke pass of the four benchmark workloads, and a short fuzz pass of
 # the SQL front-end, the WAL page codec, the exec filter tree and
 # aggregation kernels, the unique-key range and secondary-key derivation,
-# the write buffer's secondary index, the table
-# log-record decoder, the snapshot-bundle decoder, the segment index build
-# and the column decoders. Run it locally before pushing.
-ci: fmtcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
+# the write buffer's secondary index, the segment index build and every
+# decoder of blob and socket bytes. Run it locally before pushing.
+ci: fmtcheck decodecheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
 # gofmt-clean; it never rewrites files.
@@ -23,6 +22,20 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# decodecheck is the one-reader gate: bytes from blob or a socket decode
+# through codec.Reader (internal/codec/reader.go), so no other non-test Go
+# under internal/ reads a varint or a fixed-width integer out of a byte
+# slice. The allowed exceptions: the fixed-size frame headers (wal's page
+# frame, the TCP transport's readFrame and RecvAck), which check their
+# length once and read at fixed offsets; the inverted index's reads of the
+# engine's own EncodeKey output; and the LZ compressor's 4-byte loads of
+# the bytes it compresses.
+DECODE_RAW = binary\.(Uvarint|Varint|(Little|Big)Endian\.Uint)
+DECODE_ALLOWED = ^internal/codec/reader\.go:|^(internal/wal/wire\.go|internal/cluster/transport_tcp\.go|internal/index/inverted\.go):[0-9]+:.*BigEndian\.Uint|^internal/codec/lz\.go:[0-9]+:.*Uint32\(src\[
+decodecheck:
+	@out="$$(grep -rnE '$(DECODE_RAW)' --include='*.go' --exclude='*_test.go' internal | grep -vE '$(DECODE_ALLOWED)')"; \
+	if [ -n "$$out" ]; then echo "decode outside codec.Reader:"; echo "$$out"; exit 1; fi
 
 # lint runs staticcheck at a pinned version so findings are reproducible.
 # Resolution order: a staticcheck already on PATH, a previously installed
@@ -102,8 +115,7 @@ benchsmoke:
 
 # fuzzsmoke runs the fuzz targets for a few seconds each: FuzzParse
 # must never panic, FuzzNormalize must stay idempotent,
-# FuzzDecodePage must reject hostile wire frames without panicking or
-# allocating unboundedly, FuzzFilterTree must find no filter tree on
+# FuzzFilterTree must find no filter tree on
 # which a segment strategy disagrees with row-at-a-time EvalRow,
 # FuzzAggregate must find no grouping and aggregate specs on which a fused
 # or general aggregation differs from the row-at-a-time fold (float bits
@@ -113,14 +125,16 @@ benchsmoke:
 # partition) loses a row that walking every row keeps,
 # FuzzBufferSecondary must find no write history on which the write
 # buffer's secondary seek returns other rows than a walk, and
-# FuzzDecodeMutation and
-# FuzzDecodeSnapshotBundle must reject hostile table log records and
-# snapshot bundles without panicking or allocating beyond their size,
 # FuzzSegmentIndex must find no column on which the sorted-array segment
-# index disagrees with the map-based oracle build, and
-# FuzzDecodeIntColumn and FuzzDecodeStringColumn must reject hostile
-# column encodings the same way and re-encode accepted ones stably.
-# Long campaigns are manual; this is the CI regression guard.
+# index disagrees with the map-based oracle build. Every decoder of blob
+# and socket bytes — the WAL page frame (FuzzDecodePage), log chunks
+# (FuzzDecodeRecords), table log records (FuzzDecodeMutation), snapshot
+# bundles (FuzzDecodeSnapshotBundle) and table states (FuzzRestoreState),
+# segments (colstore FuzzDecode), bitmaps (bitmap FuzzDecode), rows
+# (FuzzDecodeRow) and columns (FuzzDecodeIntColumn, FuzzDecodeStringColumn)
+# — must reject hostile bytes without panicking or allocating beyond
+# their size, and serve and re-encode stably what it accepts (DESIGN.md
+# §17). Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
@@ -134,6 +148,11 @@ fuzzsmoke:
 	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s
 	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeIntColumn$$' -fuzztime 10s
 	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeStringColumn$$' -fuzztime 10s
+	go test ./internal/colstore -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	go test ./internal/bitmap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 10s
+	go test ./internal/types -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"s2db/internal/codec"
 )
 
 // Bitmap is a fixed-length dense bit vector. The zero value is an empty
@@ -93,22 +95,17 @@ func (b *Bitmap) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// Decode deserializes a bitmap written by AppendBinary and returns the
-// number of bytes consumed.
-func Decode(buf []byte) (*Bitmap, int, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || n > uint64(len(buf)-k)*8 {
-		return nil, 0, fmt.Errorf("bitmap: bad length")
+// Decode reads a bitmap written by AppendBinary. Bits past the length must
+// be clear, so Count and Range never report a bit at or past Len. It
+// returns nil once r has failed.
+func Decode(r *codec.Reader) *Bitmap {
+	n := r.Uvarint()
+	words := r.U64s(n/64 + min(n%64, 1))
+	if r.Err() == nil && n%64 != 0 && words[len(words)-1]>>(n%64) != 0 {
+		r.Fail("bitmap bits set past its length %d", n)
 	}
-	p := k
-	nw := (int(n) + 63) / 64
-	if p+nw*8 > len(buf) {
-		return nil, 0, fmt.Errorf("bitmap: truncated payload")
+	if r.Err() != nil {
+		return nil
 	}
-	words := make([]uint64, nw)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[p:])
-		p += 8
-	}
-	return &Bitmap{n: int(n), words: words}, p, nil
+	return &Bitmap{n: int(n), words: words}
 }

@@ -1,11 +1,23 @@
 package bitmap
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"s2db/internal/codec"
 )
+
+// decodeWhole decodes buf as exactly one bitmap.
+func decodeWhole(buf []byte) (*Bitmap, error) {
+	r := codec.NewReader(buf)
+	b := Decode(r)
+	return b, r.Done()
+}
 
 func TestSetGetClear(t *testing.T) {
 	b := New(130)
@@ -96,8 +108,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 			b.Set(int(i) % size)
 		}
 		buf := b.AppendBinary(nil)
-		dec, used, err := Decode(buf)
-		if err != nil || used != len(buf) || dec.Len() != b.Len() || dec.Count() != b.Count() {
+		dec, err := decodeWhole(buf)
+		if err != nil || dec.Len() != b.Len() || dec.Count() != b.Count() {
 			return false
 		}
 		for i := 0; i < size; i++ {
@@ -113,18 +125,73 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
+	if _, err := decodeWhole(nil); err == nil {
 		t.Fatal("Decode(nil) should fail")
 	}
 	b := New(100)
 	buf := b.AppendBinary(nil)
-	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
+	if _, err := decodeWhole(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated decode should fail")
 	}
 	// Lengths of 2^63 bits and above are negative as int.
 	for _, n := range []uint64{1 << 63, math.MaxUint64} {
-		if _, _, err := Decode(binary.AppendUvarint(nil, n)); err == nil {
+		if _, err := decodeWhole(binary.AppendUvarint(nil, n)); err == nil {
 			t.Fatalf("Decode of length %d should fail", n)
 		}
 	}
+	// A bit set past the length would reach Count and Range.
+	if _, err := decodeWhole(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 3), 1<<5)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("bit past the length: err %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzDecode holds bitmap.Decode to the decoder contract: hostile bytes are
+// rejected with ErrCorrupt, without panicking or allocating beyond 128
+// bytes per input byte plus 1 MiB; an accepted bitmap answers Get for
+// every bit below Len, Count matches the bits Range visits, and it
+// re-encodes stably.
+func FuzzDecode(f *testing.F) {
+	b := New(130)
+	b.Set(0)
+	b.Set(129)
+	f.Add(b.AppendBinary(nil))
+	f.Add(New(0).AppendBinary(nil))
+	f.Add(binary.AppendUvarint(nil, 1<<63))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := decodeWhole(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		set := 0
+		for i := 0; i < b.Len(); i++ {
+			if b.Get(i) {
+				set++
+			}
+		}
+		ranged := 0
+		b.Range(func(i int) bool {
+			if i >= b.Len() {
+				t.Fatalf("Range visits bit %d of %d", i, b.Len())
+			}
+			ranged++
+			return true
+		})
+		if set != b.Count() || ranged != set {
+			t.Fatalf("Get finds %d bits, Count %d, Range %d", set, b.Count(), ranged)
+		}
+		enc := b.AppendBinary(nil)
+		again, err := decodeWhole(enc)
+		if err != nil || !bytes.Equal(again.AppendBinary(nil), enc) {
+			t.Fatalf("unstable round trip: %v", err)
+		}
+	})
 }

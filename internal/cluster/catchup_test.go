@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strconv"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"s2db/internal/bitmap"
 	"s2db/internal/blob"
+	"s2db/internal/codec"
 	"s2db/internal/core"
 	"s2db/internal/types"
 )
@@ -246,30 +249,110 @@ func TestCloseWakesWaiters(t *testing.T) {
 	}
 }
 
-// hostileBundles are snapshot bundles whose length fields are uvarints
-// of 2^63 and above, which turn negative as int.
+// hostileBundles are snapshot bundles of one "items" table that a decoder
+// without bounds or manifest checks accepts: length fields of 2^63 and
+// above, which turn negative as int, and manifests whose stubs cannot serve
+// their rows.
 func hostileBundles() map[string][]byte {
 	huge := binary.AppendUvarint(nil, 1<<63+17)
-	bundle := slices.Concat[[]byte]
-	state := bundle([]byte{1, 0, 0, 0, 0, 0, 0, 0}, huge, []byte("key")) // one buffer row, key length huge
+	cat := slices.Concat[[]byte]
+	// head is a bundle header: key hash version, one partition, ts 1 and one
+	// table.
+	head := cat(codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion), []byte{types.KeyHashVersion, 1, 1, 1})
+	withState := func(state []byte) []byte {
+		return cat(head, codec.AppendBytes(nil, "items"), codec.AppendBytes(nil, state))
+	}
+	// manifest is a state with no buffer rows and segment 1 of rows rows in
+	// file "f", run 0, with deleted bits del; tail follows it.
+	manifest := func(rows []byte, del *bitmap.Bitmap, tail []byte) []byte {
+		return cat([]byte{0, 1, 1}, rows, codec.AppendBytes(nil, "f"), []byte{0}, del.AppendBinary(nil), tail)
+	}
 	return map[string][]byte{
-		"table name length": bundle([]byte{1, 1}, huge, []byte("items")),
-		"state length":      bundle([]byte{1, 1, 5}, []byte("items"), huge, []byte{0}),
-		"buffer key length": bundle([]byte{1, 1, 5}, []byte("items"), []byte{byte(len(state))}, state),
+		"table name length": cat(head, huge, []byte("items")),
+		"state length":      cat(head, []byte{5}, []byte("items"), huge, []byte{0}),
+		"buffer key length": withState(cat([]byte{1}, huge, []byte("key"))), // one buffer row
+		"segment rows 2^63": withState(manifest(binary.AppendUvarint(nil, 1<<63), bitmap.New(0), []byte{0})),
+		// Get(99) on the stub's deleted bits indexes a missing word.
+		"deleted bits shorter than the segment": withState(manifest([]byte{100}, bitmap.New(1), []byte{0})),
+		"row id missing":                        withState(manifest([]byte{2}, bitmap.New(2), nil)),
+		"state trailing bytes":                  withState(manifest([]byte{2}, bitmap.New(2), []byte{0, 0})),
 	}
 }
 
 func TestDecodeSnapshotBundleRejectsHostile(t *testing.T) {
-	if _, err := decodeSnapshotBundle(fuzzPartition(t), realBundle(t)); err != nil {
+	real := realBundle(t)
+	if _, err := decodeSnapshotBundle(fuzzPartition(t), real, 1); err != nil {
 		t.Fatalf("real bundle: %v", err)
 	}
 	for name, data := range hostileBundles() {
 		t.Run(name, func(t *testing.T) {
 			p := fuzzPartition(t)
-			if _, err := decodeSnapshotBundle(p, data); err == nil {
-				t.Fatal("hostile bundle decoded without error")
+			if _, err := decodeSnapshotBundle(p, data, 1); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("hostile bundle decoded with err %v, want ErrCorrupt", err)
+			}
+			tbl, err := p.Table("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(tbl.Snapshot().Segs); n != 0 {
+				t.Fatalf("%d segments installed from a hostile bundle", n)
 			}
 		})
+	}
+	// A bundle of another format version, or placed by another key hash or
+	// partition count, is refused with a typed error.
+	edited := func(i int, b byte) []byte {
+		data := slices.Clone(real)
+		data[i] = b
+		return data
+	}
+	for name, c := range map[string]struct {
+		data       []byte
+		partitions int
+		want       error
+	}{
+		"unknown version":          {edited(1, bundleVersion+1), 1, codec.ErrVersion},
+		"other key hash version":   {edited(2, types.KeyHashVersion+1), 1, ErrPlacementMismatch},
+		"other partition count":    {real, 2, ErrPlacementMismatch},
+		"partition count in bytes": {edited(3, 3), 1, ErrPlacementMismatch},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := decodeSnapshotBundle(fuzzPartition(t), c.data, c.partitions); !errors.Is(err, c.want) {
+				t.Fatalf("err %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesOtherPartitionCount: a PITR, or a workspace attach,
+// whose cluster has another partition count than the snapshot it would
+// restore fails with ErrPlacementMismatch instead of misrouting keys.
+func TestRestoreRefusesOtherPartitionCount(t *testing.T) {
+	store := blob.NewMemory()
+	c := newTestCluster(t, Config{Partitions: 2, Blob: store, SnapshotEvery: 1})
+	loadItems(t, c, 8)
+	for pi := 0; pi < 2; pi++ {
+		c.Master(pi).NoteAppend()
+		c.Stager(pi).Step()
+		if err := c.Stager(pi).Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, parts := range []int{1, 3} {
+		_, err := PointInTimeRestore(Config{Partitions: parts, Blob: store},
+			map[string]*types.Schema{"items": testSchema()}, time.Now())
+		if !errors.Is(err, ErrPlacementMismatch) {
+			t.Fatalf("PITR over %d partitions: err %v, want ErrPlacementMismatch", parts, err)
+		}
+	}
+	// A newer bundle for partition 0 placed over three partitions.
+	p := c.Master(0)
+	key := fmt.Sprintf("%ssnap/%016d-%020d", c.blobPrefix(0), p.Log().Head()+1, time.Now().UnixNano())
+	if err := store.Put(key, encodeSnapshotBundle(p, p.Oracle().ReadTS(), 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateWorkspace("ws"); !errors.Is(err, ErrPlacementMismatch) {
+		t.Fatalf("workspace attach: err %v, want ErrPlacementMismatch", err)
 	}
 }
 
@@ -311,7 +394,7 @@ func realBundle(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	p := c.Master(0)
-	return encodeSnapshotBundle(p, p.Oracle().ReadTS())
+	return encodeSnapshotBundle(p, p.Oracle().ReadTS(), 1)
 }
 
 func FuzzDecodeSnapshotBundle(f *testing.F) {
@@ -324,7 +407,7 @@ func FuzzDecodeSnapshotBundle(f *testing.F) {
 		p := fuzzPartition(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _ = decodeSnapshotBundle(p, data)
+		_, _ = decodeSnapshotBundle(p, data, 1)
 		p.Close() // waits out the hydration the restore started
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {

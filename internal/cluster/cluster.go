@@ -164,7 +164,7 @@ func New(cfg Config) (*Cluster, error) {
 
 // startStager starts blob staging out of master p.
 func (c *Cluster) startStager(p *Partition) *Stager {
-	s := NewStager(p, p.files, c.cfg.Blob, c.cfg.ChunkRecords, c.cfg.SnapshotEvery)
+	s := NewStager(p, p.files, c.cfg.Blob, c.cfg.Partitions, c.cfg.ChunkRecords, c.cfg.SnapshotEvery)
 	if c.cfg.Blob != nil {
 		s.Start()
 	}

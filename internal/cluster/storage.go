@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"s2db/internal/blob"
+	"s2db/internal/codec"
+	"s2db/internal/types"
 	"s2db/internal/wal"
 )
 
@@ -145,6 +148,7 @@ type Stager struct {
 	files *PartitionFiles
 	store blob.Store
 
+	partitions    int // recorded in each snapshot bundle
 	chunkRecords  int
 	snapshotEvery int
 
@@ -164,8 +168,9 @@ type Stager struct {
 	lastErr       error
 }
 
-// NewStager wires a stager for a master partition.
-func NewStager(p *Partition, files *PartitionFiles, store blob.Store, chunkRecords, snapshotEvery int) *Stager {
+// NewStager wires a stager for a master partition of a cluster of
+// partitions partitions.
+func NewStager(p *Partition, files *PartitionFiles, store blob.Store, partitions, chunkRecords, snapshotEvery int) *Stager {
 	if chunkRecords <= 0 {
 		chunkRecords = 256
 	}
@@ -173,7 +178,7 @@ func NewStager(p *Partition, files *PartitionFiles, store blob.Store, chunkRecor
 		snapshotEvery = 4096
 	}
 	return &Stager{
-		part: p, files: files, store: store,
+		part: p, files: files, store: store, partitions: partitions,
 		chunkRecords: chunkRecords, snapshotEvery: snapshotEvery,
 		stop: make(chan struct{}),
 	}
@@ -323,7 +328,7 @@ func (s *Stager) snapshot() error {
 	uploaded := s.part.Uploaded()
 	var ts, lsn uint64
 	s.part.committer.Quiesce(func(readTS uint64) { ts, lsn = readTS, s.part.Log().Head() })
-	bundle := encodeSnapshotBundle(s.part, ts)
+	bundle := encodeSnapshotBundle(s.part, ts, s.partitions)
 	key := fmt.Sprintf("snap/%016d-%020d", lsn, time.Now().UnixNano())
 	if err := s.store.Put(s.files.prefix+key, bundle); err != nil {
 		return err
@@ -378,65 +383,67 @@ func parseSnapKey(key string) (lsn uint64, wall int64, err error) {
 	return lsn, wall, nil
 }
 
-// encodeSnapshotBundle serializes all tables of a partition at ts.
-func encodeSnapshotBundle(p *Partition, ts uint64) []byte {
+// bundleVersion is the snapshot bundle format version encodeSnapshotBundle
+// writes and decodeSnapshotBundle reads.
+const bundleVersion = 1
+
+// ErrPlacementMismatch is returned for a snapshot bundle written by a
+// cluster that placed keys differently — another key hash version or
+// partition count — which restoring would misroute.
+var ErrPlacementMismatch = errors.New("cluster: snapshot placed keys differently")
+
+// encodeSnapshotBundle serializes all tables of a partition at ts. The
+// header records how keys were placed: the key hash version and the
+// cluster's partition count.
+func encodeSnapshotBundle(p *Partition, ts uint64, partitions int) []byte {
 	tables := p.Tables()
 	names := make([]string, 0, len(tables))
 	for n := range tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var buf []byte
+	buf := codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion)
+	buf = binary.AppendUvarint(buf, types.KeyHashVersion)
+	buf = binary.AppendUvarint(buf, uint64(partitions))
 	buf = binary.AppendUvarint(buf, ts)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, n := range names {
-		state := tables[n].SerializeState(ts)
-		buf = binary.AppendUvarint(buf, uint64(len(n)))
-		buf = append(buf, n...)
-		buf = binary.AppendUvarint(buf, uint64(len(state)))
-		buf = append(buf, state...)
+		buf = codec.AppendBytes(buf, n)
+		buf = codec.AppendBytes(buf, tables[n].SerializeState(ts))
 	}
 	return buf
 }
 
-// decodeSnapshotBundle restores all tables of a partition from a bundle.
-// Bundles come back from blob storage, so every length is checked against
-// the bytes left: a corrupt bundle is an error, never a panic.
-func decodeSnapshotBundle(p *Partition, data []byte) (ts uint64, err error) {
-	ts, k := binary.Uvarint(data)
-	if k <= 0 {
-		return 0, fmt.Errorf("cluster: bad snapshot ts")
+// decodeSnapshotBundle restores all tables of a partition of a cluster of
+// partitions partitions from a bundle. Bundles come back from blob
+// storage, so the whole bundle parses before any table restores, and one
+// whose keys were placed differently is refused.
+func decodeSnapshotBundle(p *Partition, data []byte, partitions int) (ts uint64, err error) {
+	r := codec.NewReader(data)
+	if v := r.Header(codec.ObjSnapshot); v != bundleVersion {
+		r.Unsupported(v)
 	}
-	pos := k
-	n, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("cluster: bad snapshot table count")
+	hashVersion, parts := r.Uvarint(), r.Uvarint()
+	ts = r.Uvarint()
+	// Every table takes at least two length bytes: its name and its state.
+	n := r.Count(2)
+	names, states := make([]string, n), make([][]byte, n)
+	for i := range names {
+		names[i], states[i] = string(r.Field()), r.Field()
 	}
-	pos += k
-	// field returns the next length-prefixed field.
-	field := func() ([]byte, bool) {
-		l, k := binary.Uvarint(data[pos:])
-		if k <= 0 || l > uint64(len(data)-pos-k) {
-			return nil, false
-		}
-		b := data[pos+k : pos+k+int(l)]
-		pos += k + int(l)
-		return b, true
+	if err := r.Done(); err != nil {
+		return 0, fmt.Errorf("cluster: snapshot bundle: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
-		name, ok := field()
-		if !ok {
-			return 0, fmt.Errorf("cluster: bad snapshot table name")
-		}
-		state, ok := field()
-		if !ok {
-			return 0, fmt.Errorf("cluster: bad snapshot state")
-		}
-		tbl, err := p.Table(string(name))
+	if hashVersion != types.KeyHashVersion || parts != uint64(partitions) {
+		return 0, fmt.Errorf("%w: bundle uses key hash v%d over %d partitions, cluster v%d over %d",
+			ErrPlacementMismatch, hashVersion, parts, types.KeyHashVersion, partitions)
+	}
+	for i, name := range names {
+		tbl, err := p.Table(name)
 		if err != nil {
 			return 0, err
 		}
-		if err := tbl.RestoreState(state, ts); err != nil {
+		if err := tbl.RestoreState(states[i], ts); err != nil {
 			return 0, err
 		}
 	}

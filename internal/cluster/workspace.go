@@ -129,7 +129,7 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err er
 				if err != nil {
 					return 0, err
 				}
-				if _, err := decodeSnapshotBundle(p, data); err != nil {
+				if _, err := decodeSnapshotBundle(p, data, c.cfg.Partitions); err != nil {
 					return 0, err
 				}
 				p.Log().TruncateBefore(lsn)
@@ -334,7 +334,7 @@ func PointInTimeRestore(cfg Config, catalog map[string]*types.Schema, target tim
 		c.masters = append(c.masters, p)
 		c.replicas = append(c.replicas, nil)
 		c.links = append(c.links, nil)
-		c.stagers = append(c.stagers, NewStager(p, files, nil, 0, 0))
+		c.stagers = append(c.stagers, NewStager(p, files, nil, cfg.Partitions, 0, 0))
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()

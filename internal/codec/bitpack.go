@@ -2,7 +2,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -89,55 +88,35 @@ func (b *BitPack) Kind() Kind { return KindBitPack }
 // AppendBinary serializes the column.
 func (b *BitPack) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(KindBitPack))
-	buf = appendUvarint(buf, uint64(b.n))
-	buf = appendVarint(buf, b.min)
+	buf = binary.AppendUvarint(buf, uint64(b.n))
+	buf = binary.AppendVarint(buf, b.min)
 	buf = append(buf, byte(b.width))
-	buf = appendUvarint(buf, uint64(len(b.words)))
+	buf = binary.AppendUvarint(buf, uint64(len(b.words)))
 	for _, w := range b.words {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
 }
 
-func decodeBitPack(buf []byte) (*BitPack, int, error) {
-	// Dict and the plain/LZ string encodings nest a bit-packed column, so
-	// this is also reached with no kind byte of its own verified.
-	if len(buf) == 0 || Kind(buf[0]) != KindBitPack {
-		return nil, 0, fmt.Errorf("codec: missing bitpack column")
+// readBitPack reads a bit-packed column after its kind byte. Every row
+// below n is then served from words: the header's word count must be the
+// one n and width need.
+func readBitPack(r *Reader) *BitPack {
+	n, minV, width, nw := r.Uvarint(), r.Varint(), int(r.Byte()), r.Uvarint()
+	if r.Err() == nil && (n > math.MaxUint32 || width > 64 || nw != (n*uint64(width)+63)/64) {
+		r.Fail("inconsistent bitpack header")
 	}
-	p := 1
-	n, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
+	words := r.U64s(nw)
+	return &BitPack{n: int(n), min: minV, width: width, words: words}
+}
+
+// readNestedBitPack reads the bit-packed column that dict and the plain
+// and LZ string encodings nest, kind byte included.
+func readNestedBitPack(r *Reader) *BitPack {
+	if k := Kind(r.Byte()); k != KindBitPack {
+		r.Fail("nested column kind %v, want bitpack", k)
 	}
-	p += k
-	minV, k, err := readVarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
-	if p >= len(buf) {
-		return nil, 0, fmt.Errorf("codec: truncated bitpack header")
-	}
-	width := int(buf[p])
-	p++
-	nw, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
-	if n > math.MaxUint32 || width > 64 || nw != (n*uint64(width)+63)/64 {
-		return nil, 0, fmt.Errorf("codec: inconsistent bitpack header")
-	}
-	if nw > uint64(len(buf)-p)/8 {
-		return nil, 0, fmt.Errorf("codec: truncated bitpack payload")
-	}
-	words := make([]uint64, nw)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[p:])
-		p += 8
-	}
-	return &BitPack{n: int(n), min: minV, width: width, words: words}, p, nil
+	return readBitPack(r)
 }
 
 // PlainInt stores values verbatim; it is the fallback when packing buys
@@ -164,27 +143,18 @@ func (p *PlainInt) Kind() Kind { return KindPlainInt }
 // AppendBinary serializes the column.
 func (p *PlainInt) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(KindPlainInt))
-	buf = appendUvarint(buf, uint64(len(p.vals)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.vals)))
 	for _, v := range p.vals {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	return buf
 }
 
-func decodePlainInt(buf []byte) (*PlainInt, int, error) {
-	p := 1
-	n, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
-	if n > uint64(len(buf)-p)/8 {
-		return nil, 0, fmt.Errorf("codec: truncated plain-int payload")
-	}
+func readPlainInt(r *Reader) *PlainInt {
+	n := r.Count(8)
 	vals := make([]int64, n)
 	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(buf[p:]))
-		p += 8
+		vals[i] = int64(r.U64())
 	}
-	return &PlainInt{vals: vals}, p, nil
+	return &PlainInt{vals: vals}
 }

@@ -7,10 +7,7 @@
 // seekable").
 package codec
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Kind identifies an encoding on the wire and in segment metadata.
 type Kind uint8
@@ -124,38 +121,46 @@ func EncodeStrings(vals []string) StringColumn {
 	return NewPlainString(vals)
 }
 
-// DecodeIntColumn deserializes an integer column written by AppendBinary.
-func DecodeIntColumn(buf []byte) (IntColumn, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, fmt.Errorf("codec: empty buffer")
-	}
-	switch Kind(buf[0]) {
+// DecodeIntColumn reads an integer column written by AppendBinary,
+// validated so that At and DecodeAll serve every row it reports. It
+// returns nil once r has failed. (The unexported readers it calls return
+// values that mean something only while r.Err() is nil.)
+func DecodeIntColumn(r *Reader) IntColumn {
+	var c IntColumn
+	switch k := Kind(r.Byte()); k {
 	case KindPlainInt:
-		return decodePlainInt(buf)
+		c = readPlainInt(r)
 	case KindBitPack:
-		return decodeBitPack(buf)
+		c = readBitPack(r)
 	case KindRLE:
-		return decodeRLE(buf)
+		c = readRLE(r)
 	default:
-		return nil, 0, fmt.Errorf("codec: buffer does not hold an int column (kind %d)", buf[0])
+		r.Fail("kind %v is not an int column", k)
 	}
+	if r.Err() != nil {
+		return nil
+	}
+	return c
 }
 
-// DecodeStringColumn deserializes a string column written by AppendBinary.
-func DecodeStringColumn(buf []byte) (StringColumn, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, fmt.Errorf("codec: empty buffer")
-	}
-	switch Kind(buf[0]) {
+// DecodeStringColumn reads a string column written by AppendBinary,
+// validated like DecodeIntColumn's.
+func DecodeStringColumn(r *Reader) StringColumn {
+	var c StringColumn
+	switch k := Kind(r.Byte()); k {
 	case KindDict:
-		return decodeDict(buf)
+		c = readDict(r)
 	case KindPlainString:
-		return decodePlainString(buf)
+		c = readPlainString(r)
 	case KindLZString:
-		return decodeLZString(buf)
+		c = readLZString(r)
 	default:
-		return nil, 0, fmt.Errorf("codec: buffer does not hold a string column (kind %d)", buf[0])
+		r.Fail("kind %v is not a string column", k)
 	}
+	if r.Err() != nil {
+		return nil
+	}
+	return c
 }
 
 // bitsFor returns the number of bits needed to represent v (at least 1 when
@@ -167,30 +172,4 @@ func bitsFor(v uint64) int {
 		v >>= 1
 	}
 	return n
-}
-
-// --- shared varint helpers -------------------------------------------------
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-func appendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-func readUvarint(buf []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("codec: bad uvarint")
-	}
-	return v, n, nil
-}
-
-func readVarint(buf []byte) (int64, int, error) {
-	v, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("codec: bad varint")
-	}
-	return v, n, nil
 }

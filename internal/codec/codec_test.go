@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,12 +26,9 @@ func roundTripInts(t *testing.T, vals []int64, enc IntColumn) {
 		}
 	}
 	buf := enc.AppendBinary(nil)
-	dec, n, err := DecodeIntColumn(buf)
+	dec, err := decodeWhole(buf, DecodeIntColumn)
 	if err != nil {
 		t.Fatalf("DecodeIntColumn: %v", err)
-	}
-	if n != len(buf) {
-		t.Fatalf("DecodeIntColumn consumed %d of %d bytes", n, len(buf))
 	}
 	if !reflect.DeepEqual(dec.DecodeAll(nil), got) {
 		t.Fatalf("serialized round trip differs")
@@ -135,12 +134,9 @@ func roundTripStrings(t *testing.T, vals []string, enc StringColumn) {
 		t.Fatalf("DecodeAll mismatch: %v vs %v", got, vals)
 	}
 	buf := enc.AppendBinary(nil)
-	dec, n, err := DecodeStringColumn(buf)
+	dec, err := decodeWhole(buf, DecodeStringColumn)
 	if err != nil {
 		t.Fatalf("DecodeStringColumn: %v", err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
 	}
 	for i, v := range vals {
 		if dec.At(i) != v {
@@ -228,12 +224,19 @@ func TestLZBlockRoundTripRandom(t *testing.T) {
 			}
 		}
 		comp := lzCompressBlock(nil, src)
-		out, err := lzDecompressBlock(nil, comp)
+		out, err := lzWalk(nil, comp, len(src), true)
 		if err != nil {
 			t.Fatalf("decompress: %v", err)
 		}
 		if !bytes.Equal(out, src) {
 			t.Fatalf("trial %d: round trip mismatch (n=%d)", trial, n)
+		}
+	}
+	// Runs, whose matches overlap the bytes they produce.
+	for _, src := range [][]byte{bytes.Repeat([]byte("a"), 4000), bytes.Repeat([]byte("ab"), 2000)} {
+		out, err := lzWalk(nil, lzCompressBlock(nil, src), len(src), true)
+		if err != nil || !bytes.Equal(out, src) {
+			t.Fatalf("overlapping matches over %q: round trip failed: %v", src[:2], err)
 		}
 	}
 }
@@ -255,7 +258,7 @@ func TestQuickIntEncodings(t *testing.T) {
 				}
 			}
 			buf := enc.AppendBinary(nil)
-			dec, _, err := DecodeIntColumn(buf)
+			dec, err := decodeWhole(buf, DecodeIntColumn)
 			if err != nil {
 				return false
 			}
@@ -285,7 +288,7 @@ func TestQuickStringEncodings(t *testing.T) {
 				}
 			}
 			buf := enc.AppendBinary(nil)
-			dec, _, err := DecodeStringColumn(buf)
+			dec, err := decodeWhole(buf, DecodeStringColumn)
 			if err != nil {
 				return false
 			}
@@ -303,19 +306,64 @@ func TestQuickStringEncodings(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeIntColumn(nil); err == nil {
+	if _, err := decodeWhole(nil, DecodeIntColumn); err == nil {
 		t.Fatal("DecodeIntColumn(nil) should fail")
 	}
-	if _, _, err := DecodeIntColumn([]byte{byte(KindDict)}); err == nil {
+	if _, err := decodeWhole([]byte{byte(KindDict)}, DecodeIntColumn); err == nil {
 		t.Fatal("int decoder must reject string kinds")
 	}
-	if _, _, err := DecodeStringColumn([]byte{byte(KindBitPack)}); err == nil {
+	if _, err := decodeWhole([]byte{byte(KindBitPack)}, DecodeStringColumn); err == nil {
 		t.Fatal("string decoder must reject int kinds")
 	}
 	// Truncated bitpack payload.
 	buf := NewBitPack([]int64{1, 2, 3}).AppendBinary(nil)
-	if _, _, err := DecodeIntColumn(buf[:len(buf)-2]); err == nil {
+	if _, err := decodeWhole(buf[:len(buf)-2], DecodeIntColumn); err == nil {
 		t.Fatal("truncated bitpack should fail")
+	}
+}
+
+// unservableColumn is a string column that a decoder without decode-time
+// validation accepts, and whose accessors then panic or allocate without
+// bound.
+type unservableColumn struct {
+	name string
+	data []byte
+}
+
+func unservableColumns() []unservableColumn {
+	offsets := func(offs ...int64) []byte { return NewBitPack(offs).AppendBinary(nil) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	lz := func(rawLen uint64, block []byte) []byte { // rawLen raw bytes in one block
+		return AppendBytes(binary.AppendUvarint(binary.AppendUvarint(nil, rawLen), 1), block)
+	}
+	return []unservableColumn{
+		// At(1) indexes entry 5 of 1.
+		{"dict code past its entries", cat(header(KindDict, 1), AppendBytes(nil, []byte("a")), offsets(0, 5))},
+		// At(0) slices data[0:100] of 2 bytes.
+		{"plain offsets past the data", cat(header(KindPlainString), offsets(0, 100), AppendBytes(nil, []byte("ab")))},
+		// At(0) slices data[2:0].
+		{"plain offsets decreasing", cat(header(KindPlainString), offsets(2, 0), AppendBytes(nil, []byte("ab")))},
+		// Len() is -1.
+		{"plain offsets empty", cat(header(KindPlainString), offsets(), AppendBytes(nil, ""))},
+		// At(0) slices 100 raw bytes of 2.
+		{"lz offsets past the raw length", cat(header(KindLZString), offsets(0, 100), newLZBlocks([]byte("ab")).appendBinary(nil))},
+		// Decompressing copies from before the block's first byte.
+		{"lz match at offset 0", cat(header(KindLZString), offsets(0, 4), lz(4, []byte{1, 'a', 3, 0}))},
+		// Seven block bytes decompress to 64 MiB.
+		{"lz block past its length", cat(header(KindLZString), offsets(0, 2), lz(2, cat([]byte{1, 'a'}, binary.AppendUvarint(nil, 1<<26), []byte{1})))},
+	}
+}
+
+// TestDecodeRejectsUnservableColumns: each column above is rejected when
+// it is decoded, with an error wrapping ErrCorrupt, instead of panicking
+// or allocating on first use.
+func TestDecodeRejectsUnservableColumns(t *testing.T) {
+	for _, c := range unservableColumns() {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := decodeWhole(c.data, DecodeStringColumn); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decoded with err %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

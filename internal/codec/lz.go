@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -31,11 +32,10 @@ func lzCompressBlock(dst, src []byte) []byte {
 	litStart := 0
 	i := 0
 	emit := func(litEnd, matchLen, offset int) {
-		dst = appendUvarint(dst, uint64(litEnd-litStart))
-		dst = append(dst, src[litStart:litEnd]...)
-		dst = appendUvarint(dst, uint64(matchLen))
+		dst = AppendBytes(dst, src[litStart:litEnd])
+		dst = binary.AppendUvarint(dst, uint64(matchLen))
 		if matchLen > 0 {
-			dst = appendUvarint(dst, uint64(offset))
+			dst = binary.AppendUvarint(dst, uint64(offset))
 		}
 	}
 	for i+lzMinMatch <= len(src) {
@@ -59,44 +59,44 @@ func lzCompressBlock(dst, src []byte) []byte {
 	return dst
 }
 
-// lzDecompressBlock decompresses a block produced by lzCompressBlock.
-func lzDecompressBlock(dst, src []byte) ([]byte, error) {
-	p := 0
-	for p < len(src) {
-		litLen, n, err := readUvarint(src[p:])
-		if err != nil {
-			return nil, err
+// lzWalk walks a block produced by lzCompressBlock and fails unless every
+// literal run fits in the block, every match offset is in 1..produced (a
+// match copies only bytes this block already produced) and the block
+// produces exactly want bytes. With decompress set it appends the output
+// to dst, never more than want bytes; otherwise it copies nothing.
+func lzWalk(dst, src []byte, want int, decompress bool) ([]byte, error) {
+	r := NewReader(src)
+	produced := 0
+	for r.Len() > 0 && r.Err() == nil {
+		lit := r.Field()
+		matchLen, offset := r.Uvarint(), uint64(0)
+		if matchLen > 0 {
+			offset = r.Uvarint()
 		}
-		p += n
-		if p+int(litLen) > len(src) {
-			return nil, fmt.Errorf("codec: truncated lz literals")
+		if r.Err() == nil && (len(lit) > want-produced || matchLen > uint64(want-produced-len(lit)) ||
+			matchLen > 0 && (offset == 0 || offset > uint64(produced+len(lit)))) {
+			r.Fail("token of %d literals and a %d-byte match at offset %d after %d of %d bytes", len(lit), matchLen, offset, produced, want)
 		}
-		dst = append(dst, src[p:p+int(litLen)]...)
-		p += int(litLen)
-		matchLen, n, err := readUvarint(src[p:])
-		if err != nil {
-			return nil, err
+		if r.Err() != nil {
+			break
 		}
-		p += n
-		if matchLen == 0 {
-			continue
+		if decompress {
+			dst = append(dst, lit...)
+			// A match may overlap the bytes it produces (offset <
+			// matchLen): copy it in runs of at most offset bytes, each
+			// run already written.
+			for rem := int(matchLen); rem > 0; {
+				start, n := len(dst)-int(offset), min(rem, int(offset))
+				dst = append(dst, dst[start:start+n]...)
+				rem -= n
+			}
 		}
-		offset, n, err := readUvarint(src[p:])
-		if err != nil {
-			return nil, err
-		}
-		p += n
-		start := len(dst) - int(offset)
-		if start < 0 {
-			return nil, fmt.Errorf("codec: lz match offset out of range")
-		}
-		// Overlapping copies are legal (offset < matchLen) and must copy
-		// byte-by-byte front to back.
-		for k := 0; k < int(matchLen); k++ {
-			dst = append(dst, dst[start+k])
-		}
+		produced += len(lit) + int(matchLen)
 	}
-	return dst, nil
+	if r.Err() == nil && produced != want {
+		r.Fail("block produces %d of %d bytes", produced, want)
+	}
+	return dst, r.Err()
 }
 
 // lzBlocks is a block-compressed byte payload supporting random slicing:
@@ -122,18 +122,29 @@ func newLZBlocks(data []byte) *lzBlocks {
 	return b
 }
 
+// blockLen is the raw length of block idx: lzBlockSize, or the remainder
+// for the last block.
+func (b *lzBlocks) blockLen(idx int) int { return min(lzBlockSize, b.rawLen-idx*lzBlockSize) }
+
+// decompress appends block idx's raw bytes to dst.
+func (b *lzBlocks) decompress(dst []byte, idx int) []byte {
+	dst, err := lzWalk(dst, b.comp[idx], b.blockLen(idx), true)
+	if err != nil {
+		// readLZBlocks walked every block when the column was read, and
+		// newLZBlocks' blocks come from the compressor: a block that fails
+		// now was corrupted in memory, a bug that must not pass silently.
+		panic(fmt.Sprintf("codec: corrupt lz block %d: %v", idx, err))
+	}
+	return dst
+}
+
 func (b *lzBlocks) block(idx int) []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cacheIdx == idx {
 		return b.cacheData
 	}
-	data, err := lzDecompressBlock(make([]byte, 0, lzBlockSize), b.comp[idx])
-	if err != nil {
-		// Blocks are produced by our own compressor; corruption here means
-		// an in-memory bug, which must not be silently ignored.
-		panic(fmt.Sprintf("codec: corrupt lz block %d: %v", idx, err))
-	}
+	data := b.decompress(make([]byte, 0, b.blockLen(idx)), idx)
 	b.cacheIdx, b.cacheData = idx, data
 	return data
 }
@@ -165,52 +176,40 @@ func (b *lzBlocks) slice(lo, hi int) []byte {
 func (b *lzBlocks) all() []byte {
 	out := make([]byte, 0, b.rawLen)
 	for i := range b.comp {
-		out, _ = lzDecompressBlock(out, b.comp[i])
+		out = b.decompress(out, i)
 	}
 	return out
 }
 
 func (b *lzBlocks) appendBinary(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(b.rawLen))
-	buf = appendUvarint(buf, uint64(len(b.comp)))
+	buf = binary.AppendUvarint(buf, uint64(b.rawLen))
+	buf = binary.AppendUvarint(buf, uint64(len(b.comp)))
 	for _, c := range b.comp {
-		buf = appendUvarint(buf, uint64(len(c)))
-		buf = append(buf, c...)
+		buf = AppendBytes(buf, c)
 	}
 	return buf
 }
 
-func decodeLZBlocks(buf []byte) (*lzBlocks, int, error) {
-	p := 0
-	rawLen, n, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += n
-	nb, n, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += n
-	// Every block takes at least its length byte, and holds lzBlockSize raw
-	// bytes at most.
-	if nb > uint64(len(buf)-p) || rawLen > nb*lzBlockSize {
-		return nil, 0, fmt.Errorf("codec: lz header claims %d raw bytes in %d blocks, %d bytes left", rawLen, nb, len(buf)-p)
+// readLZBlocks reads a block payload. The block count must be the one
+// rawLen needs, and each block passes lzWalk's check, so that slice and
+// all serve every byte below rawLen.
+func readLZBlocks(r *Reader) *lzBlocks {
+	rawLen := r.Uvarint()
+	// Every block takes at least its length byte.
+	nb := r.Count(1)
+	if r.Err() == nil && (rawLen > uint64(nb)*lzBlockSize || nb > 0 && rawLen <= uint64(nb-1)*lzBlockSize) {
+		r.Fail("lz header claims %d raw bytes in %d blocks", rawLen, nb)
 	}
 	b := &lzBlocks{rawLen: int(rawLen), cacheIdx: -1, comp: make([][]byte, nb)}
 	for i := range b.comp {
-		l, n, err := readUvarint(buf[p:])
-		if err != nil {
-			return nil, 0, err
+		c := r.Field()
+		if r.Err() != nil {
+			break
 		}
-		p += n
-		if l > uint64(len(buf)-p) {
-			return nil, 0, fmt.Errorf("codec: truncated lz block")
+		if _, err := lzWalk(nil, c, b.blockLen(i), false); err != nil {
+			r.Fail("lz block %d: %v", i, err)
 		}
-		c := make([]byte, l)
-		copy(c, buf[p:p+int(l)])
-		b.comp[i] = c
-		p += int(l)
+		b.comp[i] = bytes.Clone(c)
 	}
-	return b, p, nil
+	return b
 }

@@ -1,7 +1,7 @@
 package codec
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
 	"sort"
 )
@@ -75,55 +75,38 @@ func (r *RLE) Kind() Kind { return KindRLE }
 // AppendBinary serializes the column.
 func (r *RLE) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(KindRLE))
-	buf = appendUvarint(buf, uint64(r.n))
-	buf = appendUvarint(buf, uint64(len(r.vals)))
+	buf = binary.AppendUvarint(buf, uint64(r.n))
+	buf = binary.AppendUvarint(buf, uint64(len(r.vals)))
 	for j, v := range r.vals {
-		buf = appendVarint(buf, v)
-		buf = appendUvarint(buf, uint64(r.ends[j]))
+		buf = binary.AppendVarint(buf, v)
+		buf = binary.AppendUvarint(buf, uint64(r.ends[j]))
 	}
 	return buf
 }
 
-func decodeRLE(buf []byte) (*RLE, int, error) {
-	p := 1
-	n, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
+// readRLE reads a run-length column after its kind byte. Run ends are
+// uint32 offsets that must rise strictly and finish at exactly n, so
+// FindRun lands in a run for every row below n.
+func readRLE(r *Reader) *RLE {
+	n := r.Uvarint()
+	if n > math.MaxUint32 {
+		r.Fail("rle claims %d rows", n)
 	}
-	p += k
-	runs, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
-	// Run ends are uint32 offsets, and every run takes at least two bytes
-	// (a value and an end varint): a header claiming more is hostile, not
-	// an allocation request.
-	if n > math.MaxUint32 || runs > uint64(len(buf)-p)/2 {
-		return nil, 0, fmt.Errorf("codec: rle header claims %d rows in %d runs, %d bytes left", n, runs, len(buf)-p)
-	}
-	r := &RLE{n: int(n), vals: make([]int64, runs), ends: make([]uint32, runs)}
+	// Every run takes at least two bytes: a value and an end varint.
+	runs := r.Count(2)
+	c := &RLE{n: int(n), vals: make([]int64, runs), ends: make([]uint32, runs)}
 	prev := uint64(0)
-	for j := 0; j < int(runs); j++ {
-		v, k, err := readVarint(buf[p:])
-		if err != nil {
-			return nil, 0, err
-		}
-		p += k
-		e, k, err := readUvarint(buf[p:])
-		if err != nil {
-			return nil, 0, err
-		}
-		p += k
-		if e <= prev || e > n {
-			return nil, 0, fmt.Errorf("codec: rle run ends not increasing")
+	for j := 0; j < runs; j++ {
+		c.vals[j] = r.Varint()
+		e := r.Uvarint()
+		if r.Err() == nil && (e <= prev || e > n) {
+			r.Fail("rle run ends not increasing")
 		}
 		prev = e
-		r.vals[j] = v
-		r.ends[j] = uint32(e)
+		c.ends[j] = uint32(e)
 	}
-	if runs > 0 && prev != n {
-		return nil, 0, fmt.Errorf("codec: rle runs do not cover column")
+	if r.Err() == nil && prev != n {
+		r.Fail("rle runs cover %d of %d rows", prev, n)
 	}
-	return r, p, nil
+	return c
 }

@@ -1,8 +1,8 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sort"
 )
 
@@ -75,44 +75,70 @@ func (d *Dict) Kind() Kind { return KindDict }
 // AppendBinary serializes the column.
 func (d *Dict) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(KindDict))
-	buf = appendUvarint(buf, uint64(len(d.dict)))
+	buf = binary.AppendUvarint(buf, uint64(len(d.dict)))
 	for _, s := range d.dict {
-		buf = appendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		buf = AppendBytes(buf, s)
 	}
 	return d.codes.AppendBinary(buf)
 }
 
-func decodeDict(buf []byte) (*Dict, int, error) {
-	p := 1
-	nd, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
+// readDict reads a dictionary column after its kind byte. Entries must
+// rise strictly, as NewDict sorts them and CodeOf binary-searches them,
+// and every code must index an entry.
+func readDict(r *Reader) *Dict {
 	// Every entry takes at least its length byte.
-	if nd > uint64(len(buf)-p) {
-		return nil, 0, fmt.Errorf("codec: dict header claims %d entries, %d bytes left", nd, len(buf)-p)
-	}
-	dict := make([]string, nd)
+	dict := make([]string, r.Count(1))
 	for i := range dict {
-		l, k, err := readUvarint(buf[p:])
-		if err != nil {
-			return nil, 0, err
+		dict[i] = string(r.Field())
+		if i > 0 && r.Err() == nil && dict[i] <= dict[i-1] {
+			r.Fail("dict entries not strictly increasing")
 		}
-		p += k
-		if l > uint64(len(buf)-p) {
-			return nil, 0, fmt.Errorf("codec: truncated dict entry")
+	}
+	codes := readNestedBitPack(r)
+	if r.Err() == nil && !codesBelow(codes, len(dict)) {
+		r.Fail("dict code past its %d entries", len(dict))
+	}
+	return &Dict{dict: dict, codes: codes}
+}
+
+// codesBelow reports whether every code is in [0, n). The bit-pack header
+// proves it when its frame of reference and width cannot reach n, and
+// decides it at width 0, where every code is the minimum; only otherwise,
+// with at least one code word per 64 codes, are the codes scanned.
+func codesBelow(codes *BitPack, n int) bool {
+	if codes.n == 0 || codes.min >= 0 && codes.width < 63 && uint64(codes.min)+(1<<codes.width)-1 < uint64(n) {
+		return true
+	}
+	if codes.width == 0 {
+		return false
+	}
+	for i := 0; i < codes.n; i++ {
+		if c := codes.At(i); c < 0 || c >= int64(n) {
+			return false
 		}
-		dict[i] = string(buf[p : p+int(l)])
-		p += int(l)
 	}
-	codes, n, err := decodeBitPack(buf[p:])
-	if err != nil {
-		return nil, 0, err
+	return true
+}
+
+// offsetsValid reports whether offs is an offset array over size bytes:
+// at least one entry, starting at 0, never decreasing and ending at size,
+// so that row i is the slice offs[i]..offs[i+1] for every i < Len().
+func offsetsValid(offs *BitPack, size uint64) bool {
+	if offs.n == 0 || offs.At(0) != 0 {
+		return false
 	}
-	p += n
-	return &Dict{dict: dict, codes: codes}, p, nil
+	if offs.width == 0 { // every offset is 0, and no word bounds n: do not scan
+		return size == 0
+	}
+	prev := int64(0)
+	for i := 1; i < offs.n; i++ {
+		o := offs.At(i)
+		if o < prev {
+			return false
+		}
+		prev = o
+	}
+	return uint64(prev) == size
 }
 
 // PlainString stores the concatenated bytes plus a bit-packed offset array.
@@ -160,29 +186,16 @@ func (s *PlainString) Kind() Kind { return KindPlainString }
 func (s *PlainString) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(KindPlainString))
 	buf = s.offsets.AppendBinary(buf)
-	buf = appendUvarint(buf, uint64(len(s.data)))
-	return append(buf, s.data...)
+	return AppendBytes(buf, s.data)
 }
 
-func decodePlainString(buf []byte) (*PlainString, int, error) {
-	p := 1
-	offsets, n, err := decodeBitPack(buf[p:])
-	if err != nil {
-		return nil, 0, err
+func readPlainString(r *Reader) *PlainString {
+	offsets := readNestedBitPack(r)
+	data := bytes.Clone(r.Field())
+	if r.Err() == nil && !offsetsValid(offsets, uint64(len(data))) {
+		r.Fail("offsets do not cover %d data bytes", len(data))
 	}
-	p += n
-	l, k, err := readUvarint(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += k
-	if l > uint64(len(buf)-p) {
-		return nil, 0, fmt.Errorf("codec: truncated plain-string payload")
-	}
-	data := make([]byte, l)
-	copy(data, buf[p:p+int(l)])
-	p += int(l)
-	return &PlainString{offsets: offsets, data: data}, p, nil
+	return &PlainString{offsets: offsets, data: data}
 }
 
 // LZString stores the concatenated string bytes LZ-compressed in fixed-size
@@ -240,19 +253,13 @@ func (s *LZString) AppendBinary(buf []byte) []byte {
 	return s.blocks.appendBinary(buf)
 }
 
-func decodeLZString(buf []byte) (*LZString, int, error) {
-	p := 1
-	offsets, n, err := decodeBitPack(buf[p:])
-	if err != nil {
-		return nil, 0, err
+func readLZString(r *Reader) *LZString {
+	offsets := readNestedBitPack(r)
+	blocks := readLZBlocks(r)
+	if r.Err() == nil && !offsetsValid(offsets, uint64(blocks.rawLen)) {
+		r.Fail("offsets do not cover %d raw bytes", blocks.rawLen)
 	}
-	p += n
-	blocks, n, err := decodeLZBlocks(buf[p:])
-	if err != nil {
-		return nil, 0, err
-	}
-	p += n
-	return &LZString{offsets: offsets, blocks: blocks}, p, nil
+	return &LZString{offsets: offsets, blocks: blocks}
 }
 
 // CompressedSize reports the compressed byte size of the payload, used by
@@ -264,5 +271,3 @@ func (s *LZString) CompressedSize() int {
 	}
 	return total
 }
-
-var _ = binary.LittleEndian // keep import stable across edits

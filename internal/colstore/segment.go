@@ -9,7 +9,6 @@ package colstore
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -83,22 +82,18 @@ func NewStub(id uint64, numRows int, schema *types.Schema) *Segment {
 // AdoptPayload installs a decoded payload into a stub in place, so every
 // holder of the stub pointer (segment metadata, indexes, caches) sees the
 // data appear without a pointer swap. The decoded segment must be the same
-// file the stub was manifested from. Idempotent: adopting into an already
-// hydrated segment is a no-op.
-func (s *Segment) AdoptPayload(decoded *Segment) error {
-	if decoded.ID != s.ID || decoded.NumRows != s.NumRows {
-		return fmt.Errorf("colstore: payload %d/%d rows does not match stub %d/%d rows",
-			decoded.ID, decoded.NumRows, s.ID, s.NumRows)
-	}
+// file the stub was manifested from: the hydrator checks its ID and row
+// count against the stub's when it decodes it. Idempotent: adopting into
+// an already hydrated segment is a no-op.
+func (s *Segment) AdoptPayload(decoded *Segment) {
 	if s.hydrated.Load() {
-		return nil
+		return
 	}
 	s.Cols = decoded.Cols
 	s.Min = decoded.Min
 	s.Max = decoded.Max
 	s.HasRange = decoded.HasRange
 	s.hydrated.Store(true) // release: payload writes above happen-before readers
-	return nil
 }
 
 // Builder accumulates rows and produces an immutable Segment.
@@ -268,9 +263,13 @@ func (s *Segment) MayContain(col int, op int, v types.Value) bool {
 
 // --- serialization ---------------------------------------------------------
 
+// segmentVersion is the segment format version Encode writes and Decode
+// reads.
+const segmentVersion = 1
+
 // Encode serializes the segment into a self-contained data file payload.
 func (s *Segment) Encode() []byte {
-	var buf []byte
+	buf := codec.AppendHeader(nil, codec.ObjSegment, segmentVersion)
 	buf = binary.AppendUvarint(buf, s.ID)
 	buf = binary.AppendUvarint(buf, uint64(s.NumRows))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Cols)))
@@ -298,95 +297,62 @@ func (s *Segment) Encode() []byte {
 }
 
 // Decode deserializes a segment encoded by Encode. The schema must match
-// the one the segment was built with.
+// the one the segment was built with. Segments come back from blob storage
+// and over the replication link, so Decode validates what the readers of a
+// segment rely on: at most math.MaxInt32 rows, every column and null
+// bitmap holding exactly NumRows rows, and no trailing bytes.
 func Decode(buf []byte, schema *types.Schema) (*Segment, error) {
-	p := 0
-	id, k := binary.Uvarint(buf[p:])
-	if k <= 0 {
-		return nil, fmt.Errorf("colstore: bad segment id")
+	r := codec.NewReader(buf)
+	if v := r.Header(codec.ObjSegment); v != segmentVersion {
+		r.Unsupported(v)
 	}
-	p += k
-	nrows, k := binary.Uvarint(buf[p:])
-	if k <= 0 {
-		return nil, fmt.Errorf("colstore: bad row count")
+	id, nrows := r.Uvarint(), r.Uvarint()
+	if nrows > math.MaxInt32 {
+		r.Fail("segment claims %d rows", nrows)
 	}
-	p += k
-	ncols, k := binary.Uvarint(buf[p:])
-	if k <= 0 {
-		return nil, fmt.Errorf("colstore: bad column count")
+	if ncols := r.Uvarint(); r.Err() == nil && ncols != uint64(len(schema.Columns)) {
+		r.Fail("segment has %d columns, schema has %d", ncols, len(schema.Columns))
 	}
-	p += k
-	if int(ncols) != len(schema.Columns) {
-		return nil, fmt.Errorf("colstore: segment has %d columns, schema has %d", ncols, len(schema.Columns))
-	}
+	n, ncols := int(nrows), len(schema.Columns)
 	seg := &Segment{
-		ID: id, NumRows: int(nrows),
+		ID: id, NumRows: n,
 		Cols:     make([]Column, ncols),
 		Min:      make([]types.Value, ncols),
 		Max:      make([]types.Value, ncols),
 		HasRange: make([]bool, ncols),
 		schema:   schema,
 	}
-	seg.hydrated.Store(true)
-	for c := 0; c < int(ncols); c++ {
-		if p >= len(buf) {
-			return nil, fmt.Errorf("colstore: truncated column %d", c)
+	for c, col := range schema.Columns {
+		if ct := types.ColType(r.Byte()); r.Err() == nil && ct != col.Type {
+			r.Fail("column %d type %v, schema says %v", c, ct, col.Type)
 		}
-		ct := types.ColType(buf[p])
-		p++
-		if ct != schema.Columns[c].Type {
-			return nil, fmt.Errorf("colstore: column %d type %v, schema says %v", c, ct, schema.Columns[c].Type)
-		}
-		if p >= len(buf) {
-			return nil, fmt.Errorf("colstore: truncated null flag")
-		}
-		hasNulls := buf[p] == 1
-		p++
-		if hasNulls {
-			nulls, n, err := bitmap.Decode(buf[p:])
-			if err != nil {
-				return nil, err
+		cc := &seg.Cols[c]
+		if r.Bool() {
+			cc.Nulls = bitmap.Decode(r)
+			if cc.Nulls != nil && cc.Nulls.Len() != n {
+				r.Fail("column %d null bitmap has %d rows, segment %d", c, cc.Nulls.Len(), n)
 			}
-			seg.Cols[c].Nulls = nulls
-			p += n
 		}
-		switch ct {
-		case types.Int64, types.Float64:
-			col, n, err := codec.DecodeIntColumn(buf[p:])
-			if err != nil {
-				return nil, err
+		rows := n
+		if col.Type == types.String {
+			if cc.Strs = codec.DecodeStringColumn(r); cc.Strs != nil {
+				rows = cc.Strs.Len()
 			}
-			seg.Cols[c].Ints = col
-			p += n
-		default:
-			col, n, err := codec.DecodeStringColumn(buf[p:])
-			if err != nil {
-				return nil, err
-			}
-			seg.Cols[c].Strs = col
-			p += n
+		} else if cc.Ints = codec.DecodeIntColumn(r); cc.Ints != nil {
+			rows = cc.Ints.Len()
 		}
-		if p >= len(buf) {
-			return nil, fmt.Errorf("colstore: truncated range flag")
+		if rows != n {
+			r.Fail("column %d has %d rows, segment %d", c, rows, n)
 		}
-		hasRange := buf[p] == 1
-		p++
-		seg.HasRange[c] = hasRange
-		if hasRange {
-			v, n, err := decodeValue(buf[p:], ct)
-			if err != nil {
-				return nil, err
-			}
-			seg.Min[c] = v
-			p += n
-			v, n, err = decodeValue(buf[p:], ct)
-			if err != nil {
-				return nil, err
-			}
-			seg.Max[c] = v
-			p += n
+		if seg.HasRange[c] = r.Bool(); seg.HasRange[c] {
+			seg.Min[c] = decodeValue(r, col.Type)
+			seg.Max[c] = decodeValue(r, col.Type)
 		}
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	seg.hydrated.Store(true)
 	return seg, nil
 }
 
@@ -404,29 +370,17 @@ func appendValue(buf []byte, v types.Value) []byte {
 	case types.Float64:
 		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
 	default:
-		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-		return append(buf, v.S...)
+		return codec.AppendBytes(buf, v.S)
 	}
 }
 
-func decodeValue(buf []byte, t types.ColType) (types.Value, int, error) {
+func decodeValue(r *codec.Reader, t types.ColType) types.Value {
 	switch t {
 	case types.Int64:
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			return types.Value{}, 0, fmt.Errorf("colstore: bad int value")
-		}
-		return types.NewInt(v), k, nil
+		return types.NewInt(r.Varint())
 	case types.Float64:
-		if len(buf) < 8 {
-			return types.Value{}, 0, fmt.Errorf("colstore: bad float value")
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf))), 8, nil
+		return types.NewFloat(math.Float64frombits(r.U64()))
 	default:
-		l, k := binary.Uvarint(buf)
-		if k <= 0 || k+int(l) > len(buf) {
-			return types.Value{}, 0, fmt.Errorf("colstore: bad string value")
-		}
-		return types.NewString(string(buf[k : k+int(l)])), k + int(l), nil
+		return types.NewString(string(r.Field()))
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 
 	"s2db/internal/bitmap"
+	"s2db/internal/codec"
 	"s2db/internal/colstore"
 	"s2db/internal/rowstore"
 	"s2db/internal/types"
@@ -62,21 +64,21 @@ type mutation struct {
 // records batch into one log page.
 func (m *mutation) encodeHead() []byte {
 	var buf []byte
-	buf = appendField(buf, []byte(m.Table))
+	buf = codec.AppendBytes(buf, m.Table)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Inserts)))
 	for _, e := range m.Inserts {
-		buf = appendField(buf, e.Key)
+		buf = codec.AppendBytes(buf, e.Key)
 		buf = types.EncodeRow(buf, e.Row)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.DeleteKeys)))
 	for _, k := range m.DeleteKeys {
-		buf = appendField(buf, k)
+		buf = codec.AppendBytes(buf, k)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.NewSegs)))
 	for _, s := range m.NewSegs {
-		buf = appendField(buf, []byte(s.File))
+		buf = codec.AppendBytes(buf, s.File)
 		buf = binary.AppendVarint(buf, int64(s.Run))
-		buf = appendField(buf, s.SegBytes)
+		buf = codec.AppendBytes(buf, s.SegBytes)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.DropSegs)))
 	for _, id := range m.DropSegs {
@@ -113,106 +115,45 @@ func (m *mutation) appendSegDeletes(buf []byte) []byte {
 	return buf
 }
 
-func appendField(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
 // decodeMutation parses a record payload. Records arrive over TCP and from
-// blob storage, so it holds wal.DecodePage's contract: every length and
-// count is checked against the bytes left before anything is sliced or
-// allocated, and a corrupt record is an error — never a panic, never an
-// allocation beyond O(len(buf)).
+// blob storage, so it holds wal.DecodePage's contract through codec.Reader:
+// every length and count is checked against the bytes left before anything
+// is sliced or allocated, and a corrupt record is an error — never a
+// panic, never an allocation beyond O(len(buf)).
 func decodeMutation(buf []byte) (*mutation, error) {
-	m := &mutation{SegDeletes: map[uint64][]int32{}}
-	p := 0
-	var err error
-	fail := func(what string) {
-		if err == nil {
-			err = fmt.Errorf("core: mutation byte %d: %s", p, what)
-		}
+	r := codec.NewReader(buf)
+	m := &mutation{Table: string(r.Field()), SegDeletes: map[uint64][]int32{}}
+	// Counts bound allocations by each element's least size: a key length
+	// and a row arity; a key length; a name length, a run and a segment
+	// length; an id; an id and an offset count; an offset.
+	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
+		key := bytes.Clone(r.Field())
+		m.Inserts = append(m.Inserts, kv{Key: key, Row: types.DecodeRow(r)})
 	}
-	u := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		v, k := binary.Uvarint(buf[p:])
-		if k <= 0 {
-			fail("bad varint")
-			return 0
-		}
-		p += k
-		return v
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		m.DeleteKeys = append(m.DeleteKeys, bytes.Clone(r.Field()))
 	}
-	// bytes returns a copy of the next n bytes.
-	bytes := func(n uint64) []byte {
-		if n > uint64(len(buf)-p) {
-			fail("length past the end")
-			return nil
-		}
-		b := append([]byte(nil), buf[p:p+int(n)]...)
-		p += int(n)
-		return b
+	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ {
+		file, run := string(r.Field()), r.Varint()
+		m.NewSegs = append(m.NewSegs, segInstall{File: file, Run: int(run), SegBytes: bytes.Clone(r.Field())})
 	}
-	// count reads an element count: every element takes at least one byte.
-	count := func() int {
-		n := u()
-		if n > uint64(len(buf)-p) {
-			fail("count past the end")
-			return 0
-		}
-		return int(n)
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
+		m.DropSegs = append(m.DropSegs, r.Uvarint())
 	}
-	m.Table = string(bytes(u()))
-	for i, n := 0, count(); i < n && err == nil; i++ {
-		key := bytes(u())
-		if err != nil {
-			break
-		}
-		row, k, rerr := types.DecodeRow(buf[p:])
-		if rerr != nil {
-			fail(rerr.Error())
-			break
-		}
-		p += k
-		m.Inserts = append(m.Inserts, kv{Key: key, Row: row})
-	}
-	for i, n := 0, count(); i < n && err == nil; i++ {
-		m.DeleteKeys = append(m.DeleteKeys, bytes(u()))
-	}
-	for i, n := 0, count(); i < n && err == nil; i++ {
-		file := string(bytes(u()))
-		if err != nil {
-			break
-		}
-		run, k := binary.Varint(buf[p:])
-		if k <= 0 {
-			fail("bad run")
-			break
-		}
-		p += k
-		m.NewSegs = append(m.NewSegs, segInstall{File: file, Run: int(run), SegBytes: bytes(u())})
-	}
-	for i, n := 0, count(); i < n && err == nil; i++ {
-		m.DropSegs = append(m.DropSegs, u())
-	}
-	for i, n := 0, count(); i < n && err == nil; i++ {
-		id := u()
-		offs := make([]int32, count())
+	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
+		id := r.Uvarint()
+		offs := make([]int32, r.Count(1))
 		for j := range offs {
-			o := u()
+			o := r.Uvarint()
 			if o > math.MaxInt32 {
-				fail("segment offset out of range")
+				r.Fail("segment offset %d out of range", o)
 			}
 			offs[j] = int32(o)
 		}
 		m.SegDeletes[id] = offs
 	}
-	if err == nil && p != len(buf) {
-		fail("trailing bytes")
-	}
-	if err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: mutation: %w", err)
 	}
 	return m, nil
 }
@@ -220,11 +161,12 @@ func decodeMutation(buf []byte) (*mutation, error) {
 // TableOfRecord extracts the table name from a log record payload, so a
 // partition replayer can dispatch records to the right table.
 func TableOfRecord(rec wal.Record) (string, error) {
-	n, k := binary.Uvarint(rec.Data)
-	if k <= 0 || n > uint64(len(rec.Data)-k) {
-		return "", fmt.Errorf("core: bad record table header")
+	r := codec.NewReader(rec.Data)
+	name := r.Field()
+	if err := r.Err(); err != nil {
+		return "", fmt.Errorf("core: record table name: %w", err)
 	}
-	return string(rec.Data[k : k+int(n)]), nil
+	return string(name), nil
 }
 
 // commit publishes m as one transaction: under Committer.Commit it applies
@@ -311,6 +253,9 @@ func (t *Table) Apply(rec wal.Record) error {
 // segments are decoded and saved.
 func (t *Table) stage(tx *rowstore.Txn, m *mutation) error {
 	for _, e := range m.Inserts {
+		if err := t.schema.CheckRow(e.Row); err != nil {
+			return fmt.Errorf("insert: %w", err)
+		}
 		if _, err := tx.Insert(e.Key, e.Row); err != nil {
 			return fmt.Errorf("insert: %w", err)
 		}

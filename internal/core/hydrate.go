@@ -220,7 +220,7 @@ func (h *hydrator) run(task *hydroTask) {
 			if !t.segmentDropped(seg.ID) {
 				t.idx.AddSegment(decoded)
 			}
-			err = seg.AdoptPayload(decoded)
+			seg.AdoptPayload(decoded)
 		}
 	}
 	if err != nil {

@@ -72,7 +72,7 @@ func (g *hydroFiles) LoadFileCtx(ctx context.Context, name string) ([]byte, erro
 
 // buildSegmentedTable makes a table with several flushed segments plus
 // deletes and updates, and returns it with its serialized state.
-func buildSegmentedTable(t *testing.T, files FileStore) (*Table, []byte, uint64) {
+func buildSegmentedTable(t testing.TB, files FileStore) (*Table, []byte, uint64) {
 	t.Helper()
 	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8},
 		NewCommitter(&txn.Oracle{}), wal.NewLog(), files)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"s2db/internal/bitmap"
+	"s2db/internal/codec"
 	"s2db/internal/colstore"
 	"s2db/internal/types"
 )
@@ -15,32 +18,72 @@ import (
 // store — which matches the paper's snapshot design ("snapshots of rowstore
 // data", §3.1: column data files are already durable on their own).
 func (t *Table) SerializeState(ts uint64) []byte {
-	var buf []byte
-	// Buffer rows.
-	var n uint64
-	lenPos := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	var m mutation
 	t.buffer.Scan(nil, nil, ts, func(k []byte, r types.Row) bool {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = types.EncodeRow(buf, r)
-		n++
+		m.Inserts = append(m.Inserts, kv{Key: k, Row: r})
 		return true
 	})
-	binary.LittleEndian.PutUint64(buf[lenPos:], n)
-	// Segment manifest at ts.
-	view := t.SnapshotAt(ts)
-	buf = binary.AppendUvarint(buf, uint64(len(view.Segs)))
-	for _, m := range view.Segs {
-		buf = binary.AppendUvarint(buf, m.Seg.ID)
-		buf = binary.AppendUvarint(buf, uint64(m.Seg.NumRows))
-		buf = binary.AppendUvarint(buf, uint64(len(m.File)))
-		buf = append(buf, m.File...)
-		buf = binary.AppendVarint(buf, int64(m.Run))
-		buf = m.Deleted.AppendBinary(buf)
+	for _, s := range t.SnapshotAt(ts).Segs {
+		m.NewSegs = append(m.NewSegs, segInstall{File: s.File, Run: s.Run, seg: s.Seg, deleted: s.Deleted})
 	}
-	buf = binary.AppendUvarint(buf, t.rowID.Load())
-	return buf
+	return encodeState(&m, t.rowID.Load())
+}
+
+// encodeState serializes a table state: its buffer rows as m.Inserts, its
+// segment manifest as m.NewSegs — segments with their deleted bits — and
+// the hidden row-id allocator's position.
+func encodeState(m *mutation, rowID uint64) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(m.Inserts)))
+	for _, e := range m.Inserts {
+		buf = codec.AppendBytes(buf, e.Key)
+		buf = types.EncodeRow(buf, e.Row)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(m.NewSegs)))
+	for _, s := range m.NewSegs {
+		buf = binary.AppendUvarint(buf, s.seg.ID)
+		buf = binary.AppendUvarint(buf, uint64(s.seg.NumRows))
+		buf = codec.AppendBytes(buf, s.File)
+		buf = binary.AppendVarint(buf, int64(s.Run))
+		buf = s.deleted.AppendBinary(buf)
+	}
+	return binary.AppendUvarint(buf, rowID)
+}
+
+// decodeState parses a state written by encodeState, whole, before
+// anything installs; its segments are metadata-only stubs. Every buffer
+// row fits the schema, and every stub serves its rows: at most
+// math.MaxInt32 of them, with deleted bits of exactly that length.
+func decodeState(data []byte, schema *types.Schema) (m *mutation, rowID uint64, err error) {
+	r := codec.NewReader(data)
+	m = &mutation{}
+	// A buffer row takes at least a key length and a row arity; a manifest
+	// entry an id, a row count, a name length, a run and a bitmap length.
+	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
+		key, row := bytes.Clone(r.Field()), types.DecodeRow(r)
+		if row != nil {
+			if err := schema.CheckRow(row); err != nil {
+				r.Fail("buffer row: %v", err)
+			}
+		}
+		m.Inserts = append(m.Inserts, kv{Key: key, Row: row})
+	}
+	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
+		id, rows := r.Uvarint(), r.Uvarint()
+		file, run := string(r.Field()), r.Varint()
+		if rows > math.MaxInt32 {
+			r.Fail("segment %d claims %d rows", id, rows)
+		}
+		del := bitmap.Decode(r)
+		if del != nil && uint64(del.Len()) != rows {
+			r.Fail("segment %d has %d deleted bits for %d rows", id, del.Len(), rows)
+		}
+		m.NewSegs = append(m.NewSegs, segInstall{File: file, Run: int(run), seg: colstore.NewStub(id, int(rows), schema), deleted: del})
+	}
+	rowID = r.Uvarint()
+	if err := r.Done(); err != nil {
+		return nil, 0, err
+	}
+	return m, rowID, nil
 }
 
 // RestoreState loads a serialized state into an empty table at timestamp
@@ -50,80 +93,20 @@ func (t *Table) SerializeState(ts uint64) []byte {
 // or during PITR) in the background, readahead in view order, with scans
 // demand-fetching ahead of it. A restore that fails installs nothing.
 func (t *Table) RestoreState(data []byte, ts uint64) error {
-	if len(data) < 8 {
-		return fmt.Errorf("restore %s: truncated state", t.name)
+	m, rowID, err := decodeState(data, t.schema)
+	if err != nil {
+		return fmt.Errorf("restore %s: %w", t.name, err)
 	}
-	n := binary.LittleEndian.Uint64(data)
-	p := 8
 	tx := t.buffer.Begin(0)
-	for i := uint64(0); i < n; i++ {
-		kl, k := binary.Uvarint(data[p:])
-		if k <= 0 || kl > uint64(len(data)-p-k) {
-			tx.Abort()
-			return fmt.Errorf("restore %s: bad buffer key", t.name)
-		}
-		key := append([]byte(nil), data[p+k:p+k+int(kl)]...)
-		p += k + int(kl)
-		row, used, err := types.DecodeRow(data[p:])
-		if err != nil {
-			tx.Abort()
-			return fmt.Errorf("restore %s: %w", t.name, err)
-		}
-		p += used
-		if _, err := tx.Insert(key, row); err != nil {
+	for _, e := range m.Inserts {
+		if _, err := tx.Insert(e.Key, e.Row); err != nil {
 			tx.Abort()
 			return err
 		}
-		t.noteRowID(key)
+		t.noteRowID(e.Key)
 	}
-	ns, k := binary.Uvarint(data[p:])
-	if k <= 0 {
-		tx.Abort()
-		return fmt.Errorf("restore %s: bad segment count", t.name)
-	}
-	p += k
-	// The whole manifest parses before anything installs: a truncated or
-	// corrupt entry anywhere aborts the restore with zero segments (stub or
-	// otherwise) left behind.
-	m := &mutation{}
-	for i := uint64(0); i < ns; i++ {
-		id, k := binary.Uvarint(data[p:])
-		if k <= 0 {
-			tx.Abort()
-			return fmt.Errorf("restore %s: bad segment id", t.name)
-		}
-		p += k
-		nr, k := binary.Uvarint(data[p:])
-		if k <= 0 {
-			tx.Abort()
-			return fmt.Errorf("restore %s: bad segment row count", t.name)
-		}
-		p += k
-		fl, k := binary.Uvarint(data[p:])
-		if k <= 0 || fl > uint64(len(data)-p-k) {
-			tx.Abort()
-			return fmt.Errorf("restore %s: bad file name", t.name)
-		}
-		file := string(data[p+k : p+k+int(fl)])
-		p += k + int(fl)
-		run, k := binary.Varint(data[p:])
-		if k <= 0 {
-			tx.Abort()
-			return fmt.Errorf("restore %s: bad run", t.name)
-		}
-		p += k
-		del, used, err := bitmap.Decode(data[p:])
-		if err != nil {
-			tx.Abort()
-			return fmt.Errorf("restore %s: %w", t.name, err)
-		}
-		p += used
-		m.NewSegs = append(m.NewSegs, segInstall{File: file, Run: int(run), seg: colstore.NewStub(id, int(nr), t.schema), deleted: del})
-	}
-	if rid, k := binary.Uvarint(data[p:]); k > 0 {
-		if rid > t.rowID.Load() {
-			t.rowID.Store(rid)
-		}
+	if rowID > t.rowID.Load() {
+		t.rowID.Store(rowID)
 	}
 	// Install metadata-only stubs — the restore returns in O(manifest) —
 	// and let the hydrator's readahead pull payloads in view order behind

@@ -2,8 +2,9 @@ package types
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+
+	"s2db/internal/codec"
 )
 
 // EncodeRow appends a compact binary encoding of the row to buf, for log
@@ -24,59 +25,35 @@ func EncodeRow(buf []byte, r Row) []byte {
 		case Float64:
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
 		case String:
-			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
+			buf = codec.AppendBytes(buf, v.S)
 		}
 	}
 	return buf
 }
 
-// DecodeRow decodes a row written by EncodeRow, returning the bytes
-// consumed. Hostile input is an error, never a panic: the arity and string
-// lengths are checked against the bytes left before anything is allocated.
-func DecodeRow(buf []byte) (Row, int, error) {
-	n, k := binary.Uvarint(buf)
+// DecodeRow reads a row written by EncodeRow. The arity is checked against
+// the bytes left before the row is allocated. It returns nil once r has
+// failed.
+func DecodeRow(r *codec.Reader) Row {
 	// Every value takes at least its two header bytes.
-	if k <= 0 || n > uint64(len(buf)-k)/2 {
-		return nil, 0, fmt.Errorf("types: bad row arity")
-	}
-	p := k
-	r := make(Row, n)
-	for i := range r {
-		if p+2 > len(buf) {
-			return nil, 0, fmt.Errorf("types: truncated row value header")
-		}
-		present := buf[p] == 1
-		t := ColType(buf[p+1])
-		p += 2
-		if !present {
-			r[i] = Null(t)
-			continue
-		}
-		switch t {
-		case Int64:
-			v, k := binary.Varint(buf[p:])
-			if k <= 0 {
-				return nil, 0, fmt.Errorf("types: bad int in row")
-			}
-			r[i] = NewInt(v)
-			p += k
-		case Float64:
-			if p+8 > len(buf) {
-				return nil, 0, fmt.Errorf("types: truncated float in row")
-			}
-			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[p:])))
-			p += 8
-		case String:
-			l, k := binary.Uvarint(buf[p:])
-			if k <= 0 || l > uint64(len(buf)-p-k) {
-				return nil, 0, fmt.Errorf("types: bad string in row")
-			}
-			r[i] = NewString(string(buf[p+k : p+k+int(l)]))
-			p += k + int(l)
+	row := make(Row, r.Count(2))
+	for i := range row {
+		present, t := r.Bool(), ColType(r.Byte())
+		switch {
+		case t != Int64 && t != Float64 && t != String:
+			r.Fail("unknown column type %d in row", t)
+		case !present:
+			row[i] = Null(t)
+		case t == Int64:
+			row[i] = NewInt(r.Varint())
+		case t == Float64:
+			row[i] = NewFloat(math.Float64frombits(r.U64()))
 		default:
-			return nil, 0, fmt.Errorf("types: unknown column type %d in row", t)
+			row[i] = NewString(string(r.Field()))
 		}
 	}
-	return r, p, nil
+	if r.Err() != nil {
+		return nil
+	}
+	return row
 }

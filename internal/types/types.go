@@ -127,6 +127,11 @@ func KeyHash(enc []byte) uint64 {
 	return h
 }
 
+// KeyHashVersion names KeyHash's definition together with EncodeKey's. A
+// snapshot bundle records it, and a restore refuses a bundle whose keys
+// were placed by another version.
+const KeyHashVersion = 1
+
 // HashMany is KeyHash of the tuple's key encoding.
 func HashMany(vs []Value) uint64 {
 	var buf [64]byte

@@ -2,10 +2,21 @@ package types
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"s2db/internal/codec"
 )
+
+// decodeWhole decodes buf as exactly one row.
+func decodeWhole(buf []byte) (Row, error) {
+	r := codec.NewReader(buf)
+	row := DecodeRow(r)
+	return row, r.Done()
+}
 
 func TestCompareOrdering(t *testing.T) {
 	cases := []struct {
@@ -148,9 +159,9 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 	for _, r := range rows {
 		buf := EncodeRow(nil, r)
-		got, n, err := DecodeRow(buf)
-		if err != nil || n != len(buf) {
-			t.Fatalf("DecodeRow(%v): %v, consumed %d/%d", r, err, n, len(buf))
+		got, err := decodeWhole(buf)
+		if err != nil {
+			t.Fatalf("DecodeRow(%v): %v", r, err)
 		}
 		if len(got) != len(r) {
 			t.Fatalf("arity mismatch: %v vs %v", got, r)
@@ -163,7 +174,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 	// Truncation is an error, not a panic.
 	buf := EncodeRow(nil, Row{NewString("abcdef")})
-	if _, _, err := DecodeRow(buf[:len(buf)-2]); err == nil {
+	if _, err := decodeWhole(buf[:len(buf)-2]); err == nil {
 		t.Fatal("truncated row should fail")
 	}
 }
@@ -180,7 +191,7 @@ func TestQuickRowCodec(t *testing.T) {
 			}
 		}
 		buf := EncodeRow(nil, r)
-		got, _, err := DecodeRow(buf)
+		got, err := decodeWhole(buf)
 		if err != nil || len(got) != 3 {
 			return false
 		}
@@ -282,4 +293,39 @@ func TestCompareRows(t *testing.T) {
 	if CompareRows(a, b, []int{0, 1}) >= 0 {
 		t.Fatal("tie-break on second key failed")
 	}
+}
+
+// FuzzDecodeRow holds DecodeRow to the decoder contract: rows arrive in log
+// records and snapshot bundles, so hostile bytes are rejected with
+// codec.ErrCorrupt, without panicking or allocating beyond 128 bytes per
+// input byte plus 1 MiB, and an accepted row re-encodes to bytes that
+// decode and re-encode to themselves.
+func FuzzDecodeRow(f *testing.F) {
+	f.Add(EncodeRow(nil, Row{NewInt(-5), NewFloat(3.25), NewString("hello")}))
+	f.Add(EncodeRow(nil, Row{Null(Int64), Null(Float64), Null(String)}))
+	f.Add(EncodeRow(nil, Row{}))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x10}) // arity 2^32
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		row, err := decodeWhole(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		enc := EncodeRow(nil, row)
+		again, err := decodeWhole(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted row: %v", err)
+		}
+		if !bytes.Equal(EncodeRow(nil, again), enc) {
+			t.Fatal("unstable round trip")
+		}
+	})
 }

@@ -19,6 +19,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"s2db/internal/codec"
 )
 
 // Kind tags a log record for the replaying layer.
@@ -584,72 +586,53 @@ func (l *Log) TruncateBefore(lsn uint64) {
 	l.mu.Unlock()
 }
 
-// EncodeRecords serializes records into a chunk for blob upload.
+// chunkVersion is the log chunk format version EncodeRecords writes and
+// DecodeRecords reads.
+const chunkVersion = 1
+
+// EncodeRecords serializes records into a chunk for blob upload: an object
+// header, then the records as a page frame carries them.
 func EncodeRecords(recs []Record) []byte {
-	var buf []byte
+	return appendRecords(codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion), recs)
+}
+
+// DecodeRecords deserializes a chunk written by EncodeRecords.
+func DecodeRecords(buf []byte) ([]Record, error) {
+	r := codec.NewReader(buf)
+	if v := r.Header(codec.ObjLogChunk); v != chunkVersion {
+		r.Unsupported(v)
+	}
+	recs := readRecords(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wal: log chunk: %w", err)
+	}
+	return recs, nil
+}
+
+func appendRecords(buf []byte, recs []Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for _, r := range recs {
 		buf = binary.AppendUvarint(buf, r.LSN)
 		buf = append(buf, byte(r.Kind))
 		buf = binary.AppendUvarint(buf, r.CommitTS)
 		buf = binary.AppendVarint(buf, r.Wall)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-		buf = append(buf, r.Data...)
+		buf = codec.AppendBytes(buf, r.Data)
 	}
 	return buf
 }
 
-// DecodeRecords deserializes a chunk written by EncodeRecords. It is also
-// the payload decoder for wire page frames, so it must stay safe on
-// hostile input: the record count and every data length are validated
-// against the remaining buffer before any allocation sized from them.
-func DecodeRecords(buf []byte) ([]Record, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, fmt.Errorf("wal: bad chunk header")
-	}
-	p := k
-	// Each record occupies at least one byte, so a count beyond the
-	// remaining buffer is corrupt — reject it before sizing the slice.
-	if n > uint64(len(buf)-p) {
-		return nil, fmt.Errorf("wal: record count %d exceeds chunk size %d", n, len(buf)-p)
-	}
+// readRecords reads what appendRecords wrote. Records arrive in blob
+// chunks and page frames, so the count is checked against the bytes left
+// before the slice is sized.
+func readRecords(r *codec.Reader) []Record {
+	// Every record takes at least five bytes: an LSN, its kind, a commit
+	// timestamp, a wall time and a data length.
+	n := r.Count(5)
 	recs := make([]Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		lsn, k := binary.Uvarint(buf[p:])
-		if k <= 0 {
-			return nil, fmt.Errorf("wal: bad record lsn")
-		}
-		p += k
-		if p >= len(buf) {
-			return nil, fmt.Errorf("wal: truncated record kind")
-		}
-		kind := Kind(buf[p])
-		p++
-		ts, k := binary.Uvarint(buf[p:])
-		if k <= 0 {
-			return nil, fmt.Errorf("wal: bad record ts")
-		}
-		p += k
-		wall, k := binary.Varint(buf[p:])
-		if k <= 0 {
-			return nil, fmt.Errorf("wal: bad record wall time")
-		}
-		p += k
-		dl, k := binary.Uvarint(buf[p:])
-		if k <= 0 {
-			return nil, fmt.Errorf("wal: bad record data length")
-		}
-		p += k
-		if dl > uint64(len(buf)-p) {
-			return nil, fmt.Errorf("wal: truncated record data")
-		}
-		data := append([]byte(nil), buf[p:p+int(dl)]...)
-		p += int(dl)
-		recs = append(recs, Record{LSN: lsn, Kind: kind, CommitTS: ts, Wall: wall, Data: data})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		rec := Record{LSN: r.Uvarint(), Kind: Kind(r.Byte()), CommitTS: r.Uvarint(), Wall: r.Varint()}
+		rec.Data = append([]byte(nil), r.Field()...)
+		recs = append(recs, rec)
 	}
-	if p != len(buf) {
-		return nil, fmt.Errorf("wal: %d trailing bytes after records", len(buf)-p)
-	}
-	return recs, nil
+	return recs
 }

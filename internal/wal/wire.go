@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"s2db/internal/codec"
 )
 
 // Wire codec for replication pages: when a page crosses a real transport
@@ -22,7 +24,8 @@ import (
 //	[14:22) EndLSN
 //	[22:26) CRC-32C (Castagnoli) of the payload
 //	[26:30) payload length
-//	[30:)   payload = EncodeRecords(Records)
+//	[30:)   payload = the records, as a log chunk holds them after its
+//	        object header (EncodeRecords)
 const (
 	// PageWireVersion is the current frame version; DecodePage rejects
 	// frames from any other version rather than guessing.
@@ -43,7 +46,7 @@ var (
 // EncodePage serializes a page into a wire frame. Page.Bytes is accounting
 // state, not payload; DecodePage recomputes it.
 func EncodePage(pg Page) []byte {
-	body := EncodeRecords(pg.Records)
+	body := appendRecords(nil, pg.Records)
 	buf := make([]byte, pageWireHeader, pageWireHeader+len(body))
 	copy(buf[0:4], pageWireMagic[:])
 	buf[4] = PageWireVersion
@@ -89,8 +92,9 @@ func DecodePage(buf []byte) (Page, error) {
 	if got := crc32.Checksum(body, pageCRCTable); got != want {
 		return Page{}, fmt.Errorf("wal: page payload CRC mismatch (got %08x want %08x)", got, want)
 	}
-	recs, err := DecodeRecords(body)
-	if err != nil {
+	r := codec.NewReader(body)
+	recs := readRecords(r)
+	if err := r.Done(); err != nil {
 		return Page{}, fmt.Errorf("wal: page payload: %w", err)
 	}
 	if uint64(len(recs)) != end-first {

@@ -3,8 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"s2db/internal/codec"
 )
 
 func wirePage(first uint64, payloads ...string) Page {
@@ -87,7 +91,7 @@ func TestDecodePageRejectsCorruption(t *testing.T) {
 func TestDecodeRecordsRejectsHostileCounts(t *testing.T) {
 	// A chunk claiming 2^40 records in a few bytes must be rejected before
 	// the decoder sizes any allocation from the count.
-	var buf []byte
+	buf := codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion)
 	buf = binary.AppendUvarint(buf, 1<<40)
 	if _, err := DecodeRecords(buf); err == nil {
 		t.Fatal("hostile record count accepted")
@@ -100,6 +104,11 @@ func TestDecodeRecordsRejectsHostileCounts(t *testing.T) {
 	// Trailing garbage after the declared records is corruption, not slack.
 	if _, err := DecodeRecords(append(append([]byte(nil), one...), 0xee)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	// A chunk of a version this build does not read is a typed error.
+	one[1] = chunkVersion + 1
+	if _, err := DecodeRecords(one); !errors.Is(err, codec.ErrVersion) {
+		t.Fatalf("unknown chunk version: err %v, want ErrVersion", err)
 	}
 }
 
@@ -125,6 +134,43 @@ func FuzzDecodePage(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, pg) {
 			t.Fatalf("unstable round trip:\n got %+v\nwant %+v", again, pg)
+		}
+	})
+}
+
+// FuzzDecodeRecords holds DecodeRecords to the decoder contract on log
+// chunk bytes, which come back from blob storage: hostile bytes are
+// rejected with codec.ErrCorrupt or codec.ErrVersion, without panicking
+// or allocating beyond 128 bytes per input byte plus 1 MiB, and an
+// accepted chunk re-encodes to bytes that decode and re-encode to
+// themselves.
+func FuzzDecodeRecords(f *testing.F) {
+	f.Add(EncodeRecords(wirePage(0, "a").Records))
+	f.Add(EncodeRecords(wirePage(9, "hello", "", "world").Records))
+	f.Add(EncodeRecords(nil))
+	f.Add(binary.AppendUvarint(codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion), 1<<40))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, err := DecodeRecords(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrVersion) {
+				t.Fatalf("rejection %v wraps neither ErrCorrupt nor ErrVersion", err)
+			}
+			return
+		}
+		enc := EncodeRecords(recs)
+		again, err := DecodeRecords(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted chunk: %v", err)
+		}
+		if !bytes.Equal(EncodeRecords(again), enc) {
+			t.Fatal("unstable round trip")
 		}
 	})
 }
