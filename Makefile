@@ -8,12 +8,13 @@ check: build vet race
 # ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
 # decode gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
-# cores and the storage and exec race suites at one, the seeded chaos soak,
-# a smoke pass of the four benchmark workloads, and a short fuzz pass of
-# the SQL front-end, the WAL page codec, the exec filter tree and
-# aggregation kernels, the unique-key range and secondary-key derivation,
-# the write buffer's secondary index, the segment index build and every
-# decoder of blob and socket bytes. Run it locally before pushing.
+# cores and the storage, exec, cluster, WAL and QoS race suites at one,
+# the seeded chaos soak, a smoke pass of the four benchmark workloads,
+# and a short fuzz pass of the SQL front-end, the WAL page codec, the
+# exec filter tree and aggregation kernels, the unique-key range and
+# secondary-key derivation, the write buffer's secondary index, the
+# segment index build, every decoder of blob and socket bytes and the
+# TCP transport's frame reader. Run it locally before pushing.
 ci: fmtcheck decodecheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
@@ -67,15 +68,17 @@ qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
 # procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and the
-# rowstore, core and exec suites under the race detector at GOMAXPROCS 1:
-# interleavings a many-core machine rarely produces (the cache's
-# single-flight decode, the governor's wake-ups, background maintenance
-# beside a delete, Compact beside secondary-index readers) show up at low
-# core counts, and tier-1 must be green on any of them.
+# rowstore, core, exec, cluster, wal and qos suites under the race
+# detector at GOMAXPROCS 1: interleavings a many-core machine rarely
+# produces (the cache's single-flight decode, the governor's wake-ups,
+# background maintenance beside a delete, Compact beside secondary-index
+# readers, a link's sender beside its acker, a page sealing beside a
+# subscriber) show up at low core counts, and tier-1 must be green on any
+# of them.
 procsmoke:
 	GOMAXPROCS=1 go test ./... -count=1
 	GOMAXPROCS=2 go test ./... -count=1
-	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec
+	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos
 
 build:
 	go build ./...
@@ -133,7 +136,9 @@ benchsmoke:
 # segments (colstore FuzzDecode), bitmaps (bitmap FuzzDecode), rows
 # (FuzzDecodeRow) and columns (FuzzDecodeIntColumn, FuzzDecodeStringColumn)
 # — must reject hostile bytes without panicking or allocating beyond
-# their size, and serve and re-encode stably what it accepts (DESIGN.md
+# their size, and serve and re-encode stably what it accepts, and the TCP
+# transport's frame reader (FuzzReadFrame) must allocate no more than the
+# bytes that arrived warrant, whatever a frame header claims (DESIGN.md
 # §17). Long campaigns are manual; this is the CI regression guard.
 fuzzsmoke:
 	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
@@ -153,6 +158,7 @@ fuzzsmoke:
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s
+	go test ./internal/cluster -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

@@ -232,7 +232,7 @@ func TestStagingSurvivesFailover(t *testing.T) {
 // that closes under them return ErrPartitionClosed at once instead of
 // sleeping out their timeout.
 func TestCloseWakesWaiters(t *testing.T) {
-	p := newPartition("db", 0, RoleMaster, core.Config{}, NewPartitionFiles("db/0/", nil, 0), CommitLocal, 0, Config{}.pageConfig())
+	p := (&Cluster{cfg: Config{Name: "db"}}).newPartition(0, RoleMaster, core.Tenant{})
 	p.setMinSyncers(1) // no replica will ever ack
 	errs := make(chan error, 2)
 	start := time.Now()
@@ -356,9 +356,46 @@ func TestRestoreRefusesOtherPartitionCount(t *testing.T) {
 	}
 }
 
+// TestRestoreWithoutSnapshotRefusesOtherPartitionCount: with no snapshot
+// in blob storage, the staged log chunks alone tell a restore onto fewer
+// or more partitions that the keys were placed differently, while a
+// restore onto as many partitions gets every row back.
+func TestRestoreWithoutSnapshotRefusesOtherPartitionCount(t *testing.T) {
+	catalog := map[string]*types.Schema{"items": testSchema()}
+	for _, tc := range []struct{ from, to int }{{4, 2}, {2, 4}} {
+		t.Run(fmt.Sprintf("%d-to-%d", tc.from, tc.to), func(t *testing.T) {
+			store := blob.NewMemory()
+			c := newTestCluster(t, Config{Partitions: tc.from, Blob: store, SnapshotEvery: 1 << 30})
+			loadItems(t, c, 200)
+			for pi := 0; pi < tc.from; pi++ {
+				c.Master(pi).NoteAppend()
+				c.Stager(pi).Step()
+			}
+			if snaps, _ := store.List(c.blobPrefix(0) + "snap/"); len(snaps) != 0 {
+				t.Fatalf("%d snapshots staged, want none", len(snaps))
+			}
+			if _, err := PointInTimeRestore(Config{Partitions: tc.to, Blob: store}, catalog, time.Now()); !errors.Is(err, ErrPlacementMismatch) {
+				t.Fatalf("PITR onto %d partitions: err %v, want ErrPlacementMismatch", tc.to, err)
+			}
+			same, err := PointInTimeRestore(Config{Partitions: tc.from, Blob: store}, catalog, time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer same.Close()
+			views, err := same.Views("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := countAll(t, views); got != 200 {
+				t.Fatalf("PITR onto %d partitions restored %d rows, want 200", tc.from, got)
+			}
+		})
+	}
+}
+
 // fuzzPartition is an empty partition holding an empty "items" table.
 func fuzzPartition(t testing.TB) *Partition {
-	p := newPartition("db", 0, RoleReplica, core.Config{MaxSegmentRows: 8}, NewPartitionFiles("db/0/", nil, 0), CommitLocal, 0, Config{}.pageConfig())
+	p := (&Cluster{cfg: Config{Name: "db", Table: core.Config{MaxSegmentRows: 8}}}).newPartition(0, RoleReplica, core.Tenant{})
 	if err := p.CreateTable("items", testSchema()); err != nil {
 		t.Fatal(err)
 	}

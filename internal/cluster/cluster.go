@@ -32,31 +32,22 @@ type Config struct {
 	CommitMode CommitMode
 	// ReplicationLatency simulates the network between master and replica.
 	ReplicationLatency time.Duration
-	// Table configures per-partition table storage. Its DecodedCache is
-	// the primary cluster's decoded-vector cache handle, shared by every
-	// master and HA replica.
+	// Table configures per-partition table storage. Its Tenant is the
+	// primary's, shared by every master and HA replica.
 	Table core.Config
-	// CachePartitions, when non-nil, provisions an isolated decoded-vector
-	// cache partition per workspace, so an analytic workspace churning cold
-	// segments cannot evict the primary's hot set (§5 isolation). Workspace
-	// replica tables get the attached handle instead of Table.DecodedCache.
-	CachePartitions CachePartitioner
-	// CommitTimeout bounds durability waits.
-	CommitTimeout time.Duration
+	// Tenants provisions each workspace's tenant: its own decoded-vector
+	// cache partition and QoS budgets, so an analytic workspace churning
+	// cold segments cannot evict the primary's hot set or spend its
+	// budgets (§5 isolation). Nil gives a workspace a tenant that has only
+	// its name.
+	Tenants TenantProvider
 	// ChunkRecords and SnapshotEvery tune blob staging.
 	ChunkRecords, SnapshotEvery int
-	// LogPageBytes caps a replication log page; a page seals once its
-	// records reach this size. Zero uses the WAL default (64KiB).
-	LogPageBytes int
-	// GroupCommitInterval is the page-seal timer: concurrent writers'
-	// records batch into one page for up to this long, then ship, ack and
-	// release their durability waits together. Zero seals a page per
-	// record (the per-record seed behavior).
-	GroupCommitInterval time.Duration
-	// SubscriptionBudget bounds the bytes a replication subscription may
-	// buffer before it is detached as a slow consumer. Zero uses the WAL
-	// default (256MiB).
-	SubscriptionBudget int
+	// Log configures every partition's log: the page size and group-commit
+	// timer a page seals at, and the bytes a replication subscription may
+	// buffer before it is detached as a slow consumer. Zero fields use the
+	// WAL defaults.
+	Log wal.PageConfig
 	// Transport is the boundary replication crosses between master and
 	// replica partitions. Nil uses the in-process memory transport (the
 	// zero-copy channel path, the seed behavior); NewTCPTransport routes
@@ -69,32 +60,26 @@ type Config struct {
 	// down and reconnecting from the replica's applied position. Zero uses
 	// DefaultLinkStallTimeout.
 	LinkStallTimeout time.Duration
-	// Governor, when non-nil, meters multi-tenant resource use: workspace
-	// replication links pace their page stream against the workspace
-	// tenant's WAL-bandwidth budget, and workspaces register/unregister as
-	// tenants on attach/detach. Sync HA links are never paced — they are
-	// the durability path, and throttling them would turn a noisy tenant
-	// into a commit-latency regression for everyone.
-	Governor *qos.Governor
 }
 
-// CachePartitioner hands out per-workspace decoded-vector cache handles.
-// Attach provisions (and budgets) the partition for a workspace; Detach
-// releases it and returns its budget to the pool. Implemented by the
-// top-level DB over exec.VecCacheGroup — an interface here so cluster does
-// not depend on the execution engine.
-type CachePartitioner interface {
-	Attach(name string) (core.DecodedVectorCache, error)
+// TenantProvider hands out workspace tenants. Attach provisions the
+// tenant's cache partition and registers it with the governor; Detach
+// releases both and returns their budgets to the pool. Implemented by the
+// top-level DB over exec.VecCacheGroup and qos.Governor — an interface here
+// so cluster does not depend on the execution engine.
+type TenantProvider interface {
+	Attach(name string) (core.Tenant, error)
 	Detach(name string)
 }
 
-func (c Config) pageConfig() wal.PageConfig {
-	return wal.PageConfig{
-		MaxBytes:           c.LogPageBytes,
-		FlushInterval:      c.GroupCommitInterval,
-		SubscriptionBudget: c.SubscriptionBudget,
-	}
-}
+// namedTenants is the provider of a cluster configured without one.
+type namedTenants struct{}
+
+func (namedTenants) Attach(name string) (core.Tenant, error) { return core.Tenant{Name: name}, nil }
+func (namedTenants) Detach(string)                           {}
+
+// commitTimeout bounds durability waits.
+const commitTimeout = 10 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
@@ -103,8 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.Partitions <= 0 {
 		c.Partitions = 1
 	}
-	if c.CommitTimeout <= 0 {
-		c.CommitTimeout = 10 * time.Second
+	if c.Tenants == nil {
+		c.Tenants = namedTenants{}
 	}
 	if c.Transport == nil {
 		c.Transport = NewMemoryTransport()
@@ -117,8 +102,6 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	cfg Config
 
-	transport Transport
-
 	mu        sync.RWMutex
 	catalog   map[string]*types.Schema
 	masters   []*Partition
@@ -130,34 +113,37 @@ type Cluster struct {
 	nextReplicaID int
 }
 
-// New builds and starts a cluster.
-func New(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.CommitMode == CommitBlob && cfg.Blob == nil {
-		return nil, fmt.Errorf("cluster: CommitBlob requires a blob store")
-	}
+// newCluster builds a cluster holding one master per partition and no
+// replica, link, stager or table yet. New and PointInTimeRestore both
+// start from it.
+func newCluster(cfg Config) *Cluster {
 	c := &Cluster{
-		cfg:       cfg,
-		transport: cfg.Transport,
+		cfg:       cfg.withDefaults(),
 		catalog:   make(map[string]*types.Schema),
 		workspace: make(map[string]*Workspace),
 	}
-	for i := 0; i < cfg.Partitions; i++ {
-		files := NewPartitionFiles(c.blobPrefix(i), cfg.Blob, cfg.CacheBytes)
-		p := newPartition(cfg.Name, i, RoleMaster, cfg.Table, files, cfg.CommitMode, 0, cfg.pageConfig())
-		p.setMinSyncers(cfg.SyncReplicas)
-		c.masters = append(c.masters, p)
-		var reps []*Partition
-		var links []*Link
-		for r := 0; r < cfg.SyncReplicas; r++ {
-			rep := c.newReplicaPartition(i, nil, "")
-			link := c.startLinkFrom(p, rep, true, rep.Log().Head())
-			reps = append(reps, rep)
-			links = append(links, link)
+	n := c.cfg.Partitions
+	c.replicas, c.links, c.stagers = make([][]*Partition, n), make([][]*Link, n), make([]*Stager, n)
+	for pi := 0; pi < n; pi++ {
+		c.masters = append(c.masters, c.newPartition(pi, RoleMaster, c.cfg.Table.Tenant))
+	}
+	return c
+}
+
+// New builds and starts a cluster.
+func New(cfg Config) (*Cluster, error) {
+	if cfg.CommitMode == CommitBlob && cfg.Blob == nil {
+		return nil, fmt.Errorf("cluster: CommitBlob requires a blob store")
+	}
+	c := newCluster(cfg)
+	for pi, p := range c.masters {
+		p.setMinSyncers(c.cfg.SyncReplicas)
+		for r := 0; r < c.cfg.SyncReplicas; r++ {
+			rep := c.newPartition(pi, RoleReplica, c.cfg.Table.Tenant)
+			c.replicas[pi] = append(c.replicas[pi], rep)
+			c.links[pi] = append(c.links[pi], c.startLinkFrom(p, rep, true, rep.Log().Head()))
 		}
-		c.replicas = append(c.replicas, reps)
-		c.links = append(c.links, links)
-		c.stagers = append(c.stagers, c.startStager(p))
+		c.stagers[pi] = c.startStager(p)
 	}
 	return c, nil
 }
@@ -183,46 +169,28 @@ func (c *Cluster) replicaID() int {
 // startLinkFrom starts a replication link over the cluster's transport
 // with the configured latency and stall timeout.
 func (c *Cluster) startLinkFrom(master, replica *Partition, syncAck bool, from uint64) *Link {
-	return StartLinkFrom(c.transport, master, replica, syncAck,
+	return StartLinkFrom(c.cfg.Transport, master, replica, syncAck,
 		c.cfg.ReplicationLatency, c.cfg.LinkStallTimeout, c.replicaID(), from)
 }
 
 // startWorkspaceLinkFrom starts an async workspace replication link whose
 // page stream is paced against the workspace tenant's WAL-bandwidth budget
-// when a governor is configured. The pacer runs on the link's sender
+// when the tenant has a governor. The pacer runs on the link's sender
 // goroutine (never under the log mutex), so an over-budget workspace slows
 // or sheds only its own stream; a shed surfaces as a terminal link error
 // that resyncLink heals from blob-staged chunks like any other detach.
-func (c *Cluster) startWorkspaceLinkFrom(master, replica *Partition, from uint64, tenant string) *Link {
+// Sync HA links are never paced: they are the durability path, and
+// throttling them would turn a noisy tenant into a commit-latency
+// regression for everyone.
+func (c *Cluster) startWorkspaceLinkFrom(master, replica *Partition, from uint64, tenant core.Tenant) *Link {
 	var pacer func(bytes int) error
-	if gov := c.cfg.Governor; gov != nil {
+	if gov := tenant.Gov; gov != nil {
 		pacer = func(bytes int) error {
-			return gov.Consume(context.Background(), tenant, qos.WALBand, int64(bytes))
+			return gov.Consume(context.Background(), tenant.Name, qos.WALBand, int64(bytes))
 		}
 	}
-	return startLink(c.transport, master, replica, false,
+	return startLink(c.cfg.Transport, master, replica, false,
 		c.cfg.ReplicationLatency, c.cfg.LinkStallTimeout, c.replicaID(), from, pacer)
-}
-
-// newReplicaPartition creates a replica with background maintenance
-// disabled (replicas replay the master's flush/merge records instead).
-// cache overrides the table-level decoded-vector cache handle when non-nil
-// (workspace replicas scan through their workspace's partition; HA replicas
-// pass nil and inherit the primary handle). tenant, when non-empty, tags
-// the replica's table storage with the QoS tenant its resource use bills
-// to (workspace replicas bill the workspace; HA replicas pass "" and bill
-// the primary tenant).
-func (c *Cluster) newReplicaPartition(part int, cache core.DecodedVectorCache, tenant string) *Partition {
-	tcfg := c.cfg.Table
-	tcfg.Background = false
-	if cache != nil {
-		tcfg.DecodedCache = cache
-	}
-	if tenant != "" {
-		tcfg.QoSTenant = tenant
-	}
-	files := NewPartitionFiles(c.blobPrefix(part), c.cfg.Blob, c.cfg.CacheBytes)
-	return newPartition(c.cfg.Name, part, RoleReplica, tcfg, files, c.cfg.CommitMode, 0, c.cfg.pageConfig())
 }
 
 // Partitions returns the number of partitions.
@@ -318,7 +286,7 @@ func (c *Cluster) Insert(table string, rows []types.Row, opts core.InsertOptions
 		total.Skipped += res.Skipped
 		total.Replaced += res.Replaced
 		total.Updated += res.Updated
-		if err := p.WaitDurable(res.LSN, c.cfg.CommitTimeout); err != nil {
+		if err := p.WaitDurable(res.LSN, commitTimeout); err != nil {
 			return total, err
 		}
 	}
@@ -345,7 +313,7 @@ func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
 		if err := tbl.BulkLoad(batch); err != nil {
 			return err
 		}
-		if err := p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout); err != nil {
+		if err := p.WaitDurable(p.Log().Head()-1, commitTimeout); err != nil {
 			return err
 		}
 	}
@@ -413,7 +381,7 @@ func (c *Cluster) mutateWhere(table string, w core.Where, apply func(*core.Table
 		}
 		total += n
 		if n > 0 {
-			return false, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
+			return false, p.WaitDurable(p.Log().Head()-1, commitTimeout)
 		}
 		return false, nil
 	})
@@ -540,7 +508,7 @@ func (c *Cluster) FailMaster(pi int) error {
 		}
 	}
 	promoted := reps[best]
-	promoted.Promote(c.cfg.Table.Background)
+	promoted.Promote(old)
 	promoted.setMinSyncers(min(c.cfg.SyncReplicas, len(reps)-1))
 	c.masters[pi] = promoted
 	// Staging resumes out of the promoted master where the old one
@@ -667,9 +635,7 @@ func (c *Cluster) Close() {
 			p.Close()
 		}
 	}
-	if c.transport != nil {
-		c.transport.Close()
-	}
+	c.cfg.Transport.Close()
 }
 
 // TableNames lists catalog tables.
@@ -682,13 +648,6 @@ func (c *Cluster) TableNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // routeByUnique returns the partition holding the given unique key values
@@ -733,7 +692,7 @@ func (c *Cluster) mutateByUnique(table string, vals []types.Value, apply func(*c
 			return false, err
 		}
 		found = true
-		return true, p.WaitDurable(p.Log().Head()-1, c.cfg.CommitTimeout)
+		return true, p.WaitDurable(p.Log().Head()-1, commitTimeout)
 	})
 	return found, err
 }

@@ -181,6 +181,53 @@ func runFailoverSuite(t *testing.T, mutate func(*Config)) {
 	}
 }
 
+// TestFailoverKeepsBackgroundMaintenance: on a cluster configured without
+// background maintenance, a master whose tables were switched on with
+// EnableBackground fails over to a replica whose tables flush too, and a
+// table created after the failover follows the config.
+func TestFailoverKeepsBackgroundMaintenance(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 1, SyncReplicas: 1, Table: core.Config{MaxSegmentRows: 8}})
+	for _, tbl := range c.Master(0).Tables() {
+		tbl.EnableBackground()
+	}
+	loadItems(t, c, 40)
+	if err := c.replicas[0][0].WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailMaster(0); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 40)
+	for i := range rows {
+		rows[i] = row(100+i, i, "t1")
+	}
+	if _, err := c.Insert("items", rows, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := c.Master(0).Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tbl.BufferLen() >= 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("promoted master still holds %d buffer rows (%d flushes): no background maintenance",
+				tbl.BufferLen(), tbl.Stats.Flushes.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.CreateTable("later", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	later, err := c.Master(0).Table("later")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if later.Background() {
+		t.Fatal("a table created after failover runs maintenance the config switched off")
+	}
+}
+
 func TestBlobStagingUploadsAsync(t *testing.T) {
 	store := blob.NewMemory()
 	c := newTestCluster(t, Config{

@@ -21,9 +21,8 @@ import (
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Partitions: 1, SyncReplicas: 2,
-		ReplicationLatency:  500 * time.Microsecond,
-		GroupCommitInterval: 200 * time.Microsecond,
-		LogPageBytes:        32 << 10,
+		ReplicationLatency: 500 * time.Microsecond,
+		Log:                wal.PageConfig{FlushInterval: 200 * time.Microsecond, MaxBytes: 32 << 10},
 	})
 	const writers, per = 8, 10
 	errCh := make(chan error, writers)
@@ -74,8 +73,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 func TestFailoverWithGroupCommitPages(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Partitions: 1, SyncReplicas: 2,
-		ReplicationLatency:  200 * time.Microsecond,
-		GroupCommitInterval: 200 * time.Microsecond,
+		ReplicationLatency: 200 * time.Microsecond,
+		Log:                wal.PageConfig{FlushInterval: 200 * time.Microsecond},
 	})
 	loadItems(t, c, 50)
 	head := c.Master(0).Log().Head()
@@ -121,8 +120,7 @@ func pitrStateUnder(t *testing.T, interval time.Duration, pageBytes int, mutate 
 	cfg := Config{
 		Name: "eqv", Partitions: 2, Blob: store,
 		ChunkRecords: 8, SnapshotEvery: 1 << 30,
-		GroupCommitInterval: interval,
-		LogPageBytes:        pageBytes,
+		Log: wal.PageConfig{FlushInterval: interval, MaxBytes: pageBytes},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -227,7 +225,7 @@ func runSlowConsumerResyncSuite(t *testing.T, mutate func(*Config)) {
 		Partitions: 1, Blob: store,
 		ChunkRecords: 8, SnapshotEvery: 1 << 30,
 		ReplicationLatency: 2 * time.Millisecond,
-		SubscriptionBudget: 256,
+		Log:                wal.PageConfig{SubscriptionBudget: 256},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -271,7 +269,7 @@ func runSlowConsumerResyncSuite(t *testing.T, mutate func(*Config)) {
 // selection sort plus per-advance channel churn with a sorted recompute
 // gated on registered waiters).
 func BenchmarkDurableRecompute(b *testing.B) {
-	p := newPartition("bench", 0, RoleMaster, core.Config{}, NewPartitionFiles("bench/0/", nil, 0), CommitLocal, 0, wal.PageConfig{})
+	p := (&Cluster{cfg: Config{Name: "bench"}}).newPartition(0, RoleMaster, core.Tenant{})
 	p.setMinSyncers(4)
 	payload := make([]byte, 64)
 	b.ResetTimer()

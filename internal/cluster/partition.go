@@ -81,26 +81,30 @@ type Partition struct {
 	wg     sync.WaitGroup
 }
 
-func newPartition(db string, id int, role Role, tableCfg core.Config, files *PartitionFiles, commitMode CommitMode, logBase uint64, pageCfg wal.PageConfig) *Partition {
-	oracle := &txn.Oracle{}
-	log := wal.NewLogWith(pageCfg)
-	if logBase > 0 {
-		log.TruncateBefore(logBase) // aligns a replica log with the master's LSN space
+// newPartition builds partition pi in the given role, its tables working
+// for tenant; everything else comes from the cluster's config. A replica
+// runs no background maintenance: it replays its master's flush and merge
+// records instead.
+func (c *Cluster) newPartition(pi int, role Role, tenant core.Tenant) *Partition {
+	tableCfg := c.cfg.Table
+	tableCfg.Tenant = tenant
+	if role == RoleReplica {
+		tableCfg.Background = false
 	}
-	p := &Partition{
-		ID: id, DB: db, role: role,
+	oracle := &txn.Oracle{}
+	return &Partition{
+		ID: pi, DB: c.cfg.Name, role: role,
 		oracle:        oracle,
 		committer:     core.NewCommitter(oracle),
-		log:           log,
-		files:         files,
+		log:           wal.NewLogWith(c.cfg.Log),
+		files:         NewPartitionFiles(c.blobPrefix(pi), c.cfg.Blob, c.cfg.CacheBytes),
 		tables:        make(map[string]*core.Table),
 		tableCfg:      tableCfg,
-		commitMode:    commitMode,
+		commitMode:    c.cfg.CommitMode,
 		durableNotify: make(chan struct{}, 1),
 		acks:          make(map[int]uint64),
 		closed:        make(chan struct{}),
 	}
-	return p
 }
 
 // Log exposes the partition log (replication, staging).
@@ -369,20 +373,22 @@ func (p *Partition) applyOne(rec wal.Record) error {
 	return tbl.Apply(rec)
 }
 
-// Promote turns a replica into a master (failover, §2): HA replicas are
-// "hot copies ... such that a replica can pick up the query workload
-// immediately". Background flush/merge, disabled while replaying the old
-// master's log, starts now.
-func (p *Partition) Promote(background bool) {
+// Promote turns a replica into the master that replaces old (failover,
+// §2): HA replicas are "hot copies ... such that a replica can pick up the
+// query workload immediately". Background flush/merge, off while the
+// replica replayed old's log, starts on each table whose namesake on old
+// ran it, and tables created from now on are configured as old's were.
+func (p *Partition) Promote(old *Partition) {
+	old.mu.RLock()
+	background := old.tableCfg.Background
+	old.mu.RUnlock()
+	oldTables := old.Tables()
 	p.mu.Lock()
 	p.role = RoleMaster
-	tables := make([]*core.Table, 0, len(p.tables))
-	for _, t := range p.tables {
-		tables = append(tables, t)
-	}
+	p.tableCfg.Background = background
 	p.mu.Unlock()
-	if background {
-		for _, t := range tables {
+	for name, t := range p.Tables() {
+		if ot, ok := oldTables[name]; ok && ot.Background() {
 			t.EnableBackground()
 		}
 	}

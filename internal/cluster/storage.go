@@ -285,7 +285,7 @@ func (s *Stager) step() error {
 		if end <= uploaded {
 			break
 		}
-		if err := s.store.Put(s.files.prefix+logKey(uploaded), wal.EncodeRecords(recs)); err != nil {
+		if err := s.store.Put(s.files.prefix+logKey(uploaded), wal.EncodeRecords(placement(s.partitions), recs)); err != nil {
 			s.note(err)
 			return err
 		}
@@ -387,10 +387,26 @@ func parseSnapKey(key string) (lsn uint64, wall int64, err error) {
 // writes and decodeSnapshotBundle reads.
 const bundleVersion = 1
 
-// ErrPlacementMismatch is returned for a snapshot bundle written by a
-// cluster that placed keys differently — another key hash version or
-// partition count — which restoring would misroute.
-var ErrPlacementMismatch = errors.New("cluster: snapshot placed keys differently")
+// ErrPlacementMismatch is returned for a snapshot bundle or log chunk
+// written by a cluster that placed keys differently — another key hash
+// version or partition count — which restoring would misroute.
+var ErrPlacementMismatch = errors.New("cluster: blob data placed keys differently")
+
+// placement is how a cluster of partitions partitions routes keys. Log
+// chunks and snapshot bundles record it.
+func placement(partitions int) wal.Placement {
+	return wal.Placement{HashVersion: types.KeyHashVersion, Partitions: uint64(partitions)}
+}
+
+// checkPlacement refuses blob data (what) whose keys were placed under got
+// when a cluster of partitions partitions would place them differently.
+func checkPlacement(what string, got wal.Placement, partitions int) error {
+	if want := placement(partitions); got != want {
+		return fmt.Errorf("%w: %s uses key hash v%d over %d partitions, cluster v%d over %d",
+			ErrPlacementMismatch, what, got.HashVersion, got.Partitions, want.HashVersion, want.Partitions)
+	}
+	return nil
+}
 
 // encodeSnapshotBundle serializes all tables of a partition at ts. The
 // header records how keys were placed: the key hash version and the
@@ -402,9 +418,10 @@ func encodeSnapshotBundle(p *Partition, ts uint64, partitions int) []byte {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	pl := placement(partitions)
 	buf := codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion)
-	buf = binary.AppendUvarint(buf, types.KeyHashVersion)
-	buf = binary.AppendUvarint(buf, uint64(partitions))
+	buf = binary.AppendUvarint(buf, pl.HashVersion)
+	buf = binary.AppendUvarint(buf, pl.Partitions)
 	buf = binary.AppendUvarint(buf, ts)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, n := range names {
@@ -423,7 +440,7 @@ func decodeSnapshotBundle(p *Partition, data []byte, partitions int) (ts uint64,
 	if v := r.Header(codec.ObjSnapshot); v != bundleVersion {
 		r.Unsupported(v)
 	}
-	hashVersion, parts := r.Uvarint(), r.Uvarint()
+	pl := wal.Placement{HashVersion: r.Uvarint(), Partitions: r.Uvarint()}
 	ts = r.Uvarint()
 	// Every table takes at least two length bytes: its name and its state.
 	n := r.Count(2)
@@ -434,9 +451,8 @@ func decodeSnapshotBundle(p *Partition, data []byte, partitions int) (ts uint64,
 	if err := r.Done(); err != nil {
 		return 0, fmt.Errorf("cluster: snapshot bundle: %w", err)
 	}
-	if hashVersion != types.KeyHashVersion || parts != uint64(partitions) {
-		return 0, fmt.Errorf("%w: bundle uses key hash v%d over %d partitions, cluster v%d over %d",
-			ErrPlacementMismatch, hashVersion, parts, types.KeyHashVersion, partitions)
+	if err := checkPlacement("snapshot bundle", pl, partitions); err != nil {
+		return 0, err
 	}
 	for i, name := range names {
 		tbl, err := p.Table(name)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"s2db/internal/wal"
@@ -19,9 +20,13 @@ const (
 	frameKindAck  = 2
 
 	frameHeaderBytes = 5 // kind byte + u32 payload length
-	// maxFramePayload bounds a frame read before allocating: the page wire
+	ackBytes         = 8 // an ack's payload: one big-endian LSN
+	// maxFramePayload bounds the payload a frame may claim: the page wire
 	// cap plus its header.
 	maxFramePayload = wal.MaxWirePageBytes + 64
+	// frameReadChunk is a page payload's first buffer; it doubles as more
+	// bytes arrive.
+	frameReadChunk = 64 << 10
 )
 
 // TCPTransport ships replication over loopback TCP sockets: every page
@@ -113,6 +118,10 @@ func (c *tcpConn) writeFrame(kind byte, payload []byte) error {
 	return c.bw.Flush()
 }
 
+// readFrame reads one frame of wantKind. The header is checked before any
+// payload is read: an ack is exactly ackBytes long, and a page's buffer
+// grows only with the bytes that arrive, so a header that claims more than
+// the peer sends costs no more than what it did send.
 func (c *tcpConn) readFrame(wantKind byte) ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -120,16 +129,26 @@ func (c *tcpConn) readFrame(wantKind byte) ([]byte, error) {
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	if hdr[0] != wantKind {
+		return nil, fmt.Errorf("cluster: unexpected frame kind %d (want %d)", hdr[0], wantKind)
+	}
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	if wantKind == frameKindAck && n != ackBytes {
+		return nil, fmt.Errorf("cluster: ack frame claims %d bytes (want %d)", n, ackBytes)
+	}
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("cluster: frame claims %d bytes (max %d)", n, maxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, err
-	}
-	if hdr[0] != wantKind {
-		return nil, fmt.Errorf("cluster: unexpected frame kind %d (want %d)", hdr[0], wantKind)
+	payload := make([]byte, 0, min(n, frameReadChunk))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n, 2*len(payload))-len(payload))
+		}
+		m, err := io.ReadFull(c.br, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return nil, err
+		}
 	}
 	return payload, nil
 }
@@ -147,7 +166,7 @@ func (c *tcpConn) RecvPage() (wal.Page, error) {
 }
 
 func (c *tcpConn) SendAck(lsn uint64) error {
-	var buf [8]byte
+	var buf [ackBytes]byte
 	binary.BigEndian.PutUint64(buf[:], lsn)
 	return c.writeFrame(frameKindAck, buf[:])
 }
@@ -156,9 +175,6 @@ func (c *tcpConn) RecvAck() (uint64, error) {
 	payload, err := c.readFrame(frameKindAck)
 	if err != nil {
 		return 0, err
-	}
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("cluster: ack frame has %d bytes", len(payload))
 	}
 	return binary.BigEndian.Uint64(payload), nil
 }

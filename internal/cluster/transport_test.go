@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -136,7 +139,7 @@ func TestFailoverOverTCP(t *testing.T)           { runFailoverSuite(t, withTCP(t
 func TestPITROverTCP(t *testing.T)               { runPITRSuite(t, withTCP(t)) }
 func TestSlowConsumerResyncOverTCP(t *testing.T) { runSlowConsumerResyncSuite(t, withTCP(t)) }
 func TestGroupCommitPagesOverTCP(t *testing.T) {
-	runFailoverSuite(t, func(cfg *Config) { withTCP(t)(cfg); cfg.GroupCommitInterval = 200 * time.Microsecond })
+	runFailoverSuite(t, func(cfg *Config) { withTCP(t)(cfg); cfg.Log.FlushInterval = 200 * time.Microsecond })
 }
 func TestReplicationLatencyOverTCP(t *testing.T) {
 	runFailoverSuite(t, func(cfg *Config) { withTCP(t)(cfg); cfg.ReplicationLatency = time.Millisecond })
@@ -230,6 +233,57 @@ func TestTransportEquivalence(t *testing.T) {
 					t.Fatalf("%s partition %d PITR state differs from %s", v.name, pi, variants[0].name)
 				}
 			}
+		}
+	})
+}
+
+// byteConn is a net.Conn whose reads come from a byte slice; it writes
+// nothing.
+type byteConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c byteConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c byteConn) Close() error               { return nil }
+
+// tcpFrame is a TCP transport frame of kind around payload.
+func tcpFrame(kind byte, payload []byte) []byte {
+	buf := append([]byte{kind}, binary.BigEndian.AppendUint32(nil, uint32(len(payload)))...)
+	return append(buf, payload...)
+}
+
+// FuzzReadFrame holds the TCP transport's frame reader to the decoder
+// contract (DESIGN.md §17) on socket bytes: RecvPage and RecvAck, each
+// reading frames until the first error, never panic and never allocate
+// more than 128 bytes per input byte plus 1 MiB, whatever a frame header
+// claims. The 5-byte seeds are headers that claim 64 MiB and then end.
+func FuzzReadFrame(f *testing.F) {
+	page := tcpFrame(frameKindPage, wal.EncodePage(transportPage(7, 3)))
+	f.Add(page)
+	f.Add(page[:len(page)-1])
+	f.Add(append(tcpFrame(frameKindAck, binary.BigEndian.AppendUint64(nil, 42)), page...))
+	f.Add([]byte{frameKindAck, 0x04, 0, 0, 0})
+	f.Add([]byte{frameKindPage, 0x04, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		page := newTCPConn(byteConn{r: bytes.NewReader(data)})
+		for {
+			if _, err := page.RecvPage(); err != nil {
+				break
+			}
+		}
+		ack := newTCPConn(byteConn{r: bytes.NewReader(data)})
+		for {
+			if _, err := ack.RecvAck(); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {
+			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
 		}
 	})
 }

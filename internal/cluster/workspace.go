@@ -19,9 +19,10 @@ import (
 // primary workspace without acking commits, and pull older data files from
 // blob storage directly, so heavy analytics run on isolated compute.
 type Workspace struct {
-	Name  string
-	parts []*Partition
-	links []*Link
+	Name   string
+	tenant core.Tenant
+	parts  []*Partition
+	links  []*Link
 }
 
 // CreateWorkspace provisions a read-only workspace. With a blob store
@@ -39,35 +40,21 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 	if _, dup := c.workspace[name]; dup {
 		return nil, fmt.Errorf("cluster: workspace %s already exists", name)
 	}
-	// Provision the workspace's decoded-vector cache partition first, so
-	// every replica table scans (and invalidates) through its own budget
-	// rather than the primary's.
-	var wsCache core.DecodedVectorCache
-	if c.cfg.CachePartitions != nil {
-		h, err := c.cfg.CachePartitions.Attach(name)
-		if err != nil {
-			return nil, fmt.Errorf("workspace %s: %w", name, err)
-		}
-		wsCache = h
+	// Attach the workspace's tenant first, so every replica table scans
+	// (and invalidates) through its own cache partition and its replication
+	// stream bills a real budget from the first page.
+	tenant, err := c.cfg.Tenants.Attach(name)
+	if err != nil {
+		return nil, fmt.Errorf("workspace %s: %w", name, err)
 	}
-	// Register the workspace as a QoS tenant before any link starts, so
-	// its replication stream bills a real budget from the first page.
-	if c.cfg.Governor != nil {
-		c.cfg.Governor.Register(name)
-	}
-	ws := &Workspace{Name: name}
+	ws := &Workspace{Name: name, tenant: tenant}
 	fail := func(err error) (*Workspace, error) {
 		ws.close()
-		if c.cfg.CachePartitions != nil {
-			c.cfg.CachePartitions.Detach(name)
-		}
-		if c.cfg.Governor != nil {
-			c.cfg.Governor.Unregister(name)
-		}
+		c.cfg.Tenants.Detach(name)
 		return nil, err
 	}
 	for pi, master := range c.masters {
-		rep := c.newReplicaPartition(pi, wsCache, name)
+		rep := c.newPartition(pi, RoleReplica, tenant)
 		// DDL: materialize the catalog on the new partition.
 		for tname, schema := range c.catalog {
 			if err := rep.CreateTable(tname, schema); err != nil {
@@ -86,7 +73,7 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 				return fail(fmt.Errorf("workspace %s: partition %d: %w", name, pi, err))
 			}
 		}
-		link := c.startWorkspaceLinkFrom(master, rep, from, name)
+		link := c.startWorkspaceLinkFrom(master, rep, from, tenant)
 		if err := link.Err(); err != nil {
 			rep.Close()
 			return fail(fmt.Errorf("workspace %s: partition %d: %w", name, pi, err))
@@ -152,8 +139,11 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err er
 		if err != nil {
 			return next, err
 		}
-		recs, err := wal.DecodeRecords(data)
+		pl, recs, err := wal.DecodeRecords(data)
 		if err != nil {
+			return next, err
+		}
+		if err := checkPlacement("log chunk", pl, c.cfg.Partitions); err != nil {
 			return next, err
 		}
 		for _, rec := range recs {
@@ -192,7 +182,7 @@ func (c *Cluster) resyncLink(ws *Workspace, pi int) error {
 			return err
 		}
 	}
-	link := c.startWorkspaceLinkFrom(master, rep, rep.Applied(), ws.Name)
+	link := c.startWorkspaceLinkFrom(master, rep, rep.Applied(), ws.tenant)
 	if err := link.Err(); err != nil {
 		return err
 	}
@@ -285,16 +275,9 @@ func (c *Cluster) DetachWorkspace(name string) error {
 	}
 	ws.close()
 	delete(c.workspace, name)
-	if c.cfg.CachePartitions != nil {
-		// Release the workspace's cache partition: its entries are discarded
-		// and its budget returns to the pool for the remaining partitions.
-		c.cfg.CachePartitions.Detach(name)
-	}
-	if c.cfg.Governor != nil {
-		// Retire the QoS tenant: waiters are released, outstanding leases
-		// drain harmlessly, and its share returns to the surviving tenants.
-		c.cfg.Governor.Unregister(name)
-	}
+	// Retire the tenant: its cache entries are discarded, its QoS waiters
+	// released, and its budgets return to the surviving tenants.
+	c.cfg.Tenants.Detach(name)
 	return nil
 }
 
@@ -316,25 +299,14 @@ func (w *Workspace) close() {
 // not DDL. The restored database is a fresh cluster with no replicas or
 // staging (a restore target, not a running primary).
 func PointInTimeRestore(cfg Config, catalog map[string]*types.Schema, target time.Time) (*Cluster, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Blob == nil {
 		return nil, fmt.Errorf("cluster: PITR requires a blob store")
 	}
-	c := &Cluster{
-		cfg:       cfg,
-		transport: cfg.Transport,
-		catalog:   make(map[string]*types.Schema),
-		workspace: make(map[string]*Workspace),
-	}
-	tcfg := cfg.Table
-	tcfg.Background = false
-	for pi := 0; pi < cfg.Partitions; pi++ {
-		files := NewPartitionFiles(c.blobPrefix(pi), cfg.Blob, cfg.CacheBytes)
-		p := newPartition(cfg.Name, pi, RoleMaster, tcfg, files, CommitLocal, 0, cfg.pageConfig())
-		c.masters = append(c.masters, p)
-		c.replicas = append(c.replicas, nil)
-		c.links = append(c.links, nil)
-		c.stagers = append(c.stagers, NewStager(p, files, nil, cfg.Partitions, 0, 0))
+	cfg.CommitMode = CommitLocal
+	cfg.Table.Background = false
+	c := newCluster(cfg)
+	for pi, p := range c.masters {
+		c.stagers[pi] = NewStager(p, p.files, nil, c.cfg.Partitions, 0, 0)
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()

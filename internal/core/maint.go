@@ -165,8 +165,8 @@ func (t *Table) dropSegment(ts uint64, id uint64, remap []remapTarget) {
 	if e.stub.CompareAndSwap(true, false) {
 		t.unhydrated.Add(-1)
 	}
-	if t.cfg.DecodedCache != nil {
-		t.cfg.DecodedCache.InvalidateSegment(e.latestMeta().Seg)
+	if t.cfg.Tenant.Cache != nil {
+		t.cfg.Tenant.Cache.InvalidateSegment(e.latestMeta().Seg)
 	}
 }
 
@@ -340,7 +340,7 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 	// footprint so ties prefer cold runs and merges keep their hands off
 	// the hottest cached vectors.
 	var heatOf func(run int) int64
-	if vr, ok := t.cfg.DecodedCache.(VectorResidency); ok {
+	if vr, ok := t.cfg.Tenant.Cache.(VectorResidency); ok {
 		heatOf = func(run int) (heat int64) {
 			for _, seg := range runSegs[run] {
 				bytes, hits := vr.SegmentHeat(seg)
@@ -360,7 +360,7 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 	// within the bounded wait — skips the merge, and the maintenance loop
 	// retries on its timer, which is exactly the throttling the governor
 	// wants.
-	if t.cfg.QoS != nil {
+	if t.cfg.Tenant.Gov != nil {
 		var est int64
 		for _, run := range plan.Runs {
 			est += int64(runSizes[run])
@@ -370,7 +370,7 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 			est = 1
 		}
 		actx, cancel := context.WithTimeout(ctx, mergeAdmissionWait)
-		lease, _, err := t.cfg.QoS.AcquireUpTo(actx, t.cfg.QoSTenant, qos.MergeIO, est/4+1, est)
+		lease, _, err := t.cfg.Tenant.Gov.AcquireUpTo(actx, t.cfg.Tenant.Name, qos.MergeIO, est/4+1, est)
 		cancel()
 		if err != nil {
 			return false, true
@@ -408,7 +408,7 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 		}
 	}
 	var src colstore.VectorSource
-	if s, ok := t.cfg.DecodedCache.(colstore.VectorSource); ok {
+	if s, ok := t.cfg.Tenant.Cache.(colstore.VectorSource); ok {
 		src = s
 	}
 	merger := colstore.NewKMerge(runs, t.schema, t.cfg.MaxSegmentRows, src)

@@ -35,8 +35,6 @@ type Config struct {
 	FlushThreshold int
 	// MergeFanout controls the LSM merge policy (§2.1.2).
 	MergeFanout int
-	// LockTimeout bounds row-lock and unique-key-lock waits.
-	LockTimeout time.Duration
 	// Background enables the maintenance loop (flush, merge, compaction)
 	// when the table is started.
 	Background bool
@@ -45,30 +43,37 @@ type Config struct {
 	// snapshots older than this. While work is pending, the maintenance
 	// loop retries every CompactionGrace/4.
 	CompactionGrace time.Duration
-	// DecodedCache, when non-nil, is the shared decoded-vector cache the
-	// execution layer serves scans from (exec.VecCache). The table's only
-	// obligation is invalidation: it drops a segment's vectors when an LSM
-	// merge retires the segment. Defined as an interface so core does not
-	// depend on the execution layer. When the value also implements
-	// VectorResidency the merge planner prefers cold runs, and when it
-	// implements colstore.VectorSource the merger reuses resident decoded
-	// vectors instead of re-decoding inputs.
-	DecodedCache DecodedVectorCache
 	// MergeWorkers bounds the goroutines that encode and persist merge
 	// output segments in parallel (capped by the output count). Defaults
 	// to 4.
 	MergeWorkers int
-	// QoS, when non-nil, is the multi-tenant governor merges lease their
+	// Tenant is whose resources the partition's work uses: the primary's
+	// for masters and HA replicas, a workspace's for its replicas.
+	Tenant Tenant
+}
+
+// Tenant is one tenant's handle on the shared resources a table uses.
+type Tenant struct {
+	// Name is the QoS tenant the table's maintenance work is accounted to.
+	Name string
+	// Cache, when non-nil, is the decoded-vector cache the execution layer
+	// serves this tenant's scans from (exec.VecCache). The table's only
+	// obligation is invalidation: it drops a segment's vectors when an LSM
+	// merge retires the segment. When the value also implements
+	// VectorResidency the merge planner prefers cold runs, and when it
+	// implements colstore.VectorSource the merger reuses resident decoded
+	// vectors instead of re-decoding inputs.
+	Cache DecodedVectorCache
+	// Gov, when non-nil, is the multi-tenant governor merges lease their
 	// I/O budget from (qos.MergeIO tokens ≈ bytes of merge output in
 	// flight): a merge whose tenant is out of budget waits its turn, and
 	// one shed at the queue cap skips the round — the maintenance loop arms
 	// its retry timer and tries again. Nil leaves merges ungoverned.
-	QoS *qos.Governor
-	// QoSTenant is the tenant this partition's maintenance work is
-	// accounted to: the workspace name for workspace replicas, the
-	// reserved primary tenant otherwise.
-	QoSTenant string
+	Gov *qos.Governor
 }
+
+// lockTimeout bounds row-lock and unique-key-lock waits.
+const lockTimeout = 2 * time.Second
 
 // DecodedVectorCache is the invalidation contract between table maintenance
 // and the execution layer's decoded-vector cache: segment payloads are
@@ -95,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MergeFanout < 2 {
 		c.MergeFanout = 4
-	}
-	if c.LockTimeout <= 0 {
-		c.LockTimeout = 2 * time.Second
 	}
 	if c.CompactionGrace <= 0 {
 		c.CompactionGrace = time.Second
@@ -362,9 +364,10 @@ type Table struct {
 	dirty atomic.Bool
 
 	bg struct {
-		ctx    context.Context // canceled by Close
-		cancel context.CancelFunc
-		wg     sync.WaitGroup
+		ctx     context.Context // canceled by Close
+		cancel  context.CancelFunc
+		wg      sync.WaitGroup
+		started atomic.Bool // see Background
 	}
 
 	// tsHistory records (timestamp, wall time) pairs so compaction can pick
@@ -396,7 +399,7 @@ func NewTable(name string, schema *types.Schema, cfg Config, committer *Committe
 		committer: committer,
 		log:       log,
 		files:     files,
-		buffer:    rowstore.NewStore(cfg.LockTimeout, schema.BufferIndexes()...),
+		buffer:    rowstore.NewStore(lockTimeout, schema.BufferIndexes()...),
 		uniq:      txn.NewLockManager(),
 		idx:       index.NewSet(schema),
 		segs:      make(map[uint64]*segEntry),
@@ -488,10 +491,10 @@ func (v *View) ScanBufferAt(p types.Placement, f func(r types.Row) bool) {
 // matches to segments present in the view.
 func (v *View) Index() *index.Set { return v.table.idx }
 
-// DecodedCache exposes the table's shared decoded-vector cache (nil when
-// none is configured); the execution layer serves repeated segment decodes
-// from it.
-func (v *View) DecodedCache() DecodedVectorCache { return v.table.cfg.DecodedCache }
+// DecodedCache exposes the table's tenant's decoded-vector cache (nil
+// when none is configured); the execution layer serves repeated segment
+// decodes from it.
+func (v *View) DecodedCache() DecodedVectorCache { return v.table.cfg.Tenant.Cache }
 
 // HasSegment reports whether the given segment id is part of the view.
 func (v *View) HasSegment(id uint64) bool {
@@ -523,6 +526,11 @@ func (t *Table) EnableBackground() {
 	t.Start()
 }
 
+// Background reports whether the table's maintenance loop was started,
+// by its config or by EnableBackground. It stays true after Close, so a
+// failover reads it off the master it replaces.
+func (t *Table) Background() bool { return t.bg.started.Load() }
+
 // Start launches the maintenance loop (see maintain) when configured. Its
 // first round runs at once, so work that built up before Start — a
 // promoted replica's buffer, a bulk load's runs — is picked up without a
@@ -531,6 +539,7 @@ func (t *Table) Start() {
 	if !t.cfg.Background || t.bg.cancel != nil {
 		return
 	}
+	t.bg.started.Store(true)
 	t.bg.ctx, t.bg.cancel = context.WithCancel(context.Background())
 	t.bg.wg.Add(1)
 	go func() {

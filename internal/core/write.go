@@ -117,7 +117,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		keyVals[i] = vals
 		hashes[i] = types.HashMany(vals)
 	}
-	release, err := t.uniq.Acquire(hashes, t.cfg.LockTimeout)
+	release, err := t.uniq.Acquire(hashes, lockTimeout)
 	if err != nil {
 		return res, fmt.Errorf("insert %s: %w", t.name, err)
 	}

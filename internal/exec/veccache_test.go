@@ -25,7 +25,7 @@ func newCachedTable(t testing.TB, maxSegRows, rows int, cache *VecCache) *core.T
 	s.SortKey = 2
 	cfg := core.Config{MaxSegmentRows: maxSegRows}
 	if cache != nil {
-		cfg.DecodedCache = cache
+		cfg.Tenant.Cache = cache
 	}
 	tbl, err := core.NewTable("t", s, cfg,
 		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
@@ -321,7 +321,7 @@ func TestMergeInvalidatesRetiredSegments(t *testing.T) {
 	)
 	s.UniqueKey = []int{0}
 	s.SortKey = 2
-	tbl, err := core.NewTable("t", s, core.Config{MaxSegmentRows: 64, DecodedCache: rec},
+	tbl, err := core.NewTable("t", s, core.Config{MaxSegmentRows: 64, Tenant: core.Tenant{Cache: rec}},
 		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)

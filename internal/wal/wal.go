@@ -588,25 +588,37 @@ func (l *Log) TruncateBefore(lsn uint64) {
 
 // chunkVersion is the log chunk format version EncodeRecords writes and
 // DecodeRecords reads.
-const chunkVersion = 1
+const chunkVersion = 2
+
+// Placement is how the keys of a chunk's records were routed to their
+// partition: the key hash version and the cluster's partition count. A
+// cluster that places keys differently must not apply the records.
+type Placement struct {
+	HashVersion, Partitions uint64
+}
 
 // EncodeRecords serializes records into a chunk for blob upload: an object
-// header, then the records as a page frame carries them.
-func EncodeRecords(recs []Record) []byte {
-	return appendRecords(codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion), recs)
+// header, the placement they were routed under, then the records as a
+// page frame carries them.
+func EncodeRecords(pl Placement, recs []Record) []byte {
+	buf := codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion)
+	buf = binary.AppendUvarint(buf, pl.HashVersion)
+	buf = binary.AppendUvarint(buf, pl.Partitions)
+	return appendRecords(buf, recs)
 }
 
 // DecodeRecords deserializes a chunk written by EncodeRecords.
-func DecodeRecords(buf []byte) ([]Record, error) {
+func DecodeRecords(buf []byte) (Placement, []Record, error) {
 	r := codec.NewReader(buf)
 	if v := r.Header(codec.ObjLogChunk); v != chunkVersion {
 		r.Unsupported(v)
 	}
+	pl := Placement{HashVersion: r.Uvarint(), Partitions: r.Uvarint()}
 	recs := readRecords(r)
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("wal: log chunk: %w", err)
+		return Placement{}, nil, fmt.Errorf("wal: log chunk: %w", err)
 	}
-	return recs, nil
+	return pl, recs, nil
 }
 
 func appendRecords(buf []byte, recs []Record) []byte {

@@ -142,16 +142,22 @@ func TestSubscriptionLag(t *testing.T) {
 	sub.Cancel()
 }
 
+// testPlacement is the placement test chunks are written under.
+var testPlacement = Placement{HashVersion: 1, Partitions: 4}
+
 func TestEncodeDecodeRecords(t *testing.T) {
 	recs := []Record{
 		{LSN: 0, Kind: KindInsert, CommitTS: 5, Data: []byte("hello")},
 		{LSN: 1, Kind: KindFlush, CommitTS: 6, Data: nil},
 		{LSN: 2, Kind: KindCommit, CommitTS: 7, Data: []byte{0, 1, 2}},
 	}
-	buf := EncodeRecords(recs)
-	got, err := DecodeRecords(buf)
+	buf := EncodeRecords(testPlacement, recs)
+	pl, got, err := DecodeRecords(buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pl != testPlacement {
+		t.Fatalf("placement %+v, want %+v", pl, testPlacement)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records", len(got))
@@ -165,7 +171,7 @@ func TestEncodeDecodeRecords(t *testing.T) {
 		}
 	}
 	// Truncated chunk fails cleanly.
-	if _, err := DecodeRecords(buf[:len(buf)-1]); err == nil {
+	if _, _, err := DecodeRecords(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated chunk should fail")
 	}
 }
@@ -208,8 +214,8 @@ func TestRecordWallTimeSurvivesChunks(t *testing.T) {
 	if recs[0].Wall == 0 {
 		t.Fatal("Append did not stamp wall time")
 	}
-	buf := EncodeRecords(recs)
-	got, err := DecodeRecords(buf)
+	buf := EncodeRecords(testPlacement, recs)
+	_, got, err := DecodeRecords(buf)
 	if err != nil || got[0].Wall != recs[0].Wall {
 		t.Fatalf("wall time lost across chunk encode: %v vs %v (%v)", got[0].Wall, recs[0].Wall, err)
 	}

@@ -25,7 +25,7 @@ import (
 //	[22:26) CRC-32C (Castagnoli) of the payload
 //	[26:30) payload length
 //	[30:)   payload = the records, as a log chunk holds them after its
-//	        object header (EncodeRecords)
+//	        object header and placement (EncodeRecords)
 const (
 	// PageWireVersion is the current frame version; DecodePage rejects
 	// frames from any other version rather than guessing.

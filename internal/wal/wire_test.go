@@ -91,23 +91,23 @@ func TestDecodePageRejectsCorruption(t *testing.T) {
 func TestDecodeRecordsRejectsHostileCounts(t *testing.T) {
 	// A chunk claiming 2^40 records in a few bytes must be rejected before
 	// the decoder sizes any allocation from the count.
-	buf := codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion)
-	buf = binary.AppendUvarint(buf, 1<<40)
-	if _, err := DecodeRecords(buf); err == nil {
+	buf := EncodeRecords(testPlacement, nil) // ends in a one-byte count of 0
+	buf = binary.AppendUvarint(buf[:len(buf)-1], 1<<40)
+	if _, _, err := DecodeRecords(buf); err == nil {
 		t.Fatal("hostile record count accepted")
 	}
 	// Same for a record whose data length runs past the chunk.
-	one := EncodeRecords([]Record{{LSN: 1, Kind: KindInsert, Data: []byte("abc")}})
-	if _, err := DecodeRecords(one[:len(one)-1]); err == nil {
+	one := EncodeRecords(testPlacement, []Record{{LSN: 1, Kind: KindInsert, Data: []byte("abc")}})
+	if _, _, err := DecodeRecords(one[:len(one)-1]); err == nil {
 		t.Fatal("truncated record data accepted")
 	}
 	// Trailing garbage after the declared records is corruption, not slack.
-	if _, err := DecodeRecords(append(append([]byte(nil), one...), 0xee)); err == nil {
+	if _, _, err := DecodeRecords(append(append([]byte(nil), one...), 0xee)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 	// A chunk of a version this build does not read is a typed error.
 	one[1] = chunkVersion + 1
-	if _, err := DecodeRecords(one); !errors.Is(err, codec.ErrVersion) {
+	if _, _, err := DecodeRecords(one); !errors.Is(err, codec.ErrVersion) {
 		t.Fatalf("unknown chunk version: err %v, want ErrVersion", err)
 	}
 }
@@ -145,15 +145,15 @@ func FuzzDecodePage(f *testing.F) {
 // accepted chunk re-encodes to bytes that decode and re-encode to
 // themselves.
 func FuzzDecodeRecords(f *testing.F) {
-	f.Add(EncodeRecords(wirePage(0, "a").Records))
-	f.Add(EncodeRecords(wirePage(9, "hello", "", "world").Records))
-	f.Add(EncodeRecords(nil))
+	f.Add(EncodeRecords(testPlacement, wirePage(0, "a").Records))
+	f.Add(EncodeRecords(Placement{HashVersion: 1, Partitions: 1 << 40}, wirePage(9, "hello", "", "world").Records))
+	f.Add(EncodeRecords(testPlacement, nil))
 	f.Add(binary.AppendUvarint(codec.AppendHeader(nil, codec.ObjLogChunk, chunkVersion), 1<<40))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		recs, err := DecodeRecords(data)
+		pl, recs, err := DecodeRecords(data)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(128*len(data)+1<<20) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
@@ -164,12 +164,12 @@ func FuzzDecodeRecords(f *testing.F) {
 			}
 			return
 		}
-		enc := EncodeRecords(recs)
-		again, err := DecodeRecords(enc)
+		enc := EncodeRecords(pl, recs)
+		plAgain, again, err := DecodeRecords(enc)
 		if err != nil {
 			t.Fatalf("re-decode of an accepted chunk: %v", err)
 		}
-		if !bytes.Equal(EncodeRecords(again), enc) {
+		if !bytes.Equal(EncodeRecords(plAgain, again), enc) {
 			t.Fatal("unstable round trip")
 		}
 	})

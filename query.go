@@ -208,7 +208,7 @@ func (q *Query) OrderBy(keys ...OrderBy) *Query { q.order = keys; return q }
 func (q *Query) Limit(n int) *Query { q.limit = n; return q }
 
 // Parallelism overrides the fan-out width for this query: n concurrent
-// partition scans (1 = sequential, 0 = the database default).
+// partition scans (1 = sequential, 0 = GOMAXPROCS).
 func (q *Query) Parallelism(n int) *Query { q.parallelism = n; return q }
 
 // AsTenant tags the query with the tenant its resource use is accounted
@@ -273,7 +273,7 @@ func (q *Query) resolve() (*resolvedQuery, error) {
 	}
 	r := &resolvedQuery{
 		schema:      schema,
-		parallelism: q.effectiveParallelism(),
+		parallelism: exec.DefaultParallelism(q.parallelism),
 		earlyLimit:  -1,
 	}
 	if r.filter, err = exec.ResolveNames(q.filter, schema); err != nil {
@@ -346,15 +346,6 @@ func (q *Query) resolveOrder(schema *types.Schema, groupCols []int) ([]exec.Sort
 		out[i] = exec.SortKey{Col: pos, Desc: k.Desc}
 	}
 	return out, nil
-}
-
-// effectiveParallelism picks the fan-out width: the per-query override,
-// else Config.QueryParallelism, else GOMAXPROCS.
-func (q *Query) effectiveParallelism() int {
-	if q.parallelism > 0 {
-		return q.parallelism
-	}
-	return exec.DefaultParallelism(q.db.cfg.QueryParallelism)
 }
 
 // RowsCtx executes the query under ctx. Without aggregates it returns

@@ -36,6 +36,7 @@ import (
 	"s2db/internal/qos"
 	"s2db/internal/sql"
 	"s2db/internal/types"
+	"s2db/internal/wal"
 )
 
 // Re-exported value and schema types.
@@ -109,20 +110,12 @@ type Config struct {
 	// DefaultVectorCacheBytes; negative disables the cache (scans fall back
 	// to private per-query decodes).
 	VectorCacheBytes int
-	// CommitToBlob forces the cloud-data-warehouse commit path (used by
-	// the ablation experiments; S2DB's design keeps it off).
-	CommitToBlob bool
 	// ReplicationLatency simulates the intra-cluster network.
 	ReplicationLatency time.Duration
 	// MaxSegmentRows tunes columnstore segment sizing.
 	MaxSegmentRows int
 	// BackgroundMaintenance runs the flusher and merger automatically.
 	BackgroundMaintenance bool
-	// QueryParallelism bounds the number of concurrent per-partition scan
-	// tasks a query fans out (§2: aggregators run partition fragments in
-	// parallel on the leaves). 0 means GOMAXPROCS; 1 runs sequentially.
-	// Query.Parallelism overrides it per query.
-	QueryParallelism int
 	// LogPageBytes caps a replication log page (§3: log pages are the unit
 	// of replication, durability and blob staging). A page seals early once
 	// its records reach this size. 0 uses the WAL default (64KiB).
@@ -148,13 +141,6 @@ type Config struct {
 	// loopback TCP sockets, so sync-replica durability round-trips a real
 	// socket. Any other value fails Open.
 	Transport string
-	// Chaos, when non-nil, wraps the transport with seeded fault
-	// injection — per-frame drop/delay/reorder/duplicate plus an
-	// on-demand network partition (DB.ChaosTransport controls it).
-	// Replication links heal every injected fault by reconnecting and
-	// resuming from the replica's applied position. A test/benchmark
-	// harness knob; keep it nil in production shapes.
-	Chaos *ChaosOptions
 	// LinkStallTimeout bounds how long a replication link tolerates
 	// shipped pages with no apply/ack progress before it tears its
 	// session down and reconnects (how fast lost frames or healed
@@ -290,13 +276,6 @@ const (
 	TransportTCP = "tcp"
 )
 
-// ChaosOptions parameterizes transport fault injection (Config.Chaos).
-type ChaosOptions = cluster.ChaosConfig
-
-// ChaosTransport is the live fault injector handle for a DB opened with
-// Config.Chaos (see DB.ChaosTransport).
-type ChaosTransport = cluster.ChaosTransport
-
 // BlobStore is the object-store contract (see internal/blob).
 type BlobStore = blob.Store
 
@@ -334,13 +313,10 @@ func (s VectorCacheStats) HitRate() float64 { return s.Total.HitRate() }
 // DB is a running database.
 type DB struct {
 	cluster *cluster.Cluster
-	cfg     Config
 	vec     *exec.VecCacheGroup
 	// plans is the shared SQL plan cache; nil (PlanCacheEntries == 0)
 	// compiles every statement from scratch.
 	plans *sql.Cache
-	// chaos is the fault injector when Config.Chaos is set, nil otherwise.
-	chaos *ChaosTransport
 	// gov is the multi-tenant QoS governor.
 	gov *qos.Governor
 }
@@ -397,42 +373,49 @@ func newVecCacheGroup(cfg Config) *exec.VecCacheGroup {
 	return exec.NewVecCacheGroup(bytes, PrimaryTenant, cfg.TenantShares)
 }
 
-// cachePartitioner adapts the exec cache group to the cluster's
-// CachePartitioner port, translating a nil *VecCache handle into a nil
-// interface so a disabled cache stays nil inside core.
-type cachePartitioner struct{ g *exec.VecCacheGroup }
-
-func (cp cachePartitioner) Attach(name string) (core.DecodedVectorCache, error) {
-	p, err := cp.g.AttachPartition(name)
-	if err != nil || p == nil {
-		return nil, err
-	}
-	return p, nil
+// tenants is the DB's one tenant provider: a tenant is a name with its
+// decoded-vector cache partition and its QoS governor registration.
+type tenants struct {
+	vec *exec.VecCacheGroup
+	gov *qos.Governor
 }
 
-func (cp cachePartitioner) Detach(name string) { cp.g.DetachPartition(name) }
+// Attach provisions a workspace's cache partition and registers it with
+// the governor.
+func (ts tenants) Attach(name string) (core.Tenant, error) {
+	p, err := ts.vec.AttachPartition(name)
+	if err != nil {
+		return core.Tenant{}, err
+	}
+	ts.gov.Register(name)
+	return ts.tenant(name, p), nil
+}
 
-// newTransport resolves the transport knobs: the named base transport,
-// optionally wrapped with chaos fault injection.
-func newTransport(cfg Config) (cluster.Transport, *ChaosTransport, error) {
-	var tr cluster.Transport
+// Detach releases a workspace's cache partition and governor registration.
+func (ts tenants) Detach(name string) {
+	ts.vec.DetachPartition(name)
+	ts.gov.Unregister(name)
+}
+
+func (ts tenants) tenant(name string, p *exec.VecCache) core.Tenant {
+	t := core.Tenant{Name: name, Gov: ts.gov}
+	if p != nil {
+		// Assigned only when enabled so a disabled cache stays a nil
+		// interface (not a typed-nil *VecCache) inside core.
+		t.Cache = p
+	}
+	return t
+}
+
+// newTransport resolves Config.Transport.
+func newTransport(cfg Config) (cluster.Transport, error) {
 	switch cfg.Transport {
 	case "", TransportMemory:
-		tr = cluster.NewMemoryTransport()
+		return cluster.NewMemoryTransport(), nil
 	case TransportTCP:
-		t, err := cluster.NewTCPTransport()
-		if err != nil {
-			return nil, nil, err
-		}
-		tr = t
-	default:
-		return nil, nil, fmt.Errorf("s2db: unknown transport %q (want %q or %q)", cfg.Transport, TransportMemory, TransportTCP)
+		return cluster.NewTCPTransport()
 	}
-	if cfg.Chaos != nil {
-		ct := cluster.NewChaosTransport(tr, *cfg.Chaos)
-		return ct, ct, nil
-	}
-	return tr, nil, nil
+	return nil, fmt.Errorf("s2db: unknown transport %q (want %q or %q)", cfg.Transport, TransportMemory, TransportTCP)
 }
 
 // Open creates and starts a database.
@@ -456,54 +439,35 @@ func newDB(cfg Config) (*DB, cluster.Config, error) {
 	if cfg.BlobStore != nil {
 		store = blob.NewSimulator(cfg.BlobStore, cfg.BlobPutLatency, cfg.BlobGetLatency)
 	}
-	mode := cluster.CommitLocal
-	if cfg.CommitToBlob {
-		mode = cluster.CommitBlob
-	}
 	// One validation covers every resource the shares size, so it runs
 	// even when the cache or the governor is disabled.
 	if err := qos.ValidateShares(cfg.TenantShares, PrimaryTenant); err != nil {
 		return nil, cluster.Config{}, err
 	}
-	vec := newVecCacheGroup(cfg)
-	gov := newGovernor(cfg)
-	transport, chaos, err := newTransport(cfg)
+	ts := tenants{vec: newVecCacheGroup(cfg), gov: newGovernor(cfg)}
+	transport, err := newTransport(cfg)
 	if err != nil {
 		return nil, cluster.Config{}, err
 	}
 	ccfg := cluster.Config{
-		Name:                cfg.Name,
-		Partitions:          cfg.Partitions,
-		SyncReplicas:        cfg.SyncReplicas,
-		Blob:                store,
-		CacheBytes:          cfg.CacheBytes,
-		CommitMode:          mode,
-		ReplicationLatency:  cfg.ReplicationLatency,
-		LogPageBytes:        cfg.LogPageBytes,
-		GroupCommitInterval: cfg.GroupCommitInterval,
-		Transport:           transport,
-		LinkStallTimeout:    cfg.LinkStallTimeout,
-		Governor:            gov,
+		Name:               cfg.Name,
+		Partitions:         cfg.Partitions,
+		SyncReplicas:       cfg.SyncReplicas,
+		Blob:               store,
+		CacheBytes:         cfg.CacheBytes,
+		ReplicationLatency: cfg.ReplicationLatency,
+		Log:                wal.PageConfig{MaxBytes: cfg.LogPageBytes, FlushInterval: cfg.GroupCommitInterval},
+		Transport:          transport,
+		LinkStallTimeout:   cfg.LinkStallTimeout,
 		Table: core.Config{
 			MaxSegmentRows: cfg.MaxSegmentRows,
 			Background:     cfg.BackgroundMaintenance,
-			QoS:            gov,
-			QoSTenant:      PrimaryTenant,
+			Tenant:         ts.tenant(PrimaryTenant, ts.vec.Primary()),
 		},
-		CachePartitions: cachePartitioner{g: vec},
+		Tenants: ts,
 	}
-	if p := vec.Primary(); p != nil {
-		// Assigned only when enabled so a disabled cache stays a nil
-		// interface (not a typed-nil *VecCache) inside core.
-		ccfg.Table.DecodedCache = p
-	}
-	return &DB{cfg: cfg, vec: vec, plans: sql.NewCache(cfg.PlanCacheEntries), chaos: chaos, gov: gov}, ccfg, nil
+	return &DB{vec: ts.vec, plans: sql.NewCache(cfg.PlanCacheEntries), gov: ts.gov}, ccfg, nil
 }
-
-// ChaosTransport returns the live fault injector when the database was
-// opened with Config.Chaos (nil otherwise), for toggling network
-// partitions and reading fault counts.
-func (db *DB) ChaosTransport() *ChaosTransport { return db.chaos }
 
 // VectorCacheStats returns the decoded-vector cache counters broken down
 // by partition — the primary's and each workspace's; all zero when the

@@ -94,6 +94,49 @@ func TestCreateWorkspaceRejectsEmptyName(t *testing.T) {
 	}
 }
 
+// TestFailedWorkspaceAttachLeavesNoTenant: a workspace whose catch-up
+// from blob fails leaves neither a QoS tenant nor a cache partition
+// behind, and the name attaches once the blob log is whole again.
+func TestFailedWorkspaceAttachLeavesNoTenant(t *testing.T) {
+	store := NewMemoryBlobStore()
+	db := openTestDB(t, Config{Name: "wsfail", Partitions: 1, BlobStore: store})
+	if err := db.CreateTable("events", eventsSchema()); err != nil {
+		t.Fatal(err)
+	}
+	loadEvents(t, db, 40)
+	// A corrupt chunk after every real one: catch-up applies the real
+	// chunks, then fails decoding this one.
+	const corrupt = "wsfail/0/log/9999999999999999"
+	if err := store.Put(corrupt, []byte("not a log chunk")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateWorkspace("reports"); err == nil {
+		t.Fatal("workspace attached over a corrupt log chunk")
+	}
+	if _, ok := db.QoSStats()["reports"]; ok {
+		t.Fatal("failed attach left a QoS tenant behind")
+	}
+	if _, ok := db.VectorCacheStats().Workspaces["reports"]; ok {
+		t.Fatal("failed attach left a cache partition behind")
+	}
+	if err := store.Delete(corrupt); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := db.CreateWorkspace("reports")
+	if err != nil {
+		t.Fatalf("attach after the failed one: %v", err)
+	}
+	if err := ws.WaitCaughtUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.QoSStats()["reports"]; !ok {
+		t.Fatal("attached workspace has no QoS tenant")
+	}
+	if _, ok := db.VectorCacheStats().Workspaces["reports"]; !ok {
+		t.Fatal("attached workspace has no cache partition")
+	}
+}
+
 func TestPerWorkspaceCacheStatsAndExplain(t *testing.T) {
 	db := openTestDB(t, Config{Partitions: 2, VectorCacheBytes: 1 << 20})
 	if err := db.CreateTable("events", eventsSchema()); err != nil {
