@@ -8,7 +8,8 @@ check: build vet race
 # ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
 # decode gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
-# cores and the storage, exec, cluster, WAL and QoS race suites at one,
+# cores and the storage, exec, cluster, WAL, QoS, SQL, index, txn and
+# workload race suites at one,
 # the seeded chaos soak, a smoke pass of the four benchmark workloads,
 # and a short fuzz pass of the SQL front-end, the WAL page codec, the
 # exec filter tree and aggregation kernels, the unique-key range and
@@ -68,17 +69,18 @@ qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
 # procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and the
-# rowstore, core, exec, cluster, wal and qos suites under the race
-# detector at GOMAXPROCS 1: interleavings a many-core machine rarely
-# produces (the cache's single-flight decode, the governor's wake-ups,
-# background maintenance beside a delete, Compact beside secondary-index
-# readers, a link's sender beside its acker, a page sealing beside a
-# subscriber) show up at low core counts, and tier-1 must be green on any
-# of them.
+# rowstore, core, exec, cluster, wal, qos, sql, index, txn and workload
+# suites under the race detector at GOMAXPROCS 1: interleavings a
+# many-core machine rarely produces (the cache's single-flight decode, the
+# governor's wake-ups, background maintenance beside a delete, Compact
+# beside secondary-index readers, a link's sender beside its acker, a page
+# sealing beside a subscriber, the plan cache under concurrent sessions,
+# lock waits between TPC-C workers) show up at low core counts, and
+# tier-1 must be green on any of them.
 procsmoke:
 	GOMAXPROCS=1 go test ./... -count=1
 	GOMAXPROCS=2 go test ./... -count=1
-	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos
+	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos ./internal/sql ./internal/index ./internal/txn ./internal/workload/...
 
 build:
 	go build ./...

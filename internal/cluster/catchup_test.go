@@ -279,6 +279,75 @@ func hostileBundles() map[string][]byte {
 	}
 }
 
+// TestCorruptBundleRestoresNoTable: a bundle whose second table state is
+// corrupt restores neither table — every state parses before the first
+// installs, so the first table stays empty.
+func TestCorruptBundleRestoresNoTable(t *testing.T) {
+	src, err := New(Config{Partitions: 1, Table: core.Config{MaxSegmentRows: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if err := src.CreateTable("a", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 20)
+	for i := range rows {
+		rows[i] = row(i, i, "t0")
+	}
+	if _, err := src.Insert("a", rows, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Flush("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Insert("a", []types.Row{row(100, 1, "t1")}, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := src.Master(0).Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := tbl.SerializeState(src.Master(0).Oracle().ReadTS())
+	bundle := func(second []byte) []byte {
+		// Key hash version, one partition, ts 1 and two tables.
+		b := append(codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion), types.KeyHashVersion, 1, 1, 2)
+		b = codec.AppendBytes(codec.AppendBytes(b, "a"), state)
+		return codec.AppendBytes(codec.AppendBytes(b, "b"), second)
+	}
+	restore := func(second []byte) (*Partition, error) {
+		p := fuzzPartition(t)
+		for _, name := range []string{"a", "b"} {
+			if err := p.CreateTable(name, testSchema()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := decodeSnapshotBundle(p, bundle(second), 1)
+		return p, err
+	}
+	live := func(p *Partition) int64 {
+		tbl, err := p.Table("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return countAll(t, []*core.View{tbl.Snapshot()})
+	}
+	p, err := restore(state)
+	if err != nil {
+		t.Fatalf("intact bundle: %v", err)
+	}
+	if n := live(p); n != 21 {
+		t.Fatalf("intact bundle restored %d rows of table a, want 21", n)
+	}
+	p, err = restore(state[:len(state)-1])
+	if !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("bundle with a corrupt second state decoded with err %v, want ErrCorrupt", err)
+	}
+	if n := live(p); n != 0 {
+		t.Fatalf("bundle with a corrupt second state restored %d rows of its first table", n)
+	}
+}
+
 func TestDecodeSnapshotBundleRejectsHostile(t *testing.T) {
 	real := realBundle(t)
 	if _, err := decodeSnapshotBundle(fuzzPartition(t), real, 1); err != nil {

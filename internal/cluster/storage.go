@@ -12,6 +12,7 @@ import (
 
 	"s2db/internal/blob"
 	"s2db/internal/codec"
+	"s2db/internal/core"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -433,8 +434,9 @@ func encodeSnapshotBundle(p *Partition, ts uint64, partitions int) []byte {
 
 // decodeSnapshotBundle restores all tables of a partition of a cluster of
 // partitions partitions from a bundle. Bundles come back from blob
-// storage, so the whole bundle parses before any table restores, and one
-// whose keys were placed differently is refused.
+// storage, so the whole bundle — every table's state included — parses
+// before any table restores, and one whose keys were placed differently is
+// refused: a corrupt bundle restores nothing.
 func decodeSnapshotBundle(p *Partition, data []byte, partitions int) (ts uint64, err error) {
 	r := codec.NewReader(data)
 	if v := r.Header(codec.ObjSnapshot); v != bundleVersion {
@@ -454,12 +456,18 @@ func decodeSnapshotBundle(p *Partition, data []byte, partitions int) (ts uint64,
 	if err := checkPlacement("snapshot bundle", pl, partitions); err != nil {
 		return 0, err
 	}
+	parsed := make([]*core.State, n)
 	for i, name := range names {
 		tbl, err := p.Table(name)
 		if err != nil {
 			return 0, err
 		}
-		if err := tbl.RestoreState(states[i], ts); err != nil {
+		if parsed[i], err = tbl.DecodeState(states[i]); err != nil {
+			return 0, err
+		}
+	}
+	for _, s := range parsed {
+		if err := s.Install(ts); err != nil {
 			return 0, err
 		}
 	}

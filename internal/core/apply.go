@@ -268,7 +268,7 @@ func (t *Table) stage(tx *rowstore.Txn, m *mutation) error {
 	}
 	for i := range m.NewSegs {
 		s := &m.NewSegs[i]
-		seg, err := colstore.Decode(s.SegBytes, t.schema)
+		seg, err := t.decodeSegment(s.SegBytes)
 		if err != nil {
 			return fmt.Errorf("segment: %w", err)
 		}
@@ -278,6 +278,24 @@ func (t *Table) stage(tx *rowstore.Txn, m *mutation) error {
 		s.seg = seg
 	}
 	return nil
+}
+
+// decodeSegment decodes a data file of this table. The bytes come from
+// blob storage or the replication link, so beyond what colstore.Decode
+// checks, a segment may hold no more rows than a segment of this table or
+// of the default configuration holds — the larger of the two, so a restore
+// under a smaller MaxSegmentRows still reads its segments. A constant
+// column claims 2^31 rows in a few bytes, and a scan of it would allocate
+// per claimed row.
+func (t *Table) decodeSegment(data []byte) (*colstore.Segment, error) {
+	seg, err := colstore.Decode(data, t.schema)
+	if err != nil {
+		return nil, err
+	}
+	if limit := max(t.cfg.MaxSegmentRows, colstore.MaxSegmentRows); seg.NumRows > limit {
+		return nil, fmt.Errorf("%w: segment %d claims %d rows, a segment holds at most %d", codec.ErrCorrupt, seg.ID, seg.NumRows, limit)
+	}
+	return seg, nil
 }
 
 // noteRowID keeps the hidden row-id allocator ahead of replayed keys so new

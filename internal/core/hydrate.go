@@ -208,7 +208,7 @@ func (h *hydrator) run(task *hydroTask) {
 	data, err := t.loadFileCtx(h.ctx, task.file)
 	if err == nil {
 		var decoded *colstore.Segment
-		decoded, err = colstore.Decode(data, t.schema)
+		decoded, err = t.decodeSegment(data)
 		if err == nil && (decoded.ID != seg.ID || decoded.NumRows != seg.NumRows) {
 			err = fmt.Errorf("payload %d/%d rows does not match stub %d/%d rows", decoded.ID, decoded.NumRows, seg.ID, seg.NumRows)
 		}

@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"s2db/internal/codec"
+	"s2db/internal/colstore"
 	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
@@ -373,5 +378,84 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	// unmerged table (the merged one changed segment layout, not contents).
 	if !bytes.Equal(eager.SerializeState(ts), cancelled.SerializeState(ts)) {
 		t.Fatal("post-hydration SerializeState differs between eager and cancelled-then-retried")
+	}
+}
+
+// constantSegment is a data file for uniqSchema of segment id whose every
+// column holds one value across rows rows: width-0 bit-packs and a
+// one-entry dictionary over width-0 codes, a few dozen bytes however many
+// rows it claims.
+func constantSegment(t *testing.T, id uint64, rows int) []byte {
+	t.Helper()
+	constant := func(v int64) []byte {
+		b := binary.AppendUvarint([]byte{byte(codec.KindBitPack)}, uint64(rows))
+		return append(binary.AppendVarint(b, v), 0, 0) // width 0, no words
+	}
+	ints := func(v int64) codec.IntColumn {
+		c := codec.DecodeIntColumn(codec.NewReader(constant(v)))
+		if c == nil {
+			t.Fatal("constant int column rejected")
+		}
+		return c
+	}
+	dict := append(codec.AppendBytes([]byte{byte(codec.KindDict), 1}, "t"), constant(0)...)
+	strs := codec.DecodeStringColumn(codec.NewReader(dict))
+	if strs == nil {
+		t.Fatal("constant dict column rejected")
+	}
+	seg := colstore.NewStub(id, rows, uniqSchema())
+	seg.Cols = []colstore.Column{{Ints: ints(7)}, {Ints: ints(9)}, {Strs: strs}}
+	seg.Min = []types.Value{types.NewInt(7), types.NewInt(9), types.NewString("t")}
+	seg.Max = seg.Min
+	seg.HasRange = []bool{true, true, true}
+	return seg.Encode()
+}
+
+// TestSegmentRowClaimBounded: colstore.Decode accepts a constant column
+// claiming 2^31−1 rows in a few bytes, so a table bounds a decoded
+// segment's rows by the larger of its MaxSegmentRows and the default —
+// at hydration and at replay, with an error wrapping codec.ErrCorrupt.
+func TestSegmentRowClaimBounded(t *testing.T) {
+	const claim = math.MaxInt32
+	if _, err := colstore.Decode(constantSegment(t, 1, claim), uniqSchema()); err != nil {
+		t.Fatalf("colstore.Decode: %v (the bound is the table's to apply)", err)
+	}
+	// A restore under a smaller config still reads a segment of the
+	// default size.
+	small := NewMemFiles()
+	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	if _, err := tbl.decodeSegment(constantSegment(t, 1, colstore.MaxSegmentRows)); err != nil {
+		t.Fatalf("segment of the default size: %v", err)
+	}
+
+	// Hydration: a stub's file replaced by the hostile payload.
+	files := NewMemFiles()
+	src, state, ts := buildSegmentedTable(t, files)
+	meta := src.Snapshot().Segs[0]
+	if err := files.SaveFile(meta.File, constantSegment(t, meta.Seg.ID, claim)); err != nil {
+		t.Fatal(err)
+	}
+	restored := restoreInto(t, files, Config{MaxSegmentRows: 8}, state, ts)
+	view := restored.Snapshot()
+	si := slices.IndexFunc(view.Segs, func(m *colstore.Meta) bool { return m.File == meta.File })
+	if si < 0 {
+		t.Fatalf("restore has no stub of %s", meta.File)
+	}
+	if err := view.HydrateSegment(context.Background(), si); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("hydrating a segment claiming %d rows: err %v, want ErrCorrupt", claim, err)
+	}
+
+	// Replay: a flush record carrying the hostile payload.
+	m := &mutation{Table: "t", NewSegs: []segInstall{{File: "hostile", SegBytes: constantSegment(t, 99, claim)}}}
+	rec := wal.Record{LSN: 1, CommitTS: 2, Kind: wal.KindFlush, Data: m.appendSegDeletes(m.encodeHead())}
+	if err := tbl.Apply(rec); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("replaying a segment claiming %d rows: err %v, want ErrCorrupt", claim, err)
+	}
+	if n := len(tbl.Snapshot().Segs); n != 0 {
+		t.Fatalf("%d segments installed by the rejected record", n)
 	}
 }

@@ -51,21 +51,28 @@ func encodeState(m *mutation, rowID uint64) []byte {
 
 // decodeState parses a state written by encodeState, whole, before
 // anything installs; its segments are metadata-only stubs. Every buffer
-// row fits the schema, and every stub serves its rows: at most
-// math.MaxInt32 of them, with deleted bits of exactly that length.
+// row fits the schema, buffer keys strictly ascend (SerializeState walks
+// the buffer in key order, so no key repeats), and every stub serves its
+// rows: at most math.MaxInt32 of them, with deleted bits of exactly that
+// length.
 func decodeState(data []byte, schema *types.Schema) (m *mutation, rowID uint64, err error) {
 	r := codec.NewReader(data)
 	m = &mutation{}
 	// A buffer row takes at least a key length and a row arity; a manifest
 	// entry an id, a row count, a name length, a run and a bitmap length.
+	var prev []byte
 	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
 		key, row := bytes.Clone(r.Field()), types.DecodeRow(r)
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			r.Fail("buffer key %d is not above the one before", i)
+		}
 		if row != nil {
 			if err := schema.CheckRow(row); err != nil {
 				r.Fail("buffer row: %v", err)
 			}
 		}
 		m.Inserts = append(m.Inserts, kv{Key: key, Row: row})
+		prev = key
 	}
 	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
 		id, rows := r.Uvarint(), r.Uvarint()
@@ -86,17 +93,43 @@ func decodeState(data []byte, schema *types.Schema) (m *mutation, rowID uint64, 
 	return m, rowID, nil
 }
 
-// RestoreState loads a serialized state into an empty table at timestamp
-// ts. Segments install as metadata-only stubs straight from the manifest —
-// the call returns in O(manifest) — and the hydration worker pool fetches
-// payloads from the FileStore (which pulls from blob storage on a replica
-// or during PITR) in the background, readahead in view order, with scans
-// demand-fetching ahead of it. A restore that fails installs nothing.
-func (t *Table) RestoreState(data []byte, ts uint64) error {
+// State is one table's serialized state, parsed by DecodeState and not
+// yet installed.
+type State struct {
+	t     *Table
+	m     *mutation
+	rowID uint64
+}
+
+// DecodeState parses a serialized state for this table, whole, and
+// installs nothing. A caller restoring several tables parses every state
+// first, so a corrupt one restores none of them.
+func (t *Table) DecodeState(data []byte) (*State, error) {
 	m, rowID, err := decodeState(data, t.schema)
 	if err != nil {
-		return fmt.Errorf("restore %s: %w", t.name, err)
+		return nil, fmt.Errorf("restore %s: %w", t.name, err)
 	}
+	return &State{t: t, m: m, rowID: rowID}, nil
+}
+
+// RestoreState loads a serialized state into an empty table at timestamp
+// ts: DecodeState, then Install. A restore that fails installs nothing.
+func (t *Table) RestoreState(data []byte, ts uint64) error {
+	s, err := t.DecodeState(data)
+	if err != nil {
+		return err
+	}
+	return s.Install(ts)
+}
+
+// Install loads the state into its table, which must be empty, at
+// timestamp ts. Segments install as metadata-only stubs straight from the
+// manifest — the call returns in O(manifest) — and the hydration worker
+// pool fetches payloads from the FileStore (which pulls from blob storage
+// on a replica or during PITR) in the background, readahead in view order,
+// with scans demand-fetching ahead of it.
+func (s *State) Install(ts uint64) error {
+	t, m, rowID := s.t, s.m, s.rowID
 	tx := t.buffer.Begin(0)
 	for _, e := range m.Inserts {
 		if _, err := tx.Insert(e.Key, e.Row); err != nil {

@@ -16,7 +16,8 @@ import (
 // are rejected with codec.ErrCorrupt, without panicking or allocating
 // beyond 128 bytes per input byte plus 1 MiB. An accepted state re-encodes
 // to bytes that decode and re-encode to themselves, and restores into an
-// empty table without panicking.
+// empty table without an error: decoding has already refused a repeated
+// buffer key.
 func FuzzRestoreState(f *testing.F) {
 	_, state, _ := buildSegmentedTable(f, NewMemFiles())
 	f.Add(state)
@@ -50,6 +51,8 @@ func FuzzRestoreState(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer tbl.Close()
-		_ = tbl.RestoreState(data, 1) // a duplicate buffer key is an error, not a panic
+		if err := tbl.RestoreState(data, 1); err != nil {
+			t.Fatalf("restore of an accepted state: %v", err)
+		}
 	})
 }

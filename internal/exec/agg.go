@@ -277,8 +277,7 @@ func Aggregate(view *core.View, filter Node, groupCols []int, aggs []AggSpec, sc
 	fuser := newAggFuser(groupCols, aggs, touch, resultType)
 	proj := aggProjection(groupCols, aggs)
 	scan.RunSegments(func(ctx *SegContext, spans []Span) {
-		if mode := fuser.classify(ctx); mode != fuseNone {
-			fuser.run(mode, ctx, spans)
+		if mode := fuser.classify(ctx); mode != fuseNone && fuser.run(mode, ctx, spans) {
 			if ctx.Stats != nil {
 				ctx.Stats.FusedAggSegs++
 			}

@@ -185,7 +185,8 @@ func sameBits(a, b []types.Row) bool {
 }
 
 // FuzzAggregate checks random aggregations — up to two group columns of
-// any type, up to four aggregate specs over any column or an expression,
+// any type (dictionary strings and bounded, wide, overflowing and nullable
+// ints among them), up to four aggregate specs over any column or an expression,
 // under every kernelFilter — against the row-at-a-time refAggregate, float
 // bits included: every fused kernel folds a group's rows in the order the
 // general path adds them. Each shape runs over the kernel table at three
@@ -203,6 +204,18 @@ func FuzzAggregate(f *testing.F) {
 		f.Add([]byte{byte(i), 1, 7, 3, 2, 1, 2, 0, 4, 3, 10, 2, 2, 1}) // general path: a float group column
 		f.Add([]byte{byte(i), 1, 7, 0, 0, 0})                          // COUNT(*) by fnull: -0.0 and 0.0 are one group
 		f.Add([]byte{byte(i), 2, 7, 8, 1, 0, 0, 1, 3, 4})              // by (fnull, frle): COUNT(*), SUM(score)
+	}
+	// Int group columns, unfiltered and under an RLE range.
+	for _, filter := range []string{"none", "rle-range"} {
+		i := byte(sort.SearchStrings(names, filter))
+		f.Add([]byte{i, 1, 11, 2, 1, 3, 4, 4, 3, 9, 0, 0}) // by small (-3..3): SUM(score), AVG(irle), COUNT(*)
+		f.Add([]byte{i, 2, 1, 12, 1, 1, 1, 0, 0, 0})       // by (cat, konst): an expression, COUNT(*)
+		f.Add([]byte{i, 2, 16, 2, 1, 3, 3, 4, 3, 7})       // by (runs, status): RLE int + dict keys
+		f.Add([]byte{i, 1, 13, 1, 1, 3, 4, 0, 0})          // by w4095: the widest span that fuses
+		f.Add([]byte{i, 1, 14, 1, 1, 3, 4, 0, 0})          // by w4096: one past it, general path
+		f.Add([]byte{i, 1, 15, 0, 1, 3, 15})               // by huge: a span that overflows int64
+		f.Add([]byte{i, 2, 12, 13, 0, 1, 3, 8})            // by (konst, w4095): 4096 codes in all
+		f.Add([]byte{i, 1, 5, 1, 0, 0, 2, 3, 4})           // by hi: a nullable int falls back
 	}
 	var views []*core.View
 	for _, maxSegRows := range []int{32, 64, 4096} {

@@ -340,16 +340,27 @@ const (
 	// fuseDictGroup: single dictionary-encoded group column, plain
 	// aggregates — one group per dictionary code, created in code order.
 	fuseDictGroup
-	// fuseCodeGroup: every group column dictionary-encoded with a bounded
-	// combined code space — group resolution is one array load per row
-	// instead of EncodeKey+map; groups are created in first-seen order.
+	// fuseCodeGroup: every group column has a bounded code space — a
+	// dictionary, or an Int64 column without nulls whose zone map spans
+	// few values — and their combined space is bounded: group resolution
+	// is one array load per row instead of EncodeKey+map; groups are
+	// created in first-seen order.
 	fuseCodeGroup
 )
 
-// maxFusedGroupCodes bounds the combined dictionary-code space for
-// fuseCodeGroup; beyond it the per-segment group-pointer array stops paying
-// for itself and the general path's hash grouping wins.
+// maxFusedGroupCodes bounds the combined code space for fuseCodeGroup;
+// beyond it the per-segment group-pointer array stops paying for itself and
+// the general path's hash grouping wins.
 const maxFusedGroupCodes = 4096
+
+// groupCode is one group column's code space on one segment: a
+// dictionary's codes, or an Int64 column's values coded as v − min.
+type groupCode struct {
+	col  int
+	dict *codec.Dict // nil for an int column
+	min  int64
+	size int
+}
 
 // aggFuser runs fused aggregation kernels against the shared group table of
 // one Aggregate call. The touch callback resolves (creating on first sight)
@@ -364,6 +375,9 @@ type aggFuser struct {
 	// (ExprCols), the precondition for late materialization of row-mode
 	// kernels.
 	exprOK bool
+	// codes holds the group columns' code spaces on the segment classify
+	// last saw.
+	codes []groupCode
 }
 
 func newAggFuser(groupCols []int, aggs []AggSpec, touch func(key types.Row) *aggGroup, resultType []types.ColType) *aggFuser {
@@ -381,10 +395,11 @@ func newAggFuser(groupCols []int, aggs []AggSpec, touch func(key types.Row) *agg
 // fold, then bounded multi-column code grouping.
 func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 	seg := ctx.Meta.Seg
-	if len(u.groupCols) == 1 && allPlainAggs(u.aggs) {
-		if _, ok := seg.Cols[u.groupCols[0]].Strs.(*codec.Dict); ok && seg.Cols[u.groupCols[0]].Nulls == nil {
-			return fuseDictGroup
-		}
+	if !u.groupCodes(seg) {
+		return fuseNone
+	}
+	if len(u.codes) == 1 && u.codes[0].dict != nil && allPlainAggs(u.aggs) {
+		return fuseDictGroup
 	}
 	if !u.exprOK {
 		return fuseNone
@@ -392,39 +407,79 @@ func (u *aggFuser) classify(ctx *SegContext) aggFuseMode {
 	if len(u.groupCols) == 0 {
 		return fuseGlobal
 	}
-	codes := 1
-	for _, c := range u.groupCols {
-		d, ok := seg.Cols[c].Strs.(*codec.Dict)
-		if !ok || seg.Cols[c].Nulls != nil {
-			return fuseNone
-		}
-		codes *= d.DictSize()
-		if codes > maxFusedGroupCodes {
-			return fuseNone
-		}
-	}
-	if codes == 0 {
-		return fuseNone
-	}
 	return fuseCodeGroup
 }
 
-// run executes the classified kernel over the surviving spans.
-func (u *aggFuser) run(mode aggFuseMode, ctx *SegContext, spans []Span) {
+// groupCodes sets u.codes to the group columns' code spaces on seg and
+// reports whether every column has one and their product is at most
+// maxFusedGroupCodes (and non-zero). Zone maps come from blob bytes, so
+// they bound memory here only: codeSlots checks every value against its
+// column's space.
+func (u *aggFuser) groupCodes(seg *colstore.Segment) bool {
+	u.codes = u.codes[:0]
+	product := 1
+	for _, c := range u.groupCols {
+		gc := groupCode{col: c}
+		col := &seg.Cols[c]
+		if col.Nulls != nil {
+			return false
+		}
+		if d, ok := col.Strs.(*codec.Dict); ok {
+			gc.dict, gc.size = d, d.DictSize()
+		} else if lo, size, ok := intCodeSpace(seg, c); ok {
+			gc.min, gc.size = lo, size
+		} else {
+			return false
+		}
+		if product *= gc.size; product == 0 || product > maxFusedGroupCodes {
+			return false
+		}
+		u.codes = append(u.codes, gc)
+	}
+	return true
+}
+
+// intCodeSpace returns the code space of Int64 column c when its zone map
+// spans fewer than maxFusedGroupCodes values: codes v − lo in [0, size).
+// The span is computed in uint64, where hi − lo is exact for any hi ≥ lo,
+// so a zone map across MinInt64..MaxInt64 does not overflow into a small
+// span.
+func intCodeSpace(seg *colstore.Segment, c int) (lo int64, size int, ok bool) {
+	if seg.Schema().Columns[c].Type != types.Int64 || !seg.HasRange[c] {
+		return 0, 0, false
+	}
+	lo, hi := seg.Min[c].I, seg.Max[c].I
+	span := uint64(hi) - uint64(lo)
+	if hi < lo || span >= maxFusedGroupCodes {
+		return 0, 0, false
+	}
+	return lo, int(span) + 1, true
+}
+
+// run executes the classified kernel over the surviving spans. It reports
+// false, having touched no group, when a group value lies outside the code
+// space the segment's zone map claimed; the segment then takes the general
+// path.
+func (u *aggFuser) run(mode aggFuseMode, ctx *SegContext, spans []Span) bool {
 	if mode == fuseGlobal {
 		u.foldSeg(ctx, spans, nil, []*aggGroup{u.touch(nil)})
-		return
+		return true
+	}
+	slots := getSlots()
+	defer putSlots(slots)
+	groups, ok := u.codeSlots(ctx, spans, mode == fuseDictGroup, slots)
+	if !ok {
+		return false
 	}
 	if mode == fuseDictGroup && ctx.Stats != nil {
 		ctx.Stats.EncodedFilters++ // counted with encoded ops
 	}
-	slots := getSlots()
-	defer putSlots(slots)
-	groups := u.codeSlots(ctx, spans, mode == fuseDictGroup, slots)
 	u.foldSeg(ctx, spans, *slots, groups)
+	return true
 }
 
-// slotPool recycles the per-row group-slot vectors of the grouped kernels.
+// slotPool recycles the int32 vectors of the grouped kernels: per-row group
+// slots and the per-code slot table.
 var slotPool = sync.Pool{New: func() any { return new([]int32) }}
 
 func getSlots() *[]int32 { return slotPool.Get().(*[]int32) }
@@ -434,41 +489,52 @@ func putSlots(p *[]int32) {
 	slotPool.Put(p)
 }
 
+// zeroed sets *p to n zeros, growing the pooled buffer when short, and
+// returns it.
+func zeroed(p *[]int32, n int) []int32 {
+	if cap(*p) < n {
+		*p = make([]int32, n)
+	}
+	*p = (*p)[:n]
+	clear(*p)
+	return *p
+}
+
 // codeSlots is the encoded group-by of §2.1.2: each surviving row's group
 // is found through the mixed-radix combination of its group columns'
-// dictionary codes, one array load per row after a code's first sight —
-// string values are touched once per group. It appends each row's group
-// slot to *slots and returns the groups by slot, created through touch in
-// first-seen row order (the general path's order) or, with codeOrder, in
-// code order.
-func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slots *[]int32) []*aggGroup {
-	seg := ctx.Meta.Seg
-	dicts := make([]*codec.Dict, len(u.groupCols))
+// codes, one array load per row after a code's first sight — string values
+// are touched once per group, and an int key is rebuilt from its code. The
+// codes are built one column at a time, each in one typed loop. It leaves
+// each row's group slot in *slots and returns the groups by slot, created
+// through touch in first-seen row order (the general path's order) or,
+// with codeOrder, in code order. It returns false before touching any
+// group when an int value lies outside its column's code space.
+func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slots *[]int32) ([]*aggGroup, bool) {
+	s := zeroed(slots, spanRows(spans))
 	codes := 1
-	for k, c := range u.groupCols {
-		dicts[k] = seg.Cols[c].Strs.(*codec.Dict)
-		codes *= dicts[k].DictSize()
-	}
-	s := (*slots)[:0]
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			code := 0
-			for _, d := range dicts {
-				code = code*d.DictSize() + d.Code(int(i))
-			}
-			s = append(s, int32(code))
+	for _, gc := range u.codes {
+		codes *= gc.size
+		if gc.dict != nil {
+			dictCodes(gc.dict, spans, s)
+		} else if !intCodes(segVec[int64](ctx, gc.col), gc.min, gc.size, spans, s) {
+			return nil, false
 		}
 	}
-	*slots = s
-	slotOf := make([]int32, codes) // slot+1 of each code's group; 0 = not yet
+	slotOfBuf := getSlots()
+	defer putSlots(slotOfBuf)
+	slotOf := zeroed(slotOfBuf, codes) // slot+1 of each code's group; 0 = not yet
 	var groups []*aggGroup
-	key := make(types.Row, len(dicts))
+	key := make(types.Row, len(u.codes))
 	open := func(code int32) {
 		c := int(code)
-		for k := len(dicts) - 1; k >= 0; k-- {
-			size := dicts[k].DictSize()
-			key[k] = types.NewString(dicts[k].DictValue(c % size))
-			c /= size
+		for k := len(u.codes) - 1; k >= 0; k-- {
+			gc := &u.codes[k]
+			if gc.dict != nil {
+				key[k] = types.NewString(gc.dict.DictValue(c % gc.size))
+			} else {
+				key[k] = types.NewInt(gc.min + int64(c%gc.size))
+			}
+			c /= gc.size
 		}
 		groups = append(groups, u.touch(key))
 		slotOf[code] = int32(len(groups))
@@ -489,7 +555,37 @@ func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slot
 		}
 		s[k] = slotOf[code] - 1
 	}
-	return groups
+	return groups, true
+}
+
+// dictCodes folds a dictionary column's codes into the surviving rows'
+// mixed-radix codes s.
+func dictCodes(d *codec.Dict, spans []Span, s []int32) {
+	size, k := int32(d.DictSize()), 0
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
+			s[k] = s[k]*size + int32(d.Code(int(i)))
+		}
+	}
+}
+
+// intCodes folds an int column's codes v − lo into the surviving rows'
+// mixed-radix codes s. It reports false at the first value outside
+// [lo, lo+size): one unsigned comparison, exact because lo+size−1 does not
+// overflow.
+func intCodes(vals []int64, lo int64, size int, spans []Span, s []int32) bool {
+	k := 0
+	for _, sp := range spans {
+		for _, v := range vals[sp.Start:sp.End] {
+			c := uint64(v - lo)
+			if c >= uint64(size) {
+				return false
+			}
+			s[k] = s[k]*int32(size) + int32(c)
+			k++
+		}
+	}
+	return true
 }
 
 // foldSeg folds every aggregate over the surviving rows: the k-th surviving

@@ -22,9 +22,14 @@ import (
 // (float), hi (high-cardinality bit-packed int, nulls every 7th row), note
 // (high-distinct string, nulls every 11th row), fnull (bit-packed float,
 // -0.0 every 17th row, nulls every 5th), frle (RLE float, runs of 32),
-// irle (RLE int, runs of 64, null in 16-row blocks) and tag (dict string,
-// nulls every 9th row). Every float is a small multiple of 0.25, so sums
-// are exact in any order.
+// irle (RLE int, runs of 64, null in 16-row blocks), tag (dict string,
+// nulls every 9th row), and six Int64 columns without nulls for the
+// bounded-int group codes: small (bit-packed, -3..3), konst (one value:
+// bit-packed at width 0), w4095 and w4096 (bit-packed, spanning exactly
+// 4095 and 4096 in every segment of two rows or more), huge (MinInt64 and
+// MaxInt64, a span that overflows int64) and runs (runs of 100 from -2:
+// RLE in a segment of a few hundred rows, bit-packed in smaller ones). Every float is a small multiple of 0.25, so
+// sums are exact in any order.
 func newKernelTable(t testing.TB, maxSegRows int) *core.Table {
 	t.Helper()
 	s := types.NewSchema(
@@ -39,6 +44,12 @@ func newKernelTable(t testing.TB, maxSegRows int) *core.Table {
 		types.Column{Name: "frle", Type: types.Float64},
 		types.Column{Name: "irle", Type: types.Int64},
 		types.Column{Name: "tag", Type: types.String},
+		types.Column{Name: "small", Type: types.Int64},
+		types.Column{Name: "konst", Type: types.Int64},
+		types.Column{Name: "w4095", Type: types.Int64},
+		types.Column{Name: "w4096", Type: types.Int64},
+		types.Column{Name: "huge", Type: types.Int64},
+		types.Column{Name: "runs", Type: types.Int64},
 	)
 	s.UniqueKey = []int{0}
 	s.SecondaryKeys = [][]int{{1}}
@@ -87,11 +98,17 @@ func kernelRow(i int) types.Row {
 		types.NewFloat(float64(i/32) * 0.5),
 		irle,
 		tag,
+		types.NewInt(int64(i%7 - 3)),
+		types.NewInt(42),
+		types.NewInt(int64(i%2)*4095 - 2000),
+		types.NewInt(int64(i%2) * 4096),
+		types.NewInt([]int64{math.MinInt64, math.MaxInt64}[i%2]),
+		types.NewInt(int64(i/100 - 2)),
 	}
 }
 
 // kernelCols is the kernel table's column count.
-const kernelCols = 11
+const kernelCols = 17
 
 // fillKernel loads n rows (flushed to segments), deletes every 13th row so
 // deletion bitmaps split RLE runs mid-way, then inserts extra unflushed
@@ -526,6 +543,144 @@ func TestKernelTableEncodings(t *testing.T) {
 	}
 	if _, ok := seg.Cols[10].Strs.(*codec.Dict); !ok || seg.Cols[10].Nulls == nil {
 		t.Errorf("tag: %T, nulls %v; want a dict with nulls", seg.Cols[10].Strs, seg.Cols[10].Nulls != nil)
+	}
+	for col, want := range map[int]codec.Kind{11: codec.KindBitPack, 12: codec.KindBitPack, 13: codec.KindBitPack, 14: codec.KindBitPack, 15: codec.KindBitPack, 16: codec.KindRLE} {
+		if c := seg.Cols[col]; c.Ints.Kind() != want || c.Nulls != nil {
+			t.Errorf("%s: %T, nulls %v; want kind %v without nulls", seg.Schema().Columns[col].Name, c.Ints, c.Nulls != nil, want)
+		}
+	}
+}
+
+// intGroupings are the group shapes over the kernel table's Int64 columns,
+// each with whether every segment takes fuseCodeGroup: a bounded int
+// column without nulls fuses (RLE, bit-packed, negative, constant, a span
+// of exactly 4095), alone or with a dictionary while the combined space
+// stays within maxFusedGroupCodes; a span of 4096, a span that overflows
+// int64, a nullable int column and a combined space past the bound do not.
+// irle holds nulls in some segments only; those fall back, the rest fuse.
+var intGroupings = []struct {
+	name  string
+	cols  []int
+	fused bool
+}{
+	{"val", []int{3}, true},
+	{"runs", []int{16}, true},
+	{"small-negative", []int{11}, true},
+	{"konst", []int{12}, true},
+	{"span-4095", []int{13}, true},
+	{"span-4096", []int{14}, false},
+	{"span-overflow", []int{15}, false},
+	{"hi-nullable", []int{5}, false},
+	{"irle-nullable", []int{9}, true},
+	{"dict+small", []int{1, 11}, true},
+	{"small+dict", []int{11, 2}, true},
+	{"konst+span-4095", []int{12, 13}, true},
+	{"span-4095+dict", []int{13, 1}, false},
+	{"id", []int{0}, true},
+	{"val+small", []int{3, 11}, true},
+}
+
+// TestIntGroupCodes checks every int grouping under a spread of filters
+// (none, RLE, dictionary, bit-packed, a disjunction, an empty selection)
+// against the row-at-a-time oracle, and that the segments fuse exactly
+// when the shape admits a bounded code space.
+func TestIntGroupCodes(t *testing.T) {
+	expr := func(r types.Row) types.Value { return types.NewFloat(float64(r[3].I) * (1 - r[4].F/100)) }
+	aggSets := map[string][]AggSpec{
+		"plain": {{Func: Count, Col: -1}, {Func: Sum, Col: 4}, {Func: Min, Col: 6}, {Func: Avg, Col: 9}, {Func: Max, Col: 15}},
+		"expr":  {{Func: Sum, Expr: expr, ExprCols: []int{3, 4}}, {Func: Sum, Col: 8}},
+	}
+	for _, segRows := range []int{32, 64, 4096} {
+		tbl := newKernelTable(t, segRows)
+		fillKernel(t, tbl, 600, 40)
+		view := tbl.Snapshot()
+		for _, fname := range []string{"none", "rle-range", "dict-eq", "bitpack-gt", "or-fallback", "empty"} {
+			filter := kernelFilters()[fname]
+			ref := refRows(view, filter)
+			for _, g := range intGroupings {
+				for aname, aggs := range aggSets {
+					checkAgg(t, fmt.Sprintf("%d/%s/%s/%s", segRows, fname, g.name, aname), view, filter, ref, g.cols, aggs)
+				}
+			}
+		}
+		for _, g := range intGroupings {
+			_, st := runAgg(t, view, nil, g.cols, aggSets["plain"], false)
+			want := int64(0)
+			for _, m := range view.Segs {
+				if g.fused && m.Seg.Cols[g.cols[0]].Nulls == nil {
+					want++
+				}
+			}
+			if st.SegmentsScanned == 0 || st.FusedAggSegs != want {
+				t.Errorf("%d/%s: %d of %d segments fused, want %d", segRows, g.name, st.FusedAggSegs, st.SegmentsScanned, want)
+			}
+		}
+	}
+}
+
+// TestIntGroupHostileZoneMap: zone maps come from blob bytes, so the int
+// group codes may not trust them for memory safety. Each segment's zone
+// maps are rewritten to lie — too narrow from either side, inverted,
+// missing, far off — and the aggregation must leave the general path's
+// result, in the general path's order and bit for bit, with no panic and
+// no segment fused. A zone map that is loose but still bounds the values
+// fuses and gives the same result. The tables hold no buffer rows, so the
+// segments decide the group order; by (cat, small) rows first see their
+// groups out of code order.
+func TestIntGroupHostileZoneMap(t *testing.T) {
+	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 4}, {Func: Sum, Col: 3}, {Func: Max, Col: 6}}
+	lies := map[string]func(lo, hi int64) (int64, int64, bool){
+		"at-min":   func(lo, hi int64) (int64, int64, bool) { return lo, lo, true },
+		"at-max":   func(lo, hi int64) (int64, int64, bool) { return hi, hi, true },
+		"inverted": func(lo, hi int64) (int64, int64, bool) { return hi, lo, true },
+		// Max − Min wraps to 1 in uint64 unless an inverted range is refused.
+		"inverted-extreme": func(lo, hi int64) (int64, int64, bool) { return math.MaxInt64, math.MinInt64, true },
+		"no-range":         func(lo, hi int64) (int64, int64, bool) { return lo, hi, false },
+		"far-below":        func(lo, hi int64) (int64, int64, bool) { return math.MinInt64, math.MinInt64 + 10, true },
+		"far-above":        func(lo, hi int64) (int64, int64, bool) { return math.MaxInt64 - 10, math.MaxInt64, true },
+	}
+	honest := newKernelTable(t, 64)
+	fillKernel(t, honest, 600, 0)
+	hview := honest.Snapshot()
+	for _, cols := range [][]int{{11}, {3}, {1, 11}, {11, 12}} {
+		want, wst := runAgg(t, hview, nil, cols, aggs, false)
+		if wst.FusedAggSegs != wst.SegmentsScanned {
+			t.Fatalf("group by %v: honest zone maps fused %d of %d segments", cols, wst.FusedAggSegs, wst.SegmentsScanned)
+		}
+		for name, lie := range lies {
+			tbl := newKernelTable(t, 64)
+			fillKernel(t, tbl, 600, 0)
+			view := tbl.Snapshot()
+			for _, m := range view.Segs {
+				seg := m.Seg
+				for _, c := range cols {
+					if seg.Schema().Columns[c].Type != types.Int64 {
+						continue
+					}
+					lo, hi, has := lie(seg.Min[c].I, seg.Max[c].I)
+					seg.Min[c], seg.Max[c], seg.HasRange[c] = types.NewInt(lo), types.NewInt(hi), has
+				}
+			}
+			got, st := runAgg(t, view, nil, cols, aggs, false)
+			if !sameBits(got, want) {
+				t.Fatalf("group by %v, zone maps %s: result differs from honest zone maps\ngot:  %v\nwant: %v", cols, name, got, want)
+			}
+			if st.FusedAggSegs != 0 {
+				t.Fatalf("group by %v, zone maps %s: %d segments fused", cols, name, st.FusedAggSegs)
+			}
+		}
+	}
+	// A loose zone map still bounds the values: it fuses, and agrees.
+	tbl := newKernelTable(t, 64)
+	fillKernel(t, tbl, 600, 0)
+	view := tbl.Snapshot()
+	for _, m := range view.Segs {
+		m.Seg.Min[11], m.Seg.Max[11] = types.NewInt(m.Seg.Min[11].I-100), types.NewInt(m.Seg.Max[11].I+3000)
+	}
+	want, _ := runAgg(t, hview, nil, []int{11}, aggs, false)
+	got, st := runAgg(t, view, nil, []int{11}, aggs, false)
+	if !sameBits(got, want) || st.FusedAggSegs != st.SegmentsScanned {
+		t.Fatalf("loose zone maps: fused %d of %d segments\ngot:  %v\nwant: %v", st.FusedAggSegs, st.SegmentsScanned, got, want)
 	}
 }
 

@@ -32,21 +32,7 @@ type AnalyticalQuery struct {
 // top-customers query — the access patterns of CH-BenCHmark's TPC-H side.
 func Queries() []AnalyticalQuery {
 	return []AnalyticalQuery{
-		{"ch-q1-pricing", func(views viewsFn) error {
-			vs, err := views(tpcc.TOrderLine)
-			if err != nil {
-				return err
-			}
-			exec.AggregateViews(vs, exec.NewLeaf(tpcc.OLDeliveryD, vector.Gt, types.NewInt(-1)),
-				[]int{tpcc.OLNumber},
-				[]exec.AggSpec{
-					{Func: exec.Sum, Col: tpcc.OLQuantity},
-					{Func: exec.Sum, Col: tpcc.OLAmount},
-					{Func: exec.Avg, Col: tpcc.OLAmount},
-					{Func: exec.Count, Col: -1},
-				}, nil)
-			return nil
-		}},
+		{"ch-q1-pricing", chQ1.run},
 		{"ch-q6-revenue-band", func(views viewsFn) error {
 			vs, err := views(tpcc.TOrderLine)
 			if err != nil {
@@ -59,26 +45,8 @@ func Queries() []AnalyticalQuery {
 			), nil, []exec.AggSpec{{Func: exec.Sum, Col: tpcc.OLAmount}}, nil)
 			return nil
 		}},
-		{"ch-q5-district-revenue", func(views viewsFn) error {
-			vs, err := views(tpcc.TOrderLine)
-			if err != nil {
-				return err
-			}
-			exec.AggregateViews(vs, nil,
-				[]int{tpcc.OLWID, tpcc.OLDID},
-				[]exec.AggSpec{{Func: exec.Sum, Col: tpcc.OLAmount}, {Func: exec.Count, Col: -1}}, nil)
-			return nil
-		}},
-		{"ch-q12-carriers", func(views viewsFn) error {
-			vs, err := views(tpcc.TOrders)
-			if err != nil {
-				return err
-			}
-			exec.AggregateViews(vs, nil,
-				[]int{tpcc.OCarrierID},
-				[]exec.AggSpec{{Func: exec.Count, Col: -1}, {Func: exec.Avg, Col: tpcc.OOlCnt}}, nil)
-			return nil
-		}},
+		{"ch-q5-district-revenue", chQ5.run},
+		{"ch-q12-carriers", chQ12.run},
 		{"ch-q18-big-customers", func(views viewsFn) error {
 			ovs, err := views(tpcc.TOrders)
 			if err != nil {
@@ -112,6 +80,59 @@ func Queries() []AnalyticalQuery {
 }
 
 type viewsFn = func(table string) ([]*core.View, error)
+
+// groupedQuery is a grouped aggregation over one table; filter builds a
+// fresh filter per run, since a filter node carries adaptive state.
+type groupedQuery struct {
+	table     string
+	filter    func() exec.Node
+	groupCols []int
+	aggs      []exec.AggSpec
+}
+
+func (q groupedQuery) run(views viewsFn) error { return q.aggregate(views, nil) }
+
+// aggregate runs the query, accumulating scan statistics into stats when
+// it is not nil.
+func (q groupedQuery) aggregate(views viewsFn, stats *exec.ScanStats) error {
+	vs, err := views(q.table)
+	if err != nil {
+		return err
+	}
+	var filter exec.Node
+	if q.filter != nil {
+		filter = q.filter()
+	}
+	exec.AggregateViews(vs, filter, q.groupCols, q.aggs, stats)
+	return nil
+}
+
+// The grouped queries group by small integers — OL_NUMBER, (OL_W_ID,
+// OL_D_ID) and O_CARRIER_ID — whose segment zone maps bound them, so every
+// segment takes the fused code group-by.
+var (
+	chQ1 = groupedQuery{
+		table:     tpcc.TOrderLine,
+		filter:    func() exec.Node { return exec.NewLeaf(tpcc.OLDeliveryD, vector.Gt, types.NewInt(-1)) },
+		groupCols: []int{tpcc.OLNumber},
+		aggs: []exec.AggSpec{
+			{Func: exec.Sum, Col: tpcc.OLQuantity},
+			{Func: exec.Sum, Col: tpcc.OLAmount},
+			{Func: exec.Avg, Col: tpcc.OLAmount},
+			{Func: exec.Count, Col: -1},
+		},
+	}
+	chQ5 = groupedQuery{
+		table:     tpcc.TOrderLine,
+		groupCols: []int{tpcc.OLWID, tpcc.OLDID},
+		aggs:      []exec.AggSpec{{Func: exec.Sum, Col: tpcc.OLAmount}, {Func: exec.Count, Col: -1}},
+	}
+	chQ12 = groupedQuery{
+		table:     tpcc.TOrders,
+		groupCols: []int{tpcc.OCarrierID},
+		aggs:      []exec.AggSpec{{Func: exec.Count, Col: -1}, {Func: exec.Avg, Col: tpcc.OOlCnt}},
+	}
+)
 
 // Config describes one CH-BenCHmark test case (Table 3 rows).
 type Config struct {

@@ -6,6 +6,7 @@ import (
 
 	"s2db/internal/cluster"
 	"s2db/internal/core"
+	"s2db/internal/exec"
 	"s2db/internal/workload/tpcc"
 
 	"s2db/internal/blob"
@@ -74,5 +75,36 @@ func TestAnalyticsOnlyCase(t *testing.T) {
 	}
 	if res.TpmC != 0 || res.QPS <= 0 {
 		t.Fatalf("TpmC=%f QPS=%f", res.TpmC, res.QPS)
+	}
+}
+
+// TestGroupedQueriesFuseEverySegment: ch-q1, q5 and q12 group by small
+// integers, so every segment that holds a surviving row takes a fused
+// aggregation kernel.
+func TestGroupedQueriesFuseEverySegment(t *testing.T) {
+	b := loadedBackend(t, false)
+	views := func(table string) ([]*core.View, error) { return b.C.Views(table) }
+	for name, q := range map[string]groupedQuery{"ch-q1": chQ1, "ch-q5": chQ5, "ch-q12": chQ12} {
+		// One set of snapshots for the query and the count: background
+		// maintenance keeps flushing and merging beside the test.
+		vs, err := views(q.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st exec.ScanStats
+		if err := q.aggregate(func(string) ([]*core.View, error) { return vs, nil }, &st); err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for _, v := range vs {
+			var filter exec.Node
+			if q.filter != nil {
+				filter = q.filter()
+			}
+			exec.NewScan(v, filter).RunSegments(func(*exec.SegContext, []exec.Span) { want++ })
+		}
+		if want == 0 || st.FusedAggSegs != want {
+			t.Errorf("%s: %d segments fused, want all %d with surviving rows (%d scanned)", name, st.FusedAggSegs, want, st.SegmentsScanned)
+		}
 	}
 }
