@@ -68,19 +68,21 @@ racewal:
 qossmoke:
 	go test -race -run 'TestQoS' -count=1 -timeout 300s .
 
-# procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and the
-# rowstore, core, exec, cluster, wal, qos, sql, index, txn and workload
-# suites under the race detector at GOMAXPROCS 1: interleavings a
-# many-core machine rarely produces (the cache's single-flight decode, the
-# governor's wake-ups, background maintenance beside a delete, Compact
-# beside secondary-index readers, a link's sender beside its acker, a page
-# sealing beside a subscriber, the plan cache under concurrent sessions,
-# lock waits between TPC-C workers) show up at low core counts, and
-# tier-1 must be green on any of them.
+# procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and every
+# engine suite under the race detector at GOMAXPROCS 1 — the top-level
+# package and the types, codec, colstore, bitmap, blob, rowstore, core,
+# exec, cluster, wal, qos, sql, index, txn and workload suites:
+# interleavings a many-core machine rarely produces (the cache's
+# single-flight decode, the governor's wake-ups, background maintenance
+# beside a delete, Compact beside secondary-index readers and held views,
+# a link's sender beside its acker, a page sealing beside a subscriber,
+# the plan cache under concurrent sessions, lock waits between TPC-C
+# workers) show up at low core counts, and tier-1 must be green on any of
+# them.
 procsmoke:
 	GOMAXPROCS=1 go test ./... -count=1
 	GOMAXPROCS=2 go test ./... -count=1
-	GOMAXPROCS=1 go test -race -count=1 ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos ./internal/sql ./internal/index ./internal/txn ./internal/workload/...
+	GOMAXPROCS=1 go test -race -count=1 . ./internal/types ./internal/codec ./internal/colstore ./internal/bitmap ./internal/blob ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos ./internal/sql ./internal/index ./internal/txn ./internal/workload/...
 
 build:
 	go build ./...

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"s2db/internal/core"
 	"s2db/internal/exec"
 	"s2db/internal/types"
 	"s2db/internal/vector"
@@ -92,6 +93,7 @@ func (q *Query) Explain() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
+	defer core.ReleaseAll(r.views)
 	p := Plan{
 		Table:       q.table,
 		Partitions:  len(r.targets),

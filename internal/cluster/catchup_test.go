@@ -308,7 +308,7 @@ func TestCorruptBundleRestoresNoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := tbl.SerializeState(src.Master(0).Oracle().ReadTS())
+	state := serializeLatest(tbl)
 	bundle := func(second []byte) []byte {
 		// Key hash version, one partition, ts 1 and two tables.
 		b := append(codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion), types.KeyHashVersion, 1, 1, 2)
@@ -417,7 +417,7 @@ func TestRestoreRefusesOtherPartitionCount(t *testing.T) {
 	// A newer bundle for partition 0 placed over three partitions.
 	p := c.Master(0)
 	key := fmt.Sprintf("%ssnap/%016d-%020d", c.blobPrefix(0), p.Log().Head()+1, time.Now().UnixNano())
-	if err := store.Put(key, encodeSnapshotBundle(p, p.Oracle().ReadTS(), 3)); err != nil {
+	if err := store.Put(key, encodeCut(p, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CreateWorkspace("ws"); !errors.Is(err, ErrPlacementMismatch) {
@@ -499,8 +499,89 @@ func realBundle(t testing.TB) []byte {
 	if _, err := c.Insert("items", []types.Row{row(100, 1, "t1")}, core.InsertOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	p := c.Master(0)
-	return encodeSnapshotBundle(p, p.Oracle().ReadTS(), 1)
+	return encodeCut(c.Master(0), 1)
+}
+
+// A snapshot bundle serializes the tables of its cut at the cut's
+// timestamp, whatever happens between the cut and the encoding: a table of
+// the cut that is rewritten, flushed and compacted meanwhile still
+// serializes its rows at the cut, and a table created, written, flushed
+// and compacted past the cut is left out instead of being read below its
+// reader horizon.
+func TestSnapshotBundleHoldsItsCut(t *testing.T) {
+	c, err := New(Config{Partitions: 1, Table: core.Config{MaxSegmentRows: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("items", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 20)
+	for i := range rows {
+		rows[i] = row(i, i, "t0")
+	}
+	if _, err := c.Insert("items", rows, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cut := cutPartition(c.Master(0))
+	defer cut.release()
+	// Each table's first flush compacts at once, at its reader horizon.
+	for i := range rows {
+		if _, err := c.DeleteByUnique("items", []types.Value{types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Insert("items", []types.Row{row(100, 1, "t1")}, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("items"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateTable("late", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert("late", rows, core.InsertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("late"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restoring partition has no table late: a bundle naming it fails.
+	p := fuzzPartition(t)
+	ts, err := decodeSnapshotBundle(p, encodeSnapshotBundle(cut, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts != cut.ts {
+		t.Fatalf("bundle restored at ts %d, cut at %d", ts, cut.ts)
+	}
+	tbl, err := p.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tbl.Snapshot()
+	defer v.Release()
+	var ids int64
+	v.ScanBuffer(func(r types.Row) bool { ids += r[0].I; return true })
+	if n := v.NumRows(); n != len(rows) || ids != 190 {
+		t.Fatalf("restored %d rows of items with id sum %d, want the cut's %d rows, sum 190", n, ids, len(rows))
+	}
+}
+
+// encodeCut is the snapshot bundle of a cut of p taken now.
+func encodeCut(p *Partition, partitions int) []byte {
+	cut := cutPartition(p)
+	defer cut.release()
+	return encodeSnapshotBundle(cut, partitions)
+}
+
+// serializeLatest is tbl's state at its latest snapshot.
+func serializeLatest(tbl *core.Table) []byte {
+	v := tbl.Snapshot()
+	defer v.Release()
+	return tbl.SerializeState(v)
 }
 
 func FuzzDecodeSnapshotBundle(f *testing.F) {

@@ -184,7 +184,7 @@ func pitrStateUnder(t *testing.T, interval time.Duration, pageBytes int, mutate 
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[pi] = tbl.SerializeState(restored.Master(pi).Oracle().ReadTS())
+		states[pi] = serializeLatest(tbl)
 	}
 	return states
 }

@@ -322,19 +322,15 @@ func (s *Stager) snapshot() error {
 	if s.store == nil {
 		return nil
 	}
-	// One cut, taken under the commit mutex: the state at ts holds exactly
-	// the records below lsn, so a restore that replays from lsn applies
-	// each record once. lsn may run ahead of the staged log; later rounds
-	// stage [uploaded, lsn) and the local log keeps it until then.
 	uploaded := s.part.Uploaded()
-	var ts, lsn uint64
-	s.part.committer.Quiesce(func(readTS uint64) { ts, lsn = readTS, s.part.Log().Head() })
-	bundle := encodeSnapshotBundle(s.part, ts, s.partitions)
-	key := fmt.Sprintf("snap/%016d-%020d", lsn, time.Now().UnixNano())
+	cut := cutPartition(s.part)
+	bundle := encodeSnapshotBundle(cut, s.partitions)
+	cut.release()
+	key := fmt.Sprintf("snap/%016d-%020d", cut.lsn, time.Now().UnixNano())
 	if err := s.store.Put(s.files.prefix+key, bundle); err != nil {
 		return err
 	}
-	s.lastSnapshotLSN = lsn
+	s.lastSnapshotLSN = cut.lsn
 	s.mu.Lock()
 	s.snapshotsPut++
 	s.mu.Unlock()
@@ -409,13 +405,52 @@ func checkPlacement(what string, got wal.Placement, partitions int) error {
 	return nil
 }
 
-// encodeSnapshotBundle serializes all tables of a partition at ts. The
-// header records how keys were placed: the key hash version and the
+// partitionCut is one consistent cut of a partition, taken under the
+// commit mutex: the state at ts holds exactly the records below lsn, so a
+// restore that replays from lsn applies each record once. lsn may run
+// ahead of the staged log; later rounds stage [uploaded, lsn) and the
+// local log keeps it until then. Each table has a view registered at ts,
+// which keeps compaction from reclaiming what the cut reads until release.
+type partitionCut struct {
+	ts, lsn uint64
+	tables  map[string]*core.Table
+	views   map[string]*core.View
+}
+
+// cutPartition takes a partitionCut of every table of p. The tables are
+// listed before the commit mutex is taken, so a table created meanwhile
+// may hold commits below ts without a view in the cut; tables are never
+// dropped, so when the list grew across the cut, the cut is taken again.
+func cutPartition(p *Partition) *partitionCut {
+	for {
+		c := &partitionCut{tables: p.Tables()}
+		c.views = make(map[string]*core.View, len(c.tables))
+		p.committer.Quiesce(func(readTS uint64) {
+			c.ts, c.lsn = readTS, p.Log().Head()
+			for n, tbl := range c.tables {
+				c.views[n] = tbl.SnapshotAt(readTS)
+			}
+		})
+		if len(p.Tables()) == len(c.tables) {
+			return c
+		}
+		c.release()
+	}
+}
+
+// release releases the cut's views.
+func (c *partitionCut) release() {
+	for _, v := range c.views {
+		v.Release()
+	}
+}
+
+// encodeSnapshotBundle serializes every table of a cut at its timestamp.
+// The header records how keys were placed: the key hash version and the
 // cluster's partition count.
-func encodeSnapshotBundle(p *Partition, ts uint64, partitions int) []byte {
-	tables := p.Tables()
-	names := make([]string, 0, len(tables))
-	for n := range tables {
+func encodeSnapshotBundle(c *partitionCut, partitions int) []byte {
+	names := make([]string, 0, len(c.tables))
+	for n := range c.tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -423,11 +458,11 @@ func encodeSnapshotBundle(p *Partition, ts uint64, partitions int) []byte {
 	buf := codec.AppendHeader(nil, codec.ObjSnapshot, bundleVersion)
 	buf = binary.AppendUvarint(buf, pl.HashVersion)
 	buf = binary.AppendUvarint(buf, pl.Partitions)
-	buf = binary.AppendUvarint(buf, ts)
+	buf = binary.AppendUvarint(buf, c.ts)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, n := range names {
 		buf = codec.AppendBytes(buf, n)
-		buf = codec.AppendBytes(buf, tables[n].SerializeState(ts))
+		buf = codec.AppendBytes(buf, c.tables[n].SerializeState(c.views[n]))
 	}
 	return buf
 }

@@ -179,7 +179,7 @@ func failoverStateWith(t *testing.T, mutate func(*Config)) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl.SerializeState(c.Master(0).Oracle().ReadTS())
+	return serializeLatest(tbl)
 }
 
 // TestTransportEquivalence asserts the distributed scenarios produce

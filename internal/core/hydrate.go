@@ -336,7 +336,8 @@ func (t *Table) ensureProbeReady() error {
 	if t.unhydrated.Load() == 0 {
 		return nil
 	}
-	view := t.SnapshotAt(t.committer.Oracle().ReadTS())
+	view := t.Snapshot()
+	defer view.Release()
 	return t.hydrator().waitAll(context.Background(), view.Segs)
 }
 
@@ -385,5 +386,7 @@ func (t *Table) WaitHydrated(ctx context.Context) error {
 	if t.unhydrated.Load() == 0 {
 		return nil
 	}
-	return t.Snapshot().HydrateAll(ctx)
+	view := t.Snapshot()
+	defer view.Release()
+	return view.HydrateAll(ctx)
 }

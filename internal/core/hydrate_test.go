@@ -103,7 +103,7 @@ func buildSegmentedTable(t testing.TB, files FileStore) (*Table, []byte, uint64)
 	}
 	tbl.Flush()
 	ts := tbl.Oracle().ReadTS()
-	return tbl, tbl.SerializeState(ts), ts
+	return tbl, serializeAt(tbl, ts), ts
 }
 
 func restoreInto(t *testing.T, files FileStore, cfg Config, state []byte, ts uint64) *Table {
@@ -344,7 +344,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 
 	// Snapshots taken after a lazy restore serialize from metadata alone, so
 	// the pre-hydration state must already match the eager table's bytes.
-	if !bytes.Equal(eager.SerializeState(ts), lazy.SerializeState(ts)) {
+	if !bytes.Equal(serializeAt(eager, ts), serializeAt(lazy, ts)) {
 		t.Fatal("lazy pre-hydration SerializeState differs from eager")
 	}
 
@@ -376,7 +376,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	assertSameContents(t, src, cancelled)
 	// Post-hydration serialized state matches eager byte-for-byte on the
 	// unmerged table (the merged one changed segment layout, not contents).
-	if !bytes.Equal(eager.SerializeState(ts), cancelled.SerializeState(ts)) {
+	if !bytes.Equal(serializeAt(eager, ts), serializeAt(cancelled, ts)) {
 		t.Fatal("post-hydration SerializeState differs between eager and cancelled-then-retried")
 	}
 }

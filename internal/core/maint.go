@@ -15,6 +15,12 @@ import (
 	"s2db/internal/wal"
 )
 
+// compactPeriod is both the maintenance loop's retry timer, armed while a
+// round leaves work pending, and the least time between two compactions,
+// which rebuild the whole buffer. It decides how often compaction may run,
+// never which versions a reader may see: that is the reader horizon's.
+const compactPeriod = 250 * time.Millisecond
+
 // mergeAdmissionWait bounds how long one merge round waits for its
 // tenant's merge-I/O lease before giving the round back to the
 // maintenance loop, which retries on its timer.
@@ -52,7 +58,7 @@ func (t *Table) wakeAfter(tx *rowstore.Txn, m *mutation) {
 
 // maintain is the background flusher and merger (§2.1.2). It sleeps until
 // a commit wakes it (wakeAfter) and then runs a round. It arms its one
-// timer, at CompactionGrace/4, only while a round leaves work pending, so a
+// timer, at compactPeriod, only while a round leaves work pending, so a
 // table nobody writes costs nothing. It returns when ctx is canceled.
 func (t *Table) maintain(ctx context.Context) {
 	timer := time.NewTimer(time.Hour)
@@ -62,7 +68,7 @@ func (t *Table) maintain(ctx context.Context) {
 		pending := t.maintenanceRound(ctx)
 		var timerC <-chan time.Time
 		if pending {
-			timer.Reset(t.cfg.CompactionGrace / 4)
+			timer.Reset(compactPeriod)
 			timerC = timer.C
 		}
 		select {
@@ -79,11 +85,12 @@ func (t *Table) maintain(ctx context.Context) {
 
 // maintenanceRound flushes while the buffer is at the flush threshold and
 // merges while the LSM has a tier to collapse, repeating while either did
-// work, then stamps the published timestamp and compacts. Each pass first
-// takes any pending wake, since the pass covers it; the wakes of the
-// round's own flushes and merges are taken that way too. It reports
-// whether work is left for the retry timer: buffer garbage not compacted
-// yet, or a flush or merge that failed, was shed or was aborted.
+// work, then compacts. Each pass first takes any pending wake, since the
+// pass covers it; the wakes of the round's own flushes and merges are
+// taken that way too. It reports whether work is left for the retry timer:
+// buffer garbage not compacted yet (a compaction ran too recently, or an
+// open reader holds the horizon below it), or a flush or merge that
+// failed, was shed or was aborted.
 func (t *Table) maintenanceRound(ctx context.Context) (pending bool) {
 	t.Stats.BackgroundRounds.Add(1)
 	for ctx.Err() == nil {
@@ -320,8 +327,8 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 	t.mergeMu.Lock()
 	defer t.mergeMu.Unlock()
 
-	readTS := t.committer.Oracle().ReadTS()
 	// Gather live segments per run at the scan snapshot.
+	readTS := t.pinLatest()
 	t.segMu.RLock()
 	runSizes := map[int]int{}
 	byRun := map[int][]uint64{}
@@ -336,6 +343,7 @@ func (t *Table) merge(ctx context.Context) (merged, retry bool) {
 		runSegs[m.Run] = append(runSegs[m.Run], m.Seg)
 	}
 	t.segMu.RUnlock()
+	t.unpin(readTS)
 	// Cache-aware planning: score each run by its decoded-vector cache
 	// footprint so ties prefer cold runs and merges keep their hands off
 	// the hottest cached vectors.
@@ -532,35 +540,28 @@ func planMerge(runSizes map[int]int, fanout int, heatOf func(run int) int64) *co
 
 // maybeCompact physically removes tombstoned buffer nodes left behind by
 // flushes and trims MVCC version chains, the buffer's and the segment
-// metadata's, once they are older than the compaction grace period. A
+// metadata's, at the reader horizon: the oldest timestamp a view or a
+// write statement still reads at, or the published one when none is
+// older. It runs at most once per compactPeriod, and not at all when
+// nothing was written and the horizon has not moved since the last one. A
 // compaction clears dirty and moves garbageTS up to the published
 // timestamp: the commits it covers are the ones whose garbage may survive
 // a compaction at an older keepTS. Callers hold structMu.
 func (t *Table) maybeCompact() {
 	now := time.Now()
-	t.tsHistory = append(t.tsHistory, tsStamp{ts: t.committer.Oracle().ReadTS(), at: now})
-	// Find the newest timestamp published at least a grace period ago.
-	var keepTS uint64
-	cut := 0
-	for i, s := range t.tsHistory {
-		if now.Sub(s.at) >= t.cfg.CompactionGrace {
-			keepTS = s.ts
-			cut = i
-		} else {
-			break
-		}
-	}
-	t.tsHistory = t.tsHistory[cut:]
-	if keepTS == 0 || now.Sub(t.lastCompact) < t.cfg.CompactionGrace/4 {
+	if now.Sub(t.lastCompact) < compactPeriod {
 		return
 	}
-	t.lastCompact = now
+	keepTS := t.readers.horizon(t.committer.Oracle())
 	// A commit that ran wakeAfter before this swap had published, so its
 	// timestamp is at most the ReadTS read after it; one that runs it later
 	// finds dirty clear, sets it and wakes the loop.
 	if t.dirty.Swap(false) {
 		t.garbageTS = t.committer.Oracle().ReadTS()
+	} else if keepTS == t.compactedTS {
+		return
 	}
+	t.lastCompact = now
 	t.buffer.Compact(keepTS)
 	t.segMu.RLock()
 	for _, e := range t.segs {

@@ -29,7 +29,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // input Merge plans from.
 func liveRunSizes(tbl *Table) map[int]int {
 	sizes := map[int]int{}
-	for _, m := range tbl.Snapshot().Segs {
+	v := tbl.Snapshot()
+	defer v.Release()
+	for _, m := range v.Segs {
 		sizes[m.Run] += m.LiveRows()
 	}
 	return sizes
@@ -46,7 +48,7 @@ func bulkRows(from, n int) []types.Row {
 // A table nobody writes runs its first round and then parks: no ticker,
 // and no timer, since nothing is pending.
 func TestMaintenanceIdleTableParks(t *testing.T) {
-	tbl, _ := newTestTable(t, uniqSchema(), Config{Background: true, CompactionGrace: time.Minute})
+	tbl, _ := newTestTable(t, uniqSchema(), Config{Background: true})
 	tbl.Start()
 	defer tbl.Close()
 	waitUntil(t, "the first round ran", func() bool { return tbl.Stats.BackgroundRounds.Load() >= 1 })
@@ -59,7 +61,7 @@ func TestMaintenanceIdleTableParks(t *testing.T) {
 // A written table keeps its retry timer only until the garbage its writes
 // left in the buffer is compacted, then parks.
 func TestMaintenanceParksAfterCompactingGarbage(t *testing.T) {
-	tbl, _ := newTestTable(t, uniqSchema(), Config{Background: true, CompactionGrace: 20 * time.Millisecond})
+	tbl, _ := newTestTable(t, uniqSchema(), Config{Background: true})
 	tbl.Start()
 	for i := 0; i < 10; i++ {
 		if err := tbl.Insert(urow(i, i, "g")); err != nil {
@@ -71,13 +73,13 @@ func TestMaintenanceParksAfterCompactingGarbage(t *testing.T) {
 		r[1] = types.NewInt(40)
 		return r
 	})
-	// Parked: no round for 20 periods of the 5 ms retry timer.
+	// Parked: no round for over two periods of the retry timer.
 	last, quietSince := tbl.Stats.BackgroundRounds.Load(), time.Now()
 	waitUntil(t, "the loop parked", func() bool {
 		if n := tbl.Stats.BackgroundRounds.Load(); n != last {
 			last, quietSince = n, time.Now()
 		}
-		return time.Since(quietSince) >= 100*time.Millisecond
+		return time.Since(quietSince) >= 2*compactPeriod+100*time.Millisecond
 	})
 	tbl.Close() // NodeCount must not race a compaction
 	if nodes, live := tbl.buffer.NodeCount(), tbl.BufferLen(); nodes != live {
@@ -92,7 +94,7 @@ func TestMaintenanceParksAfterCompactingGarbage(t *testing.T) {
 // the retry timer (15 s here) plays no part.
 func TestMaintenanceFlushesAtThreshold(t *testing.T) {
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
-		MaxSegmentRows: 8, FlushThreshold: 8, Background: true, CompactionGrace: time.Minute,
+		MaxSegmentRows: 8, FlushThreshold: 8, Background: true,
 	})
 	tbl.Start()
 	defer tbl.Close()
@@ -121,7 +123,7 @@ func TestMaintenanceBulkLoadCollapses(t *testing.T) {
 	schema := uniqSchema()
 	schema.SortKey = 0
 	tbl, _ := newTestTable(t, schema, Config{
-		MaxSegmentRows: 8, MergeFanout: 2, Background: true, CompactionGrace: time.Minute,
+		MaxSegmentRows: 8, MergeFanout: 2, Background: true,
 	})
 	tbl.Start()
 	defer tbl.Close()
@@ -141,7 +143,7 @@ func TestMaintenanceBulkLoadCollapses(t *testing.T) {
 // the threshold flushes it in the loop's first round.
 func TestMaintenanceEnableBackgroundFlushesFullBuffer(t *testing.T) {
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
-		MaxSegmentRows: 8, FlushThreshold: 8, CompactionGrace: time.Minute,
+		MaxSegmentRows: 8, FlushThreshold: 8,
 	})
 	defer tbl.Close()
 	for i := 0; i < 20; i++ {
@@ -169,7 +171,7 @@ func TestMaintenanceRetriesAbortedMerge(t *testing.T) {
 	files := newFailFiles(NewMemFiles())
 	tbl, err := NewTable("t", schema, Config{
 		MaxSegmentRows: 8, MergeFanout: 2, MergeWorkers: 1,
-		Background: true, CompactionGrace: 20 * time.Millisecond,
+		Background: true,
 	}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +201,7 @@ func TestMaintenanceCloseDuringRound(t *testing.T) {
 	files := newGateFiles(NewMemFiles())
 	tbl, err := NewTable("t", schema, Config{
 		MaxSegmentRows: 8, MergeFanout: 2, MergeWorkers: 1,
-		Background: true, CompactionGrace: time.Minute,
+		Background: true,
 	}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
@@ -284,14 +286,24 @@ func chainLen(tbl *Table, id uint64) int {
 	return n
 }
 
+// compactNow runs a compaction at once, whatever the rate limit.
+func compactNow(tbl *Table) {
+	tbl.structMu.Lock()
+	defer tbl.structMu.Unlock()
+	tbl.lastCompact = time.Time{}
+	tbl.maybeCompact()
+}
+
 // Every update of a segment-resident row installs a metadata version with
-// its own deleted bits; compaction past the grace period cuts the chain to
-// the version visible at its horizon, while a view taken before keeps the
-// bits it resolved. Snapshots taken throughout walk the chains the
-// compaction cuts (the race detector checks the cut).
+// its own deleted bits. While a view taken before the updates is open,
+// compaction keeps the whole chain, and the view keeps the bits it
+// resolved; once it is released, compaction cuts the chain to the newest
+// version. Snapshots taken throughout walk the chains the compaction cuts
+// (the race detector checks the cut); one of them may hold the horizon
+// below the last update, so the final count is taken after they stop.
 func TestCompactionTrimsSegmentVersions(t *testing.T) {
-	const rows, grace = 32, 10 * time.Millisecond
-	tbl, _ := newTestTable(t, uniqSchema(), Config{CompactionGrace: grace})
+	const rows = 32
+	tbl, _ := newTestTable(t, uniqSchema(), Config{})
 	if _, err := tbl.InsertBatch(bulkRows(0, rows), InsertOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +315,6 @@ func TestCompactionTrimsSegmentVersions(t *testing.T) {
 		t.Fatalf("flush made %d segments, want 1", len(before.Segs))
 	}
 	segID := before.Segs[0].Seg.ID
-	compact := func() {
-		tbl.structMu.Lock()
-		tbl.maybeCompact()
-		tbl.structMu.Unlock()
-	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -317,7 +324,7 @@ func TestCompactionTrimsSegmentVersions(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tbl.Snapshot()
+				tbl.Snapshot().Release()
 			}
 		}
 	}()
@@ -327,16 +334,13 @@ func TestCompactionTrimsSegmentVersions(t *testing.T) {
 			return r
 		})
 	}
-	if n := chainLen(tbl, segID); n < rows/2 {
-		t.Fatalf("chain holds %d versions before compaction, want one per update", n)
+	held := chainLen(tbl, segID)
+	if held < rows/2 {
+		t.Fatalf("chain holds %d versions before compaction, want one per update", held)
 	}
-	compact()
-	time.Sleep(2 * grace)
-	compact()
-	close(stop)
-	<-done
-	if n := chainLen(tbl, segID); n > 2 {
-		t.Fatalf("chain holds %d versions after compaction, want <= 2", n)
+	compactNow(tbl)
+	if n := chainLen(tbl, segID); n != held {
+		t.Fatalf("compaction under an open view cut the chain from %d to %d versions", held, n)
 	}
 	if d := before.Segs[0].Deleted.Count(); d != 0 {
 		t.Fatalf("view taken before the updates sees %d deleted rows, want 0", d)
@@ -344,7 +348,16 @@ func TestCompactionTrimsSegmentVersions(t *testing.T) {
 	if got := before.NumRows(); got != rows {
 		t.Fatalf("view taken before the updates counts %d rows, want %d", got, rows)
 	}
+	before.Release()
+	compactNow(tbl) // cuts the chain under the snapshots walking it
+	close(stop)
+	<-done
+	compactNow(tbl) // with no reader left, at the published timestamp
+	if n := chainLen(tbl, segID); n != 1 {
+		t.Fatalf("chain holds %d versions after the view's release and a compaction, want 1", n)
+	}
 	after := tbl.Snapshot()
+	defer after.Release()
 	if d := after.Segs[0].Deleted.Count(); d != rows {
 		t.Fatalf("latest view sees %d deleted rows, want %d", d, rows)
 	}

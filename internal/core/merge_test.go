@@ -245,31 +245,34 @@ func TestApplySegDeletesCycleGuard(t *testing.T) {
 }
 
 // TestMergeConcurrentWithWritesAndScans is the -race storm: merges run
-// against concurrent inserts, unique-key deletes, flushes, and scans pinned
-// at an old snapshot. Afterwards the logical contents must match the
-// tracked expectation exactly, the old snapshot must have stayed stable,
-// and a WAL replay must reproduce the merged state byte for byte.
+// against concurrent inserts, unique-key deletes, flushes (each of which
+// may compact), and scans of an old snapshot that a held view keeps
+// readable. Afterwards the logical contents must match the tracked
+// expectation exactly, the old snapshot must have stayed stable, and a WAL
+// replay must reproduce the merged state byte for byte.
 func TestMergeConcurrentWithWritesAndScans(t *testing.T) {
 	schema := uniqSchema()
 	schema.SortKey = 0
 	tbl, log := newTestTable(t, schema, Config{
-		MaxSegmentRows:  32,
-		MergeFanout:     2,
-		MergeWorkers:    4,
-		CompactionGrace: time.Minute, // keep old snapshots readable all test
+		MaxSegmentRows: 32,
+		MergeFanout:    2,
+		MergeWorkers:   4,
 	})
 
 	const total = 1500
-	// Seed a prefix, pin a snapshot, and record its row count: concurrent
-	// merges must never change what this timestamp sees.
+	// Seed a prefix, flush part of it, hold a view, and record its row
+	// count: deletes of the seed segment's rows, the merges that retire it,
+	// flushes and compactions must never change what this timestamp sees,
+	// through the held view or a fresh view at its timestamp.
 	for i := 0; i < 100; i++ {
 		if err := tbl.Insert(urow(i, i, "seed")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tbl.Flush()
-	pinTS := tbl.Oracle().ReadTS()
-	pinRows := tbl.SnapshotAt(pinTS).NumRows()
+	pinned := tbl.Snapshot()
+	defer pinned.Release()
+	pinTS, pinRows := pinned.TS, pinned.NumRows()
 
 	var (
 		inserted atomic.Int64 // ids < inserted are all present (pre-delete)
@@ -350,8 +353,11 @@ func TestMergeConcurrentWithWritesAndScans(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if got := tbl.SnapshotAt(pinTS).NumRows(); got != pinRows {
-					t.Errorf("pinned snapshot changed: %d rows, want %d", got, pinRows)
+				v := tbl.SnapshotAt(pinTS)
+				got := v.NumRows()
+				v.Release()
+				if held := pinned.NumRows(); got != pinRows || held != pinRows {
+					t.Errorf("pinned snapshot changed: %d rows (held view %d), want %d", got, held, pinRows)
 					return
 				}
 				time.Sleep(time.Millisecond)

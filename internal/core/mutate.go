@@ -26,8 +26,8 @@ func (t *Table) moveToBuffer(locs []segLoc) error {
 	if len(locs) == 0 {
 		return nil
 	}
-	readTS := t.committer.Oracle().ReadTS()
-	tx := t.buffer.Begin(readTS)
+	tx, done := t.beginWrite()
+	defer done()
 	m := &mutation{SegDeletes: map[uint64][]int32{}}
 	inserted := 0
 	for _, loc := range locs {
@@ -143,6 +143,13 @@ func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
 	return keys
 }
 
+// latestBufferTargets is bufferTargets at the published timestamp.
+func (t *Table) latestBufferTargets(w Where) [][]byte {
+	ts := t.pinLatest()
+	defer t.unpin(ts)
+	return t.bufferTargets(ts, w)
+}
+
 // findTargets locates the rows matched by w at the view's snapshot,
 // returning buffer keys and segment locations.
 func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
@@ -202,6 +209,7 @@ func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error)
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	view := t.Snapshot()
+	defer view.Release()
 	bufKeys, segLocs := t.findTargets(view, w)
 	if len(segLocs) > 0 {
 		if err := t.moveToBuffer(segLocs); err != nil {
@@ -228,7 +236,7 @@ func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error)
 				}
 			}
 		} else {
-			bufKeys = t.bufferTargets(t.committer.Oracle().ReadTS(), w)
+			bufKeys = t.latestBufferTargets(w)
 		}
 	}
 	if len(bufKeys) == 0 {
@@ -286,12 +294,13 @@ func (t *Table) DeleteWhere(w Where) (int, error) {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	view := t.Snapshot()
+	defer view.Release()
 	bufKeys, segLocs := t.findTargets(view, w)
 	if len(segLocs) > 0 {
 		if err := t.moveToBuffer(segLocs); err != nil {
 			return 0, err
 		}
-		bufKeys = t.bufferTargets(t.committer.Oracle().ReadTS(), w)
+		bufKeys = t.latestBufferTargets(w)
 	}
 	if len(bufKeys) == 0 {
 		return 0, nil
@@ -340,12 +349,19 @@ func (t *Table) GetByUnique(vals []types.Value) (types.Row, bool, error) {
 	key := types.EncodeKey(nil, vals...)
 	// The buffer and the index answer at one snapshot: when liveByKey
 	// moves to a fresh one, the buffer is checked again there.
-	ts := t.committer.Oracle().ReadTS()
+	ts := t.pinLatest()
+	if r, ok := t.buffer.Get(key, ts); ok {
+		t.unpin(ts)
+		return r, true, nil
+	}
+	view := t.viewAt(ts)
+	defer func() { view.Release() }()
 	for {
-		if r, ok := t.buffer.Get(key, ts); ok {
-			return r, true, nil
+		v, seg, off, ok := t.liveByKey(view, vals)
+		if v != view {
+			view.Release()
+			view = v
 		}
-		view, seg, off, ok := t.liveByKey(t.SnapshotAt(ts), vals)
 		if ok {
 			return view.segRow(seg, off), true, nil
 		}
@@ -353,6 +369,9 @@ func (t *Table) GetByUnique(vals []types.Value) (types.Row, bool, error) {
 			return nil, false, nil
 		}
 		ts = view.TS
+		if r, ok := t.buffer.Get(key, ts); ok {
+			return r, true, nil
+		}
 	}
 }
 
@@ -363,6 +382,7 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 		return nil // unhydratable cold table: no rows reachable
 	}
 	view := t.Snapshot()
+	defer view.Release()
 	var out []types.Row
 	visited := int64(0)
 	view.ScanBufferAt(t.schema.Place([]types.Pin{{Col: col, Val: val}}), func(r types.Row) bool {
@@ -429,7 +449,8 @@ func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row
 		return false, fmt.Errorf("update %s: %w", t.name, err)
 	}
 	key := types.EncodeKey(nil, vals...)
-	tx := t.buffer.Begin(t.committer.Oracle().ReadTS())
+	tx, done := t.beginWrite()
+	defer done()
 	cur, ok, err := tx.LockAndGet(key)
 	if err != nil {
 		tx.Abort()
@@ -473,7 +494,8 @@ func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
 		return false, fmt.Errorf("delete %s: %w", t.name, err)
 	}
 	key := types.EncodeKey(nil, vals...)
-	tx := t.buffer.Begin(t.committer.Oracle().ReadTS())
+	tx, done := t.beginWrite()
+	defer done()
 	_, ok, err := tx.LockAndGet(key)
 	if err != nil {
 		tx.Abort()
@@ -503,7 +525,10 @@ func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
 // after the lock: a flush that tombstoned the buffer row has committed, so
 // only a fresh snapshot sees the segment it wrote.
 func (t *Table) claimSegmentRow(vals []types.Value, m *mutation) (types.Row, bool) {
-	view, seg, off, ok := t.liveByKey(t.SnapshotAt(t.committer.SettledTS()), vals)
+	settled := t.snapshotSettled()
+	defer settled.Release()
+	view, seg, off, ok := t.liveByKey(settled, vals)
+	defer view.Release()
 	if !ok {
 		return nil, false
 	}

@@ -183,13 +183,46 @@ func TestLookupEqualOnNonIndexedColumn(t *testing.T) {
 	}
 }
 
+// untilFlushed runs op on workers goroutines, each at least iters times
+// and then on until a flush has completed since the workers started,
+// failing the test when none completes within a generous deadline. It
+// returns how many ops ran.
+func untilFlushed(t *testing.T, tbl *Table, workers, iters int, op func() error) int64 {
+	t.Helper()
+	flushes := tbl.Stats.Flushes.Load()
+	deadline := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	var ran atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters || tbl.Stats.Flushes.Load() == flushes; i++ {
+				if time.Now().After(deadline) {
+					t.Errorf("worker %d: no flush completed beside %d ops: every commit at FlushThreshold 1 must wake the flusher", w, i)
+					return
+				}
+				if err := op(); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				ran.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return ran.Load()
+}
+
 func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 	// Regression for the flush-vs-upsert race: with the flusher constantly
 	// moving rows into segments, concurrent counter upserts must still be
 	// exactly-once.
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
-		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2,
-		Background: true, CompactionGrace: 50 * time.Millisecond,
+		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2, Background: true,
 	})
 	tbl.Start()
 	defer tbl.Close()
@@ -199,32 +232,18 @@ func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const workers, iters = 4, 150
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				_, err := tbl.InsertBatch([]types.Row{urow(i%keys, 1, "c")}, InsertOptions{
-					OnDup: DupUpdate,
-					Update: func(old, in types.Row) types.Row {
-						out := old.Clone()
-						out[1] = types.NewInt(old[1].I + 1)
-						return out
-					},
-				})
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tbl.Stats.Flushes.Load() == 0 {
-		t.Fatal("no flush ran beside the upserts: every commit at FlushThreshold 1 must wake the flusher")
-	}
+	var next atomic.Int64
+	upserts := untilFlushed(t, tbl, 4, 150, func() error {
+		_, err := tbl.InsertBatch([]types.Row{urow(int(next.Add(1))%keys, 1, "c")}, InsertOptions{
+			OnDup: DupUpdate,
+			Update: func(old, in types.Row) types.Row {
+				out := old.Clone()
+				out[1] = types.NewInt(old[1].I + 1)
+				return out
+			},
+		})
+		return err
+	})
 	var total int64
 	for k := 0; k < keys; k++ {
 		r, ok, err := tbl.GetByUnique([]types.Value{types.NewInt(int64(k))})
@@ -233,8 +252,8 @@ func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 		}
 		total += r[1].I
 	}
-	if want := int64(workers * iters); total != want {
-		t.Fatalf("counter total = %d, want %d (lost or doubled updates)", total, want)
+	if total != upserts {
+		t.Fatalf("counter total = %d, want %d (lost or doubled updates)", total, upserts)
 	}
 	if got := mustCount(t, tbl); got != keys {
 		t.Fatalf("NumRows = %d, want %d (duplicate rows?)", got, keys)
@@ -244,40 +263,24 @@ func TestUpsertCounterUnderAggressiveFlushing(t *testing.T) {
 func TestPointUpdateUnderAggressiveFlushing(t *testing.T) {
 	// Same regression through UpdateByUnique.
 	tbl, _ := newTestTable(t, uniqSchema(), Config{
-		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2,
-		Background: true, CompactionGrace: 50 * time.Millisecond,
+		MaxSegmentRows: 4, FlushThreshold: 1, MergeFanout: 2, Background: true,
 	})
 	tbl.Start()
 	defer tbl.Close()
 	if err := tbl.Insert(urow(0, 0, "c")); err != nil {
 		t.Fatal(err)
 	}
-	const workers, iters = 4, 150
-	var wg sync.WaitGroup
 	var applied atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				ok, err := tbl.UpdateByUnique([]types.Value{types.NewInt(0)}, func(r types.Row) types.Row {
-					r[1] = types.NewInt(r[1].I + 1)
-					return r
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if ok {
-					applied.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if tbl.Stats.Flushes.Load() == 0 {
-		t.Fatal("no flush ran beside the updates: every commit at FlushThreshold 1 must wake the flusher")
-	}
+	updates := untilFlushed(t, tbl, 4, 150, func() error {
+		ok, err := tbl.UpdateByUnique([]types.Value{types.NewInt(0)}, func(r types.Row) types.Row {
+			r[1] = types.NewInt(r[1].I + 1)
+			return r
+		})
+		if ok {
+			applied.Add(1)
+		}
+		return err
+	})
 	r, ok, _ := tbl.GetByUnique([]types.Value{types.NewInt(0)})
 	if !ok {
 		t.Fatal("row lost")
@@ -285,8 +288,8 @@ func TestPointUpdateUnderAggressiveFlushing(t *testing.T) {
 	if r[1].I != applied.Load() {
 		t.Fatalf("counter = %d, applied = %d", r[1].I, applied.Load())
 	}
-	if applied.Load() != workers*iters {
-		t.Fatalf("applied = %d, want %d (row reported missing under flush race)", applied.Load(), workers*iters)
+	if applied.Load() != updates {
+		t.Fatalf("applied = %d, want %d (row reported missing under flush race)", applied.Load(), updates)
 	}
 }
 

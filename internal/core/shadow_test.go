@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"s2db/internal/txn"
 	"s2db/internal/types"
@@ -22,11 +21,14 @@ type shadowMark struct {
 }
 
 // markShadow cuts the primary. Every record is appended inside its commit,
-// so holding the commit mutex pins the pair (ts, log head).
+// so holding the commit mutex pins the pair (ts, log head); a view
+// registered there keeps the state at ts readable until it is serialized.
 func markShadow(tbl *Table, log *wal.Log) *shadowMark {
-	var ts, lsn uint64
-	tbl.committer.Quiesce(func(readTS uint64) { ts, lsn = readTS, log.Head() })
-	return &shadowMark{state: tbl.SerializeState(ts), ts: ts, lsn: lsn}
+	var cut *View
+	var lsn uint64
+	tbl.committer.Quiesce(func(readTS uint64) { cut, lsn = tbl.SnapshotAt(readTS), log.Head() })
+	defer cut.Release()
+	return &shadowMark{state: tbl.SerializeState(cut), ts: cut.TS, lsn: lsn}
 }
 
 // assertShadowEqual is the replay oracle of DESIGN.md §6: a fresh table fed
@@ -68,7 +70,9 @@ func assertShadowEqual(t *testing.T, primary *Table, log *wal.Log, mark *shadowM
 
 func liveBySegment(tbl *Table) map[uint64]int {
 	out := map[uint64]int{}
-	for _, m := range tbl.Snapshot().Segs {
+	v := tbl.Snapshot()
+	defer v.Release()
+	for _, m := range v.Segs {
 		out[m.Seg.ID] = m.LiveRows()
 	}
 	return out
@@ -126,7 +130,7 @@ func TestPointWritesVersusMergeStorm(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			schema := uniqSchema()
 			schema.SortKey = 0
-			tbl, log := newTestTable(t, schema, Config{MaxSegmentRows: 8, MergeFanout: 2, CompactionGrace: time.Minute})
+			tbl, log := newTestTable(t, schema, Config{MaxSegmentRows: 8, MergeFanout: 2})
 			const keys, writers, ops = 64, 3, 3000
 			for i := 0; i < keys; i++ {
 				if err := tbl.Insert(urow(i, 0, "s")); err != nil {

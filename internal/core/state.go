@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 
 	"s2db/internal/bitmap"
 	"s2db/internal/codec"
@@ -12,20 +13,24 @@ import (
 	"s2db/internal/types"
 )
 
-// SerializeState captures the table's state at ts: the buffer rows plus the
-// segment manifest (file names, runs, deleted bits). Segment payloads are
-// not embedded — they live as immutable data files in the FileStore/blob
-// store — which matches the paper's snapshot design ("snapshots of rowstore
-// data", §3.1: column data files are already durable on their own).
-func (t *Table) SerializeState(ts uint64) []byte {
+// SerializeState captures the table's state at the view's snapshot: the
+// buffer rows plus the segment manifest (file names, runs, deleted bits).
+// Segment payloads are not embedded — they live as immutable data files in
+// the FileStore/blob store — which matches the paper's snapshot design
+// ("snapshots of rowstore data", §3.1: column data files are already
+// durable on their own). v is an unreleased view of t; its registration
+// keeps what it reads from compaction.
+func (t *Table) SerializeState(v *View) []byte {
+	v.mustBeOpen()
 	var m mutation
-	t.buffer.Scan(nil, nil, ts, func(k []byte, r types.Row) bool {
+	t.buffer.Scan(nil, nil, v.TS, func(k []byte, r types.Row) bool {
 		m.Inserts = append(m.Inserts, kv{Key: k, Row: r})
 		return true
 	})
-	for _, s := range t.SnapshotAt(ts).Segs {
+	for _, s := range v.Segs {
 		m.NewSegs = append(m.NewSegs, segInstall{File: s.File, Run: s.Run, seg: s.Seg, deleted: s.Deleted})
 	}
+	runtime.KeepAlive(v)
 	return encodeState(&m, t.rowID.Load())
 }
 
@@ -148,10 +153,11 @@ func (s *State) Install(ts uint64) error {
 	t.committer.ReplayAt(ts, func() { t.apply(ts, tx, m) })
 	if len(m.NewSegs) > 0 {
 		h := t.hydrator()
-		view := t.SnapshotAt(ts)
+		view := t.Snapshot()
 		for _, m := range view.Segs {
 			h.prefetch(m)
 		}
+		view.Release()
 	}
 	return nil
 }

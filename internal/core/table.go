@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,11 +39,6 @@ type Config struct {
 	// Background enables the maintenance loop (flush, merge, compaction)
 	// when the table is started.
 	Background bool
-	// CompactionGrace is how long tombstoned buffer nodes are retained for
-	// old snapshots before physical removal. Readers must not use
-	// snapshots older than this. While work is pending, the maintenance
-	// loop retries every CompactionGrace/4.
-	CompactionGrace time.Duration
 	// MergeWorkers bounds the goroutines that encode and persist merge
 	// output segments in parallel (capped by the output count). Defaults
 	// to 4.
@@ -100,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MergeFanout < 2 {
 		c.MergeFanout = 4
-	}
-	if c.CompactionGrace <= 0 {
-		c.CompactionGrace = time.Second
 	}
 	if c.MergeWorkers <= 0 {
 		c.MergeWorkers = 4
@@ -261,9 +254,9 @@ func (e *segEntry) metaAt(ts uint64) *colstore.Meta {
 }
 
 // trimVersions drops every version older than the newest one visible at
-// keepTS, which no reader can ask for once the compaction grace period
-// has passed (rowstore's Compact trims its chains at the same horizon).
-// Views taken earlier keep the metadata they resolved.
+// keepTS, the reader horizon, below which no registered reader reads
+// (rowstore's Compact trims its chains at the same horizon). Views keep
+// the metadata they resolved.
 func (e *segEntry) trimVersions(keepTS uint64) {
 	for v := e.versions.Load(); v != nil; v = v.prev.Load() {
 		if v.ts <= keepTS {
@@ -370,19 +363,15 @@ type Table struct {
 		started atomic.Bool // see Background
 	}
 
-	// tsHistory records (timestamp, wall time) pairs so compaction can pick
-	// a keepTS that every plausible reader has moved past. Buffer garbage
-	// from commits up to garbageTS waits for a compaction at keepTS >=
-	// garbageTS; compactedTS is the last keepTS. Guarded by structMu, as
-	// are lastCompact, garbageTS and compactedTS.
-	tsHistory              []tsStamp
+	// readers registers every timestamp a view or a write statement reads
+	// at; compaction reclaims below the oldest of them (readers.go).
+	readers readers
+
+	// Buffer garbage from commits up to garbageTS waits for a compaction at
+	// keepTS >= garbageTS; compactedTS is the last keepTS, and lastCompact
+	// when it ran. Guarded by structMu.
 	lastCompact            time.Time
 	garbageTS, compactedTS uint64
-}
-
-type tsStamp struct {
-	ts uint64
-	at time.Time
 }
 
 // NewTable creates a table partition. committer and log are shared by all
@@ -425,7 +414,8 @@ func (t *Table) BufferLen() int { return t.buffer.Len() }
 
 // SegmentCount returns the number of live segments at the latest snapshot.
 func (t *Table) SegmentCount() int {
-	ts := t.committer.Oracle().ReadTS()
+	ts := t.pinLatest()
+	defer t.unpin(ts)
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
 	n := 0
@@ -448,19 +438,51 @@ func (t *Table) bufferKey(r types.Row) []byte {
 
 // View is a consistent snapshot of the table at one timestamp, combining
 // the visible segments (with their deleted-bits versions as of TS) and the
-// buffer contents at TS.
+// buffer contents at TS. A view is registered with the table's reader
+// registry from the moment it is taken: compaction keeps every version it
+// can see until Release. A view dropped without Release is released by a
+// finalizer, so a leaked view holds reclamation back until the next
+// collection but never reads wrong rows.
 type View struct {
 	TS     uint64
 	Schema *types.Schema
 	Segs   []*colstore.Meta
 	table  *Table
+	// released is set by Release; a buffer read through a released view
+	// panics.
+	released atomic.Bool
 }
 
-// Snapshot returns a view at the latest published timestamp.
-func (t *Table) Snapshot() *View { return t.SnapshotAt(t.committer.Oracle().ReadTS()) }
+// Snapshot returns a view at the latest published timestamp. The caller
+// releases it (View.Release) when it has finished reading.
+func (t *Table) Snapshot() *View { return t.viewAt(t.pinLatest()) }
 
-// SnapshotAt returns a view at the given timestamp.
+// SnapshotAt returns a view at ts, which the caller releases. It panics
+// when a compaction has already reclaimed versions a reader at ts would
+// need: a timestamp older than the published one is only readable while
+// a view or statement at or below it is open.
 func (t *Table) SnapshotAt(ts uint64) *View {
+	if !t.readers.pin(ts) {
+		panic(fmt.Sprintf("core: table %s: snapshot at %d is below the reader horizon", t.name, ts))
+	}
+	return t.viewAt(ts)
+}
+
+// snapshotSettled is Snapshot at the settled timestamp (Committer.SettledTS).
+// A compaction may pass that timestamp before it is registered; the next
+// settled timestamp is then at least the horizon the compaction used.
+func (t *Table) snapshotSettled() *View {
+	for {
+		if ts := t.committer.SettledTS(); t.readers.pin(ts) {
+			return t.viewAt(ts)
+		}
+	}
+}
+
+// viewAt returns the view at ts, a timestamp registered in t.readers; the
+// view owns that registration, and its finalizer releases it when the view
+// is dropped without Release.
+func (t *Table) viewAt(ts uint64) *View {
 	t.segMu.RLock()
 	segs := make([]*colstore.Meta, 0, len(t.segs))
 	for _, e := range t.segs {
@@ -473,7 +495,43 @@ func (t *Table) SnapshotAt(ts uint64) *View {
 	// scans emit rows in segment order, and query results are only
 	// deterministic if every snapshot sees the same order.
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Seg.ID < segs[j].Seg.ID })
-	return &View{TS: ts, Schema: t.schema, Segs: segs, table: t}
+	v := &View{TS: ts, Schema: t.schema, Segs: segs, table: t}
+	runtime.SetFinalizer(v, func(v *View) { v.release() })
+	return v
+}
+
+// Release unregisters the view: compaction may reclaim what only it could
+// see. Its segment metadata stays readable, but a buffer read through it
+// panics. Release is idempotent.
+func (v *View) Release() {
+	if v.release() {
+		runtime.SetFinalizer(v, nil)
+	}
+}
+
+// release unregisters the view the first time it is called and reports
+// whether this call did.
+func (v *View) release() bool {
+	if v.released.Swap(true) {
+		return false
+	}
+	v.table.readers.unpin(v.TS)
+	return true
+}
+
+// mustBeOpen panics when v has been released: its timestamp may be below
+// the horizon, so the buffer may no longer hold what it saw.
+func (v *View) mustBeOpen() {
+	if v.released.Load() {
+		panic(fmt.Sprintf("core: table %s: read through a released view at %d", v.table.name, v.TS))
+	}
+}
+
+// ReleaseAll releases every view of vs.
+func ReleaseAll(vs []*View) {
+	for _, v := range vs {
+		v.Release()
+	}
 }
 
 // ScanBuffer iterates the live buffer rows at the view's snapshot.
@@ -484,7 +542,10 @@ func (v *View) ScanBuffer(f func(r types.Row) bool) { v.ScanBufferAt(types.Place
 // range or a secondary key instead of walking the whole write buffer. The
 // rows are a superset of the matches: callers re-check their predicate.
 func (v *View) ScanBufferAt(p types.Placement, f func(r types.Row) bool) {
+	v.mustBeOpen()
 	v.table.buffer.ScanPlaced(p, v.TS, func(_ []byte, r types.Row) bool { return f(r) })
+	// The registration must outlive the walk: keep the finalizer off it.
+	runtime.KeepAlive(v)
 }
 
 // Index exposes the table's secondary indexes. Callers must restrict index

@@ -47,7 +47,9 @@ func urow(id, val int, tag string) types.Row {
 
 func mustCount(t *testing.T, tbl *Table) int {
 	t.Helper()
-	return tbl.Snapshot().NumRows()
+	v := tbl.Snapshot()
+	defer v.Release()
+	return v.NumRows()
 }
 
 func TestInsertAndGetByUnique(t *testing.T) {
@@ -155,9 +157,14 @@ func TestUniqueEnforcedAcrossFlush(t *testing.T) {
 func TestFlushPreservesContents(t *testing.T) {
 	tbl, _ := newTestTable(t, uniqSchema(), Config{MaxSegmentRows: 100})
 	want := map[int64]int64{}
+	var old *View
 	for i := 0; i < 50; i++ {
 		tbl.Insert(urow(i, i*2, fmt.Sprintf("t%d", i%5)))
 		want[int64(i)] = int64(i * 2)
+		if i == 0 {
+			old = tbl.Snapshot()
+			defer old.Release()
+		}
 	}
 	n, err := tbl.Flush()
 	if err != nil || n != 50 {
@@ -185,8 +192,8 @@ func TestFlushPreservesContents(t *testing.T) {
 			t.Fatalf("row %d = %d, want %d", k, got[k], v)
 		}
 	}
-	// Old snapshots still see the buffer layout.
-	old := tbl.SnapshotAt(1)
+	// An old view, held since the first insert, still sees the buffer
+	// layout.
 	cnt := 0
 	old.ScanBuffer(func(types.Row) bool { cnt++; return true })
 	if cnt != 1 || len(old.Segs) != 0 {
@@ -525,6 +532,7 @@ func assertSameContents(t *testing.T, a, b *Table) {
 		}
 		out := map[string]int{}
 		view := tbl.Snapshot()
+		defer view.Release()
 		add := func(r types.Row) {
 			out[fmt.Sprint(r)]++
 		}
@@ -549,6 +557,14 @@ func assertSameContents(t *testing.T, a, b *Table) {
 	}
 }
 
+// serializeAt serializes tbl's state at ts through a view held for the
+// call.
+func serializeAt(tbl *Table, ts uint64) []byte {
+	v := tbl.SnapshotAt(ts)
+	defer v.Release()
+	return tbl.SerializeState(v)
+}
+
 func TestSnapshotStateRoundTrip(t *testing.T) {
 	schema := uniqSchema()
 	tbl, _ := newTestTable(t, schema, Config{MaxSegmentRows: 8})
@@ -559,7 +575,7 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 		}
 	}
 	ts := tbl.Oracle().ReadTS()
-	state := tbl.SerializeState(ts)
+	state := serializeAt(tbl, ts)
 
 	restored, err := NewTable("t", schema, Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), tbl.files)
 	if err != nil {

@@ -79,7 +79,8 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 	uk := t.schema.UniqueKey
 	if len(uk) == 0 {
 		// No unique key: straight buffer inserts.
-		tx := t.buffer.Begin(t.committer.Oracle().ReadTS())
+		tx, done := t.beginWrite()
+		defer done()
 		m := &mutation{}
 		for _, r := range rows {
 			key := t.bufferKey(r)
@@ -129,8 +130,9 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		segID    uint64
 		segOff   int32
 	}
-	readTS := t.committer.Oracle().ReadTS()
-	view := t.SnapshotAt(readTS)
+	view := t.Snapshot()
+	defer view.Release()
+	readTS := view.TS
 	dups := make([]*hit, len(rows))
 	// Also detect duplicates *within* the batch.
 	seen := make(map[string]int, len(rows))
@@ -151,7 +153,11 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			dups[i] = &hit{inBuffer: true}
 			continue
 		}
-		if _, seg, off, ok := t.liveByKey(view, vals); ok {
+		v, seg, off, ok := t.liveByKey(view, vals)
+		if v != view {
+			v.Release()
+		}
+		if ok {
 			dups[i] = &hit{segID: seg, segOff: off}
 		}
 	}
@@ -252,20 +258,25 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 // unique-key values vals, and the view it is live in. A merge that commits
 // after view was taken retires its inputs from the index while view still
 // holds them, so a miss on a view holding a retired segment retries on a
-// fresh snapshot, which is then the view returned.
+// fresh snapshot, which is then the view returned. The caller releases
+// that view as well as its own.
 func (t *Table) liveByKey(view *View, vals []types.Value) (v *View, seg uint64, off int32, ok bool) {
+	v = view
 	for {
 		matches, probes := t.idx.LookupTuple(t.schema.UniqueKey, vals)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
-			if off, live := t.liveMatch(view, m); live {
-				return view, m.SegID, off, true
+			if off, live := t.liveMatch(v, m); live {
+				return v, m.SegID, off, true
 			}
 		}
-		if !t.holdsRetired(view) {
-			return view, 0, 0, false
+		if !t.holdsRetired(v) {
+			return v, 0, 0, false
 		}
-		view = t.SnapshotAt(t.committer.SettledTS())
+		if v != view {
+			v.Release()
+		}
+		v = t.snapshotSettled()
 	}
 }
 
@@ -310,6 +321,39 @@ func (t *Table) liveMatch(view *View, m index.Match) (int32, bool) {
 	return 0, false
 }
 
+// checkBulkKeys reports ErrDuplicateKey when two of rows, or one of rows
+// and a live row, share a unique key.
+func (t *Table) checkBulkKeys(rows []types.Row) error {
+	// See InsertBatch: index probes need every segment hydrated.
+	if err := t.ensureProbeReady(); err != nil {
+		return fmt.Errorf("bulk load %s: %w", t.name, err)
+	}
+	seen := make(map[string]struct{}, len(rows))
+	view := t.Snapshot()
+	defer view.Release()
+	for _, r := range rows {
+		k := string(types.KeyOf(r, t.schema.UniqueKey))
+		if _, dup := seen[k]; dup {
+			return fmt.Errorf("%w: within bulk load", ErrDuplicateKey)
+		}
+		seen[k] = struct{}{}
+		if _, ok := t.buffer.Get([]byte(k), view.TS); ok {
+			return ErrDuplicateKey
+		}
+		vals := make([]types.Value, len(t.schema.UniqueKey))
+		for j, c := range t.schema.UniqueKey {
+			vals[j] = r[c]
+		}
+		matches, _ := t.idx.LookupTuple(t.schema.UniqueKey, vals)
+		for _, m := range matches {
+			if _, live := t.liveMatch(view, m); live {
+				return ErrDuplicateKey
+			}
+		}
+	}
+	return nil
+}
+
 // BulkLoad ingests rows directly into columnstore segments, bypassing the
 // buffer — the batch-load path that keeps data "only in highly compressed
 // columnstore format" (§7's contrast with TiDB). Unique keys are checked
@@ -324,32 +368,8 @@ func (t *Table) BulkLoad(rows []types.Row) error {
 		return nil
 	}
 	if len(t.schema.UniqueKey) > 0 {
-		// See InsertBatch: index probes need every segment hydrated.
-		if err := t.ensureProbeReady(); err != nil {
-			return fmt.Errorf("bulk load %s: %w", t.name, err)
-		}
-		seen := make(map[string]struct{}, len(rows))
-		readTS := t.committer.Oracle().ReadTS()
-		view := t.SnapshotAt(readTS)
-		for _, r := range rows {
-			k := string(types.KeyOf(r, t.schema.UniqueKey))
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("%w: within bulk load", ErrDuplicateKey)
-			}
-			seen[k] = struct{}{}
-			if _, ok := t.buffer.Get([]byte(k), readTS); ok {
-				return ErrDuplicateKey
-			}
-			vals := make([]types.Value, len(t.schema.UniqueKey))
-			for j, c := range t.schema.UniqueKey {
-				vals[j] = r[c]
-			}
-			matches, _ := t.idx.LookupTuple(t.schema.UniqueKey, vals)
-			for _, m := range matches {
-				if _, live := t.liveMatch(view, m); live {
-					return ErrDuplicateKey
-				}
-			}
+		if err := t.checkBulkKeys(rows); err != nil {
+			return err
 		}
 	}
 	t.structMu.Lock()

@@ -44,7 +44,11 @@ type Store struct {
 // Compact physically removes nodes whose newest version is a committed
 // tombstone at or before keepTS (and is not locked by an active writer).
 // The caller must guarantee that no snapshot older than keepTS will be
-// read afterwards. It returns the number of nodes dropped.
+// read afterwards. In core, the table's reader registry guarantees it
+// (core/readers.go): keepTS is the oldest timestamp a view or a write
+// statement has registered, or the published one when none is older, and
+// no reader registers below a keepTS once used. It returns the number of
+// nodes dropped.
 func (s *Store) Compact(keepTS uint64) (removed int) {
 	s.gate.Lock()
 	defer s.gate.Unlock()

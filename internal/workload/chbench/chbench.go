@@ -21,7 +21,8 @@ import (
 	"s2db/internal/workload/tpcc"
 )
 
-// AnalyticalQuery is one CH-style query over the TPC-C tables.
+// AnalyticalQuery is one CH-style query over the TPC-C tables. Run
+// releases the views it takes from views.
 type AnalyticalQuery struct {
 	Name string
 	Run  func(views func(table string) ([]*core.View, error)) error
@@ -38,6 +39,7 @@ func Queries() []AnalyticalQuery {
 			if err != nil {
 				return err
 			}
+			defer core.ReleaseAll(vs)
 			exec.AggregateViews(vs, exec.NewAnd(
 				exec.NewLeaf(tpcc.OLQuantity, vector.Ge, types.NewInt(1)),
 				exec.NewLeaf(tpcc.OLQuantity, vector.Le, types.NewInt(8)),
@@ -52,6 +54,7 @@ func Queries() []AnalyticalQuery {
 			if err != nil {
 				return err
 			}
+			defer core.ReleaseAll(ovs)
 			// Orders with many lines, joined to their customers' balances.
 			var big []types.Row
 			for _, v := range ovs {
@@ -64,6 +67,7 @@ func Queries() []AnalyticalQuery {
 			if err != nil {
 				return err
 			}
+			defer core.ReleaseAll(cvs)
 			matched := 0
 			for _, v := range cvs {
 				exec.EquiJoin(big, []int{tpcc.OCID}, v, []int{tpcc.CID}, nil,
@@ -99,6 +103,7 @@ func (q groupedQuery) aggregate(views viewsFn, stats *exec.ScanStats) error {
 	if err != nil {
 		return err
 	}
+	defer core.ReleaseAll(vs)
 	var filter exec.Node
 	if q.filter != nil {
 		filter = q.filter()

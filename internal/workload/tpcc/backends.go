@@ -77,6 +77,11 @@ func (b *S2Backend) ScanEq(table string, cols []int, vals []types.Value, emit fu
 	if err != nil {
 		return err
 	}
+	defer func() {
+		for _, t := range targets {
+			t.View.Release()
+		}
+	}()
 	for _, t := range targets {
 		stop := false
 		exec.NewScan(t.View, filter).Run(func(r types.Row) bool {

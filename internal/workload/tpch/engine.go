@@ -42,6 +42,8 @@ type S2Engine struct {
 // Name implements Engine.
 func (e *S2Engine) Name() string { return "s2db" }
 
+// views snapshots the table on the workspace or the cluster; the caller
+// releases the views.
 func (e *S2Engine) views(table string) ([]*core.View, error) {
 	if e.Workspace != nil {
 		return e.Workspace.Views(table)
@@ -55,6 +57,7 @@ func (e *S2Engine) Scan(table string, filter exec.Node, cols []int, emit func(ty
 	if err != nil {
 		return err
 	}
+	defer core.ReleaseAll(views)
 	for _, v := range views {
 		stop := false
 		scan := exec.NewScan(v, filter)
@@ -80,6 +83,7 @@ func (e *S2Engine) Aggregate(table string, filter exec.Node, groupCols []int, ag
 	if err != nil {
 		return nil, err
 	}
+	defer core.ReleaseAll(views)
 	return exec.AggregateViewsParallel(context.Background(), views, filter, groupCols, aggs, 0, nil)
 }
 
@@ -90,6 +94,7 @@ func (e *S2Engine) Join(build []types.Row, buildKey []int, probeTable string, pr
 	if err != nil {
 		return err
 	}
+	defer core.ReleaseAll(views)
 	for _, v := range views {
 		exec.EquiJoin(build, buildKey, v, probeKey, probeFilter, exec.JoinAuto, nil, emit)
 	}
@@ -113,6 +118,7 @@ func (e *WarehouseEngine) Scan(table string, filter exec.Node, cols []int, emit 
 	if err != nil {
 		return err
 	}
+	defer core.ReleaseAll(views)
 	for _, v := range views {
 		stop := false
 		scan := exec.NewScan(v, filter)
@@ -137,6 +143,7 @@ func (e *WarehouseEngine) Aggregate(table string, filter exec.Node, groupCols []
 	if err != nil {
 		return nil, err
 	}
+	defer core.ReleaseAll(views)
 	return exec.AggregateViews(views, filter, groupCols, aggs, nil), nil
 }
 
@@ -147,6 +154,7 @@ func (e *WarehouseEngine) Join(build []types.Row, buildKey []int, probeTable str
 	if err != nil {
 		return err
 	}
+	defer core.ReleaseAll(views)
 	for _, v := range views {
 		exec.EquiJoin(build, buildKey, v, probeKey, probeFilter, exec.JoinForceHash, nil, emit)
 	}

@@ -266,6 +266,9 @@ type resolvedQuery struct {
 // resolve resolves every name-based reference (filters, aggregates, group
 // and order columns) against the table schema, returning a clear error for
 // unknown columns, and snapshots the partition views the filter can match.
+// The caller releases the views when the statement ends; a statement
+// queued in admission keeps them registered, so a long queue delays
+// compaction instead of corrupting the read.
 func (q *Query) resolve() (*resolvedQuery, error) {
 	schema, err := q.db.cluster.Schema(q.table)
 	if err != nil {
@@ -278,13 +281,6 @@ func (q *Query) resolve() (*resolvedQuery, error) {
 	}
 	if r.filter, err = exec.ResolveNames(q.filter, schema); err != nil {
 		return nil, err
-	}
-	if r.targets, err = q.targets(exec.Pins(r.filter)); err != nil {
-		return nil, err
-	}
-	r.views = make([]*core.View, len(r.targets))
-	for i, t := range r.targets {
-		r.views[i] = t.View
 	}
 	r.groupCols = make([]int, len(q.groups))
 	for i, g := range q.groups {
@@ -311,6 +307,14 @@ func (q *Query) resolve() (*resolvedQuery, error) {
 	// rows from later partitions into the first Limit results.
 	if q.limit >= 0 && len(r.order) == 0 && len(r.aggs) == 0 && len(r.groupCols) == 0 {
 		r.earlyLimit = q.limit
+	}
+	// Snapshot last, once nothing can fail: the caller releases the views.
+	if r.targets, err = q.targets(exec.Pins(r.filter)); err != nil {
+		return nil, err
+	}
+	r.views = make([]*core.View, len(r.targets))
+	for i, t := range r.targets {
+		r.views[i] = t.View
 	}
 	return r, nil
 }
@@ -357,6 +361,7 @@ func (q *Query) RowsCtx(ctx context.Context) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer core.ReleaseAll(r.views)
 	var stats exec.ScanStats
 	var out []Row
 	adm := q.admission(ctx)
@@ -388,6 +393,7 @@ func (q *Query) CountCtx(ctx context.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer core.ReleaseAll(r.views)
 	var stats exec.ScanStats
 	n, err := exec.CountViewsAdmitted(ctx, r.views, r.filter, r.parallelism, &stats, q.admission(ctx))
 	if err != nil {
