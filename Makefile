@@ -13,8 +13,8 @@ check: build vet race
 # the seeded chaos soak, a smoke pass of the four benchmark workloads,
 # and a short fuzz pass of the SQL front-end, the WAL page codec, the
 # exec filter tree and aggregation kernels, the unique-key range and
-# secondary-key derivation, the write buffer's secondary index, the
-# segment index build, every decoder of blob and socket bytes and the
+# secondary-key derivation, the write buffer's secondary index and its
+# columnar image, the segment index build, every decoder of blob and socket bytes and the
 # TCP transport's frame reader. Run it locally before pushing.
 ci: fmtcheck decodecheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
@@ -131,8 +131,10 @@ benchsmoke:
 # derived unique-key range or secondary key (or routing to the derived
 # partition) loses a row that walking every row keeps,
 # FuzzBufferSecondary must find no write history on which the write
-# buffer's secondary seek returns other rows than a walk, and
-# FuzzSegmentIndex must find no column on which the sorted-array segment
+# buffer's secondary seek returns other rows than a walk,
+# FuzzBufferImage must find no write history and reader timestamps at
+# which the write buffer's columnar image, its mask and its delta return
+# other rows than a walk, and FuzzSegmentIndex must find no column on which the sorted-array segment
 # index disagrees with the map-based oracle build. Every decoder of blob
 # and socket bytes — the WAL page frame (FuzzDecodePage), log chunks
 # (FuzzDecodeRecords), table log records (FuzzDecodeMutation), snapshot
@@ -152,6 +154,7 @@ fuzzsmoke:
 	go test ./internal/exec -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 	go test ./internal/rowstore -run '^$$' -fuzz '^FuzzBufferSecondary$$' -fuzztime 10s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzBufferImage$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
 	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s

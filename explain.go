@@ -217,7 +217,10 @@ func (p Plan) String() string {
 			s.IndexFilters, s.EncodedFilters, s.RegularFilters, s.GroupFilters,
 			s.RowsOutput, s.RowsScanned)
 	}
-	if s.BufferRowsScanned > 0 {
+	if s.BufferImageRows+s.BufferImageBuilds > 0 {
+		fmt.Fprintf(&b, "  buffer (last run): %d rows from the columnar image (%d built), %d rows visited row by row\n",
+			s.BufferImageRows, s.BufferImageBuilds, s.BufferRowsScanned)
+	} else if s.BufferRowsScanned > 0 {
 		fmt.Fprintf(&b, "  buffer (last run): %d rows visited\n", s.BufferRowsScanned)
 	}
 	if s.EncodedFilterSegs+s.FusedAggSegs+s.RowsMaterialized > 0 {

@@ -73,6 +73,33 @@ func (b *Bitmap) And(other *Bitmap) {
 	}
 }
 
+// NextSet returns the first set bit at or after i, or Len() when there is
+// none. It tests a word at a time.
+func (b *Bitmap) NextSet(i int) int { return b.next(i, 0) }
+
+// NextClear returns the first clear bit at or after i, or Len() when there
+// is none.
+func (b *Bitmap) NextClear(i int) int { return b.next(i, ^uint64(0)) }
+
+// next returns the first bit at or after i whose value differs from flip's
+// bits: each word is XORed with flip, so a clear bit reads as set when
+// flip is all ones. Bits past Len read as set under that flip; the result
+// is capped at Len.
+func (b *Bitmap) next(i int, flip uint64) int {
+	if i >= b.n {
+		return b.n
+	}
+	wi := i / 64
+	w := (b.words[wi] ^ flip) &^ (1<<uint(i%64) - 1)
+	for w == 0 {
+		if wi++; wi == len(b.words) {
+			return b.n
+		}
+		w = b.words[wi] ^ flip
+	}
+	return min(wi*64+bits.TrailingZeros64(w), b.n)
+}
+
 // Range calls f for each set bit in ascending order; returning false stops.
 func (b *Bitmap) Range(f func(i int) bool) {
 	for wi, w := range b.words {

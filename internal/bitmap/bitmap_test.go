@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -194,4 +195,36 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("unstable round trip: %v", err)
 		}
 	})
+}
+
+// TestNextSetNextClear checks the word-at-a-time searches against a
+// per-bit scan from every offset, over random bitmaps of every density.
+func TestNextSetNextClear(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		b := New(n)
+		density := rng.Float64()
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(i)
+			}
+		}
+		for i := 0; i <= n+1; i++ {
+			set, clear := n, n
+			for j := n - 1; j >= i; j-- {
+				if b.Get(j) {
+					set = j
+				} else {
+					clear = j
+				}
+			}
+			if got := b.NextSet(i); got != set {
+				t.Fatalf("n=%d: NextSet(%d) = %d, want %d", n, i, got, set)
+			}
+			if got := b.NextClear(i); got != clear {
+				t.Fatalf("n=%d: NextClear(%d) = %d, want %d", n, i, got, clear)
+			}
+		}
+	}
 }

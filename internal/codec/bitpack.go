@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // BitPack is a frame-of-reference bit-packed integer column: values are
@@ -75,11 +76,42 @@ func (b *BitPack) At(i int) int64 {
 }
 
 // DecodeAll appends all values to dst.
-func (b *BitPack) DecodeAll(dst []int64) []int64 {
-	for i := 0; i < b.n; i++ {
-		dst = append(dst, b.At(i))
+func (b *BitPack) DecodeAll(dst []int64) []int64 { return b.AppendRange(dst, 0, b.n) }
+
+// AppendRange appends the values of rows [start, end) to dst. It unpacks a
+// word at a time: each value is one shift of the current word, plus one
+// more when it straddles into the next.
+func (b *BitPack) AppendRange(dst []int64, start, end int) []int64 {
+	dst = slices.Grow(dst, end-start)
+	out := dst[len(dst) : len(dst)+end-start]
+	if b.width == 0 {
+		for k := range out {
+			out[k] = b.min
+		}
+		return dst[:len(dst)+len(out)]
 	}
-	return dst
+	w := uint(b.width)
+	mask := ^uint64(0) >> (64 - w)
+	bit := uint(start) * w
+	wi, off := int(bit/64), bit%64
+	var cur uint64
+	if len(out) > 0 {
+		cur = b.words[wi]
+	}
+	for k := range out {
+		v := cur >> off
+		if off += w; off >= 64 {
+			off -= 64
+			if wi++; wi < len(b.words) {
+				cur = b.words[wi]
+			}
+			if off > 0 {
+				v |= cur << (w - off)
+			}
+		}
+		out[k] = b.min + int64(v&mask)
+	}
+	return dst[:len(dst)+len(out)]
 }
 
 // Kind reports KindBitPack.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -398,6 +399,59 @@ func TestRLEFindRunBoundaries(t *testing.T) {
 	for i, wv := range wantVals {
 		if v := r.At(i); v != wv {
 			t.Fatalf("At(%d) = %d, want %d", i, v, wv)
+		}
+	}
+}
+
+// TestBitPackAppendRangeMatchesAt checks the word-at-a-time range decode
+// against At for every width from 0 to 64, over random start and end
+// offsets (empty ranges and ranges ending at the last row included).
+func TestBitPackAppendRangeMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for width := 0; width <= 64; width++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			// Values base+d with d < 2^width, the span pinned to exactly
+			// width bits by a first value of base and a last of base plus
+			// the top bit; the base keeps every sum inside int64.
+			base := int64(math.MinInt64)
+			if width <= 62 {
+				base = rng.Int63n(1<<61) - 1<<60
+			}
+			vals := make([]int64, n)
+			for i := range vals {
+				switch {
+				case width == 64:
+					vals[i] = int64(rng.Uint64())
+				case width > 0:
+					vals[i] = base + int64(rng.Uint64()>>(64-width))
+				default:
+					vals[i] = base
+				}
+			}
+			if n > 1 && width > 0 {
+				vals[0], vals[n-1] = base, base+int64(uint64(1)<<(width-1))
+				if width == 64 {
+					vals[n-1] = math.MaxInt64
+				}
+			}
+			b := NewBitPack(vals)
+			if n > 1 && b.Width() != width {
+				t.Fatalf("n=%d: width %d, want %d", n, b.Width(), width)
+			}
+			for trial := 0; trial < 40; trial++ {
+				start := rng.Intn(n + 1)
+				end := start + rng.Intn(n-start+1)
+				prefix := []int64{-7}
+				got := b.AppendRange(prefix, start, end)
+				if got[0] != -7 || len(got) != 1+end-start {
+					t.Fatalf("width %d [%d,%d): appended %d values after %v", width, start, end, len(got)-1, got[:1])
+				}
+				for i := start; i < end; i++ {
+					if got[1+i-start] != b.At(i) {
+						t.Fatalf("width %d row %d of [%d,%d): %d, At says %d", width, i, start, end, got[1+i-start], b.At(i))
+					}
+				}
+			}
 		}
 	}
 }

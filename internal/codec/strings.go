@@ -48,6 +48,11 @@ func (d *Dict) DictValue(c int) string { return d.dict[c] }
 // Code returns the dictionary code of row i.
 func (d *Dict) Code(i int) int { return int(d.codes.At(i)) }
 
+// AppendCodes appends the dictionary codes of rows [start, end) to dst.
+func (d *Dict) AppendCodes(dst []int64, start, end int) []int64 {
+	return d.codes.AppendRange(dst, start, end)
+}
+
 // CodeOf returns the code for value v, or -1 when v is not in the
 // dictionary (so no row matches it).
 func (d *Dict) CodeOf(v string) int {

@@ -213,8 +213,9 @@ func (a *aggState) result(f AggFunc, t types.ColType) types.Value {
 // Aggregate runs a grouped aggregation over the filtered view. The result
 // rows contain the group-by values followed by one value per AggSpec. With
 // no group columns a single row is returned. Segment inputs use columnar
-// access; buffer rows are folded in row-wise, so analytics always see data
-// that has not been flushed yet (the HTAP property of §4).
+// access, and so does the write buffer's columnar image on a full scan;
+// the rows the image does not cover are folded in row-wise, so analytics
+// always see data that has not been flushed yet (the HTAP property of §4).
 func Aggregate(view *core.View, filter Node, groupCols []int, aggs []AggSpec, scan *Scan) []types.Row {
 	if scan == nil {
 		scan = NewScan(view, filter)
@@ -268,17 +269,17 @@ func Aggregate(view *core.View, filter Node, groupCols []int, aggs []AggSpec, sc
 		}
 	}
 
-	scan.RunBuffer(func(r types.Row) bool { addRow(r); return true })
-	// Each segment dispatches to a single-pass fused kernel when its shape
-	// and encodings allow; otherwise the general path materializes rows
-	// lazily (late materialization: only the columns the grouping and
-	// aggregates read decode, and for dense selections each decodes once).
-	// Either way the same group table fills in the same order.
+	// Each segment — and the write buffer's columnar image — dispatches to
+	// a single-pass fused kernel when its shape and encodings allow;
+	// otherwise the general path materializes rows lazily (late
+	// materialization: only the columns the grouping and aggregates read
+	// decode, and for dense selections each decodes once). Either way the
+	// same group table fills in the same order.
 	fuser := newAggFuser(groupCols, aggs, touch, resultType)
 	proj := aggProjection(groupCols, aggs)
-	scan.RunSegments(func(ctx *SegContext, spans []Span) {
+	segment := func(ctx *SegContext, spans []Span) {
 		if mode := fuser.classify(ctx); mode != fuseNone && fuser.run(mode, ctx, spans) {
-			if ctx.Stats != nil {
+			if ctx.Stats != nil && ctx.image == nil {
 				ctx.Stats.FusedAggSegs++
 			}
 			return
@@ -289,7 +290,9 @@ func Aggregate(view *core.View, filter Node, groupCols []int, aggs []AggSpec, sc
 				addRow(mat(int(i)))
 			}
 		}
-	})
+	}
+	scan.RunBuffer(func(r types.Row) bool { addRow(r); return true }, segment)
+	scan.RunSegments(segment)
 
 	out := make([]types.Row, 0, len(order))
 	for _, g := range order {

@@ -140,13 +140,27 @@ func segVec[T colValue](c *SegContext, col int) []T {
 	}
 	v := &(*memo)[col]
 	if *v == nil {
-		if c.Cache != nil {
+		switch {
+		case c.Cache != nil:
 			*v = cachedVec[T](c.Cache, c.Meta, col, c.Stats)
-		} else {
+		case c.image != nil:
+			*v = imageVec[T](c.image, c.Meta, col, c.Stats)
+		default:
 			*v = decodeVec[T](c.Meta, col, c.Stats)
 		}
 	}
 	return *v
+}
+
+// imageVec returns a column of the write buffer's columnar image, decoded
+// once per image into the image's own store: every scan until the next
+// rebuild reads the image, so decoding it per scan would dominate.
+func imageVec[T colValue](vecs *sync.Map, meta *colstore.Meta, col int, st *ScanStats) []T {
+	if v, ok := vecs.Load(col); ok {
+		return v.([]T)
+	}
+	v, _ := vecs.LoadOrStore(col, decodeVec[T](meta, col, st))
+	return v.([]T)
 }
 
 // valueAs reads a constant as T, by the field the column's type uses — as

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"s2db/internal/colstore"
@@ -86,6 +87,11 @@ type SegContext struct {
 	// across queries and fan-out workers; nil falls back to private
 	// per-segment decodes (the pre-cache behaviour).
 	Cache *VecCache
+	// image is set on the write buffer's columnar image, to the image's
+	// own decoded-column store (core.BufferImage.Vectors); the
+	// per-segment counters (EncodedFilterSegs, FusedAggSegs) leave the
+	// image out.
+	image *sync.Map
 
 	// Decoded vectors by column, one table per Go type, each made on the
 	// first decode of its type (segVec).
@@ -203,9 +209,17 @@ type ScanStats struct {
 	GlobalIndexProbes  int64
 	JoinIndexFilters   int64
 	JoinIndexFallbacks int64
-	// BufferRowsScanned counts the write-buffer rows the scan visited: all
-	// of them on a walk, only the pinned key range on a seek.
+	// BufferRowsScanned counts the write-buffer rows the scan read through
+	// the row path: all of them on a walk, only the pinned key range on a
+	// seek, only the delta on a read of the buffer's columnar image.
 	BufferRowsScanned int64
+	// BufferImageRows counts the rows a full scan covered with the buffer's
+	// columnar image: its live rows, the mask excluded, whether zone maps
+	// eliminated it or not, so that with BufferRowsScanned they add up to
+	// the rows a walk would visit. BufferImageBuilds counts the images the
+	// scan built.
+	BufferImageRows   int64
+	BufferImageBuilds int64
 
 	// Decoded-vector cache counters for this scan: hits served without
 	// decode work, misses this scan decoded itself, waits that joined

@@ -108,12 +108,7 @@ func FuzzFilterTree(f *testing.F) {
 	f.Add([]byte{fzIn, 5, 1, 0, 0, 1, 1})
 	f.Add([]byte{fzLeaf, 6, byte(vector.Eq), 0, 0})
 
-	var views []*core.View
-	for _, maxSegRows := range []int{32, 64, 4096} {
-		tbl := newKernelTable(f, maxSegRows)
-		fillKernel(f, tbl, 500, 40)
-		views = append(views, tbl.Snapshot())
-	}
+	views := fuzzViews(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &treeDecoder{data: data, known: known}
 		tree := d.node(0)
@@ -122,6 +117,20 @@ func FuzzFilterTree(f *testing.F) {
 			checkFilter(t, label, view, tree, refRows(view, tree))
 		}
 	})
+}
+
+// fuzzViews are the views the kernel fuzzers check: the kernel table at
+// three segment sizes with 40 buffered rows, which full scans walk, and
+// one with 200, which full scans read through the buffer's columnar image
+// (in key order: no write follows the view, so its delta stays empty).
+func fuzzViews(f *testing.F) []*core.View {
+	var views []*core.View
+	for _, c := range []struct{ maxSegRows, buffered int }{{32, 40}, {64, 40}, {4096, 40}, {64, 200}} {
+		tbl := newKernelTable(f, c.maxSegRows)
+		fillKernel(f, tbl, 500, c.buffered)
+		views = append(views, tbl.Snapshot())
+	}
+	return views
 }
 
 // fuzzExprs are the expression aggregates FuzzAggregate draws from: a
@@ -217,12 +226,7 @@ func FuzzAggregate(f *testing.F) {
 		f.Add([]byte{i, 2, 12, 13, 0, 1, 3, 8})            // by (konst, w4095): 4096 codes in all
 		f.Add([]byte{i, 1, 5, 1, 0, 0, 2, 3, 4})           // by hi: a nullable int falls back
 	}
-	var views []*core.View
-	for _, maxSegRows := range []int{32, 64, 4096} {
-		tbl := newKernelTable(f, maxSegRows)
-		fillKernel(f, tbl, 500, 40)
-		views = append(views, tbl.Snapshot())
-	}
+	views := fuzzViews(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &treeDecoder{data: data}
 		filter, groupCols, aggs := d.aggShape(names)

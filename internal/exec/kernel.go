@@ -63,29 +63,13 @@ func putSpans(p *[]Span) {
 // liveSpans appends the segment's non-deleted rows to out as coalesced
 // spans. The common no-deletes case is a single span — the whole point of
 // span-space selection: no per-row work before the first predicate runs.
+// Otherwise each span's ends are found a bitmap word at a time.
 func liveSpans(meta *colstore.Meta, out []Span) []Span {
-	n := meta.Seg.NumRows
-	if n == 0 {
-		return out
-	}
-	if meta.Deleted.Count() == 0 {
-		return append(out, Span{Start: 0, End: int32(n)})
-	}
-	start := -1
-	for i := 0; i < n; i++ {
-		if meta.Deleted.Get(i) {
-			if start >= 0 {
-				out = append(out, Span{Start: int32(start), End: int32(i)})
-				start = -1
-			}
-			continue
-		}
-		if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, Span{Start: int32(start), End: int32(n)})
+	n, del := meta.Seg.NumRows, meta.Deleted
+	for i := del.NextClear(0); i < n; i = del.NextClear(i) {
+		end := min(del.NextSet(i), n)
+		out = append(out, Span{Start: int32(i), End: int32(end)})
+		i = end
 	}
 	return out
 }
@@ -559,14 +543,19 @@ func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slot
 }
 
 // dictCodes folds a dictionary column's codes into the surviving rows'
-// mixed-radix codes s.
+// mixed-radix codes s, unpacking each span's codes in one range decode.
 func dictCodes(d *codec.Dict, spans []Span, s []int32) {
+	scratch := bitsPool.Get().(*[]int64)
 	size, k := int32(d.DictSize()), 0
 	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
-			s[k] = s[k]*size + int32(d.Code(int(i)))
+		codes := d.AppendCodes((*scratch)[:0], int(sp.Start), int(sp.End))
+		for _, c := range codes {
+			s[k] = s[k]*size + int32(c)
+			k++
 		}
+		*scratch = codes
 	}
+	bitsPool.Put(scratch)
 }
 
 // intCodes folds an int column's codes v − lo into the surviving rows'

@@ -165,6 +165,8 @@ func accumulate(dst *ScanStats, src ScanStats) {
 	dst.JoinIndexFilters += src.JoinIndexFilters
 	dst.JoinIndexFallbacks += src.JoinIndexFallbacks
 	dst.BufferRowsScanned += src.BufferRowsScanned
+	dst.BufferImageRows += src.BufferImageRows
+	dst.BufferImageBuilds += src.BufferImageBuilds
 	dst.VecCacheHits += src.VecCacheHits
 	dst.VecCacheMisses += src.VecCacheMisses
 	dst.VecCacheWaits += src.VecCacheWaits

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 
+	"s2db/internal/colstore"
 	"s2db/internal/core"
 	"s2db/internal/types"
 	"s2db/internal/vector"
@@ -187,23 +188,27 @@ func (s *Scan) candidateSegments() []int {
 			s.Stats.SegmentsSkipped++
 			continue
 		}
-		eliminated := false
-		for _, l := range zoneLeaves {
-			if len(l.In) > 0 || l.Val.IsNull {
-				continue
-			}
-			if !m.Seg.MayContain(l.Col, int(l.Op), l.Val) {
-				eliminated = true
-				break
-			}
-		}
-		if eliminated {
+		if zoneEliminates(m.Seg, zoneLeaves) {
 			s.Stats.SegmentsSkipped++
 			continue
 		}
 		all = append(all, i)
 	}
 	return all
+}
+
+// zoneEliminates reports whether the segment's zone maps rule out every
+// row for one of the filter's top-level clauses.
+func zoneEliminates(seg *colstore.Segment, leaves []*Leaf) bool {
+	for _, l := range leaves {
+		if len(l.In) > 0 || l.Val.IsNull {
+			continue
+		}
+		if !seg.MayContain(l.Col, int(l.Op), l.Val) {
+			return true
+		}
+	}
+	return false
 }
 
 // waitHydrated blocks until the view's si-th segment has its payload
@@ -233,9 +238,6 @@ func (s *Scan) waitHydrated(si int) bool {
 // copies, not the slices.
 func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 	vec := s.cache()
-	liveBuf, outBuf := getSpans(), getSpans()
-	defer putSpans(liveBuf)
-	defer putSpans(outBuf)
 	for _, si := range s.candidateSegments() {
 		if s.Cancel != nil && s.Cancel() {
 			return
@@ -248,27 +250,44 @@ func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 		s.Stats.RowsScanned += int64(meta.Seg.NumRows)
 		ctx := NewSegContext(meta, s.View.Index(), &s.Stats)
 		ctx.Cache = vec
-		spans := liveSpans(meta, (*liveBuf)[:0])
-		*liveBuf = spans[:0]
-		if s.Filter != nil {
-			spans = s.Filter.EvalSpans(ctx, spans, (*outBuf)[:0])
-			*outBuf = spans[:0]
-			s.Stats.EncodedFilterSegs++
-		}
-		if n := spanRows(spans); n > 0 {
-			s.Stats.RowsOutput += int64(n)
-			f(ctx, spans)
-		}
-		ctx.releaseBuffers()
+		s.filterSegment(ctx, f)
 	}
 }
 
-// RunBuffer evaluates the filter over the in-memory buffer rows. When the
-// filter pins a unique-key prefix or a whole secondary key it seeks that
-// key range of the skiplist, or that key in the buffer's secondary index,
-// instead of walking the whole buffer (§2.1.1, §4.1.1: the rowstore is
-// indexed), so an equality statement visits O(matches) rows.
-func (s *Scan) RunBuffer(f func(r types.Row) bool) {
+// filterSegment runs the filter over the live rows of ctx's segment and
+// calls f with the surviving spans, if any.
+func (s *Scan) filterSegment(ctx *SegContext, f func(ctx *SegContext, spans []Span)) {
+	liveBuf, outBuf := getSpans(), getSpans()
+	defer putSpans(liveBuf)
+	defer putSpans(outBuf)
+	spans := liveSpans(ctx.Meta, (*liveBuf)[:0])
+	*liveBuf = spans[:0]
+	if s.Filter != nil {
+		spans = s.Filter.EvalSpans(ctx, spans, (*outBuf)[:0])
+		*outBuf = spans[:0]
+		if ctx.image == nil {
+			s.Stats.EncodedFilterSegs++
+		}
+	}
+	if n := spanRows(spans); n > 0 {
+		s.Stats.RowsOutput += int64(n)
+		f(ctx, spans)
+	}
+	ctx.releaseBuffers()
+}
+
+// RunBuffer reads the in-memory write buffer. When the filter pins a
+// unique-key prefix or a whole secondary key it seeks that key range of
+// the skiplist, or that key in the buffer's secondary index, instead of
+// walking the whole buffer (§2.1.1, §4.1.1: the rowstore is indexed), so
+// an equality statement visits O(matches) rows, each evaluated row by row
+// and passed to f. A full scan reads the buffer's columnar image instead
+// when the view has one (core.View.BufferImage): the image goes through
+// the segment kernels like a segment — zone maps, live spans, the filter —
+// and seg receives its surviving spans, as from RunSegments; only the
+// delta rows take the row path. The image is never index-probed and never
+// served from the shared vector cache.
+func (s *Scan) RunBuffer(f func(r types.Row) bool, seg func(ctx *SegContext, spans []Span)) {
 	visit := func(r types.Row) bool {
 		s.Stats.BufferRowsScanned++
 		if s.Cancel != nil && s.Stats.BufferRowsScanned&1023 == 0 && s.Cancel() {
@@ -284,6 +303,25 @@ func (s *Scan) RunBuffer(f func(r types.Row) bool) {
 	if s.Filter != nil {
 		p = s.View.Schema.Place(Pins(s.Filter))
 	}
+	if !p.Seeks() {
+		if img, ok := s.View.BufferImage(); ok {
+			if img.Built {
+				s.Stats.BufferImageBuilds++
+			}
+			s.Stats.BufferImageRows += int64(img.Meta.LiveRows())
+			if !zoneEliminates(img.Meta.Seg, conjuncts(s.Filter)) {
+				ctx := NewSegContext(img.Meta, nil, &s.Stats)
+				ctx.image = img.Vectors
+				s.filterSegment(ctx, seg)
+			}
+			for _, r := range img.Delta {
+				if !visit(r) {
+					return
+				}
+			}
+			return
+		}
+	}
 	s.View.ScanBufferAt(p, visit)
 }
 
@@ -292,17 +330,7 @@ func (s *Scan) RunBuffer(f func(r types.Row) bool) {
 // them.
 func (s *Scan) Run(emit func(r types.Row) bool) {
 	stop := false
-	s.RunBuffer(func(r types.Row) bool {
-		if !emit(r) {
-			stop = true
-			return false
-		}
-		return true
-	})
-	if stop {
-		return
-	}
-	s.RunSegments(func(ctx *SegContext, spans []Span) {
+	segment := func(ctx *SegContext, spans []Span) {
 		if stop {
 			return
 		}
@@ -317,16 +345,24 @@ func (s *Scan) Run(emit func(r types.Row) bool) {
 				}
 			}
 		}
-	})
+	}
+	s.RunBuffer(func(r types.Row) bool {
+		stop = stop || !emit(r)
+		return !stop
+	}, segment)
+	if !stop {
+		s.RunSegments(segment)
+	}
 }
 
 // Count returns the number of matching rows without materializing them.
 // With no filter the segment side answers from metadata alone — per-segment
 // live-row counts — touching no column vector; only the in-memory write
-// buffer is walked, for MVCC visibility at the view's timestamp.
+// buffer is read, for MVCC visibility at the view's timestamp.
 func (s *Scan) Count() int64 {
 	var n int64
-	s.RunBuffer(func(types.Row) bool { n++; return true })
+	spans := func(_ *SegContext, spans []Span) { n += int64(spanRows(spans)) }
+	s.RunBuffer(func(types.Row) bool { n++; return true }, spans)
 	if s.Filter == nil {
 		var segRows int64
 		for _, m := range s.View.Segs {
@@ -335,6 +371,6 @@ func (s *Scan) Count() int64 {
 		s.Stats.RowsOutput += segRows
 		return n + segRows
 	}
-	s.RunSegments(func(_ *SegContext, spans []Span) { n += int64(spanRows(spans)) })
+	s.RunSegments(spans)
 	return n
 }

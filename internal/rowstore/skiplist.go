@@ -19,16 +19,20 @@ const maxHeight = 16
 // node is a skiplist node: one logical row identified by its key. Nodes are
 // never physically unlinked; a deleted row is a tombstone version, which
 // keeps concurrent traversal simple and lock-free.
+//
+// A walk reads versions, key and tower[0] of every node, so they lead the
+// struct and share its first 40 bytes: one cache line per walked node (a
+// node is 192 bytes, a size class whose objects start 64-byte aligned).
 type node struct {
-	key   []byte
-	tower [maxHeight]atomic.Pointer[node]
+	versions atomic.Pointer[version]
+	key      []byte
+	tower    [maxHeight]atomic.Pointer[node]
 
 	// mu guards the version list head and lock ownership; it is held only
 	// for short critical sections, never across user code.
-	mu       sync.Mutex
-	cond     *sync.Cond // signaled when the row lock is released
-	owner    *Txn       // active writer holding the row lock, or nil
-	versions atomic.Pointer[version]
+	mu    sync.Mutex
+	cond  *sync.Cond // signaled when the row lock is released
+	owner *Txn       // active writer holding the row lock, or nil
 }
 
 // version is one MVCC version of a row. data == nil marks a delete

@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -476,5 +477,32 @@ func TestRepeatedCommitIsNoOp(t *testing.T) {
 	ab.Commit(20)
 	if _, ok := s.Get(key(2), 100); ok {
 		t.Fatal("Commit after Abort made the row visible")
+	}
+}
+
+// BenchmarkStoreScan walks a 4 096-row store at a snapshot, the loop of a
+// full write-buffer scan: ns/op is per walked row. Rows are inserted in a
+// shuffled order, so consecutive keys sit in scattered nodes as they do in
+// a buffer written by concurrent transactions.
+func BenchmarkStoreScan(b *testing.B) {
+	const rows = 4096
+	s := NewStore(0)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(rows) {
+		tx := s.Begin(0)
+		if _, err := tx.Insert(key(i), row(i)); err != nil {
+			b.Fatal(err)
+		}
+		tx.Commit(uint64(i + 1))
+	}
+	b.ResetTimer()
+	walked := 0
+	for walked < b.N {
+		s.Scan(nil, nil, rows, func([]byte, types.Row) bool {
+			walked++
+			return true
+		})
+	}
+	if walked < rows {
+		b.Fatal("walk visited too few rows")
 	}
 }

@@ -320,6 +320,10 @@ type Placement struct {
 	shardPinned bool
 }
 
+// Seeks reports whether the placement narrows the buffer to a key range
+// or a secondary key; false means a walk of the whole buffer.
+func (p Placement) Seeks() bool { return p.From != nil || p.To != nil || len(p.Secondary) > 0 }
+
 // Partition returns the one partition out of n that owns every row the
 // pins can match, or false when some shard column is unpinned.
 func (p Placement) Partition(n int) (int, bool) {

@@ -76,8 +76,8 @@ func TestPointSelectSeeksOnePartition(t *testing.T) {
 		if len(got) != c.want {
 			t.Fatalf("%s: %d rows, want %d", c.sql, len(got), c.want)
 		}
-		if s := q.Stats(); s.BufferRowsScanned != n {
-			t.Fatalf("%s visited %d buffer rows, want all %d", c.sql, s.BufferRowsScanned, n)
+		if s := q.Stats(); s.BufferRowsScanned+s.BufferImageRows != n {
+			t.Fatalf("%s read %d buffer rows (%d from the image), want all %d", c.sql, s.BufferRowsScanned+s.BufferImageRows, s.BufferImageRows, n)
 		}
 		plan, err := db.Explain(c.sql, c.binds...)
 		if err != nil {
@@ -224,8 +224,8 @@ func TestKeySeekEquivalence(t *testing.T) {
 				t.Fatalf("%s: key seek %q, want %q", label, plan.KeySeek, c.seek)
 			}
 			scanned := q.Stats().BufferRowsScanned
-			if c.seek == "" && scanned != int64(walked) {
-				t.Fatalf("%s: walk visited %d of %d buffer rows", label, scanned, walked)
+			if read := scanned + q.Stats().BufferImageRows; c.seek == "" && read != int64(walked) {
+				t.Fatalf("%s: full scan read %d of %d buffer rows", label, read, walked)
 			}
 			if c.seek != "" && scanned > int64(len(want)+1) {
 				t.Fatalf("%s: seek visited %d buffer rows for %d matches", label, scanned, len(want))
@@ -359,5 +359,55 @@ func TestSecondarySeekVisitsMatches(t *testing.T) {
 	}
 	if got, err := db.Query("SELECT * FROM orders WHERE customer = ?", Int(c)); err != nil || len(got) != 0 {
 		t.Fatalf("select after delete = %v, %v", got, err)
+	}
+}
+
+// TestExplainBufferImageSplit: an unpinned scan of unflushed rows reads
+// each write buffer's columnar image, and Explain's buffer line splits the
+// rows the image covered from those read row by row (the delta of keys
+// written since the image).
+func TestExplainBufferImageSplit(t *testing.T) {
+	const n = 400
+	db := openUnflushedDB(t, Config{Partitions: 2})
+	if err := db.CreateTable("events", eventsSchema()); err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) Row {
+		return Row{Int(int64(i)), Str(fmt.Sprintf("k%d", i%4)), Int(int64(i % 50)), Float(float64(i))}
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	if err := db.Insert("events", rows...); err != nil {
+		t.Fatal(err)
+	}
+	q := db.Table("events").Where(GtName("amount", Int(-1))).GroupByNames("kind").Agg(CountAll())
+	for _, c := range []struct {
+		label         string
+		image, visits int64
+		line          string
+	}{
+		{"first run", n, 0, fmt.Sprintf("buffer (last run): %d rows from the columnar image (2 built), 0 rows visited row by row", n)},
+		{"after 3 inserts", n, 3, fmt.Sprintf("buffer (last run): %d rows from the columnar image (0 built), 3 rows visited row by row", n)},
+	} {
+		if c.visits > 0 {
+			if err := db.Insert("events", row(n), row(n+1), row(n+2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := q.Rows(); err != nil {
+			t.Fatal(err)
+		}
+		if s := q.Stats(); s.BufferImageRows != c.image || s.BufferRowsScanned != c.visits {
+			t.Fatalf("%s: %d image rows, %d visited, want %d and %d", c.label, s.BufferImageRows, s.BufferRowsScanned, c.image, c.visits)
+		}
+		plan, err := q.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.String(), c.line) {
+			t.Fatalf("%s: plan lacks %q:\n%s", c.label, c.line, plan)
+		}
 	}
 }
