@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -511,29 +513,67 @@ func (c *Cluster) FailMaster(pi int) error {
 	promoted.Promote(old)
 	promoted.setMinSyncers(min(c.cfg.SyncReplicas, len(reps)-1))
 	c.masters[pi] = promoted
-	// Staging resumes out of the promoted master where the old one
-	// stopped, so writes after the failover still reach blob storage.
-	promoted.markUploaded(old.Uploaded())
+	// Staging resumes out of the promoted master where blob ends, so
+	// writes after the failover still reach blob storage.
+	promoted.markUploaded(c.stagingResumeAt(pi, promoted))
 	c.stagers[pi] = c.startStager(promoted)
 	// Re-attach the remaining replicas to the new master from their own
-	// positions.
+	// positions. One whose position the promoted log has dropped catches
+	// up from blob first.
 	var newReps []*Partition
 	var newLinks []*Link
+	var dropped []error
 	for i, r := range reps {
 		if i == best {
 			continue
 		}
+		var err error
+		if r.Applied() < promoted.Log().Base() && c.cfg.Blob != nil {
+			_, err = c.catchUp(r, pi, math.MaxInt64)
+		}
 		// A replica can only resume if it is not ahead of the new master
 		// and the new master still has the records it needs.
-		if r.Applied() <= promoted.Log().Head() && r.Applied() >= promoted.Log().Base() {
-			newLinks = append(newLinks, c.startLinkFrom(promoted, r, true, r.Applied()))
-			newReps = append(newReps, r)
+		if base, head := promoted.Log().Base(), promoted.Log().Head(); err == nil && (r.Applied() > head || r.Applied() < base) {
+			err = fmt.Errorf("applied %d outside the promoted log [%d,%d)", r.Applied(), base, head)
 		}
+		if err != nil {
+			dropped = append(dropped, fmt.Errorf("cluster: partition %d: replica dropped at failover: %w", pi, err))
+			r.Close()
+			continue
+		}
+		newLinks = append(newLinks, c.startLinkFrom(promoted, r, true, r.Applied()))
+		newReps = append(newReps, r)
 	}
 	c.replicas[pi] = newReps
 	c.links[pi] = newLinks
 	promoted.NoteAppend()
-	return nil
+	return errors.Join(dropped...)
+}
+
+// stagingResumeAt is where a promoted master's stager starts: one past the
+// last record in partition pi's newest blob log chunk. The promoted log
+// holds it, because a sync replica keeps everything its master might not
+// have uploaded (Link.keepFrom). Without a blob store, or when blob cannot
+// be read, it is the promoted log's base: records from there that blob
+// already holds are staged again, and catch-up skips the overlap.
+func (c *Cluster) stagingResumeAt(pi int, promoted *Partition) uint64 {
+	base := promoted.Log().Base()
+	if c.cfg.Blob == nil {
+		return base
+	}
+	chunks, err := c.cfg.Blob.List(c.blobPrefix(pi) + "log/")
+	if err != nil || len(chunks) == 0 {
+		return base
+	}
+	data, err := c.cfg.Blob.Get(chunks[len(chunks)-1])
+	if err != nil {
+		return base
+	}
+	pl, recs, err := wal.DecodeRecords(data)
+	if err != nil || checkPlacement("log chunk", pl, c.cfg.Partitions) != nil || len(recs) == 0 {
+		return base
+	}
+	return max(base, recs[len(recs)-1].LSN+1)
 }
 
 // ReplicationLag reports the maximum pending-record lag across all HA
@@ -563,6 +603,46 @@ func (c *Cluster) ReplicationLagDetail() (records, pages, bytes int) {
 		}
 	}
 	return records, pages, bytes
+}
+
+// HeldLog is how much of its log one copy of a partition holds in memory.
+type HeldLog struct {
+	Partition int
+	// Copy is "master", "replica <i>" (the i-th HA replica) or
+	// "workspace <name>".
+	Copy           string
+	Records, Bytes int
+}
+
+// LogHeldDetail reports the log every copy holds in memory: each master,
+// HA replica and workspace partition, workspaces in name order. Each copy
+// truncates its own log; blob storage holds what they dropped (DESIGN.md
+// §8).
+func (c *Cluster) LogHeldDetail() []HeldLog {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []HeldLog
+	add := func(pi int, name string, p *Partition) {
+		n, b := p.Log().Held()
+		out = append(out, HeldLog{Partition: pi, Copy: name, Records: n, Bytes: b})
+	}
+	for pi, p := range c.masters {
+		add(pi, "master", p)
+		for i, r := range c.replicas[pi] {
+			add(pi, fmt.Sprintf("replica %d", i), r)
+		}
+	}
+	names := make([]string, 0, len(c.workspace))
+	for name := range c.workspace {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for pi, p := range c.workspace[name].parts {
+			add(pi, "workspace "+name, p)
+		}
+	}
+	return out
 }
 
 // LinkErrors reports every terminal replication-link error in the cluster

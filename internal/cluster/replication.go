@@ -276,6 +276,7 @@ func (l *Link) sender(wg *sync.WaitGroup, sub *wal.Subscription, mc Conn, errCh 
 			}
 			return
 		}
+		pg.Uploaded = l.master.Uploaded()
 		if l.latency > 0 {
 			// One hop for the whole page — stop-aware, so Stop() never
 			// waits out the backlog's worth of injected latency.
@@ -365,7 +366,22 @@ func (l *Link) receiver(wg *sync.WaitGroup, rc Conn, errCh chan<- error) {
 			errCh <- fatalLinkError{err}
 			return
 		}
+		l.replica.Log().TruncateBefore(l.keepFrom(pg.Uploaded))
 	}
+}
+
+// keepFrom is the first LSN the replica's log must still hold once it has
+// applied a page that carried the master's upload watermark uploaded. A
+// sync replica may be promoted, and its stager then uploads from where
+// blob ends, so it keeps what blob may not hold yet: min(uploaded,
+// applied). A workspace keeps nothing it has applied: no one subscribes
+// to it or promotes it, and it catches up from blob (catchUp).
+func (l *Link) keepFrom(uploaded uint64) uint64 {
+	applied := l.replica.Applied()
+	if l.syncAck {
+		return min(uploaded, applied)
+	}
+	return applied
 }
 
 // progress is the replica's acknowledged forward motion as the supervisor

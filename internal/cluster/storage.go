@@ -334,11 +334,14 @@ func (s *Stager) snapshot() error {
 	s.mu.Lock()
 	s.snapshotsPut++
 	s.mu.Unlock()
-	// The local log below the snapshotted-and-uploaded position is no
-	// longer needed for recovery. Truncation can invalidate a downed
-	// link's resume point: a reconnect that resubscribes below the new
-	// base turns terminally ErrLinkDown, and the owner re-heals from the
-	// blob chunks staged here (resyncLink).
+	// Blob holds the log below uploaded, and the snapshot just put bounds
+	// how much of it a restore replays, so the master drops it: this is
+	// the master's truncation, as Link.keepFrom is each replica's and
+	// workspace's. A link whose resume point falls below the new base
+	// cannot resubscribe and ends with ErrLinkDown. A workspace link heals
+	// from the chunks staged here (resyncLink); an HA replica's stays down,
+	// reported by LinkErrors, until a failover catches the replica up from
+	// blob.
 	s.part.Log().TruncateBefore(uploaded)
 	return nil
 }

@@ -164,32 +164,52 @@ func buildFromRows(id uint64, schema *types.Schema, rows []types.Row) *Segment {
 			nulls.Set(i)
 		}
 		switch col.Type {
-		case types.Int64, types.Float64:
+		case types.Int64:
 			vals := make([]int64, n)
-			for i, r := range rows {
-				v := r[c]
+			var z zone[int64]
+			for i := range rows {
+				v := &rows[i][c]
 				if v.IsNull {
 					setNull(i)
 					continue
 				}
-				if col.Type == types.Int64 {
-					vals[i] = v.I
-				} else {
-					vals[i] = int64(math.Float64bits(v.F))
+				vals[i] = v.I
+				z.add(v.I)
+			}
+			if z.has {
+				seg.Min[c], seg.Max[c], seg.HasRange[c] = types.NewInt(z.lo), types.NewInt(z.hi), true
+			}
+			seg.Cols[c] = Column{Ints: codec.EncodeInts(vals), Nulls: nulls}
+		case types.Float64:
+			vals := make([]int64, n)
+			var z zone[float64]
+			for i := range rows {
+				v := &rows[i][c]
+				if v.IsNull {
+					setNull(i)
+					continue
 				}
-				updateRange(seg, c, v)
+				vals[i] = int64(math.Float64bits(v.F))
+				z.add(v.F)
+			}
+			if z.has {
+				seg.Min[c], seg.Max[c], seg.HasRange[c] = types.NewFloat(z.lo), types.NewFloat(z.hi), true
 			}
 			seg.Cols[c] = Column{Ints: codec.EncodeInts(vals), Nulls: nulls}
 		case types.String:
 			vals := make([]string, n)
-			for i, r := range rows {
-				v := r[c]
+			var z zone[string]
+			for i := range rows {
+				v := &rows[i][c]
 				if v.IsNull {
 					setNull(i)
 					continue
 				}
 				vals[i] = v.S
-				updateRange(seg, c, v)
+				z.add(v.S)
+			}
+			if z.has {
+				seg.Min[c], seg.Max[c], seg.HasRange[c] = types.NewString(z.lo), types.NewString(z.hi), true
 			}
 			seg.Cols[c] = Column{Strs: codec.EncodeStrings(vals), Nulls: nulls}
 		}
@@ -197,17 +217,23 @@ func buildFromRows(id uint64, schema *types.Schema, rows []types.Row) *Segment {
 	return seg
 }
 
-func updateRange(seg *Segment, c int, v types.Value) {
-	if !seg.HasRange[c] {
-		seg.Min[c], seg.Max[c] = v, v
-		seg.HasRange[c] = true
-		return
-	}
-	if types.Compare(v, seg.Min[c]) < 0 {
-		seg.Min[c] = v
-	}
-	if types.Compare(v, seg.Max[c]) > 0 {
-		seg.Max[c] = v
+// zone is a column's zone map as a build tracks it, over the column's own
+// Go type. It orders values as types.Compare does: the first value stands
+// until a later one orders strictly before or after it, so a NaN never
+// moves a bound and whichever of −0.0 and 0.0 comes first stays.
+type zone[T int64 | float64 | string] struct {
+	lo, hi T
+	has    bool
+}
+
+func (z *zone[T]) add(v T) {
+	switch {
+	case !z.has:
+		z.lo, z.hi, z.has = v, v, true
+	case v < z.lo:
+		z.lo = v
+	case v > z.hi:
+		z.hi = v
 	}
 }
 

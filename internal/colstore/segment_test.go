@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,73 @@ func TestZoneMaps(t *testing.T) {
 			t.Errorf("MayContain(op=%d, v=%d) = %v, want %v", c.op, c.v, got, c.want)
 		}
 	}
+}
+
+// TestZoneMapsMatchBoxedCompare: the typed zone-map loops keep the Min,
+// Max and HasRange that a walk with types.Compare over boxed values
+// keeps, bit for bit — on random rows with NULLs, NaN, −0.0 and 0.0,
+// infinities and empty strings, including all-NULL and single-row
+// columns.
+func TestZoneMapsMatchBoxedCompare(t *testing.T) {
+	schema := testSchema()
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1), math.Inf(-1), 1e300}
+	strs := []string{"", "a", "ab", "b", "\x00", "zz"}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(12)
+		nullRate := rng.Intn(3) // 0: none, 1: some, 2: most
+		rows := make([]types.Row, n)
+		for i := range rows {
+			row := types.Row{
+				types.NewInt(rng.Int63n(21) - 10),
+				types.NewFloat(floats[rng.Intn(len(floats))]),
+				types.NewString(strs[rng.Intn(len(strs))]),
+			}
+			for c := range row {
+				if rng.Intn(4) < nullRate {
+					row[c] = types.Null(schema.Columns[c].Type)
+				}
+			}
+			rows[i] = row
+		}
+		seg := BuildSegment(1, schema, rows)
+		for c := range schema.Columns {
+			lo, hi, has := boxedRange(rows, c)
+			if seg.HasRange[c] != has || !sameBits(seg.Min[c], lo) || !sameBits(seg.Max[c], hi) {
+				t.Fatalf("trial %d column %d: typed [%v %v] %v, boxed [%v %v] %v (rows %v)",
+					trial, c, seg.Min[c], seg.Max[c], seg.HasRange[c], lo, hi, has, rows)
+			}
+		}
+	}
+}
+
+// boxedRange is the zone-map walk the typed loops replace: the first
+// non-NULL value, moved only by one types.Compare orders strictly before
+// or after it.
+func boxedRange(rows []types.Row, c int) (lo, hi types.Value, has bool) {
+	for _, r := range rows {
+		v := r[c]
+		switch {
+		case v.IsNull:
+		case !has:
+			lo, hi, has = v, v, true
+		default:
+			if types.Compare(v, lo) < 0 {
+				lo = v
+			}
+			if types.Compare(v, hi) > 0 {
+				hi = v
+			}
+		}
+	}
+	return lo, hi, has
+}
+
+// sameBits compares values field by field, floats by their bits, so NaN
+// matches NaN and −0.0 differs from 0.0.
+func sameBits(a, b types.Value) bool {
+	return a.Type == b.Type && a.IsNull == b.IsNull && a.I == b.I && a.S == b.S &&
+		math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 func TestNullHandling(t *testing.T) {

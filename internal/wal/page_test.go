@@ -260,3 +260,140 @@ func TestTruncateBeforeClampsPages(t *testing.T) {
 		t.Fatalf("post-truncate chunk = end %d len %d err %v, want [7,8)", end, len(recs), err)
 	}
 }
+
+// TestInterleavedTruncations drives a log through random appends, seals
+// and truncations — some past the head, as a snapshot bootstrap makes —
+// against a model of every record and page boundary. After each step the
+// base, head, open page, sealed spans, held count and bytes match the
+// model; a subscription from any retained LSN replays exactly the sealed
+// records from there, on the sealed boundaries; and every page delivered
+// before a truncation still reads the records it was given after it.
+func TestInterleavedTruncations(t *testing.T) {
+	l := NewLogWith(PageConfig{MaxRecords: 1 << 20, MaxBytes: 1 << 30, FlushInterval: time.Hour})
+	payload := func(lsn uint64) []byte { return []byte{byte(lsn), byte(lsn >> 8), byte(lsn * 7)} }
+	var (
+		base, head uint64
+		ends       []uint64 // sealed page ends, ascending
+		delivered  int      // pages checked across a truncation
+	)
+	rng := uint64(1)
+	next := func(n uint64) uint64 { // xorshift
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := next(10); {
+		case op < 6:
+			for k := next(4) + 1; k > 0; k-- {
+				if lsn := l.Append(KindInsert, head, payload(head)); lsn != head {
+					t.Fatalf("step %d: Append gave LSN %d, want %d", step, lsn, head)
+				}
+				head++
+			}
+		case op < 8:
+			l.Sync()
+			if open := max(base, lastOr(ends, 0)); head > open {
+				ends = append(ends, head)
+			}
+		default:
+			lsn := base + next(head-base+6) // up to 5 past the head
+			if next(4) == 0 {
+				lsn = base - min(base, next(3)) // at or below the base: a no-op
+			}
+			// Pages delivered now alias the log's array as it is.
+			sub, err := l.Subscribe(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pages []Page
+			for sub.Lag() > 0 {
+				pg, _ := sub.NextPage()
+				pages = append(pages, pg)
+			}
+			sub.Cancel()
+			l.TruncateBefore(lsn)
+			for _, pg := range pages {
+				for i, r := range pg.Records {
+					if at := pg.FirstLSN + uint64(i); r.LSN != at || string(r.Data) != string(payload(at)) {
+						t.Fatalf("step %d: truncating to %d rewrote a delivered page: LSN %d data %v at %d", step, lsn, r.LSN, r.Data, at)
+					}
+				}
+				delivered++
+			}
+			if lsn > base {
+				base = lsn
+			}
+			head = max(head, base)
+			for len(ends) > 0 && ends[0] <= base {
+				ends = ends[1:]
+			}
+		}
+		openStart := max(base, lastOr(ends, 0))
+		if l.Base() != base || l.Head() != head || l.openStart != openStart {
+			t.Fatalf("step %d: base %d head %d openStart %d, want %d %d %d", step, l.Base(), l.Head(), l.openStart, base, head, openStart)
+		}
+		if n, b := l.Held(); n != int(head-base) || b != int(head-base)*(recordOverhead+3) {
+			t.Fatalf("step %d: held %d records %d bytes, want %d records", step, n, b, head-base)
+		}
+		if l.openBytes != int(head-openStart)*(recordOverhead+3) {
+			t.Fatalf("step %d: openBytes %d for open page [%d,%d)", step, l.openBytes, openStart, head)
+		}
+		if len(l.sealed) != len(ends) {
+			t.Fatalf("step %d: %d sealed spans, want %d", step, len(l.sealed), len(ends))
+		}
+		for i, sp := range l.sealed {
+			want := base
+			if i > 0 {
+				want = ends[i-1]
+			}
+			if sp.first != want || sp.end != ends[i] {
+				t.Fatalf("step %d: sealed[%d] = [%d,%d), want [%d,%d)", step, i, sp.first, sp.end, want, ends[i])
+			}
+		}
+		if step%50 != 0 {
+			continue
+		}
+		from := base + next(head-base+1)
+		sub, err := l.Subscribe(from)
+		if err != nil {
+			t.Fatalf("step %d: Subscribe(%d): %v", step, from, err)
+		}
+		if base > 0 {
+			if _, err := l.Subscribe(base - 1); err == nil {
+				t.Fatalf("step %d: Subscribe below base %d accepted", step, base)
+			}
+		}
+		at := from
+		for _, end := range ends {
+			if end <= from {
+				continue
+			}
+			pg, ok := sub.NextPage()
+			if !ok || pg.FirstLSN != at || pg.EndLSN != end || len(pg.Records) != int(end-at) {
+				t.Fatalf("step %d: page [%d,%d) with %d records, want [%d,%d)", step, pg.FirstLSN, pg.EndLSN, len(pg.Records), at, end)
+			}
+			for _, r := range pg.Records {
+				if r.LSN != at || string(r.Data) != string(payload(at)) {
+					t.Fatalf("step %d: record %d carries LSN %d data %v", step, at, r.LSN, r.Data)
+				}
+				at++
+			}
+		}
+		if sub.Lag() != 0 {
+			t.Fatalf("step %d: subscription holds %d records past the sealed pages", step, sub.Lag())
+		}
+		sub.Cancel()
+	}
+	if delivered == 0 {
+		t.Fatal("no page was delivered before a truncation")
+	}
+}
+
+func lastOr(s []uint64, def uint64) uint64 {
+	if len(s) == 0 {
+		return def
+	}
+	return s[len(s)-1]
+}
