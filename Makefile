@@ -105,8 +105,9 @@ bench:
 	done
 
 # chaossmoke is the seeded chaos soak: every fault class against the
-# replication and workspace links under the race detector. Seeded RNG
-# keeps the fault schedule reproducible across runs.
+# replication and workspace links under the race detector, through
+# failover too (a promoted master re-links its replicas and workspaces).
+# Seeded RNG keeps the fault schedule reproducible across runs.
 chaossmoke:
 	go test -race -run 'Chaos' -count=1 ./internal/cluster
 

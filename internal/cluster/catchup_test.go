@@ -140,7 +140,7 @@ func TestCatchUpFetchesOnlyTheChunksItApplies(t *testing.T) {
 	// find that out.
 	store.reset()
 	for pi := 0; pi < 2; pi++ {
-		if err := c.resyncLink(ws, pi); err != nil {
+		if err := c.reattach(pi, ws.followers[pi]); err != nil {
 			t.Fatal(err)
 		}
 		n := len(store.take(t, pi))

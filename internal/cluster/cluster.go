@@ -1,17 +1,16 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"s2db/internal/blob"
 	"s2db/internal/core"
-	"s2db/internal/qos"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -96,6 +95,9 @@ func (c Config) withDefaults() Config {
 	if c.Transport == nil {
 		c.Transport = NewMemoryTransport()
 	}
+	if c.LinkStallTimeout <= 0 {
+		c.LinkStallTimeout = DefaultLinkStallTimeout
+	}
 	return c
 }
 
@@ -104,15 +106,69 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	cfg Config
 
-	mu        sync.RWMutex
-	catalog   map[string]*types.Schema
-	masters   []*Partition
-	replicas  [][]*Partition
-	links     [][]*Link
+	mu      sync.RWMutex
+	catalog map[string]*types.Schema
+	masters []*Partition
+	// followers[pi] is every copy of partition pi that follows its master:
+	// the HA replicas and each workspace's partition pi.
+	followers [][]*follower
 	stagers   []*Stager
 	workspace map[string]*Workspace
 
 	nextReplicaID int
+}
+
+// follower is one copy of a partition that applies its master's log: an
+// HA replica (ws nil), which acks commits and may be promoted (§2), or a
+// workspace's partition, which replicates asynchronously and does neither
+// (§3.2). Its link changes under Cluster.mu (attach); readers load it
+// through link() without that lock.
+type follower struct {
+	part *Partition
+	ws   *Workspace
+	ln   atomic.Pointer[Link]
+}
+
+// link returns the follower's current link, nil before its first attach.
+func (f *follower) link() *Link { return f.ln.Load() }
+
+// name is how errors and reports name the copy.
+func (f *follower) name() string {
+	if f.ws == nil {
+		return "HA replica"
+	}
+	return "workspace " + f.ws.Name
+}
+
+func (f *follower) close() {
+	if l := f.link(); l != nil {
+		l.Stop()
+	}
+	f.part.Close()
+}
+
+// attach (re)links follower f of partition pi to pi's current master: New,
+// CreateWorkspace, WaitCaughtUp's resync and FailMaster all call it, under
+// c.mu once the cluster is shared. With a blob store, f first catches up
+// from blob when it is a workspace (§3.1: new replicas "get the snapshots
+// and logs they need from blob storage") or the master's log no longer
+// holds its position. On an error f keeps a link that is down with it, so
+// WaitCaughtUp and LinkErrors see why.
+func (c *Cluster) attach(pi int, f *follower) error {
+	if l := f.link(); l != nil {
+		l.Stop()
+	}
+	master := c.masters[pi]
+	var down error
+	if c.cfg.Blob != nil && (f.ws != nil || f.part.Applied() < master.Log().Base()) {
+		c.stagers[pi].Step() // stage what the master may have truncated
+		if err := c.catchUp(f.part, pi, math.MaxInt64); err != nil {
+			down = fmt.Errorf("%w: catch-up from blob: %w", ErrLinkDown, err)
+		}
+	}
+	l := c.startLink(master, f, down)
+	f.ln.Store(l)
+	return l.Err()
 }
 
 // newCluster builds a cluster holding one master per partition and no
@@ -125,7 +181,7 @@ func newCluster(cfg Config) *Cluster {
 		workspace: make(map[string]*Workspace),
 	}
 	n := c.cfg.Partitions
-	c.replicas, c.links, c.stagers = make([][]*Partition, n), make([][]*Link, n), make([]*Stager, n)
+	c.followers, c.stagers = make([][]*follower, n), make([]*Stager, n)
 	for pi := 0; pi < n; pi++ {
 		c.masters = append(c.masters, c.newPartition(pi, RoleMaster, c.cfg.Table.Tenant))
 	}
@@ -140,12 +196,17 @@ func New(cfg Config) (*Cluster, error) {
 	c := newCluster(cfg)
 	for pi, p := range c.masters {
 		p.setMinSyncers(c.cfg.SyncReplicas)
-		for r := 0; r < c.cfg.SyncReplicas; r++ {
-			rep := c.newPartition(pi, RoleReplica, c.cfg.Table.Tenant)
-			c.replicas[pi] = append(c.replicas[pi], rep)
-			c.links[pi] = append(c.links[pi], c.startLinkFrom(p, rep, true, rep.Log().Head()))
-		}
 		c.stagers[pi] = c.startStager(p)
+	}
+	for pi := range c.masters {
+		for r := 0; r < c.cfg.SyncReplicas; r++ {
+			f := &follower{part: c.newPartition(pi, RoleReplica, c.cfg.Table.Tenant)}
+			c.followers[pi] = append(c.followers[pi], f)
+			if err := c.attach(pi, f); err != nil {
+				c.Close()
+				return nil, err
+			}
+		}
 	}
 	return c, nil
 }
@@ -166,33 +227,6 @@ func (c *Cluster) blobPrefix(part int) string {
 func (c *Cluster) replicaID() int {
 	c.nextReplicaID++
 	return c.nextReplicaID
-}
-
-// startLinkFrom starts a replication link over the cluster's transport
-// with the configured latency and stall timeout.
-func (c *Cluster) startLinkFrom(master, replica *Partition, syncAck bool, from uint64) *Link {
-	return StartLinkFrom(c.cfg.Transport, master, replica, syncAck,
-		c.cfg.ReplicationLatency, c.cfg.LinkStallTimeout, c.replicaID(), from)
-}
-
-// startWorkspaceLinkFrom starts an async workspace replication link whose
-// page stream is paced against the workspace tenant's WAL-bandwidth budget
-// when the tenant has a governor. The pacer runs on the link's sender
-// goroutine (never under the log mutex), so an over-budget workspace slows
-// or sheds only its own stream; a shed surfaces as a terminal link error
-// that resyncLink heals from blob-staged chunks like any other detach.
-// Sync HA links are never paced: they are the durability path, and
-// throttling them would turn a noisy tenant into a commit-latency
-// regression for everyone.
-func (c *Cluster) startWorkspaceLinkFrom(master, replica *Partition, from uint64, tenant core.Tenant) *Link {
-	var pacer func(bytes int) error
-	if gov := tenant.Gov; gov != nil {
-		pacer = func(bytes int) error {
-			return gov.Consume(context.Background(), tenant.Name, qos.WALBand, int64(bytes))
-		}
-	}
-	return startLink(c.cfg.Transport, master, replica, false,
-		c.cfg.ReplicationLatency, c.cfg.LinkStallTimeout, c.replicaID(), from, pacer)
 }
 
 // Partitions returns the number of partitions.
@@ -227,16 +261,9 @@ func (c *Cluster) CreateTable(name string, schema *types.Schema) error {
 			return err
 		}
 	}
-	for _, reps := range c.replicas {
-		for _, p := range reps {
-			if err := p.CreateTable(name, schema); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ws := range c.workspace {
-		for _, p := range ws.parts {
-			if err := p.CreateTable(name, schema); err != nil {
+	for _, fs := range c.followers {
+		for _, f := range fs {
+			if err := f.part.CreateTable(name, schema); err != nil {
 				return err
 			}
 		}
@@ -486,68 +513,63 @@ func (c *Cluster) Flush(table string) error {
 
 // FailMaster simulates losing the master of partition pi: the highest-acked
 // HA replica is promoted (§2: "replica partitions ... will be promoted to
-// master and take over running queries"). It returns an error when no
-// replica exists.
+// master and take over running queries"), and every other copy of pi, HA
+// replica or workspace, re-attaches to it (attach). A copy that cannot is
+// named in the returned error: an HA replica is then closed and dropped, a
+// workspace keeps a link that is down with the reason. Commits need acks
+// from as many HA replicas as re-attached, up to Config.SyncReplicas. It
+// returns an error when no HA replica exists.
 func (c *Cluster) FailMaster(pi int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	reps := c.replicas[pi]
-	if len(reps) == 0 {
+	var best *follower
+	for _, f := range c.followers[pi] {
+		if f.ws == nil && (best == nil || f.part.Applied() > best.part.Applied()) {
+			best = f
+		}
+	}
+	if best == nil {
 		return fmt.Errorf("cluster: partition %d has no HA replica to promote", pi)
 	}
 	old := c.masters[pi]
 	// Stop replication and staging out of the failed master.
-	for _, l := range c.links[pi] {
-		l.Stop()
+	for _, f := range c.followers[pi] {
+		f.link().Stop()
 	}
 	c.stagers[pi].Close()
 	old.Close()
-	// Pick the replica with the most applied records.
-	best := 0
-	for i, r := range reps {
-		if r.Applied() > reps[best].Applied() {
-			best = i
-		}
-	}
-	promoted := reps[best]
+	promoted := best.part
+	// Nothing is durable on the promoted master until its copies have
+	// re-attached and the quorum is set from them, below.
+	promoted.setMinSyncers(c.cfg.SyncReplicas)
 	promoted.Promote(old)
-	promoted.setMinSyncers(min(c.cfg.SyncReplicas, len(reps)-1))
 	c.masters[pi] = promoted
 	// Staging resumes out of the promoted master where blob ends, so
 	// writes after the failover still reach blob storage.
 	promoted.markUploaded(c.stagingResumeAt(pi, promoted))
 	c.stagers[pi] = c.startStager(promoted)
-	// Re-attach the remaining replicas to the new master from their own
-	// positions. One whose position the promoted log has dropped catches
-	// up from blob first.
-	var newReps []*Partition
-	var newLinks []*Link
-	var dropped []error
-	for i, r := range reps {
-		if i == best {
+	var kept []*follower
+	var errs []error
+	syncers := 0
+	for _, f := range c.followers[pi] {
+		if f == best {
 			continue
 		}
-		var err error
-		if r.Applied() < promoted.Log().Base() && c.cfg.Blob != nil {
-			_, err = c.catchUp(r, pi, math.MaxInt64)
+		if err := c.attach(pi, f); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: partition %d: %s not re-attached at failover: %w", pi, f.name(), err))
+			if f.ws == nil {
+				f.close()
+				continue
+			}
+		} else if f.ws == nil {
+			syncers++
 		}
-		// A replica can only resume if it is not ahead of the new master
-		// and the new master still has the records it needs.
-		if base, head := promoted.Log().Base(), promoted.Log().Head(); err == nil && (r.Applied() > head || r.Applied() < base) {
-			err = fmt.Errorf("applied %d outside the promoted log [%d,%d)", r.Applied(), base, head)
-		}
-		if err != nil {
-			dropped = append(dropped, fmt.Errorf("cluster: partition %d: replica dropped at failover: %w", pi, err))
-			r.Close()
-			continue
-		}
-		newLinks = append(newLinks, c.startLinkFrom(promoted, r, true, r.Applied()))
-		newReps = append(newReps, r)
+		kept = append(kept, f)
 	}
-	c.replicas[pi] = newReps
-	c.links[pi] = newLinks
+	c.followers[pi] = kept
+	promoted.setMinSyncers(min(c.cfg.SyncReplicas, syncers))
 	promoted.NoteAppend()
-	return errors.Join(dropped...)
+	return errors.Join(errs...)
 }
 
 // stagingResumeAt is where a promoted master's stager starts: one past the
@@ -589,8 +611,12 @@ func (c *Cluster) ReplicationLag() int {
 func (c *Cluster) ReplicationLagDetail() (records, pages, bytes int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, links := range c.links {
-		for _, l := range links {
+	for _, fs := range c.followers {
+		for _, f := range fs {
+			if f.ws != nil {
+				continue
+			}
+			l := f.link()
 			if n := l.Lag(); n > records {
 				records = n
 			}
@@ -615,7 +641,7 @@ type HeldLog struct {
 }
 
 // LogHeldDetail reports the log every copy holds in memory: each master,
-// HA replica and workspace partition, workspaces in name order. Each copy
+// then the HA replicas and workspace partitions that follow it. Each copy
 // truncates its own log; blob storage holds what they dropped (DESIGN.md
 // §8).
 func (c *Cluster) LogHeldDetail() []HeldLog {
@@ -628,18 +654,14 @@ func (c *Cluster) LogHeldDetail() []HeldLog {
 	}
 	for pi, p := range c.masters {
 		add(pi, "master", p)
-		for i, r := range c.replicas[pi] {
-			add(pi, fmt.Sprintf("replica %d", i), r)
-		}
-	}
-	names := make([]string, 0, len(c.workspace))
-	for name := range c.workspace {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for pi, p := range c.workspace[name].parts {
-			add(pi, "workspace "+name, p)
+		ha := 0
+		for _, f := range c.followers[pi] {
+			name := f.name()
+			if f.ws == nil {
+				name = fmt.Sprintf("replica %d", ha)
+				ha++
+			}
+			add(pi, name, f.part)
 		}
 	}
 	return out
@@ -655,17 +677,11 @@ func (c *Cluster) LinkErrors() []error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var errs []error
-	for pi, links := range c.links {
-		for _, l := range links {
+	for pi, fs := range c.followers {
+		for _, f := range fs {
+			l := f.link()
 			if err := l.Err(); err != nil {
-				errs = append(errs, fmt.Errorf("partition %d replica link %d: %w", pi, l.id, err))
-			}
-		}
-	}
-	for name, ws := range c.workspace {
-		for pi, l := range ws.links {
-			if err := l.Err(); err != nil {
-				errs = append(errs, fmt.Errorf("workspace %s partition %d: %w", name, pi, err))
+				errs = append(errs, fmt.Errorf("partition %d %s link %d: %w", pi, f.name(), l.id, err))
 			}
 		}
 	}
@@ -679,14 +695,9 @@ func (c *Cluster) LinkReconnects() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	total := 0
-	for _, links := range c.links {
-		for _, l := range links {
-			total += l.Reconnects()
-		}
-	}
-	for _, ws := range c.workspace {
-		for _, l := range ws.links {
-			total += l.Reconnects()
+	for _, fs := range c.followers {
+		for _, f := range fs {
+			total += f.link().Reconnects()
 		}
 	}
 	return total
@@ -696,12 +707,9 @@ func (c *Cluster) LinkReconnects() int {
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ws := range c.workspace {
-		ws.close()
-	}
-	for _, links := range c.links {
-		for _, l := range links {
-			l.Stop()
+	for _, fs := range c.followers {
+		for _, f := range fs {
+			f.close()
 		}
 	}
 	for _, s := range c.stagers {
@@ -709,11 +717,6 @@ func (c *Cluster) Close() {
 	}
 	for _, p := range c.masters {
 		p.Close()
-	}
-	for _, reps := range c.replicas {
-		for _, p := range reps {
-			p.Close()
-		}
 	}
 	c.cfg.Transport.Close()
 }

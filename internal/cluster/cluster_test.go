@@ -52,6 +52,19 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// haReplicas lists partition pi's HA replicas in the order they were made.
+func haReplicas(c *Cluster, pi int) []*follower {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []*follower
+	for _, f := range c.followers[pi] {
+		if f.ws == nil {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func loadItems(t *testing.T, c *Cluster, n int) {
 	t.Helper()
 	rows := make([]types.Row, n)
@@ -102,7 +115,7 @@ func TestSyncReplicationDurabilityAndConvergence(t *testing.T) {
 	}
 	// Replicas converge to the same contents.
 	for pi := 0; pi < 2; pi++ {
-		rep := c.replicas[pi][0]
+		rep := haReplicas(c, pi)[0].part
 		if err := rep.WaitApplied(c.Master(pi).Log().Head(), 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +170,8 @@ func runFailoverSuite(t *testing.T, mutate func(*Config)) {
 	loadItems(t, c, 50)
 	// Let replicas catch up, then fail the master.
 	head := c.Master(0).Log().Head()
-	for _, rep := range c.replicas[0] {
-		if err := rep.WaitApplied(head, 5*time.Second); err != nil {
+	for _, rep := range haReplicas(c, 0) {
+		if err := rep.part.WaitApplied(head, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +204,7 @@ func TestFailoverKeepsBackgroundMaintenance(t *testing.T) {
 		tbl.EnableBackground()
 	}
 	loadItems(t, c, 40)
-	if err := c.replicas[0][0].WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
+	if err := haReplicas(c, 0)[0].part.WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.FailMaster(0); err != nil {
@@ -395,7 +408,7 @@ func TestReplicationLagReported(t *testing.T) {
 	loadItems(t, c, 10)
 	// Lag is usually small; it must at least be a non-negative readable
 	// metric and reach zero once the replica catches up.
-	if err := c.replicas[0][0].WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
+	if err := haReplicas(c, 0)[0].part.WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if lag := c.ReplicationLag(); lag != 0 {

@@ -53,8 +53,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	if sealed := p.Log().PagesSealed(); sealed >= writers*per {
 		t.Fatalf("group commit never batched: %d pages for %d records", sealed, writers*per)
 	}
-	for _, rep := range c.replicas[0] {
-		if err := rep.WaitApplied(head, 5*time.Second); err != nil {
+	for _, rep := range haReplicas(c, 0) {
+		if err := rep.part.WaitApplied(head, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,8 +78,8 @@ func TestFailoverWithGroupCommitPages(t *testing.T) {
 	})
 	loadItems(t, c, 50)
 	head := c.Master(0).Log().Head()
-	for _, rep := range c.replicas[0] {
-		if err := rep.WaitApplied(head, 5*time.Second); err != nil {
+	for _, rep := range haReplicas(c, 0) {
+		if err := rep.part.WaitApplied(head, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func runSlowConsumerResyncSuite(t *testing.T, mutate func(*Config)) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !errors.Is(ws.links[0].Err(), wal.ErrSlowConsumer) {
+	for !errors.Is(ws.followers[0].link().Err(), wal.ErrSlowConsumer) {
 		if time.Now().After(deadline) {
 			t.Fatal("workspace link was never detached as a slow consumer")
 		}

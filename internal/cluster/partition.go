@@ -331,18 +331,10 @@ func (p *Partition) WaitApplied(lsn uint64, timeout time.Duration) error {
 	return nil
 }
 
-// ApplyRecord replays one master log record on a replica partition: the
+// ApplyPage replays a page of master log records on a replica partition —
+// one shipped by a link, or a run of a blob log chunk (catchUp): each
 // record is appended to the local log (keeping LSNs aligned for future
-// promotion) and applied to the right table.
-func (p *Partition) ApplyRecord(rec wal.Record) error {
-	if err := p.applyOne(rec); err != nil {
-		return err
-	}
-	p.markApplied(rec.LSN + 1)
-	return nil
-}
-
-// ApplyPage replays a shipped log page and advances the applied watermark
+// promotion) and applied to its table, and the applied watermark advances
 // once for the whole page. A mid-page apply error still publishes the
 // records applied so far.
 func (p *Partition) ApplyPage(pg wal.Page) error {

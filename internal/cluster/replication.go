@@ -1,22 +1,31 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"s2db/internal/qos"
 	"s2db/internal/wal"
 )
 
 // ErrLinkDown reports a replication link that gave up: either the master
 // truncated past the replica's position so no subscription can resume, or
-// the link exhausted its reconnect budget without making progress. The
-// owner must rebuild the replica out of band — workspaces heal it by
-// replaying blob-staged log chunks (resyncLink), exactly like a slow-
-// consumer detach.
+// the link exhausted its reconnect budget without making progress, or the
+// catch-up from blob that had to come first failed. The owner must
+// rebuild the replica out of band — a workspace heals it by re-attaching
+// (WaitCaughtUp), which catches up from blob-staged log chunks, exactly
+// like a slow-consumer detach.
 var ErrLinkDown = errors.New("cluster: replication link down")
+
+// ErrDiverged reports a copy that applied records past its master's log
+// head — a workspace that heard records from a failed master that the
+// promoted replica never received. The new master writes other records at
+// those LSNs, so the copy cannot resume; only a fresh workspace rebuilds it.
+var ErrDiverged = errors.New("cluster: copy diverged from its master")
 
 const (
 	// DefaultLinkStallTimeout is how long a link tolerates shipped-but-
@@ -83,30 +92,33 @@ type Link struct {
 	acked atomic.Uint64 // highest ack heard back from the replica side
 }
 
-// StartLink subscribes the replica from its own log head.
-func StartLink(tr Transport, master, replica *Partition, syncAck bool, latency, stall time.Duration, id int) *Link {
-	return StartLinkFrom(tr, master, replica, syncAck, latency, stall, id, replica.Log().Head())
-}
-
-// StartLinkFrom subscribes the replica from a specific LSN (resuming after
-// restore or failover). A from below the master's retained log returns a
-// dead link whose Err wraps ErrLinkDown; the caller must restore the
-// replica from blob first.
-func StartLinkFrom(tr Transport, master, replica *Partition, syncAck bool, latency, stall time.Duration, id int, from uint64) *Link {
-	return startLink(tr, master, replica, syncAck, latency, stall, id, from, nil)
-}
-
-// startLink is the full-parameter constructor: pacer, when non-nil, meters
-// the subscription's page bytes (workspace WAL-bandwidth governance).
-func startLink(tr Transport, master, replica *Partition, syncAck bool, latency, stall time.Duration, id int, from uint64, pacer func(bytes int) error) *Link {
-	if stall <= 0 {
-		stall = DefaultLinkStallTimeout
-	}
+// startLink starts follower f's link from f's applied position; attach is
+// its only caller. An HA replica's link acks the master and is never paced:
+// throttling the durability path would turn a noisy tenant into everyone's
+// commit latency. A workspace's link bills each page to its tenant's
+// WAL-bandwidth budget on the sender (never under the log mutex), so an
+// over-budget workspace slows or sheds only its own stream. Given a
+// non-nil down (a failed catch-up), or a position below the master's log
+// base (ErrLinkDown) or past its head (ErrDiverged), it returns a link
+// that is down with that error and runs nothing.
+func (c *Cluster) startLink(master *Partition, f *follower, down error) *Link {
 	l := &Link{
-		master: master, replica: replica, syncAck: syncAck,
-		latency: latency, stall: stall, id: id, tr: tr,
-		pacer: pacer,
-		stop:  make(chan struct{}),
+		master: master, replica: f.part, syncAck: f.ws == nil, latency: c.cfg.ReplicationLatency,
+		stall: c.cfg.LinkStallTimeout, id: c.replicaID(), tr: c.cfg.Transport, stop: make(chan struct{}),
+	}
+	if f.ws != nil && f.ws.tenant.Gov != nil {
+		t := f.ws.tenant
+		l.pacer = func(bytes int) error {
+			return t.Gov.Consume(context.Background(), t.Name, qos.WALBand, int64(bytes))
+		}
+	}
+	from, head := f.part.Applied(), master.Log().Head()
+	if down == nil && from > head {
+		down = fmt.Errorf("%w: applied %d, master head %d", ErrDiverged, from, head)
+	}
+	if down != nil {
+		l.err = down
+		return l
 	}
 	sub, err := master.Log().Subscribe(from)
 	if err != nil {
@@ -452,8 +464,9 @@ func (l *Link) LagPages() int {
 }
 
 // Err returns the link's terminal error, if any: wal.ErrSlowConsumer
-// after a budget detach, ErrLinkDown after reconnect exhaustion or a lost
-// resume point, or the apply error that killed the replica.
+// after a budget detach, ErrLinkDown after reconnect exhaustion, a lost
+// resume point or a failed catch-up, ErrDiverged for a copy ahead of its
+// master, or the apply error that killed the replica.
 func (l *Link) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -339,9 +339,9 @@ func (s *Stager) snapshot() error {
 	// the master's truncation, as Link.keepFrom is each replica's and
 	// workspace's. A link whose resume point falls below the new base
 	// cannot resubscribe and ends with ErrLinkDown. A workspace link heals
-	// from the chunks staged here (resyncLink); an HA replica's stays down,
-	// reported by LinkErrors, until a failover catches the replica up from
-	// blob.
+	// from the chunks staged here (WaitCaughtUp re-attaches it); an HA
+	// replica's stays down, reported by LinkErrors, until a failover
+	// catches the replica up from blob.
 	s.part.Log().TruncateBefore(uploaded)
 	return nil
 }

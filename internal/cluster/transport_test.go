@@ -162,8 +162,8 @@ func failoverStateWith(t *testing.T, mutate func(*Config)) []byte {
 		}
 	}
 	head := c.Master(0).Log().Head()
-	for _, rep := range c.replicas[0] {
-		if err := rep.WaitApplied(head, 5*time.Second); err != nil {
+	for _, rep := range haReplicas(c, 0) {
+		if err := rep.part.WaitApplied(head, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,8 +26,8 @@ func checkHeldBound(t *testing.T, c *Cluster, write func()) {
 	}
 	write()
 	for pi := 0; pi < c.Partitions(); pi++ {
-		for _, r := range c.replicas[pi] {
-			if err := r.WaitApplied(c.Master(pi).Log().Head(), 5*time.Second); err != nil {
+		for _, r := range haReplicas(c, pi) {
+			if err := r.part.WaitApplied(c.Master(pi).Log().Head(), 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,7 +70,7 @@ func runHeldLogBound(t *testing.T, inserts int, mutate func(*Config)) {
 			c.Stager(0).Step()
 		}
 	}
-	if err := c.replicas[0][0].WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
+	if err := haReplicas(c, 0)[0].part.WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitCaughtUp(ws, 10*time.Second); err != nil {
@@ -208,8 +208,8 @@ func runFailoverAfterTruncation(t *testing.T, mutate func(*Config)) {
 	}
 	// The second replica stops hearing from its master and commits go on
 	// with the first one's acks alone.
-	lagging := c.replicas[0][1]
-	c.links[0][1].Stop()
+	lagging := haReplicas(c, 0)[1].part
+	haReplicas(c, 0)[1].link().Stop()
 	c.Master(0).setMinSyncers(1)
 	for i := 0; i < 80; i++ {
 		shadow.write(t, c, rng, &nextID)
@@ -224,7 +224,7 @@ func runFailoverAfterTruncation(t *testing.T, mutate func(*Config)) {
 	for i := 0; i < 10; i++ {
 		shadow.write(t, c, rng, &nextID)
 	}
-	first := c.replicas[0][0]
+	first := haReplicas(c, 0)[0].part
 	if err := first.WaitApplied(c.Master(0).Log().Head(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +241,8 @@ func runFailoverAfterTruncation(t *testing.T, mutate func(*Config)) {
 	if c.Master(0) != first {
 		t.Fatal("the replica that applied the most was not promoted")
 	}
-	if len(c.replicas[0]) != 1 || c.replicas[0][0] != lagging {
-		t.Fatalf("after failover partition 0 has %d replicas; the lagging one must be rebuilt, not dropped", len(c.replicas[0]))
+	if reps := haReplicas(c, 0); len(reps) != 1 || reps[0].part != lagging {
+		t.Fatalf("after failover partition 0 has %d replicas; the lagging one must be rebuilt, not dropped", len(reps))
 	}
 	for i := 0; i < 40; i++ {
 		shadow.write(t, c, rng, &nextID)

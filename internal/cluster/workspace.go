@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -21,8 +21,9 @@ import (
 type Workspace struct {
 	Name   string
 	tenant core.Tenant
-	parts  []*Partition
-	links  []*Link
+	// followers[pi] is the workspace's copy of partition pi, the same
+	// record that Cluster.followers[pi] lists.
+	followers []*follower
 }
 
 // CreateWorkspace provisions a read-only workspace. With a blob store
@@ -53,33 +54,21 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 		c.cfg.Tenants.Detach(name)
 		return nil, err
 	}
-	for pi, master := range c.masters {
-		rep := c.newPartition(pi, RoleReplica, tenant)
+	for pi := range c.masters {
+		f := &follower{part: c.newPartition(pi, RoleReplica, tenant), ws: ws}
+		ws.followers = append(ws.followers, f)
 		// DDL: materialize the catalog on the new partition.
 		for tname, schema := range c.catalog {
-			if err := rep.CreateTable(tname, schema); err != nil {
-				rep.Close()
+			if err := f.part.CreateTable(tname, schema); err != nil {
 				return fail(err)
 			}
 		}
-		from := uint64(0)
-		if c.cfg.Blob != nil {
-			// Make sure blob storage is caught up enough that the master's
-			// retained log covers the rest.
-			c.stagers[pi].Step()
-			var err error
-			if from, err = c.catchUp(rep, pi, math.MaxInt64); err != nil {
-				rep.Close()
-				return fail(fmt.Errorf("workspace %s: partition %d: %w", name, pi, err))
-			}
-		}
-		link := c.startWorkspaceLinkFrom(master, rep, from, tenant)
-		if err := link.Err(); err != nil {
-			rep.Close()
+		if err := c.attach(pi, f); err != nil {
 			return fail(fmt.Errorf("workspace %s: partition %d: %w", name, pi, err))
 		}
-		ws.parts = append(ws.parts, rep)
-		ws.links = append(ws.links, link)
+	}
+	for pi, f := range ws.followers {
+		c.followers[pi] = append(c.followers[pi], f)
 	}
 	c.workspace[name] = ws
 	return ws, nil
@@ -87,26 +76,26 @@ func (c *Cluster) CreateWorkspace(name string) (*Workspace, error) {
 
 // catchUp is the one way a partition catches up from blob storage (§3.1:
 // "new replica databases get the snapshots and logs they need from blob
-// storage"): workspace attach, link resync and point-in-time restore all
-// call it. A partition that has applied nothing first restores the newest
-// snapshot taken at or before asOf; a live replica never does, because
-// RestoreState needs an empty table. It then fetches the staged log
-// chunks from the last one that starts at or below its next LSN, applies
-// their records in order and stops at the first record written after
-// asOf — PITR's per-partition consistent point LP (§3.2). It returns the
-// next LSN p needs.
-func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err error) {
+// storage"): attach and point-in-time restore call it. A partition that
+// has applied nothing first restores the newest snapshot taken at or
+// before asOf; a live replica never does, because RestoreState needs an
+// empty table. It then fetches the staged log chunks from the last one
+// that starts at or below its next LSN and applies each chunk's records
+// from there as one page, stopping at the first record written after
+// asOf — PITR's per-partition consistent point LP (§3.2). p.Applied() is
+// where it got to.
+func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) error {
 	store, prefix := c.cfg.Blob, c.blobPrefix(pi)
-	next = p.Applied()
+	next := p.Applied()
 	if next == 0 {
 		snaps, err := store.List(prefix + "snap/")
 		if err != nil {
-			return 0, err
+			return err
 		}
 		for i := len(snaps) - 1; i >= 0; i-- {
 			lsn, wall, err := parseSnapKey(strings.TrimPrefix(snaps[i], prefix))
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if wall > asOf {
 				continue
@@ -114,10 +103,10 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err er
 			if lsn > 0 { // a snapshot at LSN 0 covers no log record
 				data, err := store.Get(snaps[i])
 				if err != nil {
-					return 0, err
+					return err
 				}
 				if _, err := decodeSnapshotBundle(p, data, c.cfg.Partitions); err != nil {
-					return 0, err
+					return err
 				}
 				p.Log().TruncateBefore(lsn)
 				p.markApplied(lsn)
@@ -128,7 +117,7 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err er
 	}
 	chunks, err := store.List(prefix + "log/")
 	if err != nil {
-		return next, err
+		return err
 	}
 	// Chunk keys are zero-padded first LSNs, so they sort by LSN: start at
 	// the last chunk that begins at or below next.
@@ -137,56 +126,39 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) (next uint64, err er
 	for _, key := range chunks[max(after-1, 0):] {
 		data, err := store.Get(key)
 		if err != nil {
-			return next, err
+			return err
 		}
 		pl, recs, err := wal.DecodeRecords(data)
 		if err != nil {
-			return next, err
-		}
-		if err := checkPlacement("log chunk", pl, c.cfg.Partitions); err != nil {
-			return next, err
-		}
-		for _, rec := range recs {
-			if rec.LSN < next {
-				continue
-			}
-			if rec.Wall > asOf {
-				return next, nil
-			}
-			if rec.LSN > next {
-				return next, fmt.Errorf("gap in blob log at LSN %d (want %d)", rec.LSN, next)
-			}
-			if err := p.ApplyRecord(rec); err != nil {
-				return next, err
-			}
-			next = rec.LSN + 1
-		}
-	}
-	return next, nil
-}
-
-// resyncLink rebuilds a workspace link that ended terminally — detached
-// as a slow consumer (wal.ErrSlowConsumer), or down after losing its
-// resume point or exhausting reconnects (ErrLinkDown): the replica
-// catches up from blob-staged log chunks until the master's retained log
-// covers the rest, then re-subscribes from its applied position.
-func (c *Cluster) resyncLink(ws *Workspace, pi int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	master := c.masters[pi]
-	rep := ws.parts[pi]
-	ws.links[pi].Stop()
-	if c.cfg.Blob != nil {
-		c.stagers[pi].Step() // stage anything the master may have truncated
-		if _, err := c.catchUp(rep, pi, math.MaxInt64); err != nil {
 			return err
 		}
+		if err := checkPlacement("log chunk", pl, c.cfg.Partitions); err != nil {
+			return err
+		}
+		// The page is the run of records from next on that follow each
+		// other without a gap and were written at or before asOf.
+		first := 0
+		for first < len(recs) && recs[first].LSN < next {
+			first++
+		}
+		end := first
+		for end < len(recs) && recs[end].LSN == next+uint64(end-first) && recs[end].Wall <= asOf {
+			end++
+		}
+		if end > first {
+			pg := wal.Page{FirstLSN: next, EndLSN: recs[end-1].LSN + 1, Records: recs[first:end]}
+			if err := p.ApplyPage(pg); err != nil {
+				return err
+			}
+			next = pg.EndLSN
+		}
+		if end < len(recs) {
+			if recs[end].Wall > asOf {
+				return nil
+			}
+			return fmt.Errorf("gap in blob log at LSN %d (want %d)", recs[end].LSN, next)
+		}
 	}
-	link := c.startWorkspaceLinkFrom(master, rep, rep.Applied(), ws.tenant)
-	if err := link.Err(); err != nil {
-		return err
-	}
-	ws.links[pi] = link
 	return nil
 }
 
@@ -195,8 +167,8 @@ func (c *Cluster) resyncLink(ws *Workspace, pi int) error {
 // workspace queries fan out (and prune by pins) exactly like
 // primary-cluster queries (§3.2).
 func (w *Workspace) QueryTargets(table string, pins []types.Pin) ([]LeafTarget, error) {
-	return leafTargets(pins, len(w.parts), func(pi int) (*core.Table, error) {
-		return w.parts[pi].Table(table)
+	return leafTargets(pins, len(w.followers), func(pi int) (*core.Table, error) {
+		return w.followers[pi].part.Table(table)
 	})
 }
 
@@ -210,11 +182,13 @@ func (w *Workspace) Views(table string) ([]*core.View, error) {
 	return targetViews(targets), nil
 }
 
-// resyncable reports whether a terminal link error heals by replaying
-// blob-staged chunks and re-attaching: a slow-consumer detach, a link
-// that went down (lost resume point, reconnect exhaustion), or a
-// WAL-bandwidth shed — an over-budget workspace stream that re-attaches
-// once it has caught up from blob chunks instead of the master's log.
+// resyncable reports whether a terminal link error heals by re-attaching,
+// which replays blob-staged chunks first: a slow-consumer detach, a link
+// that went down (lost resume point, reconnect exhaustion, failed
+// catch-up), or a WAL-bandwidth shed — an over-budget workspace stream
+// that re-attaches once it has caught up from blob chunks instead of the
+// master's log. ErrDiverged is not: re-attaching from the copy's position
+// would skip the new master's records at the LSNs the copy holds.
 func resyncable(err error) bool {
 	return errors.Is(err, wal.ErrSlowConsumer) || errors.Is(err, ErrLinkDown) ||
 		errors.Is(err, qos.ErrOverloaded)
@@ -222,26 +196,29 @@ func resyncable(err error) bool {
 
 // WaitCaughtUp blocks until every workspace partition has applied the
 // master's current head. A link that ended terminally but recoverably —
-// slow-consumer detach or ErrLinkDown — is resynced from blob-staged log
-// chunks and re-attached before waiting.
+// slow-consumer detach, ErrLinkDown or a QoS shed — is re-attached (and
+// so caught up from blob) before waiting; any other terminal link error,
+// ErrDiverged among them, is returned at once.
 func (c *Cluster) WaitCaughtUp(ws *Workspace, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for pi, p := range ws.parts {
+	for pi, f := range ws.followers {
 		for {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("workspace %s: partition %d: catch-up timed out", ws.Name, pi)
 			}
-			if resyncable(ws.links[pi].Err()) {
-				if rerr := c.resyncLink(ws, pi); rerr != nil {
+			if lerr := f.link().Err(); resyncable(lerr) {
+				if rerr := c.reattach(pi, f); rerr != nil {
 					return fmt.Errorf("workspace %s: partition %d: resync: %w", ws.Name, pi, rerr)
 				}
+			} else if lerr != nil {
+				return fmt.Errorf("workspace %s: partition %d: %w", ws.Name, pi, lerr)
 			}
 			head := c.Master(pi).Log().Head()
-			err := p.WaitApplied(head, time.Until(deadline))
+			err := f.part.WaitApplied(head, time.Until(deadline))
 			if err == nil {
 				break
 			}
-			if lerr := ws.links[pi].Err(); lerr != nil {
+			if lerr := f.link().Err(); lerr != nil {
 				if resyncable(lerr) {
 					continue // resync at the top of the loop
 				}
@@ -253,11 +230,18 @@ func (c *Cluster) WaitCaughtUp(ws *Workspace, timeout time.Duration) error {
 	return nil
 }
 
+// reattach is attach under the cluster lock.
+func (c *Cluster) reattach(pi int, f *follower) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.attach(pi, f)
+}
+
 // Lag returns the maximum link lag (records pending) across the workspace.
 func (w *Workspace) Lag() int {
 	lag := 0
-	for _, l := range w.links {
-		if n := l.Lag(); n > lag {
+	for _, f := range w.followers {
+		if n := f.link().Lag(); n > lag {
 			lag = n
 		}
 	}
@@ -274,6 +258,9 @@ func (c *Cluster) DetachWorkspace(name string) error {
 		return fmt.Errorf("cluster: no workspace %s", name)
 	}
 	ws.close()
+	for pi := range c.followers {
+		c.followers[pi] = slices.DeleteFunc(c.followers[pi], func(f *follower) bool { return f.ws == ws })
+	}
 	delete(c.workspace, name)
 	// Retire the tenant: its cache entries are discarded, its QoS waiters
 	// released, and its budgets return to the surviving tenants.
@@ -282,11 +269,8 @@ func (c *Cluster) DetachWorkspace(name string) error {
 }
 
 func (w *Workspace) close() {
-	for _, l := range w.links {
-		l.Stop()
-	}
-	for _, p := range w.parts {
-		p.Close()
+	for _, f := range w.followers {
+		f.close()
 	}
 }
 
@@ -318,7 +302,7 @@ func PointInTimeRestore(cfg Config, catalog map[string]*types.Schema, target tim
 		}
 	}
 	for pi, p := range c.masters {
-		if _, err := c.catchUp(p, pi, target.UnixNano()); err != nil {
+		if err := c.catchUp(p, pi, target.UnixNano()); err != nil {
 			return fail(fmt.Errorf("cluster: PITR partition %d: %w", pi, err))
 		}
 		p.NoteAppend()

@@ -22,12 +22,6 @@ type Scan struct {
 	Stats ScanStats
 	// DisableIndexSkipping turns off step-1 index use (ablation).
 	DisableIndexSkipping bool
-	// IndexKeyLimitFactor bounds index probing: the index is skipped when
-	// the number of probe keys exceeds this fraction of live segments
-	// ("S2DB dynamically disables the use of a secondary index if the
-	// number of keys to look up is too high relative to the table size",
-	// §5.1). Zero means the default of 1 key per segment.
-	IndexKeyLimitFactor float64
 	// Project lists the only columns Run must materialize (nil = all) —
 	// late materialization's projection pushdown.
 	Project []int
@@ -150,14 +144,10 @@ func (s *Scan) candidateSegments() []int {
 	probes := s.indexableProbes()
 	var allowed map[uint64]bool
 	if len(probes) > 0 {
-		limit := s.IndexKeyLimitFactor
-		if limit <= 0 {
-			limit = 1
-		}
-		maxKeys := int(limit * float64(len(view.Segs)))
-		if maxKeys < 8 {
-			maxKeys = 8
-		}
+		// "S2DB dynamically disables the use of a secondary index if the
+		// number of keys to look up is too high relative to the table
+		// size" (§5.1): one key per live segment, and at least 8.
+		maxKeys := max(len(view.Segs), 8)
 		for _, p := range probes {
 			if len(p.vals) > maxKeys {
 				continue // dynamically disabled: too many probe keys
