@@ -14,7 +14,7 @@ check: build vet race
 # and a short fuzz pass of the SQL front-end, the WAL page codec, the
 # exec filter tree and aggregation kernels, the unique-key range and
 # secondary-key derivation, the write buffer's secondary index and its
-# columnar image, the segment index build, every decoder of blob and socket bytes and the
+# columnar image, the table writers' histories, the segment index build, every decoder of blob and socket bytes and the
 # TCP transport's frame reader. Run it locally before pushing.
 ci: fmtcheck decodecheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
@@ -135,7 +135,10 @@ benchsmoke:
 # buffer's secondary seek returns other rows than a walk,
 # FuzzBufferImage must find no write history and reader timestamps at
 # which the write buffer's columnar image, its mask and its delta return
-# other rows than a walk, and FuzzSegmentIndex must find no column on which the sorted-array segment
+# other rows than a walk, FuzzWriteHistory must find no history of the
+# five table writers, flushes and merges after which a unique-key or a
+# hidden-row-id table differs from its map model or from a shadow replayed
+# from its log, and FuzzSegmentIndex must find no column on which the sorted-array segment
 # index disagrees with the map-based oracle build. Every decoder of blob
 # and socket bytes — the WAL page frame (FuzzDecodePage), log chunks
 # (FuzzDecodeRecords), table log records (FuzzDecodeMutation), snapshot
@@ -156,6 +159,7 @@ fuzzsmoke:
 	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
 	go test ./internal/rowstore -run '^$$' -fuzz '^FuzzBufferSecondary$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzBufferImage$$' -fuzztime 10s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzWriteHistory$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
 	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s

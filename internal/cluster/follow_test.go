@@ -10,6 +10,7 @@ import (
 	"s2db/internal/blob"
 	"s2db/internal/core"
 	"s2db/internal/types"
+	"s2db/internal/wal"
 )
 
 func insertItem(t *testing.T, c *Cluster, id int) {
@@ -237,5 +238,39 @@ func TestLinkReadsRaceFailoverAndResync(t *testing.T) {
 	}
 	if got := countAll(t, views); got != int64(id) {
 		t.Fatalf("workspace holds %d rows, want %d", got, id)
+	}
+}
+
+// TestWaitCaughtUpOutlivesLinkEnd: a workspace link that the WAL detaches
+// as a slow consumer while WaitCaughtUp waits on it wakes the wait, which
+// re-attaches the workspace (catching it up from blob) and goes on waiting
+// until the same deadline, instead of sleeping out its timeout.
+func TestWaitCaughtUpOutlivesLinkEnd(t *testing.T) {
+	c := newTestCluster(t, Config{
+		Partitions: 1, Blob: blob.NewMemory(),
+		ReplicationLatency: 20 * time.Millisecond,
+		Log:                wal.PageConfig{SubscriptionBudget: 256},
+	})
+	ws, err := c.CreateWorkspace("analytics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		insertItem(t, c, i)
+	}
+	const timeout = 3 * time.Second
+	start := time.Now()
+	if err := c.WaitCaughtUp(ws, timeout); err != nil {
+		t.Fatalf("WaitCaughtUp after %v: %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took > timeout/2 {
+		t.Fatalf("WaitCaughtUp took %v of its %v timeout", took, timeout)
+	}
+	views, err := ws.Views("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countAll(t, views); got != 80 {
+		t.Fatalf("workspace holds %d rows, want 80", got)
 	}
 }

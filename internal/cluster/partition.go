@@ -235,7 +235,7 @@ func (p *Partition) WaitDurable(lsn uint64, timeout time.Duration) error {
 	if p.commitMode == CommitBlob {
 		w, what = &p.uploaded, "blob-commit"
 	}
-	if err := w.wait(lsn+1, p.closed, timeout); err != nil {
+	if err := w.wait(lsn+1, p.closed, nil, timeout); err != nil {
 		return fmt.Errorf("partition %d: %s wait at LSN %d: %w", p.ID, what, lsn, err)
 	}
 	return nil
@@ -248,6 +248,10 @@ func (p *Partition) WaitDurable(lsn uint64, timeout time.Duration) error {
 var ErrPartitionClosed = errors.New("cluster: partition closed")
 
 var errWaitTimeout = errors.New("timed out")
+
+// errWaitEnded is returned to a wait whose ended channel closed: the link
+// that was to advance the watermark has ended.
+var errWaitEnded = errors.New("link ended")
 
 // watermark is an LSN that only advances, with waiters blocked on it. A
 // waiter makes the channel that the next advance closes, so advances with
@@ -291,8 +295,9 @@ func (w *watermark) next(lsn uint64) chan struct{} {
 }
 
 // wait blocks until the watermark reaches lsn (nil), closed closes
-// (ErrPartitionClosed) or the timeout passes (errWaitTimeout).
-func (w *watermark) wait(lsn uint64, closed <-chan struct{}, timeout time.Duration) error {
+// (ErrPartitionClosed), ended closes (errWaitEnded; a nil ended never
+// does) or the timeout passes (errWaitTimeout).
+func (w *watermark) wait(lsn uint64, closed, ended <-chan struct{}, timeout time.Duration) error {
 	ch := w.next(lsn)
 	if ch == nil {
 		return nil
@@ -304,6 +309,8 @@ func (w *watermark) wait(lsn uint64, closed <-chan struct{}, timeout time.Durati
 		case <-ch:
 		case <-closed:
 			return ErrPartitionClosed
+		case <-ended:
+			return errWaitEnded
 		case <-timer.C:
 			return errWaitTimeout
 		}
@@ -325,7 +332,13 @@ func (p *Partition) Applied() uint64 { return p.applied.load() }
 
 // WaitApplied blocks until the replica has applied up to lsn.
 func (p *Partition) WaitApplied(lsn uint64, timeout time.Duration) error {
-	if err := p.applied.wait(lsn, p.closed, timeout); err != nil {
+	return p.waitApplied(lsn, nil, timeout)
+}
+
+// waitApplied is WaitApplied that also gives up, with errWaitEnded, when
+// ended closes.
+func (p *Partition) waitApplied(lsn uint64, ended <-chan struct{}, timeout time.Duration) error {
+	if err := p.applied.wait(lsn, p.closed, ended, timeout); err != nil {
 		return fmt.Errorf("partition %d: apply wait at LSN %d: %w", p.ID, lsn, err)
 	}
 	return nil

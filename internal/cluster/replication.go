@@ -86,6 +86,7 @@ type Link struct {
 	mu         sync.Mutex
 	sub        *wal.Subscription // live session's subscription, for lag reporting
 	err        error             // first terminal error
+	ended      chan struct{}     // closed when err is set
 	reconnects int
 
 	sent  atomic.Uint64 // highest EndLSN handed to the transport
@@ -105,6 +106,7 @@ func (c *Cluster) startLink(master *Partition, f *follower, down error) *Link {
 	l := &Link{
 		master: master, replica: f.part, syncAck: f.ws == nil, latency: c.cfg.ReplicationLatency,
 		stall: c.cfg.LinkStallTimeout, id: c.replicaID(), tr: c.cfg.Transport, stop: make(chan struct{}),
+		ended: make(chan struct{}),
 	}
 	if f.ws != nil && f.ws.tenant.Gov != nil {
 		t := f.ws.tenant
@@ -117,12 +119,12 @@ func (c *Cluster) startLink(master *Partition, f *follower, down error) *Link {
 		down = fmt.Errorf("%w: applied %d, master head %d", ErrDiverged, from, head)
 	}
 	if down != nil {
-		l.err = down
+		l.fail(down)
 		return l
 	}
 	sub, err := master.Log().Subscribe(from)
 	if err != nil {
-		l.err = fmt.Errorf("%w: %v", ErrLinkDown, err)
+		l.fail(fmt.Errorf("%w: %v", ErrLinkDown, err))
 		return l
 	}
 	if l.pacer != nil {
@@ -429,6 +431,7 @@ func (l *Link) fail(err error) {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
+		close(l.ended)
 	}
 	l.mu.Unlock()
 }

@@ -197,8 +197,9 @@ func resyncable(err error) bool {
 // WaitCaughtUp blocks until every workspace partition has applied the
 // master's current head. A link that ended terminally but recoverably —
 // slow-consumer detach, ErrLinkDown or a QoS shed — is re-attached (and
-// so caught up from blob) before waiting; any other terminal link error,
-// ErrDiverged among them, is returned at once.
+// so caught up from blob), before the wait or as soon as it ends during
+// the wait, and the wait goes on until the same deadline; any other
+// terminal link error, ErrDiverged among them, is returned at once.
 func (c *Cluster) WaitCaughtUp(ws *Workspace, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for pi, f := range ws.followers {
@@ -206,19 +207,21 @@ func (c *Cluster) WaitCaughtUp(ws *Workspace, timeout time.Duration) error {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("workspace %s: partition %d: catch-up timed out", ws.Name, pi)
 			}
-			if lerr := f.link().Err(); resyncable(lerr) {
+			l := f.link()
+			if lerr := l.Err(); resyncable(lerr) {
 				if rerr := c.reattach(pi, f); rerr != nil {
 					return fmt.Errorf("workspace %s: partition %d: resync: %w", ws.Name, pi, rerr)
 				}
+				l = f.link()
 			} else if lerr != nil {
 				return fmt.Errorf("workspace %s: partition %d: %w", ws.Name, pi, lerr)
 			}
 			head := c.Master(pi).Log().Head()
-			err := f.part.WaitApplied(head, time.Until(deadline))
+			err := f.part.waitApplied(head, l.ended, time.Until(deadline))
 			if err == nil {
 				break
 			}
-			if lerr := f.link().Err(); lerr != nil {
+			if lerr := l.Err(); lerr != nil {
 				if resyncable(lerr) {
 					continue // resync at the top of the loop
 				}

@@ -13,7 +13,8 @@ import (
 type Meta struct {
 	Seg *Segment
 	// Deleted marks rows filtered out of every read. A row's bit is set
-	// either by a move transaction (§4.2) or when the row was replaced.
+	// either by a write that claims the row (the §4.2 move) or when the row
+	// was replaced.
 	Deleted *bitmap.Bitmap
 	// Run is the sorted-run generation the segment belongs to; higher runs
 	// are newer. Segments within a run are ordered and non-overlapping on

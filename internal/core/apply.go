@@ -39,7 +39,7 @@ type segInstall struct {
 // installs, segment drops and deleted-bit sets. Every primary write commits
 // by applying one (commit), and replicas, recovery and PITR replay one
 // (Apply), through the same apply. The record kind describes intent
-// (insert vs move vs merge); apply depends only on the payload.
+// (insert vs delete vs merge); apply depends only on the payload.
 type mutation struct {
 	Table      string
 	Inserts    []kv
@@ -60,8 +60,8 @@ type mutation struct {
 // reserved for the segment-delete section that appendSegDeletes adds after
 // apply. Writers encode the head before entering Committer.Commit, so the
 // commit critical section encodes only the resolved deletes — a few varints
-// on moves and claims, an empty count otherwise — and concurrent writers'
-// records batch into one log page.
+// on claims, an empty count otherwise — and concurrent writers' records
+// batch into one log page.
 func (m *mutation) encodeHead() []byte {
 	var buf []byte
 	buf = codec.AppendBytes(buf, m.Table)

@@ -11,9 +11,10 @@ import (
 	"s2db/internal/wal"
 )
 
-// loggedRecords puts a table through every writer — inserts, an upsert that
-// claims a segment row, flushes, a merge, a move that commits after the
-// merge, keyed updates and deletes, and a bulk load — and returns its log.
+// loggedRecords puts a table through every writer — inserts, flushes, a
+// claim of a segment row that commits after a merge retired the segment,
+// an upsert that claims a segment row, filtered and keyed updates and
+// deletes, and a bulk load — and returns its log.
 func loggedRecords(tb testing.TB) []wal.Record {
 	tb.Helper()
 	schema := uniqSchema()
@@ -33,11 +34,7 @@ func loggedRecords(tb testing.TB) []wal.Record {
 			tb.Fatal(err)
 		}
 	}
-	s := tbl.Snapshot().Segs[0].Seg.ID
-	tbl.Merge()
-	if err := tbl.moveToBuffer([]segLoc{{seg: s, off: 1}}); err != nil {
-		tb.Fatal(err)
-	}
+	claimThenCommit(tb, tbl, func() { tbl.Merge() }, 1)
 	if err := tbl.Upsert(urow(9, -9, "y")); err != nil {
 		tb.Fatal(err)
 	}
@@ -45,6 +42,9 @@ func loggedRecords(tb testing.TB) []wal.Record {
 		tb.Fatal(err)
 	}
 	if _, err := tbl.DeleteByUnique([]types.Value{types.NewInt(12)}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tbl.DeleteWhere(Eq(0, types.NewInt(13))); err != nil {
 		tb.Fatal(err)
 	}
 	if err := tbl.BulkLoad([]types.Row{urow(100, 1, "b"), urow(101, 2, "b")}); err != nil {
@@ -86,14 +86,17 @@ func TestDecodeMutationRejectsHostileRecords(t *testing.T) {
 	if _, err := TableOfRecord(wal.Record{Data: huge}); err == nil {
 		t.Fatal("TableOfRecord accepted name length 2^63")
 	}
-	// An empty mutation claiming 2^40 offsets for one segment.
-	hostile := (&mutation{}).encodeHead()
-	hostile = binary.AppendUvarint(hostile, 1)
-	hostile = binary.AppendUvarint(hostile, 7)
-	hostile = binary.AppendUvarint(hostile, 1<<40)
-	if _, err := decodeMutation(hostile); err == nil {
+	if _, err := decodeMutation(hugeSegDeletes()); err == nil {
 		t.Fatal("segment-delete count 2^40 accepted")
 	}
+}
+
+// hugeSegDeletes is an empty mutation claiming 2^40 offsets for one segment.
+func hugeSegDeletes() []byte {
+	b := (&mutation{}).encodeHead()
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 7)
+	return binary.AppendUvarint(b, 1<<40)
 }
 
 // FuzzDecodeMutation asserts that decodeMutation never panics, allocates at
@@ -105,6 +108,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		f.Add(rec.Data)
 	}
 	f.Add(binary.AppendUvarint(nil, 1<<63))
+	f.Add(hugeSegDeletes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -1,77 +1,24 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
+	"s2db/internal/colstore"
+	"s2db/internal/rowstore"
 	"s2db/internal/types"
 	"s2db/internal/vector"
 	"s2db/internal/wal"
 )
 
-// segLoc addresses one row inside a segment, with the buffer key it will
-// live under after a move.
-type segLoc struct {
-	seg uint64
-	off int32
-	key []byte
-}
-
-// moveToBuffer runs a move transaction (§4.2): it copies the given segment
-// rows into the in-memory rowstore (which locks them — "the primary key of
-// the in-memory rowstore acts as the lock manager") and marks their segment
-// copies deleted, committing immediately as an autonomous transaction.
-// Rows already moved by a concurrent transaction are skipped: their live
-// copy is in the buffer and callers re-probe it.
-func (t *Table) moveToBuffer(locs []segLoc) error {
-	if len(locs) == 0 {
-		return nil
-	}
-	tx, done := t.beginWrite()
-	defer done()
-	m := &mutation{SegDeletes: map[uint64][]int32{}}
-	inserted := 0
-	for _, loc := range locs {
-		t.segMu.RLock()
-		e := t.segs[loc.seg]
-		t.segMu.RUnlock()
-		if e == nil {
-			continue
-		}
-		row := e.latestMeta().Seg.RowAt(int(loc.off))
-		key := loc.key
-		if key == nil {
-			key = t.bufferKey(row)
-		}
-		// Take the row lock first (waiting, bounded by the lock timeout):
-		// while we hold it nobody else can move or delete this row, so the
-		// checks below stay true until we commit. A concurrent mover that
-		// won has left the live copy in the buffer; one that went on to
-		// delete the row has left neither copy live.
-		_, inBuffer, err := tx.LockAndGet(key)
-		if err != nil {
-			tx.Abort()
-			return fmt.Errorf("move: %w", err)
-		}
-		if inBuffer || !t.segRowLive(loc.seg, loc.off) {
-			continue
-		}
-		if _, err := tx.Insert(key, row); err != nil {
-			tx.Abort()
-			return fmt.Errorf("move: %w", err)
-		}
-		m.Inserts = append(m.Inserts, kv{Key: key, Row: row})
-		m.SegDeletes[loc.seg] = append(m.SegDeletes[loc.seg], loc.off)
-		inserted++
-	}
-	if inserted == 0 {
-		tx.Abort()
-		return nil
-	}
-	// apply chases merge remaps for rows whose segments were merged since
-	// our scan (§4.2), and the record names the rows it resolved.
-	t.commit(wal.KindMove, tx, m)
-	t.Stats.Moves.Add(int64(inserted))
-	return nil
+// target is a row a write statement reaches: the buffer row under key,
+// or, when meta is set, row off of meta's segment. A segment target's key
+// is the row's unique key, nil on a hidden-row-id table.
+type target struct {
+	key  []byte
+	meta *colstore.Meta
+	off  int32
 }
 
 // segRowLive reports whether segment row (seg, off) is live at the latest
@@ -127,210 +74,147 @@ func (w Where) matches(r types.Row) bool {
 	return w.Pred == nil || w.Pred(r)
 }
 
-// bufferTargets returns the keys of the buffer rows w matches at ts. It
-// seeks where w's equality pin places the rows (a unique-key range or a
-// secondary key) and walks the whole buffer otherwise.
-func (t *Table) bufferTargets(ts uint64, w Where) (keys [][]byte) {
+// walkMatches calls f with each live row w matches in the view and the
+// target that locates it. The buffer is sought where w's equality pin
+// places its rows (a unique-key range or a secondary key) and walked
+// otherwise; segments are probed through the secondary index on w's
+// equality column, or else scanned, skipping those whose zone maps
+// exclude its value. A buffer target's key is only valid during f.
+func (t *Table) walkMatches(view *View, w Where, f func(tg target, r types.Row)) {
 	visited := int64(0)
-	t.buffer.ScanPlaced(t.schema.Place(w.Pins()), ts, func(k []byte, r types.Row) bool {
+	t.buffer.ScanPlaced(t.schema.Place(w.Pins()), view.TS, func(k []byte, r types.Row) bool {
 		visited++
 		if w.matches(r) {
-			keys = append(keys, append([]byte(nil), k...))
+			f(target{key: k}, r)
 		}
 		return true
 	})
 	t.Stats.BufferRowsScanned.Add(visited)
-	return keys
-}
-
-// latestBufferTargets is bufferTargets at the published timestamp.
-func (t *Table) latestBufferTargets(w Where) [][]byte {
-	ts := t.pinLatest()
-	defer t.unpin(ts)
-	return t.bufferTargets(ts, w)
-}
-
-// findTargets locates the rows matched by w at the view's snapshot,
-// returning buffer keys and segment locations.
-func (t *Table) findTargets(view *View, w Where) (bufKeys [][]byte, segLocs []segLoc) {
-	bufKeys = t.bufferTargets(view.TS, w)
+	segRow := func(meta *colstore.Meta, off int32) {
+		if meta.Deleted.Get(int(off)) {
+			return
+		}
+		if w.Col >= 0 && !vector.CmpValue(meta.Seg.ValueAt(int(off), w.Col), vector.Eq, w.Val) {
+			return
+		}
+		if r := meta.Seg.RowAt(int(off)); w.Pred == nil || w.Pred(r) {
+			f(target{meta: meta, off: off}, r)
+		}
+	}
 	if w.Col >= 0 && t.idx.HasColumn(w.Col) {
 		matches, probes := t.idx.LookupColumn(w.Col, w.Val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
-			for _, meta := range view.Segs {
-				if meta.Seg.ID != m.SegID {
-					continue
-				}
+			if meta := view.segMeta(m.SegID); meta != nil {
 				for _, off := range m.Rows {
-					if meta.Deleted.Get(int(off)) {
-						continue
-					}
-					if w.Pred == nil || w.Pred(meta.Seg.RowAt(int(off))) {
-						segLocs = append(segLocs, segLoc{seg: m.SegID, off: off})
-					}
+					segRow(meta, off)
 				}
 			}
 		}
-		return bufKeys, segLocs
+		return
 	}
-	// Full segment scan with zone-map elimination for the equality case.
 	for _, meta := range view.Segs {
 		if w.Col >= 0 && !meta.Seg.MayContain(w.Col, int(vector.Eq), w.Val) {
 			t.Stats.SegmentsEliminated.Add(1)
 			continue
 		}
 		for i := 0; i < meta.Seg.NumRows; i++ {
-			if meta.Deleted.Get(i) {
-				continue
-			}
-			if w.matches(meta.Seg.RowAt(i)) {
-				segLocs = append(segLocs, segLoc{seg: meta.Seg.ID, off: int32(i)})
-			}
+			segRow(meta, int32(i))
 		}
 	}
-	return bufKeys, segLocs
 }
 
-// UpdateWhere rewrites matching rows via set, using move transactions for
-// rows living in segments so the user transaction only locks in-memory rows
-// (§4.2). Changing unique-key columns is not supported. It returns the
-// number of rows updated.
-func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error) {
+// findTargets returns the rows w matches at the view, with the keys
+// their writers lock.
+func (t *Table) findTargets(view *View, w Where) []target {
+	var tgs []target
+	t.walkMatches(view, w, func(tg target, r types.Row) {
+		if tg.meta == nil {
+			tg.key = bytes.Clone(tg.key)
+		} else if len(t.schema.UniqueKey) > 0 {
+			tg.key = types.KeyOf(r, t.schema.UniqueKey)
+		}
+		tgs = append(tgs, tg)
+	})
+	return tgs
+}
+
+// lockTarget locks tg's row in tx and returns the row's latest live copy
+// and where it lives: tg, or the buffer under tg.key once a point writer
+// has claimed the segment row since the snapshot. ok is false when the
+// row is gone. The caller holds structMu, so no flush or merge moves the
+// row meanwhile. A segment row not in the buffer is live unless a writer
+// set its deleted bit before it released the row lock, which segRowLive
+// reads at the latest state; a hidden-row-id segment row has no lock, and
+// only structMu holders write it.
+func (t *Table) lockTarget(tx *rowstore.Txn, tg target) (target, types.Row, bool, error) {
+	if tg.key != nil {
+		cur, ok, err := tx.LockAndGet(tg.key)
+		if err != nil || ok || tg.meta == nil {
+			return target{key: tg.key}, cur, ok, err
+		}
+	}
+	if !t.segRowLive(tg.meta.Seg.ID, tg.off) {
+		return tg, nil, false, nil
+	}
+	return tg, tg.meta.Seg.RowAt(int(tg.off)), true, nil
+}
+
+// writeWhere writes every row w matches (writeRow), as one transaction
+// and one log record: it finds the targets at a snapshot, locks each and
+// re-checks w on its latest copy. Holding structMu from discovery to
+// commit keeps the write exactly-once: otherwise a concurrent flush could
+// move a matched buffer row into a segment between the snapshot and the
+// lock, and the write would miss it.
+func (t *Table) writeWhere(w Where, del bool, set func(types.Row) types.Row) (int, error) {
+	what, kind := statement(del)
 	// Target discovery reads segment rows (index probes or full scans):
 	// a lazily-restored table must be resident first.
 	if err := t.ensureProbeReady(); err != nil {
-		return 0, fmt.Errorf("update %s: %w", t.name, err)
+		return 0, fmt.Errorf("%s %s: %w", what, t.name, err)
 	}
-	// Excluding flush/merge between target discovery and row locking keeps
-	// the operation exactly-once: otherwise a concurrent flush can tombstone
-	// a matched buffer row (moving it into a segment) in the window between
-	// the snapshot and LockAndGet, silently losing the update.
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	view := t.Snapshot()
 	defer view.Release()
-	bufKeys, segLocs := t.findTargets(view, w)
-	if len(segLocs) > 0 {
-		if err := t.moveToBuffer(segLocs); err != nil {
-			return 0, err
-		}
-		for _, loc := range segLocs {
-			if loc.key != nil {
-				bufKeys = append(bufKeys, loc.key)
-			}
-		}
-		// Moved rows without precomputed keys are found by re-probing the
-		// buffer below when the table has a unique key; otherwise they got
-		// hidden row ids — rescan the buffer for matches.
-		if len(t.schema.UniqueKey) > 0 {
-			for _, loc := range segLocs {
-				if loc.key == nil {
-					t.segMu.RLock()
-					e := t.segs[loc.seg]
-					t.segMu.RUnlock()
-					if e != nil {
-						row := e.latestMeta().Seg.RowAt(int(loc.off))
-						bufKeys = append(bufKeys, types.KeyOf(row, t.schema.UniqueKey))
-					}
-				}
-			}
-		} else {
-			bufKeys = t.latestBufferTargets(w)
-		}
-	}
-	if len(bufKeys) == 0 {
-		return 0, nil
-	}
 	tx := t.buffer.Begin(view.TS)
 	m := &mutation{}
-	updated := 0
-	for _, k := range bufKeys {
-		cur, ok, err := tx.LockAndGet(k)
+	n := 0
+	for _, tg := range t.findTargets(view, w) {
+		tg, cur, ok, err := t.lockTarget(tx, tg)
+		if err == nil && ok && w.matches(cur) {
+			err = t.writeRow(tx, m, tg, cur, del, set)
+			n++
+		}
 		if err != nil {
 			tx.Abort()
-			return 0, fmt.Errorf("update %s: %w", t.name, err)
+			return 0, fmt.Errorf("%s %s: %w", what, t.name, err)
 		}
-		if !ok || !w.matches(cur) {
-			continue // deleted or changed since the snapshot
-		}
-		nr := set(cur.Clone())
-		if err := t.schema.CheckRow(nr); err != nil {
-			tx.Abort()
-			return 0, fmt.Errorf("update %s: %w", t.name, err)
-		}
-		if len(t.schema.UniqueKey) > 0 {
-			if string(types.KeyOf(nr, t.schema.UniqueKey)) != string(k) {
-				tx.Abort()
-				return 0, fmt.Errorf("update %s: changing unique key columns is not supported", t.name)
-			}
-		}
-		if _, err := tx.Insert(k, nr); err != nil {
-			tx.Abort()
-			return 0, err
-		}
-		m.Inserts = append(m.Inserts, kv{Key: k, Row: nr})
-		updated++
 	}
-	if updated == 0 {
+	if n == 0 {
 		tx.Abort()
 		return 0, nil
 	}
-	t.commit(wal.KindInsert, tx, m)
-	t.Stats.Updates.Add(int64(updated))
-	return updated, nil
+	t.commit(kind, tx, m)
+	return n, nil
 }
 
-// DeleteWhere removes matching rows. Segment rows are moved to the buffer
-// first (§4.2) and then tombstoned under their row locks. It returns the
+// UpdateWhere rewrites the rows w matches via set, in one transaction
+// that claims the segment rows it rewrites (§4.2). Changing unique-key
+// columns is not supported. It returns the number of rows updated.
+func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error) {
+	n, err := t.writeWhere(w, false, set)
+	t.Stats.Updates.Add(int64(n))
+	return n, err
+}
+
+// DeleteWhere removes the rows w matches in one transaction: buffer rows
+// get tombstones, segment rows their deleted bits (§4.2). It returns the
 // number of rows deleted.
 func (t *Table) DeleteWhere(w Where) (int, error) {
-	// See UpdateWhere: hydrate before discovery, then exclude structure.
-	if err := t.ensureProbeReady(); err != nil {
-		return 0, fmt.Errorf("delete %s: %w", t.name, err)
-	}
-	// See UpdateWhere: structural exclusion prevents lost deletes when a
-	// flush races with target discovery.
-	t.structMu.Lock()
-	defer t.structMu.Unlock()
-	view := t.Snapshot()
-	defer view.Release()
-	bufKeys, segLocs := t.findTargets(view, w)
-	if len(segLocs) > 0 {
-		if err := t.moveToBuffer(segLocs); err != nil {
-			return 0, err
-		}
-		bufKeys = t.latestBufferTargets(w)
-	}
-	if len(bufKeys) == 0 {
-		return 0, nil
-	}
-	tx := t.buffer.Begin(view.TS)
-	m := &mutation{}
-	deleted := 0
-	for _, k := range bufKeys {
-		cur, ok, err := tx.LockAndGet(k)
-		if err != nil {
-			tx.Abort()
-			return 0, fmt.Errorf("delete %s: %w", t.name, err)
-		}
-		if !ok || !w.matches(cur) {
-			continue
-		}
-		if _, _, err := tx.DeleteLatest(k); err != nil {
-			tx.Abort()
-			return 0, err
-		}
-		m.DeleteKeys = append(m.DeleteKeys, k)
-		deleted++
-	}
-	if deleted == 0 {
-		tx.Abort()
-		return 0, nil
-	}
-	t.commit(wal.KindDelete, tx, m)
-	t.Stats.Deletes.Add(int64(deleted))
-	return deleted, nil
+	n, err := t.writeWhere(w, true, nil)
+	t.Stats.Deletes.Add(int64(n))
+	return n, err
 }
 
 // GetByUnique returns the live row with the given unique key values, using
@@ -363,7 +247,7 @@ func (t *Table) GetByUnique(vals []types.Value) (types.Row, bool, error) {
 			view = v
 		}
 		if ok {
-			return view.segRow(seg, off), true, nil
+			return view.segMeta(seg).Seg.RowAt(int(off)), true, nil
 		}
 		if view.TS == ts {
 			return nil, false, nil
@@ -384,158 +268,151 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	view := t.Snapshot()
 	defer view.Release()
 	var out []types.Row
-	visited := int64(0)
-	view.ScanBufferAt(t.schema.Place([]types.Pin{{Col: col, Val: val}}), func(r types.Row) bool {
-		visited++
-		if vector.CmpValue(r[col], vector.Eq, val) {
-			out = append(out, r)
-		}
-		return true
-	})
-	t.Stats.BufferRowsScanned.Add(visited)
-	if t.idx.HasColumn(col) {
-		matches, probes := t.idx.LookupColumn(col, val)
-		t.Stats.IndexProbes.Add(int64(probes))
-		for _, m := range matches {
-			for _, meta := range view.Segs {
-				if meta.Seg.ID != m.SegID {
-					continue
-				}
-				for _, off := range m.Rows {
-					if !meta.Deleted.Get(int(off)) {
-						out = append(out, meta.Seg.RowAt(int(off)))
-					}
-				}
-			}
-		}
-		return out
-	}
-	for _, meta := range view.Segs {
-		if !meta.Seg.MayContain(col, int(vector.Eq), val) {
-			t.Stats.SegmentsEliminated.Add(1)
-			continue
-		}
-		for i := 0; i < meta.Seg.NumRows; i++ {
-			if !meta.Deleted.Get(i) && vector.CmpValue(meta.Seg.ValueAt(i, col), vector.Eq, val) {
-				out = append(out, meta.Seg.RowAt(i))
-			}
-		}
-	}
+	t.walkMatches(view, Eq(col, val), func(_ target, r types.Row) { out = append(out, r) })
 	return out
-}
-
-// UniqueWhere builds a Where matching exactly the given unique key values.
-func (t *Table) UniqueWhere(vals []types.Value) Where {
-	uk := t.schema.UniqueKey
-	return Where{Col: -1, Pred: func(r types.Row) bool {
-		for i, c := range uk {
-			if !vector.CmpValue(r[c], vector.Eq, vals[i]) {
-				return false
-			}
-		}
-		return true
-	}}
 }
 
 // UpdateByUnique rewrites the single row with the given unique key values
 // under its buffer row lock, claiming the row from its segment when it is
 // not in the buffer (§4.2). It reports whether a row was found.
 func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row) (bool, error) {
-	uk := t.schema.UniqueKey
-	if len(uk) == 0 {
-		return false, ErrNoUniqueKey
+	ok, err := t.writeUnique(vals, false, set)
+	if ok {
+		t.Stats.Updates.Add(1)
 	}
-	if err := t.ensureProbeReady(); err != nil {
-		return false, fmt.Errorf("update %s: %w", t.name, err)
-	}
-	key := types.EncodeKey(nil, vals...)
-	tx, done := t.beginWrite()
-	defer done()
-	cur, ok, err := tx.LockAndGet(key)
-	if err != nil {
-		tx.Abort()
-		return false, err
-	}
-	m := &mutation{}
-	if !ok {
-		if cur, ok = t.claimSegmentRow(vals, m); !ok {
-			tx.Abort()
-			return false, nil
-		}
-	}
-	nr := set(cur.Clone())
-	if err := t.schema.CheckRow(nr); err != nil {
-		tx.Abort()
-		return false, err
-	}
-	if string(types.KeyOf(nr, uk)) != string(key) {
-		tx.Abort()
-		return false, fmt.Errorf("update %s: changing unique key columns is not supported", t.name)
-	}
-	if _, err := tx.Insert(key, nr); err != nil {
-		tx.Abort()
-		return false, err
-	}
-	m.Inserts = []kv{{Key: key, Row: nr}}
-	t.commit(wal.KindInsert, tx, m)
-	t.Stats.Updates.Add(1)
-	return true, nil
+	return ok, err
 }
 
 // DeleteByUnique removes the single row with the given unique key values
 // under its buffer row lock: a buffer row is tombstoned, a segment row
 // gets its deleted bit.
 func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
-	uk := t.schema.UniqueKey
-	if len(uk) == 0 {
+	ok, err := t.writeUnique(vals, true, nil)
+	if ok {
+		t.Stats.Deletes.Add(1)
+	}
+	return ok, err
+}
+
+// writeUnique writes the row with unique-key values vals (writeRow), as
+// one transaction and one log record. It reports whether the row exists.
+func (t *Table) writeUnique(vals []types.Value, del bool, set func(types.Row) types.Row) (bool, error) {
+	what, kind := statement(del)
+	if len(t.schema.UniqueKey) == 0 {
 		return false, ErrNoUniqueKey
 	}
 	if err := t.ensureProbeReady(); err != nil {
-		return false, fmt.Errorf("delete %s: %w", t.name, err)
+		return false, fmt.Errorf("%s %s: %w", what, t.name, err)
 	}
-	key := types.EncodeKey(nil, vals...)
 	tx, done := t.beginWrite()
 	defer done()
-	_, ok, err := tx.LockAndGet(key)
+	m := &mutation{}
+	key := types.EncodeKey(nil, vals...)
+	cur, ok, err := tx.LockAndGet(key)
+	tg := target{key: key}
+	if err == nil && !ok {
+		tg, cur, ok = t.segmentCopy(key, vals)
+	}
+	if err == nil && ok {
+		err = t.writeRow(tx, m, tg, cur, del, set)
+	}
 	if err != nil {
 		tx.Abort()
-		return false, err
+		return false, fmt.Errorf("%s %s: %w", what, t.name, err)
 	}
-	m := &mutation{}
-	if ok {
-		if _, _, err := tx.DeleteLatest(key); err != nil {
-			tx.Abort()
-			return false, err
-		}
-		m.DeleteKeys = [][]byte{key}
-	} else if _, ok = t.claimSegmentRow(vals, m); !ok {
+	if !ok {
 		tx.Abort()
 		return false, nil
 	}
-	t.commit(wal.KindDelete, tx, m)
-	t.Stats.Deletes.Add(1)
+	t.commit(kind, tx, m)
 	return true, nil
 }
 
-// claimSegmentRow returns the live segment copy of the row with unique-key
-// values vals and records its deleted bit in m, for the caller's commit to
-// apply. The caller holds the row's buffer lock, which excludes every other
-// writer of the row, so its transaction is the row's move (§4.2): a
-// separate move transaction would wait on that same lock. The probe runs
-// after the lock: a flush that tombstoned the buffer row has committed, so
-// only a fresh snapshot sees the segment it wrote.
-func (t *Table) claimSegmentRow(vals []types.Value, m *mutation) (types.Row, bool) {
+// segmentCopy returns the live segment copy of the row with unique-key
+// values vals as a target under key, the row's buffer key, which the
+// caller has locked. That lock excludes every other writer of the row, so
+// the caller's transaction is the row's move (§4.2): the write step
+// claims the copy into the caller's own mutation. The probe runs after the
+// lock: a flush that tombstoned the buffer row has committed, so only a
+// fresh snapshot sees the segment it wrote.
+func (t *Table) segmentCopy(key []byte, vals []types.Value) (target, types.Row, bool) {
 	settled := t.snapshotSettled()
 	defer settled.Release()
 	view, seg, off, ok := t.liveByKey(settled, vals)
 	defer view.Release()
 	if !ok {
-		return nil, false
+		return target{}, nil, false
 	}
+	meta := view.segMeta(seg)
+	return target{key: key, meta: meta, off: off}, meta.Seg.RowAt(int(off)), true
+}
+
+// statement returns a write statement's name, for its errors, and the kind
+// of its log record.
+func statement(del bool) (string, wal.Kind) {
+	if del {
+		return "delete", wal.KindDelete
+	}
+	return "update", wal.KindInsert
+}
+
+// writeRow is the one per-row step of UpdateWhere and UpdateByUnique, and
+// of DeleteWhere and DeleteByUnique: it deletes the locked row tg when del
+// is set, and otherwise rewrites it via set from cur, its latest live copy.
+func (t *Table) writeRow(tx *rowstore.Txn, m *mutation, tg target, cur types.Row, del bool, set func(types.Row) types.Row) error {
+	if del {
+		return t.dropRow(tx, m, tg)
+	}
+	return t.putRow(tx, m, tg, set(cur.Clone()))
+}
+
+// putRow writes nr in place of the locked row tg, in tx and m. A segment
+// row is claimed: its deleted bit joins m, and on a hidden-row-id table
+// nr takes a fresh row id.
+func (t *Table) putRow(tx *rowstore.Txn, m *mutation, tg target, nr types.Row) error {
+	if err := t.schema.CheckRow(nr); err != nil {
+		return err
+	}
+	uk := t.schema.UniqueKey
+	if len(uk) > 0 && string(types.KeyOf(nr, uk)) != string(tg.key) {
+		return errors.New("changing unique key columns is not supported")
+	}
+	key := tg.key
+	if tg.meta != nil {
+		t.claim(m, tg)
+		if key == nil {
+			key = t.bufferKey(nr)
+		}
+	}
+	if _, err := tx.Insert(key, nr); err != nil {
+		return err
+	}
+	m.Inserts = append(m.Inserts, kv{Key: key, Row: nr})
+	return nil
+}
+
+// dropRow deletes the locked row tg in tx and m: a buffer row gets a
+// tombstone, a segment row only its deleted bit.
+func (t *Table) dropRow(tx *rowstore.Txn, m *mutation, tg target) error {
+	if tg.meta != nil {
+		t.claim(m, tg)
+		return nil
+	}
+	if _, _, err := tx.DeleteLatest(tg.key); err != nil {
+		return err
+	}
+	m.DeleteKeys = append(m.DeleteKeys, tg.key)
+	return nil
+}
+
+// claim records segment row tg's deleted bit in m, for the commit to
+// apply with the rest of the write: the §4.2 move, inside the writer's
+// own transaction.
+func (t *Table) claim(m *mutation, tg target) {
 	if m.SegDeletes == nil {
 		m.SegDeletes = map[uint64][]int32{}
 	}
-	m.SegDeletes[seg] = append(m.SegDeletes[seg], off)
+	id := tg.meta.Seg.ID
+	m.SegDeletes[id] = append(m.SegDeletes[id], tg.off)
 	t.Stats.Moves.Add(1)
-	return view.segRow(seg, off), true
 }

@@ -28,7 +28,7 @@ func TestUpdateByUniqueBufferAndSegment(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("buffer update = %v, %v", ok, err)
 	}
-	// Segment-resident row: needs a move transaction.
+	// Segment-resident row: the update claims it from its segment (§4.2).
 	moves := tbl.Stats.Moves.Load()
 	ok, err = tbl.UpdateByUnique([]types.Value{types.NewInt(3)}, func(r types.Row) types.Row {
 		r[1] = types.NewInt(33)
@@ -361,5 +361,84 @@ func TestWhereOnLeadingKeyColumnSeeks(t *testing.T) {
 	}
 	if got, want := contents(seek), contents(walk); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("seek and walk disagree:\n%v\n%v", got, want)
+	}
+}
+
+// TestOneRecordPerWriteStatement: every writer that reaches a segment row
+// claims it inside its own transaction (§4.2), so the statement appends
+// exactly one log record, on a unique-key table and on a hidden-row-id
+// table alike, and a shadow replayed from the log equals the primary.
+func TestOneRecordPerWriteStatement(t *testing.T) {
+	key3 := []types.Value{types.NewInt(3)}
+	is3 := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 3 }}
+	bump := func(r types.Row) types.Row { r[1] = types.NewInt(r[1].I + 100); return r }
+	type writer struct {
+		name   string
+		hidden bool
+		write  func(tbl *Table) (int, error)
+		rows   int // live rows after the write, of 8
+	}
+	one := func(ok bool, err error) (int, error) {
+		if ok {
+			return 1, err
+		}
+		return 0, err
+	}
+	insert := func(opts InsertOptions) func(*Table) (int, error) {
+		return func(tbl *Table) (int, error) {
+			res, err := tbl.InsertBatch([]types.Row{urow(3, 300, "n")}, opts)
+			return res.Replaced + res.Updated, err
+		}
+	}
+	writers := []writer{
+		{"UpdateWhere", false, func(tbl *Table) (int, error) { return tbl.UpdateWhere(is3, bump) }, 8},
+		{"UpdateWhere/indexed", false, func(tbl *Table) (int, error) { return tbl.UpdateWhere(Eq(0, key3[0]), bump) }, 8},
+		{"DeleteWhere", false, func(tbl *Table) (int, error) { return tbl.DeleteWhere(is3) }, 7},
+		{"DupReplace", false, insert(InsertOptions{OnDup: DupReplace}), 8},
+		{"DupUpdate", false, insert(InsertOptions{OnDup: DupUpdate, Update: func(old, _ types.Row) types.Row { return bump(old.Clone()) }}), 8},
+		{"UpdateByUnique", false, func(tbl *Table) (int, error) { return one(tbl.UpdateByUnique(key3, bump)) }, 8},
+		{"DeleteByUnique", false, func(tbl *Table) (int, error) { return one(tbl.DeleteByUnique(key3)) }, 7},
+		{"UpdateWhere", true, func(tbl *Table) (int, error) { return tbl.UpdateWhere(is3, bump) }, 8},
+		{"DeleteWhere", true, func(tbl *Table) (int, error) { return tbl.DeleteWhere(is3) }, 7},
+	}
+	for _, w := range writers {
+		kind := "unique"
+		if w.hidden {
+			kind = "hidden"
+		}
+		t.Run(kind+"/"+w.name, func(t *testing.T) {
+			schema := uniqSchema()
+			if w.hidden {
+				schema = plainSchema()
+			}
+			tbl, log := newTestTable(t, schema, Config{MaxSegmentRows: 8})
+			for i := 0; i < 8; i++ {
+				r := types.Row{types.NewInt(int64(i)), types.NewInt(int64(i))}
+				if !w.hidden {
+					r = urow(i, i, "x")
+				}
+				if err := tbl.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			head := log.Head()
+			n, err := w.write(tbl)
+			if err != nil || n != 1 {
+				t.Fatalf("write = %d, %v; want 1 row", n, err)
+			}
+			if got := log.Head() - head; got != 1 {
+				t.Fatalf("the write appended %d log records, want 1", got)
+			}
+			if got := tbl.Stats.Moves.Load(); got != 1 {
+				t.Fatalf("Moves = %d, want 1", got)
+			}
+			if got := mustCount(t, tbl); got != w.rows {
+				t.Fatalf("%d live rows, want %d", got, w.rows)
+			}
+			assertShadowEqual(t, tbl, log, nil)
+		})
 	}
 }

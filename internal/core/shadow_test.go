@@ -78,8 +78,37 @@ func liveBySegment(tbl *Table) map[uint64]int {
 	return out
 }
 
-// TestMoveAfterMergeReplays: a move captures rows of segment S, a merge
-// retires S, and then the move commits. The primary resolves its deletes
+// claimThenCommit rewrites the rows with unique keys ids as a point
+// writer does — each key locked, its segment copy claimed into the
+// statement's own mutation — and runs between after the claims and before
+// the commit.
+func claimThenCommit(tb testing.TB, tbl *Table, between func(), ids ...int) {
+	tb.Helper()
+	tx, done := tbl.beginWrite()
+	defer done()
+	m := &mutation{}
+	for _, id := range ids {
+		vals := []types.Value{types.NewInt(int64(id))}
+		key := types.EncodeKey(nil, vals...)
+		if _, inBuffer, err := tx.LockAndGet(key); err != nil || inBuffer {
+			tb.Fatalf("key %d: in buffer %v, err %v", id, inBuffer, err)
+		}
+		tg, cur, ok := tbl.segmentCopy(key, vals)
+		if !ok {
+			tb.Fatalf("key %d has no segment copy", id)
+		}
+		nr := cur.Clone()
+		nr[1] = types.NewInt(nr[1].I + 100)
+		if err := tbl.putRow(tx, m, tg, nr); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	between()
+	tbl.commit(wal.KindInsert, tx, m)
+}
+
+// TestMoveAfterMergeReplays: a writer claims rows of segment S, a merge
+// retires S, and then the writer commits. The primary resolves its deletes
 // through the merge's remap; the log must name the resolved rows, because a
 // replica has no remaps — replayed from the start, it finds S retired, and
 // restored from a snapshot taken after the merge it has never heard of S —
@@ -101,29 +130,43 @@ func TestMoveAfterMergeReplays(t *testing.T) {
 				}
 			}
 			s := tbl.Snapshot().Segs[0].Seg.ID
-			locs := []segLoc{{seg: s, off: 0}, {seg: s, off: 3}, {seg: s, off: 5}}
-			if !tbl.Merge() {
-				t.Fatal("merge did not run")
-			}
 			var mark *shadowMark
-			if fromSnapshot {
-				mark = markShadow(tbl, log)
-			}
-			if err := tbl.moveToBuffer(locs); err != nil {
-				t.Fatal(err)
-			}
+			claimThenCommit(t, tbl, func() {
+				if !tbl.Merge() {
+					t.Fatal("merge did not run")
+				}
+				if fromSnapshot {
+					mark = markShadow(tbl, log)
+				}
+			}, 0, 3, 5)
 			if got := mustCount(t, tbl); got != 16 {
 				t.Fatalf("primary holds %d rows, want 16", got)
+			}
+			for _, id := range []int{0, 3, 5} {
+				if r, ok, _ := tbl.GetByUnique([]types.Value{types.NewInt(int64(id))}); !ok || r[1].I != int64(id+100) {
+					t.Fatalf("row %d = %v, %v after the claim", id, r, ok)
+				}
+			}
+			recs, err := log.Records(log.Head()-1, log.Head())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := decodeMutation(recs[0].Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, named := m.SegDeletes[s]; named || len(m.SegDeletes) != 1 || len(m.Inserts) != 3 {
+				t.Fatalf("claim record names segments %v with %d inserts; want 3 rows resolved off retired segment %d", m.SegDeletes, len(m.Inserts), s)
 			}
 			assertShadowEqual(t, tbl, log, mark)
 		})
 	}
 }
 
-// TestPointWritesVersusMergeStorm races point updates, upserts and deletes
-// against back-to-back flushes and merges, at GOMAXPROCS 1 and 2, then
-// checks shadows fed from the log — from the start and from a snapshot cut
-// mid-storm — against the primary.
+// TestPointWritesVersusMergeStorm races point updates, upserts and deletes,
+// and filtered updates and deletes, against back-to-back flushes and
+// merges, at GOMAXPROCS 1 and 2, then checks shadows fed from the log —
+// from the start and from a snapshot cut mid-storm — against the primary.
 func TestPointWritesVersusMergeStorm(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -155,7 +198,7 @@ func TestPointWritesVersusMergeStorm(t *testing.T) {
 						}
 						key := []types.Value{types.NewInt(int64(rng.Intn(keys)))}
 						var err error
-						switch rng.Intn(3) {
+						switch rng.Intn(5) {
 						case 0:
 							_, err = tbl.UpdateByUnique(key, bump)
 						case 1:
@@ -165,6 +208,11 @@ func TestPointWritesVersusMergeStorm(t *testing.T) {
 							})
 						case 2:
 							_, err = tbl.DeleteByUnique(key)
+						case 3:
+							_, err = tbl.UpdateWhere(Eq(0, key[0]), bump)
+						case 4:
+							id := key[0].I
+							_, err = tbl.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == id }})
 						}
 						if err != nil {
 							t.Errorf("writer %d op %d: %v", w, op, err)

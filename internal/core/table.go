@@ -3,9 +3,10 @@
 // level is an in-memory MVCC rowstore buffer; deletes are represented as
 // bit vectors in segment metadata instead of tombstone records, so reads
 // never pay merge-based reconciliation; secondary and unique keys are
-// served by the two-level index of §4.1; and updates/deletes use move
-// transactions with row-level locking (§4.2). One Table object manages one
-// partition of one logical table.
+// served by the two-level index of §4.1; and an update or delete moves the
+// segment rows it reaches into the buffer under their row locks (§4.2),
+// inside its own transaction. One Table object manages one partition of
+// one logical table.
 package core
 
 import (
@@ -212,10 +213,10 @@ type segEntry struct {
 	versions atomic.Pointer[metaVersion]
 	// remap is set when the segment is retired by a merge: it gives each
 	// row offset its new location (off < 0 for rows deleted at merge time),
-	// so a move transaction that committed after the merge can re-apply its
-	// deleted bits ("the commit process applies all segment merges between
-	// the scan timestamp and the commit timestamp of the move transaction",
-	// §4.2). Indexed by old row offset.
+	// so a writer that claimed rows before the merge and commits after it
+	// can re-apply its deleted bits ("the commit process applies all
+	// segment merges between the scan timestamp and the commit timestamp of
+	// the move transaction", §4.2). Indexed by old row offset.
 	remap atomic.Pointer[[]remapTarget]
 	// stub is true while the entry's segment is an unhydrated stub counted
 	// in Table.unhydrated; hydration and drop race to CAS it off so the
@@ -322,11 +323,13 @@ type Table struct {
 	uniq   *txn.LockManager
 	idx    *index.Set
 
-	// structMu serializes structural changes (flush, merge/move installs)
-	// so move transactions and merges can be reordered safely (§4.2). It is
-	// never held while waiting for user locks. A merge holds it only for
-	// the install commit; the scan/merge/encode/save pipeline runs outside
-	// it so flushes and foreground moves proceed during merges.
+	// structMu serializes structural changes (flush, merge installs) with
+	// each other and with UpdateWhere/DeleteWhere, which hold it from
+	// target discovery to commit so the rows they found stay where they
+	// were found (§4.2). Nothing holds a row lock while it waits for
+	// structMu. A merge holds it only for the install commit; the
+	// scan/merge/encode/save pipeline runs outside it so flushes and
+	// writes proceed during merges.
 	structMu sync.Mutex
 
 	// mergeMu serializes merge steps with each other: the off-structMu
@@ -560,16 +563,6 @@ func (v *View) Index() *index.Set { return v.table.idx }
 // when none is configured); the execution layer serves repeated segment
 // decodes from it.
 func (v *View) DecodedCache() DecodedVectorCache { return v.table.cfg.Tenant.Cache }
-
-// HasSegment reports whether the given segment id is part of the view.
-func (v *View) HasSegment(id uint64) bool {
-	for _, m := range v.Segs {
-		if m.Seg.ID == id {
-			return true
-		}
-	}
-	return false
-}
 
 // NumRows counts live rows in the view (buffer + segments minus deletes).
 func (v *View) NumRows() int {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -136,14 +137,14 @@ func TestUniqueEnforcedAcrossFlush(t *testing.T) {
 	if err := tbl.Insert(urow(3, 0, "y")); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("dup vs segment = %v", err)
 	}
-	// Replace against a segment row triggers a move transaction.
+	// Replace against a segment row claims it from its segment (§4.2).
 	moves := tbl.Stats.Moves.Load()
 	res, err := tbl.InsertBatch([]types.Row{urow(3, 333, "y")}, InsertOptions{OnDup: DupReplace})
 	if err != nil || res.Replaced != 1 {
 		t.Fatalf("replace vs segment = %+v, %v", res, err)
 	}
 	if tbl.Stats.Moves.Load() <= moves {
-		t.Fatal("replace of a segment row should use a move transaction")
+		t.Fatal("replace of a segment row should claim it")
 	}
 	r, _, _ := tbl.GetByUnique([]types.Value{types.NewInt(3)})
 	if r[1].I != 333 {
@@ -393,6 +394,50 @@ func TestHiddenRowIDTables(t *testing.T) {
 	}
 }
 
+// TestHiddenRowIDUpdateWhere: UpdateWhere on a hidden-row-id table claims
+// each matched segment row (its deleted bit) and writes the new row under
+// a fresh row id, once per row, beside the buffer rows it rewrites in
+// place; a shadow replayed from the log equals the primary.
+func TestHiddenRowIDUpdateWhere(t *testing.T) {
+	tbl, log := newTestTable(t, plainSchema(), Config{MaxSegmentRows: 8})
+	for i := 0; i < 10; i++ {
+		if err := tbl.Insert(types.Row{types.NewInt(int64(i % 3)), types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			if _, err := tbl.Flush(); err != nil { // rows 0..5 in a segment
+				t.Fatal(err)
+			}
+		}
+	}
+	is2 := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 2 }}
+	bump := func(r types.Row) types.Row { r[1] = types.NewInt(r[1].I + 100); return r }
+	for round := 1; round <= 2; round++ {
+		// Rows 2 and 5 live in the segment, row 8 in the buffer; the second
+		// round finds all three in the buffer.
+		n, err := tbl.UpdateWhere(is2, bump)
+		if err != nil || n != 3 {
+			t.Fatalf("round %d: UpdateWhere = %d, %v", round, n, err)
+		}
+		var got []int64
+		for _, r := range tbl.LookupEqual(0, types.NewInt(2)) {
+			got = append(got, r[1].I)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		want := []int64{2 + 100*int64(round), 5 + 100*int64(round), 8 + 100*int64(round)}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: rows with c0=2 hold %v, want %v", round, got, want)
+		}
+		if got := mustCount(t, tbl); got != 10 {
+			t.Fatalf("round %d: NumRows = %d", round, got)
+		}
+	}
+	if got := tbl.Stats.Moves.Load(); got != 2 {
+		t.Fatalf("Moves = %d, want 2", got)
+	}
+	assertShadowEqual(t, tbl, log, nil)
+}
+
 func TestConcurrentInsertsUniqueKeys(t *testing.T) {
 	tbl, _ := newTestTable(t, uniqSchema(), Config{MaxSegmentRows: 64})
 	const writers = 8
@@ -524,29 +569,15 @@ func TestReplayReconstructsTable(t *testing.T) {
 
 func assertSameContents(t *testing.T, a, b *Table) {
 	t.Helper()
-	dump := func(tbl *Table) map[string]int {
-		// The raw RowAt reads below bypass the scan layer's demand-hydration
-		// gate, so force full hydration first (no-op on never-restored tables).
+	for _, tbl := range []*Table{a, b} {
+		// rowCounts' raw RowAt reads bypass the scan layer's
+		// demand-hydration gate, so force full hydration first (no-op on
+		// never-restored tables).
 		if err := tbl.WaitHydrated(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]int{}
-		view := tbl.Snapshot()
-		defer view.Release()
-		add := func(r types.Row) {
-			out[fmt.Sprint(r)]++
-		}
-		view.ScanBuffer(func(r types.Row) bool { add(r); return true })
-		for _, m := range view.Segs {
-			for i := 0; i < m.Seg.NumRows; i++ {
-				if !m.Deleted.Get(i) {
-					add(m.Seg.RowAt(i))
-				}
-			}
-		}
-		return out
 	}
-	da, db := dump(a), dump(b)
+	da, db := rowCounts(t, a), rowCounts(t, b)
 	if len(da) != len(db) {
 		t.Fatalf("contents differ: %d vs %d distinct rows", len(da), len(db))
 	}

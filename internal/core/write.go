@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"s2db/internal/colstore"
 	"s2db/internal/index"
@@ -125,86 +126,59 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 	defer release()
 
 	// Step 2: probe for duplicates in segments (via the index) and buffer.
-	type hit struct {
-		inBuffer bool
-		segID    uint64
-		segOff   int32
-	}
 	view := t.Snapshot()
 	defer view.Release()
 	readTS := view.TS
-	dups := make([]*hit, len(rows))
+	dups := make([]bool, len(rows))
 	// Also detect duplicates *within* the batch.
 	seen := make(map[string]int, len(rows))
 	for i, vals := range keyVals {
 		k := string(types.EncodeKey(nil, vals...))
-		if _, dupInBatch := seen[k]; dupInBatch {
-			switch opts.OnDup {
-			case DupError:
-				t.Stats.DupConflicts.Add(1)
-				return res, fmt.Errorf("%w: within batch", ErrDuplicateKey)
-			default:
-				// Later occurrences resolve against the earlier ones once
-				// they are applied; mark by probing again below.
-			}
+		if _, dupInBatch := seen[k]; dupInBatch && opts.OnDup == DupError {
+			t.Stats.DupConflicts.Add(1)
+			return res, fmt.Errorf("%w: within batch", ErrDuplicateKey)
 		}
+		// Under the other policies later occurrences resolve against the
+		// earlier ones, which the lock loop below finds in its own writes.
 		seen[k] = i
 		if _, ok := t.buffer.Get([]byte(k), readTS); ok {
-			dups[i] = &hit{inBuffer: true}
+			dups[i] = true
 			continue
 		}
-		v, seg, off, ok := t.liveByKey(view, vals)
+		v, _, _, ok := t.liveByKey(view, vals)
 		if v != view {
 			v.Release()
 		}
-		if ok {
-			dups[i] = &hit{segID: seg, segOff: off}
-		}
+		dups[i] = ok
 	}
-	if opts.OnDup == DupError {
-		for _, d := range dups {
-			if d != nil {
-				t.Stats.DupConflicts.Add(1)
-				return res, ErrDuplicateKey
-			}
-		}
+	if opts.OnDup == DupError && slices.Contains(dups, true) {
+		t.Stats.DupConflicts.Add(1)
+		return res, ErrDuplicateKey
 	}
 
-	// Step 3: move conflicting segment rows to the buffer so the update or
-	// replace happens under row locks (§4.2), then apply the batch.
-	var moves []segLoc
-	for i, d := range dups {
-		if d != nil && !d.inBuffer && opts.OnDup != DupSkip {
-			moves = append(moves, segLoc{seg: d.segID, off: d.segOff, key: types.EncodeKey(nil, keyVals[i]...)})
-		}
-	}
-	if len(moves) > 0 {
-		if err := t.moveToBuffer(moves); err != nil {
-			return res, fmt.Errorf("insert %s: move: %w", t.name, err)
-		}
-	}
-
+	// Step 3: apply the batch under row locks (§4.2).
 	tx := t.buffer.Begin(readTS)
 	m := &mutation{}
 	for i, r := range rows {
 		key := types.EncodeKey(nil, keyVals[i]...)
-		// Re-probe the buffer for the latest state (a move may have landed
-		// the conflicting row here, or an earlier batch row inserted it).
+		// Re-probe the buffer for the latest state (an earlier batch row
+		// may have inserted the key).
 		existing, exists, err := tx.LockAndGet(key)
 		if err != nil {
 			tx.Abort()
 			return res, fmt.Errorf("insert %s: lock: %w", t.name, err)
 		}
-		if !exists && dups[i] != nil && opts.OnDup == DupSkip {
-			// The duplicate lives in a segment; skip the incoming row.
-			res.Skipped++
-			continue
-		}
-		if !exists && dups[i] != nil && (opts.OnDup == DupReplace || opts.OnDup == DupUpdate) {
-			// The conflicting row was in the buffer at probe time but a
-			// concurrent flush moved it into a segment before we locked it:
+		tg := target{key: key}
+		if !exists && dups[i] {
+			if opts.OnDup == DupSkip {
+				// The duplicate lives in a segment; skip the incoming row.
+				res.Skipped++
+				continue
+			}
+			// The conflicting row lives in a segment — it did at the probe,
+			// or a concurrent flush moved it there before we locked it:
 			// claim it from there under the lock we hold.
-			existing, exists = t.claimSegmentRow(keyVals[i], m)
+			tg, existing, exists = t.segmentCopy(key, keyVals[i])
 		}
 		if exists {
 			switch opts.OnDup {
@@ -215,25 +189,20 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			case DupSkip:
 				res.Skipped++
 				continue
-			case DupReplace:
-				if _, err := tx.Insert(key, r); err != nil {
-					tx.Abort()
-					return res, err
-				}
-				m.Inserts = append(m.Inserts, kv{Key: key, Row: r})
-				res.Replaced++
-				continue
-			case DupUpdate:
+			case DupReplace, DupUpdate:
 				nr := r
-				if opts.Update != nil {
+				if opts.OnDup == DupUpdate && opts.Update != nil {
 					nr = opts.Update(existing, r)
 				}
-				if _, err := tx.Insert(key, nr); err != nil {
+				if err := t.putRow(tx, m, tg, nr); err != nil {
 					tx.Abort()
-					return res, err
+					return res, fmt.Errorf("insert %s: %w", t.name, err)
 				}
-				m.Inserts = append(m.Inserts, kv{Key: key, Row: nr})
-				res.Updated++
+				if opts.OnDup == DupReplace {
+					res.Replaced++
+				} else {
+					res.Updated++
+				}
 				continue
 			}
 		}
@@ -294,11 +263,12 @@ func (t *Table) holdsRetired(view *View) bool {
 	return false
 }
 
-// segRow reads row off of segment id, which must be in the view.
-func (v *View) segRow(id uint64, off int32) types.Row {
-	for _, meta := range v.Segs {
-		if meta.Seg.ID == id {
-			return meta.Seg.RowAt(int(off))
+// segMeta returns the view's metadata of segment id, nil when the view
+// does not hold the segment.
+func (v *View) segMeta(id uint64) *colstore.Meta {
+	for _, m := range v.Segs {
+		if m.Seg.ID == id {
+			return m
 		}
 	}
 	return nil
@@ -307,16 +277,12 @@ func (v *View) segRow(id uint64, off int32) types.Row {
 // liveMatch returns the first row offset of an index match that is visible
 // in the view (not deleted, segment present).
 func (t *Table) liveMatch(view *View, m index.Match) (int32, bool) {
-	for _, meta := range view.Segs {
-		if meta.Seg.ID != m.SegID {
-			continue
-		}
+	if meta := view.segMeta(m.SegID); meta != nil {
 		for _, off := range m.Rows {
 			if !meta.Deleted.Get(int(off)) {
 				return off, true
 			}
 		}
-		return 0, false
 	}
 	return 0, false
 }

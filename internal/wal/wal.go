@@ -29,23 +29,20 @@ import (
 type Kind uint8
 
 // Record kinds used by the unified table storage. The WAL itself only
-// requires them to be stable across serialize/replay.
+// requires them to be stable across serialize/replay: values 5–7 once
+// named records nothing writes any more, and replay reads every kind's
+// payload the same way, so an old log still replays.
 const (
-	// KindInsert is a row insert into the in-memory rowstore.
+	// KindInsert is a statement that writes rows into the in-memory
+	// rowstore; the segment rows it claims (§4.2) get their deleted bits.
 	KindInsert Kind = iota + 1
-	// KindDelete is a row delete (tombstone) from the in-memory rowstore.
+	// KindDelete is a statement that deletes rows: rowstore tombstones
+	// and the deleted bits of the segment rows it claims.
 	KindDelete
 	// KindFlush converts rowstore rows into a columnstore segment.
 	KindFlush
 	// KindMerge replaces segments with a merged segment.
 	KindMerge
-	// KindMove is the autonomous move transaction of §4.2: rows copied
-	// from a segment into the rowstore with their deleted bits set.
-	KindMove
-	// KindMetaDelete updates only a segment's deleted bit vector.
-	KindMetaDelete
-	// KindCommit marks a transaction commit with its timestamp.
-	KindCommit
 )
 
 // Record is one log entry. LSN is assigned by Append and is dense (the

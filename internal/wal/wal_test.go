@@ -99,7 +99,7 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 			got = append(got, rec.LSN)
 		}
 	}()
-	l.Append(KindCommit, 99, nil)
+	l.Append(KindMerge, 99, nil)
 	wg.Wait()
 	want := []uint64{1, 2, 3}
 	if !reflect.DeepEqual(got, want) {
@@ -149,7 +149,7 @@ func TestEncodeDecodeRecords(t *testing.T) {
 	recs := []Record{
 		{LSN: 0, Kind: KindInsert, CommitTS: 5, Data: []byte("hello")},
 		{LSN: 1, Kind: KindFlush, CommitTS: 6, Data: nil},
-		{LSN: 2, Kind: KindCommit, CommitTS: 7, Data: []byte{0, 1, 2}},
+		{LSN: 2, Kind: KindMerge, CommitTS: 7, Data: []byte{0, 1, 2}},
 	}
 	buf := EncodeRecords(testPlacement, recs)
 	pl, got, err := DecodeRecords(buf)

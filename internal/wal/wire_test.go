@@ -22,7 +22,7 @@ func wirePage(first uint64, payloads ...string) Page {
 		}
 		recs[i] = Record{
 			LSN:      first + uint64(i),
-			Kind:     Kind(1 + i%int(KindCommit)),
+			Kind:     Kind(1 + i%int(KindMerge)),
 			CommitTS: uint64(100 + i),
 			Wall:     int64(1e9) + int64(i),
 			Data:     data,
