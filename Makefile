@@ -8,7 +8,7 @@ check: build vet race
 # ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
 # decode gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
-# cores and the storage, exec, cluster, WAL, QoS, SQL, index, txn and
+# cores and the storage, exec, cluster, WAL, QoS, SQL, index and
 # workload race suites at one,
 # the seeded chaos soak, a smoke pass of the four benchmark workloads,
 # and a short fuzz pass of the SQL front-end, the WAL page codec, the
@@ -71,7 +71,7 @@ qossmoke:
 # procsmoke runs the whole test suite at GOMAXPROCS 1 and 2, and every
 # engine suite under the race detector at GOMAXPROCS 1 — the top-level
 # package and the types, codec, colstore, bitmap, blob, rowstore, core,
-# exec, cluster, wal, qos, sql, index, txn and workload suites:
+# exec, cluster, wal, qos, sql, index and workload suites:
 # interleavings a many-core machine rarely produces (the cache's
 # single-flight decode, the governor's wake-ups, background maintenance
 # beside a delete, Compact beside secondary-index readers and held views,
@@ -82,7 +82,7 @@ qossmoke:
 procsmoke:
 	GOMAXPROCS=1 go test ./... -count=1
 	GOMAXPROCS=2 go test ./... -count=1
-	GOMAXPROCS=1 go test -race -count=1 . ./internal/types ./internal/codec ./internal/colstore ./internal/bitmap ./internal/blob ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos ./internal/sql ./internal/index ./internal/txn ./internal/workload/...
+	GOMAXPROCS=1 go test -race -count=1 . ./internal/types ./internal/codec ./internal/colstore ./internal/bitmap ./internal/blob ./internal/rowstore ./internal/core ./internal/exec ./internal/cluster ./internal/wal ./internal/qos ./internal/sql ./internal/index ./internal/workload/...
 
 build:
 	go build ./...

@@ -23,7 +23,6 @@ import (
 	"s2db/internal/cluster"
 	"s2db/internal/core"
 	"s2db/internal/exec"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/vector"
 	"s2db/internal/wal"
@@ -317,7 +316,7 @@ func benchTable(b *testing.B, n int, deletedFrac float64) *core.Table {
 	schema.UniqueKey = []int{0}
 	schema.SecondaryKeys = [][]int{{1}}
 	tbl, err := core.NewTable("t", schema, core.Config{MaxSegmentRows: 8192},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +407,7 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 	schema.UniqueKey = []int{0}
 	schema.SecondaryKeys = [][]int{{1}}
 	tbl, err := core.NewTable("t", schema, core.Config{MaxSegmentRows: 512},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		b.Fatal(err)
 	}

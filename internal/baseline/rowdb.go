@@ -12,10 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"s2db/internal/rowstore"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 )
 
@@ -32,8 +32,8 @@ type RowTable struct {
 	// secondary maps index ordinal-list key to a skiplist whose keys are
 	// EncodeKey(secondary values..., primary key values...).
 	secondary map[string]*rowstore.Store
-	oracle    *txn.Oracle
-	mu        sync.Mutex // serializes commits (single-host engine)
+	clock     atomic.Uint64 // the last commit timestamp
+	mu        sync.Mutex    // serializes commits (single-host engine)
 }
 
 // RowDB is the rowstore-only operational database baseline.
@@ -58,7 +58,6 @@ func (db *RowDB) CreateTable(name string, schema *types.Schema) error {
 		schema:    schema,
 		primary:   rowstore.NewStore(2 * time.Second),
 		secondary: make(map[string]*rowstore.Store),
-		oracle:    &txn.Oracle{},
 	}
 	for _, key := range schema.SecondaryKeys {
 		t.secondary[fmt.Sprint(key)] = rowstore.NewStore(2 * time.Second)
@@ -103,7 +102,7 @@ func (t *RowTable) Insert(r types.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	readTS := t.oracle.ReadTS()
+	readTS := t.clock.Load()
 	if _, exists := t.primary.Get(t.pk(r), readTS); exists {
 		return fmt.Errorf("rowdb: duplicate primary key")
 	}
@@ -126,7 +125,7 @@ func (t *RowTable) Insert(r types.Row) error {
 		}
 		secTxs = append(secTxs, stx)
 	}
-	ts := t.oracle.Next()
+	ts := t.clock.Add(1)
 	tx.Commit(ts)
 	for _, s := range secTxs {
 		s.Commit(ts)
@@ -156,7 +155,7 @@ func parseOrdinals(s string) []int {
 
 // Get returns the row with the given primary key values.
 func (t *RowTable) Get(vals []types.Value) (types.Row, bool) {
-	return t.primary.Get(types.EncodeKey(nil, vals...), t.oracle.ReadTS())
+	return t.primary.Get(types.EncodeKey(nil, vals...), t.clock.Load())
 }
 
 // Update rewrites the row with the given primary key via set, maintaining
@@ -164,7 +163,7 @@ func (t *RowTable) Get(vals []types.Value) (types.Row, bool) {
 func (t *RowTable) Update(vals []types.Value, set func(types.Row) types.Row) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	readTS := t.oracle.ReadTS()
+	readTS := t.clock.Load()
 	key := types.EncodeKey(nil, vals...)
 	old, ok := t.primary.Get(key, readTS)
 	if !ok {
@@ -201,7 +200,7 @@ func (t *RowTable) Update(vals []types.Value, set func(types.Row) types.Row) (bo
 		tx.Abort()
 		return false, fmt.Errorf("rowdb: secondary index maintenance failed")
 	}
-	ts := t.oracle.Next()
+	ts := t.clock.Add(1)
 	tx.Commit(ts)
 	for _, s := range secTxs {
 		s.Commit(ts)
@@ -213,7 +212,7 @@ func (t *RowTable) Update(vals []types.Value, set func(types.Row) types.Row) (bo
 func (t *RowTable) Delete(vals []types.Value) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	readTS := t.oracle.ReadTS()
+	readTS := t.clock.Load()
 	key := types.EncodeKey(nil, vals...)
 	old, ok := t.primary.Get(key, readTS)
 	if !ok {
@@ -230,7 +229,7 @@ func (t *RowTable) Delete(vals []types.Value) (bool, error) {
 		stx.Delete(t.secKey(parseOrdinals(keyStr), old))
 		secTxs = append(secTxs, stx)
 	}
-	ts := t.oracle.Next()
+	ts := t.clock.Add(1)
 	tx.Commit(ts)
 	for _, s := range secTxs {
 		s.Commit(ts)
@@ -263,7 +262,7 @@ func (t *RowTable) LookupEqual(key []int, vals []types.Value) []types.Row {
 	}
 	prefix := types.EncodeKey(nil, vals...)
 	end := append(append([]byte(nil), prefix...), 0xff, 0xff, 0xff, 0xff)
-	readTS := t.oracle.ReadTS()
+	readTS := t.clock.Load()
 	var out []types.Row
 	store.Scan(prefix, end, readTS, func(k []byte, _ types.Row) bool {
 		// The primary key values trail the secondary values in the index
@@ -281,7 +280,7 @@ func (t *RowTable) LookupEqual(key []int, vals []types.Value) []types.Row {
 // Scan iterates every row, one at a time — the row-oriented execution that
 // makes CDB "orders of magnitude worse" on analytics (§6).
 func (t *RowTable) Scan(f func(types.Row) bool) {
-	t.primary.Scan(nil, nil, t.oracle.ReadTS(), func(_ []byte, r types.Row) bool { return f(r) })
+	t.primary.Scan(nil, nil, t.clock.Load(), func(_ []byte, r types.Row) bool { return f(r) })
 }
 
 // Rows returns the live row count.
@@ -293,7 +292,7 @@ func (t *RowTable) LookupPrefix(vals []types.Value) []types.Row {
 	prefix := types.EncodeKey(nil, vals...)
 	end := append(append([]byte(nil), prefix...), 0xff, 0xff, 0xff, 0xff)
 	var out []types.Row
-	t.primary.Scan(prefix, end, t.oracle.ReadTS(), func(_ []byte, r types.Row) bool {
+	t.primary.Scan(prefix, end, t.clock.Load(), func(_ []byte, r types.Row) bool {
 		out = append(out, r)
 		return true
 	})

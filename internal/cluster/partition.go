@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"s2db/internal/core"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -53,7 +52,6 @@ type Partition struct {
 	DB   string
 	role Role
 
-	oracle    *txn.Oracle
 	committer *core.Committer
 	log       *wal.Log
 	files     *PartitionFiles
@@ -91,11 +89,9 @@ func (c *Cluster) newPartition(pi int, role Role, tenant core.Tenant) *Partition
 	if role == RoleReplica {
 		tableCfg.Background = false
 	}
-	oracle := &txn.Oracle{}
 	return &Partition{
 		ID: pi, DB: c.cfg.Name, role: role,
-		oracle:        oracle,
-		committer:     core.NewCommitter(oracle),
+		committer:     core.NewCommitter(),
 		log:           wal.NewLogWith(c.cfg.Log),
 		files:         NewPartitionFiles(c.blobPrefix(pi), c.cfg.Blob, c.cfg.CacheBytes),
 		tables:        make(map[string]*core.Table),
@@ -109,9 +105,6 @@ func (c *Cluster) newPartition(pi int, role Role, tenant core.Tenant) *Partition
 
 // Log exposes the partition log (replication, staging).
 func (p *Partition) Log() *wal.Log { return p.log }
-
-// Oracle exposes the partition's timestamp oracle.
-func (p *Partition) Oracle() *txn.Oracle { return p.oracle }
 
 // Role returns the current role.
 func (p *Partition) Role() Role {

@@ -227,7 +227,7 @@ func (t *Table) apply(ts uint64, tx *rowstore.Txn, m *mutation) {
 
 // Apply replays one log record against the table. It is used by recovery,
 // replicas and PITR; the record's CommitTS becomes the visibility
-// timestamp, and the partition oracle is advanced to it.
+// timestamp, and the partition clock is advanced to it.
 func (t *Table) Apply(rec wal.Record) error {
 	m, err := decodeMutation(rec.Data)
 	if err != nil {

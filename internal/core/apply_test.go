@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -20,7 +19,7 @@ func loggedRecords(tb testing.TB) []wal.Record {
 	schema := uniqSchema()
 	schema.SortKey = 0
 	log := wal.NewLog()
-	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 8, MergeFanout: 2}, NewCommitter(&txn.Oracle{}), log, NewMemFiles())
+	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 8, MergeFanout: 2}, NewCommitter(), log, NewMemFiles())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -27,7 +26,7 @@ func TestFigure1Walkthrough(t *testing.T) {
 	schema.UniqueKey = []int{0}
 	log := wal.NewLog()
 	files := NewMemFiles()
-	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 16}, NewCommitter(&txn.Oracle{}), log, files)
+	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 16}, NewCommitter(), log, files)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -141,7 +140,7 @@ func TestDroppedViewReleasedByFinalizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	compactNow(tbl)
-	if keep, pub := tbl.compactedTS, tbl.Oracle().ReadTS(); keep != pub {
+	if keep, pub := tbl.compactedTS, tbl.committer.ReadTS(); keep != pub {
 		t.Fatalf("compacted at %d with no reader open, want the published %d", keep, pub)
 	}
 }
@@ -269,7 +268,7 @@ func TestReaderHorizonStorm(t *testing.T) {
 			// Replay the log into a shadow, stopping at each read's
 			// timestamp to compare what the read saw.
 			slices.SortFunc(reads, func(a, b read) int { return cmp.Compare(a.ts, b.ts) })
-			shadow, err := NewTable(tbl.name, schema, Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), NewMemFiles())
+			shadow, err := NewTable(tbl.name, schema, Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), NewMemFiles())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,6 @@ import (
 
 	"s2db/internal/codec"
 	"s2db/internal/colstore"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -80,7 +79,7 @@ func (g *hydroFiles) LoadFileCtx(ctx context.Context, name string) ([]byte, erro
 func buildSegmentedTable(t testing.TB, files FileStore) (*Table, []byte, uint64) {
 	t.Helper()
 	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8},
-		NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +101,13 @@ func buildSegmentedTable(t testing.TB, files FileStore) (*Table, []byte, uint64)
 		t.Fatal(err)
 	}
 	tbl.Flush()
-	ts := tbl.Oracle().ReadTS()
+	ts := tbl.committer.ReadTS()
 	return tbl, serializeAt(tbl, ts), ts
 }
 
 func restoreInto(t *testing.T, files FileStore, cfg Config, state []byte, ts uint64) *Table {
 	t.Helper()
-	tbl, err := NewTable("t", uniqSchema(), cfg, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+	tbl, err := NewTable("t", uniqSchema(), cfg, NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestProbesRightAfterRestoreSeeEveryKey(t *testing.T) {
 		_, live[id], _ = src.GetByUnique([]types.Value{types.NewInt(int64(id))})
 	}
 	for iter := 0; iter < 200; iter++ {
-		tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +296,7 @@ func TestRestoreCorruptManifestInstallsNothing(t *testing.T) {
 	_, state, ts := buildSegmentedTable(t, files)
 
 	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8},
-		NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +422,7 @@ func TestSegmentRowClaimBounded(t *testing.T) {
 	// A restore under a smaller config still reads a segment of the
 	// default size.
 	small := NewMemFiles()
-	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), small)
+	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), small)
 	if err != nil {
 		t.Fatal(err)
 	}

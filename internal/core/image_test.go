@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"s2db/internal/rowstore"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -135,7 +134,7 @@ func b2i(b bool) int {
 // newImageTable returns a table whose buffer holds 100 rows (keys 0..99),
 // enough for a full scan to start the journal.
 func newImageTable(t testing.TB) *Table {
-	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 64}, NewCommitter(&txn.Oracle{}), wal.NewLog(), NewMemFiles())
+	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 64}, NewCommitter(), wal.NewLog(), NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}

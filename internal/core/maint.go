@@ -254,7 +254,7 @@ func (t *Table) applySegDeletes(ts uint64, segDel map[uint64][]int32) map[uint64
 func (t *Table) Flush() (int, error) {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
-	readTS := t.committer.Oracle().ReadTS()
+	readTS := t.committer.ReadTS()
 	var keys [][]byte
 	t.buffer.Scan(nil, nil, readTS, func(k []byte, _ types.Row) bool {
 		keys = append(keys, append([]byte(nil), k...))
@@ -552,12 +552,12 @@ func (t *Table) maybeCompact() {
 	if now.Sub(t.lastCompact) < compactPeriod {
 		return
 	}
-	keepTS := t.readers.horizon(t.committer.Oracle())
+	keepTS := t.readers.horizon(t.committer)
 	// A commit that ran wakeAfter before this swap had published, so its
 	// timestamp is at most the ReadTS read after it; one that runs it later
 	// finds dirty clear, sets it and wakes the loop.
 	if t.dirty.Swap(false) {
-		t.garbageTS = t.committer.Oracle().ReadTS()
+		t.garbageTS = t.committer.ReadTS()
 	} else if keepTS == t.compactedTS {
 		return
 	}

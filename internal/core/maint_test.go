@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"s2db/internal/colstore"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -172,7 +171,7 @@ func TestMaintenanceRetriesAbortedMerge(t *testing.T) {
 	tbl, err := NewTable("t", schema, Config{
 		MaxSegmentRows: 8, MergeFanout: 2, MergeWorkers: 1,
 		Background: true,
-	}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+	}, NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestMaintenanceCloseDuringRound(t *testing.T) {
 	tbl, err := NewTable("t", schema, Config{
 		MaxSegmentRows: 8, MergeFanout: 2, MergeWorkers: 1,
 		Background: true,
-	}, NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+	}, NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}

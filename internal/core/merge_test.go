@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -70,7 +69,7 @@ func TestMergeAbortCleansOrphans(t *testing.T) {
 	// MergeWorkers=1 makes the save order deterministic so "fail the 2nd
 	// merge save" reliably leaves one orphan candidate behind.
 	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 8, MergeFanout: 2, MergeWorkers: 1},
-		NewCommitter(&txn.Oracle{}), log, files)
+		NewCommitter(), log, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +222,8 @@ func TestApplySegDeletesCycleGuard(t *testing.T) {
 	tbl.segMu.RUnlock()
 	// Hand-corrupt the graph: both segments "retired", remapping offset 0
 	// at each other forever.
-	ea.dropTS.Store(tbl.Oracle().ReadTS())
-	eb.dropTS.Store(tbl.Oracle().ReadTS())
+	ea.dropTS.Store(tbl.committer.ReadTS())
+	eb.dropTS.Store(tbl.committer.ReadTS())
 	rmA := []remapTarget{{seg: b, off: 0}, {off: -1}, {off: -1}, {off: -1}}
 	rmB := []remapTarget{{seg: a, off: 0}, {off: -1}, {off: -1}, {off: -1}}
 	ea.remap.Store(&rmA)
@@ -461,7 +460,7 @@ func TestFlushProceedsWhileMergeSaves(t *testing.T) {
 	schema.SortKey = 0
 	files := newGateFiles(NewMemFiles())
 	tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 16, MergeFanout: 2},
-		NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}

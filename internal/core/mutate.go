@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"s2db/internal/colstore"
 	"s2db/internal/rowstore"
@@ -307,14 +308,10 @@ func (t *Table) writeUnique(vals []types.Value, del bool, set func(types.Row) ty
 	tx, done := t.beginWrite()
 	defer done()
 	m := &mutation{}
-	key := types.EncodeKey(nil, vals...)
-	cur, ok, err := tx.LockAndGet(key)
-	tg := target{key: key}
-	if err == nil && !ok {
-		tg, cur, ok = t.segmentCopy(key, vals)
-	}
-	if err == nil && ok {
-		err = t.writeRow(tx, m, tg, cur, del, set)
+	locked, err := t.lockUnique(tx, [][]byte{types.EncodeKey(nil, vals...)}, [][]types.Value{vals})
+	ok := err == nil && locked[0].ok
+	if ok {
+		err = t.writeRow(tx, m, locked[0].tg, locked[0].cur, del, set)
 	}
 	if err != nil {
 		tx.Abort()
@@ -328,23 +325,62 @@ func (t *Table) writeUnique(vals []types.Value, del bool, set func(types.Row) ty
 	return true, nil
 }
 
-// segmentCopy returns the live segment copy of the row with unique-key
-// values vals as a target under key, the row's buffer key, which the
-// caller has locked. That lock excludes every other writer of the row, so
-// the caller's transaction is the row's move (§4.2): the write step
-// claims the copy into the caller's own mutation. The probe runs after the
-// lock: a flush that tombstoned the buffer row has committed, so only a
-// fresh snapshot sees the segment it wrote.
-func (t *Table) segmentCopy(key []byte, vals []types.Value) (target, types.Row, bool) {
-	settled := t.snapshotSettled()
-	defer settled.Release()
-	view, seg, off, ok := t.liveByKey(settled, vals)
-	defer view.Release()
-	if !ok {
-		return target{}, nil, false
+// lockedRow is a unique-key row a writer holds the row lock on: its
+// latest live copy cur and the target tg where that copy lives; ok is
+// false when the row does not exist.
+type lockedRow struct {
+	tg  target
+	cur types.Row
+	ok  bool
+}
+
+// lockUnique takes the buffer row locks on keys, the buffer keys of the
+// unique-key values vals, in sorted key order, so writers that lock
+// overlapping keys cannot deadlock. It returns each row's latest live
+// copy, aligned with keys: the buffer's, or else the live segment copy as
+// a target under the key. The lock excludes every other writer of the row
+// and keeps a flush off it, so the caller's transaction is the row's move
+// (§4.2): the write step claims a segment copy into the caller's own
+// mutation. The probe runs after every lock is held, at one settled
+// snapshot: a flush that tombstoned a buffer row has committed, so only a
+// snapshot at or after its publication sees the segment it wrote.
+func (t *Table) lockUnique(tx *rowstore.Txn, keys [][]byte, vals [][]types.Value) ([]lockedRow, error) {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
 	}
-	meta := view.segMeta(seg)
-	return target{key: key, meta: meta, off: off}, meta.Seg.RowAt(int(off)), true
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	locked := make([]lockedRow, len(keys))
+	probe := false
+	for _, i := range order {
+		cur, ok, err := tx.LockAndGet(keys[i])
+		if err != nil {
+			return nil, err
+		}
+		locked[i] = lockedRow{tg: target{key: keys[i]}, cur: cur, ok: ok}
+		probe = probe || !ok
+	}
+	if !probe {
+		return locked, nil
+	}
+	view := t.snapshotSettled()
+	defer func() { view.Release() }()
+	for i := range locked {
+		if locked[i].ok {
+			continue
+		}
+		v, seg, off, ok := t.liveByKey(view, vals[i])
+		if v != view {
+			view.Release()
+			view = v
+		}
+		if ok {
+			meta := view.segMeta(seg)
+			locked[i].tg.meta, locked[i].tg.off = meta, off
+			locked[i].cur, locked[i].ok = meta.Seg.RowAt(int(off)), true
+		}
+	}
+	return locked, nil
 }
 
 // statement returns a write statement's name, for its errors, and the kind

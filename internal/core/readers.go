@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"s2db/internal/rowstore"
-	"s2db/internal/txn"
 )
 
 // readers is a table's reader registry: the timestamps that open views
@@ -32,12 +31,12 @@ type openTS struct {
 	n  int
 }
 
-// pinLatest registers a reader at the timestamp o publishes and returns
+// pinLatest registers a reader at the timestamp c publishes and returns
 // it. The published timestamp never falls below keepTS: a compaction picks
 // keepTS no newer than it, and it only grows.
-func (r *readers) pinLatest(o *txn.Oracle) uint64 {
+func (r *readers) pinLatest(c *Committer) uint64 {
 	r.mu.Lock()
-	ts := o.ReadTS()
+	ts := c.ReadTS()
 	r.add(ts)
 	r.mu.Unlock()
 	return ts
@@ -84,10 +83,10 @@ func (r *readers) unpin(ts uint64) {
 
 // horizon returns the timestamp a compaction may reclaim at, min(oldest
 // registered reader, published timestamp), and records it as keepTS.
-func (r *readers) horizon(o *txn.Oracle) uint64 {
+func (r *readers) horizon(c *Committer) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keep := o.ReadTS()
+	keep := c.ReadTS()
 	if len(r.open) > 0 && r.open[0].ts < keep {
 		keep = r.open[0].ts
 	}
@@ -97,7 +96,7 @@ func (r *readers) horizon(o *txn.Oracle) uint64 {
 
 // pinLatest registers a reader at the published timestamp and returns it;
 // the reader unpins it when it has finished reading.
-func (t *Table) pinLatest() uint64 { return t.readers.pinLatest(t.committer.Oracle()) }
+func (t *Table) pinLatest() uint64 { return t.readers.pinLatest(t.committer) }
 
 // beginWrite begins a write statement's rowstore transaction at the
 // published timestamp, registered as a reader until the statement calls

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -43,7 +42,7 @@ func assertShadowEqual(t *testing.T, primary *Table, log *wal.Log, mark *shadowM
 		files, from = primary.files, mark.lsn
 	}
 	shadow, err := NewTable(primary.name, primary.schema, Config{MaxSegmentRows: primary.cfg.MaxSegmentRows},
-		NewCommitter(&txn.Oracle{}), wal.NewLog(), files)
+		NewCommitter(), wal.NewLog(), files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +86,23 @@ func claimThenCommit(tb testing.TB, tbl *Table, between func(), ids ...int) {
 	tx, done := tbl.beginWrite()
 	defer done()
 	m := &mutation{}
-	for _, id := range ids {
-		vals := []types.Value{types.NewInt(int64(id))}
-		key := types.EncodeKey(nil, vals...)
-		if _, inBuffer, err := tx.LockAndGet(key); err != nil || inBuffer {
-			tb.Fatalf("key %d: in buffer %v, err %v", id, inBuffer, err)
+	keys := make([][]byte, len(ids))
+	vals := make([][]types.Value, len(ids))
+	for i, id := range ids {
+		vals[i] = []types.Value{types.NewInt(int64(id))}
+		keys[i] = types.EncodeKey(nil, vals[i]...)
+	}
+	locked, err := tbl.lockUnique(tx, keys, vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, l := range locked {
+		if !l.ok || l.tg.meta == nil {
+			tb.Fatalf("key %d has no segment copy outside the buffer (found %v)", ids[i], l.ok)
 		}
-		tg, cur, ok := tbl.segmentCopy(key, vals)
-		if !ok {
-			tb.Fatalf("key %d has no segment copy", id)
-		}
-		nr := cur.Clone()
+		nr := l.cur.Clone()
 		nr[1] = types.NewInt(nr[1].I + 100)
-		if err := tbl.putRow(tx, m, tg, nr); err != nil {
+		if err := tbl.putRow(tx, m, l.tg, nr); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"s2db/internal/codec"
-	"s2db/internal/txn"
 	"s2db/internal/wal"
 )
 
@@ -46,7 +45,7 @@ func FuzzRestoreState(f *testing.F) {
 		if !bytes.Equal(encodeState(again, againRowID), enc) {
 			t.Fatal("unstable round trip")
 		}
-		tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), NewMemFiles())
+		tbl, err := NewTable("t", schema, Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), NewMemFiles())
 		if err != nil {
 			t.Fatal(err)
 		}

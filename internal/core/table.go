@@ -23,7 +23,6 @@ import (
 	"s2db/internal/index"
 	"s2db/internal/qos"
 	"s2db/internal/rowstore"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -148,28 +147,28 @@ func (f *MemFiles) RemoveFile(name string) error {
 	return nil
 }
 
-// Committer serializes commit publication for one partition: a commit
-// allocates the next timestamp, applies its effects, and publishes by
-// advancing the partition oracle, so readers at ReadTS always see fully
+// Committer serializes commit publication for one partition and owns its
+// clock: a commit takes the next timestamp, applies its effects, and
+// publishes by advancing the clock, so readers at ReadTS always see fully
 // applied transactions (partition-local snapshot isolation, §2.1.2).
 type Committer struct {
-	mu     sync.Mutex
-	oracle *txn.Oracle
+	mu sync.Mutex
+	ts atomic.Uint64 // the published timestamp; written under mu
 }
 
-// NewCommitter wraps a partition oracle.
-func NewCommitter(o *txn.Oracle) *Committer { return &Committer{oracle: o} }
+// NewCommitter returns a committer whose clock reads 0.
+func NewCommitter() *Committer { return &Committer{} }
 
-// Oracle returns the underlying oracle.
-func (c *Committer) Oracle() *txn.Oracle { return c.oracle }
+// ReadTS returns the published timestamp, the snapshot of a new reader.
+func (c *Committer) ReadTS() uint64 { return c.ts.Load() }
 
 // Commit runs fn with the next commit timestamp and publishes it. fn must
 // be short: it installs already-prepared state.
 func (c *Committer) Commit(fn func(ts uint64)) uint64 {
 	c.mu.Lock()
-	ts := c.oracle.ReadTS() + 1
+	ts := c.ts.Load() + 1
 	fn(ts)
-	c.oracle.AdvanceTo(ts)
+	c.ts.Store(ts)
 	c.mu.Unlock()
 	return ts
 }
@@ -181,25 +180,28 @@ func (c *Committer) Commit(fn func(ts uint64)) uint64 {
 func (c *Committer) Quiesce(fn func(ts uint64)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fn(c.oracle.ReadTS())
+	fn(c.ts.Load())
 }
 
 // SettledTS returns the read timestamp once every commit in flight has
 // published. A commit releases its row locks before it advances the
-// oracle, so a writer that just acquired a lock a commit released must
+// clock, so a writer that just acquired a lock a commit released must
 // snapshot at SettledTS, not ReadTS, to see that commit's effects.
 func (c *Committer) SettledTS() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.oracle.ReadTS()
+	return c.ts.Load()
 }
 
 // ReplayAt runs fn under the commit mutex and publishes the recorded
 // timestamp ts, used by log replay to reproduce original commit times.
+// The clock never moves back.
 func (c *Committer) ReplayAt(ts uint64, fn func()) {
 	c.mu.Lock()
 	fn()
-	c.oracle.AdvanceTo(ts)
+	if ts > c.ts.Load() {
+		c.ts.Store(ts)
+	}
 	c.mu.Unlock()
 }
 
@@ -320,7 +322,6 @@ type Table struct {
 	files     FileStore
 
 	buffer *rowstore.Store
-	uniq   *txn.LockManager
 	idx    *index.Set
 
 	// structMu serializes structural changes (flush, merge installs) with
@@ -396,7 +397,6 @@ func NewTable(name string, schema *types.Schema, cfg Config, committer *Committe
 		log:       log,
 		files:     files,
 		buffer:    rowstore.NewStore(lockTimeout, schema.BufferIndexes()...),
-		uniq:      txn.NewLockManager(),
 		idx:       index.NewSet(schema),
 		segs:      make(map[uint64]*segEntry),
 		kick:      make(chan struct{}, 1),
@@ -412,9 +412,6 @@ func (t *Table) Schema() *types.Schema { return t.schema }
 
 // Index exposes the secondary-index set (used by adaptive execution, §5).
 func (t *Table) Index() *index.Set { return t.idx }
-
-// Oracle returns the partition timestamp oracle.
-func (t *Table) Oracle() *txn.Oracle { return t.committer.Oracle() }
 
 // BufferLen returns the number of live rows in the in-memory buffer.
 func (t *Table) BufferLen() int { return t.buffer.Len() }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -17,7 +16,7 @@ import (
 func newTestTable(t *testing.T, schema *types.Schema, cfg Config) (*Table, *wal.Log) {
 	t.Helper()
 	log := wal.NewLog()
-	tbl, err := NewTable("t", schema, cfg, NewCommitter(&txn.Oracle{}), log, NewMemFiles())
+	tbl, err := NewTable("t", schema, cfg, NewCommitter(), log, NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,10 +604,10 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 			tbl.Flush()
 		}
 	}
-	ts := tbl.Oracle().ReadTS()
+	ts := tbl.committer.ReadTS()
 	state := serializeAt(tbl, ts)
 
-	restored, err := NewTable("t", schema, Config{MaxSegmentRows: 8}, NewCommitter(&txn.Oracle{}), wal.NewLog(), tbl.files)
+	restored, err := NewTable("t", schema, Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), tbl.files)
 	if err != nil {
 		t.Fatal(err)
 	}

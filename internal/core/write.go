@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"s2db/internal/colstore"
 	"s2db/internal/index"
@@ -65,11 +64,12 @@ func (t *Table) Upsert(row types.Row) error {
 	return err
 }
 
-// InsertBatch ingests rows with unique-key enforcement (§4.1.2): it locks
-// the unique key values in the in-memory lock manager, probes the secondary
-// index (and buffer) for duplicates, applies the configured conflict
-// policy, and commits buffer writes plus any deleted-bit updates as one
-// transaction.
+// InsertBatch ingests rows with unique-key enforcement (§4.1.2): it takes
+// the buffer row lock on every distinct unique key of the batch, in sorted
+// key order so concurrent batches cannot deadlock, probes the secondary
+// index for the keys with no live buffer row, applies the configured
+// conflict policy row by row in batch order, and commits buffer writes
+// plus any deleted-bit updates as one transaction.
 func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult, error) {
 	var res InsertResult
 	for _, r := range rows {
@@ -104,114 +104,75 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		return res, fmt.Errorf("insert %s: %w", t.name, err)
 	}
 
-	// Step 1 (§4.1.2): lock the unique key values for the whole batch.
-	hashes := make([]uint64, len(rows))
-	keyVals := make([][]types.Value, len(rows))
+	// The batch's distinct unique keys; slot maps each row to its key's.
+	// Under DupError a key the batch repeats fails it here.
+	slot := make([]int, len(rows))
+	first := make(map[string]int, len(rows))
+	keys := make([][]byte, 0, len(rows))
+	vals := make([][]types.Value, 0, len(rows))
 	for i, r := range rows {
-		vals := make([]types.Value, len(uk))
+		vs := make([]types.Value, len(uk))
 		for j, c := range uk {
-			v := r[c]
-			if v.IsNull {
+			if r[c].IsNull {
 				return res, fmt.Errorf("insert %s: unique key column %q is null", t.name, t.schema.Columns[c].Name)
 			}
-			vals[j] = v
+			vs[j] = r[c]
 		}
-		keyVals[i] = vals
-		hashes[i] = types.HashMany(vals)
-	}
-	release, err := t.uniq.Acquire(hashes, lockTimeout)
-	if err != nil {
-		return res, fmt.Errorf("insert %s: %w", t.name, err)
-	}
-	defer release()
-
-	// Step 2: probe for duplicates in segments (via the index) and buffer.
-	view := t.Snapshot()
-	defer view.Release()
-	readTS := view.TS
-	dups := make([]bool, len(rows))
-	// Also detect duplicates *within* the batch.
-	seen := make(map[string]int, len(rows))
-	for i, vals := range keyVals {
-		k := string(types.EncodeKey(nil, vals...))
-		if _, dupInBatch := seen[k]; dupInBatch && opts.OnDup == DupError {
+		key := types.EncodeKey(nil, vs...)
+		s, seen := first[string(key)]
+		if !seen {
+			s = len(keys)
+			first[string(key)] = s
+			keys, vals = append(keys, key), append(vals, vs)
+		} else if opts.OnDup == DupError {
 			t.Stats.DupConflicts.Add(1)
 			return res, fmt.Errorf("%w: within batch", ErrDuplicateKey)
 		}
-		// Under the other policies later occurrences resolve against the
-		// earlier ones, which the lock loop below finds in its own writes.
-		seen[k] = i
-		if _, ok := t.buffer.Get([]byte(k), readTS); ok {
-			dups[i] = true
-			continue
-		}
-		v, _, _, ok := t.liveByKey(view, vals)
-		if v != view {
-			v.Release()
-		}
-		dups[i] = ok
-	}
-	if opts.OnDup == DupError && slices.Contains(dups, true) {
-		t.Stats.DupConflicts.Add(1)
-		return res, ErrDuplicateKey
+		slot[i] = s
 	}
 
-	// Step 3: apply the batch under row locks (§4.2).
-	tx := t.buffer.Begin(readTS)
+	tx, done := t.beginWrite()
+	defer done()
+	locked, err := t.lockUnique(tx, keys, vals)
+	if err != nil {
+		tx.Abort()
+		return res, fmt.Errorf("insert %s: lock: %w", t.name, err)
+	}
 	m := &mutation{}
 	for i, r := range rows {
-		key := types.EncodeKey(nil, keyVals[i]...)
-		// Re-probe the buffer for the latest state (an earlier batch row
-		// may have inserted the key).
-		existing, exists, err := tx.LockAndGet(key)
-		if err != nil {
-			tx.Abort()
-			return res, fmt.Errorf("insert %s: lock: %w", t.name, err)
-		}
-		tg := target{key: key}
-		if !exists && dups[i] {
-			if opts.OnDup == DupSkip {
-				// The duplicate lives in a segment; skip the incoming row.
-				res.Skipped++
-				continue
-			}
-			// The conflicting row lives in a segment — it did at the probe,
-			// or a concurrent flush moved it there before we locked it:
-			// claim it from there under the lock we hold.
-			tg, existing, exists = t.segmentCopy(key, keyVals[i])
-		}
-		if exists {
-			switch opts.OnDup {
-			case DupError:
+		l := &locked[slot[i]]
+		nr := r
+		switch {
+		case !l.ok:
+			if _, err := tx.Insert(l.tg.key, r); err != nil {
 				tx.Abort()
-				t.Stats.DupConflicts.Add(1)
-				return res, ErrDuplicateKey
-			case DupSkip:
-				res.Skipped++
-				continue
-			case DupReplace, DupUpdate:
-				nr := r
-				if opts.OnDup == DupUpdate && opts.Update != nil {
-					nr = opts.Update(existing, r)
-				}
-				if err := t.putRow(tx, m, tg, nr); err != nil {
-					tx.Abort()
-					return res, fmt.Errorf("insert %s: %w", t.name, err)
-				}
-				if opts.OnDup == DupReplace {
-					res.Replaced++
-				} else {
-					res.Updated++
-				}
-				continue
+				return res, err
+			}
+			m.Inserts = append(m.Inserts, kv{Key: l.tg.key, Row: r})
+			res.Inserted++
+		case opts.OnDup == DupError:
+			tx.Abort()
+			t.Stats.DupConflicts.Add(1)
+			return res, ErrDuplicateKey
+		case opts.OnDup == DupSkip:
+			res.Skipped++
+			continue
+		default:
+			if opts.OnDup == DupUpdate && opts.Update != nil {
+				nr = opts.Update(l.cur, r)
+			}
+			if err := t.putRow(tx, m, l.tg, nr); err != nil {
+				tx.Abort()
+				return res, fmt.Errorf("insert %s: %w", t.name, err)
+			}
+			if opts.OnDup == DupReplace {
+				res.Replaced++
+			} else {
+				res.Updated++
 			}
 		}
-		if _, err := tx.Insert(key, r); err != nil {
-			tx.Abort()
-			return res, err
-		}
-		m.Inserts = append(m.Inserts, kv{Key: key, Row: r})
-		res.Inserted++
+		// A later row with the same key finds this one in the buffer.
+		*l = lockedRow{tg: target{key: l.tg.key}, cur: nr, ok: true}
 	}
 	if len(m.Inserts) == 0 {
 		tx.Abort()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"s2db/internal/core"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/vector"
 	"s2db/internal/wal"
@@ -27,7 +26,7 @@ func newTable(t testing.TB, maxSegRows int) *core.Table {
 	s.SecondaryKeys = [][]int{{1}}
 	s.SortKey = 2
 	tbl, err := core.NewTable("t", s, core.Config{MaxSegmentRows: maxSegRows},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +368,7 @@ func TestEquiJoinFloatZeros(t *testing.T) {
 	s.UniqueKey = []int{0}
 	s.SecondaryKeys = [][]int{{1}}
 	tbl, err := core.NewTable("z", s, core.Config{MaxSegmentRows: 32},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"s2db/internal/codec"
 	"s2db/internal/core"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/vector"
 	"s2db/internal/wal"
@@ -55,7 +54,7 @@ func newKernelTable(t testing.TB, maxSegRows int) *core.Table {
 	s.SecondaryKeys = [][]int{{1}}
 	s.SortKey = 3
 	tbl, err := core.NewTable("k", s, core.Config{MaxSegmentRows: maxSegRows},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,7 +798,7 @@ func TestFloatEqualityNeverUsesHashes(t *testing.T) {
 	s.UniqueKey = []int{0}
 	s.SecondaryKeys = [][]int{{1}}
 	tbl, err := core.NewTable("f", s, core.Config{MaxSegmentRows: 64},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}

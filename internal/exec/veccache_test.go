@@ -6,7 +6,6 @@ import (
 
 	"s2db/internal/colstore"
 	"s2db/internal/core"
-	"s2db/internal/txn"
 	"s2db/internal/types"
 	"s2db/internal/wal"
 )
@@ -28,7 +27,7 @@ func newCachedTable(t testing.TB, maxSegRows, rows int, cache *VecCache) *core.T
 		cfg.Tenant.Cache = cache
 	}
 	tbl, err := core.NewTable("t", s, cfg,
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +321,7 @@ func TestMergeInvalidatesRetiredSegments(t *testing.T) {
 	s.UniqueKey = []int{0}
 	s.SortKey = 2
 	tbl, err := core.NewTable("t", s, core.Config{MaxSegmentRows: 64, Tenant: core.Tenant{Cache: rec}},
-		core.NewCommitter(&txn.Oracle{}), wal.NewLog(), core.NewMemFiles())
+		core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,13 +74,15 @@ func TestSyncSealsOpenPage(t *testing.T) {
 	l := NewLogWith(PageConfig{FlushInterval: time.Hour})
 	s, _ := l.Subscribe(0)
 	l.Append(KindInsert, 1, recPayload())
-	if _, ok := s.TryNext(); ok {
+	if s.LagPages() != 0 {
 		t.Fatal("open-page record leaked before seal")
 	}
 	l.Sync()
-	rec, ok := s.TryNext()
-	if !ok || rec.LSN != 0 {
-		t.Fatalf("Sync did not flush the open page: %+v ok=%v", rec, ok)
+	if s.LagPages() != 1 {
+		t.Fatalf("Sync did not flush the open page: %d pages queued", s.LagPages())
+	}
+	if pg, ok := s.NextPage(); !ok || len(pg.Records) != 1 || pg.Records[0].LSN != 0 {
+		t.Fatalf("Sync flushed page %+v ok=%v, want record 0", pg, ok)
 	}
 }
 
@@ -188,14 +190,16 @@ func TestStalledSubscriberUnderConcurrentAppends(t *testing.T) {
 	wg.Wait()
 	prev := int64(-1)
 	for {
-		rec, ok := s.Next()
+		pg, ok := s.NextPage()
 		if !ok {
 			break
 		}
-		if int64(rec.LSN) != prev+1 {
-			t.Fatalf("drain out of order: LSN %d after %d", rec.LSN, prev)
+		for _, rec := range pg.Records {
+			if int64(rec.LSN) != prev+1 {
+				t.Fatalf("drain out of order: LSN %d after %d", rec.LSN, prev)
+			}
+			prev = int64(rec.LSN)
 		}
-		prev = int64(rec.LSN)
 	}
 	if !errors.Is(s.Err(), ErrSlowConsumer) {
 		t.Fatalf("Err() = %v, want ErrSlowConsumer", s.Err())

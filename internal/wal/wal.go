@@ -342,7 +342,7 @@ func (l *Log) ChunkAt(from, limit uint64, maxRecords int) (recs []Record, end ui
 // Subscription is an ordered stream of sealed log pages. Appends never
 // block on slow subscribers; instead a subscriber holding more than its
 // byte budget of undelivered pages is detached with ErrSlowConsumer.
-// Consumers pull whole pages with NextPage or single records with Next.
+// Consumers pull whole pages with NextPage.
 type Subscription struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -451,45 +451,6 @@ func (s *Subscription) NextPage() (pg Page, ok bool) {
 		}
 	}
 	return pg, true
-}
-
-// Next blocks until a record is available or the subscription ends; ok is
-// false after cancellation once the backlog drains.
-func (s *Subscription) Next() (rec Record, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.pendingRecs == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if s.pendingRecs == 0 {
-		return Record{}, false
-	}
-	return s.popRecordLocked(), true
-}
-
-// TryNext returns a pending record without blocking.
-func (s *Subscription) TryNext() (rec Record, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pendingRecs == 0 {
-		return Record{}, false
-	}
-	return s.popRecordLocked(), true
-}
-
-func (s *Subscription) popRecordLocked() Record {
-	pg := &s.pages[0]
-	rec := pg.Records[0]
-	sz := RecordSize(rec)
-	pg.Records = pg.Records[1:]
-	pg.FirstLSN++
-	pg.Bytes -= sz
-	s.pendingBytes -= sz
-	s.pendingRecs--
-	if len(pg.Records) == 0 {
-		s.pages = s.pages[1:]
-	}
-	return rec
 }
 
 // Cancel detaches the subscription from the log and wakes blocked readers.

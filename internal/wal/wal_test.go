@@ -92,11 +92,13 @@ func TestSubscribeBacklogThenLive(t *testing.T) {
 		defer wg.Done()
 		// Expect the backlog (LSN 1, 2) plus one live append (LSN 3).
 		for len(got) < 3 {
-			rec, ok := sub.Next()
+			pg, ok := sub.NextPage()
 			if !ok {
 				return
 			}
-			got = append(got, rec.LSN)
+			for _, rec := range pg.Records {
+				got = append(got, rec.LSN)
+			}
 		}
 	}()
 	l.Append(KindMerge, 99, nil)
@@ -112,12 +114,12 @@ func TestSubscriptionCancelWakesReader(t *testing.T) {
 	sub, _ := l.Subscribe(0)
 	done := make(chan bool)
 	go func() {
-		_, ok := sub.Next()
+		_, ok := sub.NextPage()
 		done <- ok
 	}()
 	sub.Cancel()
 	if ok := <-done; ok {
-		t.Fatal("Next after cancel with empty backlog should report !ok")
+		t.Fatal("NextPage after cancel with empty backlog should report !ok")
 	}
 }
 
@@ -126,18 +128,18 @@ func TestSubscriptionLag(t *testing.T) {
 	l.Append(KindInsert, 1, nil)
 	l.Append(KindInsert, 2, nil)
 	sub, _ := l.Subscribe(0)
-	if sub.Lag() != 2 {
-		t.Fatalf("Lag = %d", sub.Lag())
+	if sub.Lag() != 2 || sub.LagPages() != 2 {
+		t.Fatalf("Lag = %d records in %d pages, want 2 in 2", sub.Lag(), sub.LagPages())
 	}
-	sub.TryNext()
-	if sub.Lag() != 1 {
-		t.Fatalf("Lag after drain = %d", sub.Lag())
+	sub.NextPage()
+	if sub.Lag() != 1 || sub.LagPages() != 1 {
+		t.Fatalf("Lag after one page = %d records in %d pages", sub.Lag(), sub.LagPages())
 	}
-	if _, ok := sub.TryNext(); !ok {
-		t.Fatal("TryNext should succeed")
+	if pg, ok := sub.NextPage(); !ok || pg.FirstLSN != 1 {
+		t.Fatalf("second page = %+v ok=%v, want LSN 1", pg, ok)
 	}
-	if _, ok := sub.TryNext(); ok {
-		t.Fatal("TryNext on empty should fail")
+	if sub.Lag() != 0 || sub.LagPages() != 0 {
+		t.Fatalf("Lag after drain = %d records in %d pages", sub.Lag(), sub.LagPages())
 	}
 	sub.Cancel()
 }
@@ -185,10 +187,16 @@ func TestConcurrentAppendAndSubscribe(t *testing.T) {
 			l.Append(KindInsert, uint64(i), nil)
 		}
 	}()
-	for i := 0; i < n; i++ {
-		rec, ok := sub.Next()
-		if !ok || rec.LSN != uint64(i) {
-			t.Fatalf("record %d: got LSN %d ok=%v", i, rec.LSN, ok)
+	for i := 0; i < n; {
+		pg, ok := sub.NextPage()
+		if !ok {
+			t.Fatalf("record %d: subscription ended", i)
+		}
+		for _, rec := range pg.Records {
+			if rec.LSN != uint64(i) {
+				t.Fatalf("record %d: got LSN %d", i, rec.LSN)
+			}
+			i++
 		}
 	}
 	sub.Cancel()
