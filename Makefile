@@ -1,7 +1,7 @@
 # Tier-1 gate: every change must pass `make check` — build, vet, and the
 # full test suite under the race detector (the parallel fan-out scheduler
 # runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck decodecheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke
+.PHONY: check ci fmtcheck decodecheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke loc
 
 check: build vet race
 
@@ -171,6 +171,15 @@ fuzzsmoke:
 	go test ./internal/types -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s
 	go test ./internal/cluster -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
+
+# loc prints the non-test Go lines of each package directory and of the
+# whole tree, the size a simplification is measured by. Hidden
+# directories (.bench_build/, .tools/, .benchsmoke/) hold build output,
+# not source, and are skipped.
+loc:
+	@find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # benchall runs the full Go benchmark suite (paper tables + ablations).
 benchall:

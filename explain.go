@@ -96,7 +96,7 @@ func (q *Query) Explain() (Plan, error) {
 	defer core.ReleaseAll(r.views)
 	p := Plan{
 		Table:       q.table,
-		Partitions:  len(r.targets),
+		Partitions:  len(r.views),
 		Parallelism: r.parallelism,
 		Filter:      exec.FormatNode(r.filter, r.schema),
 		Limit:       q.limit,

@@ -433,65 +433,43 @@ func (c *Cluster) eachPartition(pi int, f func(pi int) (done bool, err error)) e
 	return nil
 }
 
-// LeafTarget is one partition-local execution site of a fanned-out query:
-// the scan over View logically runs "on" leaf partition Partition, the way
-// aggregator nodes ship query fragments to leaves (§2). Both the primary
-// cluster and read-only workspaces hand out targets with the same shape,
-// so the scheduler fans out identically over either.
-type LeafTarget struct {
-	Partition int
-	View      *core.View
-}
-
-// QueryTargets returns one consistent per-partition snapshot per master
-// (§2.1.2: partition-local snapshot isolation), each tagged with the leaf
-// partition it executes on. When pins fix every shard column, only the
-// owning partition is snapshotted: no other partition can hold a match.
-func (c *Cluster) QueryTargets(table string, pins []types.Pin) ([]LeafTarget, error) {
-	return leafTargets(pins, c.cfg.Partitions, func(pi int) (*core.Table, error) {
+// PinnedViews returns one consistent per-partition snapshot per master
+// (§2.1.2: partition-local snapshot isolation), in partition order: the
+// leaf fragments an aggregator fans a query out to (§2). When pins fix
+// every shard column, only the owning partition is snapshotted: no other
+// partition can hold a match.
+func (c *Cluster) PinnedViews(table string, pins []types.Pin) ([]*core.View, error) {
+	return pinnedViews(pins, c.cfg.Partitions, func(pi int) (*core.Table, error) {
 		return c.Master(pi).Table(table)
 	})
 }
 
-// leafTargets snapshots the partitions of one of n partitioned tables:
-// the single partition the pins route to, or all n.
-func leafTargets(pins []types.Pin, n int, table func(pi int) (*core.Table, error)) ([]LeafTarget, error) {
+// Views returns every partition's snapshot of a table.
+func (c *Cluster) Views(table string) ([]*core.View, error) {
+	return c.PinnedViews(table, nil)
+}
+
+// pinnedViews snapshots the partitions of one of n partitioned tables:
+// the single partition the pins route to, or all n. The primary cluster
+// and workspaces both prune through it, so they fan out identically.
+func pinnedViews(pins []types.Pin, n int, table func(pi int) (*core.Table, error)) ([]*core.View, error) {
 	tbl, err := table(0)
 	if err != nil {
 		return nil, err
 	}
+	lo, hi := 0, n
 	if pi, ok := tbl.Schema().Place(pins).Partition(n); ok {
+		lo, hi = pi, pi+1
+	}
+	views := make([]*core.View, 0, hi-lo)
+	for pi := lo; pi < hi; pi++ {
 		if tbl, err = table(pi); err != nil {
+			core.ReleaseAll(views)
 			return nil, err
 		}
-		return []LeafTarget{{Partition: pi, View: tbl.Snapshot()}}, nil
+		views = append(views, tbl.Snapshot())
 	}
-	targets := make([]LeafTarget, 0, n)
-	for pi := 0; pi < n; pi++ {
-		if tbl, err = table(pi); err != nil {
-			return nil, err
-		}
-		targets = append(targets, LeafTarget{Partition: pi, View: tbl.Snapshot()})
-	}
-	return targets, nil
-}
-
-// Views returns the per-partition snapshots without partition tags.
-func (c *Cluster) Views(table string) ([]*core.View, error) {
-	targets, err := c.QueryTargets(table, nil)
-	if err != nil {
-		return nil, err
-	}
-	return targetViews(targets), nil
-}
-
-// targetViews strips the partition tags off leaf targets.
-func targetViews(targets []LeafTarget) []*core.View {
-	views := make([]*core.View, len(targets))
-	for i, t := range targets {
-		views[i] = t.View
-	}
-	return views
+	return views, nil
 }
 
 // Flush forces a flush on every master partition of the table.

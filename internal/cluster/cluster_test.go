@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -461,7 +462,7 @@ func TestColdFileReadFallsBackToBlob(t *testing.T) {
 	// Reload every segment payload through the file layer.
 	for _, m := range view.Segs {
 		p := c.Master(0)
-		data, err := p.files.LoadFile(m.File)
+		data, err := p.files.LoadFile(context.Background(), m.File)
 		if err != nil {
 			t.Fatalf("cold read of %s: %v", m.File, err)
 		}

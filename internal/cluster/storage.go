@@ -92,15 +92,10 @@ func (f *PartitionFiles) SaveFile(name string, data []byte) error {
 }
 
 // LoadFile implements core.FileStore: local cache first, blob store on
-// miss.
-func (f *PartitionFiles) LoadFile(name string) ([]byte, error) {
-	return f.cache.Get(name)
-}
-
-// LoadFileCtx implements core.FileLoaderCtx: a caller whose ctx dies while
-// a cold read is in flight unblocks immediately; the shared fetch keeps
-// running so other waiters (and the cache) still get the payload.
-func (f *PartitionFiles) LoadFileCtx(ctx context.Context, name string) ([]byte, error) {
+// miss. A caller whose ctx dies while a cold read is in flight unblocks
+// immediately; the shared fetch keeps running so other waiters (and the
+// cache) still get the payload.
+func (f *PartitionFiles) LoadFile(ctx context.Context, name string) ([]byte, error) {
 	return f.cache.GetCtx(ctx, name)
 }
 

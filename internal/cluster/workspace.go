@@ -162,24 +162,18 @@ func (c *Cluster) catchUp(p *Partition, pi int, asOf int64) error {
 	return nil
 }
 
-// QueryTargets returns per-partition snapshots of a table on the
-// workspace's isolated compute, tagged with their leaf partitions —
-// workspace queries fan out (and prune by pins) exactly like
-// primary-cluster queries (§3.2).
-func (w *Workspace) QueryTargets(table string, pins []types.Pin) ([]LeafTarget, error) {
-	return leafTargets(pins, len(w.followers), func(pi int) (*core.Table, error) {
+// PinnedViews returns per-partition snapshots of a table on the
+// workspace's isolated compute: workspace queries fan out (and prune by
+// pins) exactly like primary-cluster queries (§3.2).
+func (w *Workspace) PinnedViews(table string, pins []types.Pin) ([]*core.View, error) {
+	return pinnedViews(pins, len(w.followers), func(pi int) (*core.Table, error) {
 		return w.followers[pi].part.Table(table)
 	})
 }
 
-// Views returns the workspace's per-partition snapshots without partition
-// tags.
+// Views returns every partition's snapshot of a table on the workspace.
 func (w *Workspace) Views(table string) ([]*core.View, error) {
-	targets, err := w.QueryTargets(table, nil)
-	if err != nil {
-		return nil, err
-	}
-	return targetViews(targets), nil
+	return w.PinnedViews(table, nil)
 }
 
 // resyncable reports whether a terminal link error heals by re-attaching,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestFigure1Walkthrough(t *testing.T) {
 	if !strings.HasSuffix(fileName, formatLP(flushLP)) {
 		t.Fatalf("step (b): file %q should carry log page %d", fileName, flushLP)
 	}
-	payloadBefore, err := files.LoadFile(fileName)
+	payloadBefore, err := files.LoadFile(context.Background(), fileName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFigure1Walkthrough(t *testing.T) {
 		t.Fatalf("step (c): delete = %v, %v", deleted, err)
 	}
 	// The data file is byte-identical (immutable, §3).
-	payloadAfter, _ := files.LoadFile(fileName)
+	payloadAfter, _ := files.LoadFile(context.Background(), fileName)
 	if string(payloadBefore) != string(payloadAfter) {
 		t.Fatal("step (c): data file mutated by a delete")
 	}

@@ -12,22 +12,6 @@ import (
 // ErrTableClosed is returned by hydration waits interrupted by Table.Close.
 var ErrTableClosed = errors.New("core: table closed")
 
-// FileLoaderCtx is an optional FileStore extension: a context-aware load
-// whose cancellation abandons the caller's wait without aborting a shared
-// in-flight blob fetch (other waiters and the cache still get the result).
-// The cluster's blob-backed file store implements it via
-// blob.FileCache.GetCtx; stores without it fall back to LoadFile.
-type FileLoaderCtx interface {
-	LoadFileCtx(ctx context.Context, name string) ([]byte, error)
-}
-
-func (t *Table) loadFileCtx(ctx context.Context, name string) ([]byte, error) {
-	if fs, ok := t.files.(FileLoaderCtx); ok {
-		return fs.LoadFileCtx(ctx, name)
-	}
-	return t.files.LoadFile(name)
-}
-
 // hydroTask is one segment's pending payload fetch. It is single-flight:
 // tasks is keyed by segment ID, so any number of demanding scans and the
 // restore readahead share one fetch+decode. done closes when the attempt
@@ -185,9 +169,9 @@ func (h *hydrator) worker() {
 
 // run performs one fetch+decode attempt. Dropped segments are skipped
 // unless a scan demanded them (a reader at a pre-merge snapshot still needs
-// the payload); everything else fetches through the table's file store —
-// context-aware when the store supports it — and adopts the payload into
-// the stub in place.
+// the payload); everything else fetches through the table's file store
+// under the hydrator's context and adopts the payload into the stub in
+// place.
 func (h *hydrator) run(task *hydroTask) {
 	t := h.t
 	seg := task.seg
@@ -205,7 +189,7 @@ func (h *hydrator) run(task *hydroTask) {
 		h.finish(task, nil)
 		return
 	}
-	data, err := t.loadFileCtx(h.ctx, task.file)
+	data, err := t.files.LoadFile(h.ctx, task.file)
 	if err == nil {
 		var decoded *colstore.Segment
 		decoded, err = t.decodeSegment(data)

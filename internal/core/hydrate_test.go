@@ -21,8 +21,8 @@ import (
 
 // hydroFiles wraps a FileStore with load counting, an availability switch,
 // and an optional gate that holds every load until released — the
-// hydration tests' stand-in for a slow or downed blob store. It implements
-// FileLoaderCtx so a held load can still be abandoned by cancellation.
+// hydration tests' stand-in for a slow or downed blob store. A held load
+// can still be abandoned by cancellation.
 type hydroFiles struct {
 	FileStore
 	loads   atomic.Int64
@@ -52,11 +52,7 @@ func (g *hydroFiles) release() {
 	g.mu.Unlock()
 }
 
-func (g *hydroFiles) LoadFile(name string) ([]byte, error) {
-	return g.LoadFileCtx(context.Background(), name)
-}
-
-func (g *hydroFiles) LoadFileCtx(ctx context.Context, name string) ([]byte, error) {
+func (g *hydroFiles) LoadFile(ctx context.Context, name string) ([]byte, error) {
 	g.loads.Add(1)
 	if g.down.Load() {
 		return nil, g.errDown
@@ -71,7 +67,7 @@ func (g *hydroFiles) LoadFileCtx(ctx context.Context, name string) ([]byte, erro
 			return nil, ctx.Err()
 		}
 	}
-	return g.FileStore.LoadFile(name)
+	return g.FileStore.LoadFile(ctx, name)
 }
 
 // buildSegmentedTable makes a table with several flushed segments plus

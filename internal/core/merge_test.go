@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -43,7 +45,9 @@ func (f *failFiles) SaveFile(name string, data []byte) error {
 	return nil
 }
 
-func (f *failFiles) LoadFile(name string) ([]byte, error) { return f.inner.LoadFile(name) }
+func (f *failFiles) LoadFile(ctx context.Context, name string) ([]byte, error) {
+	return f.inner.LoadFile(ctx, name)
+}
 
 func (f *failFiles) RemoveFile(name string) error {
 	f.mu.Lock()
@@ -449,8 +453,10 @@ func (g *gateFiles) SaveFile(name string, data []byte) error {
 	return g.inner.SaveFile(name, data)
 }
 
-func (g *gateFiles) LoadFile(name string) ([]byte, error) { return g.inner.LoadFile(name) }
-func (g *gateFiles) RemoveFile(name string) error         { return g.inner.RemoveFile(name) }
+func (g *gateFiles) LoadFile(ctx context.Context, name string) ([]byte, error) {
+	return g.inner.LoadFile(ctx, name)
+}
+func (g *gateFiles) RemoveFile(name string) error { return g.inner.RemoveFile(name) }
 
 // TestFlushProceedsWhileMergeSaves: with the install-only lock scope, a
 // merge stuck in a (slow) blob write must not block a foreground flush —
@@ -560,5 +566,45 @@ func TestMergeParallelWorkersPreserveOrder(t *testing.T) {
 		if _, ok, _ := tbl.GetByUnique([]types.Value{types.NewInt(int64(i))}); !ok {
 			t.Fatalf("row %d lost in parallel merge", i)
 		}
+	}
+}
+
+// TestBulkLoadVersusMergeStorm: a merge that commits while BulkLoad probes
+// for duplicates has indexed its outputs, which the load's snapshot does
+// not hold, and then drops its inputs' index entries, so a probe of that
+// snapshot alone misses a key that is live. Every load here re-inserts a
+// live key and must be refused, however it interleaves with the merge.
+func TestBulkLoadVersusMergeStorm(t *testing.T) {
+	const rounds, runs, runRows = 3000, 4, 8
+	accepted := 0
+	for round := 0; round < rounds; round++ {
+		schema := uniqSchema()
+		schema.SortKey = 0
+		tbl, _ := newTestTable(t, schema, Config{MaxSegmentRows: runRows, MergeFanout: runs})
+		for run := 0; run < runs; run++ {
+			batch := make([]types.Row, runRows)
+			for i := range batch {
+				batch[i] = urow(run*runRows+i, 0, "b")
+			}
+			if err := tbl.BulkLoad(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged := make(chan bool)
+		go func() { merged <- tbl.Merge() }()
+		for id := 0; id < runs*runRows; id++ {
+			err := tbl.BulkLoad([]types.Row{urow(id, 1, "dup")})
+			if err == nil {
+				accepted++
+			} else if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("round %d key %d: %v", round, id, err)
+			}
+		}
+		if !<-merged {
+			t.Fatalf("round %d: merge did not run", round)
+		}
+	}
+	if accepted > 0 {
+		t.Fatalf("%d of %d loads of a live key were accepted", accepted, rounds*runs*runRows)
 	}
 }

@@ -105,9 +105,11 @@ func (c Config) withDefaults() Config {
 
 // FileStore persists segment data files. The cluster layer backs this with
 // the local file cache plus blob staging; standalone tables use MemFiles.
+// A LoadFile whose ctx ends abandons the caller's wait, not a fetch that
+// other callers share: they (and a cache) still get the payload.
 type FileStore interface {
 	SaveFile(name string, data []byte) error
-	LoadFile(name string) ([]byte, error)
+	LoadFile(ctx context.Context, name string) ([]byte, error)
 	RemoveFile(name string) error
 }
 
@@ -128,8 +130,9 @@ func (f *MemFiles) SaveFile(name string, data []byte) error {
 	return nil
 }
 
-// LoadFile implements FileStore.
-func (f *MemFiles) LoadFile(name string) ([]byte, error) {
+// LoadFile implements FileStore; an in-memory load never waits, so it
+// ignores ctx.
+func (f *MemFiles) LoadFile(_ context.Context, name string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	d, ok := f.m[name]

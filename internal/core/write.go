@@ -271,11 +271,12 @@ func (t *Table) checkBulkKeys(rows []types.Row) error {
 		for j, c := range t.schema.UniqueKey {
 			vals[j] = r[c]
 		}
-		matches, _ := t.idx.LookupTuple(t.schema.UniqueKey, vals)
-		for _, m := range matches {
-			if _, live := t.liveMatch(view, m); live {
-				return ErrDuplicateKey
-			}
+		v, _, _, live := t.liveByKey(view, vals)
+		if v != view {
+			v.Release()
+		}
+		if live {
+			return ErrDuplicateKey
 		}
 	}
 	return nil

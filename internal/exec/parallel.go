@@ -1,10 +1,14 @@
 // Parallel partition fan-out: the aggregator side of §2/§5 runs one scan
 // task per leaf partition concurrently on a bounded worker pool and merges
 // the partial results (rows, counts, or partial aggregate tables) in
-// deterministic view order. Each task gets its own filter-tree clone (the
-// adaptive nodes carry mutable statistics) and its own ScanStats; the
-// coordinator folds stats only after the pool joins, so the whole path is
-// race-free under `go test -race`. Workers share the process-wide
+// deterministic view order. Every partitioned read — aggregate, collect,
+// count — goes through one driver, fanOut: it leases the worker slots and
+// each task's scan memory from the QoS governor, gives each task its own
+// filter-tree clone (the adaptive nodes carry mutable statistics), a scan
+// cancelled through its context, and its own ScanStats, and folds waits,
+// errors and stats only after the pool joins, so the whole path is
+// race-free under `go test -race`. The entry points hold only their
+// per-view work and their merge. Workers share the process-wide
 // decoded-vector cache through their views: N workers hitting the same
 // cold segment column decode it once (single-flight) and the per-worker
 // VecCache* counters fold into the coordinator's stats like every other
@@ -93,45 +97,20 @@ func DefaultParallelism(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// fanWidth is the worker-slot demand of a fan-out: the resolved
-// parallelism, never wider than the task count, never below one.
-func fanWidth(parallelism, n int) int {
-	w := DefaultParallelism(parallelism)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runTasks executes fn(0..n-1) on at most parallelism workers. Workers stop
-// claiming new tasks once ctx is done; the error is ctx.Err() in that case.
-// In-flight tasks are responsible for observing ctx themselves (scans poll
-// it via Scan.Cancel).
-func runTasks(ctx context.Context, n, parallelism int, fn func(i int)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+// runTasks executes fn(0..n-1) on the given number of workers, one at a
+// time in index order when workers <= 1. Workers stop claiming new tasks
+// once ctx is done; the error is ctx.Err() in that case. In-flight tasks
+// are responsible for observing ctx themselves (scans poll Scan.Ctx).
+func runTasks(ctx context.Context, n, workers int, fn func(i int)) error {
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
 		return ctx.Err()
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -148,29 +127,58 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// cancelledScan wires a context into a Scan's cancellation hook and its
-// hydration waits: cancellation aborts a scan blocked on a cold segment's
-// payload fetch without aborting the shared fetch.
-func cancelledScan(ctx context.Context, view *core.View, filter Node) *Scan {
-	s := NewScan(view, filter)
-	s.Cancel = func() bool { return ctx.Err() != nil }
-	s.Ctx = ctx
-	return s
+// viewRun is one fan-out task's outcome: its scan's stats (with its lease
+// wait folded in) and its terminal error.
+type viewRun struct {
+	stats ScanStats
+	err   error
 }
 
-// firstScanErr folds per-task scan errors: the first terminal failure
-// (failed hydration fetch) wins; a context.Canceled from a scan whose
-// driver deliberately cancelled it (early limit) is not an error unless
-// the caller's own ctx is dead too.
-func firstScanErr(ctx context.Context, errs []error) error {
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			continue
-		}
+// fanOut is the one partitioned read driver: it leases up to parallelism
+// worker slots (never more than one per view), then runs task once per
+// view on the pool. Each task first leases its view's scan memory and gets
+// a scan over its own clone of filter (the adaptive nodes carry mutable
+// statistics) that polls scanCtx. scanCtx is ctx itself, or a sub-context
+// the caller cancels once it needs no more rows; only the end of ctx is an
+// error. Once the pool joins, fanOut returns ctx.Err() or the first
+// terminal scan error, else folds every lease wait and scan's stats into
+// stats in view order.
+func fanOut(ctx, scanCtx context.Context, views []*core.View, filter Node, parallelism int, stats *ScanStats, adm Admission, task func(i int, s *Scan)) error {
+	wl, width, err := adm.admitWorkers(ctx, max(min(DefaultParallelism(parallelism), len(views)), 1))
+	if err != nil {
 		return err
+	}
+	defer wl.Release()
+	foldLeaseWait(stats, wl)
+	runs := make([]viewRun, len(views))
+	err = runTasks(scanCtx, len(views), width, func(i int) {
+		ml, err := adm.admitScan(scanCtx, views[i])
+		if err != nil {
+			runs[i].err = err
+			return
+		}
+		defer ml.Release()
+		scan := NewScan(views[i], CloneNode(filter))
+		scan.Ctx = scanCtx
+		task(i, scan)
+		runs[i] = viewRun{scan.Stats, scan.Err}
+		foldLeaseWait(&runs[i].stats, ml)
+	})
+	if err != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	// The first terminal failure (a shed lease, a failed hydration fetch)
+	// wins. A scan cancelled through scanCtx alone (early limit) is not an
+	// error.
+	for i := range runs {
+		if err := runs[i].err; err != nil && (ctx.Err() != nil || !errors.Is(err, context.Canceled)) {
+			return err
+		}
+	}
+	if stats != nil {
+		for i := range runs {
+			accumulate(stats, runs[i].stats)
+		}
 	}
 	return nil
 }
@@ -189,40 +197,12 @@ func AggregateViewsParallel(ctx context.Context, views []*core.View, filter Node
 // scan memory before running. A shed surfaces as the tenant's typed
 // qos.ErrOverloaded.
 func AggregateViewsAdmitted(ctx context.Context, views []*core.View, filter Node, groupCols []int, aggs []AggSpec, parallelism int, stats *ScanStats, adm Admission) ([]types.Row, error) {
-	wl, width, err := adm.admitWorkers(ctx, fanWidth(parallelism, len(views)))
-	if err != nil {
-		return nil, err
-	}
-	defer wl.Release()
-	foldLeaseWait(stats, wl)
 	p := newAggPlan(groupCols, aggs)
 	partials := make([][]types.Row, len(views))
-	perStats := make([]ScanStats, len(views))
-	perErr := make([]error, len(views))
-	err = runTasks(ctx, len(views), width, func(i int) {
-		ml, err := adm.admitScan(ctx, views[i])
-		if err != nil {
-			perErr[i] = err
-			return
-		}
-		defer ml.Release()
-		f := CloneNode(filter)
-		scan := cancelledScan(ctx, views[i], f)
-		partials[i] = p.partial(views[i], f, scan)
-		perStats[i] = scan.Stats
-		perErr[i] = scan.Err
-		foldLeaseWait(&perStats[i], ml)
-	})
-	if err != nil {
+	if err := fanOut(ctx, ctx, views, filter, parallelism, stats, adm, func(i int, s *Scan) {
+		partials[i] = p.partial(views[i], s.Filter, s)
+	}); err != nil {
 		return nil, err
-	}
-	if serr := firstScanErr(ctx, perErr); serr != nil {
-		return nil, serr
-	}
-	if stats != nil {
-		for i := range perStats {
-			accumulate(stats, perStats[i])
-		}
 	}
 	return p.mergeFinalize(partials), nil
 }
@@ -244,70 +224,39 @@ func CollectRowsAdmitted(ctx context.Context, views []*core.View, filter Node, e
 	if earlyLimit == 0 {
 		return nil, ctx.Err()
 	}
-	wl, width, err := adm.admitWorkers(ctx, fanWidth(parallelism, len(views)))
-	if err != nil {
-		return nil, err
-	}
-	defer wl.Release()
-	foldLeaseWait(stats, wl)
 	sub, cancel := context.WithCancel(ctx)
 	defer cancel()
 	perView := make([][]types.Row, len(views))
-	perStats := make([]ScanStats, len(views))
-	perErr := make([]error, len(views))
 	var mu sync.Mutex
 	done := make([]bool, len(views))
-	// prefixSatisfied cancels trailing scans once views 0..k are all done
-	// and together hold earlyLimit rows. Called with mu held.
-	prefixSatisfied := func() {
-		if earlyLimit < 0 {
-			return
-		}
-		total := 0
-		for i := range views {
-			if !done[i] {
-				return
-			}
-			total += len(perView[i])
-			if total >= earlyLimit {
-				cancel()
-				return
-			}
-		}
-	}
-	err = runTasks(sub, len(views), width, func(i int) {
-		ml, merr := adm.admitScan(sub, views[i])
-		if merr != nil {
-			mu.Lock()
-			perErr[i] = merr
-			done[i] = true
-			mu.Unlock()
-			return
-		}
-		defer ml.Release()
-		scan := cancelledScan(sub, views[i], CloneNode(filter))
+	err := fanOut(ctx, sub, views, filter, parallelism, stats, adm, func(i int, s *Scan) {
 		var out []types.Row
-		scan.Run(func(r types.Row) bool {
+		s.Run(func(r types.Row) bool {
 			out = append(out, r.Clone())
 			return earlyLimit < 0 || len(out) < earlyLimit
 		})
 		mu.Lock()
+		defer mu.Unlock()
 		perView[i] = out
-		perStats[i] = scan.Stats
-		perErr[i] = scan.Err
-		foldLeaseWait(&perStats[i], ml)
 		done[i] = true
-		prefixSatisfied()
-		mu.Unlock()
+		if earlyLimit < 0 {
+			return
+		}
+		// Cancel the trailing scans once views 0..k are all done and
+		// together hold earlyLimit rows.
+		total := 0
+		for j := range views {
+			if !done[j] {
+				return
+			}
+			if total += len(perView[j]); total >= earlyLimit {
+				cancel()
+				return
+			}
+		}
 	})
-	// Early-limit cancellation is success; only the caller's ctx is an error.
-	if err != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	// A scan cancelled by the early-limit sub-context is success; a scan
-	// that died on a failed hydration fetch is not.
-	if serr := firstScanErr(ctx, perErr); serr != nil {
-		return nil, serr
+	if err != nil {
+		return nil, err
 	}
 	var out []types.Row
 	for i := range perView {
@@ -315,11 +264,6 @@ func CollectRowsAdmitted(ctx context.Context, views []*core.View, filter Node, e
 		if earlyLimit >= 0 && len(out) >= earlyLimit {
 			out = out[:earlyLimit]
 			break
-		}
-	}
-	if stats != nil {
-		for i := range perStats {
-			accumulate(stats, perStats[i])
 		}
 	}
 	return out, nil
@@ -334,42 +278,15 @@ func CountViews(ctx context.Context, views []*core.View, filter Node, parallelis
 // CountViewsAdmitted is CountViews under QoS admission (see
 // AggregateViewsAdmitted for the leasing contract).
 func CountViewsAdmitted(ctx context.Context, views []*core.View, filter Node, parallelism int, stats *ScanStats, adm Admission) (int64, error) {
-	wl, width, err := adm.admitWorkers(ctx, fanWidth(parallelism, len(views)))
-	if err != nil {
-		return 0, err
-	}
-	defer wl.Release()
-	foldLeaseWait(stats, wl)
 	perCount := make([]int64, len(views))
-	perStats := make([]ScanStats, len(views))
-	perErr := make([]error, len(views))
-	err = runTasks(ctx, len(views), width, func(i int) {
-		ml, err := adm.admitScan(ctx, views[i])
-		if err != nil {
-			perErr[i] = err
-			return
-		}
-		defer ml.Release()
-		scan := cancelledScan(ctx, views[i], CloneNode(filter))
-		perCount[i] = scan.Count()
-		perStats[i] = scan.Stats
-		perErr[i] = scan.Err
-		foldLeaseWait(&perStats[i], ml)
-	})
-	if err != nil {
+	if err := fanOut(ctx, ctx, views, filter, parallelism, stats, adm, func(i int, s *Scan) {
+		perCount[i] = s.Count()
+	}); err != nil {
 		return 0, err
-	}
-	if serr := firstScanErr(ctx, perErr); serr != nil {
-		return 0, serr
 	}
 	var n int64
-	for i := range perCount {
-		n += perCount[i]
-	}
-	if stats != nil {
-		for i := range perStats {
-			accumulate(stats, perStats[i])
-		}
+	for _, c := range perCount {
+		n += c
 	}
 	return n, nil
 }

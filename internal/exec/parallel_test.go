@@ -2,12 +2,16 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"s2db/internal/core"
+	"s2db/internal/qos"
 	"s2db/internal/types"
 	"s2db/internal/vector"
 )
@@ -162,37 +166,143 @@ func (c *cancelNode) EvalSpans(_ *SegContext, in, out []Span) []Span {
 	return append(out, in...)
 }
 
-func TestParallelCancellationMidScan(t *testing.T) {
-	views := parallelFixture(t, 4, 4000)
-	ctx, cancel := context.WithCancel(context.Background())
-	filter := &cancelNode{cancel: cancel}
-	if _, err := AggregateViewsParallel(ctx, views, filter, []int{1}, []AggSpec{{Func: Count, Col: -1}}, 2, nil); err != context.Canceled {
-		t.Fatalf("aggregate after mid-scan cancel: err = %v, want context.Canceled", err)
-	}
+// fanOutCall runs one admitted fan-out entry point over views.
+type fanOutCall func(ctx context.Context, views []*core.View, filter Node, adm Admission, stats *ScanStats) error
 
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	if _, err := CollectRows(ctx2, views, &cancelNode{cancel: cancel2}, -1, 2, nil); err != context.Canceled {
-		t.Fatalf("collect after mid-scan cancel: err = %v, want context.Canceled", err)
+// coldView restores a bulk-loaded table into one whose file store holds
+// none of its segment files: every segment is a stub whose payload fetch
+// fails.
+func coldView(t *testing.T) *core.View {
+	t.Helper()
+	src := newTable(t, 256)
+	fill(t, src, 1000, true)
+	v := src.Snapshot()
+	defer v.Release()
+	dst := newTable(t, 256)
+	if err := dst.RestoreState(src.SerializeState(v), v.TS); err != nil {
+		t.Fatal(err)
 	}
-
-	ctx3, cancel3 := context.WithCancel(context.Background())
-	if _, err := CountViews(ctx3, views, &cancelNode{cancel: cancel3}, 2, nil); err != context.Canceled {
-		t.Fatalf("count after mid-scan cancel: err = %v, want context.Canceled", err)
+	t.Cleanup(dst.Close)
+	cold := dst.Snapshot()
+	if len(cold.Segs) == 0 || cold.Hydrated() {
+		t.Fatal("restored view holds no cold segment")
 	}
+	return cold
 }
 
-func TestParallelPreCancelled(t *testing.T) {
-	views := parallelFixture(t, 2, 200)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := AggregateViewsParallel(ctx, views, nil, nil, []AggSpec{{Func: Count, Col: -1}}, 0, nil); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// TestFanOutContract runs every admitted fan-out entry point through the
+// same failures: the caller's cancellation (before the call and mid-scan)
+// returns ctx.Err(), a shed scan-memory lease returns the typed overload,
+// a failed cold-segment fetch returns the fetch error, and admission
+// waits show up in the stats.
+func TestFanOutContract(t *testing.T) {
+	views := parallelFixture(t, 4, 4000)
+	cold := coldView(t)
+	const tenant = "tenant"
+	const scanMem = 1 << 20
+	governed := func(queue int) (*qos.Governor, *qos.Lease) {
+		var lim [qos.NumResources]qos.Limits
+		lim[qos.ScanMem] = qos.Limits{Capacity: scanMem, QueueDepth: queue}
+		gov := qos.New(qos.Config{Limits: lim})
+		hold, err := gov.Acquire(context.Background(), tenant, qos.ScanMem, scanMem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gov, hold
 	}
-	if _, err := CollectRows(ctx, views, nil, -1, 0, nil); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	entries := []struct {
+		name string
+		call func(width int) fanOutCall
+	}{
+		{"aggregate", func(width int) fanOutCall {
+			return func(ctx context.Context, views []*core.View, filter Node, adm Admission, stats *ScanStats) error {
+				_, err := AggregateViewsAdmitted(ctx, views, filter, []int{1}, []AggSpec{{Func: Count, Col: -1}}, width, stats, adm)
+				return err
+			}
+		}},
+		{"collect", func(width int) fanOutCall {
+			return func(ctx context.Context, views []*core.View, filter Node, adm Admission, stats *ScanStats) error {
+				_, err := CollectRowsAdmitted(ctx, views, filter, -1, width, stats, adm)
+				return err
+			}
+		}},
+		{"collect-early-limit", func(width int) fanOutCall {
+			return func(ctx context.Context, views []*core.View, filter Node, adm Admission, stats *ScanStats) error {
+				_, err := CollectRowsAdmitted(ctx, views, filter, 5, width, stats, adm)
+				return err
+			}
+		}},
+		{"count", func(width int) fanOutCall {
+			return func(ctx context.Context, views []*core.View, filter Node, adm Admission, stats *ScanStats) error {
+				_, err := CountViewsAdmitted(ctx, views, filter, width, stats, adm)
+				return err
+			}
+		}},
 	}
-	if _, err := CountViews(ctx, views, nil, 0, nil); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cases := []struct {
+		name  string
+		check func(t *testing.T, call fanOutCall)
+	}{
+		{"pre-cancelled", func(t *testing.T, call fanOutCall) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := call(ctx, views, nil, Admission{}, nil); err != ctx.Err() {
+				t.Fatalf("err = %v, want %v", err, ctx.Err())
+			}
+		}},
+		{"cancelled-mid-scan", func(t *testing.T, call fanOutCall) {
+			ctx, cancel := context.WithCancel(context.Background())
+			if err := call(ctx, views, &cancelNode{cancel: cancel}, Admission{}, nil); err != ctx.Err() {
+				t.Fatalf("err = %v, want %v", err, ctx.Err())
+			}
+		}},
+		{"scan-memory-shed", func(t *testing.T, call fanOutCall) {
+			gov, hold := governed(0)
+			defer hold.Release()
+			err := call(context.Background(), views, nil, Admission{Gov: gov, Tenant: tenant}, nil)
+			if !errors.Is(err, qos.ErrOverloaded) {
+				t.Fatalf("err = %v, want a qos.ErrOverloaded shed", err)
+			}
+		}},
+		{"failed-fetch", func(t *testing.T, call fanOutCall) {
+			// The cold view goes first: an early limit satisfied by a
+			// completed prefix of views would rightly skip a later one.
+			filter := NewLeaf(2, vector.Eq, types.NewInt(7))
+			err := call(context.Background(), append([]*core.View{cold}, views...), filter, Admission{}, nil)
+			if err == nil || !strings.Contains(err.Error(), cold.Segs[0].File) {
+				t.Fatalf("err = %v, want the failed fetch of %s", err, cold.Segs[0].File)
+			}
+		}},
+		{"admission-wait", func(t *testing.T, call fanOutCall) {
+			gov, hold := governed(len(views))
+			var stats ScanStats
+			done := make(chan error, 1)
+			go func() { done <- call(context.Background(), views, nil, Admission{Gov: gov, Tenant: tenant}, &stats) }()
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+				if st, _ := gov.TenantStatsFor(tenant); st.ScanMem.Waits > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no scan-memory lease queued behind the held budget")
+				}
+			}
+			hold.Release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if stats.QoSWaits == 0 || stats.QoSWaitNanos <= 0 {
+				t.Fatalf("QoSWaits = %d (%d ns), want the queued lease", stats.QoSWaits, stats.QoSWaitNanos)
+			}
+		}},
+	}
+	for _, e := range entries {
+		for _, width := range []int{1, 4} {
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("%s/width=%d/%s", e.name, width, c.name), func(t *testing.T) {
+					c.check(t, e.call(width))
+				})
+			}
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // secondary indexes and zone maps (§5.1), (2) run filters per segment to a
 // selection of surviving spans (§5.2), (3) selectively decode the surviving
 // rows. RunSegments is the one segment driver; Run, Count, Aggregate and the
-// hash join's probe side all consume its spans.
+// hash join's probe side all consume its spans. Ctx is the scan's only
+// cancellation.
 type Scan struct {
 	View   *core.View
 	Filter Node // nil scans everything
@@ -25,14 +26,10 @@ type Scan struct {
 	// Project lists the only columns Run must materialize (nil = all) —
 	// late materialization's projection pushdown.
 	Project []int
-	// Cancel, when non-nil, is polled between segments (and periodically
-	// inside buffer scans); a true return aborts the scan. The parallel
-	// scheduler wires this to a context so in-flight partition scans stop
-	// promptly on cancellation.
-	Cancel func() bool
-	// Ctx bounds hydration waits on cold (lazily restored) segments: a
-	// cancelled Ctx aborts a scan blocked on a payload fetch without
-	// aborting the shared fetch itself. nil waits unboundedly.
+	// Ctx cancels the scan: it is polled between segments and every 1 024
+	// buffer rows, and it bounds hydration waits on cold (lazily restored)
+	// segments, so a cancelled Ctx aborts a scan blocked on a payload fetch
+	// without aborting the shared fetch itself. nil never cancels.
 	Ctx context.Context
 	// Err records a terminal scan failure — a cold segment whose payload
 	// fetch or decode failed, or a cancelled hydration wait. The scan stops
@@ -229,7 +226,7 @@ func (s *Scan) waitHydrated(si int) bool {
 func (s *Scan) RunSegments(f func(ctx *SegContext, spans []Span)) {
 	vec := s.cache()
 	for _, si := range s.candidateSegments() {
-		if s.Cancel != nil && s.Cancel() {
+		if s.Ctx != nil && s.Ctx.Err() != nil {
 			return
 		}
 		meta := s.View.Segs[si]
@@ -280,7 +277,7 @@ func (s *Scan) filterSegment(ctx *SegContext, f func(ctx *SegContext, spans []Sp
 func (s *Scan) RunBuffer(f func(r types.Row) bool, seg func(ctx *SegContext, spans []Span)) {
 	visit := func(r types.Row) bool {
 		s.Stats.BufferRowsScanned++
-		if s.Cancel != nil && s.Stats.BufferRowsScanned&1023 == 0 && s.Cancel() {
+		if s.Ctx != nil && s.Stats.BufferRowsScanned&1023 == 0 && s.Ctx.Err() != nil {
 			return false
 		}
 		if s.Filter == nil || s.Filter.EvalRow(r) {

@@ -6,7 +6,6 @@ import (
 	"s2db/internal/core"
 	"s2db/internal/exec"
 	"s2db/internal/types"
-	"s2db/internal/vector"
 )
 
 // StmtKind classifies a lowered statement.
@@ -491,8 +490,8 @@ func (s *Statement) BindDelete(text string, vals []types.Value, schema *types.Sc
 
 // bindWhere lowers a predicate template onto core.Where: the full tree is
 // resolved to ordinals and evaluated per candidate row, and the first
-// top-level equality (if any) becomes the index hint core uses to seek
-// instead of scanning.
+// non-NULL pin of the tree (exec.Pins, the derivation reads use too)
+// becomes the index hint core uses to seek instead of scanning.
 func bindWhere(e Expr, text string, vals []types.Value, schema *types.Schema) (core.Where, error) {
 	if e == nil {
 		return core.All(), nil
@@ -506,38 +505,11 @@ func bindWhere(e Expr, text string, vals []types.Value, schema *types.Schema) (c
 		return core.Where{}, err
 	}
 	w := core.Where{Col: -1, Pred: resolved.EvalRow}
-	if col, val, ok := indexHint(e, vals, schema); ok {
-		w.Col, w.Val = col, val
+	for _, p := range exec.Pins(resolved) {
+		if !p.Val.IsNull {
+			w.Col, w.Val = p.Col, p.Val
+			break
+		}
 	}
 	return w, nil
-}
-
-// indexHint finds an equality the mutation can seek on: a bare `col = ?`
-// or the first such clause of a top-level AND.
-func indexHint(e Expr, vals []types.Value, schema *types.Schema) (int, types.Value, bool) {
-	switch x := e.(type) {
-	case *CmpExpr:
-		if x.Op != vector.Eq {
-			return 0, types.Value{}, false
-		}
-		ci := schema.ColIndex(x.Col.Name)
-		if ci < 0 {
-			return 0, types.Value{}, false
-		}
-		v, err := coerce(x.Col, "", vals[x.Slot], schema)
-		if err != nil {
-			return 0, types.Value{}, false
-		}
-		return ci, v, true
-	case *LogicalExpr:
-		if x.Op != "and" {
-			return 0, types.Value{}, false
-		}
-		for _, a := range x.Args {
-			if c, v, ok := indexHint(a, vals, schema); ok {
-				return c, v, ok
-			}
-		}
-	}
-	return 0, types.Value{}, false
 }

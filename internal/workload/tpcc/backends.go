@@ -73,18 +73,14 @@ func (b *S2Backend) ScanEq(table string, cols []int, vals []types.Value, emit fu
 	} else {
 		filter = exec.NewAnd(clauses...)
 	}
-	targets, err := b.C.QueryTargets(table, exec.Pins(filter))
+	views, err := b.C.PinnedViews(table, exec.Pins(filter))
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, t := range targets {
-			t.View.Release()
-		}
-	}()
-	for _, t := range targets {
+	defer core.ReleaseAll(views)
+	for _, v := range views {
 		stop := false
-		exec.NewScan(t.View, filter).Run(func(r types.Row) bool {
+		exec.NewScan(v, filter).Run(func(r types.Row) bool {
 			if !emit(r) {
 				stop = true
 				return false

@@ -191,13 +191,13 @@ func TestKeySeekEquivalence(t *testing.T) {
 		// A walk visits every buffer row of the partitions the query
 		// targets; pinning the shard column (a keyless table's first)
 		// still prunes partitions.
-		targets, err := db.cluster.QueryTargets(c.table, exec.Pins(c.filter))
+		pinned, err := db.cluster.PinnedViews(c.table, exec.Pins(c.filter))
 		if err != nil {
 			t.Fatal(err)
 		}
 		walked := 0
-		for _, tg := range targets {
-			walked += tg.View.NumRows()
+		for _, v := range pinned {
+			walked += v.NumRows()
 		}
 		for _, onWS := range []bool{false, true} {
 			q := db.Table(c.table).Where(c.filter)

@@ -239,20 +239,19 @@ func (q *Query) admission(ctx context.Context) exec.Admission {
 	return exec.Admission{Gov: q.db.gov, Tenant: q.effectiveTenant(ctx)}
 }
 
-// targets returns the leaf execution sites: one per partition of the
-// primary cluster, or of the workspace when routed there — only the
-// owning partition when the filter pins every shard column.
-func (q *Query) targets(pins []types.Pin) ([]cluster.LeafTarget, error) {
+// views snapshots the leaf partitions the query fans out to: every
+// partition of the primary cluster, or of the workspace when routed there
+// — only the owning partition when the filter pins every shard column.
+func (q *Query) views(pins []types.Pin) ([]*core.View, error) {
 	if q.workspace != nil {
-		return q.workspace.QueryTargets(q.table, pins)
+		return q.workspace.PinnedViews(q.table, pins)
 	}
-	return q.db.cluster.QueryTargets(q.table, pins)
+	return q.db.cluster.PinnedViews(q.table, pins)
 }
 
 // resolvedQuery is the execution-ready form: names resolved to ordinals,
-// targets snapshotted, parallelism decided.
+// partitions snapshotted, parallelism decided.
 type resolvedQuery struct {
-	targets     []cluster.LeafTarget
 	views       []*core.View
 	schema      *types.Schema
 	filter      exec.Node
@@ -309,12 +308,8 @@ func (q *Query) resolve() (*resolvedQuery, error) {
 		r.earlyLimit = q.limit
 	}
 	// Snapshot last, once nothing can fail: the caller releases the views.
-	if r.targets, err = q.targets(exec.Pins(r.filter)); err != nil {
+	if r.views, err = q.views(exec.Pins(r.filter)); err != nil {
 		return nil, err
-	}
-	r.views = make([]*core.View, len(r.targets))
-	for i, t := range r.targets {
-		r.views[i] = t.View
 	}
 	return r, nil
 }

@@ -257,9 +257,37 @@ func TestSQLDMLEquivalence(t *testing.T) {
 		t.Fatalf("delete = %d vs %d, %v", dn, dn2, err)
 	}
 
+	// UPDATE pinned on the key: the write seeks id = ?.
+	un, err = db.Exec("UPDATE orders SET quantity = ? WHERE id = ?", Int(4), Int(3))
+	if err != nil || un != 1 {
+		t.Fatalf("pinned update = %d, %v", un, err)
+	}
+	un2, err = db.Update("orders2", Where{Col: 0, Val: Int(3)}, func(r Row) Row {
+		out := append(Row(nil), r...)
+		out[2] = Int(4)
+		return out
+	})
+	if err != nil || un2 != 1 {
+		t.Fatalf("pinned update = %d, %v", un2, err)
+	}
+
+	// DELETE under a parenthesised nested AND: no top-level equality, so
+	// the write takes no index hint, as a read of it takes none.
+	dn, err = db.Exec("DELETE FROM orders WHERE (id = ? AND category = 'books') AND quantity > 0", Int(1))
+	if err != nil || dn != 1 {
+		t.Fatalf("nested-AND delete = %d, %v", dn, err)
+	}
+	dn2, err = db.Delete("orders2", Where{Col: -1, Pred: func(r Row) bool { return r[0].I == 1 && r[1].S == "books" && r[2].I > 0 }})
+	if err != nil || dn2 != 1 {
+		t.Fatalf("nested-AND delete = %d, %v", dn2, err)
+	}
+
 	want, err := db.Table("orders2").OrderBy(Asc("id")).Rows()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want) != 1 || want[0][0].I != 3 || want[0][2].I != 4 {
+		t.Fatalf("after DML orders2 = %v, want the one row id 3 with quantity 4", want)
 	}
 	got, err := db.Query("SELECT * FROM orders ORDER BY id")
 	if err != nil {
