@@ -1,12 +1,12 @@
 # Tier-1 gate: every change must pass `make check` — build, vet, and the
 # full test suite under the race detector (the parallel fan-out scheduler
 # runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck decodecheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke loc
+.PHONY: check ci fmtcheck decodecheck lockcheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke loc
 
 check: build vet race
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
-# decode gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
+# decode gate, the one-lock-step gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
 # multi-tenant QoS isolation gate, the whole test suite at one and two
 # cores and the storage, exec, cluster, WAL, QoS, SQL, index and
 # workload race suites at one,
@@ -16,7 +16,7 @@ check: build vet race
 # secondary-key derivation, the write buffer's secondary index and its
 # columnar image, the table writers' histories, the segment index build, every decoder of blob and socket bytes and the
 # TCP transport's frame reader. Run it locally before pushing.
-ci: fmtcheck decodecheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
+ci: fmtcheck decodecheck lockcheck lint check racewal qossmoke procsmoke chaossmoke benchsmoke fuzzsmoke
 
 # fmtcheck fails (and lists the offenders) if any tracked Go file is not
 # gofmt-clean; it never rewrites files.
@@ -38,6 +38,16 @@ DECODE_ALLOWED = ^internal/codec/reader\.go:|^(internal/wal/wire\.go|internal/cl
 decodecheck:
 	@out="$$(grep -rnE '$(DECODE_RAW)' --include='*.go' --exclude='*_test.go' internal | grep -vE '$(DECODE_ALLOWED)')"; \
 	if [ -n "$$out" ]; then echo "decode outside codec.Reader:"; echo "$$out"; exit 1; fi
+
+# lockcheck is the one-lock-step gate: every row lock a writer waits on is
+# taken in core's lockTargets (internal/core/mutate.go), which locks a
+# statement's rows in sorted key order before it writes any, so no two
+# writers can deadlock. No other non-test Go under internal/ calls
+# LockAndGet.
+LOCK_ALLOWED = ^internal/rowstore/store\.go:[0-9]+:func \(t \*Txn\) LockAndGet\(|^internal/core/mutate\.go:[0-9]+:.*cur, ok, err := tx\.LockAndGet\(tgs\[i\]\.key\)
+lockcheck:
+	@out="$$(grep -rn 'LockAndGet(' --include='*.go' --exclude='*_test.go' internal | grep -vE '$(LOCK_ALLOWED)')"; \
+	if [ -n "$$out" ]; then echo "row lock outside core's lockTargets:"; echo "$$out"; exit 1; fi
 
 # lint runs staticcheck at a pinned version so findings are reproducible.
 # Resolution order: a staticcheck already on PATH, a previously installed

@@ -328,12 +328,12 @@ func benchTable(b *testing.B, n int, deletedFrac float64) *core.Table {
 			types.NewInt(int64(i % 1000)),
 		}
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		b.Fatal(err)
 	}
 	if deletedFrac > 0 {
 		step := int(1 / deletedFrac)
-		if _, err := tbl.DeleteWhere(core.Where{Col: -1, Pred: func(r types.Row) bool {
+		if _, err := tbl.DeleteWhere(core.Where{Pred: func(r types.Row) bool {
 			return r[0].I%int64(step) == 0
 		}}); err != nil {
 			b.Fatal(err)
@@ -421,7 +421,7 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 			types.NewInt(int64(i % 1000)),
 		}
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		b.Fatal(err)
 	}
 	idx := tbl.Index()

@@ -83,7 +83,7 @@ func main() {
 
 	// Mutate after the restore point: drain some accounts.
 	if _, err := db.Update("accounts",
-		s2db.Where{Col: -1, Pred: func(r s2db.Row) bool { return r[0].I < 100 }},
+		s2db.Where{Pred: func(r s2db.Row) bool { return r[0].I < 100 }},
 		func(r s2db.Row) s2db.Row { r[1] = s2db.Float(0); return r },
 	); err != nil {
 		log.Fatal(err)

@@ -339,10 +339,11 @@ func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
 		if err != nil {
 			return err
 		}
-		if err := tbl.BulkLoad(batch); err != nil {
+		lsn, err := tbl.BulkLoad(batch)
+		if err != nil {
 			return err
 		}
-		if err := p.WaitDurable(p.Log().Head()-1, commitTimeout); err != nil {
+		if err := p.WaitDurable(lsn, commitTimeout); err != nil {
 			return err
 		}
 	}
@@ -356,14 +357,15 @@ func (c *Cluster) GetByUnique(table string, vals []types.Value) (types.Row, bool
 	if err != nil {
 		return nil, false, err
 	}
-	if len(schema.UniqueKey) == 0 {
-		return nil, false, core.ErrNoUniqueKey
+	w, err := core.ByUnique(schema, vals)
+	if err != nil {
+		return nil, false, err
 	}
 	var (
 		row   types.Row
 		found bool
 	)
-	err = c.eachPartition(c.routeByUnique(schema, vals), func(pi int) (bool, error) {
+	err = c.eachPartition(c.owner(schema, w.Pins), func(pi int) (bool, error) {
 		tbl, err := c.Master(pi).Table(table)
 		if err != nil {
 			return false, err
@@ -374,47 +376,79 @@ func (c *Cluster) GetByUnique(table string, vals []types.Value) (types.Row, bool
 	return row, found, err
 }
 
-// UpdateWhere applies an update on the one partition w's equality pins
-// (when it is the single shard column), else on every partition, and waits
-// durable.
+// UpdateWhere applies an update on the one partition w's pins place its
+// rows in, else on every partition, and waits durable.
 func (c *Cluster) UpdateWhere(table string, w core.Where, set func(types.Row) types.Row) (int, error) {
-	return c.mutateWhere(table, w, func(tbl *core.Table) (int, error) { return tbl.UpdateWhere(w, set) })
+	return c.mutateWhere(table, w, set, false)
 }
 
-// DeleteWhere applies a delete on the one partition w's equality pins
-// (when it is the single shard column), else on every partition, and waits
-// durable.
+// DeleteWhere applies a delete on the one partition w's pins place its
+// rows in, else on every partition, and waits durable.
 func (c *Cluster) DeleteWhere(table string, w core.Where) (int, error) {
-	return c.mutateWhere(table, w, func(tbl *core.Table) (int, error) { return tbl.DeleteWhere(w) })
+	return c.mutateWhere(table, w, nil, false)
 }
 
-func (c *Cluster) mutateWhere(table string, w core.Where, apply func(*core.Table) (int, error)) (int, error) {
+// UpdateByUnique performs a routed point update and waits for durability.
+func (c *Cluster) UpdateByUnique(table string, vals []types.Value, set func(types.Row) types.Row) (bool, error) {
+	return c.mutateByKey(table, vals, set)
+}
+
+// DeleteByUnique performs a routed point delete and waits for durability.
+func (c *Cluster) DeleteByUnique(table string, vals []types.Value) (bool, error) {
+	return c.mutateByKey(table, vals, nil)
+}
+
+// mutateByKey writes the row with unique-key values vals through
+// mutateWhere and reports whether it exists. A key that does not pin the
+// shard key is tried partition by partition, up to the first that holds
+// the row.
+func (c *Cluster) mutateByKey(table string, vals []types.Value, set func(types.Row) types.Row) (bool, error) {
+	schema, err := c.Schema(table)
+	if err != nil {
+		return false, err
+	}
+	w, err := core.ByUnique(schema, vals)
+	if err != nil {
+		return false, err
+	}
+	n, err := c.mutateWhere(table, w, set, true)
+	return n > 0, err
+}
+
+// mutateWhere writes the rows w matches (core.Table.Write: set rewrites
+// them, nil deletes them) on the partition w's pins place them in, else on
+// every partition in order, and waits until each partition's record is
+// durable. With first set it stops at the first partition that wrote a
+// row.
+func (c *Cluster) mutateWhere(table string, w core.Where, set func(types.Row) types.Row, first bool) (int, error) {
 	schema, err := c.Schema(table)
 	if err != nil {
 		return 0, err
 	}
-	pi, routed := schema.Place(w.Pins()).Partition(c.cfg.Partitions)
-	if !routed {
-		pi = -1
-	}
 	total := 0
-	err = c.eachPartition(pi, func(pi int) (bool, error) {
+	err = c.eachPartition(c.owner(schema, w.Pins), func(pi int) (bool, error) {
 		p := c.Master(pi)
 		tbl, err := p.Table(table)
 		if err != nil {
 			return false, err
 		}
-		n, err := apply(tbl)
-		if err != nil {
+		n, lsn, err := tbl.Write(w, set)
+		if err != nil || n == 0 {
 			return false, err
 		}
 		total += n
-		if n > 0 {
-			return false, p.WaitDurable(p.Log().Head()-1, commitTimeout)
-		}
-		return false, nil
+		return first, p.WaitDurable(lsn, commitTimeout)
 	})
 	return total, err
+}
+
+// owner returns the one partition pins place a table's rows in, or -1
+// when some shard column is unpinned.
+func (c *Cluster) owner(schema *types.Schema, pins []types.Pin) int {
+	if pi, ok := schema.Place(pins).Partition(c.cfg.Partitions); ok {
+		return pi
+	}
+	return -1
 }
 
 // eachPartition runs f on partition pi, or on every partition in order
@@ -709,51 +743,4 @@ func (c *Cluster) TableNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// routeByUnique returns the partition holding the given unique key values
-// when the shard key is derivable from them, or -1.
-func (c *Cluster) routeByUnique(schema *types.Schema, vals []types.Value) int {
-	pins := make([]types.Pin, 0, len(vals))
-	for i, col := range schema.UniqueKey {
-		if i < len(vals) {
-			pins = append(pins, types.Pin{Col: col, Val: vals[i]})
-		}
-	}
-	if pi, ok := schema.Place(pins).Partition(c.cfg.Partitions); ok {
-		return pi
-	}
-	return -1
-}
-
-// UpdateByUnique performs a routed point update and waits for durability.
-func (c *Cluster) UpdateByUnique(table string, vals []types.Value, set func(types.Row) types.Row) (bool, error) {
-	return c.mutateByUnique(table, vals, func(tbl *core.Table) (bool, error) { return tbl.UpdateByUnique(vals, set) })
-}
-
-// DeleteByUnique performs a routed point delete and waits for durability.
-func (c *Cluster) DeleteByUnique(table string, vals []types.Value) (bool, error) {
-	return c.mutateByUnique(table, vals, func(tbl *core.Table) (bool, error) { return tbl.DeleteByUnique(vals) })
-}
-
-func (c *Cluster) mutateByUnique(table string, vals []types.Value, apply func(*core.Table) (bool, error)) (bool, error) {
-	schema, err := c.Schema(table)
-	if err != nil {
-		return false, err
-	}
-	found := false
-	err = c.eachPartition(c.routeByUnique(schema, vals), func(pi int) (bool, error) {
-		p := c.Master(pi)
-		tbl, err := p.Table(table)
-		if err != nil {
-			return false, err
-		}
-		ok, err := apply(tbl)
-		if err != nil || !ok {
-			return false, err
-		}
-		found = true
-		return true, p.WaitDurable(p.Log().Head()-1, commitTimeout)
-	})
-	return found, err
 }

@@ -46,7 +46,7 @@ func loggedRecords(tb testing.TB) []wal.Record {
 	if _, err := tbl.DeleteWhere(Eq(0, types.NewInt(13))); err != nil {
 		tb.Fatal(err)
 	}
-	if err := tbl.BulkLoad([]types.Row{urow(100, 1, "b"), urow(101, 2, "b")}); err != nil {
+	if _, err := tbl.BulkLoad([]types.Row{urow(100, 1, "b"), urow(101, 2, "b")}); err != nil {
 		tb.Fatal(err)
 	}
 	recs, err := log.Records(0, log.Head())

@@ -58,13 +58,20 @@ func FuzzWriteHistory(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%7, int64(data[i+1])
 			id, tag := arg%16, tags[arg%3]
-			// ukWhere matches on the indexed tag column or on id modulo 4;
-			// hidWhere on the first column.
+			// ukWhere matches on the indexed tag column, on id modulo 4, or
+			// pins the unique key with a predicate on val (a point write);
+			// hidWhere matches on the first column, by predicate or by pin
+			// with the same predicate on val.
 			ukWhere := Eq(2, types.NewString(tag))
-			if arg&16 != 0 {
-				ukWhere = Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I%4 == id%4 }}
+			hidWhere := Where{Pred: func(r types.Row) bool { return r[0].I == id%4 }}
+			switch {
+			case arg&32 != 0:
+				even := func(r types.Row) bool { return r[1].I%2 == 0 }
+				ukWhere = Where{Pins: []types.Pin{{Col: 0, Val: types.NewInt(id)}}, Pred: even}
+				hidWhere = Where{Pins: []types.Pin{{Col: 0, Val: types.NewInt(id % 4)}}, Pred: even}
+			case arg&16 != 0:
+				ukWhere = Where{Pred: func(r types.Row) bool { return r[0].I%4 == id%4 }}
 			}
-			hidWhere := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == id%4 }}
 			step := fmt.Sprintf("step %d (op %d, arg %d)", i/2, op, arg)
 			switch op {
 			case 0: // InsertBatch under the policy arg picks

@@ -71,6 +71,72 @@ func TestInsertBatchLockOrderNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestFilteredWriteLockOrderNoDeadlock: a filtered update reaches a
+// segment row k-1 and a buffer row k, and while it rewrites its first row
+// an upsert batch of k-1 and k starts. Every writer locks all its rows in
+// one step, in sorted key order, before it writes any, so the upsert
+// waits for the update's commit instead of the two waiting each other
+// out to the row-lock timeout.
+func TestFilteredWriteLockOrderNoDeadlock(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tbl, _ := newTestTable(t, uniqSchema(), Config{})
+			const k = 10
+			if err := tbl.Insert(urow(k-1, 0, "s")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Insert(urow(k, 0, "b")); err != nil {
+				t.Fatal(err)
+			}
+			if tbl.BufferLen() != 1 || tbl.SegmentCount() != 1 {
+				t.Fatalf("setup: %d buffer rows, %d segments; want one of each", tbl.BufferLen(), tbl.SegmentCount())
+			}
+			var (
+				once   sync.Once
+				upsert = make(chan error, 1)
+			)
+			start := time.Now()
+			n, err := tbl.UpdateWhere(All(), func(r types.Row) types.Row {
+				once.Do(func() {
+					go func() {
+						_, err := tbl.InsertBatch([]types.Row{urow(k-1, 0, "u"), urow(k, 0, "u")}, InsertOptions{
+							OnDup: DupUpdate,
+							Update: func(old, _ types.Row) types.Row {
+								out := old.Clone()
+								out[1] = types.NewInt(old[1].I + 10)
+								return out
+							},
+						})
+						upsert <- err
+					}()
+					time.Sleep(50 * time.Millisecond)
+				})
+				r[1] = types.NewInt(r[1].I + 1)
+				return r
+			})
+			if err != nil || n != 2 {
+				t.Fatalf("update = %d, %v; want 2 rows", n, err)
+			}
+			if err := <-upsert; err != nil {
+				t.Fatalf("upsert: %v", err)
+			}
+			if took := time.Since(start); took >= lockTimeout/2 {
+				t.Fatalf("update and upsert took %v, lock timeout is %v", took, lockTimeout)
+			}
+			for _, id := range []int64{k - 1, k} {
+				r, ok, err := tbl.GetByUnique([]types.Value{types.NewInt(id)})
+				if err != nil || !ok || r[1].I != 11 {
+					t.Fatalf("key %d = %v (found %v, err %v), want val 11", id, r, ok, err)
+				}
+			}
+		})
+	}
+}
+
 // TestInsertSameFreshKeyExclusive: eight writers insert the same fresh
 // key at once under DupError. The row lock admits one at a time, so
 // exactly one succeeds, the others see its row and fail with
@@ -116,6 +182,49 @@ func TestInsertSameFreshKeyExclusive(t *testing.T) {
 			}
 			if n := mustCount(t, tbl); n != keys {
 				t.Fatalf("%d rows, want %d", n, keys)
+			}
+		})
+	}
+}
+
+// TestBulkLoadSameFreshKeyExclusive: two bulk loads of the same fresh
+// unique key race into an empty table, round after round. A load checks
+// its keys and commits its segments under one structMu hold, so in every
+// round exactly one is accepted and the other fails with ErrDuplicateKey.
+func TestBulkLoadSameFreshKeyExclusive(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const rounds = 2000
+			for round := 0; round < rounds; round++ {
+				tbl, _ := newTestTable(t, uniqSchema(), Config{})
+				var (
+					wg   sync.WaitGroup
+					errs [2]error
+				)
+				gate := make(chan struct{})
+				for i := range errs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						<-gate
+						_, errs[i] = tbl.BulkLoad([]types.Row{urow(1, i, "b")})
+					}(i)
+				}
+				close(gate)
+				wg.Wait()
+				accepted := 0
+				for _, err := range errs {
+					switch {
+					case err == nil:
+						accepted++
+					case !errors.Is(err, ErrDuplicateKey):
+						t.Fatalf("round %d: bulk load = %v", round, err)
+					}
+				}
+				if accepted != 1 || mustCount(t, tbl) != 1 {
+					t.Fatalf("round %d: %d of 2 loads accepted, %d live rows; want 1 and 1", round, accepted, mustCount(t, tbl))
+				}
 			}
 		})
 	}

@@ -127,7 +127,7 @@ func TestMaintenanceBulkLoadCollapses(t *testing.T) {
 	tbl.Start()
 	defer tbl.Close()
 	waitUntil(t, "the first round ran", func() bool { return tbl.Stats.BackgroundRounds.Load() >= 1 })
-	if err := tbl.BulkLoad(bulkRows(0, 72)); err != nil { // 9 runs of 8 rows
+	if _, err := tbl.BulkLoad(bulkRows(0, 72)); err != nil { // 9 runs of 8 rows
 		t.Fatal(err)
 	}
 	waitUntil(t, "the runs collapsed", func() bool {
@@ -176,7 +176,7 @@ func TestMaintenanceRetriesAbortedMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	if err := tbl.BulkLoad(bulkRows(0, 16)); err != nil {
+	if _, err := tbl.BulkLoad(bulkRows(0, 16)); err != nil {
 		t.Fatal(err)
 	}
 	files.mu.Lock()
@@ -207,13 +207,13 @@ func TestMaintenanceCloseDuringRound(t *testing.T) {
 	}
 	// One run of 16 rows, then two of 8: collapsing takes two merges, 8+8
 	// and then 16+16.
-	if err := tbl.BulkLoad(bulkRows(0, 16)); err != nil {
+	if _, err := tbl.BulkLoad(bulkRows(0, 16)); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Merge() {
 		t.Fatal("setup merge did not run")
 	}
-	if err := tbl.BulkLoad(bulkRows(16, 16)); err != nil {
+	if _, err := tbl.BulkLoad(bulkRows(16, 16)); err != nil {
 		t.Fatal(err)
 	}
 	files.armed.Store(true)

@@ -586,14 +586,14 @@ func TestBulkLoadVersusMergeStorm(t *testing.T) {
 			for i := range batch {
 				batch[i] = urow(run*runRows+i, 0, "b")
 			}
-			if err := tbl.BulkLoad(batch); err != nil {
+			if _, err := tbl.BulkLoad(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
 		merged := make(chan bool)
 		go func() { merged <- tbl.Merge() }()
 		for id := 0; id < runs*runRows; id++ {
-			err := tbl.BulkLoad([]types.Row{urow(id, 1, "dup")})
+			_, err := tbl.BulkLoad([]types.Row{urow(id, 1, "dup")})
 			if err == nil {
 				accepted++
 			} else if !errors.Is(err, ErrDuplicateKey) {

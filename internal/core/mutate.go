@@ -15,9 +15,12 @@ import (
 
 // target is a row a write statement reaches: the buffer row under key,
 // or, when meta is set, row off of meta's segment. A segment target's key
-// is the row's unique key, nil on a hidden-row-id table.
+// is the row's unique key, nil on a hidden-row-id table. A target known
+// by its unique key alone (a point write, an inserted key) carries the
+// key's values, vals, to find its segment copy with.
 type target struct {
 	key  []byte
+	vals []types.Value
 	meta *colstore.Meta
 	off  int32
 }
@@ -43,47 +46,58 @@ func (t *Table) segRowLive(seg uint64, off int32) bool {
 	}
 }
 
-// Where describes the target rows of an update or delete: an optional
-// indexed equality (fast path through the secondary index) plus an optional
-// residual predicate.
+// Where describes the target rows of an update or delete: the equality
+// pins of the statement plus an optional residual predicate. The pins
+// place the rows (types.Schema.Place): a Where whose pins fix the whole
+// unique key is a point write.
 type Where struct {
-	// Col/Val is an equality on an indexed column; Col == -1 disables it.
-	Col int
-	Val types.Value
+	// Pins are column equalities every target row satisfies.
+	Pins []types.Pin
 	// Pred is evaluated on candidate rows; nil accepts all.
 	Pred func(types.Row) bool
 }
 
 // All matches every row.
-func All() Where { return Where{Col: -1} }
+func All() Where { return Where{} }
 
-// Eq matches rows where the (indexed) column equals v.
-func Eq(col int, v types.Value) Where { return Where{Col: col, Val: v} }
+// Eq matches rows where the column equals v.
+func Eq(col int, v types.Value) Where { return Where{Pins: []types.Pin{{Col: col, Val: v}}} }
 
-// Pins returns the equality w pins, the input to types.Schema.Place.
-func (w Where) Pins() []types.Pin {
-	if w.Col < 0 {
-		return nil
+// ByUnique returns the Where that pins schema's unique key to vals, the
+// key's values in key order.
+func ByUnique(schema *types.Schema, vals []types.Value) (Where, error) {
+	uk := schema.UniqueKey
+	if len(uk) == 0 {
+		return Where{}, ErrNoUniqueKey
 	}
-	return []types.Pin{{Col: w.Col, Val: w.Val}}
+	if len(vals) != len(uk) {
+		return Where{}, fmt.Errorf("%d key values, unique key has %d columns", len(vals), len(uk))
+	}
+	pins := make([]types.Pin, len(uk))
+	for i, c := range uk {
+		pins[i] = types.Pin{Col: c, Val: vals[i]}
+	}
+	return Where{Pins: pins}, nil
 }
 
 func (w Where) matches(r types.Row) bool {
-	if w.Col >= 0 && !vector.CmpValue(r[w.Col], vector.Eq, w.Val) {
-		return false
+	for _, p := range w.Pins {
+		if !vector.CmpValue(r[p.Col], vector.Eq, p.Val) {
+			return false
+		}
 	}
 	return w.Pred == nil || w.Pred(r)
 }
 
 // walkMatches calls f with each live row w matches in the view and the
-// target that locates it. The buffer is sought where w's equality pin
-// places its rows (a unique-key range or a secondary key) and walked
-// otherwise; segments are probed through the secondary index on w's
-// equality column, or else scanned, skipping those whose zone maps
-// exclude its value. A buffer target's key is only valid during f.
+// target that locates it. The buffer is sought where w's pins place its
+// rows (a unique-key range or a secondary key) and walked otherwise;
+// segments are probed through the secondary index of the first pinned
+// column that has one, or else scanned, skipping those whose zone maps
+// exclude a pinned value. A buffer target's key is only valid during f.
 func (t *Table) walkMatches(view *View, w Where, f func(tg target, r types.Row)) {
 	visited := int64(0)
-	t.buffer.ScanPlaced(t.schema.Place(w.Pins()), view.TS, func(k []byte, r types.Row) bool {
+	t.buffer.ScanPlaced(t.schema.Place(w.Pins), view.TS, func(k []byte, r types.Row) bool {
 		visited++
 		if w.matches(r) {
 			f(target{key: k}, r)
@@ -95,15 +109,20 @@ func (t *Table) walkMatches(view *View, w Where, f func(tg target, r types.Row))
 		if meta.Deleted.Get(int(off)) {
 			return
 		}
-		if w.Col >= 0 && !vector.CmpValue(meta.Seg.ValueAt(int(off), w.Col), vector.Eq, w.Val) {
-			return
+		for _, p := range w.Pins {
+			if !vector.CmpValue(meta.Seg.ValueAt(int(off), p.Col), vector.Eq, p.Val) {
+				return
+			}
 		}
 		if r := meta.Seg.RowAt(int(off)); w.Pred == nil || w.Pred(r) {
 			f(target{meta: meta, off: off}, r)
 		}
 	}
-	if w.Col >= 0 && t.idx.HasColumn(w.Col) {
-		matches, probes := t.idx.LookupColumn(w.Col, w.Val)
+	for _, p := range w.Pins {
+		if !t.idx.HasColumn(p.Col) {
+			continue
+		}
+		matches, probes := t.idx.LookupColumn(p.Col, p.Val)
 		t.Stats.IndexProbes.Add(int64(probes))
 		for _, m := range matches {
 			if meta := view.segMeta(m.SegID); meta != nil {
@@ -114,10 +133,13 @@ func (t *Table) walkMatches(view *View, w Where, f func(tg target, r types.Row))
 		}
 		return
 	}
+segments:
 	for _, meta := range view.Segs {
-		if w.Col >= 0 && !meta.Seg.MayContain(w.Col, int(vector.Eq), w.Val) {
-			t.Stats.SegmentsEliminated.Add(1)
-			continue
+		for _, p := range w.Pins {
+			if !meta.Seg.MayContain(p.Col, int(vector.Eq), p.Val) {
+				t.Stats.SegmentsEliminated.Add(1)
+				continue segments
+			}
 		}
 		for i := 0; i < meta.Seg.NumRows; i++ {
 			segRow(meta, int32(i))
@@ -140,82 +162,174 @@ func (t *Table) findTargets(view *View, w Where) []target {
 	return tgs
 }
 
-// lockTarget locks tg's row in tx and returns the row's latest live copy
-// and where it lives: tg, or the buffer under tg.key once a point writer
-// has claimed the segment row since the snapshot. ok is false when the
-// row is gone. The caller holds structMu, so no flush or merge moves the
-// row meanwhile. A segment row not in the buffer is live unless a writer
-// set its deleted bit before it released the row lock, which segRowLive
-// reads at the latest state; a hidden-row-id segment row has no lock, and
-// only structMu holders write it.
-func (t *Table) lockTarget(tx *rowstore.Txn, tg target) (target, types.Row, bool, error) {
-	if tg.key != nil {
-		cur, ok, err := tx.LockAndGet(tg.key)
-		if err != nil || ok || tg.meta == nil {
-			return target{key: tg.key}, cur, ok, err
-		}
-	}
-	if !t.segRowLive(tg.meta.Seg.ID, tg.off) {
-		return tg, nil, false, nil
-	}
-	return tg, tg.meta.Seg.RowAt(int(tg.off)), true, nil
+// lockedRow is a target a writer holds: its latest live copy cur and the
+// target tg where that copy lives; ok is false when the row is gone.
+type lockedRow struct {
+	tg  target
+	cur types.Row
+	ok  bool
 }
 
-// writeWhere writes every row w matches (writeRow), as one transaction
-// and one log record: it finds the targets at a snapshot, locks each and
-// re-checks w on its latest copy. Holding structMu from discovery to
-// commit keeps the write exactly-once: otherwise a concurrent flush could
-// move a matched buffer row into a segment between the snapshot and the
-// lock, and the write would miss it.
-func (t *Table) writeWhere(w Where, del bool, set func(types.Row) types.Row) (int, error) {
-	what, kind := statement(del)
-	// Target discovery reads segment rows (index probes or full scans):
-	// a lazily-restored table must be resident first.
-	if err := t.ensureProbeReady(); err != nil {
-		return 0, fmt.Errorf("%s %s: %w", what, t.name, err)
+// lockTargets is every writer's one lock step. It takes the buffer row
+// lock of every keyed target in sorted key order, so writers that lock
+// overlapping rows cannot deadlock, and only then reads each target's
+// latest live copy, aligned with tgs:
+//
+//  1. the buffer copy;
+//  2. otherwise the target's segment row, if it is still live at the
+//     latest state (segRowLive);
+//  3. otherwise, for a target known by key alone, the live segment copy
+//     liveByKey finds at one settled snapshot taken after every lock is
+//     held: a flush that tombstoned a buffer row has committed, so only a
+//     snapshot at or after its publication sees the segment it wrote.
+//
+// The lock excludes every other writer of the row and keeps a flush off
+// it, so the caller's transaction is the row's move (§4.2): the write
+// step claims a segment copy into the caller's own mutation. A
+// hidden-row-id segment row has no key and takes no lock; only structMu
+// holders write it.
+func (t *Table) lockTargets(tx *rowstore.Txn, tgs []target) ([]lockedRow, error) {
+	order := make([]int, 0, len(tgs))
+	for i := range tgs {
+		if tgs[i].key != nil {
+			order = append(order, i)
+		}
 	}
-	t.structMu.Lock()
-	defer t.structMu.Unlock()
-	view := t.Snapshot()
-	defer view.Release()
-	tx := t.buffer.Begin(view.TS)
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(tgs[a].key, tgs[b].key) })
+	locked := make([]lockedRow, len(tgs))
+	for _, i := range order {
+		cur, ok, err := tx.LockAndGet(tgs[i].key)
+		if err != nil {
+			return nil, err
+		}
+		locked[i] = lockedRow{tg: target{key: tgs[i].key}, cur: cur, ok: ok}
+	}
+	var view *View
+	for i, tg := range tgs {
+		switch {
+		case locked[i].ok:
+		case tg.meta != nil:
+			if t.segRowLive(tg.meta.Seg.ID, tg.off) {
+				locked[i] = lockedRow{tg: tg, cur: tg.meta.Seg.RowAt(int(tg.off)), ok: true}
+			}
+		case tg.vals != nil:
+			if view == nil {
+				view = t.snapshotSettled()
+			}
+			v, seg, off, ok := t.liveByKey(view, tg.vals)
+			if v != view {
+				view.Release()
+				view = v
+			}
+			if ok {
+				meta := view.segMeta(seg)
+				locked[i] = lockedRow{tg: target{key: tg.key, meta: meta, off: off}, cur: meta.Seg.RowAt(int(off)), ok: true}
+			}
+		}
+	}
+	if view != nil {
+		view.Release()
+	}
+	return locked, nil
+}
+
+// Write rewrites via set every row w matches, or deletes them when set is
+// nil, as one transaction and one log record, and returns the number of
+// rows written and the record's sequence number (0 when none was).
+// Changing unique-key columns is not supported.
+//
+// A Where whose pins fix the whole unique key is a point write: its one
+// target is known by key alone, so it walks nothing and takes no
+// structMu. Any other Where finds its targets at a snapshot under
+// structMu, held to the commit: otherwise a concurrent flush could move a
+// found buffer row into a segment before it is locked, and the write
+// would miss it. Both then take the one lock step (lockTargets), re-check
+// w on each locked row's latest copy and write it (writeRow): a buffer
+// row is rewritten or tombstoned, a segment row claimed (§4.2).
+func (t *Table) Write(w Where, set func(types.Row) types.Row) (int, uint64, error) {
+	what, kind, count := "update", wal.KindInsert, &t.Stats.Updates
+	if set == nil {
+		what, kind, count = "delete", wal.KindDelete, &t.Stats.Deletes
+	}
+	// Finding a row reads segments (index probes or scans): a
+	// lazily-restored table must be resident first.
+	if err := t.ensureProbeReady(); err != nil {
+		return 0, 0, fmt.Errorf("%s %s: %w", what, t.name, err)
+	}
+	var (
+		tx  *rowstore.Txn
+		tgs []target
+	)
+	if pl := t.schema.Place(w.Pins); len(pl.Key) > 0 && len(pl.Key) == len(t.schema.UniqueKey) {
+		var done func()
+		tx, done = t.beginWrite()
+		defer done()
+		// From encodes the whole key: the row's buffer key.
+		tgs = []target{{key: pl.From, vals: pl.Key}}
+	} else {
+		t.structMu.Lock()
+		defer t.structMu.Unlock()
+		view := t.Snapshot()
+		defer view.Release()
+		tx = t.buffer.Begin(view.TS)
+		tgs = t.findTargets(view, w)
+	}
+	locked, err := t.lockTargets(tx, tgs)
 	m := &mutation{}
 	n := 0
-	for _, tg := range t.findTargets(view, w) {
-		tg, cur, ok, err := t.lockTarget(tx, tg)
-		if err == nil && ok && w.matches(cur) {
-			err = t.writeRow(tx, m, tg, cur, del, set)
+	for i := 0; err == nil && i < len(locked); i++ {
+		if l := locked[i]; l.ok && w.matches(l.cur) {
+			err = t.writeRow(tx, m, l.tg, l.cur, set)
 			n++
 		}
-		if err != nil {
-			tx.Abort()
-			return 0, fmt.Errorf("%s %s: %w", what, t.name, err)
-		}
+	}
+	if err != nil {
+		tx.Abort()
+		return 0, 0, fmt.Errorf("%s %s: %w", what, t.name, err)
 	}
 	if n == 0 {
 		tx.Abort()
-		return 0, nil
+		return 0, 0, nil
 	}
-	t.commit(kind, tx, m)
-	return n, nil
+	_, lsn := t.commit(kind, tx, m)
+	count.Add(int64(n))
+	return n, lsn, nil
 }
 
-// UpdateWhere rewrites the rows w matches via set, in one transaction
-// that claims the segment rows it rewrites (§4.2). Changing unique-key
-// columns is not supported. It returns the number of rows updated.
+// UpdateWhere rewrites the rows w matches via set (Write) and returns the
+// number of rows updated.
 func (t *Table) UpdateWhere(w Where, set func(types.Row) types.Row) (int, error) {
-	n, err := t.writeWhere(w, false, set)
-	t.Stats.Updates.Add(int64(n))
+	n, _, err := t.Write(w, set)
 	return n, err
 }
 
-// DeleteWhere removes the rows w matches in one transaction: buffer rows
-// get tombstones, segment rows their deleted bits (§4.2). It returns the
-// number of rows deleted.
+// DeleteWhere removes the rows w matches (Write) and returns the number
+// of rows deleted.
 func (t *Table) DeleteWhere(w Where) (int, error) {
-	n, err := t.writeWhere(w, true, nil)
-	t.Stats.Deletes.Add(int64(n))
+	n, _, err := t.Write(w, nil)
 	return n, err
+}
+
+// UpdateByUnique rewrites the row with the given unique key values via
+// set, a point write (Write). It reports whether the row exists.
+func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row) (bool, error) {
+	w, err := ByUnique(t.schema, vals)
+	if err != nil {
+		return false, err
+	}
+	n, _, err := t.Write(w, set)
+	return n > 0, err
+}
+
+// DeleteByUnique removes the row with the given unique key values, a
+// point write (Write). It reports whether the row existed.
+func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
+	w, err := ByUnique(t.schema, vals)
+	if err != nil {
+		return false, err
+	}
+	n, _, err := t.Write(w, nil)
+	return n > 0, err
 }
 
 // GetByUnique returns the live row with the given unique key values, using
@@ -273,130 +387,10 @@ func (t *Table) LookupEqual(col int, val types.Value) []types.Row {
 	return out
 }
 
-// UpdateByUnique rewrites the single row with the given unique key values
-// under its buffer row lock, claiming the row from its segment when it is
-// not in the buffer (§4.2). It reports whether a row was found.
-func (t *Table) UpdateByUnique(vals []types.Value, set func(types.Row) types.Row) (bool, error) {
-	ok, err := t.writeUnique(vals, false, set)
-	if ok {
-		t.Stats.Updates.Add(1)
-	}
-	return ok, err
-}
-
-// DeleteByUnique removes the single row with the given unique key values
-// under its buffer row lock: a buffer row is tombstoned, a segment row
-// gets its deleted bit.
-func (t *Table) DeleteByUnique(vals []types.Value) (bool, error) {
-	ok, err := t.writeUnique(vals, true, nil)
-	if ok {
-		t.Stats.Deletes.Add(1)
-	}
-	return ok, err
-}
-
-// writeUnique writes the row with unique-key values vals (writeRow), as
-// one transaction and one log record. It reports whether the row exists.
-func (t *Table) writeUnique(vals []types.Value, del bool, set func(types.Row) types.Row) (bool, error) {
-	what, kind := statement(del)
-	if len(t.schema.UniqueKey) == 0 {
-		return false, ErrNoUniqueKey
-	}
-	if err := t.ensureProbeReady(); err != nil {
-		return false, fmt.Errorf("%s %s: %w", what, t.name, err)
-	}
-	tx, done := t.beginWrite()
-	defer done()
-	m := &mutation{}
-	locked, err := t.lockUnique(tx, [][]byte{types.EncodeKey(nil, vals...)}, [][]types.Value{vals})
-	ok := err == nil && locked[0].ok
-	if ok {
-		err = t.writeRow(tx, m, locked[0].tg, locked[0].cur, del, set)
-	}
-	if err != nil {
-		tx.Abort()
-		return false, fmt.Errorf("%s %s: %w", what, t.name, err)
-	}
-	if !ok {
-		tx.Abort()
-		return false, nil
-	}
-	t.commit(kind, tx, m)
-	return true, nil
-}
-
-// lockedRow is a unique-key row a writer holds the row lock on: its
-// latest live copy cur and the target tg where that copy lives; ok is
-// false when the row does not exist.
-type lockedRow struct {
-	tg  target
-	cur types.Row
-	ok  bool
-}
-
-// lockUnique takes the buffer row locks on keys, the buffer keys of the
-// unique-key values vals, in sorted key order, so writers that lock
-// overlapping keys cannot deadlock. It returns each row's latest live
-// copy, aligned with keys: the buffer's, or else the live segment copy as
-// a target under the key. The lock excludes every other writer of the row
-// and keeps a flush off it, so the caller's transaction is the row's move
-// (§4.2): the write step claims a segment copy into the caller's own
-// mutation. The probe runs after every lock is held, at one settled
-// snapshot: a flush that tombstoned a buffer row has committed, so only a
-// snapshot at or after its publication sees the segment it wrote.
-func (t *Table) lockUnique(tx *rowstore.Txn, keys [][]byte, vals [][]types.Value) ([]lockedRow, error) {
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
-	locked := make([]lockedRow, len(keys))
-	probe := false
-	for _, i := range order {
-		cur, ok, err := tx.LockAndGet(keys[i])
-		if err != nil {
-			return nil, err
-		}
-		locked[i] = lockedRow{tg: target{key: keys[i]}, cur: cur, ok: ok}
-		probe = probe || !ok
-	}
-	if !probe {
-		return locked, nil
-	}
-	view := t.snapshotSettled()
-	defer func() { view.Release() }()
-	for i := range locked {
-		if locked[i].ok {
-			continue
-		}
-		v, seg, off, ok := t.liveByKey(view, vals[i])
-		if v != view {
-			view.Release()
-			view = v
-		}
-		if ok {
-			meta := view.segMeta(seg)
-			locked[i].tg.meta, locked[i].tg.off = meta, off
-			locked[i].cur, locked[i].ok = meta.Seg.RowAt(int(off)), true
-		}
-	}
-	return locked, nil
-}
-
-// statement returns a write statement's name, for its errors, and the kind
-// of its log record.
-func statement(del bool) (string, wal.Kind) {
-	if del {
-		return "delete", wal.KindDelete
-	}
-	return "update", wal.KindInsert
-}
-
-// writeRow is the one per-row step of UpdateWhere and UpdateByUnique, and
-// of DeleteWhere and DeleteByUnique: it deletes the locked row tg when del
-// is set, and otherwise rewrites it via set from cur, its latest live copy.
-func (t *Table) writeRow(tx *rowstore.Txn, m *mutation, tg target, cur types.Row, del bool, set func(types.Row) types.Row) error {
-	if del {
+// writeRow is Write's per-row step: it deletes the locked row tg when set
+// is nil, and otherwise rewrites it via set from cur, its latest live copy.
+func (t *Table) writeRow(tx *rowstore.Txn, m *mutation, tg target, cur types.Row, set func(types.Row) types.Row) error {
+	if set == nil {
 		return t.dropRow(tx, m, tg)
 	}
 	return t.putRow(tx, m, tg, set(cur.Clone()))

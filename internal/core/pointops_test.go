@@ -325,7 +325,7 @@ func TestWhereOnLeadingKeyColumnSeeks(t *testing.T) {
 	}
 	bump := func(r types.Row) types.Row { r[2] = types.NewInt(r[2].I + 1000); return r }
 	pinned := Eq(0, types.NewInt(-2))
-	bare := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == -2 }}
+	bare := Where{Pred: func(r types.Row) bool { return r[0].I == -2 }}
 
 	seek, walk := load(), load()
 	n1, err := seek.UpdateWhere(pinned, bump)
@@ -342,7 +342,7 @@ func TestWhereOnLeadingKeyColumnSeeks(t *testing.T) {
 	if d1, err := seek.DeleteWhere(Eq(0, types.NewInt(1))); err != nil || d1 != 10 {
 		t.Fatalf("seek delete = %d, %v", d1, err)
 	}
-	if d2, err := walk.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 1 }}); err != nil || d2 != 10 {
+	if d2, err := walk.DeleteWhere(Where{Pred: func(r types.Row) bool { return r[0].I == 1 }}); err != nil || d2 != 10 {
 		t.Fatalf("walk delete = %d, %v", d2, err)
 	}
 	contents := func(tbl *Table) []string {
@@ -370,7 +370,7 @@ func TestWhereOnLeadingKeyColumnSeeks(t *testing.T) {
 // table alike, and a shadow replayed from the log equals the primary.
 func TestOneRecordPerWriteStatement(t *testing.T) {
 	key3 := []types.Value{types.NewInt(3)}
-	is3 := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 3 }}
+	is3 := Where{Pred: func(r types.Row) bool { return r[0].I == 3 }}
 	bump := func(r types.Row) types.Row { r[1] = types.NewInt(r[1].I + 100); return r }
 	type writer struct {
 		name   string

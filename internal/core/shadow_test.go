@@ -86,13 +86,12 @@ func claimThenCommit(tb testing.TB, tbl *Table, between func(), ids ...int) {
 	tx, done := tbl.beginWrite()
 	defer done()
 	m := &mutation{}
-	keys := make([][]byte, len(ids))
-	vals := make([][]types.Value, len(ids))
+	tgs := make([]target, len(ids))
 	for i, id := range ids {
-		vals[i] = []types.Value{types.NewInt(int64(id))}
-		keys[i] = types.EncodeKey(nil, vals[i]...)
+		vals := []types.Value{types.NewInt(int64(id))}
+		tgs[i] = target{key: types.EncodeKey(nil, vals...), vals: vals}
 	}
-	locked, err := tbl.lockUnique(tx, keys, vals)
+	locked, err := tbl.lockTargets(tx, tgs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -167,7 +166,8 @@ func TestMoveAfterMergeReplays(t *testing.T) {
 }
 
 // TestPointWritesVersusMergeStorm races point updates, upserts and deletes,
-// and filtered updates and deletes, against back-to-back flushes and
+// filtered updates and deletes of one row, and a filtered update of many
+// rows across the buffer and segments, against back-to-back flushes and
 // merges, at GOMAXPROCS 1 and 2, then checks shadows fed from the log —
 // from the start and from a snapshot cut mid-storm — against the primary.
 func TestPointWritesVersusMergeStorm(t *testing.T) {
@@ -201,7 +201,7 @@ func TestPointWritesVersusMergeStorm(t *testing.T) {
 						}
 						key := []types.Value{types.NewInt(int64(rng.Intn(keys)))}
 						var err error
-						switch rng.Intn(5) {
+						switch rng.Intn(6) {
 						case 0:
 							_, err = tbl.UpdateByUnique(key, bump)
 						case 1:
@@ -215,7 +215,13 @@ func TestPointWritesVersusMergeStorm(t *testing.T) {
 							_, err = tbl.UpdateWhere(Eq(0, key[0]), bump)
 						case 4:
 							id := key[0].I
-							_, err = tbl.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == id }})
+							_, err = tbl.DeleteWhere(Where{Pred: func(r types.Row) bool { return r[0].I == id }})
+						case 5:
+							// Many rows, in the buffer and in segments: the
+							// original rows or the re-inserted ones, a
+							// quarter of the keys.
+							tag, id := []string{"s", "u"}[rng.Intn(2)], key[0].I
+							_, err = tbl.UpdateWhere(Where{Pred: func(r types.Row) bool { return r[2].S == tag && r[0].I%4 == id%4 }}, bump)
 						}
 						if err != nil {
 							t.Errorf("writer %d op %d: %v", w, op, err)

@@ -327,8 +327,9 @@ type Table struct {
 	buffer *rowstore.Store
 	idx    *index.Set
 
-	// structMu serializes structural changes (flush, merge installs) with
-	// each other and with UpdateWhere/DeleteWhere, which hold it from
+	// structMu serializes structural changes (flush, merge installs, bulk
+	// loads) with each other and with the writes that walk for their
+	// targets (Write with no whole unique key pinned), which hold it from
 	// target discovery to commit so the rows they found stay where they
 	// were found (§4.2). Nothing holds a row lock while it waits for
 	// structMu. A merge holds it only for the install commit; the

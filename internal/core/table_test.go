@@ -211,7 +211,7 @@ func TestUpdateWhereBufferAndSegment(t *testing.T) {
 		tbl.Insert(urow(i, 0, "x")) // these stay in the buffer
 	}
 	n, err := tbl.UpdateWhere(
-		Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I%2 == 0 }},
+		Where{Pred: func(r types.Row) bool { return r[0].I%2 == 0 }},
 		func(r types.Row) types.Row { r[1] = types.NewInt(777); return r },
 	)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestDeleteWhere(t *testing.T) {
 		tbl.Insert(urow(i, i, "x"))
 	}
 	tbl.Flush()
-	n, err := tbl.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I < 4 }})
+	n, err := tbl.DeleteWhere(Where{Pred: func(r types.Row) bool { return r[0].I < 4 }})
 	if err != nil || n != 4 {
 		t.Fatalf("DeleteWhere = %d, %v", n, err)
 	}
@@ -356,7 +356,7 @@ func TestBulkLoad(t *testing.T) {
 	for i := range rows {
 		rows[i] = urow(i, i, "bulk")
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.BufferLen() != 0 {
@@ -372,7 +372,7 @@ func TestBulkLoad(t *testing.T) {
 	if err := tbl.Insert(urow(5, 0, "dup")); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("dup vs bulk = %v", err)
 	}
-	if err := tbl.BulkLoad([]types.Row{urow(5, 0, "dup")}); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tbl.BulkLoad([]types.Row{urow(5, 0, "dup")}); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("bulk dup = %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestHiddenRowIDTables(t *testing.T) {
 	}
 	tbl.Flush()
 	// Delete by predicate on a non-indexed column.
-	n, err := tbl.DeleteWhere(Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 1 }})
+	n, err := tbl.DeleteWhere(Where{Pred: func(r types.Row) bool { return r[0].I == 1 }})
 	if err != nil || n != 3 {
 		t.Fatalf("DeleteWhere = %d, %v", n, err)
 	}
@@ -409,7 +409,7 @@ func TestHiddenRowIDUpdateWhere(t *testing.T) {
 			}
 		}
 	}
-	is2 := Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 2 }}
+	is2 := Where{Pred: func(r types.Row) bool { return r[0].I == 2 }}
 	bump := func(r types.Row) types.Row { r[1] = types.NewInt(r[1].I + 100); return r }
 	for round := 1; round <= 2; round++ {
 		// Rows 2 and 5 live in the segment, row 8 in the buffer; the second

@@ -64,12 +64,12 @@ func (t *Table) Upsert(row types.Row) error {
 	return err
 }
 
-// InsertBatch ingests rows with unique-key enforcement (§4.1.2): it takes
-// the buffer row lock on every distinct unique key of the batch, in sorted
-// key order so concurrent batches cannot deadlock, probes the secondary
-// index for the keys with no live buffer row, applies the configured
-// conflict policy row by row in batch order, and commits buffer writes
-// plus any deleted-bit updates as one transaction.
+// InsertBatch ingests rows with unique-key enforcement (§4.1.2): it locks
+// every distinct unique key of the batch in the writers' one lock step
+// (lockTargets), which finds each key's live row in the buffer or through
+// the secondary index, applies the configured conflict policy row by row
+// in batch order, and commits buffer writes plus any deleted-bit updates
+// as one transaction.
 func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult, error) {
 	var res InsertResult
 	for _, r := range rows {
@@ -108,8 +108,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 	// Under DupError a key the batch repeats fails it here.
 	slot := make([]int, len(rows))
 	first := make(map[string]int, len(rows))
-	keys := make([][]byte, 0, len(rows))
-	vals := make([][]types.Value, 0, len(rows))
+	tgs := make([]target, 0, len(rows))
 	for i, r := range rows {
 		vs := make([]types.Value, len(uk))
 		for j, c := range uk {
@@ -121,9 +120,9 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		key := types.EncodeKey(nil, vs...)
 		s, seen := first[string(key)]
 		if !seen {
-			s = len(keys)
+			s = len(tgs)
 			first[string(key)] = s
-			keys, vals = append(keys, key), append(vals, vs)
+			tgs = append(tgs, target{key: key, vals: vs})
 		} else if opts.OnDup == DupError {
 			t.Stats.DupConflicts.Add(1)
 			return res, fmt.Errorf("%w: within batch", ErrDuplicateKey)
@@ -133,7 +132,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 
 	tx, done := t.beginWrite()
 	defer done()
-	locked, err := t.lockUnique(tx, keys, vals)
+	locked, err := t.lockTargets(tx, tgs)
 	if err != nil {
 		tx.Abort()
 		return res, fmt.Errorf("insert %s: lock: %w", t.name, err)
@@ -251,10 +250,6 @@ func (t *Table) liveMatch(view *View, m index.Match) (int32, bool) {
 // checkBulkKeys reports ErrDuplicateKey when two of rows, or one of rows
 // and a live row, share a unique key.
 func (t *Table) checkBulkKeys(rows []types.Row) error {
-	// See InsertBatch: index probes need every segment hydrated.
-	if err := t.ensureProbeReady(); err != nil {
-		return fmt.Errorf("bulk load %s: %w", t.name, err)
-	}
 	seen := make(map[string]struct{}, len(rows))
 	view := t.Snapshot()
 	defer view.Release()
@@ -285,23 +280,34 @@ func (t *Table) checkBulkKeys(rows []types.Row) error {
 // BulkLoad ingests rows directly into columnstore segments, bypassing the
 // buffer — the batch-load path that keeps data "only in highly compressed
 // columnstore format" (§7's contrast with TiDB). Unique keys are checked
-// against existing data under DupError only.
-func (t *Table) BulkLoad(rows []types.Row) error {
+// against existing data under DupError only. It returns the sequence
+// number of its last log record.
+func (t *Table) BulkLoad(rows []types.Row) (uint64, error) {
 	for _, r := range rows {
 		if err := t.schema.CheckRow(r); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if len(rows) == 0 {
-		return nil
+		return 0, nil
 	}
-	if len(t.schema.UniqueKey) > 0 {
-		if err := t.checkBulkKeys(rows); err != nil {
-			return err
+	keyed := len(t.schema.UniqueKey) > 0
+	// See InsertBatch: index probes need every segment hydrated.
+	if keyed {
+		if err := t.ensureProbeReady(); err != nil {
+			return 0, fmt.Errorf("bulk load %s: %w", t.name, err)
 		}
 	}
+	// The key check and the segment commits run under one structMu hold,
+	// so two loads of one new key cannot both pass the check.
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
+	if keyed {
+		if err := t.checkBulkKeys(rows); err != nil {
+			return 0, err
+		}
+	}
+	var lsn uint64
 	for start := 0; start < len(rows); start += t.cfg.MaxSegmentRows {
 		end := start + t.cfg.MaxSegmentRows
 		if end > len(rows) {
@@ -317,12 +323,12 @@ func (t *Table) BulkLoad(rows []types.Row) error {
 		file := fmt.Sprintf("%s/seg-%08d-lp%08d", t.name, segID, t.log.Head())
 		segBytes := seg.Encode()
 		if err := t.files.SaveFile(file, segBytes); err != nil {
-			return fmt.Errorf("bulk load %s: %w", t.name, err)
+			return lsn, fmt.Errorf("bulk load %s: %w", t.name, err)
 		}
-		t.commit(wal.KindFlush, nil, &mutation{
+		_, lsn = t.commit(wal.KindFlush, nil, &mutation{
 			NewSegs: []segInstall{{File: file, Run: run, SegBytes: segBytes, seg: seg}},
 		})
 	}
 	t.Stats.Inserts.Add(int64(len(rows)))
-	return nil
+	return lsn, nil
 }

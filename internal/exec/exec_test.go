@@ -50,7 +50,7 @@ func fill(t testing.TB, tbl *core.Table, n int, flushAll bool) {
 	if flushAll {
 		split = n
 	}
-	if err := tbl.BulkLoad(rows[:split]); err != nil {
+	if _, err := tbl.BulkLoad(rows[:split]); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows[split:] {
@@ -141,7 +141,7 @@ func TestSegmentSkippingViaIndex(t *testing.T) {
 				types.NewFloat(1),
 			}
 		}
-		if err := tbl.BulkLoad(rows); err != nil {
+		if _, err := tbl.BulkLoad(rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestEquiJoinFloatZeros(t *testing.T) {
 		}
 		rows[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(f)}
 	}
-	if err := tbl.BulkLoad(rows[:100]); err != nil {
+	if _, err := tbl.BulkLoad(rows[:100]); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows[100:] {
@@ -406,7 +406,7 @@ func TestEquiJoinSkipsNullKeys(t *testing.T) {
 	nullRow := func(id int64) types.Row {
 		return types.Row{types.NewInt(id), types.Null(types.String), types.NewInt(1), types.NewFloat(1)}
 	}
-	if err := tbl.BulkLoad([]types.Row{nullRow(1001), nullRow(1002)}); err != nil {
+	if _, err := tbl.BulkLoad([]types.Row{nullRow(1001), nullRow(1002)}); err != nil {
 		t.Fatal(err)
 	}
 	fill(t, tbl, 200, false)
@@ -439,7 +439,7 @@ func TestScanSeesBufferAndSegmentsConsistently(t *testing.T) {
 	}
 	// Delete some rows, scan again at old and new snapshots.
 	view := tbl.Snapshot()
-	tbl.DeleteWhere(core.Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I < 10 }})
+	tbl.DeleteWhere(core.Where{Pred: func(r types.Row) bool { return r[0].I < 10 }})
 	if n := NewScan(view, nil).Count(); n != 100 {
 		t.Fatalf("old snapshot count = %d", n)
 	}

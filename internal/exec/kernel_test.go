@@ -118,10 +118,10 @@ func fillKernel(t testing.TB, tbl *core.Table, n, buffered int) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, kernelRow(i))
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.DeleteWhere(core.Where{Col: -1, Pred: func(r types.Row) bool {
+	if _, err := tbl.DeleteWhere(core.Where{Pred: func(r types.Row) bool {
 		return r[0].I%13 == 0
 	}}); err != nil {
 		t.Fatal(err)
@@ -410,12 +410,12 @@ func TestRunStraddlesSelectionGap(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		rows = append(rows, kernelRow(i))
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
 	// Delete ids 20..24: val = id/16, so the val==1 run [16,32) gains an
 	// interior gap.
-	if _, err := tbl.DeleteWhere(core.Where{Col: -1, Pred: func(r types.Row) bool {
+	if _, err := tbl.DeleteWhere(core.Where{Pred: func(r types.Row) bool {
 		return r[0].I >= 20 && r[0].I < 25
 	}}); err != nil {
 		t.Fatal(err)
@@ -436,7 +436,7 @@ func TestRunStraddlesSelectionGap(t *testing.T) {
 		r[3] = types.NewInt(5)
 		same = append(same, r)
 	}
-	if err := one.BulkLoad(same); err != nil {
+	if _, err := one.BulkLoad(same); err != nil {
 		t.Fatal(err)
 	}
 	v1 := one.Snapshot()
@@ -764,8 +764,9 @@ func TestNaNRejectedAtWrite(t *testing.T) {
 		}
 	}
 	wantErr("Insert", tbl.Insert(nanRow))
-	wantErr("BulkLoad", tbl.BulkLoad([]types.Row{nanRow}))
-	_, err := tbl.UpdateWhere(core.Where{Col: -1, Pred: func(r types.Row) bool { return r[0].I == 3 }}, func(r types.Row) types.Row {
+	_, err := tbl.BulkLoad([]types.Row{nanRow})
+	wantErr("BulkLoad", err)
+	_, err = tbl.UpdateWhere(core.Where{Pred: func(r types.Row) bool { return r[0].I == 3 }}, func(r types.Row) types.Row {
 		r = r.Clone()
 		r[4] = types.NewFloat(math.NaN())
 		return r
@@ -810,7 +811,7 @@ func TestFloatEqualityNeverUsesHashes(t *testing.T) {
 		}
 		rows = append(rows, types.Row{types.NewInt(int64(i)), score})
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if _, err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
 	view := tbl.Snapshot()

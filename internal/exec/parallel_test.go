@@ -32,7 +32,7 @@ func parallelFixture(t testing.TB, parts, rows int) []*core.View {
 				types.NewFloat(float64(i) * 0.5),
 			})
 		}
-		if err := tbl.BulkLoad(batch[:len(batch)/2]); err != nil {
+		if _, err := tbl.BulkLoad(batch[:len(batch)/2]); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range batch[len(batch)/2:] {

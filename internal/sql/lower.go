@@ -489,9 +489,10 @@ func (s *Statement) BindDelete(text string, vals []types.Value, schema *types.Sc
 }
 
 // bindWhere lowers a predicate template onto core.Where: the full tree is
-// resolved to ordinals and evaluated per candidate row, and the first
-// non-NULL pin of the tree (exec.Pins, the derivation reads use too)
-// becomes the index hint core uses to seek instead of scanning.
+// resolved to ordinals and evaluated per candidate row, and every non-NULL
+// pin of the tree (exec.Pins, the derivation reads use too) becomes one of
+// its pins, which core places the write by: a point write when they fix
+// the whole unique key, else a seek or a walk.
 func bindWhere(e Expr, text string, vals []types.Value, schema *types.Schema) (core.Where, error) {
 	if e == nil {
 		return core.All(), nil
@@ -504,11 +505,10 @@ func bindWhere(e Expr, text string, vals []types.Value, schema *types.Schema) (c
 	if err != nil {
 		return core.Where{}, err
 	}
-	w := core.Where{Col: -1, Pred: resolved.EvalRow}
+	w := core.Where{Pred: resolved.EvalRow}
 	for _, p := range exec.Pins(resolved) {
 		if !p.Val.IsNull {
-			w.Col, w.Val = p.Col, p.Val
-			break
+			w.Pins = append(w.Pins, p)
 		}
 	}
 	return w, nil

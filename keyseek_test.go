@@ -23,8 +23,9 @@ func openUnflushedDB(t *testing.T, cfg Config) *DB {
 
 // TestPointSelectSeeksOnePartition is the point path end to end: with two
 // partitions of 5 000 unflushed rows each, `WHERE id = ?` snapshots only
-// the owning partition and visits at most the one matching buffer row,
-// while filters that pin no unique-key value still walk every row.
+// the owning partition and visits at most the one matching buffer row (an
+// UPDATE of it visits none), while filters that pin no unique-key value
+// still walk every row.
 func TestPointSelectSeeksOnePartition(t *testing.T) {
 	const n = 10_000
 	db := openUnflushedDB(t, Config{Partitions: 2})
@@ -58,6 +59,26 @@ func TestPointSelectSeeksOnePartition(t *testing.T) {
 	}
 	if !strings.Contains(plan.String(), "seek    id = 4242") {
 		t.Fatalf("plan string lacks the seek:\n%s", plan)
+	}
+
+	// The write twin is a point write: it locks the one key and visits no
+	// buffer row.
+	visited := func() (n int64) {
+		for pi := 0; pi < 2; pi++ {
+			tbl, err := db.cluster.Master(pi).Table("events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += tbl.Stats.BufferRowsScanned.Load()
+		}
+		return n
+	}
+	before := visited()
+	if n, err := db.Exec("UPDATE events SET amount = ? WHERE id = ?", Int(-1), Int(4242)); err != nil || n != 1 {
+		t.Fatalf("point update = %d, %v", n, err)
+	}
+	if v := visited() - before; v != 0 {
+		t.Fatalf("point update visited %d buffer rows, want 0", v)
 	}
 
 	for _, c := range []struct {

@@ -56,6 +56,8 @@ type (
 	InsertOptions = core.InsertOptions
 	// Where targets rows for Update and Delete.
 	Where = core.Where
+	// Pin is one column equality of a Where.
+	Pin = types.Pin
 )
 
 // Column type constants.

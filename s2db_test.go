@@ -132,7 +132,7 @@ func TestUpdateDeleteThroughFacade(t *testing.T) {
 	db := openTestDB(t, Config{Partitions: 2})
 	db.CreateTable("events", eventsSchema())
 	loadEvents(t, db, 100)
-	n, err := db.Update("events", Where{Col: 1, Val: Str("k0")}, func(r Row) Row {
+	n, err := db.Update("events", Where{Pins: []Pin{{Col: 1, Val: Str("k0")}}}, func(r Row) Row {
 		r[2] = Int(-5)
 		return r
 	})
@@ -143,7 +143,7 @@ func TestUpdateDeleteThroughFacade(t *testing.T) {
 	if cnt != 25 {
 		t.Fatalf("updated rows visible = %d", cnt)
 	}
-	d, err := db.Delete("events", Where{Col: 1, Val: Str("k3")})
+	d, err := db.Delete("events", Where{Pins: []Pin{{Col: 1, Val: Str("k3")}}})
 	if err != nil || d != 25 {
 		t.Fatalf("Delete = %d, %v", d, err)
 	}
@@ -245,7 +245,7 @@ func TestFacadePointInTimeRestore(t *testing.T) {
 	}
 	past := time.Now()
 	time.Sleep(2 * time.Millisecond)
-	if _, err := db.Delete("events", Where{Col: -1, Pred: func(Row) bool { return true }}); err != nil {
+	if _, err := db.Delete("events", Where{Pred: func(Row) bool { return true }}); err != nil {
 		t.Fatal(err)
 	}
 	for pi := 0; pi < 2; pi++ {

@@ -236,7 +236,7 @@ func TestSQLDMLEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	un2, err := db.Update("orders2",
-		Where{Col: -1, Pred: func(r Row) bool { return r[1].S == "books" && r[2].I > 1 }},
+		Where{Pred: func(r Row) bool { return r[1].S == "books" && r[2].I > 1 }},
 		func(r Row) Row {
 			out := append(Row(nil), r...)
 			out[2] = Int(10)
@@ -252,7 +252,7 @@ func TestSQLDMLEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn2, err := db.Delete("orders2", Where{Col: -1, Pred: func(r Row) bool { return r[0].I == 2 || r[3].F >= 40.0 }})
+	dn2, err := db.Delete("orders2", Where{Pred: func(r Row) bool { return r[0].I == 2 || r[3].F >= 40.0 }})
 	if err != nil || dn != dn2 {
 		t.Fatalf("delete = %d vs %d, %v", dn, dn2, err)
 	}
@@ -262,7 +262,7 @@ func TestSQLDMLEquivalence(t *testing.T) {
 	if err != nil || un != 1 {
 		t.Fatalf("pinned update = %d, %v", un, err)
 	}
-	un2, err = db.Update("orders2", Where{Col: 0, Val: Int(3)}, func(r Row) Row {
+	un2, err = db.Update("orders2", Where{Pins: []Pin{{Col: 0, Val: Int(3)}}}, func(r Row) Row {
 		out := append(Row(nil), r...)
 		out[2] = Int(4)
 		return out
@@ -277,7 +277,7 @@ func TestSQLDMLEquivalence(t *testing.T) {
 	if err != nil || dn != 1 {
 		t.Fatalf("nested-AND delete = %d, %v", dn, err)
 	}
-	dn2, err = db.Delete("orders2", Where{Col: -1, Pred: func(r Row) bool { return r[0].I == 1 && r[1].S == "books" && r[2].I > 0 }})
+	dn2, err = db.Delete("orders2", Where{Pred: func(r Row) bool { return r[0].I == 1 && r[1].S == "books" && r[2].I > 0 }})
 	if err != nil || dn2 != 1 {
 		t.Fatalf("nested-AND delete = %d, %v", dn2, err)
 	}
@@ -295,6 +295,98 @@ func TestSQLDMLEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tables diverge after DML\n sql: %v\nwant: %v", got, want)
+	}
+
+	// A two-column unique key (a, b): SQL on pairs, the Go API on pairs2.
+	// A statement that pins a and b is a point write and visits no buffer
+	// row; one that pins only a seeks a's key range.
+	pairs := func() *Schema {
+		s := NewSchema(
+			Column{Name: "a", Type: Int64T},
+			Column{Name: "b", Type: Int64T},
+			Column{Name: "v", Type: Int64T},
+		)
+		s.UniqueKey = []int{0, 1}
+		s.ShardKey = []int{0}
+		return s
+	}
+	var rows []Row
+	for a := int64(0); a < 4; a++ {
+		for b := int64(0); b < 4; b++ {
+			rows = append(rows, Row{Int(a), Int(b), Int(a*10 + b)})
+		}
+	}
+	for _, name := range []string{"pairs", "pairs2"} {
+		if err := db.CreateTable(name, pairs()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert(name, rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	visited := func() (n int64) {
+		for pi := 0; pi < db.cluster.Partitions(); pi++ {
+			tbl, err := db.cluster.Master(pi).Table("pairs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += tbl.Stats.BufferRowsScanned.Load()
+		}
+		return n
+	}
+	ab := func(a, b int64) []Pin { return []Pin{{Col: 0, Val: Int(a)}, {Col: 1, Val: Int(b)}} }
+	setV := func(v int64) func(Row) Row {
+		return func(r Row) Row {
+			out := append(Row(nil), r...)
+			out[2] = Int(v)
+			return out
+		}
+	}
+	over := func(v int64) func(Row) bool { return func(r Row) bool { return r[2].I > v } }
+	for _, c := range []struct {
+		sql   string
+		binds []Value
+		where Where
+		set   func(Row) Row
+		want  int
+		point bool
+	}{
+		{"UPDATE pairs SET v = ? WHERE a = ? AND b = ?", []Value{Int(100), Int(1), Int(2)}, Where{Pins: ab(1, 2)}, setV(100), 1, true},
+		{"DELETE FROM pairs WHERE b = ? AND a = ?", []Value{Int(3), Int(2)}, Where{Pins: ab(2, 3)}, nil, 1, true},
+		{"UPDATE pairs SET v = ? WHERE a = ? AND b = ? AND v > ?", []Value{Int(200), Int(3), Int(1), Int(30)}, Where{Pins: ab(3, 1), Pred: over(30)}, setV(200), 1, true},
+		{"UPDATE pairs SET v = ? WHERE a = ? AND b = ? AND v > ?", []Value{Int(300), Int(3), Int(0), Int(30)}, Where{Pins: ab(3, 0), Pred: over(30)}, setV(300), 0, true},
+		{"DELETE FROM pairs WHERE a = ? AND b = ? AND v > ?", []Value{Int(0), Int(1), Int(0)}, Where{Pins: ab(0, 1), Pred: over(0)}, nil, 1, true},
+		{"DELETE FROM pairs WHERE a = ? AND b = ? AND v > ?", []Value{Int(0), Int(2), Int(50)}, Where{Pins: ab(0, 2), Pred: over(50)}, nil, 0, true},
+		{"UPDATE pairs SET v = ? WHERE a = ?", []Value{Int(7), Int(1)}, Where{Pins: []Pin{{Col: 0, Val: Int(1)}}}, setV(7), 4, false},
+		{"DELETE FROM pairs WHERE a = ? AND v > ?", []Value{Int(3), Int(32)}, Where{Pins: []Pin{{Col: 0, Val: Int(3)}}, Pred: over(32)}, nil, 2, false},
+	} {
+		before := visited()
+		n, err := db.Exec(c.sql, c.binds...)
+		if err != nil || n != c.want {
+			t.Fatalf("%s %v = %d, %v; want %d", c.sql, c.binds, n, err, c.want)
+		}
+		if v := visited() - before; c.point != (v == 0) {
+			t.Fatalf("%s %v visited %d buffer rows; point write %v", c.sql, c.binds, v, c.point)
+		}
+		if c.set != nil {
+			n, err = db.Update("pairs2", c.where, c.set)
+		} else {
+			n, err = db.Delete("pairs2", c.where)
+		}
+		if err != nil || n != c.want {
+			t.Fatalf("builder twin of %s %v = %d, %v; want %d", c.sql, c.binds, n, err, c.want)
+		}
+	}
+	got, err = db.Query("SELECT * FROM pairs ORDER BY a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = db.Table("pairs2").OrderBy(Asc("a"), Asc("b")).Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows)-4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs diverge after DML\n sql: %v\nwant: %v", got, want)
 	}
 }
 
