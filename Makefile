@@ -1,9 +1,10 @@
-# Tier-1 gate: every change must pass `make check` — build, vet, and the
+# Tier-1 gate: every change must pass `make check` — build, vet, the
 # full test suite under the race detector (the parallel fan-out scheduler
-# runs on every query, so -race is part of the gate, not an extra).
-.PHONY: check ci fmtcheck decodecheck lockcheck lint build vet test race racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke loc
+# runs on every query, so -race is part of the gate, not an extra), and
+# one iteration of the exec kernel benchmarks, so that they cannot rot.
+.PHONY: check ci fmtcheck decodecheck lockcheck lint build vet test race kernelbench racewal qossmoke procsmoke bench benchsmoke benchall fuzzsmoke chaossmoke loc
 
-check: build vet race
+check: build vet race kernelbench
 
 # ci mirrors .github/workflows/ci.yml exactly: formatting, the one-reader
 # decode gate, the one-lock-step gate, staticcheck, the tier-1 check gate, the focused WAL/replication race gate, the
@@ -106,6 +107,11 @@ test:
 race:
 	go test -race ./...
 
+# kernelbench runs the fused GROUP BY benchmark once: a build and a smoke
+# run, not a measurement.
+kernelbench:
+	go test ./internal/exec -run '^$$' -bench FusedGroupBy -benchtime 1x
+
 # bench runs the repository's benchmark (bench/, BENCHMARK.json) at full
 # scale: one run per workload, each ending in one JSON line on stdout.
 BENCH_WORKLOADS = tpcc tpch chbench sqlmix
@@ -159,28 +165,30 @@ benchsmoke:
 # their size, and serve and re-encode stably what it accepts, and the TCP
 # transport's frame reader (FuzzReadFrame) must allocate no more than the
 # bytes that arrived warrant, whatever a frame header claims (DESIGN.md
-# §17). Long campaigns are manual; this is the CI regression guard.
+# §17). Long campaigns are manual; this is the CI regression guard. A
+# failing input is reported unshrunk: -fuzzminimizetime 1s keeps each
+# target's 10 s for fuzzing rather than minimising the first new input.
 fuzzsmoke:
-	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
-	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
-	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime 10s
-	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s
-	go test ./internal/exec -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
-	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s
-	go test ./internal/rowstore -run '^$$' -fuzz '^FuzzBufferSecondary$$' -fuzztime 10s
-	go test ./internal/core -run '^$$' -fuzz '^FuzzBufferImage$$' -fuzztime 10s
-	go test ./internal/core -run '^$$' -fuzz '^FuzzWriteHistory$$' -fuzztime 10s
-	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s
-	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s
-	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s
-	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeIntColumn$$' -fuzztime 10s
-	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeStringColumn$$' -fuzztime 10s
-	go test ./internal/colstore -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
-	go test ./internal/bitmap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
-	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 10s
-	go test ./internal/types -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s
-	go test ./internal/core -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s
-	go test ./internal/cluster -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
+	go test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/sql -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/exec -run '^$$' -fuzz '^FuzzFilterTree$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/exec -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/types -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/rowstore -run '^$$' -fuzz '^FuzzBufferSecondary$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzBufferImage$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzWriteHistory$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeSnapshotBundle$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/index -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeIntColumn$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/codec -run '^$$' -fuzz '^FuzzDecodeStringColumn$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/colstore -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/bitmap -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/types -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/core -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/cluster -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # loc prints the non-test Go lines of each package directory and of the
 # whole tree, the size a simplification is measured by. Hidden

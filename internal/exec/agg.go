@@ -98,35 +98,25 @@ func (a *aggState) add(v types.Value) {
 // fold is one aggregate's state over a column of Go type T — an aggState,
 // unboxed. The fused kernels unbox a group's state once per segment
 // (foldOf), fold the segment's rows into it in row order and box it back
-// (storeFold), so the state they leave is the one add would.
+// (storeFold). A kernel folds only the fields its function's result reads —
+// count for COUNT, sum for SUM, both for AVG, the bounds for MIN and MAX —
+// so what they leave reads as what add would have left.
 type fold[T colValue] struct {
 	count    int64
 	sum      T
 	min, max T
 	has      bool
-	sums     bool // T is a number; a string "sum" would concatenate
 }
 
-// add folds one non-null value: the same transitions as aggState.add.
-func (f *fold[T]) add(v T) {
-	f.count++
-	if f.sums {
-		f.sum += v
-	}
-	f.bound(v)
-}
-
-// addRun folds n consecutive copies of a non-null value: integer sums take
-// v×n, float sums replay the additions (addFloatRun), MIN/MAX compare once.
-func (f *fold[T]) addRun(v T, n int) {
-	f.count += int64(n)
+// sumRun adds n consecutive copies of a non-null value to the sum: integer
+// sums take v×n, float sums replay the additions (addFloatRun).
+func (f *fold[T]) sumRun(v T, n int) {
 	switch sum := any(&f.sum).(type) {
 	case *int64:
 		*sum += any(v).(int64) * int64(n)
 	case *float64:
 		addFloatRun(sum, any(v).(float64), n)
 	}
-	f.bound(v)
 }
 
 // addFloatRun adds v to *sum n times, in order. Float addition is not
@@ -155,16 +145,15 @@ func (f *fold[T]) bound(v T) {
 // foldOf unboxes a plain column aggregate's state for a fold over T.
 func foldOf[T colValue](a *aggState) fold[T] {
 	var sum, lo, hi any
-	sums := true
 	switch any(*new(T)).(type) {
 	case int64:
 		sum, lo, hi = a.sumI, a.minV.I, a.maxV.I
 	case float64:
 		sum, lo, hi = a.sumF, a.minV.F, a.maxV.F
 	default:
-		sum, lo, hi, sums = "", a.minV.S, a.maxV.S, false
+		sum, lo, hi = "", a.minV.S, a.maxV.S
 	}
-	return fold[T]{count: a.count, sum: sum.(T), min: lo.(T), max: hi.(T), has: a.hasVal, sums: sums}
+	return fold[T]{count: a.count, sum: sum.(T), min: lo.(T), max: hi.(T), has: a.hasVal}
 }
 
 // storeFold boxes a fold back into the state it was unboxed from.

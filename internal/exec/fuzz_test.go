@@ -213,6 +213,21 @@ func FuzzAggregate(f *testing.F) {
 		f.Add([]byte{byte(i), 1, 7, 3, 2, 1, 2, 0, 4, 3, 10, 2, 2, 1}) // general path: a float group column
 		f.Add([]byte{byte(i), 1, 7, 0, 0, 0})                          // COUNT(*) by fnull: -0.0 and 0.0 are one group
 		f.Add([]byte{byte(i), 2, 7, 8, 1, 0, 0, 1, 3, 4})              // by (fnull, frle): COUNT(*), SUM(score)
+
+		// Every aggregate function over one column, and COUNT(col) beside COUNT(*).
+		f.Add([]byte{byte(i), 0, 3, 2, 3, 5, 3, 3, 5, 1, 3, 5, 4, 3, 5})    // global MIN, MAX, SUM, AVG of nullable hi
+		f.Add([]byte{byte(i), 1, 1, 3, 2, 3, 4, 3, 3, 4, 1, 3, 4, 4, 3, 4}) // by cat: MIN, MAX, SUM, AVG of score
+		f.Add([]byte{byte(i), 1, 11, 2, 0, 3, 7, 0, 0, 0, 3, 4})            // by small: COUNT(fnull), COUNT(*), COUNT(score)
+	}
+	// Dictionary group-bys whose filter removes every row of some codes.
+	for _, c := range []struct {
+		filter string
+		data   []byte
+	}{
+		{"dict-gt", []byte{1, 1, 1, 0, 0, 1, 3, 4}}, // by cat: COUNT(*), SUM(score)
+		{"in-list", []byte{1, 2, 1, 0, 0, 4, 3, 7}}, // by status: COUNT(*), AVG(fnull)
+	} {
+		f.Add(append([]byte{byte(sort.SearchStrings(names, c.filter))}, c.data...))
 	}
 	// Int group columns, unfiltered and under an RLE range.
 	for _, filter := range []string{"none", "rle-range"} {

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"s2db/internal/bitmap"
 	"s2db/internal/codec"
 	"s2db/internal/colstore"
 	"s2db/internal/types"
@@ -322,7 +323,8 @@ const (
 	// RLE columns per run; only expression inputs materialize.
 	fuseGlobal
 	// fuseDictGroup: single dictionary-encoded group column, plain
-	// aggregates — one group per dictionary code, created in code order.
+	// aggregates — a row's dictionary code is its group slot, and groups
+	// are created in code order.
 	fuseDictGroup
 	// fuseCodeGroup: every group column has a bounded code space — a
 	// dictionary, or an Int64 column without nulls whose zone map spans
@@ -362,10 +364,16 @@ type aggFuser struct {
 	// codes holds the group columns' code spaces on the segment classify
 	// last saw.
 	codes []groupCode
+	// The segment being folded: each slot's group and surviving rows, and
+	// the scratch a group key is built in.
+	groups []*aggGroup
+	counts []int64
+	key    types.Row
 }
 
 func newAggFuser(groupCols []int, aggs []AggSpec, touch func(key types.Row) *aggGroup, resultType []types.ColType) *aggFuser {
-	u := &aggFuser{groupCols: groupCols, aggs: aggs, touch: touch, resultType: resultType, exprOK: true}
+	u := &aggFuser{groupCols: groupCols, aggs: aggs, touch: touch, resultType: resultType, exprOK: true,
+		key: make(types.Row, len(groupCols))}
 	for _, a := range aggs {
 		if a.Expr != nil && a.ExprCols == nil {
 			u.exprOK = false
@@ -446,24 +454,24 @@ func intCodeSpace(seg *colstore.Segment, c int) (lo int64, size int, ok bool) {
 // path.
 func (u *aggFuser) run(mode aggFuseMode, ctx *SegContext, spans []Span) bool {
 	if mode == fuseGlobal {
-		u.foldSeg(ctx, spans, nil, []*aggGroup{u.touch(nil)})
+		u.groups = append(u.groups[:0], u.touch(nil))
+		u.counts = append(u.counts[:0], int64(spanRows(spans)))
+		u.foldSeg(ctx, spans, nil)
 		return true
 	}
 	slots := getSlots()
 	defer putSlots(slots)
-	groups, ok := u.codeSlots(ctx, spans, mode == fuseDictGroup, slots)
-	if !ok {
+	if mode == fuseDictGroup {
+		u.dictSlots(spans, slots)
+	} else if !u.codeSlots(ctx, spans, slots) {
 		return false
 	}
-	if mode == fuseDictGroup && ctx.Stats != nil {
-		ctx.Stats.EncodedFilters++ // counted with encoded ops
-	}
-	u.foldSeg(ctx, spans, *slots, groups)
+	u.foldSeg(ctx, spans, *slots)
 	return true
 }
 
 // slotPool recycles the int32 vectors of the grouped kernels: per-row group
-// slots and the per-code slot table.
+// slots and fuseCodeGroup's per-code slot table.
 var slotPool = sync.Pool{New: func() any { return new([]int32) }}
 
 func getSlots() *[]int32 { return slotPool.Get().(*[]int32) }
@@ -484,16 +492,52 @@ func zeroed(p *[]int32, n int) []int32 {
 	return *p
 }
 
-// codeSlots is the encoded group-by of §2.1.2: each surviving row's group
-// is found through the mixed-radix combination of its group columns'
-// codes, one array load per row after a code's first sight — string values
-// are touched once per group, and an int key is rebuilt from its code. The
-// codes are built one column at a time, each in one typed loop. It leaves
-// each row's group slot in *slots and returns the groups by slot, created
-// through touch in first-seen row order (the general path's order) or,
-// with codeOrder, in code order. It returns false before touching any
-// group when an int value lies outside its column's code space.
-func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slots *[]int32) ([]*aggGroup, bool) {
+// dictSlots is the encoded group-by of §2.1.2 over one dictionary column:
+// a surviving row's slot is its dictionary code (readDict checks that
+// every code indexes an entry), so a row costs one unpacked code and one
+// count. It leaves each row's slot in *slots and, indexed by code, each
+// code's surviving rows in u.counts and its group in u.groups: opened
+// through touch in code order, and only for codes with rows (nil for the
+// others).
+func (u *aggFuser) dictSlots(spans []Span, slots *[]int32) {
+	d := u.codes[0].dict
+	s := zeroed(slots, spanRows(spans))
+	counts := append(u.counts[:0], make([]int64, d.DictSize())...)
+	scratch := bitsPool.Get().(*[]int64)
+	for _, sp := range spans {
+		codes := d.AppendCodes((*scratch)[:0], int(sp.Start), int(sp.End))
+		out := s[:len(codes)]
+		for k, c := range codes {
+			out[k] = int32(c)
+			counts[c]++
+		}
+		s = s[len(codes):]
+		*scratch = codes
+	}
+	bitsPool.Put(scratch)
+	u.counts, u.groups = counts, u.groups[:0]
+	for c, n := range counts {
+		var g *aggGroup
+		if n > 0 {
+			u.key[0] = types.NewString(d.DictValue(c))
+			g = u.touch(u.key)
+		}
+		u.groups = append(u.groups, g)
+	}
+}
+
+// codeSlots is the encoded group-by over bounded code spaces: each
+// surviving row's group is found through the mixed-radix combination of
+// its group columns' codes, one array load per row after a code's first
+// sight — string values are touched once per group, and an int key is
+// rebuilt from its code. The codes are built one column at a time, each in
+// one typed loop. The combined space reaches maxFusedGroupCodes, so codes
+// are remapped to dense slots in first-seen row order (the general path's
+// group order). It leaves each row's slot in *slots and each slot's
+// surviving rows and group in u.counts and u.groups. It returns false
+// before touching any group when an int value lies outside its column's
+// code space.
+func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, slots *[]int32) bool {
 	s := zeroed(slots, spanRows(spans))
 	codes := 1
 	for _, gc := range u.codes {
@@ -501,45 +545,38 @@ func (u *aggFuser) codeSlots(ctx *SegContext, spans []Span, codeOrder bool, slot
 		if gc.dict != nil {
 			dictCodes(gc.dict, spans, s)
 		} else if !intCodes(segVec[int64](ctx, gc.col), gc.min, gc.size, spans, s) {
-			return nil, false
+			return false
 		}
 	}
 	slotOfBuf := getSlots()
 	defer putSlots(slotOfBuf)
 	slotOf := zeroed(slotOfBuf, codes) // slot+1 of each code's group; 0 = not yet
-	var groups []*aggGroup
-	key := make(types.Row, len(u.codes))
-	open := func(code int32) {
-		c := int(code)
-		for k := len(u.codes) - 1; k >= 0; k-- {
-			gc := &u.codes[k]
-			if gc.dict != nil {
-				key[k] = types.NewString(gc.dict.DictValue(c % gc.size))
-			} else {
-				key[k] = types.NewInt(gc.min + int64(c%gc.size))
-			}
-			c /= gc.size
-		}
-		groups = append(groups, u.touch(key))
-		slotOf[code] = int32(len(groups))
-	}
-	if codeOrder {
-		for _, code := range s {
-			slotOf[code] = -1
-		}
-		for code, seen := range slotOf {
-			if seen != 0 {
-				open(int32(code))
-			}
-		}
-	}
+	u.groups, u.counts = u.groups[:0], u.counts[:0]
 	for k, code := range s {
 		if slotOf[code] == 0 {
-			open(code)
+			u.groups = append(u.groups, u.touch(u.codeKey(code)))
+			u.counts = append(u.counts, 0)
+			slotOf[code] = int32(len(u.groups))
 		}
 		s[k] = slotOf[code] - 1
+		u.counts[s[k]]++
 	}
-	return groups, true
+	return true
+}
+
+// codeKey rebuilds the group key of a mixed-radix code in u.key.
+func (u *aggFuser) codeKey(code int32) types.Row {
+	c := int(code)
+	for k := len(u.codes) - 1; k >= 0; k-- {
+		gc := &u.codes[k]
+		if gc.dict != nil {
+			u.key[k] = types.NewString(gc.dict.DictValue(c % gc.size))
+		} else {
+			u.key[k] = types.NewInt(gc.min + int64(c%gc.size))
+		}
+		c /= gc.size
+	}
+	return u.key
 }
 
 // dictCodes folds a dictionary column's codes into the surviving rows'
@@ -578,11 +615,14 @@ func intCodes(vals []int64, lo int64, size int, spans []Span, s []int32) bool {
 }
 
 // foldSeg folds every aggregate over the surviving rows: the k-th surviving
-// row belongs to groups[slots[k]] (groups[0] when slots is nil). Plain
-// column aggregates fold spec by spec through foldColumn; expression
-// aggregates share one pass over rows that materializes only their input
-// columns (classify guarantees ExprCols on every expression spec).
-func (u *aggFuser) foldSeg(ctx *SegContext, spans []Span, slots []int32, groups []*aggGroup) {
+// row has slot slots[k] (slot 0 when slots is nil), and slot s has group
+// u.groups[s] (nil when no row has the slot) and u.counts[s] surviving
+// rows. That row count is COUNT(*), and the count of a COUNT or AVG over a
+// column without nulls. Plain column aggregates fold spec by spec through
+// foldColumn; expression aggregates share one pass over rows that
+// materializes only their input columns (classify guarantees ExprCols on
+// every expression spec).
+func (u *aggFuser) foldSeg(ctx *SegContext, spans []Span, slots []int32) {
 	var exprs, proj []int
 	for ai, a := range u.aggs {
 		switch {
@@ -590,27 +630,21 @@ func (u *aggFuser) foldSeg(ctx *SegContext, spans []Span, slots []int32, groups 
 			exprs = append(exprs, ai)
 			proj = append(proj, a.ExprCols...)
 		case a.Func == Count && a.Col < 0:
-			if slots == nil {
-				groups[0].states[ai].count += int64(spanRows(spans))
-				continue
-			}
-			for _, s := range slots {
-				groups[s].states[ai].count++
-			}
+			u.addCounts(ai)
 		default:
-			u.foldColumn(ctx, ai, spans, slots, groups)
+			u.foldColumn(ctx, ai, spans, slots)
 		}
 	}
 	if exprs == nil {
 		return
 	}
 	mat := ctx.Materializer(proj, spanRows(spans)*4 >= ctx.Meta.Seg.NumRows)
-	g, k := groups[0], 0
+	g, k := u.groups[0], 0
 	for _, sp := range spans {
 		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
 			r := mat(int(i))
 			if slots != nil {
-				g = groups[slots[k]]
+				g = u.groups[slots[k]]
 			}
 			for _, ai := range exprs {
 				v := u.aggs[ai].Expr(r)
@@ -621,49 +655,147 @@ func (u *aggFuser) foldSeg(ctx *SegContext, spans []Span, slots []int32, groups 
 	}
 }
 
-// foldColumn folds plain aggregate ai over its column: the one place an
-// aggregation kernel meets the column type.
-func (u *aggFuser) foldColumn(ctx *SegContext, ai int, spans []Span, slots []int32, groups []*aggGroup) {
-	col := u.aggs[ai].Col
-	switch ctx.Meta.Seg.Schema().Columns[col].Type {
-	case types.Int64:
-		foldColumn[int64](ctx, ai, col, spans, slots, groups)
-	case types.Float64:
-		foldColumn[float64](ctx, ai, col, spans, slots, groups)
-	default:
-		foldColumn[string](ctx, ai, col, spans, slots, groups)
+// addCounts adds each slot's surviving rows to its group's count ai.
+func (u *aggFuser) addCounts(ai int) {
+	for s, g := range u.groups {
+		if g != nil {
+			g.states[ai].count += u.counts[s]
+		}
 	}
 }
 
-// foldColumn folds column col into each group's state ai, in row order. The
-// states are unboxed once per segment and boxed back once, so the folds
-// leave exactly what the general path's row-at-a-time aggState.add would —
-// float sums bit for bit. A global fold over an RLE column without nulls
-// folds per run.
-func foldColumn[T colValue](ctx *SegContext, ai, col int, spans []Span, slots []int32, groups []*aggGroup) {
+// foldColumn folds plain aggregate ai over its column: the one place an
+// aggregation kernel meets the column type. Over a column without nulls a
+// COUNT is the slot row counts alone, and so is an AVG's count.
+func (u *aggFuser) foldColumn(ctx *SegContext, ai int, spans []Span, slots []int32) {
+	a := u.aggs[ai]
+	if ctx.Meta.Seg.Cols[a.Col].Nulls == nil && (a.Func == Count || a.Func == Avg) {
+		u.addCounts(ai)
+		if a.Func == Count {
+			return
+		}
+	}
+	switch ctx.Meta.Seg.Schema().Columns[a.Col].Type {
+	case types.Int64:
+		foldColumn[int64](ctx, a.Func, ai, a.Col, spans, slots, u.groups)
+	case types.Float64:
+		foldColumn[float64](ctx, a.Func, ai, a.Col, spans, slots, u.groups)
+	default:
+		foldColumn[string](ctx, a.Func, ai, a.Col, spans, slots, u.groups)
+	}
+}
+
+// foldColumn folds column col into each group's state ai, doing only what
+// fn's result reads: SUM and AVG add sums, MIN and MAX track bounds, and a
+// COUNT or AVG over a column with nulls counts its non-null rows (without
+// nulls the caller adds the slot row counts). The states are unboxed once
+// per segment and boxed back once, and each group's sum adds that group's
+// rows in row order, as the general path's row-at-a-time aggState.add
+// does: float sums come out bit for bit. A global fold over an RLE column
+// without nulls folds per run.
+func foldColumn[T colValue](ctx *SegContext, fn AggFunc, ai, col int, spans []Span, slots []int32, groups []*aggGroup) {
 	folds := make([]fold[T], len(groups))
 	for s, g := range groups {
-		folds[s] = foldOf[T](&g.states[ai])
+		if g != nil {
+			folds[s] = foldOf[T](&g.states[ai])
+		}
 	}
 	c := &ctx.Meta.Seg.Cols[col]
-	if rle, ok := c.Ints.(*codec.RLE); ok && c.Nulls == nil && slots == nil {
-		eachRun(rle, spans, func(v int64, n int) { folds[0].addRun(fromRaw[T](v), n) })
-	} else {
-		r, f, k := readCol[T](ctx, col, true), &folds[0], 0
+	_, str := any(&folds[0].sum).(*string)
+	sums, bounds := (fn == Sum || fn == Avg) && !str, fn == Min || fn == Max
+	if c.Nulls != nil && (fn == Count || fn == Avg) {
+		countNonNull(folds, c.Nulls, spans, slots)
+	}
+	rle, _ := c.Ints.(*codec.RLE)
+	switch {
+	case rle != nil && c.Nulls == nil && slots == nil:
+		f := &folds[0]
+		eachRun(rle, spans, func(v int64, n int) {
+			if bounds {
+				f.bound(fromRaw[T](v))
+			} else if sums {
+				f.sumRun(fromRaw[T](v), n)
+			}
+		})
+	case sums:
+		sumVals(folds, segVec[T](ctx, col), c.Nulls, spans, slots)
+	case bounds:
+		boundVals(folds, segVec[T](ctx, col), c.Nulls, spans, slots)
+	}
+	for s, g := range groups {
+		if g != nil {
+			storeFold(&g.states[ai], &folds[s])
+		}
+	}
+}
+
+// sumVals adds each surviving non-null value to its slot's sum, in row
+// order. Without nulls the values are read straight from the spans of the
+// decoded vector, and a global sum stays in a register.
+func sumVals[T colValue](folds []fold[T], vals []T, nulls *bitmap.Bitmap, spans []Span, slots []int32) {
+	switch {
+	case nulls != nil:
+		f, k := &folds[0], 0
 		for _, sp := range spans {
 			for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
-				if r.null(i) {
+				if nulls.Get(int(i)) {
 					continue
 				}
 				if slots != nil {
 					f = &folds[slots[k]]
 				}
-				f.add(r.at(i))
+				f.sum += vals[i]
 			}
 		}
+	case slots == nil:
+		sum := folds[0].sum
+		for _, sp := range spans {
+			for _, v := range vals[sp.Start:sp.End] {
+				sum += v
+			}
+		}
+		folds[0].sum = sum
+	default:
+		for _, sp := range spans {
+			vs := vals[sp.Start:sp.End]
+			for k, s := range slots[:len(vs)] {
+				folds[s].sum += vs[k]
+			}
+			slots = slots[len(vs):]
+		}
 	}
-	for s, g := range groups {
-		storeFold(&g.states[ai], &folds[s])
+}
+
+// boundVals tracks each slot's MIN and MAX over its surviving non-null
+// values.
+func boundVals[T colValue](folds []fold[T], vals []T, nulls *bitmap.Bitmap, spans []Span, slots []int32) {
+	f, k := &folds[0], 0
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
+			if nulls != nil && nulls.Get(int(i)) {
+				continue
+			}
+			if slots != nil {
+				f = &folds[slots[k]]
+			}
+			f.bound(vals[i])
+		}
+	}
+}
+
+// countNonNull counts each slot's surviving non-null rows.
+func countNonNull[T colValue](folds []fold[T], nulls *bitmap.Bitmap, spans []Span, slots []int32) {
+	f, k := &folds[0], 0
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i, k = i+1, k+1 {
+			if nulls.Get(int(i)) {
+				continue
+			}
+			if slots != nil {
+				f = &folds[slots[k]]
+			}
+			f.count++
+		}
 	}
 }
 

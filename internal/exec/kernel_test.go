@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -853,5 +854,220 @@ func TestGroupByFloatZeros(t *testing.T) {
 	}
 	if len(zeros) != 1 || zeros[0][1].I != want {
 		t.Fatalf("groups with fnull = 0: %v, want one of %d rows", zeros, want)
+	}
+}
+
+// groupByTable builds the shape of sqlmix's orders table in segments of
+// segRows rows: id, category (an 8-entry dictionary), bucket (an int in
+// 0..7, a bounded code space), quantity (int) and price (float), no nulls,
+// with a decoded-vector cache so repeated scans fold rather than decode.
+func groupByTable(tb testing.TB, n, segRows int) *core.View {
+	tb.Helper()
+	s := types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "category", Type: types.String},
+		types.Column{Name: "bucket", Type: types.Int64},
+		types.Column{Name: "quantity", Type: types.Int64},
+		types.Column{Name: "price", Type: types.Float64},
+	)
+	s.UniqueKey = []int{0}
+	cfg := core.Config{MaxSegmentRows: segRows, Tenant: core.Tenant{Cache: NewVecCache(64 << 20)}}
+	tbl, err := core.NewTable("orders", s, cfg, core.NewCommitter(), wal.NewLog(), core.NewMemFiles())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	x := uint64(1)
+	for i := range rows {
+		x = x*6364136223846793005 + 1442695040888963407
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("cat%d", x>>61)),
+			types.NewInt(int64(x >> 58 & 7)), types.NewInt(int64(x>>8%10) + 1), types.NewFloat(float64(x>>16%100000) / 100)}
+	}
+	if _, err := tbl.BulkLoad(rows); err != nil {
+		tb.Fatal(err)
+	}
+	return tbl.Snapshot()
+}
+
+// groupByShapes are the three fused modes over sqlmix's GROUP BY, with the
+// aggregates its statement sends each partition: COUNT(*), SUM(quantity),
+// and AVG(price) as SUM and COUNT partials.
+var groupByShapes = []struct {
+	name      string
+	groupCols []int
+}{{"global", nil}, {"dict", []int{1}}, {"code", []int{2}}}
+
+// groupBySink keeps the benchmark's Aggregate calls live.
+var groupBySink []types.Row
+
+func groupBySpecs(groupCols []int) []AggSpec {
+	return newAggPlan(groupCols, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 3}, {Func: Avg, Col: 4}}).partialSpecs
+}
+
+// BenchmarkFusedGroupBy folds sqlmix's GROUP BY over four 4 096-row
+// segments through fuseGlobal, fuseDictGroup and fuseCodeGroup.
+func BenchmarkFusedGroupBy(b *testing.B) {
+	view := groupByTable(b, 4*4096, 4096)
+	for _, sh := range groupByShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			aggs := groupBySpecs(sh.groupCols)
+			s := NewScan(view, nil)
+			Aggregate(view, nil, sh.groupCols, aggs, s)
+			if s.Stats.FusedAggSegs != int64(len(view.Segs)) {
+				b.Fatalf("%d of %d segments fused", s.Stats.FusedAggSegs, len(view.Segs))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				groupBySink = Aggregate(view, nil, sh.groupCols, aggs, nil)
+			}
+		})
+	}
+}
+
+// TestDictGroupOpensOnlyCodesWithRows: a dictionary GROUP BY opens a group
+// only for the codes with surviving rows, in code order. Each filter
+// removes every row of some codes; the result has no group for them, and
+// the rest come out in code order, whether one segment holds the rows or
+// many do.
+func TestDictGroupOpensOnlyCodesWithRows(t *testing.T) {
+	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 4}, {Func: Min, Col: 5}, {Func: Avg, Col: 7}}
+	cases := []struct {
+		filter Node
+		group  int
+		want   []string
+	}{
+		{NewLeaf(1, vector.Gt, types.NewString("c1")), 1, []string{"c2", "c3"}},
+		{NewLeaf(1, vector.Eq, types.NewString("c1")), 1, []string{"c1"}},
+		{NewIn(2, []types.Value{types.NewString("s2"), types.NewString("s0")}), 2, []string{"s0", "s2"}},
+		{NewLeaf(3, vector.Lt, types.NewInt(-1)), 2, nil},
+	}
+	for _, segRows := range []int{64, 4096} {
+		tbl := newKernelTable(t, segRows)
+		fillKernel(t, tbl, 600, 0)
+		view := tbl.Snapshot()
+		for _, c := range cases {
+			label := fmt.Sprintf("%d-row segments, group by %d where %s", segRows, c.group, FormatNode(c.filter, view.Schema))
+			want := refAggregate(refRows(view, c.filter), []int{c.group}, aggs)
+			got, st := runAgg(t, view, c.filter, []int{c.group}, aggs, false)
+			var keys []string
+			for _, r := range got {
+				keys = append(keys, r[0].S)
+			}
+			if !slices.Equal(keys, c.want) {
+				t.Fatalf("%s: groups %q, want %q", label, keys, c.want)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s:\ngot:  %v\nwant: %v", label, got, want)
+			}
+			if c.want != nil && st.FusedAggSegs != st.SegmentsScanned {
+				t.Fatalf("%s: %d of %d segments fused", label, st.FusedAggSegs, st.SegmentsScanned)
+			}
+		}
+	}
+}
+
+// TestFoldEachFunction folds MIN, MAX, SUM, AVG and COUNT of one column in
+// one query — globally, by a dictionary and by a bounded int column, with
+// and without a filter — over int, float and string columns with nulls and
+// without, and compares the bits with the row-at-a-time oracle. The orders
+// table's prices do not add exactly in floating point, so only a fold that
+// adds each group's rows in row order keeps their bits.
+func TestFoldEachFunction(t *testing.T) {
+	kernel := newKernelTable(t, 64)
+	fillKernel(t, kernel, 600, 0)
+	cases := []struct {
+		name      string
+		view      *core.View
+		cols      []int
+		groupings [][]int
+		filter    Node
+	}{
+		// id and score have no nulls, hi and fnull have some; status and
+		// note are the string columns without and with nulls.
+		{"kernel", kernel.Snapshot(), []int{0, 4, 5, 7, 2, 6}, [][]int{nil, {1}, {11}}, NewLeaf(5, vector.Gt, types.NewInt(50000))},
+		{"orders", groupByTable(t, 3*4096, 4096), []int{3, 4}, [][]int{nil, {1}, {2}}, NewLeaf(3, vector.Gt, types.NewInt(4))},
+	}
+	for _, c := range cases {
+		for _, filter := range []Node{nil, c.filter} {
+			ref := refRows(c.view, filter)
+			for _, g := range c.groupings {
+				for _, col := range c.cols {
+					aggs := []AggSpec{{Func: Min, Col: col}, {Func: Max, Col: col}, {Func: Count, Col: col}}
+					if c.view.Schema.Columns[col].Type != types.String {
+						aggs = append(aggs, AggSpec{Func: Sum, Col: col}, AggSpec{Func: Avg, Col: col})
+					}
+					label := fmt.Sprintf("%s: col %d by %v where %s", c.name, col, g, FormatNode(filter, c.view.Schema))
+					got, st := runAgg(t, c.view, filter, g, aggs, false)
+					sortByGroupKey(got, len(g))
+					if want := refAggregate(ref, g, aggs); !sameBits(got, want) {
+						t.Fatalf("%s:\ngot:  %v\nwant: %v", label, got, want)
+					}
+					if st.SegmentsScanned == 0 || st.FusedAggSegs != st.SegmentsScanned {
+						t.Fatalf("%s: %d of %d segments fused", label, st.FusedAggSegs, st.SegmentsScanned)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountColumnAgainstCountStar: over a column without nulls COUNT(col)
+// is its group's surviving row count, the COUNT(*) beside it; over a
+// column with nulls it counts the non-null rows only.
+func TestCountColumnAgainstCountStar(t *testing.T) {
+	tbl := newKernelTable(t, 64)
+	fillKernel(t, tbl, 600, 0)
+	view := tbl.Snapshot()
+	// COUNT(*), then score and cat (no nulls), then hi and note (nulls).
+	aggs := []AggSpec{{Func: Count, Col: -1}, {Func: Count, Col: 4}, {Func: Count, Col: 1}, {Func: Count, Col: 5}, {Func: Count, Col: 6}}
+	for _, g := range [][]int{nil, {2}, {11}, {1, 2}} {
+		for _, filter := range []Node{nil, NewLeaf(3, vector.Ge, types.NewInt(10))} {
+			label := fmt.Sprintf("by %v where %s", g, FormatNode(filter, view.Schema))
+			got, st := runAgg(t, view, filter, g, aggs, false)
+			sortByGroupKey(got, len(g))
+			if want := refAggregate(refRows(view, filter), g, aggs); !sameBits(got, want) {
+				t.Fatalf("%s:\ngot:  %v\nwant: %v", label, got, want)
+			}
+			if st.SegmentsScanned == 0 || st.FusedAggSegs != st.SegmentsScanned {
+				t.Fatalf("%s: %d of %d segments fused", label, st.FusedAggSegs, st.SegmentsScanned)
+			}
+			nulls := false
+			for _, r := range got {
+				c := r[len(g):]
+				if star := c[0].I; c[1].I != star || c[2].I != star || c[3].I > star || c[4].I > star {
+					t.Fatalf("%s: COUNT(*) %d, COUNT of columns without nulls %d and %d, with nulls %d and %d",
+						label, star, c[1].I, c[2].I, c[3].I, c[4].I)
+				}
+				nulls = nulls || c[3].I < c[0].I && c[4].I < c[0].I
+			}
+			if !nulls {
+				t.Fatalf("%s: the nullable columns counted their nulls", label)
+			}
+		}
+	}
+}
+
+// TestFusedFoldAllocsFlatInRows: a fused fold allocates per segment and per
+// group, never per row: a one-segment GROUP BY of 1 024 rows allocates as
+// much as one of 8 192, in every fused mode.
+func TestFusedFoldAllocsFlatInRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random, so allocation counts vary run to run")
+	}
+	small, large := groupByTable(t, 1024, 8192), groupByTable(t, 8192, 8192)
+	for _, sh := range groupByShapes {
+		aggs := groupBySpecs(sh.groupCols)
+		allocs := func(view *core.View) float64 {
+			s := NewScan(view, nil)
+			Aggregate(view, nil, sh.groupCols, aggs, s)
+			if len(view.Segs) != 1 || s.Stats.FusedAggSegs != 1 {
+				t.Fatalf("%s: %d of %d segments fused", sh.name, s.Stats.FusedAggSegs, len(view.Segs))
+			}
+			return testing.AllocsPerRun(100, func() { Aggregate(view, nil, sh.groupCols, aggs, nil) })
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s: %.0f allocs at 1 024 rows, %.0f at 8 192", sh.name, a, b)
+		}
 	}
 }
