@@ -44,11 +44,19 @@ decodecheck:
 # taken in core's lockTargets (internal/core/mutate.go), which locks a
 # statement's rows in sorted key order before it writes any, so no two
 # writers can deadlock. No other non-test Go under internal/ calls
-# LockAndGet.
+# LockAndGet. It is also the one-key-rule gate: the key-set lock
+# (core.Table.keyMu), which keeps two writers from creating one unique
+# key, is taken shared in InsertBatch and exclusive in BulkLoad
+# (internal/core/write.go) and nowhere else, so nothing that holds a row
+# lock or structMu waits on it. Each use is matched with the function
+# that encloses it.
 LOCK_ALLOWED = ^internal/rowstore/store\.go:[0-9]+:func \(t \*Txn\) LockAndGet\(|^internal/core/mutate\.go:[0-9]+:.*cur, ok, err := tx\.LockAndGet\(tgs\[i\]\.key\)
+KEYLOCK_ALLOWED = ^internal/core/write\.go:InsertBatch:(defer )?t\.keyMu\.R(Lock|Unlock)\(\)$$|^internal/core/write\.go:BulkLoad:(defer )?t\.keyMu\.(Lock|Unlock)\(\)$$
 lockcheck:
 	@out="$$(grep -rn 'LockAndGet(' --include='*.go' --exclude='*_test.go' internal | grep -vE '$(LOCK_ALLOWED)')"; \
 	if [ -n "$$out" ]; then echo "row lock outside core's lockTargets:"; echo "$$out"; exit 1; fi
+	@out="$$(find internal -name '*.go' ! -name '*_test.go' -exec awk '/^func /{ f = $$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f) } /keyMu\./{ l = $$0; sub(/^[ \t]+/, "", l); print FILENAME ":" f ":" l }' {} + | grep -vE '$(KEYLOCK_ALLOWED)')"; \
+	if [ -n "$$out" ]; then echo "key-set lock outside InsertBatch (shared) and BulkLoad (exclusive):"; echo "$$out"; exit 1; fi
 
 # lint runs staticcheck at a pinned version so findings are reproducible.
 # Resolution order: a staticcheck already on PATH, a previously installed

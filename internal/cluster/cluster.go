@@ -288,58 +288,30 @@ func (c *Cluster) routeRow(schema *types.Schema, r types.Row) int {
 	return int(schema.ShardHash(r) % uint64(c.cfg.Partitions))
 }
 
-// Insert routes rows to their shard partitions, applies them with the given
-// options and waits for durability.
-func (c *Cluster) Insert(table string, rows []types.Row, opts core.InsertOptions) (core.InsertResult, error) {
-	schema, err := c.Schema(table)
-	if err != nil {
-		return core.InsertResult{}, err
-	}
-	byPart := make(map[int][]types.Row)
-	for _, r := range rows {
-		p := c.routeRow(schema, r)
-		byPart[p] = append(byPart[p], r)
-	}
-	var total core.InsertResult
-	for pi, batch := range byPart {
-		p := c.Master(pi)
-		tbl, err := p.Table(table)
-		if err != nil {
-			return total, err
-		}
-		res, err := tbl.InsertBatch(batch, opts)
-		if err != nil {
-			return total, err
-		}
-		total.Inserted += res.Inserted
-		total.Skipped += res.Skipped
-		total.Replaced += res.Replaced
-		total.Updated += res.Updated
-		if err := p.WaitDurable(res.LSN, commitTimeout); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// BulkLoad routes rows and loads them directly into columnstore segments.
-func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
+// eachBatch routes rows to their shard partitions and, one partition after
+// another in index order, runs write on the master's table with the
+// partition's batch and waits for the log position it returns to be
+// durable. It stops at the first error.
+func (c *Cluster) eachBatch(table string, rows []types.Row, write func(*core.Table, []types.Row) (uint64, error)) error {
 	schema, err := c.Schema(table)
 	if err != nil {
 		return err
 	}
-	byPart := make(map[int][]types.Row)
+	byPart := make([][]types.Row, c.cfg.Partitions)
 	for _, r := range rows {
-		p := c.routeRow(schema, r)
-		byPart[p] = append(byPart[p], r)
+		pi := c.routeRow(schema, r)
+		byPart[pi] = append(byPart[pi], r)
 	}
 	for pi, batch := range byPart {
+		if len(batch) == 0 {
+			continue
+		}
 		p := c.Master(pi)
 		tbl, err := p.Table(table)
 		if err != nil {
 			return err
 		}
-		lsn, err := tbl.BulkLoad(batch)
+		lsn, err := write(tbl, batch)
 		if err != nil {
 			return err
 		}
@@ -348,6 +320,33 @@ func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
 		}
 	}
 	return nil
+}
+
+// Insert routes rows to their shard partitions, applies them with the given
+// options and waits for durability (eachBatch).
+func (c *Cluster) Insert(table string, rows []types.Row, opts core.InsertOptions) (core.InsertResult, error) {
+	var total core.InsertResult
+	err := c.eachBatch(table, rows, func(tbl *core.Table, batch []types.Row) (uint64, error) {
+		res, err := tbl.InsertBatch(batch, opts)
+		if err != nil {
+			return 0, err
+		}
+		total.Inserted += res.Inserted
+		total.Skipped += res.Skipped
+		total.Replaced += res.Replaced
+		total.Updated += res.Updated
+		return res.LSN, nil
+	})
+	return total, err
+}
+
+// BulkLoad routes rows and loads them directly into columnstore segments
+// (core.Table.BulkLoad), one partition after another (eachBatch). On a
+// partition a refused or failed load installs nothing, and readers may see
+// a load one segment at a time. A load is not atomic across partitions:
+// the partitions loaded before one that refuses keep their rows.
+func (c *Cluster) BulkLoad(table string, rows []types.Row) error {
+	return c.eachBatch(table, rows, (*core.Table).BulkLoad)
 }
 
 // GetByUnique routes a unique-key point read: directly to one partition

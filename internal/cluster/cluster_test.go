@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -239,6 +240,57 @@ func TestFailoverKeepsBackgroundMaintenance(t *testing.T) {
 	}
 	if later.Background() {
 		t.Fatal("a table created after failover runs maintenance the config switched off")
+	}
+}
+
+// TestBulkLoadPartitionOrder: a cluster load visits partitions in index
+// order, and the partition that refuses a live key installs nothing: the
+// partitions before it keep their rows, the ones after it get none.
+func TestBulkLoadPartitionOrder(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 3})
+	schema := testSchema()
+	var fresh []types.Row
+	live := -1
+	for id := 0; len(fresh) < 12 || live < 0; id++ {
+		if r := row(id, 0, "load"); live < 0 && c.routeRow(schema, r) == 1 {
+			live = id
+		} else {
+			fresh = append(fresh, r)
+		}
+	}
+	if err := c.BulkLoad("items", []types.Row{row(live, 0, "live")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BulkLoad("items", append(fresh, row(live, 1, "dup"))); !errors.Is(err, core.ErrDuplicateKey) {
+		t.Fatalf("load of a live key = %v, want ErrDuplicateKey", err)
+	}
+	for _, r := range fresh {
+		_, found, err := c.GetByUnique("items", []types.Value{r[0]})
+		if want := c.routeRow(schema, r) == 0; err != nil || found != want {
+			t.Fatalf("key %d on partition %d: found %v (%v), want %v", r[0].I, c.routeRow(schema, r), found, err, want)
+		}
+	}
+}
+
+// TestRemovedFileNotStaged: a data file removed before the stager reaches
+// it (a refused bulk load's, an aborted merge's) leaves the upload queue
+// too, so the next staging round neither uploads it nor fails on it.
+func TestRemovedFileNotStaged(t *testing.T) {
+	store := blob.NewMemory()
+	f := NewPartitionFiles("db/0/", store, 0)
+	for _, name := range []string{"t/seg-1", "t/seg-2"} {
+		if err := f.SaveFile(name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.RemoveFile("t/seg-1"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.drainPending(); n != 1 || err != nil {
+		t.Fatalf("drain = %d, %v; want 1 upload and no error", n, err)
+	}
+	if keys, _ := store.List("db/0/data/"); len(keys) != 1 || keys[0] != "db/0/data/t/seg-2" {
+		t.Fatalf("blob holds %v, want only the kept file", keys)
 	}
 }
 

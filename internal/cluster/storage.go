@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,10 +100,14 @@ func (f *PartitionFiles) LoadFile(ctx context.Context, name string) ([]byte, err
 	return f.cache.GetCtx(ctx, name)
 }
 
-// RemoveFile implements core.FileStore: drops the local copy only — blob
-// history is retained for PITR (§3.2: "deleted data can be retained").
+// RemoveFile implements core.FileStore: drops the local copy and any
+// upload still queued — blob history is retained for PITR (§3.2: "deleted
+// data can be retained").
 func (f *PartitionFiles) RemoveFile(name string) error {
 	f.cache.Remove(name)
+	f.mu.Lock()
+	f.pending = slices.DeleteFunc(f.pending, func(p string) bool { return p == name })
+	f.mu.Unlock()
 	return nil
 }
 

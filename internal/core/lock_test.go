@@ -189,8 +189,9 @@ func TestInsertSameFreshKeyExclusive(t *testing.T) {
 
 // TestBulkLoadSameFreshKeyExclusive: two bulk loads of the same fresh
 // unique key race into an empty table, round after round. A load checks
-// its keys and commits its segments under one structMu hold, so in every
-// round exactly one is accepted and the other fails with ErrDuplicateKey.
+// its keys and commits its segments under one exclusive hold of the
+// key-set lock, so in every round exactly one is accepted and the other
+// fails with ErrDuplicateKey.
 func TestBulkLoadSameFreshKeyExclusive(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -227,6 +228,63 @@ func TestBulkLoadSameFreshKeyExclusive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBulkLoadBesideInsertExclusive: a bulk load of one fresh unique key
+// races an insert of it, and an upsert of it, into an empty table, round
+// after round. The insert holds the key-set lock shared from its lock
+// step to its commit and the load holds it exclusive over its key check
+// and its install, so each sees the other's row: in every round exactly
+// one writer creates the key (the load, or the insert or upsert that
+// finds no row) and the table holds one live row.
+func TestBulkLoadBesideInsertExclusive(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		opts InsertOptions
+	}{{"insert", InsertOptions{}}, {"upsert", InsertOptions{OnDup: DupUpdate}}} {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/procs=%d", w.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				const rounds = 2000
+				for round := 0; round < rounds; round++ {
+					tbl, _ := newTestTable(t, uniqSchema(), Config{})
+					var (
+						wg      sync.WaitGroup
+						loadErr error
+						insErr  error
+						insRes  InsertResult
+						gate    = make(chan struct{})
+					)
+					wg.Add(2)
+					go func() {
+						defer wg.Done()
+						<-gate
+						_, loadErr = tbl.BulkLoad([]types.Row{urow(1, 0, "load")})
+					}()
+					go func() {
+						defer wg.Done()
+						<-gate
+						insRes, insErr = tbl.InsertBatch([]types.Row{urow(1, 1, w.name)}, w.opts)
+					}()
+					close(gate)
+					wg.Wait()
+					for _, err := range []error{loadErr, insErr} {
+						if err != nil && !errors.Is(err, ErrDuplicateKey) {
+							t.Fatalf("round %d: %v", round, err)
+						}
+					}
+					owners := insRes.Inserted
+					if loadErr == nil {
+						owners++
+					}
+					if n := mustCount(t, tbl); owners != 1 || n != 1 {
+						t.Fatalf("round %d: %d writers created the key (load %v, %s %+v, %v), %d live rows; want 1 and 1",
+							round, owners, loadErr, w.name, insRes, insErr, n)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -327,14 +327,21 @@ type Table struct {
 	buffer *rowstore.Store
 	idx    *index.Set
 
+	// keyMu is the key-set lock: InsertBatch on a unique-key table holds it
+	// shared from its lock step to its commit, and BulkLoad exclusive over
+	// its key check and installs, so no two writers create one key. It
+	// comes before row locks and structMu; nothing holding either takes it.
+	keyMu sync.RWMutex
+
 	// structMu serializes structural changes (flush, merge installs, bulk
-	// loads) with each other and with the writes that walk for their
-	// targets (Write with no whole unique key pinned), which hold it from
-	// target discovery to commit so the rows they found stay where they
-	// were found (§4.2). Nothing holds a row lock while it waits for
-	// structMu. A merge holds it only for the install commit; the
-	// scan/merge/encode/save pipeline runs outside it so flushes and
-	// writes proceed during merges.
+	// load installs) with each other and with the writes that walk for
+	// their targets (Write with no whole unique key pinned), which hold it
+	// from target discovery to commit so the rows they found stay where
+	// they were found (§4.2). A bulk load checks its keys under it so that
+	// no merge retires an index entry the check reads. Nothing holds a row
+	// lock while it waits for structMu. A merge holds it only for the
+	// install commit; the scan/merge/encode/save pipeline runs outside it
+	// so flushes and writes proceed during merges.
 	structMu sync.Mutex
 
 	// mergeMu serializes merge steps with each other: the off-structMu

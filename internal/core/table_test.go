@@ -350,8 +350,15 @@ func TestMoveRemapAfterMerge(t *testing.T) {
 	}
 }
 
+// TestBulkLoad: a load lands in segments, and its unique keys are checked
+// as an insert's are. A refused load — a live key, a NULL key, a failed
+// save — installs nothing and leaves none of the files it saved.
 func TestBulkLoad(t *testing.T) {
-	tbl, _ := newTestTable(t, uniqSchema(), Config{MaxSegmentRows: 8})
+	files := newFailFiles(NewMemFiles())
+	tbl, err := NewTable("t", uniqSchema(), Config{MaxSegmentRows: 8}, NewCommitter(), wal.NewLog(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := make([]types.Row, 20)
 	for i := range rows {
 		rows[i] = urow(i, i, "bulk")
@@ -368,13 +375,42 @@ func TestBulkLoad(t *testing.T) {
 	if got := mustCount(t, tbl); got != 20 {
 		t.Fatalf("NumRows = %d", got)
 	}
+	unchanged := func(what string) {
+		t.Helper()
+		if n, segs, saved := mustCount(t, tbl), tbl.SegmentCount(), files.fileCount(); n != 20 || segs != 3 || saved != 3 {
+			t.Fatalf("after %s: %d rows, %d segments, %d files; want 20, 3, 3", what, n, segs, saved)
+		}
+	}
 	// Unique keys enforced against bulk-loaded data.
 	if err := tbl.Insert(urow(5, 0, "dup")); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("dup vs bulk = %v", err)
 	}
-	if _, err := tbl.BulkLoad([]types.Row{urow(5, 0, "dup")}); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tbl.BulkLoad([]types.Row{urow(100, 0, "new"), urow(5, 0, "dup")}); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("bulk dup = %v", err)
 	}
+	unchanged("a load of a live key")
+	// A NULL unique key is refused with an insert's error, however often
+	// it is loaded.
+	null := types.Row{types.Null(types.Int64), types.NewInt(0), types.NewString("null")}
+	insErr := tbl.Insert(null)
+	for i := 0; i < 2; i++ {
+		_, err := tbl.BulkLoad([]types.Row{urow(100, 0, "new"), null})
+		if err == nil || insErr == nil || fmt.Sprint(errors.Unwrap(err)) != fmt.Sprint(errors.Unwrap(insErr)) {
+			t.Fatalf("load %d of a NULL key = %v, want the insert's %v", i, err, insErr)
+		}
+		unchanged("a load of a NULL key")
+	}
+	// A load whose second save fails installs nothing and removes the
+	// first file it saved.
+	files.failAt = files.saves + 2
+	more := make([]types.Row, 12)
+	for i := range more {
+		more[i] = urow(100+i, i, "more")
+	}
+	if _, err := tbl.BulkLoad(more); err == nil {
+		t.Fatal("a load whose save failed was accepted")
+	}
+	unchanged("a failed save")
 }
 
 func TestHiddenRowIDTables(t *testing.T) {

@@ -77,8 +77,7 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 			return res, err
 		}
 	}
-	uk := t.schema.UniqueKey
-	if len(uk) == 0 {
+	if len(t.schema.UniqueKey) == 0 {
 		// No unique key: straight buffer inserts.
 		tx, done := t.beginWrite()
 		defer done()
@@ -97,6 +96,10 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		return res, nil
 	}
 
+	tgs, slot, err := t.uniqueKeys(rows, opts.OnDup != DupError)
+	if err != nil {
+		return res, fmt.Errorf("insert %s: %w", t.name, err)
+	}
 	// Duplicate detection probes the secondary index, which only covers
 	// hydrated segments — block until a lazily-restored table is fully
 	// resident (one atomic load once it is).
@@ -104,32 +107,9 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 		return res, fmt.Errorf("insert %s: %w", t.name, err)
 	}
 
-	// The batch's distinct unique keys; slot maps each row to its key's.
-	// Under DupError a key the batch repeats fails it here.
-	slot := make([]int, len(rows))
-	first := make(map[string]int, len(rows))
-	tgs := make([]target, 0, len(rows))
-	for i, r := range rows {
-		vs := make([]types.Value, len(uk))
-		for j, c := range uk {
-			if r[c].IsNull {
-				return res, fmt.Errorf("insert %s: unique key column %q is null", t.name, t.schema.Columns[c].Name)
-			}
-			vs[j] = r[c]
-		}
-		key := types.EncodeKey(nil, vs...)
-		s, seen := first[string(key)]
-		if !seen {
-			s = len(tgs)
-			first[string(key)] = s
-			tgs = append(tgs, target{key: key, vals: vs})
-		} else if opts.OnDup == DupError {
-			t.Stats.DupConflicts.Add(1)
-			return res, fmt.Errorf("%w: within batch", ErrDuplicateKey)
-		}
-		slot[i] = s
-	}
-
+	// The key-set lock, shared to the commit: no bulk load checks meanwhile.
+	t.keyMu.RLock()
+	defer t.keyMu.RUnlock()
 	tx, done := t.beginWrite()
 	defer done()
 	locked, err := t.lockTargets(tx, tgs)
@@ -181,6 +161,37 @@ func (t *Table) InsertBatch(rows []types.Row, opts InsertOptions) (InsertResult,
 	t.Stats.Inserts.Add(int64(res.Inserted))
 	t.Stats.Updates.Add(int64(res.Updated + res.Replaced))
 	return res, nil
+}
+
+// uniqueKeys derives the batch's distinct unique keys, the targets its
+// writer locks or checks; slot maps each row to its key's. It refuses a
+// row with a NULL key column and, unless dupOK, a key the batch repeats.
+func (t *Table) uniqueKeys(rows []types.Row, dupOK bool) (tgs []target, slot []int, err error) {
+	uk := t.schema.UniqueKey
+	slot = make([]int, len(rows))
+	first := make(map[string]int, len(rows))
+	tgs = make([]target, 0, len(rows))
+	for i, r := range rows {
+		vs := make([]types.Value, len(uk))
+		for j, c := range uk {
+			if r[c].IsNull {
+				return nil, nil, fmt.Errorf("unique key column %q is null", t.schema.Columns[c].Name)
+			}
+			vs[j] = r[c]
+		}
+		key := types.EncodeKey(nil, vs...)
+		s, seen := first[string(key)]
+		if !seen {
+			s = len(tgs)
+			first[string(key)] = s
+			tgs = append(tgs, target{key: key, vals: vs})
+		} else if !dupOK {
+			t.Stats.DupConflicts.Add(1)
+			return nil, nil, fmt.Errorf("%w: within batch", ErrDuplicateKey)
+		}
+		slot[i] = s
+	}
+	return tgs, slot, nil
 }
 
 // liveByKey returns the location of the live segment copy of the row with
@@ -247,42 +258,16 @@ func (t *Table) liveMatch(view *View, m index.Match) (int32, bool) {
 	return 0, false
 }
 
-// checkBulkKeys reports ErrDuplicateKey when two of rows, or one of rows
-// and a live row, share a unique key.
-func (t *Table) checkBulkKeys(rows []types.Row) error {
-	seen := make(map[string]struct{}, len(rows))
-	view := t.Snapshot()
-	defer view.Release()
-	for _, r := range rows {
-		k := string(types.KeyOf(r, t.schema.UniqueKey))
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("%w: within bulk load", ErrDuplicateKey)
-		}
-		seen[k] = struct{}{}
-		if _, ok := t.buffer.Get([]byte(k), view.TS); ok {
-			return ErrDuplicateKey
-		}
-		vals := make([]types.Value, len(t.schema.UniqueKey))
-		for j, c := range t.schema.UniqueKey {
-			vals[j] = r[c]
-		}
-		v, _, _, live := t.liveByKey(view, vals)
-		if v != view {
-			v.Release()
-		}
-		if live {
-			return ErrDuplicateKey
-		}
-	}
-	return nil
-}
-
 // BulkLoad ingests rows directly into columnstore segments, bypassing the
 // buffer — the batch-load path that keeps data "only in highly compressed
-// columnstore format" (§7's contrast with TiDB). Unique keys are checked
-// against existing data under DupError only. It returns the sequence
-// number of its last log record.
-func (t *Table) BulkLoad(rows []types.Row) (uint64, error) {
+// columnstore format" (§7's contrast with TiDB). It builds and saves its
+// segments before it takes a lock. Then, holding the key-set lock
+// exclusive and structMu, it refuses a NULL, repeated or live unique key
+// as InsertBatch does under DupError, and installs the segments one commit
+// each, so readers may see a load one segment at a time. A refused or
+// failed load installs nothing and removes the files it saved. It returns
+// the sequence number of its last log record.
+func (t *Table) BulkLoad(rows []types.Row) (lsn uint64, err error) {
 	for _, r := range rows {
 		if err := t.schema.CheckRow(r); err != nil {
 			return 0, err
@@ -291,44 +276,68 @@ func (t *Table) BulkLoad(rows []types.Row) (uint64, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	keyed := len(t.schema.UniqueKey) > 0
-	// See InsertBatch: index probes need every segment hydrated.
-	if keyed {
-		if err := t.ensureProbeReady(); err != nil {
+	var tgs []target
+	if len(t.schema.UniqueKey) > 0 {
+		if tgs, _, err = t.uniqueKeys(rows, false); err == nil {
+			// See InsertBatch: index probes need every segment hydrated.
+			err = t.ensureProbeReady()
+		}
+		if err != nil {
 			return 0, fmt.Errorf("bulk load %s: %w", t.name, err)
 		}
 	}
-	// The key check and the segment commits run under one structMu hold,
-	// so two loads of one new key cannot both pass the check.
-	t.structMu.Lock()
-	defer t.structMu.Unlock()
-	if keyed {
-		if err := t.checkBulkKeys(rows); err != nil {
-			return 0, err
+	var segs []segInstall
+	defer func() {
+		for i := 0; err != nil && i < len(segs); i++ {
+			t.files.RemoveFile(segs[i].File) //nolint:errcheck // best-effort cleanup on abort
 		}
-	}
-	var lsn uint64
+	}()
 	for start := 0; start < len(rows); start += t.cfg.MaxSegmentRows {
-		end := start + t.cfg.MaxSegmentRows
-		if end > len(rows) {
-			end = len(rows)
-		}
 		b := colstore.NewBuilder(t.schema)
-		for _, r := range rows[start:end] {
+		for _, r := range rows[start:min(start+t.cfg.MaxSegmentRows, len(rows))] {
 			b.Add(r)
 		}
-		segID := t.nextSeg.Add(1) - 1
-		seg := b.Build(segID)
-		run := int(t.nextRun.Add(1) - 1)
-		file := fmt.Sprintf("%s/seg-%08d-lp%08d", t.name, segID, t.log.Head())
+		seg := b.Build(t.nextSeg.Add(1) - 1)
+		file := fmt.Sprintf("%s/seg-%08d-lp%08d", t.name, seg.ID, t.log.Head())
 		segBytes := seg.Encode()
 		if err := t.files.SaveFile(file, segBytes); err != nil {
-			return lsn, fmt.Errorf("bulk load %s: %w", t.name, err)
+			return 0, fmt.Errorf("bulk load %s: %w", t.name, err)
 		}
-		_, lsn = t.commit(wal.KindFlush, nil, &mutation{
-			NewSegs: []segInstall{{File: file, Run: run, SegBytes: segBytes, seg: seg}},
-		})
+		segs = append(segs, segInstall{File: file, Run: int(t.nextRun.Add(1) - 1), SegBytes: segBytes, seg: seg})
+	}
+	t.keyMu.Lock()
+	defer t.keyMu.Unlock()
+	t.structMu.Lock()
+	defer t.structMu.Unlock()
+	if err := t.checkFreshKeys(tgs); err != nil {
+		t.Stats.DupConflicts.Add(1)
+		return 0, fmt.Errorf("bulk load %s: %w", t.name, err)
+	}
+	for _, s := range segs {
+		_, lsn = t.commit(wal.KindFlush, nil, &mutation{NewSegs: []segInstall{s}})
 	}
 	t.Stats.Inserts.Add(int64(len(rows)))
 	return lsn, nil
+}
+
+// checkFreshKeys reports ErrDuplicateKey when a key of tgs is live. Its
+// caller holds the key-set lock exclusive, so no insert is in flight, and
+// structMu, so no flush or merge installs during the probe: one view's
+// buffer and index entries answer, and a miss needs no retry (liveByKey).
+func (t *Table) checkFreshKeys(tgs []target) error {
+	view := t.Snapshot()
+	defer view.Release()
+	for _, tg := range tgs {
+		if _, ok := t.buffer.Get(tg.key, view.TS); ok {
+			return ErrDuplicateKey
+		}
+		matches, probes := t.idx.LookupTuple(t.schema.UniqueKey, tg.vals)
+		t.Stats.IndexProbes.Add(int64(probes))
+		for _, m := range matches {
+			if _, live := t.liveMatch(view, m); live {
+				return ErrDuplicateKey
+			}
+		}
+	}
+	return nil
 }

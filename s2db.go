@@ -506,7 +506,11 @@ func (db *DB) InsertWith(table string, opts InsertOptions, rows ...Row) (core.In
 	return db.cluster.Insert(table, rows, opts)
 }
 
-// BulkLoad ingests rows directly into columnstore segments.
+// BulkLoad ingests rows directly into columnstore segments, checking
+// unique keys as Insert does. Partitions load one after another: on a
+// partition a refused or failed load installs nothing, but the partitions
+// loaded before it keep their rows, and readers may see a partition's load
+// one segment at a time.
 func (db *DB) BulkLoad(table string, rows []Row) error {
 	return db.cluster.BulkLoad(table, rows)
 }
